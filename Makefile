@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCHDATE := $(shell date +%Y%m%d)
 
-.PHONY: all build vet test race tier1 bench bench-json bench-integrated bench-pause bench-putsync bench-server benchdiff benchdiff-gate obs-overhead fuzz-smoke crash-smoke prom-smoke server-smoke drift-smoke
+.PHONY: all build vet test race tier1 loc bench bench-json bench-integrated bench-pause bench-putsync bench-server benchdiff benchdiff-gate obs-overhead fuzz-smoke crash-smoke prom-smoke server-smoke drift-smoke
 
 all: tier1
 
@@ -22,6 +22,13 @@ race:
 # packages, including internal/obs), and pass the full test suite (including
 # the concurrency stress tests) under the race detector.
 tier1: build vet race
+
+# loc prints the number ROADMAP tracks: non-test Go lines per package and in
+# total, outside bench/ (the benchmark is a module of its own).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	  END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...

@@ -22,9 +22,9 @@ func init() {
 }
 
 // bgMergeCfg is the per-shard hybrid configuration used by the sharding
-// experiments: background merges on, thesis defaults otherwise. With epoch
-// on, reads go through the wait-free epoch-pinned path instead of the
-// per-shard RWMutex.
+// experiments: background merges on, thesis defaults otherwise. epoch picks
+// the dynamic stage: the lock-free skip-list memtable (wait-free reads) or
+// the thesis B+tree behind the memtable's readers-writer lock ("lock").
 func bgMergeCfg(epoch bool) hybrid.Config {
 	cfg := hybrid.DefaultConfig()
 	cfg.BackgroundMerge = true
@@ -169,7 +169,7 @@ func runShardedYCSB(ctx *benchContext) {
 			}
 		}
 	}
-	fmt.Println("expect: reads scale with shards, epoch mode flattens the pause tail, writes/merges parallelize")
+	fmt.Println("expect: reads scale with shards, the lock-free memtable flattens the pause tail, writes/merges parallelize")
 }
 
 // pauseReader is any index the pause probe can point-read.
@@ -179,9 +179,9 @@ type pauseReader interface {
 
 // worstReadPauseDuring hammers Get from a few reader goroutines while fn
 // runs and returns the worst single-read latency any of them observed —
-// the read pause the merge actually inflicts. Lock-mode merges block
-// readers for the whole rebuild; epoch-mode readers sail through on the
-// pinned generation.
+// the read pause the merge actually inflicts. With either memtable readers
+// resolve against the pinned generation while the merge runs; the locked
+// memtable adds only its read lock, which a merge never holds exclusively.
 func worstReadPauseDuring(idx pauseReader, ks [][]byte, fn func()) time.Duration {
 	readers := runtimeGOMAXPROCS() - 1
 	if readers < 1 {
@@ -223,11 +223,11 @@ func worstReadPauseDuring(idx pauseReader, ks [][]byte, fn func()) time.Duration
 
 // runShardedPause loads every variant and forces a full merge while reader
 // goroutines time every Get — the pause budget argument for sharding and
-// for epoch-based reads: N small rebuilds instead of one big one, and with
-// epochs no rebuild blocks a reader at all. Shards are merged one at a time
-// (MergeShard) so each measured duration is the lock-hold time that shard's
-// readers actually see, not inflated by timeslicing against the other
-// rebuilds on a small machine.
+// for generation-published reads: N small rebuilds instead of one big one,
+// and no rebuild blocks a reader at all. Shards are merged one at a time
+// (MergeShard) so each measured duration is that shard's writer-mutex hold
+// time, not inflated by timeslicing against the other rebuilds on a small
+// machine.
 func runShardedPause(ctx *benchContext) {
 	ks := dataset(randInt, ctx.numKeys(), 1)
 	row("variant", "merge wall ms", "worst shard ms", "sum shard ms", "worst read pause us")
@@ -271,7 +271,7 @@ func runShardedPause(ctx *benchContext) {
 				n, modeName(epoch), wall.Nanoseconds(), worst.Nanoseconds(), pause.Nanoseconds())
 		}
 	}
-	fmt.Println("expect: worst per-shard pause ~1/N of the single-shard merge pause; epoch mode keeps the read pause flat")
+	fmt.Println("expect: worst per-shard merge ~1/N of the single-shard merge; the read pause stays flat under both memtables")
 }
 
 func shardCounts(ctx *benchContext) []int {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"mets/internal/index"
 	"mets/internal/keys"
@@ -315,52 +314,6 @@ func (c *CompactMulti) Scan(start []byte, fn func(key []byte, value uint64) bool
 		for _, v := range c.vals[c.valStart[i]:c.valStart[i+1]] {
 			count++
 			if !fn(c.key(i), v) {
-				return count
-			}
-		}
-	}
-	return count
-}
-
-// UpdateValueAtomic replaces old with new among key's packed values using an
-// atomic store, for static stages probed by lock-free readers (the hybrid's
-// epoch mode): secondary-index updates mutate the value list in place, and
-// the store must not tear under a concurrent GetAllAtomic. Single writer.
-func (c *CompactMulti) UpdateValueAtomic(key []byte, old, new uint64) bool {
-	i := c.lowerBoundIdx(key)
-	if i >= c.NumKeys() || !bytes.Equal(c.key(i), key) {
-		return false
-	}
-	for j := c.valStart[i]; j < c.valStart[i+1]; j++ {
-		if atomic.LoadUint64(&c.vals[j]) == old {
-			atomic.StoreUint64(&c.vals[j], new)
-			return true
-		}
-	}
-	return false
-}
-
-// GetAllAtomic appends key's values to dst with atomic loads, safe against a
-// concurrent in-place UpdateValueAtomic. Unlike GetAll it returns a copy, so
-// callers never alias the mutable packed list.
-func (c *CompactMulti) GetAllAtomic(dst []uint64, key []byte) []uint64 {
-	i := c.lowerBoundIdx(key)
-	if i >= c.NumKeys() || !bytes.Equal(c.key(i), key) {
-		return dst
-	}
-	for j := c.valStart[i]; j < c.valStart[i+1]; j++ {
-		dst = append(dst, atomic.LoadUint64(&c.vals[j]))
-	}
-	return dst
-}
-
-// ScanAtomic is Scan with atomic value loads (epoch-mode readers).
-func (c *CompactMulti) ScanAtomic(start []byte, fn func(key []byte, value uint64) bool) int {
-	count := 0
-	for i := c.lowerBoundIdx(start); i < c.NumKeys(); i++ {
-		for j := c.valStart[i]; j < c.valStart[i+1]; j++ {
-			count++
-			if !fn(c.key(i), atomic.LoadUint64(&c.vals[j])) {
 				return count
 			}
 		}

@@ -13,10 +13,9 @@ import (
 
 // benchReadUnderMerge times point reads while a writer keeps the memtable
 // filling and merges churning, and reports the read p99 plus the worst
-// single read — the merge pause a reader actually eats. Lock mode versus
-// epoch mode is the wait-free read path's headline comparison: the lock
-// path's p99 carries every writer and merge it collided with, the epoch
-// path pins a generation and never waits.
+// single read — the merge pause a reader actually eats. Neither memtable
+// makes a reader wait for a merge; the locked one (mode=lock) can still
+// collide with a single write, the lock-free one (mode=epoch) never waits.
 func benchReadUnderMerge(b *testing.B, epoch bool) {
 	const n = 1 << 17
 	cfg := Config{MergeRatio: 4, MinDynamic: 1 << 13, BloomBitsPerKey: 10,

@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"bytes"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
@@ -224,5 +225,62 @@ func TestBackgroundMergeDoesNotBlockReaders(t *testing.T) {
 	// would have stalled for the whole merge.
 	if pause > foreground/2 {
 		t.Fatalf("max read pause %v is not well below foreground merge time %v", pause, foreground)
+	}
+}
+
+// TestScanCallbackReentersIndex pins what the single core made legal under
+// either memtable: a Scan callback calling Get on the same index while a
+// writer runs. Scan holds an epoch pin and no lock, so the nested read
+// cannot deadlock against the writer (the lock twin documented it as
+// forbidden: its Scan held the read lock across the callback, and a Get
+// queued behind a waiting writer never returned).
+func TestScanCallbackReentersIndex(t *testing.T) {
+	for _, epoch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("epoch=%v", epoch), func(t *testing.T) {
+			h := NewBTree(Config{MergeRatio: 4, MinDynamic: 64, BloomBitsPerKey: 10,
+				BackgroundMerge: true, EpochReads: epoch})
+			stable := make([][]byte, 500)
+			for i := range stable {
+				stable[i] = []byte(fmt.Sprintf("a%05d", i))
+				h.Insert(stable[i], valOf(stable[i], false))
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() { // churns a disjoint key range: inserts, deletes, merges
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					k := []byte(fmt.Sprintf("b%05d", i%3000))
+					if !h.Insert(k, uint64(i)) {
+						h.Delete(k)
+					}
+				}
+			}()
+			for round := 0; round < 20; round++ {
+				seen := 0
+				h.Scan(nil, func(k []byte, v uint64) bool {
+					if k[0] != 'a' {
+						return false
+					}
+					if got, ok := h.Get(k); !ok || got != v {
+						t.Errorf("nested Get(%s) = (%d,%v), scan saw %d", k, got, ok, v)
+						return false
+					}
+					seen++
+					return true
+				})
+				if seen != len(stable) {
+					t.Fatalf("round %d: scan with nested Gets saw %d stable keys, want %d", round, seen, len(stable))
+				}
+			}
+			close(stop)
+			wg.Wait()
+			h.WaitMerges()
+		})
 	}
 }

@@ -9,14 +9,20 @@ import (
 
 // TestDifferential runs the shared oracle harness against every hybrid
 // variant, with merges forced often (tiny MinDynamic, ratio 2) so the
-// operation stream constantly crosses stage boundaries, in both foreground-
-// and background-merge modes.
+// operation stream constantly crosses stage boundaries, in foreground- and
+// background-merge modes and without the Bloom filter.
 func TestDifferential(t *testing.T) {
-	for _, bg := range []bool{false, true} {
-		cfg := Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, BackgroundMerge: bg}
+	mods := map[string]func(*Config){
+		"bg=false": func(c *Config) {},
+		"bg=true":  func(c *Config) { c.BackgroundMerge = true },
+		"nobloom":  func(c *Config) { c.DisableBloom = true },
+	}
+	for mname, mod := range mods {
+		cfg := Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10}
+		mod(&cfg)
 		for name, h := range allVariants(cfg) {
 			h := h
-			t.Run(fmt.Sprintf("%s/bg=%v", name, bg), func(t *testing.T) {
+			t.Run(name+"/"+mname, func(t *testing.T) {
 				dstest.Run(t, h, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 1})
 				h.WaitMerges()
 			})
@@ -29,16 +35,23 @@ func TestDifferential(t *testing.T) {
 // the next chunk must start at that extension, not at Successor(k). Found by
 // the differential harness; kept as a deterministic regression test.
 func TestScanChunkBoundaryExtension(t *testing.T) {
-	h := NewBTree(Config{MergeRatio: 10, MinDynamic: 1 << 30, BloomBitsPerKey: 10})
-	// boundary is the cumulative size of the Iterator's first two refills
-	// (iterFirstChunk then 2*iterFirstChunk) and is also a multiple of the
-	// dynCursor chunk size, so "b" as the boundary-th key sits exactly at the
-	// end of a refill on both paths; its extension "b\x00x" opens the next
-	// chunk and must not be skipped.
-	boundary := 3 * iterFirstChunk
-	if boundary%dynChunk != 0 {
-		t.Fatalf("boundary %d not aligned to dynChunk %d; adjust the test", boundary, dynChunk)
+	// "b" sits as the boundary-th key, exactly at the end of a refill, and
+	// its extension "b\x00x" opens the next chunk and must not be skipped.
+	// The two paths refill at different positions, so each gets its own
+	// boundary: the Iterator's first two refills (iterFirstChunk, then
+	// twice that), and the memtable scan cursor's doubling refills up to
+	// its first full-size one.
+	cursorBoundary := 0
+	for c := memChunk; c <= dynChunk; c *= 2 {
+		cursorBoundary += c
 	}
+	for _, boundary := range []int{3 * iterFirstChunk, cursorBoundary} {
+		testScanChunkBoundary(t, boundary)
+	}
+}
+
+func testScanChunkBoundary(t *testing.T, boundary int) {
+	h := NewBTree(Config{MergeRatio: 10, MinDynamic: 1 << 30, BloomBitsPerKey: 10})
 	for i := 0; i < boundary-1; i++ {
 		h.Insert([]byte(fmt.Sprintf("a%04d", i)), uint64(i))
 	}

@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"mets/internal/dstest"
 	"mets/internal/index"
 	"mets/internal/keys"
 	"mets/internal/obs"
@@ -20,34 +18,17 @@ func epochCfg() Config {
 	return Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, EpochReads: true}
 }
 
-// TestEpochDifferential runs the shared oracle harness against the epoch
-// read path in every merge/filter/codec configuration. The harness drives
-// the same operation stream it uses for the lock-mode variants, so this is
-// the lock-vs-epoch equivalence check.
-func TestEpochDifferential(t *testing.T) {
-	mods := map[string]func(*Config){
-		"fg":      func(c *Config) {},
-		"bg":      func(c *Config) { c.BackgroundMerge = true },
-		"nobloom": func(c *Config) { c.DisableBloom = true },
-		"codec":   func(c *Config) { c.Codec = testCodec(t) },
-	}
-	for name, mod := range mods {
-		cfg := epochCfg()
-		mod(&cfg)
-		t.Run(name, func(t *testing.T) {
-			h := NewBTree(cfg)
-			dstest.Run(t, h, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 1})
-			h.WaitMerges()
-		})
-	}
-}
-
 // TestEpochBulkLoadAndIterate covers the generation-replacing BulkLoad plus
-// the chunked hooks (ScanN, Iterator, LowerBound) over the epoch path.
+// the chunked hooks (ScanN, Iterator, LowerBound) on every variant.
 func TestEpochBulkLoadAndIterate(t *testing.T) {
 	cfg := epochCfg()
 	cfg.BackgroundMerge = true
-	h := NewBTree(cfg)
+	for name, h := range allVariants(cfg) {
+		t.Run(name, func(t *testing.T) { testBulkLoadAndIterate(t, h) })
+	}
+}
+
+func testBulkLoadAndIterate(t *testing.T, h *Index) {
 	entries := make([]index.Entry, 5000)
 	for i := range entries {
 		entries[i] = index.Entry{Key: keys.Uint64(uint64(i) * 3), Value: uint64(i)}
@@ -116,7 +97,10 @@ func TestEpochStress(t *testing.T) {
 						return n < 40
 					})
 				}
-				_ = h.Len()
+				// Aggregate accessors read generation fields too; unpinned,
+				// they race the retirement that nils them (FrozenLen did).
+				_ = h.Len() + h.FrozenLen() + h.DynamicLen() + h.StaticLen()
+				_ = h.Health()
 			}
 		}(int64(r))
 	}
@@ -172,19 +156,22 @@ func TestEpochStress(t *testing.T) {
 
 // TestEpochGenerationsReclaimed is the leak test: every generation retired
 // by merges and bulk loads must be reclaimed once readers drain, and the
-// epoch counters must agree.
+// epoch counters must agree — under either memtable.
 func TestEpochGenerationsReclaimed(t *testing.T) {
-	cfg := epochCfg()
-	cfg.MinDynamic = 64
-	h := NewBTree(cfg)
+	for _, epoch := range []bool{false, true} {
+		cfg := epochCfg()
+		cfg.MinDynamic = 64
+		cfg.EpochReads = epoch
+		t.Run(fmt.Sprintf("epoch=%v", epoch), func(t *testing.T) { testGenerationsReclaimed(t, NewBTree(cfg)) })
+	}
+}
+
+func testGenerationsReclaimed(t *testing.T, h *Index) {
 	for i := 0; i < 4000; i++ {
 		h.Insert(keys.Uint64(uint64(i)), uint64(i))
 	}
 	h.Merge()
 	mgr := h.EpochManager()
-	if mgr == nil {
-		t.Fatal("epoch mode index returned nil manager")
-	}
 	// With no readers pinned, a final Reclaim must drain everything retired.
 	mgr.Reclaim()
 	if n := mgr.InFlight(); n != 0 {
@@ -206,120 +193,6 @@ func TestEpochGenerationsReclaimed(t *testing.T) {
 	if n := mgr.InFlight(); n != 0 {
 		t.Fatalf("%d generations in flight after unpin+reclaim", n)
 	}
-}
-
-// TestEpochSecondary reruns the secondary-index contract over the epoch
-// read path: multimap inserts, in-place updates in either stage, ordered
-// pair scans.
-func TestEpochSecondary(t *testing.T) {
-	s := NewSecondary(Config{MergeRatio: 10, MinDynamic: 512, EpochReads: true})
-	numKeys := 2000
-	for i := 0; i < numKeys; i++ {
-		k := keys.Uint64(uint64(i))
-		for j := 0; j < 10; j++ {
-			s.Insert(k, uint64(i*10+j))
-		}
-	}
-	if s.Len() != numKeys*10 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Merges == 0 {
-		t.Fatal("expected merges")
-	}
-	for i := 0; i < numKeys; i++ {
-		vs := s.GetAll(keys.Uint64(uint64(i)))
-		if len(vs) != 10 {
-			t.Fatalf("key %d has %d values, want 10", i, len(vs))
-		}
-		sort.Slice(vs, func(a, b int) bool { return vs[a] < vs[b] })
-		for j, v := range vs {
-			if v != uint64(i*10+j) {
-				t.Fatalf("key %d values wrong: %v", i, vs)
-			}
-		}
-	}
-	// In-place update: key 0's values sit in the static stage post-merge;
-	// fresh inserts land dynamic. Both paths must replace exactly one value.
-	if !s.Update(keys.Uint64(0), 5, 99995) {
-		t.Fatal("static-side update failed")
-	}
-	s.Insert(keys.Uint64(uint64(numKeys)), 1)
-	if !s.Update(keys.Uint64(uint64(numKeys)), 1, 2) {
-		t.Fatal("dynamic-side update failed")
-	}
-	vs := s.GetAll(keys.Uint64(uint64(numKeys)))
-	if len(vs) != 1 || vs[0] != 2 {
-		t.Fatalf("dynamic update result wrong: %v", vs)
-	}
-	if s.Update(keys.Uint64(99999), 0, 1) {
-		t.Fatal("update on absent key succeeded")
-	}
-	prev := []byte(nil)
-	n := s.Scan(nil, func(k []byte, v uint64) bool {
-		if prev != nil && keys.Compare(prev, k) > 0 {
-			t.Fatal("secondary scan out of order")
-		}
-		prev = append(prev[:0], k...)
-		return true
-	})
-	if n != numKeys*10+1 {
-		t.Fatalf("scan visited %d pairs", n)
-	}
-}
-
-// TestEpochSecondaryStress races lock-free GetAll/Scan readers against the
-// single writer doing inserts and in-place updates across merges.
-func TestEpochSecondaryStress(t *testing.T) {
-	s := NewSecondary(Config{MergeRatio: 2, MinDynamic: 64, EpochReads: true})
-	const keyN = 300
-	// Each key k holds values congruent to k mod keyN at all times: updates
-	// replace v with v+keyN, so any observed value mod keyN identifies its key.
-	for k := 0; k < keyN; k++ {
-		s.Insert(keys.Uint64(uint64(k)), uint64(k))
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for !stop.Load() {
-				k := rng.Intn(keyN)
-				for _, v := range s.GetAll(keys.Uint64(uint64(k))) {
-					if v%keyN != uint64(k) {
-						panic(fmt.Sprintf("reader saw value %d under key %d", v, k))
-					}
-				}
-				if rng.Intn(16) == 0 {
-					n := 0
-					s.Scan(nil, func(kb []byte, v uint64) bool {
-						n++
-						return n < 100
-					})
-				}
-			}
-		}(int64(r))
-	}
-	rng := rand.New(rand.NewSource(5))
-	cur := make([]uint64, keyN)
-	for k := range cur {
-		cur[k] = uint64(k)
-	}
-	writes := 30000
-	if raceEnabled {
-		writes = 6000
-	}
-	for w := 0; w < writes; w++ {
-		k := rng.Intn(keyN)
-		if rng.Intn(3) == 0 {
-			s.Insert(keys.Uint64(uint64(k)), cur[k]+2*keyN)
-		} else if s.Update(keys.Uint64(uint64(k)), cur[k], cur[k]+keyN) {
-			cur[k] += keyN
-		}
-	}
-	stop.Store(true)
-	wg.Wait()
 }
 
 // TestEpochObsGauges checks the epoch-specific instrumentation is wired.

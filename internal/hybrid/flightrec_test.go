@@ -4,6 +4,8 @@ import (
 	"path"
 	"testing"
 
+	"mets/internal/index"
+	"mets/internal/keys"
 	"mets/internal/obs"
 	"mets/internal/vfs"
 )
@@ -88,9 +90,10 @@ func TestJournalHealth(t *testing.T) {
 		t.Fatalf("DynamicLen = %d, want 100", hs.DynamicLen)
 	}
 
-	// In lock mode the trigger fires inline on the write that crosses it, so
-	// a behind state only shows between a background seal and its merge
-	// landing. Construct it white-box: load the dynamic stage under a huge
+	// The trigger fires inline on the write that crosses it, so a behind
+	// state only shows between a background seal and its merge landing (or
+	// after tombstone churn, TestMergeBehindMatchesTrigger). Construct it
+	// white-box: load the dynamic stage under a huge
 	// MinDynamic, then lower the trigger under the accumulated entries.
 	h2 := NewBTree(Config{MergeRatio: 2, MinDynamic: 1 << 20})
 	for i := 0; i < 100; i++ {
@@ -108,5 +111,48 @@ func TestJournalHealth(t *testing.T) {
 	// An empty index is never behind.
 	if hs := NewBTree(Config{MergeRatio: 2}).Health(); hs.MergeBehind {
 		t.Fatalf("empty Health = %+v", hs)
+	}
+}
+
+// TestMergeBehindMatchesTrigger pins that Health, the merge_behind gauge and
+// the write path's trigger are one predicate over raw memtable nodes. The
+// churn is all tombstones — deletes of static-resident keys, which grow the
+// memtable without evaluating the trigger — so a live-entry count would see
+// an empty dynamic stage throughout. MergeBehind must flip exactly at
+// MinDynamic nodes, and the next memtable-growing write must merge exactly
+// when its own node reaches the trigger.
+func TestMergeBehindMatchesTrigger(t *testing.T) {
+	const minDyn, loaded = 64, 100
+	for _, epoch := range []bool{false, true} {
+		for _, tombs := range []int{minDyn - 2, minDyn - 1, minDyn, minDyn + 3} {
+			reg := obs.NewRegistry()
+			h := NewBTree(Config{MergeRatio: 2, MinDynamic: minDyn, EpochReads: epoch, Obs: reg})
+			entries := make([]index.Entry, loaded)
+			for i := range entries {
+				entries[i] = index.Entry{Key: keys.Uint64(uint64(i)), Value: uint64(i)}
+			}
+			if err := h.BulkLoad(entries); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < tombs; i++ {
+				if !h.Delete(entries[i].Key) {
+					t.Fatalf("delete %d failed", i)
+				}
+			}
+			hs := h.Health()
+			if hs.DynamicLen != 0 {
+				t.Fatalf("epoch=%v tombs=%d: DynamicLen = %d, want 0 live entries", epoch, tombs, hs.DynamicLen)
+			}
+			if want := tombs >= minDyn; hs.MergeBehind != want {
+				t.Fatalf("epoch=%v tombs=%d: MergeBehind = %v, want %v", epoch, tombs, hs.MergeBehind, want)
+			}
+			if g := reg.Snapshot().Gauges["merge_behind"]; (g == 1) != hs.MergeBehind {
+				t.Fatalf("epoch=%v tombs=%d: merge_behind gauge = %v, Health says %v", epoch, tombs, g, hs.MergeBehind)
+			}
+			h.Insert(keys.Uint64(1<<40), 1)
+			if merged, want := h.Merges == 1, tombs+1 >= minDyn; merged != want {
+				t.Fatalf("epoch=%v tombs=%d: next write merged = %v, want %v", epoch, tombs, merged, want)
+			}
+		}
 	}
 }

@@ -12,30 +12,29 @@ type Health struct {
 	JournalErr string `json:"journal_err,omitempty"`
 	// Merging reports an in-flight background merge.
 	Merging bool `json:"merging"`
-	// MergeBehind reports that the dynamic stage has grown past the merge
-	// trigger (MinDynamic reached and dynamic*MergeRatio >= static size) —
-	// reads are paying extra stage lookups until a merge lands.
+	// MergeBehind reports that the dynamic stage sits past the merge trigger
+	// (Index.mergeDue: raw memtable nodes, tombstones included, reached
+	// MinDynamic and nodes*MergeRatio >= static size) — the next write that
+	// grows the memtable merges, and until it lands reads pay extra stage
+	// lookups.
 	MergeBehind bool `json:"merge_behind"`
-	// DynamicLen and StaticLen are the stage sizes behind MergeBehind.
+	// DynamicLen and StaticLen are the live stage sizes (frozen counts as
+	// dynamic).
 	DynamicLen int `json:"dynamic_len"`
 	StaticLen  int `json:"static_len"`
 }
 
-// Health reports the index's current health. Safe for concurrent use.
+// Health reports the index's current health. Safe for concurrent use. The
+// stage sizes and the trigger verdict come from one pinned generation.
 func (h *Index) Health() Health {
-	d, s := h.DynamicLen(), h.StaticLen()
-	hs := Health{
-		Healthy:    true,
-		Merging:    h.Merging(),
-		DynamicLen: d,
-		StaticLen:  s,
-	}
+	hs := Health{Healthy: true, Merging: h.Merging()}
+	h.view(func(g *gen) {
+		hs.MergeBehind = h.mergeDue(g)
+		hs.DynamicLen, hs.StaticLen = g.dynamicLen(), g.staticLen()
+	})
 	if err := h.JournalErr(); err != nil {
 		hs.Healthy = false
 		hs.JournalErr = err.Error()
 	}
-	// Mirror maybeMergeLocked's trigger; the d > 0 guard keeps an empty
-	// index from reporting merge-behind when MinDynamic is 0.
-	hs.MergeBehind = d > 0 && d >= h.cfg.MinDynamic && (s == 0 || d*h.cfg.MergeRatio >= s)
 	return hs
 }

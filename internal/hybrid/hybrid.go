@@ -7,20 +7,33 @@
 //
 // # Concurrency
 //
-// Index supports any number of concurrent readers (Get, Scan, Len,
-// MemoryUsage) plus one writer at a time (Insert, Update, Delete) behind a
-// readers-writer lock. With Config.BackgroundMerge set, ratio-triggered
-// merges no longer stop the world: the dynamic stage is sealed into an
-// immutable "frozen" stage under a short write lock, the new static stage is
-// built from frozen+static on a background goroutine while reads and writes
-// continue (writes land in a fresh dynamic stage), and the finished static
-// stage is swapped in under another short write lock. Scan callbacks run
-// with the read lock held and must not call back into the same Index.
+// One core serves every configuration. Everything a reader can reach lives
+// in an immutable generation (gen.go) published through an atomic pointer:
+// a reader pins an epoch, loads the pointer, resolves against the stages and
+// unpins. It takes no lock of the index's, so no merge — foreground or
+// background — no seal, swap or bulk load ever blocks a read. Writers
+// (Insert, Update, Delete, Merge, BulkLoad) serialize on one mutex and
+// publish structural changes as new generations through the reconfiguration
+// seam; a superseded generation is retired to the epoch manager and dropped
+// once every reader that could hold it has unpinned. With
+// Config.BackgroundMerge the dynamic stage is sealed into a frozen stage by
+// one such publication, the static stage is rebuilt on a background
+// goroutine while reads and writes continue (writes land in a fresh dynamic
+// stage), and the result is swapped in by another.
+//
+// The dynamic stage is a memtable (memtable.go). Config.EpochReads picks
+// which: the lock-free concurrent skip list, or a thesis structure from the
+// caller's factory behind a readers-writer lock private to the memtable.
+// That lock is the only thing the two configurations do not share.
+//
+// Scan callbacks run with an epoch pin held and nothing else, so they may
+// call back into the same Index.
 package hybrid
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mets/internal/bloom"
@@ -30,6 +43,7 @@ import (
 	"mets/internal/keys"
 	"mets/internal/obs"
 	"mets/internal/reconfig"
+	"mets/internal/skiplist"
 	"mets/internal/vfs"
 	"mets/internal/wal"
 )
@@ -58,18 +72,18 @@ type Config struct {
 	// hot-path cost is then a single nil check per counter site. Use
 	// Registry.Sub to prefix per-shard instances.
 	Obs *obs.Registry
-	// EpochReads replaces the readers-writer lock with an epoch-based
-	// generation scheme (epoch.go): reads are wait-free — pin an epoch, load
-	// the generation pointer, resolve, unpin — while writers serialize on a
-	// mutex and publish structural changes (seals, merge swaps, bulk loads)
-	// as new generations behind a single atomic store. In this mode the
-	// dynamic stage is always a concurrent skip-list memtable; the
-	// newDynamic factory passed to New is ignored.
+	// EpochReads makes the dynamic stage the built-in concurrent skip-list
+	// memtable: reads are then wait-free end to end — pin an epoch, load the
+	// generation pointer, resolve, unpin, with no lock anywhere — and the
+	// newDynamic factory passed to New is ignored. Unset, the dynamic stage
+	// is the factory's thesis structure behind the memtable's own
+	// readers-writer lock: a read can wait for one concurrent write to that
+	// memtable, but still never for a merge. Generations are published and
+	// reclaimed the same way in both.
 	EpochReads bool
 	// Epochs optionally shares an epoch manager across indexes (the sharded
 	// index passes one manager to all shards so a reader pin covers any
-	// generation it can reach). Nil gets a private manager. Ignored unless
-	// EpochReads is set.
+	// generation it can reach). Nil gets a private manager.
 	Epochs *epoch.Manager
 	// Codec, when set (and not the identity), makes the index store, merge,
 	// and range-scan keys in encoded space: keys are encoded once at the API
@@ -111,41 +125,25 @@ type Index struct {
 	// encoded space.
 	codec keycodec.Codec
 
-	mu        sync.RWMutex
-	mergeDone *sync.Cond // signalled (with mu held) when a background merge lands
-
-	// eg is non-nil iff Config.EpochReads: the epoch-mode state (epoch.go).
-	// In that mode every field guarded by mu above is unused and the public
-	// methods dispatch to their e-prefixed counterparts.
-	eg *epochState
-
-	// seam is the shared reconfiguration pipeline every epoch-mode
-	// generation swap publishes through (merge commits, seals, bulk loads).
-	// It owns the generation counter, the publication/reclaim event
-	// vocabulary, and retirement routing through the epoch manager.
+	// gen is the current generation; mgr pins readers of it and defers the
+	// retirement of superseded ones.
+	mgr *epoch.Manager
+	gen atomic.Pointer[gen]
+	// seam is the shared reconfiguration pipeline every generation swap
+	// publishes through (seals, merge commits, bulk loads). It owns the
+	// generation counter, the publication/reclaim event vocabulary, and
+	// retirement routing through the epoch manager.
 	seam *reconfig.Seam
 
-	dynamic    index.Dynamic
-	static     index.Static
-	filter     *bloom.Filter
-	tombstones map[string]struct{}
-	// shadows counts keys present both in the dynamic stage and in a lower
-	// stage (an update or re-insert shadowing an older copy), so Len stays
-	// exact.
-	shadows int
+	mu        sync.Mutex // serializes writers and generation publication
+	mergeDone *sync.Cond // on mu; signalled when a background merge lands
+	merging   bool       // a background merge is in flight (guarded by mu)
 
-	// Frozen stage: the sealed former dynamic stage while a background merge
-	// is rebuilding the static stage from it. All four fields are immutable
-	// for the duration of the merge and nil/zero otherwise.
-	merging       bool
-	frozen        index.Dynamic
-	frozenFilter  *bloom.Filter
-	frozenTombs   map[string]struct{}
-	frozenShadows int
+	live atomic.Int64 // exact live-entry count, writer-maintained
 
 	// Merge telemetry for the Chapter 5 experiments. The exported fields are
-	// written under the write lock; read them only via MergeStats or when no
-	// merge can be in flight (single-threaded use, or after WaitMerges).
+	// written under mu; read them only via MergeStats or when no merge can be
+	// in flight (single-threaded use, or after WaitMerges).
 	Merges         int
 	LastMergeTime  time.Duration
 	TotalMergeTime time.Duration
@@ -164,7 +162,6 @@ type Index struct {
 	obsScan      *obs.Counter
 	obsBloomSkip *obs.Counter // dynamic-stage probes the Bloom filter skipped
 	obsMerges    *obs.Counter
-	obsReclaims  *obs.Counter // epoch mode: retired generations reclaimed
 	obsReg       *obs.Registry
 
 	// fr is the flight recorder: shared with Config.Obs's when a registry is
@@ -189,6 +186,11 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		cfg:        cfg,
 		newDynamic: newDynamic,
 		build:      build,
+		mgr:        cfg.Epochs,
+	}
+	h.mergeDone = sync.NewCond(&h.mu)
+	if h.mgr == nil {
+		h.mgr = epoch.NewManager()
 	}
 	if !keycodec.IsIdentity(cfg.Codec) {
 		h.codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
@@ -202,35 +204,23 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		h.obsScan = r.Counter("scan")
 		h.obsBloomSkip = r.Counter("bloom_skip")
 		h.obsMerges = r.Counter("merges")
-		h.obsReclaims = r.Counter("epoch_reclaims")
 	}
 	if fr := cfg.Obs.FlightRecorder(); fr != nil {
 		h.fr = fr
 	} else if cfg.Dir != "" {
 		h.fr = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	}
-	if cfg.EpochReads {
-		h.initEpoch()
-	} else {
-		h.dynamic = newDynamic()
-		h.tombstones = make(map[string]struct{})
-		h.mergeDone = sync.NewCond(&h.mu)
-		h.resetFilter(0)
-	}
+	h.gen.Store(&gen{mem: h.newMem(), filter: h.newFilter(0)})
 	// The seam keeps hybrid's historical event/counter vocabulary
 	// ("epoch.reclaim", "epoch_reclaims") while sharing the publication
 	// pipeline with the sharded core swap and the LSM manifest commit.
-	var retirer reconfig.Retirer
-	if h.eg != nil {
-		retirer = h.eg.mgr
-	}
 	h.seam = reconfig.New(reconfig.Options{
 		Name:           "hybrid",
 		Obs:            cfg.Obs,
 		FlightRec:      h.fr,
-		Retirer:        retirer,
+		Retirer:        h.mgr,
 		ReclaimEvent:   "epoch.reclaim",
-		ReclaimCounter: h.obsReclaims,
+		ReclaimCounter: cfg.Obs.Counter("epoch_reclaims"),
 	})
 	if cfg.Dir != "" {
 		if err := h.openJournal(); err != nil {
@@ -243,156 +233,90 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 	// be fully constructed first — and the registry's own lock publishes
 	// everything written above to the snapshotting goroutine.
 	if r := h.obsReg; r != nil {
+		flag := func(name string, f func() bool) {
+			r.GaugeFunc(name, func() float64 {
+				if f() {
+					return 1
+				}
+				return 0
+			})
+		}
 		r.GaugeFunc("dynamic_len", func() float64 { return float64(h.DynamicLen()) })
 		r.GaugeFunc("static_len", func() float64 { return float64(h.StaticLen()) })
-		r.GaugeFunc("merging", func() float64 {
-			if h.Merging() {
-				return 1
-			}
-			return 0
-		})
+		flag("merging", h.Merging)
 		// The drift tuner's merge-backlog detector watches this: 1 while the
 		// dynamic stage sits past the merge trigger (Health.MergeBehind).
-		r.GaugeFunc("merge_behind", func() float64 {
-			if h.Health().MergeBehind {
-				return 1
-			}
-			return 0
-		})
+		flag("merge_behind", func() bool { return h.Health().MergeBehind })
 		// A sticky journal failure is otherwise invisible until the next
 		// explicit barrier; surface it in every snapshot.
-		r.GaugeFunc("journal_err", func() float64 {
-			if h.JournalErr() != nil {
-				return 1
-			}
-			return 0
-		})
-		if h.eg != nil {
-			mgr := h.eg.mgr
-			r.GaugeFunc("epoch_readers", func() float64 { return float64(mgr.ActiveReaders()) })
-			r.GaugeFunc("epoch_inflight", func() float64 { return float64(mgr.InFlight()) })
-			r.GaugeFunc("epoch_gens", func() float64 { return float64(h.seam.Generation()) })
-		}
+		flag("journal_err", func() bool { return h.JournalErr() != nil })
+		r.GaugeFunc("epoch_readers", func() float64 { return float64(h.mgr.ActiveReaders()) })
+		r.GaugeFunc("epoch_inflight", func() float64 { return float64(h.mgr.InFlight()) })
+		r.GaugeFunc("epoch_gens", func() float64 { return float64(h.seam.Generation()) })
 	}
 	return h
 }
 
-func (h *Index) resetFilter(expected int) {
+// newMem builds an empty dynamic stage: the one place Config.EpochReads is
+// consulted.
+func (h *Index) newMem() memtable {
+	if h.cfg.EpochReads {
+		return skiplist.NewConcurrent()
+	}
+	return newLockedMem(h.newDynamic)
+}
+
+func (h *Index) newFilter(expected int) *bloom.Filter {
 	if h.cfg.DisableBloom {
-		return
+		return nil
 	}
 	if expected < 4096 {
 		expected = 4096
 	}
-	h.filter = bloom.New(expected, h.cfg.BloomBitsPerKey)
+	return bloom.New(expected, h.cfg.BloomBitsPerKey)
+}
+
+// EpochManager returns the epoch manager generations are pinned and retired
+// through. The sharded index shares one manager across all shards.
+func (h *Index) EpochManager() *epoch.Manager { return h.mgr }
+
+// view runs fn against the current generation under an epoch pin. Every
+// accessor that reads generation fields outside the writer mutex goes
+// through here (or pins inline on the hot paths): retirement nils a drained
+// generation's stage pointers, and the pin is what holds that off — the
+// stats gauges call in from the tuner's snapshot goroutine.
+func (h *Index) view(fn func(*gen)) {
+	g := h.mgr.Pin()
+	defer g.Unpin()
+	fn(h.gen.Load())
+}
+
+// publishLocked swaps in the next generation through the shared
+// reconfiguration seam, which retires the previous one via the epoch
+// manager: the retire closure runs once every reader epoch that could
+// observe old has drained, and dropping the stage pointers there makes the
+// reclaim observable (leak tests hang a finalizer off the stages). p carries
+// the publication's event name, span and attributes. Requires mu.
+func (h *Index) publishLocked(next *gen, p reconfig.Prepared) {
+	old := h.gen.Load()
+	p.Publish = func() error { h.gen.Store(next); return nil }
+	p.Retire = func() { old.mem, old.frozen, old.static = nil, nil, nil }
+	_ = h.seam.PublishLocked("generation", p) // only Publish can fail
 }
 
 // Len returns the total number of live entries.
-func (h *Index) Len() int {
-	if h.eg != nil {
-		return int(h.eg.live.Load())
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	n := h.dynamic.Len() - h.shadows - len(h.tombstones)
-	if h.frozen != nil {
-		n += h.frozen.Len() - h.frozenShadows - len(h.frozenTombs)
-	}
-	if h.static != nil {
-		n += h.static.Len()
-	}
-	return n
-}
+func (h *Index) Len() int { return int(h.live.Load()) }
 
 // DynamicLen and StaticLen expose the per-stage sizes (the frozen stage, if
 // any, counts as dynamic).
-func (h *Index) DynamicLen() int {
-	if h.eg != nil {
-		// Pin before loading: retirement nils a drained generation's stage
-		// pointers, and the pin is what holds that off (the stats gauges
-		// call this from the tuner's snapshot goroutine).
-		g := h.eg.mgr.Pin()
-		defer g.Unpin()
-		gen := h.eg.gen.Load()
-		n := gen.mem.Len()
-		if gen.frozen != nil {
-			n += gen.frozen.Len()
-		}
-		return n
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	n := h.dynamic.Len()
-	if h.frozen != nil {
-		n += h.frozen.Len()
-	}
+func (h *Index) DynamicLen() (n int) {
+	h.view(func(g *gen) { n = g.dynamicLen() })
 	return n
 }
 
-func (h *Index) StaticLen() int {
-	if h.eg != nil {
-		g := h.eg.mgr.Pin()
-		defer g.Unpin()
-		if st := h.eg.gen.Load().static; st != nil {
-			return st.Len()
-		}
-		return 0
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if h.static == nil {
-		return 0
-	}
-	return h.static.Len()
-}
-
-// mayBeDynamic reports whether key may be in the dynamic stage, consulting
-// the Bloom filter first.
-func (h *Index) mayBeDynamic(key []byte) bool {
-	if h.filter == nil {
-		return true
-	}
-	if h.filter.Contains(key) {
-		return true
-	}
-	h.obsBloomSkip.Inc()
-	return false
-}
-
-// mayBeFrozen is the frozen-stage filter check (the filter sealed together
-// with the stage it covers).
-func (h *Index) mayBeFrozen(key []byte) bool {
-	return h.frozenFilter == nil || h.frozenFilter.Contains(key)
-}
-
-// visibleInLowerLocked resolves key against everything below the dynamic
-// stage — frozen stage, then static stage — honouring both tombstone sets.
-// Callers hold at least the read lock.
-func (h *Index) visibleInLowerLocked(key []byte) (uint64, bool) {
-	if _, dead := h.tombstones[string(key)]; dead {
-		return 0, false
-	}
-	if h.frozen != nil && h.mayBeFrozen(key) {
-		if v, ok := h.frozen.Get(key); ok {
-			return v, true
-		}
-	}
-	if _, dead := h.frozenTombs[string(key)]; dead {
-		return 0, false
-	}
-	if h.static != nil {
-		return h.static.Get(key)
-	}
-	return 0, false
-}
-
-func (h *Index) getLocked(key []byte) (uint64, bool) {
-	if h.mayBeDynamic(key) {
-		if v, ok := h.dynamic.Get(key); ok {
-			return v, true
-		}
-	}
-	return h.visibleInLowerLocked(key)
+func (h *Index) StaticLen() (n int) {
+	h.view(func(g *gen) { n = g.staticLen() })
+	return n
 }
 
 // encodeKey maps key into encoded space (no-op without a codec).
@@ -406,45 +330,53 @@ func (h *Index) encodeKey(key []byte) []byte {
 // Codec returns the configured key codec (nil when keys are stored raw).
 func (h *Index) Codec() keycodec.Codec { return h.codec }
 
-// Get returns the value stored under key, searching the stages in order.
+// Get returns the value stored under key, searching the stages in order:
+// pin, load, resolve, unpin.
 func (h *Index) Get(key []byte) (uint64, bool) {
 	key = h.encodeKey(key)
 	h.obsGet.Inc()
-	if h.eg != nil {
-		return h.eGet(key)
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.getLocked(key)
+	g := h.mgr.Pin()
+	v, ok := h.gen.Load().get(key, h.obsBloomSkip)
+	g.Unpin()
+	return v, ok
 }
 
 // Insert adds a new entry (primary-index semantics: duplicate keys are
-// rejected after checking all stages). It may trigger a merge.
+// rejected after checking all stages). It may trigger a merge. Readers are
+// never blocked: the memtable write and the atomic filter bits publish the
+// entry incrementally.
 func (h *Index) Insert(key []byte, value uint64) bool {
 	key = h.encodeKey(key)
 	h.obsInsert.Inc()
-	if h.eg != nil {
-		return h.eInsert(key, value)
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if _, ok := h.getLocked(key); ok {
+	g := h.gen.Load()
+	if _, ok := g.get(key, h.obsBloomSkip); ok {
 		return false
 	}
-	if !h.dynamic.Insert(key, value) {
-		return false
-	}
-	if _, dead := h.tombstones[string(key)]; dead {
-		// The stale lower-stage entry becomes shadowed instead of tombstoned.
-		delete(h.tombstones, string(key))
-		h.shadows++
-	}
-	if h.filter != nil {
-		h.filter.Add(key)
-	}
+	h.putLocked(g, key, value)
+	h.live.Add(1)
 	h.jlog(jopInsert, key, value)
-	h.maybeMergeLocked()
+	h.maybeMergeLocked(g)
 	return true
+}
+
+// putLocked writes key into the memtable and feeds the filter.
+func (h *Index) putLocked(g *gen, key []byte, value uint64) {
+	g.mem.Put(key, value)
+	if g.filter != nil {
+		g.filter.AddAtomic(key)
+	}
+}
+
+// memStateLocked probes the memtable through the filter, counting a skip.
+func (h *Index) memStateLocked(g *gen, key []byte) (live, tomb bool) {
+	if g.filter != nil && !g.filter.ContainsAtomic(key) {
+		h.obsBloomSkip.Inc()
+		return false, false
+	}
+	_, live, tomb = g.mem.Get(key)
+	return live, tomb
 }
 
 // Update overwrites the value of an existing key. Following §5.1, an update
@@ -453,287 +385,188 @@ func (h *Index) Insert(key []byte, value uint64) bool {
 func (h *Index) Update(key []byte, value uint64) bool {
 	key = h.encodeKey(key)
 	h.obsUpdate.Inc()
-	if h.eg != nil {
-		return h.eUpdate(key, value)
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.mayBeDynamic(key) {
-		if h.dynamic.Update(key, value) {
-			h.jlog(jopUpdate, key, value)
-			return true
-		}
-	}
-	if _, ok := h.visibleInLowerLocked(key); !ok {
+	g := h.gen.Load()
+	live, tomb := h.memStateLocked(g, key)
+	if tomb {
 		return false
 	}
-	h.dynamic.Insert(key, value)
-	h.shadows++
-	if h.filter != nil {
-		h.filter.Add(key)
+	if live {
+		g.mem.Put(key, value)
+		h.jlog(jopUpdate, key, value)
+		return true
 	}
+	if _, ok := g.lower(key); !ok {
+		return false
+	}
+	h.putLocked(g, key, value)
 	h.jlog(jopUpdate, key, value)
-	h.maybeMergeLocked()
+	h.maybeMergeLocked(g)
 	return true
 }
 
-// Delete removes key: directly from the dynamic stage, and via a tombstone
-// for lower-stage entries (garbage-collected at the next merge). A key that
-// was updated after a merge lives in two stages — the dynamic copy shadows
-// the lower one — so both must be taken out.
+// Delete tombstones key in the memtable; one tombstone suppresses the
+// memtable copy and any shadowed lower-stage copy at once, and the merge
+// garbage-collects both. When the live copy sits below the memtable the key
+// MUST also be fed to the filter, otherwise a later read would skip the
+// memtable on a filter miss and resurrect the stale lower-stage value.
 func (h *Index) Delete(key []byte) bool {
 	key = h.encodeKey(key)
 	h.obsDelete.Inc()
-	if h.eg != nil {
-		return h.eDelete(key)
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	deleted := h.mayBeDynamic(key) && h.dynamic.Delete(key)
-	if _, ok := h.visibleInLowerLocked(key); ok {
-		h.tombstones[string(key)] = struct{}{}
-		if deleted {
-			h.shadows-- // the removed dynamic copy was a shadow
+	g := h.gen.Load()
+	live, tomb := h.memStateLocked(g, key)
+	if tomb {
+		return false
+	}
+	if live {
+		g.mem.Tomb(key)
+	} else if _, ok := g.lower(key); ok {
+		g.mem.Tomb(key)
+		if g.filter != nil {
+			g.filter.AddAtomic(key)
 		}
-		deleted = true
+	} else {
+		return false
 	}
-	if deleted {
-		h.jlog(jopDelete, key, 0)
-	}
-	return deleted
-}
-
-// dynChunk is how many entries a Scan cursor buffers at a time; short scans
-// (the YCSB-E common case) then touch only O(scan length) entries.
-const dynChunk = 64
-
-// scanner is any stage a Scan cursor can pull from.
-type scanner interface {
-	Scan(start []byte, fn func(key []byte, value uint64) bool) int
-}
-
-// dynCursor pulls sorted stage entries lazily in chunks.
-type dynCursor struct {
-	d       scanner
-	buf     []index.Entry
-	i       int
-	nextKey []byte // resume point; nil when exhausted
-	done    bool
-}
-
-func newDynCursor(d scanner, start []byte) *dynCursor {
-	c := &dynCursor{d: d, nextKey: start}
-	if start == nil {
-		c.nextKey = []byte{}
-	}
-	c.fill()
-	return c
-}
-
-func (c *dynCursor) fill() {
-	c.buf = c.buf[:0]
-	c.i = 0
-	if c.done {
-		return
-	}
-	c.d.Scan(c.nextKey, func(k []byte, v uint64) bool {
-		kk := make([]byte, len(k))
-		copy(kk, k)
-		c.buf = append(c.buf, index.Entry{Key: kk, Value: v})
-		return len(c.buf) < dynChunk
-	})
-	if len(c.buf) < dynChunk {
-		c.done = true
-		return
-	}
-	// Resume at the immediate successor of the last buffered key; Successor
-	// would skip keys extending it (e.g. "aba" after a chunk ending at "ab").
-	c.nextKey = keys.Next(c.buf[len(c.buf)-1].Key)
-}
-
-// peek returns the current entry, or nil when exhausted.
-func (c *dynCursor) peek() *index.Entry {
-	if c.i == len(c.buf) {
-		if c.done {
-			return nil
-		}
-		c.fill()
-		if len(c.buf) == 0 {
-			return nil
-		}
-	}
-	return &c.buf[c.i]
-}
-
-func (c *dynCursor) advance() { c.i++ }
-
-// scanSrc pairs a stage cursor with its tier: 0 dynamic, 1 frozen, 2 static.
-// Lower tiers shadow higher ones on equal keys.
-type scanSrc struct {
-	cur  *dynCursor
-	tier int
+	h.live.Add(-1)
+	h.jlog(jopDelete, key, 0)
+	return true
 }
 
 // Scan visits live entries in key order from the smallest key >= start,
 // merging the stages on the fly. Upper-stage entries shadow lower-stage
-// entries with equal keys; tombstones suppress lower-stage entries. The read
-// lock is held for the whole scan, so fn must not call back into h. With a
-// codec configured the emitted key lives in a reused decode buffer and is
-// only valid during the callback (copy to retain); without one, keys are
-// fresh copies.
+// entries with equal keys; tombstones suppress lower-stage entries. Only an
+// epoch pin is held for the scan's duration — it delays generation
+// reclamation, blocks nobody, and fn may call back into h. Each stage is
+// read in chunks, so the scan is consistent per chunk, not across its whole
+// length. With a codec configured the emitted key lives in a reused decode
+// buffer and is only valid during the callback (copy to retain); without
+// one, keys may be retained but not modified.
 func (h *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	if h.codec != nil {
-		// The scan itself runs entirely in encoded space (the codec is a
-		// strict monotone injection, so the encoded start bound selects
-		// exactly the encodings of keys >= start); only the emit decodes.
-		if start != nil {
-			start = h.codec.EncodeBound(start)
-		}
-		inner := fn
-		var scratch []byte
-		fn = func(k []byte, v uint64) bool {
-			scratch = h.codec.DecodeAppend(scratch[:0], k)
-			return inner(scratch, v)
-		}
-	}
+	start, fn = keycodec.ScanEncoded(h.codec, start, fn)
 	h.obsScan.Inc()
-	if h.eg != nil {
-		return h.eScan(start, fn)
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	srcs := make([]scanSrc, 0, 3)
-	srcs = append(srcs, scanSrc{newDynCursor(h.dynamic, start), 0})
-	if h.frozen != nil {
-		srcs = append(srcs, scanSrc{newDynCursor(h.frozen, start), 1})
-	}
-	if h.static != nil {
-		srcs = append(srcs, scanSrc{newDynCursor(h.static, start), 2})
-	}
-	count := 0
-	for {
-		// Pick the smallest head key; on ties the lowest tier wins.
-		var best *index.Entry
-		bestTier := -1
-		for _, s := range srcs {
-			e := s.cur.peek()
-			if e == nil {
-				continue
-			}
-			if best == nil || keys.Compare(e.Key, best.Key) < 0 {
-				best, bestTier = e, s.tier
-			}
-		}
-		if best == nil {
-			return count
-		}
-		key, value := best.Key, best.Value
-		// Consume the winner and every shadowed copy of the same key.
-		for _, s := range srcs {
-			if e := s.cur.peek(); e != nil && keys.Compare(e.Key, key) == 0 {
-				s.cur.advance()
-			}
-		}
-		if bestTier > 0 {
-			if _, dead := h.tombstones[string(key)]; dead {
-				continue
-			}
-		}
-		if bestTier > 1 {
-			if _, dead := h.frozenTombs[string(key)]; dead {
-				continue
-			}
-		}
-		count++
-		if !fn(key, value) {
-			return count
-		}
+	g := h.mgr.Pin()
+	defer g.Unpin()
+	return h.gen.Load().scan(start, fn)
+}
+
+// mergeDue is the ratio-based merge trigger, the one predicate the write
+// path, Health and the merge_behind gauge share: the memtable has reached
+// MinDynamic and static/dynamic has fallen to MergeRatio. It weighs raw
+// nodes, so accumulated tombstones push toward a merge too.
+func (h *Index) mergeDue(g *gen) bool {
+	d := g.mem.Nodes()
+	return d > 0 && d >= h.cfg.MinDynamic && d*h.cfg.MergeRatio >= g.staticLen()
+}
+
+// maybeMergeLocked fires the trigger after a write that grew the memtable.
+func (h *Index) maybeMergeLocked(g *gen) {
+	switch {
+	case !h.mergeDue(g):
+	case h.cfg.BackgroundMerge:
+		h.sealLocked(g)
+	case !h.merging: // else a manual MergeAsync is in flight and will absorb the size
+		h.mergeLocked(g)
 	}
 }
 
-// maybeMergeLocked fires the ratio-based merge trigger.
-func (h *Index) maybeMergeLocked() {
-	d := h.dynamic.Len()
-	if d < h.cfg.MinDynamic {
-		return
-	}
-	if h.static != nil && d*h.cfg.MergeRatio < h.static.Len() {
-		return
-	}
-	if h.cfg.BackgroundMerge {
-		h.sealAndSpawnLocked()
-		return
-	}
-	h.mergeLocked()
-}
+// mergeChunk is how many memtable states a merge pulls per refill: large, so
+// the per-refill seek (and, for the locked memtable, lock round trip) is
+// noise against the rebuild.
+const mergeChunk = 1024
 
-// mergeEntries produces the sorted live entries of dyn layered over static,
-// applying tombs to the static entries. Dynamic entries shadow static ones
-// with equal keys.
-func mergeEntries(dyn []index.Entry, static index.Static, tombs map[string]struct{}) []index.Entry {
-	if static == nil {
-		return dyn
+// mergeStages produces the sorted live entries of mem layered over static: a
+// memtable state shadows the static entry with the same key — replacing it
+// when live, deleting it when a tombstone. The memtable is streamed, never
+// materialized; it must be quiescent (sealed, or the caller holds mu).
+func mergeStages(mem memtable, static index.Static) []index.Entry {
+	n := mem.Len()
+	if static != nil {
+		n += static.Len()
 	}
-	merged := make([]index.Entry, 0, len(dyn)+static.Len())
-	di := 0
-	static.Scan(nil, func(k []byte, v uint64) bool {
-		for di < len(dyn) && keys.Compare(dyn[di].Key, k) < 0 {
-			merged = append(merged, dyn[di])
-			di++
+	merged := make([]index.Entry, 0, n)
+	cur := newCursor(mem.ScanStates, nil, mergeChunk)
+	take := func(s *skiplist.StateEntry) {
+		if !s.Tomb {
+			merged = append(merged, index.Entry{Key: s.Key, Value: s.Value})
 		}
-		if di < len(dyn) && keys.Compare(dyn[di].Key, k) == 0 {
-			merged = append(merged, dyn[di]) // dynamic shadows static
-			di++
+		cur.advance()
+	}
+	if static != nil {
+		static.Scan(nil, func(k []byte, v uint64) bool {
+			for s := cur.peek(); s != nil; s = cur.peek() {
+				c := keys.Compare(s.Key, k)
+				if c > 0 {
+					break
+				}
+				take(s)
+				if c == 0 {
+					return true
+				}
+			}
+			merged = append(merged, index.Entry{Key: cloneKey(k), Value: v})
 			return true
-		}
-		if _, dead := tombs[string(k)]; !dead {
-			kk := make([]byte, len(k))
-			copy(kk, k)
-			merged = append(merged, index.Entry{Key: kk, Value: v})
-		}
-		return true
+		})
+	}
+	for s := cur.peek(); s != nil; s = cur.peek() {
+		take(s)
+	}
+	return merged
+}
+
+// rebuild merges mem over static and builds the next static stage, returning
+// it with its entry count.
+func (h *Index) rebuild(mem memtable, static index.Static) (index.Static, int) {
+	merged := mergeStages(mem, static)
+	st, err := h.build(merged)
+	if err != nil {
+		panic("hybrid: static build failed: " + err.Error())
+	}
+	return st, len(merged)
+}
+
+// commitLocked publishes a finished merge and records its telemetry.
+func (h *Index) commitLocked(next *gen, entries int, startT time.Time, sp *obs.Span) {
+	h.publishLocked(next, reconfig.Prepared{
+		Event: "merge.commit",
+		Span:  sp.ID(),
+		Attrs: []obs.Attr{obs.I64("entries", int64(entries))},
 	})
-	return append(merged, dyn[di:]...)
+	h.LastMergeTime = time.Since(startT)
+	h.TotalMergeTime += h.LastMergeTime
+	h.Merges++
+	h.obsMerges.Inc()
 }
 
 // Merge synchronously migrates every dynamic-stage entry into a rebuilt
 // static stage (merge-all, §5.2.2), applying shadowing updates and
 // tombstones. An in-flight background merge is waited out first.
 func (h *Index) Merge() {
-	if h.eg != nil {
-		h.eMerge()
-		return
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for h.merging {
 		h.mergeDone.Wait()
 	}
-	h.mergeLocked()
+	h.mergeLocked(h.gen.Load())
 }
 
-func (h *Index) mergeLocked() {
+// mergeLocked rebuilds the static stage from the current memtable layered
+// over the old static stage, then publishes a fresh-memtable generation. It
+// blocks writers (the caller holds mu); readers continue on the old
+// generation until the store. Requires no merge in flight.
+func (h *Index) mergeLocked(g *gen) {
 	startT := time.Now()
 	sp := h.obsReg.StartSpan("merge")
-	sp.Phase("seal")
-	dyn := index.Snapshot(h.dynamic)
+	sp.Phase("seal") // with mu held the memtable is as good as sealed; ready its successor
+	mem := h.newMem()
 	sp.Phase("build")
-	merged := mergeEntries(dyn, h.static, h.tombstones)
-	st, err := h.build(merged)
-	if err != nil {
-		panic("hybrid: static build failed: " + err.Error())
-	}
+	st, n := h.rebuild(g.mem, g.static)
 	sp.Phase("swap")
-	h.static = st
-	h.dynamic = h.newDynamic()
-	h.tombstones = make(map[string]struct{})
-	h.shadows = 0
-	h.resetFilter(len(merged) / h.cfg.MergeRatio)
-	h.LastMergeTime = time.Since(startT)
-	h.TotalMergeTime += h.LastMergeTime
-	h.Merges++
-	h.obsMerges.Inc()
-	h.fr.RecordSpan("merge.commit", sp.ID(), obs.I64("entries", int64(len(merged))))
+	next := &gen{mem: mem, filter: h.newFilter(n / h.cfg.MergeRatio), static: st}
+	h.commitLocked(next, n, startT, sp)
 	sp.End()
 }
 
@@ -742,85 +575,58 @@ func (h *Index) mergeLocked() {
 // Readers and the writer proceed concurrently while the rebuild runs; call
 // WaitMerges to block until the new static stage has been swapped in.
 func (h *Index) MergeAsync() bool {
-	if h.eg != nil {
-		h.eg.mu.Lock()
-		defer h.eg.mu.Unlock()
-		return h.eSealLocked(h.eg.gen.Load())
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.sealAndSpawnLocked()
+	return h.sealLocked(h.gen.Load())
 }
 
-// sealAndSpawnLocked freezes the dynamic stage (with its filter, tombstones
-// and shadow count), installs a fresh dynamic stage, and hands the immutable
-// snapshot to a background goroutine that builds and swaps in the new static
-// stage. Requires the write lock.
-func (h *Index) sealAndSpawnLocked() bool {
-	if h.merging || h.dynamic.Len() == 0 {
+// sealLocked publishes a generation whose memtable is fresh and whose
+// previous memtable (with its filter) is sealed as the frozen stage, then
+// hands the rebuild to a background goroutine. The seal is one pointer
+// store — writers pause for an allocation, readers not at all. Requires mu.
+func (h *Index) sealLocked(g *gen) bool {
+	if h.merging || g.mem.Nodes() == 0 {
 		return false
 	}
 	sp := h.obsReg.StartSpan("merge")
 	sp.Phase("seal")
 	h.merging = true
-	h.frozen = h.dynamic
-	h.frozenFilter = h.filter
-	h.frozenTombs = h.tombstones
-	h.frozenShadows = h.shadows
-	h.dynamic = h.newDynamic()
-	h.tombstones = make(map[string]struct{})
-	h.shadows = 0
-	expected := h.frozen.Len()
-	if h.static != nil {
-		expected += h.static.Len()
+	next := &gen{
+		mem:          h.newMem(),
+		filter:       h.newFilter((g.mem.Len() + g.staticLen()) / h.cfg.MergeRatio),
+		frozen:       g.mem,
+		frozenFilter: g.filter,
+		static:       g.static,
 	}
-	h.resetFilter(expected / h.cfg.MergeRatio)
-	h.fr.RecordSpan("merge.seal", sp.ID(), obs.I64("frozen", int64(h.frozen.Len())))
-	go h.backgroundMerge(h.frozen, h.static, h.frozenTombs, time.Now(), sp)
+	h.publishLocked(next, reconfig.Prepared{
+		Event: "merge.seal",
+		Span:  sp.ID(),
+		Attrs: []obs.Attr{obs.I64("frozen", int64(g.mem.Len()))},
+	})
+	go h.backgroundMerge(next.frozen, next.static, time.Now(), sp)
 	return true
 }
 
-// backgroundMerge rebuilds the static stage from the sealed inputs — all
-// immutable, so no lock is needed during the build — then swaps it in under
-// a short write lock. Writes that arrived during the build live in the new
-// dynamic stage and logically replay over the fresh static stage through the
-// usual stage order (current tombstones keep suppressing keys deleted during
-// the build).
-func (h *Index) backgroundMerge(frozen index.Dynamic, static index.Static, tombs map[string]struct{}, startT time.Time, sp *obs.Span) {
+// backgroundMerge streams the sealed memtable (stable: its writer moved on to
+// the fresh one) into a rebuilt static stage with no lock held, and publishes
+// a generation without the frozen tier under a short writer-mutex section.
+// Writes that landed in the fresh memtable during the build replay logically
+// over the new static stage through the stage order.
+func (h *Index) backgroundMerge(frozen memtable, static index.Static, startT time.Time, sp *obs.Span) {
 	sp.Phase("build")
-	merged := mergeEntries(index.Snapshot(frozen), static, tombs)
-	st, err := h.build(merged)
-	if err != nil {
-		panic("hybrid: static build failed: " + err.Error())
-	}
-	sp.Phase("swap") // includes the wait for the write lock readers hold off
+	st, n := h.rebuild(frozen, static)
+	sp.Phase("swap") // includes the wait for the writer mutex
 	h.mu.Lock()
-	h.static = st
-	h.frozen = nil
-	h.frozenFilter = nil
-	h.frozenTombs = nil
-	h.frozenShadows = 0
+	cur := h.gen.Load()
+	h.commitLocked(&gen{mem: cur.mem, filter: cur.filter, static: st}, n, startT, sp)
 	h.merging = false
-	h.LastMergeTime = time.Since(startT)
-	h.TotalMergeTime += h.LastMergeTime
-	h.Merges++
 	h.mergeDone.Broadcast()
 	h.mu.Unlock()
-	h.obsMerges.Inc()
-	h.fr.RecordSpan("merge.commit", sp.ID(), obs.I64("entries", int64(len(merged))))
 	sp.End()
 }
 
 // WaitMerges blocks until no background merge is in flight.
 func (h *Index) WaitMerges() {
-	if h.eg != nil {
-		h.eg.mu.Lock()
-		for h.eg.merging {
-			h.eg.mergeDone.Wait()
-		}
-		h.eg.mu.Unlock()
-		return
-	}
 	h.mu.Lock()
 	for h.merging {
 		h.mergeDone.Wait()
@@ -830,26 +636,16 @@ func (h *Index) WaitMerges() {
 
 // Merging reports whether a background merge is currently running.
 func (h *Index) Merging() bool {
-	if h.eg != nil {
-		h.eg.mu.Lock()
-		defer h.eg.mu.Unlock()
-		return h.eg.merging
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.merging
 }
 
-// MergeStats returns the merge telemetry under the lock, safe to call
-// concurrently with merges.
+// MergeStats returns the merge telemetry under the writer mutex, safe to
+// call concurrently with merges.
 func (h *Index) MergeStats() (merges int, last, total time.Duration) {
-	if h.eg != nil {
-		h.eg.mu.Lock()
-		defer h.eg.mu.Unlock()
-		return h.Merges, h.LastMergeTime, h.TotalMergeTime
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	return h.Merges, h.LastMergeTime, h.TotalMergeTime
 }
 
@@ -859,31 +655,23 @@ func (h *Index) MergeStats() (merges int, last, total time.Duration) {
 // shared namespace.
 func (h *Index) Stats() obs.Snapshot { return h.obsReg.Snapshot() }
 
-// MemoryUsage sums all stages, the Bloom filters, and tombstones.
-func (h *Index) MemoryUsage() int64 {
-	if h.eg != nil {
-		return h.eMemoryUsage()
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	m := h.dynamic.MemoryUsage()
-	if h.frozen != nil {
-		m += h.frozen.MemoryUsage()
-	}
-	if h.static != nil {
-		m += h.static.MemoryUsage()
-	}
-	if h.filter != nil {
-		m += h.filter.MemoryUsage()
-	}
-	if h.frozenFilter != nil {
-		m += h.frozenFilter.MemoryUsage()
-	}
-	for k := range h.tombstones {
-		m += int64(len(k)) + 16
-	}
-	for k := range h.frozenTombs {
-		m += int64(len(k)) + 16
-	}
+// MemoryUsage sums all stages and the Bloom filters (tombstones are part of
+// the memtable accounting).
+func (h *Index) MemoryUsage() (m int64) {
+	h.view(func(g *gen) {
+		m = g.mem.MemoryUsage()
+		if g.frozen != nil {
+			m += g.frozen.MemoryUsage()
+		}
+		if g.static != nil {
+			m += g.static.MemoryUsage()
+		}
+		if g.filter != nil {
+			m += g.filter.MemoryUsage()
+		}
+		if g.frozenFilter != nil {
+			m += g.frozenFilter.MemoryUsage()
+		}
+	})
 	return m
 }

@@ -16,14 +16,24 @@ func smallCfg() Config {
 	return Config{MergeRatio: 10, MinDynamic: 256, BloomBitsPerKey: 10}
 }
 
+// allVariants is the table every cross-variant test drives: the five static
+// stages of Chapter 5, each under both memtables — the factory-made thesis
+// structure behind its lock ("<name>") and the concurrent skip list
+// ("<name>/epoch").
 func allVariants(cfg Config) map[string]*Index {
-	return map[string]*Index{
-		"btree":      NewBTree(cfg),
-		"compressed": NewCompressedBTree(cfg, 0),
-		"art":        NewART(cfg),
-		"skiplist":   NewSkipList(cfg),
-		"masstree":   NewMasstree(cfg),
+	out := make(map[string]*Index)
+	for _, epoch := range []bool{false, true} {
+		cfg, suffix := cfg, ""
+		if cfg.EpochReads = epoch; epoch {
+			suffix = "/epoch"
+		}
+		out["btree"+suffix] = NewBTree(cfg)
+		out["compressed"+suffix] = NewCompressedBTree(cfg, 0)
+		out["art"+suffix] = NewART(cfg)
+		out["skiplist"+suffix] = NewSkipList(cfg)
+		out["masstree"+suffix] = NewMasstree(cfg)
 	}
+	return out
 }
 
 func TestInsertGetAcrossMerges(t *testing.T) {

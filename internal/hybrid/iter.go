@@ -3,25 +3,26 @@ package hybrid
 import (
 	"mets/internal/index"
 	"mets/internal/keys"
+	"mets/internal/reconfig"
 )
 
 // This file exports the stage-snapshot hooks that layered consumers (the
 // range-sharded index in internal/sharded, bulk loaders) build on: a chunked
-// Iterator that never holds the index lock across user code, a bounded
-// ScanN collector, direct frozen-stage introspection, and BulkLoad.
+// Iterator that holds no epoch pin across user code, a bounded ScanN
+// collector, direct frozen-stage introspection, and BulkLoad.
 
 // ScanN collects up to n live entries in key order starting at the smallest
-// key >= start. The read lock is held for the duration of one call only, and
-// the returned entries are fresh copies the caller may retain.
+// key >= start. The epoch pin is held for the duration of one call only, and
+// the returned entries may be retained.
 func (h *Index) ScanN(start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
 	}
 	out := make([]index.Entry, 0, minInt(n, 1024))
-	// Without a codec, Scan hands out keys freshly allocated per cursor
-	// refill; they are never reused afterwards, so retaining them without
-	// another copy is safe. With a codec, Scan emits from a reused decode
-	// buffer and the key must be copied out.
+	// Without a codec, Scan hands out keys no stage modifies afterwards
+	// (memtable.ScanStates' contract; static keys are copied per refill), so
+	// retaining them without another copy is safe. With a codec, Scan emits
+	// from a reused decode buffer and the key must be copied out.
 	copyKeys := h.codec != nil
 	h.Scan(start, func(k []byte, v uint64) bool {
 		if copyKeys {
@@ -46,20 +47,20 @@ func (h *Index) LowerBound(start []byte) (index.Entry, bool) {
 
 // Iterator chunk sizing: each refill restarts a cursor seek on the static
 // and dynamic stages, so the first fill is sized to satisfy a typical short
-// range scan (YCSB-E draws 50-100 entries) in a single lock acquisition,
-// then doubles up to the cap so long scans amortize further refills.
+// range scan (YCSB-E draws 50-100 entries) in a single pinned pass, then
+// doubles up to the cap so long scans amortize further refills.
 const (
 	iterFirstChunk = 128
 	iterChunk      = 512
 )
 
 // Iterator walks the live entries of the index in key order, pulling one
-// chunk of entries per read-lock acquisition. Unlike Scan — which holds the
-// read lock for its whole duration — an Iterator holds no lock between
-// chunks, so arbitrarily long iterations never block writers for long and
-// the consumer may freely call back into the index. The trade-off is chunk
-// granularity consistency: each chunk is an atomic snapshot, but entries
-// inserted behind the cursor after a refill are not revisited.
+// chunk of entries per epoch pin. Unlike Scan — which holds its pin for its
+// whole duration — an Iterator holds nothing between chunks, so an
+// arbitrarily long iteration never delays generation reclamation. The
+// trade-off is chunk granularity consistency: each chunk reads one
+// generation, but entries inserted behind the cursor after a refill are not
+// revisited.
 type Iterator struct {
 	h     *Index
 	buf   []index.Entry
@@ -119,28 +120,22 @@ func (it *Iterator) Next() {
 
 // FrozenLen returns the entry count of the sealed frozen stage, or 0 when no
 // background merge is in flight.
-func (h *Index) FrozenLen() int {
-	if h.eg != nil {
-		if f := h.eg.gen.Load().frozen; f != nil {
-			return f.Len()
+func (h *Index) FrozenLen() (n int) {
+	h.view(func(g *gen) {
+		if g.frozen != nil {
+			n = g.frozen.Len()
 		}
-		return 0
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if h.frozen == nil {
-		return 0
-	}
-	return h.frozen.Len()
+	})
+	return n
 }
 
 // BulkLoad replaces the index contents with the given sorted unique entries,
 // building the static stage directly instead of funnelling every entry
-// through the dynamic stage and a merge. An in-flight background merge is
-// waited out first. The entries slice is handed to the static builder and
-// must not be modified afterwards (with a codec configured the builder
-// receives a fresh encoded copy and the input is left untouched; encoding
-// preserves the sort order).
+// through the dynamic stage and a merge, and publishes a generation holding
+// only that stage. An in-flight background merge is waited out first. The
+// entries slice is handed to the static builder and must not be modified
+// afterwards (with a codec configured the builder receives a fresh encoded
+// copy and the input is left untouched; encoding preserves the sort order).
 func (h *Index) BulkLoad(entries []index.Entry) error {
 	if h.codec != nil {
 		enc := make([]index.Entry, len(entries))
@@ -153,20 +148,14 @@ func (h *Index) BulkLoad(entries []index.Entry) error {
 	if err != nil {
 		return err
 	}
-	if h.eg != nil {
-		h.eBulkLoad(st, entries)
-		return nil
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for h.merging {
 		h.mergeDone.Wait()
 	}
-	h.static = st
-	h.dynamic = h.newDynamic()
-	h.tombstones = make(map[string]struct{})
-	h.shadows = 0
-	h.resetFilter(len(entries) / h.cfg.MergeRatio)
+	next := &gen{mem: h.newMem(), filter: h.newFilter(len(entries) / h.cfg.MergeRatio), static: st}
+	h.publishLocked(next, reconfig.Prepared{})
+	h.live.Store(int64(len(entries)))
 	h.jresetLocked(entries)
 	return nil
 }

@@ -55,8 +55,8 @@ func jrec(op byte, key []byte, value uint64) []byte {
 // the log's first error is sticky, every subsequent Enqueue is refused, and
 // the failure surfaces through JournalErr, SyncJournal, and Close. Callers
 // that need to know the journal is still tracking the index before the next
-// barrier poll JournalErr. Callers hold the writer lock (h.mu or h.eg.mu),
-// which fixes the journal order.
+// barrier poll JournalErr. Callers hold the writer mutex, which fixes the
+// journal order.
 func (h *Index) jlog(op byte, key []byte, value uint64) {
 	if h.jl == nil {
 		return
@@ -200,18 +200,9 @@ func (h *Index) replayJournalBatched(ops []jop) error {
 	if err != nil {
 		return fmt.Errorf("hybrid: journal rebuild: %w", err)
 	}
-	if h.eg != nil {
-		gen := h.eg.gen.Load() // the fresh, empty, unshared initial generation
-		h.eg.gen.Store(&egen{
-			mem:    gen.mem,
-			filter: h.eNewFilter(len(entries) / h.cfg.MergeRatio),
-			static: st,
-		})
-		h.eg.live.Store(int64(len(entries)))
-	} else {
-		h.static = st
-		h.resetFilter(len(entries) / h.cfg.MergeRatio)
-	}
+	g := h.gen.Load() // the fresh, empty, unshared initial generation
+	h.gen.Store(&gen{mem: g.mem, filter: h.newFilter(len(entries) / h.cfg.MergeRatio), static: st})
+	h.live.Store(int64(len(entries)))
 	return nil
 }
 
@@ -302,7 +293,7 @@ func (h *Index) openJournal() error {
 }
 
 // jresetLocked restarts the journal to represent exactly the given (encoded)
-// entries — the BulkLoad path. The caller holds the writer lock, so no other
+// entries — the BulkLoad path. The caller holds the writer mutex, so no other
 // op can interleave between the reset and the re-journal.
 func (h *Index) jresetLocked(entries []index.Entry) {
 	if h.jl == nil {

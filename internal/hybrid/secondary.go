@@ -16,10 +16,13 @@ import (
 // whichever stage holds the entry, so a key's values never straddle both
 // stages' semantics.
 //
-// Like Index, Secondary supports concurrent readers plus a single writer
-// behind a readers-writer lock; merges run in the foreground (the secondary
-// experiments of §5.3.5 are merge-time-insensitive). Scan holds the read
-// lock for its whole duration, so the callback must not call back into s.
+// Secondary is the thesis-faithful design end to end: concurrent readers plus
+// a single writer behind one readers-writer lock, merges in the foreground
+// under the write lock (the secondary experiments of §5.3.5 are
+// merge-time-insensitive). It shares Config with Index but not the
+// generation machinery: EpochReads, Epochs, BackgroundMerge, Obs, Codec and
+// Dir are ignored. Scan holds the read lock for its whole duration, so the
+// callback must not call back into s.
 type Secondary struct {
 	cfg Config
 
@@ -27,10 +30,6 @@ type Secondary struct {
 	dynamic *btree.Tree
 	static  *btree.CompactMulti
 	filter  *bloom.Filter
-
-	// es is non-nil iff Config.EpochReads: the epoch-mode state
-	// (secondary_epoch.go). The lock-mode fields above are then unused.
-	es *sEpochState
 
 	// Written under the write lock; read them only when no writer is active.
 	Merges         int
@@ -46,12 +45,7 @@ func NewSecondary(cfg Config) *Secondary {
 	if cfg.BloomBitsPerKey == 0 {
 		cfg.BloomBitsPerKey = 10
 	}
-	s := &Secondary{cfg: cfg}
-	if cfg.EpochReads {
-		s.initEpoch()
-		return s
-	}
-	s.dynamic = btree.NewMulti()
+	s := &Secondary{cfg: cfg, dynamic: btree.NewMulti()}
 	s.resetFilter(0)
 	return s
 }
@@ -68,9 +62,6 @@ func (s *Secondary) resetFilter(expected int) {
 
 // Len returns the number of stored (key, value) pairs.
 func (s *Secondary) Len() int {
-	if s.es != nil {
-		return int(s.es.pairs.Load())
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := s.dynamic.Len()
@@ -82,9 +73,6 @@ func (s *Secondary) Len() int {
 
 // Insert adds one (key, value) pair; duplicates are expected.
 func (s *Secondary) Insert(key []byte, value uint64) bool {
-	if s.es != nil {
-		return s.eInsert(key, value)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dynamic.Insert(key, value)
@@ -97,9 +85,6 @@ func (s *Secondary) Insert(key []byte, value uint64) bool {
 
 // GetAll returns every value stored under key across both stages.
 func (s *Secondary) GetAll(key []byte) []uint64 {
-	if s.es != nil {
-		return s.eGetAll(key)
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []uint64
@@ -125,9 +110,6 @@ func (s *Secondary) Get(key []byte) (uint64, bool) {
 // stage holds it (§5.1: secondary indexes update in place to keep a key's
 // value list in one stage).
 func (s *Secondary) Update(key []byte, old, new uint64) bool {
-	if s.es != nil {
-		return s.eUpdate(key, old, new)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.filter == nil || s.filter.Contains(key) {
@@ -150,9 +132,6 @@ func (s *Secondary) Update(key []byte, old, new uint64) bool {
 
 // Scan visits (key, value) pairs in key order from the smallest key >= start.
 func (s *Secondary) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	if s.es != nil {
-		return s.eScan(start, fn)
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	dyn := index.Snapshot2(s.dynamic, start)
@@ -195,12 +174,6 @@ func (s *Secondary) maybeMergeLocked() {
 
 // Merge migrates all dynamic pairs into a rebuilt static stage.
 func (s *Secondary) Merge() {
-	if s.es != nil {
-		s.es.mu.Lock()
-		defer s.es.mu.Unlock()
-		s.eMergeLocked(s.es.gen.Load())
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.mergeLocked()
@@ -241,9 +214,6 @@ func (s *Secondary) mergeLocked() {
 
 // MemoryUsage sums both stages and the Bloom filter.
 func (s *Secondary) MemoryUsage() int64 {
-	if s.es != nil {
-		return s.eMemoryUsage()
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	m := s.dynamic.MemoryUsage()

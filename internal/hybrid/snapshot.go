@@ -1,12 +1,8 @@
 package hybrid
 
 import (
-	"sort"
-
 	"mets/internal/index"
 	"mets/internal/keycodec"
-	"mets/internal/keys"
-	"mets/internal/skiplist"
 )
 
 // This file implements point-in-time snapshot reads over the dual-stage
@@ -38,208 +34,50 @@ import (
 // view is fixed once the call returns.
 type Snapshot struct {
 	codec keycodec.Codec
-
-	// entries/tombs are the copied top (write) stage: sorted live entries
-	// and the tombstone set, in encoded space.
-	entries []index.Entry
-	tombs   map[string]struct{}
-
-	// Exactly one of efrozen/lfrozen is set when a background merge was in
-	// flight at capture time: the sealed epoch-mode memtable (tombstones are
-	// in-list states) or the sealed lock-mode dynamic stage with its
-	// tombstone set. Both are immutable for the merge's duration and simply
-	// outlive it here.
-	efrozen *skiplist.Concurrent
-	lfrozen index.Dynamic
-	ltombs  map[string]struct{}
-
-	static index.Static
+	// g is a private generation nobody publishes or retires: the live
+	// memtable's drained states as its mem, the captured frozen stage (when a
+	// background merge was in flight) with its sealed filter, and the
+	// captured static stage. Reads go through the same gen.get / gen.scan as
+	// the live index.
+	g *gen
 }
 
-// Snapshot captures a point-in-time view. In epoch mode the capture is
-// lock-free: a short epoch pin covers loading the generation's stage
-// pointers, then the live memtable is drained outside any lock (safe under
-// the memtable's single-writer/multi-reader contract). In lock mode the
-// read lock is held while the dynamic stage and tombstones are copied.
+// Snapshot captures a point-in-time view. A short epoch pin covers loading
+// the generation's stage pointers; the live memtable is then drained outside
+// any lock of the index's (safe under the memtable's contract: the skip list
+// is drained lock-free, the locked memtable under its own read lock).
 func (h *Index) Snapshot() (*Snapshot, error) {
-	if h.eg != nil {
-		g := h.eg.mgr.Pin()
-		gen := h.eg.gen.Load()
-		mem, frozen, static := gen.mem, gen.frozen, gen.static
-		g.Unpin()
-		entries, tombs := eSplitStates(mem.SnapshotStates())
-		return &Snapshot{
-			codec:   h.codec,
-			entries: entries,
-			tombs:   tombs,
-			efrozen: frozen,
-			static:  static,
-		}, nil
-	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	s := &Snapshot{
-		codec:   h.codec,
-		entries: index.Snapshot(h.dynamic),
-		lfrozen: h.frozen,
-		// frozenTombs is write-once at seal time and immutable until the
-		// merge clears the *field*; sharing the map is safe.
-		ltombs: h.frozenTombs,
-		static: h.static,
-	}
-	if len(h.tombstones) > 0 {
-		s.tombs = make(map[string]struct{}, len(h.tombstones))
-		for k := range h.tombstones {
-			s.tombs[k] = struct{}{}
-		}
-	}
-	return s, nil
+	var cur gen
+	h.view(func(g *gen) { cur = *g })
+	return &Snapshot{codec: h.codec, g: &gen{
+		mem:          sliceMem{states: cur.mem.SnapshotStates()},
+		frozen:       cur.frozen,
+		frozenFilter: cur.frozenFilter,
+		static:       cur.static,
+	}}, nil
 }
 
-// Release drops the captured stage references. The snapshot is unusable
-// afterwards; calling it is optional but lets large static stages be
-// reclaimed before the Snapshot value itself goes out of scope.
-func (s *Snapshot) Release() {
-	s.entries = nil
-	s.tombs = nil
-	s.efrozen = nil
-	s.lfrozen = nil
-	s.ltombs = nil
-	s.static = nil
-}
+// Release drops the captured stage references, leaving an empty view.
+// Calling it is optional but lets large static stages be reclaimed before
+// the Snapshot value itself goes out of scope.
+func (s *Snapshot) Release() { s.g = &gen{mem: sliceMem{}} }
 
 // Get returns the value stored under key at snapshot time.
 func (s *Snapshot) Get(key []byte) (uint64, bool) {
 	if s.codec != nil {
 		key = s.codec.Encode(key)
 	}
-	i := sort.Search(len(s.entries), func(i int) bool {
-		return keys.Compare(s.entries[i].Key, key) >= 0
-	})
-	if i < len(s.entries) && keys.Compare(s.entries[i].Key, key) == 0 {
-		return s.entries[i].Value, true
-	}
-	if _, dead := s.tombs[string(key)]; dead {
-		return 0, false
-	}
-	if s.efrozen != nil {
-		if v, ok, tomb := s.efrozen.Get(key); ok {
-			return v, true
-		} else if tomb {
-			return 0, false
-		}
-	}
-	if s.lfrozen != nil {
-		if v, ok := s.lfrozen.Get(key); ok {
-			return v, true
-		}
-	}
-	if _, dead := s.ltombs[string(key)]; dead {
-		return 0, false
-	}
-	if s.static != nil {
-		return s.static.Get(key)
-	}
-	return 0, false
+	return s.g.get(key, nil)
 }
 
 // Scan visits the snapshot's live entries in key order from the smallest
-// key >= start, merging the captured stages exactly as the live Scan does:
-// upper stages shadow lower ones on equal keys, tombstones suppress lower
-// copies. With a codec the emitted key lives in a reused decode buffer and
-// is only valid during the callback; otherwise keys reference the captured
+// key >= start, merging the captured stages exactly as the live Scan does.
+// With a codec the emitted key lives in a reused decode buffer and is only
+// valid during the callback; otherwise keys reference the captured
 // (immutable) stages and may be retained.
 func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	if s.codec != nil {
-		if start != nil {
-			start = s.codec.EncodeBound(start)
-		}
-		inner := fn
-		var scratch []byte
-		fn = func(k []byte, v uint64) bool {
-			scratch = s.codec.DecodeAppend(scratch[:0], k)
-			return inner(scratch, v)
-		}
-	}
-	top := sort.Search(len(s.entries), func(i int) bool {
-		return keys.Compare(s.entries[i].Key, start) >= 0
-	})
-	var frozCur skiplist.Cursor
-	if s.efrozen != nil {
-		frozCur = s.efrozen.Seek(start)
-	}
-	var lfrozCur, stCur *dynCursor
-	if s.lfrozen != nil {
-		lfrozCur = newDynCursor(s.lfrozen, start)
-	}
-	if s.static != nil {
-		stCur = newDynCursor(s.static, start)
-	}
-	count := 0
-	for {
-		// Pick the smallest head key; on ties the uppermost stage wins
-		// (strict < comparison, top stage checked first).
-		var bestKey []byte
-		var bestVal uint64
-		bestTomb := false
-		bestTier := -1
-		if top < len(s.entries) {
-			bestKey, bestVal = s.entries[top].Key, s.entries[top].Value
-			bestTier = 0
-		}
-		if s.efrozen != nil && frozCur.Valid() {
-			if k, v, tb := frozCur.Entry(); bestTier == -1 || keys.Compare(k, bestKey) < 0 {
-				bestKey, bestVal, bestTomb, bestTier = k, v, tb, 1
-			}
-		}
-		if lfrozCur != nil {
-			if e := lfrozCur.peek(); e != nil && (bestTier == -1 || keys.Compare(e.Key, bestKey) < 0) {
-				bestKey, bestVal, bestTomb, bestTier = e.Key, e.Value, false, 1
-			}
-		}
-		if stCur != nil {
-			if e := stCur.peek(); e != nil && (bestTier == -1 || keys.Compare(e.Key, bestKey) < 0) {
-				bestKey, bestVal, bestTomb, bestTier = e.Key, e.Value, false, 2
-			}
-		}
-		if bestTier == -1 {
-			return count
-		}
-		// Consume the winner and every shadowed copy of the same key.
-		if top < len(s.entries) && keys.Compare(s.entries[top].Key, bestKey) == 0 {
-			top++
-		}
-		if s.efrozen != nil && frozCur.Valid() && keys.Compare(frozCur.Key(), bestKey) == 0 {
-			frozCur.Next()
-		}
-		if lfrozCur != nil {
-			if e := lfrozCur.peek(); e != nil && keys.Compare(e.Key, bestKey) == 0 {
-				lfrozCur.advance()
-			}
-		}
-		if stCur != nil {
-			if e := stCur.peek(); e != nil && keys.Compare(e.Key, bestKey) == 0 {
-				stCur.advance()
-			}
-		}
-		if bestTomb {
-			continue
-		}
-		if bestTier > 0 {
-			if _, dead := s.tombs[string(bestKey)]; dead {
-				continue
-			}
-		}
-		if bestTier > 1 {
-			if _, dead := s.ltombs[string(bestKey)]; dead {
-				continue
-			}
-		}
-		count++
-		if !fn(bestKey, bestVal) {
-			return count
-		}
-	}
+	start, fn = keycodec.ScanEncoded(s.codec, start, fn)
+	return s.g.scan(start, fn)
 }
 
 // ScanN collects up to n snapshot entries from the smallest key >= start;

@@ -8,10 +8,10 @@
 // are safe only while no writer is active, and any mutation requires
 // exclusive access. Static implementations are immutable after construction
 // and therefore safe for unlimited concurrent readers. Concurrency is
-// provided one layer up: hybrid.Index and lsm.DB wrap these structures with
-// a readers-writer lock and support any number of concurrent readers plus a
-// single writer, moving rebuild work (merge, flush, compaction) off the
-// critical path onto background goroutines.
+// provided one layer up: hybrid.Index puts a Dynamic behind its memtable's
+// readers-writer lock and lsm.DB behind its own, each supporting any number
+// of concurrent readers plus a single writer and moving rebuild work (merge,
+// flush, compaction) off the critical path onto background goroutines.
 package index
 
 // Entry is one key-value pair. Values are 64-bit tuple pointers throughout,

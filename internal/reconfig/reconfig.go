@@ -64,6 +64,9 @@ type Prepared struct {
 	Event string
 	// Attrs are appended to the publication event.
 	Attrs []obs.Attr
+	// Span links a PublishLocked publication event to the owner's causal
+	// span (hybrid's merge span); Apply links its own pipeline span instead.
+	Span uint64
 }
 
 // Change is one proposed reconfiguration: Build constructs the next
@@ -183,7 +186,7 @@ func (s *Seam) Apply(c Change) error {
 // routes retirement without taking the seam mutex (the owner's lock is the
 // serialization). The caller must hold that lock.
 func (s *Seam) PublishLocked(kind string, p Prepared) error {
-	return s.publish(kind, p, 0)
+	return s.publish(kind, p, p.Span)
 }
 
 func (s *Seam) publish(kind string, p Prepared, span uint64) error {

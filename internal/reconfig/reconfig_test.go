@@ -1,0 +1,147 @@
+package reconfig
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"mets/internal/epoch"
+	"mets/internal/obs"
+)
+
+func eventTypes(fr *obs.FlightRecorder) map[string]int {
+	types := map[string]int{}
+	for _, ev := range fr.Events() {
+		types[ev.Type]++
+	}
+	return types
+}
+
+// TestPublishLockedRecordsOnePublication pins the fast path's bookkeeping:
+// one generation bump, one applied count and one event per call, under the
+// owner's own event name when it sets one.
+func TestPublishLockedRecordsOnePublication(t *testing.T) {
+	reg := obs.NewRegistry()
+	fr := reg.FlightRecorder()
+	s := New(Options{Name: "test", Obs: reg, FlightRec: fr})
+	published := 0
+	publish := func() error { published++; return nil }
+	if err := s.PublishLocked("generation", Prepared{Publish: publish}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PublishLocked("merge", Prepared{Publish: publish, Event: "merge.commit", Span: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if published != 2 || s.Generation() != 2 {
+		t.Fatalf("published %d times, generation %d; want 2 and 2", published, s.Generation())
+	}
+	if n := reg.Snapshot().Counters["reconfig.applied"]; n != 2 {
+		t.Fatalf("reconfig.applied = %d, want 2", n)
+	}
+	types := eventTypes(fr)
+	if types["reconfig.publish"] != 1 || types["merge.commit"] != 1 || len(types) != 2 {
+		t.Fatalf("events = %v, want one reconfig.publish and one merge.commit", types)
+	}
+	for _, ev := range fr.Events() {
+		if ev.Type == "merge.commit" && ev.Span != 7 {
+			t.Fatalf("merge.commit span = %d, want the owner's span 7", ev.Span)
+		}
+	}
+}
+
+// TestRetireWaitsForPinnedReader pins retirement routing: with a Retirer the
+// old generation's Retire runs only once the reader pinned before the swap
+// has unpinned, and the reclaim is counted and recorded under the layer's
+// own names.
+func TestRetireWaitsForPinnedReader(t *testing.T) {
+	reg := obs.NewRegistry()
+	mgr := epoch.NewManager()
+	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder(), Retirer: mgr,
+		ReclaimEvent: "epoch.reclaim", ReclaimCounter: reg.Counter("epoch_reclaims")})
+	var retired atomic.Bool
+	g := mgr.Pin()
+	if err := s.PublishLocked("generation", Prepared{Retire: func() { retired.Store(true) }}); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Reclaim()
+	if retired.Load() {
+		t.Fatal("Retire ran while a reader pinned before the swap was still pinned")
+	}
+	g.Unpin()
+	mgr.Reclaim()
+	if !retired.Load() {
+		t.Fatal("Retire did not run after the reader unpinned")
+	}
+	if n := reg.Snapshot().Counters["epoch_reclaims"]; n != 1 {
+		t.Fatalf("epoch_reclaims = %d, want 1", n)
+	}
+	if eventTypes(reg.FlightRecorder())["epoch.reclaim"] != 1 {
+		t.Fatalf("no epoch.reclaim event; have %v", eventTypes(reg.FlightRecorder()))
+	}
+}
+
+// TestApplyRejectsOnValidateError pins the rejection path: a failed Validate
+// discards the build, publishes nothing, and counts one rejection.
+func TestApplyRejectsOnValidateError(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder()})
+	bad := errors.New("codec does not round-trip")
+	var published, discarded bool
+	err := s.Apply(Change{Kind: "codec.retrain", Build: func() (Prepared, error) {
+		return Prepared{
+			Validate: func() error { return bad },
+			Publish:  func() error { published = true; return nil },
+			Discard:  func() { discarded = true },
+		}, nil
+	}})
+	if !errors.Is(err, bad) {
+		t.Fatalf("Apply error = %v, want it to wrap the validation error", err)
+	}
+	if published || !discarded || s.Generation() != 0 {
+		t.Fatalf("published=%v discarded=%v generation=%d; want false, true, 0", published, discarded, s.Generation())
+	}
+	snap := reg.Snapshot()
+	if snap.Counters["reconfig.rejected"] != 1 || snap.Counters["reconfig.applied"] != 0 {
+		t.Fatalf("rejected=%d applied=%d; want 1 and 0", snap.Counters["reconfig.rejected"], snap.Counters["reconfig.applied"])
+	}
+	if eventTypes(reg.FlightRecorder())["reconfig.reject"] != 1 {
+		t.Fatalf("no reconfig.reject event; have %v", eventTypes(reg.FlightRecorder()))
+	}
+}
+
+// TestConcurrentAppliesSerialize pins that whole pipelines never overlap:
+// the unsynchronized counter below is only safe (and -race only quiet) if
+// Apply runs one build-validate-publish at a time.
+func TestConcurrentAppliesSerialize(t *testing.T) {
+	s := New(Options{Name: "test"})
+	const workers, each = 8, 50
+	inPipeline, applied := 0, 0
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				err := s.Apply(Change{Kind: "bulkload", Build: func() (Prepared, error) {
+					inPipeline++
+					return Prepared{Publish: func() error {
+						if inPipeline != 1 {
+							return errors.New("two pipelines overlapped")
+						}
+						inPipeline--
+						applied++
+						return nil
+					}}, nil
+				}})
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if applied != workers*each || s.Generation() != workers*each {
+		t.Fatalf("applied %d, generation %d; want %d", applied, s.Generation(), workers*each)
+	}
+}

@@ -4,17 +4,17 @@ import (
 	"sort"
 
 	"mets/internal/index"
+	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/par"
 )
 
 // Range scans fan out across the shards and re-merge into one ordered
-// stream. Each shard is walked through a chunked hybrid.Iterator that holds
-// its shard's read lock only during a refill — so unlike hybrid.Index.Scan,
-// no lock is held while the caller's callback runs, the callback may call
-// back into the index, and a long scan never blocks any shard's writer for
-// more than one chunk. Consistency is chunk-granular: each refill is an
-// atomic snapshot of its shard.
+// stream. Each shard is walked through a chunked hybrid.Iterator that pins
+// its shard's generation only during a refill, so no shard state is held
+// while the caller's callback runs and the callback may call back into the
+// index. Consistency is chunk-granular: each refill reads one generation of
+// its shard.
 //
 // Because the Router assigns shards disjoint, ordered key ranges, the merge
 // of the per-shard streams degenerates for sequential consumption: visiting
@@ -87,29 +87,17 @@ func kwayMerge(srcs []entrySource, fn func(key []byte, value uint64) bool) int {
 
 // Scan visits live entries in key order from the smallest key >= start,
 // walking the shards lazily in range order (see the file comment for why
-// concatenation is the ordered merge here). No shard lock is held while fn
+// concatenation is the ordered merge here). No shard state is held while fn
 // runs. Without a codec, keys handed to fn are fresh copies the callback may
 // retain; with a codec they are decoded into a reused scratch buffer and are
 // valid only for the duration of the callback (copy to retain).
 func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	if s.epochs != nil {
-		// One pin for the whole scan keeps the core triple (codec, router,
-		// shards) from being reclaimed mid-iteration under a concurrent
-		// codec-retraining bulk load.
-		defer s.epochs.Pin().Unpin()
-	}
+	// One pin for the whole scan keeps the core triple (codec, router,
+	// shards) from being reclaimed mid-iteration under a concurrent
+	// codec-retraining bulk load.
+	defer s.epochs.Pin().Unpin()
 	c := s.load()
-	if c.codec != nil {
-		if start != nil {
-			start = c.codec.EncodeBound(start)
-		}
-		inner := fn
-		var scratch []byte
-		fn = func(k []byte, v uint64) bool {
-			scratch = c.codec.DecodeAppend(scratch[:0], k)
-			return inner(scratch, v)
-		}
-	}
+	start, fn = keycodec.ScanEncoded(c.codec, start, fn)
 	first := 0
 	if start != nil {
 		first = c.router.Shard(start)
@@ -132,7 +120,7 @@ func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 // ScanN returns up to n live entries in key order from the smallest key >=
 // start, fanning the per-shard prefetch out in parallel: every shard that
 // can contribute collects up to n entries concurrently (each under its own
-// read lock), and the k-way merge then keeps the globally smallest n. This
+// pin), and the k-way merge then keeps the globally smallest n. This
 // is the bounded-scan fast path (YCSB-E style short scans with a known
 // limit); use Scan for unbounded iteration. Returned keys are fresh copies
 // in raw (decoded) space.
@@ -140,9 +128,7 @@ func (s *Index) ScanN(start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
 	}
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	if c.codec != nil && start != nil {
 		start = c.codec.EncodeBound(start)

@@ -1,7 +1,7 @@
 // Package sharded implements a range-partitioned sharded hybrid index: keys
 // fan out across N disjoint key ranges, each backed by its own
-// hybrid.Index — its own dynamic stage, readers-writer lock, Bloom filter,
-// and independent background-merge schedule. Writers touching different
+// hybrid.Index — its own dynamic stage, writer mutex, Bloom filter, and
+// independent background-merge schedule. Writers touching different
 // shards proceed in parallel, and a merge pause on one shard never stalls
 // readers or writers on the other N-1, so the worst-case pause shrinks with
 // the shard count instead of growing with the total index size.
@@ -109,8 +109,8 @@ type core struct {
 }
 
 // Index is a range-partitioned collection of hybrid indexes. All methods are
-// safe for concurrent use; per-key operations take only the owning shard's
-// lock, and aggregate accessors visit shards one at a time (they are
+// safe for concurrent use; a write takes only the owning shard's writer
+// mutex, a read none, and aggregate accessors visit shards one at a time (they are
 // monotonic snapshots, not point-in-time cuts across shards).
 type Index struct {
 	core atomic.Pointer[core]
@@ -138,10 +138,10 @@ type Index struct {
 	// tuner is the background drift controller (Config.AutoTune).
 	tuner *tune.Tuner
 
-	// epochs is non-nil iff Hybrid.EpochReads: one manager shared by this
-	// layer and every shard across every core generation, so a single reader
-	// pin covers the core triple and any shard generation reachable from it.
-	// Retired cores (codec-retraining bulk loads) drain through it too.
+	// epochs is the one manager shared by this layer and every shard across
+	// every core generation, so a single reader pin covers the core triple
+	// and any shard generation reachable from it. Retired cores
+	// (codec-retraining bulk loads) drain through it too.
 	epochs *epoch.Manager
 }
 
@@ -169,14 +169,11 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	hc := cfg.Hybrid
 	hc.Codec = nil // the sharded layer owns the codec boundary
 	hc.Dir = ""    // per-shard journal dirs are assigned in newCore
-	var mgr *epoch.Manager
-	if hc.EpochReads {
-		mgr = hc.Epochs
-		if mgr == nil {
-			mgr = epoch.NewManager()
-		}
-		hc.Epochs = mgr
+	mgr := hc.Epochs
+	if mgr == nil {
+		mgr = epoch.NewManager()
 	}
+	hc.Epochs = mgr
 	s := &Index{
 		obs:       cfg.Obs,
 		hybridCfg: hc,
@@ -197,15 +194,11 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	if codec != nil {
 		r = encodeRouter(r, codec)
 	}
-	var retirer reconfig.Retirer
-	if mgr != nil {
-		retirer = mgr
-	}
 	s.seam = reconfig.New(reconfig.Options{
 		Name:           "sharded",
 		Obs:            cfg.Obs,
 		FlightRec:      cfg.Obs.FlightRecorder(),
-		Retirer:        retirer,
+		Retirer:        mgr,
 		ReclaimEvent:   "core.reclaim",
 		ReclaimCounter: cfg.Obs.Counter("core_reclaims"),
 	})
@@ -359,13 +352,11 @@ func (s *Index) load() *core { return s.core.Load() }
 // stays valid after unpin — retirement drops references, it never closes
 // shards.
 func (s *Index) shardsView() []*hybrid.Index {
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	return s.load().shards
 }
 
-// EpochManager returns the shared epoch manager, or nil in lock mode.
+// EpochManager returns the epoch manager shared with every shard.
 func (s *Index) EpochManager() *epoch.Manager { return s.epochs }
 
 // encodeKey maps key into c's encoded space (no-op without a codec).
@@ -382,38 +373,29 @@ func (s *Index) NumShards() int { return len(s.shardsView()) }
 // Router returns the boundary router of the current generation. With a
 // codec active its boundaries are in encoded space.
 func (s *Index) Router() *Router {
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	return s.load().router
 }
 
 // Codec returns the current generation's codec (nil when keys are raw).
 func (s *Index) Codec() keycodec.Codec {
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	return s.load().codec
 }
 
 // ShardFor returns the shard index owning key (exposed for tests and
 // placement-aware callers).
 func (s *Index) ShardFor(key []byte) int {
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	return c.router.Shard(c.encodeKey(key))
 }
 
-// Get returns the value stored under key. In epoch mode one pin covers the
-// core load and the shard's generation resolution (the shard skips its own
-// pin: nested pins on a shared manager are redundant but harmless — this one
-// simply outlives the inner one).
+// Get returns the value stored under key. One pin covers the core load; the
+// shard pins again for its own generation (nested pins on the shared manager
+// are redundant but harmless — this one simply outlives the inner one).
 func (s *Index) Get(key []byte) (uint64, bool) {
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	ek := c.encodeKey(key)
 	return c.shards[c.router.Shard(ek)].Get(ek)
@@ -692,11 +674,9 @@ func (s *Index) BulkLoad(entries []index.Entry) error {
 				cc := codec
 				p.Validate = func() error { return keycodec.Validate(cc, sample) }
 			}
-			if s.epochs != nil {
-				// The old codec/router/shards triple drains once every
-				// reader epoch that could have loaded it has unpinned.
-				p.Retire = func() { old.shards, old.router, old.codec = nil, nil, nil }
-			}
+			// The old codec/router/shards triple drains once every reader
+			// epoch that could have loaded it has unpinned.
+			p.Retire = func() { old.shards, old.router, old.codec = nil, nil, nil }
 			return p, nil
 		},
 	})
@@ -797,9 +777,7 @@ func (s *Index) reconfigure(kind string, retrain bool) error {
 				cc := codec
 				p.Validate = func() error { return keycodec.Validate(cc, sample) }
 			}
-			if s.epochs != nil {
-				p.Retire = func() { old.shards, old.router, old.codec = nil, nil, nil }
-			}
+			p.Retire = func() { old.shards, old.router, old.codec = nil, nil, nil }
 			return p, nil
 		},
 	})

@@ -21,14 +21,12 @@ type Snapshot struct {
 	shards []*hybrid.Snapshot
 }
 
-// Snapshot captures a read-only view of every shard. The epoch pin (when in
-// epoch mode) covers only the capture itself — it keeps the core triple from
+// Snapshot captures a read-only view of every shard. The epoch pin covers
+// only the capture itself — it keeps the core triple from
 // being reclaimed under a concurrent codec-retraining bulk load — and is
 // dropped before the call returns.
 func (s *Index) Snapshot() (*Snapshot, error) {
-	if s.epochs != nil {
-		defer s.epochs.Pin().Unpin()
-	}
+	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	snap := &Snapshot{
 		codec:  c.codec,
@@ -59,17 +57,7 @@ func (s *Snapshot) Get(key []byte) (uint64, bool) {
 // live Scan). With a codec the emitted key lives in a reused decode buffer
 // and is valid only during the callback.
 func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	if s.codec != nil {
-		if start != nil {
-			start = s.codec.EncodeBound(start)
-		}
-		inner := fn
-		var scratch []byte
-		fn = func(k []byte, v uint64) bool {
-			scratch = s.codec.DecodeAppend(scratch[:0], k)
-			return inner(scratch, v)
-		}
-	}
+	start, fn = keycodec.ScanEncoded(s.codec, start, fn)
 	first := 0
 	if start != nil {
 		first = s.router.Shard(start)

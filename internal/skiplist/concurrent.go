@@ -80,37 +80,35 @@ func (c *Concurrent) randomLevel() int {
 	return lvl
 }
 
-// findPredecessors fills update with the last node before key at each level.
-// Reader-safe: only atomic loads.
+// findPredecessors fills update with the last node before key at each level
+// and returns the first node with key >= the search key (nil at the end).
+// Reader-safe: only atomic loads. The result is the node the bottom-level
+// loop last compared, never a second load of its predecessor's link: a
+// writer may link a smaller neighbour in between, and a re-load would then
+// hand back that neighbour — a present key would read as absent and a cursor
+// would start below its bound.
 func (c *Concurrent) findPredecessors(key []byte, update *[maxLevel]*cnode) *cnode {
 	x := &c.head
+	var nxt *cnode
 	for i := maxLevel - 1; i >= 0; i-- {
 		for {
-			nxt := x.next[i].Load()
+			nxt = x.next[i].Load()
 			if nxt == nil || keys.Compare(nxt.key, key) >= 0 {
 				break
 			}
 			x = nxt
 		}
-		update[i] = x
+		if update != nil {
+			update[i] = x
+		}
 	}
-	return x.next[0].Load()
+	return nxt
 }
 
 // Get returns the value stored under key and whether the entry is a live
 // value (ok=true) or a tombstone (tomb=true). Both false means absent.
 func (c *Concurrent) Get(key []byte) (val uint64, ok, tomb bool) {
-	x := &c.head
-	for i := maxLevel - 1; i >= 0; i-- {
-		for {
-			nxt := x.next[i].Load()
-			if nxt == nil || keys.Compare(nxt.key, key) >= 0 {
-				break
-			}
-			x = nxt
-		}
-	}
-	n := x.next[0].Load()
+	n := c.findPredecessors(key, nil)
 	if n == nil || !bytes.Equal(n.key, key) {
 		return 0, false, false
 	}
@@ -186,32 +184,6 @@ func (c *Concurrent) link(key []byte, value uint64, st uint32, update *[maxLevel
 	c.towers += int64(lvl)
 }
 
-// PutDup links a fresh node for key unconditionally (multimap mode, the
-// secondary index's dynamic stage): equal keys coexist, with later inserts
-// at the head of the key's run. Writer-only.
-func (c *Concurrent) PutDup(key []byte, value uint64) {
-	var update [maxLevel]*cnode
-	c.findPredecessors(key, &update)
-	c.link(key, value, statePresent, &update)
-	c.live.Add(1)
-}
-
-// TombValue tombstones the first live node matching both key and value
-// (multimap delete), returning false when no such pair is live. Writer-only.
-func (c *Concurrent) TombValue(key []byte, value uint64) bool {
-	var update [maxLevel]*cnode
-	n := c.findPredecessors(key, &update)
-	for ; n != nil && bytes.Equal(n.key, key); n = n.next[0].Load() {
-		if n.st.Load() == statePresent && n.val.Load() == value {
-			n.st.Store(stateTombstone)
-			c.live.Add(-1)
-			c.tombs.Add(1)
-			return true
-		}
-	}
-	return false
-}
-
 // Len returns the number of live (non-tombstone) entries.
 func (c *Concurrent) Len() int { return int(c.live.Load()) }
 
@@ -228,8 +200,7 @@ func (c *Concurrent) Tombs() int { return int(c.tombs.Load()) }
 // Entries inserted concurrently behind the cursor are not revisited; entries
 // ahead of it may or may not be seen (the usual memtable scan contract).
 func (c *Concurrent) ScanStates(start []byte, fn func(key []byte, value uint64, tomb bool) bool) int {
-	var update [maxLevel]*cnode
-	n := c.findPredecessors(start, &update)
+	n := c.findPredecessors(start, nil)
 	count := 0
 	for ; n != nil; n = n.next[0].Load() {
 		count++
@@ -270,8 +241,7 @@ type Cursor struct {
 
 // Seek returns a cursor positioned at the smallest key >= start.
 func (c *Concurrent) Seek(start []byte) Cursor {
-	var update [maxLevel]*cnode
-	return Cursor{n: c.findPredecessors(start, &update)}
+	return Cursor{n: c.findPredecessors(start, nil)}
 }
 
 // Valid reports whether the cursor is positioned on a node.

@@ -172,3 +172,51 @@ func TestConcurrentMatchesList(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentPresentKeyNeverMisses is the regression for the search
+// re-load bug: Get and Seek used to load the bottom-level successor a second
+// time after the search loop, so a writer linking a smaller neighbour between
+// the loop's last comparison and that second load made a present key read as
+// absent and started a cursor below its bound. The writer links every new
+// key directly in front of the probed one — the only position that changes
+// the link the reader last followed — while one reader probes it.
+func TestConcurrentPresentKeyNeverMisses(t *testing.T) {
+	c := NewConcurrent()
+	target := []byte("m")
+	c.Put(target, 42)
+	inserts := 400000
+	if raceEnabled {
+		inserts = 60000
+	}
+	var stop atomic.Bool
+	var misses, below, probes atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if v, ok, _ := c.Get(target); !ok || v != 42 {
+				misses.Add(1)
+			}
+			if cu := c.Seek(target); !cu.Valid() || keys.Compare(cu.Key(), target) < 0 {
+				below.Add(1)
+			}
+			probes.Add(1)
+		}
+	}()
+	// "l"+i ascends towards "m": each new key is the probed key's immediate
+	// predecessor. The writer keeps going until the reader has had a fair
+	// number of probes (a single-CPU run interleaves only by preemption).
+	for i := 0; i < inserts || probes.Load() < 1000; i++ {
+		c.Put(append([]byte("l"), keys.Uint64(uint64(i))...), uint64(i))
+		if i%1024 == 0 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if misses.Load() != 0 || below.Load() != 0 {
+		t.Fatalf("%d of %d probes missed the present key, %d cursors started below their bound",
+			misses.Load(), probes.Load(), below.Load())
+	}
+}

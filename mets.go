@@ -92,15 +92,18 @@ func UnmarshalFST(data []byte) (*FST, error) { return fst.UnmarshalTrie(data) }
 // HybridIndex is the dual-stage index of Chapter 5.
 type HybridIndex = hybrid.Index
 
-// HybridConfig tunes the merge trigger and auxiliary structures.
-// Set EpochReads for the wait-free read path: Get/Scan pin an epoch and
-// resolve against an atomically published generation instead of taking the
-// RWMutex, so merges and compactions never block a reader (see DESIGN.md
-// "Wait-free reads"). EpochManager exposes the reclamation manager; a
-// ShardedConfig with EpochReads shares one manager across shards.
+// HybridConfig tunes the merge trigger and auxiliary structures. Every
+// hybrid index reads by pinning an epoch and resolving against an
+// atomically published generation, so merges never block a reader and Scan
+// callbacks may call back into the index (see DESIGN.md "Concurrency
+// model"). EpochReads additionally swaps the dynamic stage for the
+// lock-free skip-list memtable, which makes reads wait-free end to end;
+// unset, the dynamic stage is the constructor's thesis structure behind a
+// readers-writer lock of its own. HybridSecondary ignores it. A sharded
+// index shares one EpochManager across its shards.
 type HybridConfig = hybrid.Config
 
-// EpochManager coordinates epoch-based reclamation for EpochReads indexes.
+// EpochManager coordinates epoch-based reclamation of index generations.
 type EpochManager = epoch.Manager
 
 // NewEpochManager creates a manager to share across indexes (HybridConfig.Epochs).
@@ -120,7 +123,7 @@ var (
 // --- Range-sharded hybrid index --------------------------------------------
 
 // ShardedIndex fans keys across N hybrid indexes over disjoint key ranges,
-// each with its own lock and merge schedule; scans re-merge in order.
+// each with its own writer mutex and merge schedule; scans re-merge in order.
 type ShardedIndex = sharded.Index
 
 // ShardedConfig selects the shard router and the per-shard hybrid tuning.
