@@ -86,11 +86,13 @@ bench-putsync:
 bench-server:
 	$(GO) run ./cmd/mets-bench server.ycsb | $(GO) run ./cmd/benchjson -flags 'mets-bench server.ycsb' -out BENCH_$(BENCHDATE).json
 
-# obs-overhead is the instrumentation-cost guard: the hybrid-index microbench
-# with an enabled registry must stay within 10% of the nil-registry (no-op)
-# path. Run without the race detector — timing under -race is meaningless.
+# obs-overhead is the instrumentation-cost guard: the hybrid-index microbench,
+# and the sharded index in the gated benchmark's lib-read configuration (HOPE
+# codec instrumented), with an enabled registry must stay within 10% of the
+# nil-registry (no-op) path. Run without the race detector — timing under
+# -race is meaningless.
 obs-overhead:
-	$(GO) test -run '^TestObsOverheadGuard$$' -count=1 -v ./internal/hybrid
+	$(GO) test -run '^TestObsOverheadGuard$$' -count=1 -v ./internal/hybrid ./internal/sharded
 
 # fuzz-smoke gives each fuzz target a short budget of new inputs on top of
 # its checked-in seed corpus. Go allows one -fuzz target per invocation, so
@@ -99,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTrieOps$$' -fuzztime $(FUZZTIME) ./internal/fst
 	$(GO) test -run '^$$' -fuzz '^FuzzFSTBuildLookup$$' -fuzztime $(FUZZTIME) ./internal/fst
 	$(GO) test -run '^$$' -fuzz '^FuzzSuRFNoFalseNegatives$$' -fuzztime $(FUZZTIME) ./internal/surf
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/hope
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecOrderPreserving$$' -fuzztime $(FUZZTIME) ./internal/keycodec
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecOrderPreservingBinary$$' -fuzztime $(FUZZTIME) ./internal/keycodec
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeSearchSWAR$$' -fuzztime $(FUZZTIME) ./internal/btree

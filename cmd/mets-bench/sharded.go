@@ -105,8 +105,8 @@ func startSuRFAudit(reg *obs.Registry, ks [][]byte) func() {
 
 // runShardedYCSB compares single-shard hybrid against the sharded index
 // under the concurrent driver for YCSB A (write-heavy: parallel writers and
-// merges), C (read-only: lock contention), and E (scans: fan-out + k-way
-// merge), reporting aggregate throughput and the read-pause distribution
+// merges), C (read-only: lock contention), and E (scans: the ordered
+// shard walk), reporting aggregate throughput and the read-pause distribution
 // (p50/p99/max from the driver's latency histogram).
 func runShardedYCSB(ctx *benchContext) {
 	ks := dataset(randInt, ctx.numKeys(), 1)

@@ -1,6 +1,9 @@
 package hope
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Code is an order-preserving prefix code word: the top Len bits of Bits
 // (MSB-aligned within a 64-bit word).
@@ -9,31 +12,66 @@ type Code struct {
 	Len  uint8
 }
 
-// append writes the code into a bit writer.
+// bitWriter appends code words to buf through a 64-bit accumulator: the
+// pending bits sit left-aligned in acc and move to buf a run of whole bytes
+// at a time, when the next code no longer fits.
 type bitWriter struct {
-	buf   []byte
-	nbits int
+	buf []byte
+	acc uint64
+	n   uint // pending bits in acc
 }
 
-func (w *bitWriter) writeCode(c Code) {
-	bits := c.Bits
-	n := int(c.Len)
-	for n > 0 {
-		byteIdx := w.nbits >> 3
-		if byteIdx == len(w.buf) {
-			w.buf = append(w.buf, 0)
-		}
-		free := 8 - (w.nbits & 7)
-		take := n
-		if take > free {
-			take = free
-		}
-		chunk := byte(bits >> (64 - uint(take)))
-		w.buf[byteIdx] |= chunk << uint(free-take)
-		bits <<= uint(take)
-		w.nbits += take
-		n -= take
+// resumeBitWriter continues the bit string held in the first nbits bits of
+// prefix, into a buffer sized for a key of keyLen source bytes.
+func resumeBitWriter(prefix []byte, nbits, keyLen int) bitWriter {
+	w := bitWriter{buf: append(make([]byte, 0, keyLen), prefix[:nbits>>3]...)}
+	if r := uint(nbits & 7); r != 0 {
+		w.acc = uint64(prefix[nbits>>3]&(0xFF<<(8-r))) << 56
+		w.n = r
 	}
+	return w
+}
+
+// writeCode appends the top c.Len bits of c.Bits; the bits below them are
+// zero (every code assignment and UnmarshalEncoder guarantee it).
+func (w *bitWriter) writeCode(c Code) {
+	l := uint(c.Len)
+	if w.n+l > 64 {
+		w.spill()
+		if w.n+l > 64 {
+			// Only a code longer than 56 bits can still overflow: fill the
+			// accumulator with its head and spill all eight bytes.
+			head := 64 - w.n
+			w.acc |= c.Bits >> w.n
+			w.n = 64
+			w.spill()
+			c.Bits <<= head
+			l -= head
+		}
+	}
+	w.acc |= c.Bits >> w.n
+	w.n += l
+}
+
+// spill moves the whole bytes of the accumulator to buf, keeping the last
+// partial byte pending.
+func (w *bitWriter) spill() {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], w.acc)
+	nb := w.n >> 3
+	w.buf = append(w.buf, b[:nb]...)
+	w.acc <<= nb * 8
+	w.n &= 7
+}
+
+// bitLen is the exact length of the bit string written so far.
+func (w *bitWriter) bitLen() int { return len(w.buf)*8 + int(w.n) }
+
+// finish zero-pads the pending bits to a byte boundary and returns buf.
+func (w *bitWriter) finish() []byte {
+	w.n = (w.n + 7) &^ 7
+	w.spill()
+	return w.buf
 }
 
 // maxCodeLen bounds code lengths so codes fit in a uint64.
@@ -214,8 +252,10 @@ func canonicalAlphabetic(lengths []uint8) []Code {
 			}
 			l++
 		}
-		out[i] = reserveZeroCode(Code{Bits: next, Len: uint8(l)})
 		step := uint64(1) << uint(64-l)
+		// A slot still misaligned at maxCodeLen keeps only its top l bits:
+		// the bit writer relies on a code's low bits being zero.
+		out[i] = reserveZeroCode(Code{Bits: next &^ (step - 1), Len: uint8(l)})
 		next += step
 		if next == 0 && i < n-1 {
 			// Ran out of code space (can only follow from clamping);

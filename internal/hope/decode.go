@@ -1,42 +1,66 @@
 package hope
 
+import "encoding/binary"
+
 // Decoder inverts an Encoder. Search-tree queries never decode (§6.2: HOPE
 // optimizes for encoding speed), but the decoder serves the scan-emit path of
 // codec-backed indexes (internal/keycodec), the unique-decodability property
 // tests, and debugging.
+//
+// The code words sit in one sorted array under a table indexed by the top
+// decodeBits bits of the code window: a code of at most decodeBits bits owns
+// its table slots alone and resolves with one comparison; longer codes search
+// only the codes sharing that prefix.
 type Decoder struct {
-	codes   []Code   // sorted ascending (dictionary order)
-	symbols [][]byte // parallel
+	codes packedIndex // code words, left-aligned, in dictionary order
+	syms  []decSym    // parallel to codes.vals
 }
+
+type decSym struct {
+	sym     uint64 // symbol bytes, packed like an interval boundary
+	symLen  uint8
+	codeLen uint8
+}
+
+// decodeBits is the width of the decoder's first-level table.
+const decodeBits = 12
 
 // NewDecoder builds a decoder for the encoder's dictionary.
 func (e *Encoder) NewDecoder() *Decoder {
-	d := &Decoder{}
-	switch dict := e.dict.(type) {
+	n := e.dict.numEntries()
+	d := &Decoder{syms: make([]decSym, 0, n)}
+	codes := make([]uint64, 0, n)
+	add := func(c Code, sym uint64, symLen uint8) {
+		codes = append(codes, c.Bits)
+		d.syms = append(d.syms, decSym{sym: sym, symLen: symLen, codeLen: c.Len})
+	}
+	dict := e.dict
+	if t, ok := dict.(*bitmapTrieDict); ok {
+		dict = t.fallback // the trie only accelerates the same intervals
+	}
+	switch dict := dict.(type) {
 	case *singleCharDict:
-		for b := 0; b < 256; b++ {
-			d.codes = append(d.codes, dict.codes[b])
-			d.symbols = append(d.symbols, []byte{byte(b)})
+		for b, c := range dict.codes {
+			add(c, uint64(b)<<56, 1)
 		}
 	case *doubleCharDict:
-		for p := 0; p < 65536; p++ {
-			d.codes = append(d.codes, dict.codes[p])
-			d.symbols = append(d.symbols, []byte{byte(p >> 8), byte(p)})
+		for p, c := range dict.codes {
+			add(c, uint64(p)<<48, 2)
 		}
 	case *intervalDict:
-		d.fromInterval(dict)
-	case *bitmapTrieDict:
-		d.fromInterval(dict.fallback)
+		for i, e := range dict.entries {
+			// The symbol is a prefix of the boundary; bytes past symLen are
+			// never emitted.
+			add(Code{Bits: e.bits, Len: e.codeLen}, dict.bounds.vals[i], e.symLen)
+		}
 	}
+	d.codes = newPackedIndex(codes, decodeBits)
 	return d
 }
 
-func (d *Decoder) fromInterval(dict *intervalDict) {
-	for i := range dict.los {
-		d.codes = append(d.codes, dict.codes[i])
-		sym := dict.los[i][:dict.symLens[i]]
-		d.symbols = append(d.symbols, sym)
-	}
+// MemoryUsage returns the size of the decode tables in bytes.
+func (d *Decoder) MemoryUsage() int64 {
+	return d.codes.memoryUsage() + int64(len(d.syms))*codeBytes
 }
 
 // Decode reconstructs the source string from an encoded bit string of the
@@ -51,30 +75,21 @@ func (d *Decoder) Decode(enc []byte, nbits int) []byte {
 // extended slice. It allocates nothing when dst has capacity — the alloc-free
 // counterpart of Encoder.EncodeAppend for the scan-emit hot path.
 func (d *Decoder) DecodeAppend(dst, enc []byte, nbits int) []byte {
-	pos := 0
-	for pos < nbits {
+	var sym [8]byte
+	for pos := 0; pos < nbits; {
 		window := readWindow(enc, pos)
-		// Largest code whose left-aligned bits are <= window.
-		lo, hi := 0, len(d.codes)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if d.codes[mid].Bits <= window {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		i := lo - 1
+		i := d.codes.floor(window)
 		if i < 0 {
 			return dst // padding or corrupt input
 		}
-		c := d.codes[i]
-		// Verify the code is a prefix of the window.
-		if c.Len > 0 && (window>>(64-uint(c.Len))) != (c.Bits>>(64-uint(c.Len))) {
+		s := &d.syms[i]
+		// The largest code <= window decodes only if it is a prefix of it.
+		if (window^d.codes.vals[i])>>(64-uint(s.codeLen)) != 0 {
 			return dst
 		}
-		dst = append(dst, d.symbols[i]...)
-		pos += int(c.Len)
+		binary.BigEndian.PutUint64(sym[:], s.sym)
+		dst = append(dst, sym[:s.symLen]...)
+		pos += int(s.codeLen)
 	}
 	return dst
 }
@@ -82,16 +97,9 @@ func (d *Decoder) DecodeAppend(dst, enc []byte, nbits int) []byte {
 // readWindow reads the 64 bits starting at bit position pos, left-aligned in
 // a uint64 (missing bits are zero).
 func readWindow(enc []byte, pos int) uint64 {
-	bi := pos >> 3
-	off := uint(pos & 7)
-	var v uint64
-	shift := 56
-	for k := bi; k < len(enc) && shift >= 0; k++ {
-		v |= uint64(enc[k]) << uint(shift)
-		shift -= 8
-	}
-	v <<= off
-	if off != 0 && bi+8 < len(enc) {
+	bi, off := pos>>3, uint(pos&7)
+	v := headAt(enc, bi) << off
+	if bi+8 < len(enc) {
 		v |= uint64(enc[bi+8]) >> (8 - off)
 	}
 	return v

@@ -1,15 +1,17 @@
 package hope
 
 import (
+	"encoding/binary"
 	mathbits "math/bits"
-
-	"mets/internal/keys"
 )
 
-// dictionary resolves the longest applicable dictionary entry for the head
-// of src, returning the code and the number of source bytes consumed.
+// dictionary encodes a key one longest-applicable entry at a time.
 type dictionary interface {
-	lookup(src []byte) (Code, int)
+	// encode writes the codes of key[pos:] to w and returns it (by value: a
+	// pointer passed through the interface would move every writer to the
+	// heap). When m is non-nil it also records every symbol boundary it
+	// passes (batch encoding resumes from them).
+	encode(w bitWriter, key []byte, pos int, m *marks) bitWriter
 	numEntries() int
 	memoryUsage() int64
 	// contextBytes is the number of leading source bytes a lookup may
@@ -18,16 +20,39 @@ type dictionary interface {
 	contextBytes() int
 }
 
+// codeBytes is the in-memory size of a Code (and of a dictEntry).
+const codeBytes = 16
+
+// marks are the symbol boundaries of one encoded key.
+type marks []mark
+
+type mark struct {
+	srcPos int32
+	bitPos int32
+}
+
+func (m *marks) add(srcPos int, w *bitWriter) {
+	if m != nil {
+		*m = append(*m, mark{srcPos: int32(srcPos), bitPos: int32(w.bitLen())})
+	}
+}
+
 // singleCharDict is the FIFC/FIVC single-character dictionary: 256
 // fixed-length intervals.
 type singleCharDict struct {
 	codes [256]Code
 }
 
-func (d *singleCharDict) lookup(src []byte) (Code, int) { return d.codes[src[0]], 1 }
-func (d *singleCharDict) contextBytes() int             { return 1 }
-func (d *singleCharDict) numEntries() int               { return 256 }
-func (d *singleCharDict) memoryUsage() int64            { return 256 * 9 }
+func (d *singleCharDict) encode(w bitWriter, key []byte, pos int, m *marks) bitWriter {
+	for ; pos < len(key); pos++ {
+		w.writeCode(d.codes[key[pos]])
+		m.add(pos+1, &w)
+	}
+	return w
+}
+func (d *singleCharDict) contextBytes() int  { return 1 }
+func (d *singleCharDict) numEntries() int    { return 256 }
+func (d *singleCharDict) memoryUsage() int64 { return 256 * codeBytes }
 
 // doubleCharDict holds 65536 two-byte intervals; a trailing odd byte b is
 // encoded with the (b, 0x00) entry (keys must therefore avoid 0x00, §6.2).
@@ -35,74 +60,146 @@ type doubleCharDict struct {
 	codes []Code // 65536
 }
 
-func (d *doubleCharDict) lookup(src []byte) (Code, int) {
-	if len(src) >= 2 {
-		return d.codes[int(src[0])<<8|int(src[1])], 2
+func (d *doubleCharDict) encode(w bitWriter, key []byte, pos int, m *marks) bitWriter {
+	for ; pos+2 <= len(key); pos += 2 {
+		w.writeCode(d.codes[int(key[pos])<<8|int(key[pos+1])])
+		m.add(pos+2, &w)
 	}
-	return d.codes[int(src[0])<<8], 1
+	if pos < len(key) {
+		w.writeCode(d.codes[int(key[pos])<<8])
+		m.add(pos+1, &w)
+	}
+	return w
 }
 func (d *doubleCharDict) numEntries() int    { return 65536 }
 func (d *doubleCharDict) contextBytes() int  { return 2 }
-func (d *doubleCharDict) memoryUsage() int64 { return 65536 * 9 }
+func (d *doubleCharDict) memoryUsage() int64 { return 65536 * codeBytes }
 
-// intervalDict is the general VIFC/VIVC dictionary: sorted interval
-// boundaries searched by binary search, with per-interval symbol lengths.
+// maxBoundary is the longest interval boundary a dictionary can hold: the
+// gram and ALM schemes select substrings of at most eight bytes, and
+// successors and gap boundaries are never longer than what they derive from.
+const maxBoundary = 8
+
+// intervalDict is the general VIFC/VIVC dictionary. The interval lower
+// bounds are packed left-aligned (big-endian, zero-padded) into one sorted
+// integer array, so a lookup compares the key's next eight bytes, loaded as
+// one integer, against a few adjacent array slots: a table over the first
+// two bytes narrows the binary search to the boundaries that share them.
+//
+// Zero-padding keeps the order of boundaries and of 0x00-free keys: padded
+// values differ at the first differing byte, and where one string is a
+// proper prefix of the other the longer one has a nonzero byte against the
+// shorter one's padding. Only a string that continues with 0x00 bytes can
+// tie with its own prefix; find breaks that tie by length, which makes the
+// search exact for every input.
 type intervalDict struct {
-	los        [][]byte
-	symLens    []uint16
-	codes      []Code
-	boundBytes int64
-	maxLo      int
+	bounds  packedIndex
+	entries []dictEntry // parallel to bounds.vals
+	maxLo   int
 }
 
+// dictEntry is what a lookup needs of one interval, in one cache line slot.
+type dictEntry struct {
+	bits    uint64 // code word, left-aligned
+	codeLen uint8
+	symLen  uint8 // source bytes the interval consumes
+	loLen   uint8 // length of the (unpadded) lower bound
+}
+
+// prefixBits is the width of the boundary prefix table: the first two key
+// bytes.
+const prefixBits = 16
+
+// newIntervalDict packs intervals (sorted by lo, every lo and symbol at
+// most maxBoundary bytes) with their codes.
 func newIntervalDict(ivs []interval, codes []Code) *intervalDict {
-	d := &intervalDict{
-		los:     make([][]byte, len(ivs)),
-		symLens: make([]uint16, len(ivs)),
-		codes:   codes,
-	}
+	d := &intervalDict{entries: make([]dictEntry, len(ivs))}
+	bounds := make([]uint64, len(ivs))
 	for i, iv := range ivs {
-		d.los[i] = iv.lo
-		d.symLens[i] = uint16(len(iv.symbol))
-		d.boundBytes += int64(len(iv.lo))
+		bounds[i] = headAt(iv.lo, 0)
+		d.entries[i] = dictEntry{
+			bits:    codes[i].Bits,
+			codeLen: codes[i].Len,
+			symLen:  uint8(len(iv.symbol)),
+			loLen:   uint8(len(iv.lo)),
+		}
 		if len(iv.lo) > d.maxLo {
 			d.maxLo = len(iv.lo)
 		}
 	}
+	d.bounds = newPackedIndex(bounds, prefixBits)
 	return d
 }
 
-func (d *intervalDict) lookup(src []byte) (Code, int) {
-	lo, hi := 0, len(d.los)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys.Compare(d.los[mid], src) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// headAt returns key[pos:] the way boundaries are packed: its first eight
+// bytes as a big-endian integer, zero-padded when fewer remain. One load
+// serves every position of a key of eight bytes or more — near the end it is
+// the key's last eight bytes shifted left.
+func headAt(key []byte, pos int) uint64 {
+	if pos+8 <= len(key) {
+		return binary.BigEndian.Uint64(key[pos:])
 	}
-	i := lo - 1
-	if i < 0 {
-		i = 0 // only the empty string sorts below the first interval
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key[len(key)-8:]) << (8 * uint(pos+8-len(key)))
 	}
-	n := int(d.symLens[i])
-	if n > len(src) {
-		n = len(src)
+	var v uint64
+	for i := pos; i < len(key); i++ {
+		v |= uint64(key[i]) << (56 - 8*uint(i-pos))
 	}
-	return d.codes[i], n
+	return v
 }
-func (d *intervalDict) numEntries() int   { return len(d.los) }
+
+// lo returns interval i's lower bound.
+func (d *intervalDict) lo(i int) []byte {
+	return binary.BigEndian.AppendUint64(nil, d.bounds.vals[i])[:d.entries[i].loLen]
+}
+
+// find returns the interval containing the string whose packed head is head
+// and whose length is n: the last boundary <= the string, or interval 0 for
+// the empty string, which sorts below all of them.
+func (d *intervalDict) find(head uint64, n int) int {
+	i := d.bounds.floor(head)
+	// A boundary equal to head under padding but longer than the string is
+	// the string followed by 0x00 bytes, so it sorts above it.
+	for i > 0 && d.bounds.vals[i] == head && int(d.entries[i].loLen) > n {
+		i--
+	}
+	if i < 0 {
+		i = 0
+	}
+	return i
+}
+
+func (d *intervalDict) encode(w bitWriter, key []byte, pos int, m *marks) bitWriter {
+	for pos < len(key) {
+		pos = d.emit(&w, d.find(headAt(key, pos), len(key)-pos), key, pos, m)
+	}
+	return w
+}
+
+// emit writes interval i's code for the symbol at key[pos:] and returns the
+// position after it (the last symbol of a key may be cut short by its end).
+func (d *intervalDict) emit(w *bitWriter, i int, key []byte, pos int, m *marks) int {
+	e := &d.entries[i]
+	w.writeCode(Code{Bits: e.bits, Len: e.codeLen})
+	if pos += int(e.symLen); pos > len(key) {
+		pos = len(key)
+	}
+	m.add(pos, w)
+	return pos
+}
+
+func (d *intervalDict) numEntries() int   { return len(d.entries) }
 func (d *intervalDict) contextBytes() int { return d.maxLo + 1 }
 func (d *intervalDict) memoryUsage() int64 {
-	return d.boundBytes + int64(len(d.los))*(16+2+9)
+	return d.bounds.memoryUsage() + int64(len(d.entries))*codeBytes
 }
 
 // bitmapTrieDict is the 3-gram bitmap-trie of Fig 6.6: each node holds a
 // 256-bit bitmap of branches plus a cumulative set-bit counter, giving
 // pointer-free constant-time child addressing. It accelerates lookups for
-// fixed-length-gram interval dictionaries; misses fall back to the binary
-// search dictionary.
+// fixed-length-gram interval dictionaries; misses fall back to the packed
+// interval dictionary.
 type bitmapTrieDict struct {
 	gramLen  int
 	bitmaps  [][4]uint64
@@ -113,16 +210,18 @@ type bitmapTrieDict struct {
 	fallback *intervalDict
 }
 
-func (d *bitmapTrieDict) lookup(src []byte) (Code, int) {
+// slot returns the dictionary slot of the full gram at the head of src, if
+// the trie holds it.
+func (d *bitmapTrieDict) slot(src []byte) (int, bool) {
 	if len(src) < d.gramLen {
-		return d.fallback.lookup(src)
+		return 0, false
 	}
 	node := 0
 	for level := 0; level < d.gramLen; level++ {
 		b := src[level]
 		bm := &d.bitmaps[node]
 		if bm[b>>6]&(1<<(uint(b)&63)) == 0 {
-			return d.fallback.lookup(src)
+			return 0, false
 		}
 		// Rank of this branch within the global breadth-first bit order.
 		rank := int(d.counters[node])
@@ -131,12 +230,22 @@ func (d *bitmapTrieDict) lookup(src []byte) (Code, int) {
 		}
 		rank += popcount(bm[b>>6] & (1<<(uint(b)&63) - 1))
 		if level == d.gramLen-1 {
-			slot := d.leafSlot[rank-d.leafBase()]
-			return d.fallback.codes[slot], int(d.fallback.symLens[slot])
+			return int(d.leafSlot[rank-d.leafBase()]), true
 		}
 		node = rank + 1 // breadth-first child numbering, root = 0
 	}
-	return d.fallback.lookup(src)
+	return 0, false
+}
+
+func (d *bitmapTrieDict) encode(w bitWriter, key []byte, pos int, m *marks) bitWriter {
+	for pos < len(key) {
+		i, ok := d.slot(key[pos:])
+		if !ok {
+			i = d.fallback.find(headAt(key, pos), len(key)-pos)
+		}
+		pos = d.fallback.emit(&w, i, key, pos, m)
+	}
+	return w
 }
 
 // leafBase returns the rank offset where last-level branches begin.
@@ -161,9 +270,9 @@ func newBitmapTrieDict(gramLen int, fallback *intervalDict) *bitmapTrieDict {
 		slot uint32
 	}
 	var items []item
-	for i := range fallback.los {
-		if int(fallback.symLens[i]) == gramLen && len(fallback.los[i]) == gramLen {
-			items = append(items, item{fallback.los[i], uint32(i)})
+	for i, e := range fallback.entries {
+		if int(e.symLen) == gramLen && int(e.loLen) == gramLen {
+			items = append(items, item{fallback.lo(i), uint32(i)})
 		}
 	}
 	// Build the trie breadth-first over the (already sorted) grams.

@@ -149,15 +149,10 @@ func Train(sample [][]byte, scheme Scheme, dictLimit int, opts ...Option) (*Enco
 		weights := make([]uint64, len(ivs))
 		probe := newIntervalDict(ivs, make([]Code, len(ivs)))
 		for _, k := range sample {
-			src := k
-			for len(src) > 0 {
-				i := probe.find(src)
+			for pos := 0; pos < len(k); {
+				i := probe.find(headAt(k, pos), len(k)-pos)
 				weights[i]++
-				n := int(probe.symLens[i])
-				if n > len(src) {
-					n = len(src)
-				}
-				src = src[n:]
+				pos += int(probe.entries[i].symLen)
 			}
 		}
 		e.BuildStats.SymbolSelect = time.Since(t0)
@@ -187,42 +182,6 @@ func Train(sample [][]byte, scheme Scheme, dictLimit int, opts ...Option) (*Enco
 	return e, nil
 }
 
-// find returns the interval index containing src (helper shared with the
-// training weight pass).
-func (d *intervalDict) find(src []byte) int {
-	lo, hi := 0, len(d.los)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareBytes(d.los[mid], src) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return lo - 1
-}
-
-func compareBytes(a, b []byte) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
 // Scheme returns the encoder's scheme.
 func (e *Encoder) Scheme() Scheme { return e.scheme }
 
@@ -244,26 +203,17 @@ func (e *Encoder) Encode(key []byte) []byte {
 // zero-padded to whole bytes). No allocation happens when dst has capacity,
 // which makes this the scan-emit hot path for codec-backed indexes.
 func (e *Encoder) EncodeAppend(dst, key []byte) []byte {
-	w := bitWriter{buf: dst, nbits: len(dst) * 8}
-	src := key
-	for len(src) > 0 {
-		c, n := e.dict.lookup(src)
-		w.writeCode(c)
-		src = src[n:]
-	}
-	return w.buf
+	w := bitWriter{buf: dst}
+	w = e.dict.encode(w, key, 0, nil)
+	return w.finish()
 }
 
 // EncodeBits compresses key, additionally returning the exact bit length.
 func (e *Encoder) EncodeBits(key []byte) ([]byte, int) {
 	w := bitWriter{buf: make([]byte, 0, len(key))}
-	src := key
-	for len(src) > 0 {
-		c, n := e.dict.lookup(src)
-		w.writeCode(c)
-		src = src[n:]
-	}
-	return w.buf, w.nbits
+	w = e.dict.encode(w, key, 0, nil)
+	nbits := w.bitLen()
+	return w.finish(), nbits
 }
 
 // EncodeBatch compresses a sorted batch, reusing the encoded prefix of the
@@ -271,59 +221,30 @@ func (e *Encoder) EncodeBits(key []byte) ([]byte, int) {
 // (the batch/pair-encoding optimization of §6.2.2).
 func (e *Encoder) EncodeBatch(sorted [][]byte) [][]byte {
 	out := make([][]byte, len(sorted))
-	var prevKey []byte
-	var prevMarks []mark // symbol boundaries of the previous key
-	var prevBuf []byte
-	var marks []mark
+	var prevKey, prevBuf []byte
+	var prev, cur marks // symbol boundaries of the previous and current key
 	for i, key := range sorted {
 		lcp := commonPrefixLen(prevKey, key)
 		// Find the last previous symbol boundary far enough inside the
 		// common prefix that the dictionary cannot distinguish the two keys
 		// from there.
 		safe := lcp - e.dict.contextBytes()
-		resume := 0
-		resumeBits := 0
-		for _, m := range prevMarks {
-			if int(m.srcPos) <= safe {
-				resume = int(m.srcPos)
-				resumeBits = int(m.bitPos)
-			} else {
-				break
-			}
+		kept := 0
+		for kept < len(prev) && int(prev[kept].srcPos) <= safe {
+			kept++
 		}
-		w := bitWriter{buf: make([]byte, 0, len(key))}
-		marks = marks[:0]
-		if resumeBits > 0 {
-			w.buf = append(w.buf, prevBuf[:(resumeBits+7)/8]...)
-			// Clear the padding bits after resumeBits.
-			if r := resumeBits & 7; r != 0 {
-				w.buf[len(w.buf)-1] &= 0xFF << uint(8-r)
-			}
-			w.nbits = resumeBits
-			for _, m := range prevMarks {
-				if int(m.srcPos) <= resume {
-					marks = append(marks, m)
-				}
-			}
+		cur = append(cur[:0], prev[:kept]...)
+		resume, resumeBits := 0, 0
+		if kept > 0 {
+			resume, resumeBits = int(prev[kept-1].srcPos), int(prev[kept-1].bitPos)
 		}
-		src := key[resume:]
-		for len(src) > 0 {
-			c, n := e.dict.lookup(src)
-			w.writeCode(c)
-			src = src[n:]
-			marks = append(marks, mark{srcPos: int32(len(key) - len(src)), bitPos: int32(w.nbits)})
-		}
-		out[i] = w.buf
-		prevKey = key
-		prevBuf = w.buf
-		prevMarks = append(prevMarks[:0], marks...)
+		w := resumeBitWriter(prevBuf, resumeBits, len(key))
+		w = e.dict.encode(w, key, resume, &cur)
+		out[i] = w.finish()
+		prevKey, prevBuf = key, out[i]
+		prev, cur = cur, prev
 	}
 	return out
-}
-
-type mark struct {
-	srcPos int32
-	bitPos int32
 }
 
 // CompressionRate returns total source bytes divided by total encoded bytes

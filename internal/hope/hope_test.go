@@ -300,8 +300,34 @@ func benchEncode(b *testing.B, s Scheme) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Encode(sample[i%len(sample)])
+		buf = e.EncodeAppend(buf[:0], sample[i%len(sample)])
+	}
+}
+
+func BenchmarkDecodeEmailSingleChar(b *testing.B) { benchDecode(b, SingleChar) }
+func BenchmarkDecodeEmailDoubleChar(b *testing.B) { benchDecode(b, DoubleChar) }
+func BenchmarkDecodeEmail3Grams(b *testing.B)     { benchDecode(b, ThreeGrams) }
+func BenchmarkDecodeEmail4Grams(b *testing.B)     { benchDecode(b, FourGrams) }
+func BenchmarkDecodeEmailALM(b *testing.B)        { benchDecode(b, ALM) }
+func BenchmarkDecodeEmailALMImp(b *testing.B)     { benchDecode(b, ALMImproved) }
+
+func benchDecode(b *testing.B, s Scheme) {
+	sample := keys.Dedup(keys.Emails(10000, 1))
+	e, err := Train(sample, s, 1<<12)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := e.NewDecoder()
+	enc := make([][]byte, len(sample))
+	for i, k := range sample {
+		enc[i] = e.Encode(k)
+	}
+	var buf []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = d.DecodeAppend(buf[:0], enc[i%len(enc)], len(enc[i%len(enc)])*8)
 	}
 }

@@ -3,6 +3,8 @@ package hope
 import (
 	"encoding/binary"
 	"fmt"
+
+	"mets/internal/keys"
 )
 
 // Serialized encoder layout (all integers little-endian):
@@ -29,11 +31,11 @@ const (
 
 type byteWriter struct{ b []byte }
 
-func (w *byteWriter) u8(v byte)     { w.b = append(w.b, v) }
-func (w *byteWriter) u16(v uint16)  { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
-func (w *byteWriter) u32(v uint32)  { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *byteWriter) u64(v uint64)  { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *byteWriter) code(c Code)   { w.u64(c.Bits); w.u8(c.Len) }
+func (w *byteWriter) u8(v byte)    { w.b = append(w.b, v) }
+func (w *byteWriter) u16(v uint16) { w.b = binary.LittleEndian.AppendUint16(w.b, v) }
+func (w *byteWriter) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
+func (w *byteWriter) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
+func (w *byteWriter) code(c Code)  { w.u64(c.Bits); w.u8(c.Len) }
 func (w *byteWriter) bytes(p []byte) {
 	w.u32(uint32(len(p)))
 	w.b = append(w.b, p...)
@@ -92,7 +94,16 @@ func (r *byteReader) u64() uint64 {
 	return binary.LittleEndian.Uint64(p)
 }
 
-func (r *byteReader) code() Code { return Code{Bits: r.u64(), Len: r.u8()} }
+// code reads one code word, rejecting what no code assignment produces and
+// the kernels cannot take: a length outside 1..64 (a zero-length code never
+// advances the decoder) or set bits below the code's own.
+func (r *byteReader) code() Code {
+	c := Code{Bits: r.u64(), Len: r.u8()}
+	if r.err == nil && (c.Len == 0 || c.Len > 64 || c.Bits<<c.Len != 0) {
+		r.err = fmt.Errorf("hope: malformed code word %#x/%d", c.Bits, c.Len)
+	}
+	return c
+}
 
 func (r *byteReader) bytesCopy() []byte {
 	n := int(r.u32())
@@ -135,11 +146,11 @@ func (e *Encoder) MarshalBinary() ([]byte, error) {
 }
 
 func marshalIntervalDict(w *byteWriter, d *intervalDict) {
-	w.u32(uint32(len(d.los)))
-	for i := range d.los {
-		w.bytes(d.los[i])
-		w.u16(d.symLens[i])
-		w.code(d.codes[i])
+	w.u32(uint32(len(d.entries)))
+	for i, e := range d.entries {
+		w.bytes(d.lo(i))
+		w.u16(uint16(e.symLen))
+		w.code(Code{Bits: e.bits, Len: e.codeLen})
 	}
 }
 
@@ -148,30 +159,33 @@ func unmarshalIntervalDict(r *byteReader) (*intervalDict, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	d := &intervalDict{
-		los:     make([][]byte, 0, n),
-		symLens: make([]uint16, 0, n),
-		codes:   make([]Code, 0, n),
+	// Every interval takes at least 4+2+9 payload bytes; bounding n by what
+	// is left keeps a corrupt count from sizing the allocation.
+	if n > len(r.b)/15 {
+		r.fail()
+		return nil, r.err
 	}
-	for i := 0; i < n; i++ {
+	ivs := make([]interval, n)
+	codes := make([]Code, n)
+	for i := range ivs {
 		lo := r.bytesCopy()
-		symLen := r.u16()
-		c := r.code()
+		symLen := int(r.u16())
+		codes[i] = r.code()
 		if r.err != nil {
 			return nil, r.err
 		}
-		if int(symLen) > len(lo) {
-			return nil, fmt.Errorf("hope: interval %d symbol length %d exceeds boundary length %d", i, symLen, len(lo))
+		if len(lo) > maxBoundary {
+			return nil, fmt.Errorf("hope: interval %d boundary is %d bytes, above the %d a dictionary can hold", i, len(lo), maxBoundary)
 		}
-		d.los = append(d.los, lo)
-		d.symLens = append(d.symLens, symLen)
-		d.codes = append(d.codes, c)
-		d.boundBytes += int64(len(lo))
-		if len(lo) > d.maxLo {
-			d.maxLo = len(lo)
+		if symLen == 0 || symLen > len(lo) {
+			return nil, fmt.Errorf("hope: interval %d symbol length %d outside 1..%d (its boundary length)", i, symLen, len(lo))
 		}
+		if i > 0 && keys.Compare(ivs[i-1].lo, lo) >= 0 {
+			return nil, fmt.Errorf("hope: interval %d boundary %q does not sort after %q", i, lo, ivs[i-1].lo)
+		}
+		ivs[i] = interval{lo: lo, symbol: lo[:symLen]}
 	}
-	return d, nil
+	return newIntervalDict(ivs, codes), nil
 }
 
 // UnmarshalEncoder reconstructs an encoder serialized by MarshalBinary. The

@@ -154,8 +154,9 @@ func (c *hopeCodec) MarshalBinary() ([]byte, error) {
 	return append([]byte(hopeMagic), data...), nil
 }
 
-// DictBytes returns the trained dictionary's memory footprint.
-func (c *hopeCodec) DictBytes() int64 { return c.enc.MemoryUsage() }
+// DictBytes returns the memory the codec holds: the encoder's dictionary
+// arrays plus the decoder's tables over the same entries.
+func (c *hopeCodec) DictBytes() int64 { return c.enc.MemoryUsage() + c.dec.MemoryUsage() }
 
 // Scheme returns the underlying HOPE scheme.
 func (c *hopeCodec) Scheme() hope.Scheme { return c.enc.Scheme() }

@@ -154,24 +154,39 @@ func TestInstrument(t *testing.T) {
 	if c.ID() != base.ID() {
 		t.Fatal("instrumentation changed the codec ID")
 	}
-	for _, k := range sample[:200] {
-		if dec := c.Decode(c.Encode(k)); !bytes.Equal(dec, k) {
-			t.Fatalf("instrumented round trip broke for %q", k)
+	const rounds = 8
+	var src, enc int64
+	for r := 0; r < rounds; r++ {
+		for _, k := range sample {
+			e := c.Encode(k)
+			src, enc = src+int64(len(k)), enc+int64(len(e))
+			if dec := c.Decode(e); !bytes.Equal(dec, k) {
+				t.Fatalf("instrumented round trip broke for %q", k)
+			}
 		}
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["keycodec.src_bytes"] == 0 || snap.Counters["keycodec.enc_bytes"] == 0 {
-		t.Fatalf("byte counters not maintained: %+v", snap.Counters)
+	// The byte counters behind keycodec.cpr see every call.
+	if got := snap.Counters["keycodec.src_bytes"]; got != src {
+		t.Fatalf("src_bytes %d, want %d", got, src)
+	}
+	if got := snap.Counters["keycodec.enc_bytes"]; got != enc {
+		t.Fatalf("enc_bytes %d, want %d", got, enc)
+	}
+	// The latency histograms see one call in latencySampleEvery; the bounds
+	// are more than five standard deviations either side of that.
+	calls := int64(rounds * len(sample))
+	for _, name := range []string{"keycodec.encode_ns", "keycodec.decode_ns"} {
+		n := snap.Histograms[name].Count
+		if want := calls / latencySampleEvery; n < want*3/4 || n > want*5/4 {
+			t.Fatalf("%s holds %d samples of %d calls, want about %d", name, n, calls, want)
+		}
 	}
 	if cpr := snap.Gauges["keycodec.cpr"]; cpr <= 1.0 {
 		t.Fatalf("CPR gauge %.2f, want > 1 on email keys", cpr)
 	}
 	if snap.Gauges["keycodec.dict_bytes"] <= 0 {
 		t.Fatal("dict_bytes gauge not set")
-	}
-	if snap.Histograms["keycodec.encode_ns"].Count == 0 ||
-		snap.Histograms["keycodec.decode_ns"].Count == 0 {
-		t.Fatal("latency histograms not maintained")
 	}
 	// Nil registry and identity codec pass through unwrapped.
 	if Instrument(base, nil) != base {

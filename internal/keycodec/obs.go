@@ -1,6 +1,7 @@
 package keycodec
 
 import (
+	"math/rand/v2"
 	"time"
 
 	"mets/internal/obs"
@@ -9,9 +10,15 @@ import (
 // dictSized is implemented by codecs with a trained dictionary.
 type dictSized interface{ DictBytes() int64 }
 
+// latencySampleEvery is how many codec calls share one timed one: two clock
+// reads and a histogram update cost about as much as decoding a key, so
+// timing every call would double what it measures. The byte counters behind
+// keycodec.cpr count every call.
+const latencySampleEvery = 16
+
 // instrumented decorates a Codec with the "keycodec." obs namespace:
 //
-//	keycodec.encode_ns / keycodec.decode_ns   latency histograms
+//	keycodec.encode_ns / keycodec.decode_ns   latency histograms (sampled)
 //	keycodec.src_bytes / keycodec.enc_bytes   cumulative byte counters
 //	keycodec.cpr                              derived gauge src/enc (CPR, §6.1.2)
 //	keycodec.dict_bytes                       dictionary memory gauge
@@ -58,20 +65,37 @@ func Instrument(c Codec, reg *obs.Registry) Codec {
 
 func (w *instrumented) ID() string { return w.inner.ID() }
 
+// sampleStart returns the start time of the one call in latencySampleEvery
+// that is timed, and the zero time for the others. The draw is per-thread
+// runtime state, so concurrent callers share no cache line for it.
+func sampleStart() time.Time {
+	if rand.Uint32()%latencySampleEvery != 0 {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeSince records a call sampleStart chose to time.
+func observeSince(lat *obs.Histogram, t0 time.Time) {
+	if !t0.IsZero() {
+		lat.Observe(time.Since(t0))
+	}
+}
+
 func (w *instrumented) Encode(key []byte) []byte {
-	t0 := time.Now()
+	t0 := sampleStart()
 	out := w.inner.Encode(key)
-	w.encodeLat.Observe(time.Since(t0))
+	observeSince(w.encodeLat, t0)
 	w.srcBytes.Add(int64(len(key)))
 	w.encBytes.Add(int64(len(out)))
 	return out
 }
 
 func (w *instrumented) EncodeAppend(dst, key []byte) []byte {
-	t0 := time.Now()
+	t0 := sampleStart()
 	n := len(dst)
 	out := w.inner.EncodeAppend(dst, key)
-	w.encodeLat.Observe(time.Since(t0))
+	observeSince(w.encodeLat, t0)
 	w.srcBytes.Add(int64(len(key)))
 	w.encBytes.Add(int64(len(out) - n))
 	return out
@@ -80,16 +104,16 @@ func (w *instrumented) EncodeAppend(dst, key []byte) []byte {
 func (w *instrumented) EncodeBound(key []byte) []byte { return w.inner.EncodeBound(key) }
 
 func (w *instrumented) Decode(enc []byte) []byte {
-	t0 := time.Now()
+	t0 := sampleStart()
 	out := w.inner.Decode(enc)
-	w.decodeLat.Observe(time.Since(t0))
+	observeSince(w.decodeLat, t0)
 	return out
 }
 
 func (w *instrumented) DecodeAppend(dst, enc []byte) []byte {
-	t0 := time.Now()
+	t0 := sampleStart()
 	out := w.inner.DecodeAppend(dst, enc)
-	w.decodeLat.Observe(time.Since(t0))
+	observeSince(w.decodeLat, t0)
 	return out
 }
 

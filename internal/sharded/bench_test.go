@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"mets/internal/hope"
 	"mets/internal/hybrid"
 	"mets/internal/index"
+	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/obs"
 )
@@ -77,4 +79,61 @@ func benchShardReadUnderMerge(b *testing.B, epoch bool) {
 func BenchmarkShardReadUnderMerge(b *testing.B) {
 	b.Run("mode=lock", func(b *testing.B) { benchShardReadUnderMerge(b, false) })
 	b.Run("mode=epoch", func(b *testing.B) { benchShardReadUnderMerge(b, true) })
+}
+
+// newLibReadIndex builds the configuration the gated benchmark's lib-read
+// workload runs, at a size a working measurement can afford: sharded, epoch
+// reads, background merge, sampled router, HOPE 3-Grams with a 2^14-entry
+// dictionary, bulk-loaded and fully merged. reg may be nil.
+func newLibReadIndex(tb testing.TB, n int, reg *obs.Registry) (*Index, [][]byte) {
+	tb.Helper()
+	ks := keys.Dedup(keys.Emails(n, 1))
+	sample := make([][]byte, 0, len(ks)/100+1)
+	for i := 0; i < len(ks); i += 100 {
+		sample = append(sample, ks[i])
+	}
+	codec, err := keycodec.TrainHOPE(sample, hope.ThreeGrams, 1<<14)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hc := hybrid.DefaultConfig()
+	hc.EpochReads = true
+	hc.BackgroundMerge = true
+	s := NewBTree(Config{Router: RouterFromSample(sample, 8), Hybrid: hc, Codec: codec, Obs: reg})
+	entries := make([]index.Entry, len(ks))
+	for i, k := range ks {
+		entries[i] = index.Entry{Key: k, Value: uint64(i)}
+	}
+	if err := s.BulkLoad(entries); err != nil {
+		tb.Fatal(err)
+	}
+	s.WaitMerges()
+	return s, ks
+}
+
+// BenchmarkShardedScanN50 is the lib-read scan: 50 entries from a random
+// present key, decoded on emit.
+func BenchmarkShardedScanN50(b *testing.B) {
+	s, ks := newLibReadIndex(b, 200_000, obs.NewRegistry())
+	state := uint64(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state = state*2862933555777941757 + 3037000493
+		if got := s.ScanN(ks[state%uint64(len(ks))], 50); len(got) == 0 {
+			b.Fatal("empty scan")
+		}
+	}
+}
+
+// BenchmarkShardedGetHOPE is the lib-read point read.
+func BenchmarkShardedGetHOPE(b *testing.B) {
+	s, ks := newLibReadIndex(b, 200_000, obs.NewRegistry())
+	state := uint64(7)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		state = state*2862933555777941757 + 3037000493
+		if _, ok := s.Get(ks[state%uint64(len(ks))]); !ok {
+			b.Fatal("missing key")
+		}
+	}
 }

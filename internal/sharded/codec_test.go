@@ -114,8 +114,8 @@ func TestShardedCodecEquivalence(t *testing.T) {
 		}
 	}
 	// Long ScanN windows from probe points (including absent keys and shard
-	// boundary keys themselves) cross several shard ranges, so the k-way
-	// merge runs over encoded streams.
+	// boundary keys themselves) cross several shard ranges, so the shard
+	// walk runs over encoded streams.
 	probes := append(keys.Dedup(keys.Emails(100, 74)), nil, []byte("a"), []byte("zzzz"))
 	probes = append(probes, rawBs...)
 	for _, p := range probes {

@@ -10,8 +10,8 @@ import (
 // n-1 sorted boundary keys: shard i covers [boundary[i-1], boundary[i]), with
 // shard 0 open below and the last shard open above. Because the ranges are
 // disjoint and ordered, the concatenation of the shards in index order is the
-// whole key space in key order — which is what lets range scans fan out and
-// re-merge without inter-shard deduplication.
+// whole key space in key order — which is what lets range scans walk the
+// shards one after the other with no merge and no inter-shard deduplication.
 type Router struct {
 	boundaries [][]byte // strictly increasing
 }

@@ -8,10 +8,10 @@
 //
 // Partitioning is boundary-based (internal/sharded.Router): boundaries are
 // either learned from a key sample (RouterFromSample, quantile split) or
-// spaced uniformly (UniformRouter). Range scans fan out across the shards
-// and re-merge through an ordered k-way merge of per-shard chunked
-// iterators; because shard ranges are disjoint and ordered, the merged
-// stream is globally sorted with no cross-shard deduplication.
+// spaced uniformly (UniformRouter). Range scans walk the shards in router
+// order through per-shard chunked iterators; because shard ranges are
+// disjoint and ordered, the concatenated stream is globally sorted with no
+// merge and no cross-shard deduplication.
 //
 // # Key compression
 //

@@ -143,7 +143,8 @@ func checkScanMatches(t *testing.T, s *Index, want []index.Entry, start []byte, 
 
 	var got []index.Entry
 	s.Scan(start, func(k []byte, v uint64) bool {
-		got = append(got, index.Entry{Key: k, Value: v})
+		// With a codec the key is only valid during the callback.
+		got = append(got, index.Entry{Key: append([]byte(nil), k...), Value: v})
 		return len(got) < n
 	})
 	if len(got) != len(expect) {
@@ -195,7 +196,7 @@ func TestShardedScanOrdering(t *testing.T) {
 
 // TestScanCallbackReentry pins the no-lock-during-callback property: a scan
 // callback may call back into the index without deadlocking (hybrid.Scan
-// forbids this; the sharded k-way merge holds no lock while fn runs).
+// forbids this; the sharded shard walk holds no lock while fn runs).
 func TestScanCallbackReentry(t *testing.T) {
 	s := NewBTree(smallCfg(4))
 	for i := 0; i < 1000; i++ {
