@@ -73,10 +73,14 @@ benchdiff-gate: bench-pause
 	$(GO) run ./cmd/benchdiff -fail -gate '$(BENCHDIFF_GATE)'
 
 # bench-putsync captures the durable write path: synced Put p50/p99 under
-# group commit at 1/8/64 concurrent writers, through benchjson into the
-# BENCH_<date>.json artifact so benchdiff guards the fsync path too.
+# group commit at 1/8/64 concurrent writers, and the served engine's commit
+# (ShardedStore.ApplyBatch on the real filesystem, 1-op and 64-op batches,
+# with file syncs per PUT), through benchjson into the BENCH_<date>.json
+# artifact so benchdiff guards the fsync path too.
 bench-putsync:
-	$(GO) run ./cmd/mets-bench lsm.putsync | $(GO) run ./cmd/benchjson -flags 'mets-bench lsm.putsync' -out BENCH_$(BENCHDATE).json
+	( $(GO) run ./cmd/mets-bench lsm.putsync && \
+	  $(GO) test -run '^$$' -bench 'ShardedStoreApplyBatchDurable' -benchtime 500x ./internal/server ) \
+	  | $(GO) run ./cmd/benchjson -flags 'mets-bench lsm.putsync + go test -bench ShardedStoreApplyBatchDurable -benchtime 500x' -out BENCH_$(BENCHDATE).json
 
 # bench-server captures the served path: YCSB A/B/C through the wire
 # protocol against an in-process mets-server (pipelined connections, write
@@ -114,12 +118,17 @@ fuzz-smoke:
 # crash-recovery sweep (a crash injected at every k-th filesystem op, in
 # drop/torn/corrupt unsynced-byte modes), the out-of-band damage cases
 # (bit-flipped table header, truncated and torn WAL segments), tombstone
-# resurrection, and the journal replay tests — all under the race detector.
+# resurrection, the journal replay tests, the barrier tests (which fsyncs a
+# barrier may skip, and that a failing shard journal fails the commit), and
+# the same crash sweep over the engine the server runs, driven through
+# ShardedStore.ApplyBatch in 1-op and 8-op commits — all under the race
+# detector.
 crash-smoke:
 	$(GO) test -race -count=1 -run '^(TestCrashRecovery|TestCrashMatrix.*|TestTombstonesDoNotResurrect|TestDurable.*)$$' ./internal/lsm
-	$(GO) test -race -count=1 -run '^(TestTornTailStopsAtAckedPrefix|TestCorruptTailDetected|TestStickyErrorAfterCrash|TestRepairTornSegmentThenContinue|TestRepairQuarantinesUntrustedSuffix)$$' ./internal/wal
+	$(GO) test -race -count=1 -run '^(TestTornTailStopsAtAckedPrefix|TestCorruptTailDetected|TestStickyErrorAfterCrash|TestRepairTornSegmentThenContinue|TestRepairQuarantinesUntrustedSuffix|TestBarrier.*|TestCloseSyncsUncoveredRecords)$$' ./internal/wal
 	$(GO) test -race -count=1 -run '^TestMemFSCrash' ./internal/vfs
-	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Health))$$' ./internal/hybrid ./internal/sharded
+	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Health)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
+	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards)$$' ./internal/server
 
 # drift-smoke closes the control loop end to end: a short drift.rollover run
 # (time-series key prefix rolls over mid-run) must show the adaptive tuner

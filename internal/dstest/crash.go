@@ -23,6 +23,15 @@ type CrashStore interface {
 	Close() error
 }
 
+// BatchCrashStore is a CrashStore that can also commit a group of ops under
+// one durability verdict (a server's coalesced write batch). CrashConfig.Batch
+// drives it.
+type BatchCrashStore interface {
+	CrashStore
+	// ApplyBatch applies ops in order; nil acks every one of them.
+	ApplyBatch(ops []CrashOp) error
+}
+
 // CrashOp is one mutation in the deterministic op stream.
 type CrashOp struct {
 	Del        bool
@@ -50,6 +59,12 @@ type CrashConfig struct {
 	// (e.g. a torn segment must be repaired, or writes acked after the
 	// first recovery are lost at the second crash).
 	Crashes int
+	// Batch > 1 issues the ops in groups of Batch through
+	// BatchCrashStore.ApplyBatch (which the store must then implement), one
+	// verdict per group. A store with several logs need not recover a
+	// contiguous prefix of the group that was in flight at the crash, so for
+	// that group the invariant is per key (see RunCrash).
+	Batch int
 	// FlightRec, when set, is the MemFS path of the store's flight-recorder
 	// dump (e.g. "data/flightrec.json"): after every post-crash recovery the
 	// harness asserts the dump exists, parses, and holds at least one event —
@@ -147,6 +162,70 @@ func storeEquals(st CrashStore, oracle map[string][]byte) (bool, string) {
 	return true, ""
 }
 
+// batchRecovered checks a store recovered from a crash that caught the group
+// ops[acked:issued] in flight: every key the group does not touch must hold
+// what ops[:acked] leave, every key it touches what ops[:acked] plus some
+// prefix of the group's ops on that key leave. "" means the invariant holds.
+func batchRecovered(st CrashStore, ops []CrashOp, acked, issued int) string {
+	oracle := make(map[string][]byte)
+	for _, op := range ops[:acked] {
+		applyOp(oracle, op)
+	}
+	// allowed[k] lists the states key k may be in; a nil state is "absent".
+	allowed := make(map[string][][]byte)
+	for _, op := range ops[acked:issued] {
+		k := string(op.Key)
+		if _, seen := allowed[k]; !seen {
+			allowed[k] = [][]byte{oracle[k]}
+		}
+		if op.Del {
+			allowed[k] = append(allowed[k], nil)
+		} else {
+			allowed[k] = append(allowed[k], op.Value)
+		}
+	}
+	got := make(map[string][]byte)
+	var prev []byte
+	diff := ""
+	st.Scan(func(k, v []byte) bool {
+		if prev != nil && keys.Compare(prev, k) >= 0 {
+			diff = fmt.Sprintf("scan out of order: %q then %q", prev, k)
+			return false
+		}
+		prev = append(prev[:0], k...)
+		got[string(k)] = append([]byte{}, v...)
+		return true
+	})
+	if diff != "" {
+		return diff
+	}
+	// Every other key the oracle or the store knows has one allowed state.
+	for k := range oracle {
+		if _, touched := allowed[k]; !touched {
+			allowed[k] = [][]byte{oracle[k]}
+		}
+	}
+	for k := range got {
+		if _, known := allowed[k]; !known {
+			allowed[k] = [][]byte{nil}
+		}
+	}
+next:
+	for k, states := range allowed {
+		g, present := got[k]
+		if v, ok := st.Get([]byte(k)); ok != present || !bytes.Equal(v, g) {
+			return fmt.Sprintf("Get(%q) = (%q,%v), Scan saw (%q,%v)", k, v, ok, g, present)
+		}
+		for _, s := range states {
+			if (s != nil) == present && bytes.Equal(s, g) {
+				continue next
+			}
+		}
+		return fmt.Sprintf("key %q holds (%q, present %v); allowed states %q", k, g, present, states)
+	}
+	return ""
+}
+
 // checkFlightRec asserts that the store's recovery left a parseable
 // flight-recorder dump with at least one event at the given MemFS path.
 func checkFlightRec(t *testing.T, fs *vfs.MemFS, name, context string) {
@@ -185,6 +264,15 @@ func checkFlightRec(t *testing.T, fs *vfs.MemFS, name, context string) {
 // torn-tail-then-crash-again scenario, where an unrepaired log would lose
 // them).
 //
+// With cfg.Batch > 1 ops are acked a group at a time, and a crash catches a
+// whole group in flight. Every op before that group must be recovered, as
+// above; within it, each key must hold what some prefix of the group's ops on
+// that key leaves (none of them, all of them, or anything between — the
+// store may have split the group over several logs, each recovering a prefix
+// of its own), and no other key may differ from the acked state. The round
+// after the recovery starts over from that group: its ops are blind upserts
+// and deletes, so reapplying all of them converges on the full fold.
+//
 // The sweep stops after the first run whose initial round completes without
 // tripping the crash; every completed run also checks clean-shutdown
 // durability (close, reopen, full-state equality).
@@ -207,12 +295,16 @@ func RunCrash(t *testing.T, open func(fs *vfs.MemFS) (CrashStore, error), cfg Cr
 				fs.CrashAt(crash, cfg.Mode, cfg.Seed^crash^int64(round))
 			}
 			acked, issued := base, base
-			for _, op := range ops[base:] {
-				issued++
+			for acked < len(ops) {
 				var err error
-				if op.Del {
+				if cfg.Batch > 1 {
+					issued = min(acked+cfg.Batch, len(ops))
+					err = st.(BatchCrashStore).ApplyBatch(ops[acked:issued])
+				} else if op := ops[acked]; op.Del {
+					issued++
 					err = st.Delete(op.Key)
 				} else {
+					issued++
 					err = st.Put(op.Key, op.Value)
 				}
 				if err != nil {
@@ -258,6 +350,15 @@ func RunCrash(t *testing.T, open func(fs *vfs.MemFS) (CrashStore, error), cfg Cr
 			if cfg.FlightRec != "" {
 				checkFlightRec(t, fs, cfg.FlightRec,
 					fmt.Sprintf("mode=%v crash@%d round %d", cfg.Mode, crash, round))
+			}
+			if cfg.Batch > 1 {
+				if diff := batchRecovered(st2, ops, acked, issued); diff != "" {
+					t.Fatalf("mode=%v crash@%d round %d: recovered state breaks the batch invariant (acked=%d, in flight through %d): %s",
+						cfg.Mode, crash, round, acked, issued, diff)
+				}
+				st = st2
+				base = acked
+				continue
 			}
 			// Find the surviving prefix: fold ops[:acked] first, then extend
 			// one op at a time through issued until the store matches.

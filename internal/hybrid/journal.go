@@ -5,10 +5,10 @@
 // an existing journal before the index serves its first operation.
 //
 // The journal is buffered (wal.SyncNone): writes are acked as soon as the
-// record reaches the OS, and an explicit SyncJournal (or Close) is the
-// durability barrier. A crash can therefore lose a suffix of recent ops —
-// never a middle — matching the prefix-durability contract the LSM layer
-// pins with its fault-injection harness.
+// record reaches the OS, and an explicit SyncJournal / StartJournalSync (or
+// Close) is the durability barrier. A crash can therefore lose a suffix of
+// recent ops — never a middle — matching the prefix-durability contract the
+// LSM layer pins with its fault-injection harness.
 //
 // Records hold keys in encoded (codec) space, the same space every stage
 // uses. The codec is frozen for the index lifetime (sharded.Config panics on
@@ -309,20 +309,42 @@ func (h *Index) jresetLocked(entries []index.Entry) {
 
 // SyncJournal is the explicit durability barrier: it returns once every op
 // journaled so far is fsynced. A no-op without Config.Dir.
-func (h *Index) SyncJournal() error {
-	if h.jl == nil {
-		return nil
-	}
-	if err := h.jl.Sync(); err != nil {
-		h.jfail(err)
-		return err
-	}
-	return nil
+func (h *Index) SyncJournal() error { return h.StartJournalSync().Wait() }
+
+// JournalBarrier is the wait handle of one StartJournalSync call.
+type JournalBarrier struct {
+	h *Index
+	b *wal.Barrier
 }
 
-// Close settles background merges and closes the journal (final fsync), so a
-// reopen of the same Dir replays the complete final state. A no-op without
-// Config.Dir.
+// StartJournalSync is the non-blocking half of SyncJournal (see
+// wal.Log.StartSync): the journal's committer starts covering every op
+// journaled so far, and the caller waits on the handle — after starting the
+// barriers of other indexes, if it has any. A journal with nothing new since
+// its last fsync resolves at once without touching its file.
+func (h *Index) StartJournalSync() JournalBarrier {
+	if h.jl == nil {
+		return JournalBarrier{}
+	}
+	return JournalBarrier{h: h, b: h.jl.StartSync()}
+}
+
+// Wait blocks until the barrier's ops are fsynced and returns the journal's
+// failure, if any.
+func (jb JournalBarrier) Wait() error {
+	if jb.b == nil {
+		return nil
+	}
+	err := jb.b.Wait()
+	if err != nil {
+		jb.h.jfail(err)
+	}
+	return err
+}
+
+// Close settles background merges and closes the journal (with a final fsync
+// if any op is not covered by one yet), so a reopen of the same Dir replays
+// the complete final state. A no-op without Config.Dir.
 func (h *Index) Close() error {
 	if h.jl == nil {
 		return nil

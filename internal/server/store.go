@@ -64,7 +64,7 @@ type Store interface {
 var ErrSnapshotsUnsupported = errors.New("server: engine does not support snapshots")
 
 // ShardedStore fronts a sharded.Index: wait-free epoch reads, true MVCC
-// snapshots, and per-batch journal fsync via SyncJournals.
+// snapshots, and one journal barrier per batch via SyncJournals.
 type ShardedStore struct {
 	idx *sharded.Index
 }
@@ -80,9 +80,13 @@ func (s *ShardedStore) Get(key []byte) (uint64, bool) { return s.idx.Get(key) }
 
 func (s *ShardedStore) ScanN(start []byte, n int) []index.Entry { return s.idx.ScanN(start, n) }
 
-// ApplyBatch applies the ops (PUT = upsert) and then runs ONE journal sync
-// barrier for the whole batch — the group-commit amortization: N coalesced
-// writes cost one fsync per shard journal touched, not N.
+// ApplyBatch applies the ops in order (PUT = upsert) and then runs ONE
+// durability barrier for the whole batch — the group-commit amortization: N
+// coalesced writes cost one fsync per shard journal they touched, not N.
+// SyncJournals starts the barrier on every shard before it waits on any, so
+// those fsyncs run side by side on the journals' committers and the batch
+// waits for the slowest of them; a journal the batch wrote nothing to is
+// clean since its last fsync and is not touched.
 func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 	statuses := make([]byte, len(ops))
 	for i, op := range ops {
@@ -92,16 +96,18 @@ func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 			}
 			continue
 		}
+		// Upsert: update a present key, insert an absent one. Both fail only
+		// if another writer inserted the key between the two calls — the
+		// coalescer is the server's single writer, but Index() hands the
+		// index to preloaders — and then the key is present: update it.
 		if !s.idx.Update(op.Key, op.Value) && !s.idx.Insert(op.Key, op.Value) {
-			// Insert can lose only to a tombstone raced by... nothing: the
-			// coalescer is the single writer. Retry the update for safety.
 			if !s.idx.Update(op.Key, op.Value) {
 				statuses[i] = wire.StatusErr
 			}
 		}
 	}
 	if err := s.idx.SyncJournals(); err != nil {
-		return statuses, err
+		return nil, err
 	}
 	return statuses, nil
 }

@@ -1,7 +1,10 @@
 package sharded
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"mets/internal/hope"
@@ -9,6 +12,7 @@ import (
 	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/vfs"
+	"mets/internal/wal"
 )
 
 // TestShardedJournalReopen pins the per-shard data-dir plumbing: writes to a
@@ -76,4 +80,80 @@ func TestShardedDirWithTrainerPanics(t *testing.T) {
 	}
 	NewBTree(Config{Shards: 2, Dir: "data", CodecTrainer: trainer,
 		Hybrid: hybrid.Config{FS: vfs.NewMemFS()}})
+}
+
+// fixtureOps is the op stream testdata/journal_pr13 holds: the parent commit
+// of the precise-barrier change (PR 13) ran it on a 4-shard index with a
+// barrier after op 19, then Close. It returns the final state.
+func fixtureOps(s *Index) map[string]uint64 {
+	want := map[string]uint64{}
+	for i := 0; i < 40; i++ {
+		k := append([]byte{byte(i * 6)}, fmt.Sprintf("key-%02d", i)...)
+		s.Insert(k, uint64(i))
+		want[string(k)] = uint64(i)
+		if i%4 == 1 {
+			s.Update(k, uint64(1000+i))
+			want[string(k)] = uint64(1000 + i)
+		}
+		if i%5 == 2 {
+			s.Delete(k)
+			delete(want, string(k))
+		}
+		if i == 19 {
+			s.SyncJournals()
+		}
+	}
+	return want
+}
+
+// TestJournalFormatUnchanged pins the on-disk format across the barrier
+// change, both ways: a directory the parent commit wrote reopens with every
+// op in it, and the same op stream run now writes byte-identical segments.
+func TestJournalFormatUnchanged(t *testing.T) {
+	const fixture = "testdata/journal_pr13"
+	hc := hybrid.DefaultConfig()
+	hc.EpochReads = true
+	segment := func(sh int) string {
+		return filepath.Join(fmt.Sprintf("shard%03d", sh), wal.SegmentName(1))
+	}
+	read := func(name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	s := NewBTree(Config{Shards: 4, Hybrid: hc, Dir: fresh})
+	want := fixtureOps(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "old") // a copy: reopening adds files
+	for sh := 0; sh < 4; sh++ {
+		golden := read(filepath.Join(fixture, segment(sh)))
+		if got := read(filepath.Join(fresh, segment(sh))); !bytes.Equal(got, golden) {
+			t.Fatalf("%s: segment bytes differ from the ones the parent commit wrote", segment(sh))
+		}
+		dst := filepath.Join(old, segment(sh))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dst, golden, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2 := NewBTree(Config{Shards: 4, Hybrid: hc, Dir: old})
+	defer s2.Close()
+	if s2.Len() != len(want) {
+		t.Fatalf("parent-written directory reopened with %d entries, want %d", s2.Len(), len(want))
+	}
+	for k, v := range want {
+		if got, ok := s2.Get([]byte(k)); !ok || got != v {
+			t.Fatalf("parent-written directory: Get(%q) = (%d,%v), want %d", k, got, ok, v)
+		}
+	}
 }

@@ -249,9 +249,15 @@ func encodeRouter(r *Router, codec keycodec.Codec) *Router {
 // newCore builds the per-shard hybrid indexes for one generation. Metric
 // names are stable across generations (same "shard<i>." prefixes), so a
 // rebuild keeps appending to the same counters.
+//
+// With Config.Dir a shard's constructor replays its journal and rebuilds its
+// static stage, which is all of a restart's cost, so the shards open side by
+// side. A shard that cannot open panics (hybrid.New has no error return);
+// the lowest such shard's panic is raised again here, on the caller's
+// goroutine, where the serial loop raised it.
 func (s *Index) newCore(codec keycodec.Codec, r *Router) *core {
 	c := &core{codec: codec, router: r, shards: make([]*hybrid.Index, r.NumShards())}
-	for i := range c.shards {
+	open := func(i int) {
 		hc := s.hybridCfg
 		if s.obs != nil {
 			hc.Obs = s.obs.Sub(fmt.Sprintf("shard%d.", i))
@@ -261,18 +267,53 @@ func (s *Index) newCore(codec keycodec.Codec, r *Router) *core {
 		}
 		c.shards[i] = s.newShard(hc)
 	}
+	if s.dir == "" {
+		for i := range c.shards {
+			open(i)
+		}
+		return c
+	}
+	panics := make([]any, len(c.shards))
+	fns := make([]func(), len(c.shards))
+	for i := range c.shards {
+		i := i
+		fns[i] = func() {
+			defer func() { panics[i] = recover() }()
+			open(i)
+		}
+	}
+	par.Run(fns...)
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	return c
 }
 
 // SyncJournals is the explicit durability barrier across every shard
-// journal. A no-op without Config.Dir.
+// journal. It starts the barrier on every shard before waiting on any, so
+// the shard journals' committers fsync side by side and the call costs the
+// slowest journal with something new in it, not the sum over all of them; a
+// journal nothing was written to since its last fsync is not touched. Every
+// barrier is awaited even after one fails; the error returned is the first
+// in shard order. A no-op without Config.Dir.
 func (s *Index) SyncJournals() error {
-	for _, sh := range s.shardsView() {
-		if err := sh.SyncJournal(); err != nil {
-			return err
+	if s.dir == "" {
+		return nil
+	}
+	shards := s.shardsView()
+	barriers := make([]hybrid.JournalBarrier, len(shards))
+	for i, sh := range shards {
+		barriers[i] = sh.StartJournalSync()
+	}
+	var first error
+	for _, b := range barriers {
+		if err := b.Wait(); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // JournalErr reports the first shard journal's sticky failure, if any:
@@ -327,8 +368,8 @@ func (s *Index) Health() Health {
 }
 
 // Close stops the drift tuner (if any), settles background merges, and
-// closes every shard journal (final fsync each). Journal-less indexes only
-// need Close with AutoTune.
+// closes every shard journal (each with a final fsync if it needs one).
+// Journal-less indexes only need Close with AutoTune.
 func (s *Index) Close() error {
 	if s.tuner != nil {
 		s.tuner.Stop()

@@ -237,8 +237,15 @@ func TestReconfigureGuards(t *testing.T) {
 // epoch-1 keys. The compression ratio decays and the skew detector sees the
 // new keys pile into the last shard; the tuner must fire a retrain (and/or
 // rebalance) autonomously — no manual reconfiguration calls.
+//
+// The test ticks the tuner itself, once per burst of ops, with the background
+// loop's interval out of reach: a detector window then always holds a whole
+// burst, whatever the host's speed (under the race detector on two cores a
+// 2 ms wall-clock window never reached the 500-op floor, so nothing tripped).
 func TestAutoTuneFiresRetrain(t *testing.T) {
-	s := NewBTree(tuneCfg(4))
+	cfg := tuneCfg(4)
+	cfg.Tune.Interval = time.Hour
+	s := NewBTree(cfg)
 	defer s.Close()
 	ks0 := keys.TimeSeriesKeys(0, 4000, 3)
 	entries := make([]index.Entry, len(ks0))
@@ -248,16 +255,18 @@ func TestAutoTuneFiresRetrain(t *testing.T) {
 	if err := s.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
+	s.Tuner().Tick() // the baseline window: the load's own keys
 
-	// Drift: every new write carries the rolled-over prefix.
+	// Drift: every new write carries the rolled-over prefix. Trips = 2, so
+	// the second drifted window fires; a few more are allowed for.
 	rng := rand.New(rand.NewSource(4))
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
+	for burst := 0; burst < 6; burst++ {
 		for i := 0; i < 2000; i++ {
 			k := keys.TimeSeriesKey(1, uint64(rng.Int63n(400000)))
 			s.Insert(k, uint64(i))
 			s.Get(k)
 		}
+		s.Tuner().Tick()
 		h := s.Tuner().Health()
 		if h.Retrains+h.Rebalances >= 1 {
 			return // the control loop closed

@@ -66,6 +66,8 @@ type MemFS struct {
 	crashed bool
 	mode    CrashMode
 	rng     *rand.Rand
+
+	failSync func(name string) error // FailSyncs
 }
 
 type memFile struct {
@@ -97,6 +99,16 @@ func (fs *MemFS) CrashAt(op int64, mode CrashMode, seed int64) {
 	fs.crashAt = fs.ops + op
 	fs.mode = mode
 	fs.rng = rand.New(rand.NewSource(seed))
+}
+
+// FailSyncs makes File.Sync fail, from now on, on every file for whose
+// (cleaned) name fail returns an error: the call returns that error and the
+// file's bytes stay unsynced — one failing device or directory, where CrashAt
+// stops the whole filesystem. A nil fail clears it.
+func (fs *MemFS) FailSyncs(fail func(name string) error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.failSync = fail
 }
 
 // Crashed reports whether the armed crash has fired.
@@ -174,7 +186,7 @@ func (fs *MemFS) Create(name string) (File, error) {
 	}
 	f := &memFile{}
 	fs.files[name] = f
-	return &memWriter{fs: fs, f: f, epoch: fs.epoch}, nil
+	return &memWriter{fs: fs, f: f, name: name, epoch: fs.epoch}, nil
 }
 
 func (fs *MemFS) Open(name string) (ReadFile, error) {
@@ -312,6 +324,7 @@ func (fs *MemFS) Truncate(name string, size int64) error {
 type memWriter struct {
 	fs     *MemFS
 	f      *memFile
+	name   string
 	epoch  int
 	closed bool
 }
@@ -347,6 +360,11 @@ func (w *memWriter) Sync() error {
 	}
 	if err := w.fs.step(); err != nil {
 		return err
+	}
+	if w.fs.failSync != nil {
+		if err := w.fs.failSync(w.name); err != nil {
+			return err
+		}
 	}
 	w.f.synced = append(w.f.synced, w.f.unsynced...)
 	w.f.unsynced = nil

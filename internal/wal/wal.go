@@ -61,8 +61,8 @@ const (
 	// trading a bounded ack-latency floor for fewer, larger fsyncs.
 	SyncBatch
 	// SyncNone acks as soon as the record is written to the OS (no fsync):
-	// a crash may lose acked records. Sync() remains available as an
-	// explicit barrier.
+	// a crash may lose acked records. Sync/StartSync remain available as
+	// explicit barriers.
 	SyncNone
 )
 
@@ -77,10 +77,10 @@ type Options struct {
 	// GroupDelay is the SyncBatch coalescing window (default 200µs).
 	GroupDelay time.Duration
 	// Obs hooks the log into a metrics registry under "wal.": appended
-	// records/bytes, fsyncs, rotations, a group-commit latency histogram
-	// (enqueue → durable, i.e. what a committed writer actually waits),
-	// per-batch "wal.batch" spans, and slow-commit exemplars. Nil disables
-	// instrumentation.
+	// records/bytes, fsyncs, barriers answered without one (syncs_elided),
+	// rotations, a group-commit latency histogram (enqueue → durable, i.e.
+	// what a committed writer actually waits), per-batch "wal.batch" spans,
+	// and slow-commit exemplars. Nil disables instrumentation.
 	Obs *obs.Registry
 	// FlightRec receives structured lifecycle events (fsync batches,
 	// rotations, the first sticky error). Nil falls back to Obs's recorder,
@@ -129,14 +129,19 @@ type Log struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // committer wakeup
 	pending []pendingRec
-	synchs  []*syncReq
+	synchs  []*Barrier
 	rotates []*rotateReq
 	closing bool
 	closed  chan struct{}
 	err     error // sticky: first write/sync failure kills the log
 
-	enqSeq     uint64 // records enqueued
-	durableSeq uint64 // records durable (written, and synced unless SyncNone)
+	enqSeq    uint64 // records enqueued
+	syncedSeq uint64 // highest record sequence covered by an fsync
+
+	// writtenSeq is the highest record sequence written to a segment file.
+	// Only the committer touches it; writtenSeq > syncedSeq means the files
+	// hold bytes no fsync has covered yet.
+	writtenSeq uint64
 
 	seg     uint64   // current segment sequence number
 	segFile vfs.File // current segment handle
@@ -145,6 +150,7 @@ type Log struct {
 	obsAppends *obs.Counter
 	obsBytes   *obs.Counter
 	obsFsyncs  *obs.Counter
+	obsElided  *obs.Counter
 	obsRotates *obs.Counter
 	obsCommit  *obs.Histogram // group-commit latency (enqueue → ack)
 	obsSpans   *obs.Registry  // "wal."-prefixed view for per-batch spans
@@ -157,11 +163,24 @@ type pendingRec struct {
 	ack *Ack
 }
 
-type syncReq struct {
-	target uint64 // durableSeq to reach (with an fsync, even under SyncNone)
-	done   chan struct{}
-	err    error
+// Barrier is the wait handle of one StartSync call.
+type Barrier struct {
+	done chan struct{} // nil when the barrier resolved inside StartSync
+	err  error
 }
+
+// Wait blocks until every record enqueued before the StartSync call is
+// covered by an fsync, and returns the write/sync error, if any.
+func (b *Barrier) Wait() error {
+	if b.done != nil {
+		<-b.done
+	}
+	return b.err
+}
+
+// cleanBarrier is what StartSync hands out when there is nothing to wait
+// for; it is never written to.
+var cleanBarrier = &Barrier{}
 
 type rotateReq struct {
 	done   chan struct{}
@@ -227,6 +246,7 @@ func Open(o Options) (*Log, error) {
 		l.obsAppends = w.Counter("appends")
 		l.obsBytes = w.Counter("bytes")
 		l.obsFsyncs = w.Counter("fsyncs")
+		l.obsElided = w.Counter("syncs_elided")
 		l.obsRotates = w.Counter("rotations")
 		l.obsCommit = w.Histogram("group_commit")
 		l.obsSpans = w
@@ -284,22 +304,32 @@ func (l *Log) Append(rec []byte) error { return l.Enqueue(rec).Wait() }
 
 // Sync blocks until every record enqueued so far is written and fsynced —
 // an explicit durability barrier valid in every mode, including SyncNone.
-func (l *Log) Sync() error {
+func (l *Log) Sync() error { return l.StartSync().Wait() }
+
+// StartSync is the non-blocking half of Sync: it asks the committer to cover
+// every record enqueued so far with an fsync and returns the handle to wait
+// on, so a caller holding several logs can have them all syncing before it
+// waits for any. When every enqueued record is already covered — nothing was
+// enqueued since the last fsync — the barrier is resolved on the spot and no
+// file is touched: an fsync then could make nothing durable that is not
+// durable already. A failed or closed log resolves it with that error.
+func (l *Log) StartSync() *Barrier {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err != nil {
-		defer l.mu.Unlock()
-		return l.err
+		return &Barrier{err: l.err}
 	}
 	if l.closing {
-		defer l.mu.Unlock()
-		return ErrClosed
+		return &Barrier{err: ErrClosed}
 	}
-	r := &syncReq{target: l.enqSeq, done: make(chan struct{})}
-	l.synchs = append(l.synchs, r)
+	if l.syncedSeq == l.enqSeq {
+		l.obsElided.Inc()
+		return cleanBarrier
+	}
+	b := &Barrier{done: make(chan struct{})}
+	l.synchs = append(l.synchs, b)
 	l.cond.Signal()
-	l.mu.Unlock()
-	<-r.done
-	return r.err
+	return b
 }
 
 // Rotate seals the current segment — every record enqueued before the call
@@ -364,8 +394,9 @@ func (l *Log) Err() error {
 	return l.err
 }
 
-// Close drains pending records (with a final fsync in syncing modes),
-// stops the committer, and closes the segment file.
+// Close drains pending records (with a final fsync when any written record
+// is not covered by one yet), stops the committer, and closes the segment
+// file.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closing {
@@ -399,9 +430,10 @@ func (l *Log) commitLoop() {
 		if l.closing && len(l.pending) == 0 && len(l.synchs) == 0 && len(l.rotates) == 0 {
 			// Final fsync so buffered bytes of SyncNone-mode records are not
 			// lost by a clean Close.
-			if l.err == nil && l.segSize > 0 {
+			if l.err == nil && l.writtenSeq > l.syncedSeq {
 				if err := l.segFile.Sync(); err == nil {
 					l.obsFsyncs.Inc()
+					l.syncedSeq = l.writtenSeq
 				}
 			}
 			l.mu.Unlock()
@@ -436,15 +468,22 @@ func (l *Log) commitLoop() {
 				if err = l.writeRecord(p.rec); err != nil {
 					break
 				}
+				l.writtenSeq = p.ack.seq
 				wrote += int64(frameHeaderLen + len(p.rec))
 			}
 		}
-		needSync := l.mode != SyncNone || len(synchs) > 0 || len(rotates) > 0
+		// A barrier that found every written record already covered (it was
+		// queued while the fsync covering them ran) needs no fsync of its own.
+		dirty := l.writtenSeq > l.syncedSeq
+		needSync := dirty && (l.mode != SyncNone || len(synchs) > 0 || len(rotates) > 0)
 		if err == nil && needSync {
 			sp.Phase("fsync")
 			if serr := l.segFile.Sync(); serr != nil {
 				err = serr
 			} else {
+				l.mu.Lock()
+				l.syncedSeq = l.writtenSeq
+				l.mu.Unlock()
 				l.obsFsyncs.Inc()
 				l.fr.RecordSpan("wal.fsync_batch", sp.ID(),
 					obs.I64("records", int64(len(batch))), obs.I64("bytes", wrote))
@@ -468,9 +507,6 @@ func (l *Log) commitLoop() {
 			l.err = err
 			l.fr.Record("wal.error", obs.Str("err", err.Error()))
 		}
-		if err == nil && len(batch) > 0 {
-			l.durableSeq = batch[len(batch)-1].ack.seq
-		}
 		l.mu.Unlock()
 
 		now := time.Time{}
@@ -486,9 +522,12 @@ func (l *Log) commitLoop() {
 			}
 		}
 		l.obsBytes.Add(wrote)
-		for _, r := range synchs {
-			r.err = err
-			close(r.done)
+		if err == nil && !dirty {
+			l.obsElided.Add(int64(len(synchs)))
+		}
+		for _, b := range synchs {
+			b.err = err
+			close(b.done)
 		}
 	}
 }
