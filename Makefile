@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 BENCHDATE := $(shell date +%Y%m%d)
 
-.PHONY: all build vet test race tier1 loc bench bench-json bench-integrated bench-pause bench-putsync bench-server benchdiff benchdiff-gate obs-overhead fuzz-smoke crash-smoke prom-smoke server-smoke drift-smoke
+.PHONY: all build vet test race tier1 loc bench bench-json bench-integrated bench-pause bench-putsync bench-server obs-overhead fuzz-smoke crash-smoke prom-smoke server-smoke drift-smoke
 
 all: tier1
 
@@ -55,28 +55,11 @@ bench-pause:
 	  $(GO) test -run '^$$' -bench 'ReadUnderMerge' -benchtime 2s ./internal/hybrid/ ./internal/sharded/ ) \
 	  | $(GO) run ./cmd/benchjson -flags 'mets-bench ch6.integrated shard.pause + go test -bench ReadUnderMerge -benchtime 2s' -out BENCH_$(BENCHDATE).json
 
-# benchdiff regenerates today's artifact via bench-pause and diffs the two
-# newest BENCH_*.json, flagging >10% regressions on ns/op and the latency
-# metrics (p99-ns, read-p99-ns, worst-read-pause-ns, ...). Advisory: always
-# exits 0; pass BENCHDIFF_FLAGS=-fail to gate.
-benchdiff: bench-pause
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS)
-
-# benchdiff-gate is the enforcing variant CI runs: same artifact regeneration
-# and diff, but a >10% regression on a read-path benchmark's latency metrics
-# (ns/op, p99-ns, read-p99-ns, worst-read-pause-ns) fails the build. Other
-# movements — allocation counters, write-path or ungated benchmarks — are
-# reported but advisory, so shared-runner noise on the broad suite cannot
-# block a merge while the paper's headline read-path numbers stay guarded.
-BENCHDIFF_GATE ?= Integrated|ShardYCSB|ReadUnderMerge|ShardPause
-benchdiff-gate: bench-pause
-	$(GO) run ./cmd/benchdiff -fail -gate '$(BENCHDIFF_GATE)'
-
 # bench-putsync captures the durable write path: synced Put p50/p99 under
 # group commit at 1/8/64 concurrent writers, and the served engine's commit
 # (ShardedStore.ApplyBatch on the real filesystem, 1-op and 64-op batches,
 # with file syncs per PUT), through benchjson into the BENCH_<date>.json
-# artifact so benchdiff guards the fsync path too.
+# artifact.
 bench-putsync:
 	( $(GO) run ./cmd/mets-bench lsm.putsync && \
 	  $(GO) test -run '^$$' -bench 'ShardedStoreApplyBatchDurable' -benchtime 500x ./internal/server ) \
@@ -85,8 +68,7 @@ bench-putsync:
 # bench-server captures the served path: YCSB A/B/C through the wire
 # protocol against an in-process mets-server (pipelined connections, write
 # coalescer, epoch snapshot reads), plus workload C under merge churn. Read
-# p50/p99 and the worst pause land in BENCH_<date>.json via benchjson, so
-# benchdiff guards the network read tail too.
+# p50/p99 and the worst pause land in BENCH_<date>.json via benchjson.
 bench-server:
 	$(GO) run ./cmd/mets-bench server.ycsb | $(GO) run ./cmd/benchjson -flags 'mets-bench server.ycsb' -out BENCH_$(BENCHDATE).json
 

@@ -11,7 +11,6 @@ import (
 
 	"mets/internal/index"
 	"mets/internal/keys"
-	"mets/internal/obs"
 )
 
 func epochCfg() Config {
@@ -55,12 +54,11 @@ func testBulkLoadAndIterate(t *testing.T, h *Index) {
 }
 
 // TestEpochStress is the race stress for the wait-free read path: readers
-// run Get and Scan with epoch pins held across background merges, manual
-// synchronous merges, and a bulk load, while the single writer inserts,
-// updates, and deletes. Under -race this checks the pin/publish/retire
-// protocol establishes the happens-before edges the generations rely on;
-// the value invariant checks no reader ever observes a torn or reclaimed
-// generation.
+// run Get and Scan across background merges, manual synchronous merges, and
+// a bulk load, while the single writer inserts, updates, and deletes. Under
+// -race this checks the atomic generation publish is the only happens-before
+// edge readers need (nothing writes to a generation after it is published);
+// the value invariant checks no reader ever observes a torn generation.
 func TestEpochStress(t *testing.T) {
 	cfg := epochCfg()
 	cfg.BackgroundMerge = true
@@ -97,8 +95,7 @@ func TestEpochStress(t *testing.T) {
 						return n < 40
 					})
 				}
-				// Aggregate accessors read generation fields too; unpinned,
-				// they race the retirement that nils them (FrozenLen did).
+				// Aggregate accessors read generation fields too.
 				_ = h.Len() + h.FrozenLen() + h.DynamicLen() + h.StaticLen()
 				_ = h.Health()
 			}
@@ -154,69 +151,8 @@ func TestEpochStress(t *testing.T) {
 	}
 }
 
-// TestEpochGenerationsReclaimed is the leak test: every generation retired
-// by merges and bulk loads must be reclaimed once readers drain, and the
-// epoch counters must agree — under either memtable.
-func TestEpochGenerationsReclaimed(t *testing.T) {
-	for _, epoch := range []bool{false, true} {
-		cfg := epochCfg()
-		cfg.MinDynamic = 64
-		cfg.EpochReads = epoch
-		t.Run(fmt.Sprintf("epoch=%v", epoch), func(t *testing.T) { testGenerationsReclaimed(t, NewBTree(cfg)) })
-	}
-}
-
-func testGenerationsReclaimed(t *testing.T, h *Index) {
-	for i := 0; i < 4000; i++ {
-		h.Insert(keys.Uint64(uint64(i)), uint64(i))
-	}
-	h.Merge()
-	mgr := h.EpochManager()
-	// With no readers pinned, a final Reclaim must drain everything retired.
-	mgr.Reclaim()
-	if n := mgr.InFlight(); n != 0 {
-		t.Fatalf("%d retired generations still in flight with no readers", n)
-	}
-	if mgr.Reclaimed() == 0 {
-		t.Fatal("merges retired no generations")
-	}
-
-	// A pinned reader must hold back exactly the generations it can reach,
-	// and release them on unpin.
-	g := mgr.Pin()
-	h.Merge()
-	if mgr.InFlight() == 0 {
-		t.Fatal("retired generation reclaimed while a reader was pinned")
-	}
-	g.Unpin()
-	mgr.Reclaim()
-	if n := mgr.InFlight(); n != 0 {
-		t.Fatalf("%d generations in flight after unpin+reclaim", n)
-	}
-}
-
-// TestEpochObsGauges checks the epoch-specific instrumentation is wired.
-func TestEpochObsGauges(t *testing.T) {
-	reg := obs.NewRegistry()
-	cfg := epochCfg()
-	cfg.Obs = reg
-	h := NewBTree(cfg)
-	for i := 0; i < 200; i++ {
-		h.Insert(keys.Uint64(uint64(i)), uint64(i))
-	}
-	h.Merge()
-	h.EpochManager().Reclaim()
-	snap := reg.Snapshot()
-	if snap.Counters["epoch_reclaims"] == 0 {
-		t.Fatal("epoch_reclaims counter not incremented by merge retire")
-	}
-	if _, ok := snap.Gauges["epoch_inflight"]; !ok {
-		t.Fatal("epoch_inflight gauge not registered")
-	}
-}
-
 // TestEpochWaitFreeDuringMerge measures that readers keep completing while
-// a synchronous merge is running (the whole point of the epoch path). Not a
+// a synchronous merge is running (the whole point of the lock-free path). Not a
 // timing assertion — it checks forward progress: reads complete during the
 // merge window rather than queueing behind it.
 func TestEpochWaitFreeDuringMerge(t *testing.T) {

@@ -9,10 +9,9 @@ import (
 )
 
 // gen is one generation of the index: everything a reader can reach. The
-// struct is immutable once published (retirement alone nils its stage
-// pointers, after every reader that could hold it has unpinned); the current
-// mem and filter follow the memtable's single-writer contract, frozen and
-// static are sealed. The live index and every Snapshot resolve reads through
+// struct is immutable once published, for as long as anything references it;
+// the current mem and filter follow the memtable's single-writer contract,
+// frozen and static are sealed. The live index and every Snapshot resolve reads through
 // the same get and scan below.
 //
 // Bloom filters are probed and fed with atomic bit operations: the writer
@@ -46,8 +45,7 @@ func (g *gen) staticLen() int {
 }
 
 // get resolves key against the stages in order; the uppermost stage that
-// knows the key — as a value or as a tombstone — decides. The caller holds
-// an epoch pin, the writer mutex, or a Snapshot's private generation.
+// knows the key — as a value or as a tombstone — decides.
 func (g *gen) get(key []byte, bloomSkip *obs.Counter) (uint64, bool) {
 	if g.filter == nil || g.filter.ContainsAtomic(key) {
 		if v, live, tomb := g.mem.Get(key); live || tomb {

@@ -25,13 +25,13 @@ type Health struct {
 }
 
 // Health reports the index's current health. Safe for concurrent use. The
-// stage sizes and the trigger verdict come from one pinned generation.
+// stage sizes and the trigger verdict come from one generation.
 func (h *Index) Health() Health {
-	hs := Health{Healthy: true, Merging: h.Merging()}
-	h.view(func(g *gen) {
-		hs.MergeBehind = h.mergeDue(g)
-		hs.DynamicLen, hs.StaticLen = g.dynamicLen(), g.staticLen()
-	})
+	g := h.gen.Load()
+	hs := Health{
+		Healthy: true, Merging: h.Merging(), MergeBehind: h.mergeDue(g),
+		DynamicLen: g.dynamicLen(), StaticLen: g.staticLen(),
+	}
 	if err := h.JournalErr(); err != nil {
 		hs.Healthy = false
 		hs.JournalErr = err.Error()

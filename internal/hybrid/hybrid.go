@@ -9,13 +9,15 @@
 //
 // One core serves every configuration. Everything a reader can reach lives
 // in an immutable generation (gen.go) published through an atomic pointer:
-// a reader pins an epoch, loads the pointer, resolves against the stages and
-// unpins. It takes no lock of the index's, so no merge — foreground or
-// background — no seal, swap or bulk load ever blocks a read. Writers
-// (Insert, Update, Delete, Merge, BulkLoad) serialize on one mutex and
-// publish structural changes as new generations through the reconfiguration
-// seam; a superseded generation is retired to the epoch manager and dropped
-// once every reader that could hold it has unpinned. With
+// a reader loads the pointer and resolves against the stages. It takes no
+// lock of the index's and announces itself to nobody, so no merge —
+// foreground or background — no seal, swap or bulk load ever blocks a read.
+// Writers (Insert, Update, Delete, Merge, BulkLoad) serialize on one mutex
+// and publish structural changes as new generations through the
+// reconfiguration seam. Nothing retires a superseded generation: the
+// publishing store drops the index's reference to it, a reader that loaded
+// it keeps it (and the stages it names) alive for as long as it needs, and
+// the garbage collector frees it after the last of them. With
 // Config.BackgroundMerge the dynamic stage is sealed into a frozen stage by
 // one such publication, the static stage is rebuilt on a background
 // goroutine while reads and writes continue (writes land in a fresh dynamic
@@ -26,8 +28,8 @@
 // caller's factory behind a readers-writer lock private to the memtable.
 // That lock is the only thing the two configurations do not share.
 //
-// Scan callbacks run with an epoch pin held and nothing else, so they may
-// call back into the same Index.
+// Scan callbacks run with nothing held but a reference to the generation the
+// scan started on, so they may call back into the same Index.
 package hybrid
 
 import (
@@ -37,7 +39,6 @@ import (
 	"time"
 
 	"mets/internal/bloom"
-	"mets/internal/epoch"
 	"mets/internal/index"
 	"mets/internal/keycodec"
 	"mets/internal/keys"
@@ -73,18 +74,14 @@ type Config struct {
 	// Registry.Sub to prefix per-shard instances.
 	Obs *obs.Registry
 	// EpochReads makes the dynamic stage the built-in concurrent skip-list
-	// memtable: reads are then wait-free end to end — pin an epoch, load the
-	// generation pointer, resolve, unpin, with no lock anywhere — and the
-	// newDynamic factory passed to New is ignored. Unset, the dynamic stage
-	// is the factory's thesis structure behind the memtable's own
-	// readers-writer lock: a read can wait for one concurrent write to that
-	// memtable, but still never for a merge. Generations are published and
-	// reclaimed the same way in both.
+	// memtable: reads are then wait-free end to end — load the generation
+	// pointer and resolve, with no lock anywhere — and the newDynamic factory
+	// passed to New is ignored. Unset, the dynamic stage is the factory's
+	// thesis structure behind the memtable's own readers-writer lock: a read
+	// can wait for one concurrent write to that memtable, but still never for
+	// a merge. The name is historical: it picks the memtable and nothing
+	// else; generations are published the same way in both.
 	EpochReads bool
-	// Epochs optionally shares an epoch manager across indexes (the sharded
-	// index passes one manager to all shards so a reader pin covers any
-	// generation it can reach). Nil gets a private manager.
-	Epochs *epoch.Manager
 	// Codec, when set (and not the identity), makes the index store, merge,
 	// and range-scan keys in encoded space: keys are encoded once at the API
 	// boundary of every operation, the frozen static structures are built
@@ -125,14 +122,12 @@ type Index struct {
 	// encoded space.
 	codec keycodec.Codec
 
-	// gen is the current generation; mgr pins readers of it and defers the
-	// retirement of superseded ones.
-	mgr *epoch.Manager
+	// gen is the current generation. Readers Load it; only publishLocked
+	// Stores it, and that store is what retires the previous one.
 	gen atomic.Pointer[gen]
 	// seam is the shared reconfiguration pipeline every generation swap
 	// publishes through (seals, merge commits, bulk loads). It owns the
-	// generation counter, the publication/reclaim event vocabulary, and
-	// retirement routing through the epoch manager.
+	// generation counter and the publication event vocabulary.
 	seam *reconfig.Seam
 
 	mu        sync.Mutex // serializes writers and generation publication
@@ -186,12 +181,8 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		cfg:        cfg,
 		newDynamic: newDynamic,
 		build:      build,
-		mgr:        cfg.Epochs,
 	}
 	h.mergeDone = sync.NewCond(&h.mu)
-	if h.mgr == nil {
-		h.mgr = epoch.NewManager()
-	}
 	if !keycodec.IsIdentity(cfg.Codec) {
 		h.codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
 	}
@@ -211,17 +202,7 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		h.fr = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	}
 	h.gen.Store(&gen{mem: h.newMem(), filter: h.newFilter(0)})
-	// The seam keeps hybrid's historical event/counter vocabulary
-	// ("epoch.reclaim", "epoch_reclaims") while sharing the publication
-	// pipeline with the sharded core swap and the LSM manifest commit.
-	h.seam = reconfig.New(reconfig.Options{
-		Name:           "hybrid",
-		Obs:            cfg.Obs,
-		FlightRec:      h.fr,
-		Retirer:        h.mgr,
-		ReclaimEvent:   "epoch.reclaim",
-		ReclaimCounter: cfg.Obs.Counter("epoch_reclaims"),
-	})
+	h.seam = reconfig.New(reconfig.Options{Name: "hybrid", Obs: cfg.Obs, FlightRec: h.fr})
 	if cfg.Dir != "" {
 		if err := h.openJournal(); err != nil {
 			panic(fmt.Sprintf("hybrid: journal open: %v", err))
@@ -250,8 +231,6 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		// A sticky journal failure is otherwise invisible until the next
 		// explicit barrier; surface it in every snapshot.
 		flag("journal_err", func() bool { return h.JournalErr() != nil })
-		r.GaugeFunc("epoch_readers", func() float64 { return float64(h.mgr.ActiveReaders()) })
-		r.GaugeFunc("epoch_inflight", func() float64 { return float64(h.mgr.InFlight()) })
 		r.GaugeFunc("epoch_gens", func() float64 { return float64(h.seam.Generation()) })
 	}
 	return h
@@ -276,31 +255,15 @@ func (h *Index) newFilter(expected int) *bloom.Filter {
 	return bloom.New(expected, h.cfg.BloomBitsPerKey)
 }
 
-// EpochManager returns the epoch manager generations are pinned and retired
-// through. The sharded index shares one manager across all shards.
-func (h *Index) EpochManager() *epoch.Manager { return h.mgr }
-
-// view runs fn against the current generation under an epoch pin. Every
-// accessor that reads generation fields outside the writer mutex goes
-// through here (or pins inline on the hot paths): retirement nils a drained
-// generation's stage pointers, and the pin is what holds that off — the
-// stats gauges call in from the tuner's snapshot goroutine.
-func (h *Index) view(fn func(*gen)) {
-	g := h.mgr.Pin()
-	defer g.Unpin()
-	fn(h.gen.Load())
-}
-
 // publishLocked swaps in the next generation through the shared
-// reconfiguration seam, which retires the previous one via the epoch
-// manager: the retire closure runs once every reader epoch that could
-// observe old has drained, and dropping the stage pointers there makes the
-// reclaim observable (leak tests hang a finalizer off the stages). p carries
-// the publication's event name, span and attributes. Requires mu.
+// reconfiguration seam. The store is also the previous generation's
+// retirement: it held the index's only reference to that generation, so what
+// keeps it alive from here on is whichever readers loaded it before the
+// store, and the collector frees it after the last of them — nothing is
+// nil-ed, closed, pooled or reused on the way. p carries the publication's
+// event name, span and attributes. Requires mu.
 func (h *Index) publishLocked(next *gen, p reconfig.Prepared) {
-	old := h.gen.Load()
 	p.Publish = func() error { h.gen.Store(next); return nil }
-	p.Retire = func() { old.mem, old.frozen, old.static = nil, nil, nil }
 	_ = h.seam.PublishLocked("generation", p) // only Publish can fail
 }
 
@@ -309,15 +272,9 @@ func (h *Index) Len() int { return int(h.live.Load()) }
 
 // DynamicLen and StaticLen expose the per-stage sizes (the frozen stage, if
 // any, counts as dynamic).
-func (h *Index) DynamicLen() (n int) {
-	h.view(func(g *gen) { n = g.dynamicLen() })
-	return n
-}
+func (h *Index) DynamicLen() int { return h.gen.Load().dynamicLen() }
 
-func (h *Index) StaticLen() (n int) {
-	h.view(func(g *gen) { n = g.staticLen() })
-	return n
-}
+func (h *Index) StaticLen() int { return h.gen.Load().staticLen() }
 
 // encodeKey maps key into encoded space (no-op without a codec).
 func (h *Index) encodeKey(key []byte) []byte {
@@ -330,15 +287,12 @@ func (h *Index) encodeKey(key []byte) []byte {
 // Codec returns the configured key codec (nil when keys are stored raw).
 func (h *Index) Codec() keycodec.Codec { return h.codec }
 
-// Get returns the value stored under key, searching the stages in order:
-// pin, load, resolve, unpin.
+// Get returns the value stored under key, searching the stages of the
+// current generation in order.
 func (h *Index) Get(key []byte) (uint64, bool) {
 	key = h.encodeKey(key)
 	h.obsGet.Inc()
-	g := h.mgr.Pin()
-	v, ok := h.gen.Load().get(key, h.obsBloomSkip)
-	g.Unpin()
-	return v, ok
+	return h.gen.Load().get(key, h.obsBloomSkip)
 }
 
 // Insert adds a new entry (primary-index semantics: duplicate keys are
@@ -438,18 +392,16 @@ func (h *Index) Delete(key []byte) bool {
 
 // Scan visits live entries in key order from the smallest key >= start,
 // merging the stages on the fly. Upper-stage entries shadow lower-stage
-// entries with equal keys; tombstones suppress lower-stage entries. Only an
-// epoch pin is held for the scan's duration — it delays generation
-// reclamation, blocks nobody, and fn may call back into h. Each stage is
-// read in chunks, so the scan is consistent per chunk, not across its whole
-// length. With a codec configured the emitted key lives in a reused decode
-// buffer and is only valid during the callback (copy to retain); without
-// one, keys may be retained but not modified.
+// entries with equal keys; tombstones suppress lower-stage entries. The scan
+// stays on the generation it loaded for its whole duration — that keeps the
+// generation's stages alive, blocks nobody, and fn may call back into h.
+// Each stage is read in chunks, so the scan is consistent per chunk, not
+// across its whole length. With a codec configured the emitted key lives in
+// a reused decode buffer and is only valid during the callback (copy to
+// retain); without one, keys may be retained but not modified.
 func (h *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	start, fn = keycodec.ScanEncoded(h.codec, start, fn)
 	h.obsScan.Inc()
-	g := h.mgr.Pin()
-	defer g.Unpin()
 	return h.gen.Load().scan(start, fn)
 }
 
@@ -657,21 +609,20 @@ func (h *Index) Stats() obs.Snapshot { return h.obsReg.Snapshot() }
 
 // MemoryUsage sums all stages and the Bloom filters (tombstones are part of
 // the memtable accounting).
-func (h *Index) MemoryUsage() (m int64) {
-	h.view(func(g *gen) {
-		m = g.mem.MemoryUsage()
-		if g.frozen != nil {
-			m += g.frozen.MemoryUsage()
-		}
-		if g.static != nil {
-			m += g.static.MemoryUsage()
-		}
-		if g.filter != nil {
-			m += g.filter.MemoryUsage()
-		}
-		if g.frozenFilter != nil {
-			m += g.frozenFilter.MemoryUsage()
-		}
-	})
+func (h *Index) MemoryUsage() int64 {
+	g := h.gen.Load()
+	m := g.mem.MemoryUsage()
+	if g.frozen != nil {
+		m += g.frozen.MemoryUsage()
+	}
+	if g.static != nil {
+		m += g.static.MemoryUsage()
+	}
+	if g.filter != nil {
+		m += g.filter.MemoryUsage()
+	}
+	if g.frozenFilter != nil {
+		m += g.frozenFilter.MemoryUsage()
+	}
 	return m
 }

@@ -27,13 +27,21 @@ func allVariants(cfg Config) map[string]*Index {
 		if cfg.EpochReads = epoch; epoch {
 			suffix = "/epoch"
 		}
-		out["btree"+suffix] = NewBTree(cfg)
-		out["compressed"+suffix] = NewCompressedBTree(cfg, 0)
-		out["art"+suffix] = NewART(cfg)
-		out["skiplist"+suffix] = NewSkipList(cfg)
-		out["masstree"+suffix] = NewMasstree(cfg)
+		for name, ctor := range variantCtors {
+			out[name+suffix] = ctor(cfg)
+		}
 	}
 	return out
+}
+
+// variantCtors are the five hybrid.New* constructors, for tests that must
+// build their indexes one at a time (a journal directory has one owner).
+var variantCtors = map[string]func(Config) *Index{
+	"btree":      NewBTree,
+	"compressed": func(cfg Config) *Index { return NewCompressedBTree(cfg, 0) },
+	"art":        NewART,
+	"skiplist":   NewSkipList,
+	"masstree":   NewMasstree,
 }
 
 func TestInsertGetAcrossMerges(t *testing.T) {

@@ -8,12 +8,12 @@ import (
 
 // This file exports the stage-snapshot hooks that layered consumers (the
 // range-sharded index in internal/sharded, bulk loaders) build on: a chunked
-// Iterator that holds no epoch pin across user code, a bounded ScanN
+// Iterator that holds no generation across user code, a bounded ScanN
 // collector, direct frozen-stage introspection, and BulkLoad.
 
 // ScanN collects up to n live entries in key order starting at the smallest
-// key >= start. The epoch pin is held for the duration of one call only, and
-// the returned entries may be retained.
+// key >= start. One call reads one generation, and the returned entries may
+// be retained.
 func (h *Index) ScanN(start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
@@ -47,7 +47,7 @@ func (h *Index) LowerBound(start []byte) (index.Entry, bool) {
 
 // Iterator chunk sizing: each refill restarts a cursor seek on the static
 // and dynamic stages, so the first fill is sized to satisfy a typical short
-// range scan (YCSB-E draws 50-100 entries) in a single pinned pass, then
+// range scan (YCSB-E draws 50-100 entries) in a single pass, then
 // doubles up to the cap so long scans amortize further refills.
 const (
 	iterFirstChunk = 128
@@ -55,12 +55,12 @@ const (
 )
 
 // Iterator walks the live entries of the index in key order, pulling one
-// chunk of entries per epoch pin. Unlike Scan — which holds its pin for its
-// whole duration — an Iterator holds nothing between chunks, so an
-// arbitrarily long iteration never delays generation reclamation. The
-// trade-off is chunk granularity consistency: each chunk reads one
-// generation, but entries inserted behind the cursor after a refill are not
-// revisited.
+// chunk of entries per generation load. Unlike Scan — which stays on one
+// generation for its whole duration — an Iterator holds nothing between
+// chunks, so an arbitrarily long iteration never keeps a superseded
+// generation's stages alive. The trade-off is chunk granularity consistency:
+// each chunk reads one generation, but entries inserted behind the cursor
+// after a refill are not revisited.
 type Iterator struct {
 	h     *Index
 	buf   []index.Entry
@@ -120,13 +120,11 @@ func (it *Iterator) Next() {
 
 // FrozenLen returns the entry count of the sealed frozen stage, or 0 when no
 // background merge is in flight.
-func (h *Index) FrozenLen() (n int) {
-	h.view(func(g *gen) {
-		if g.frozen != nil {
-			n = g.frozen.Len()
-		}
-	})
-	return n
+func (h *Index) FrozenLen() int {
+	if f := h.gen.Load().frozen; f != nil {
+		return f.Len()
+	}
+	return 0
 }
 
 // BulkLoad replaces the index contents with the given sorted unique entries,
@@ -136,6 +134,9 @@ func (h *Index) FrozenLen() (n int) {
 // entries slice is handed to the static builder and must not be modified
 // afterwards (with a codec configured the builder receives a fresh encoded
 // copy and the input is left untouched; encoding preserves the sort order).
+// With Config.Dir the journal is reset to the loaded entries crash-atomically
+// (journal.go); an error from that reset is returned after the load has taken
+// effect in memory, like every other journal failure.
 func (h *Index) BulkLoad(entries []index.Entry) error {
 	if h.codec != nil {
 		enc := make([]index.Entry, len(entries))
@@ -156,8 +157,7 @@ func (h *Index) BulkLoad(entries []index.Entry) error {
 	next := &gen{mem: h.newMem(), filter: h.newFilter(len(entries) / h.cfg.MergeRatio), static: st}
 	h.publishLocked(next, reconfig.Prepared{})
 	h.live.Store(int64(len(entries)))
-	h.jresetLocked(entries)
-	return nil
+	return h.jresetLocked(entries)
 }
 
 func minInt(a, b int) int {

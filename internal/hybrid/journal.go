@@ -14,6 +14,15 @@
 // uses. The codec is frozen for the index lifetime (sharded.Config panics on
 // Dir+CodecTrainer for exactly this reason), so one encoded space covers the
 // whole journal.
+//
+// A BulkLoad replaces the journal's contents the same way it replaces the
+// index's, and under the same prefix contract: the load is written behind the
+// existing history as begin marker, one record per entry, end marker, and the
+// history is deleted only once the end marker is fsynced. Replay honours a
+// load only when it is complete, so a crash anywhere inside BulkLoad reopens
+// to exactly the pre-load state (minus at most an unsynced suffix of it) or
+// exactly the loaded entries (plus a prefix of later writes) — see
+// jresetLocked and journalFold.
 package hybrid
 
 import (
@@ -29,15 +38,20 @@ import (
 	"mets/internal/wal"
 )
 
-// Journal record opcodes.
+// Journal record opcodes: one record per successful write, and the three that
+// frame a BulkLoad. A load entry is laid out like an insert; the two markers
+// are the opcode byte alone.
 const (
-	jopInsert = 1
-	jopUpdate = 2
-	jopDelete = 3
+	jopInsert    = 1
+	jopUpdate    = 2
+	jopDelete    = 3
+	jopLoadBegin = 4
+	jopLoadEntry = 5
+	jopLoadEnd   = 6
 )
 
-// jrec encodes one journal record: op byte, uvarint-framed key, and (for
-// insert/update) the uvarint value.
+// jrec encodes one keyed journal record: op byte, uvarint-framed key, and
+// (for all but delete) the uvarint value.
 func jrec(op byte, key []byte, value uint64) []byte {
 	buf := make([]byte, 0, 1+2*binary.MaxVarintLen64+len(key))
 	buf = append(buf, op)
@@ -107,7 +121,7 @@ func (h *Index) JournalErr() error {
 	return h.jl.Err()
 }
 
-// jop is one decoded journal record.
+// jop is one decoded journal record. key aliases the record's bytes.
 type jop struct {
 	op    byte
 	key   []byte
@@ -120,14 +134,21 @@ func decodeJournalRecord(rec []byte) (jop, error) {
 		return jop{}, fmt.Errorf("hybrid: empty journal record")
 	}
 	op, rest := rec[0], rec[1:]
-	if op != jopInsert && op != jopUpdate && op != jopDelete {
+	switch op {
+	case jopLoadBegin, jopLoadEnd:
+		if len(rest) != 0 {
+			return jop{}, fmt.Errorf("hybrid: malformed journal load marker")
+		}
+		return jop{op: op}, nil
+	case jopInsert, jopUpdate, jopDelete, jopLoadEntry:
+	default:
 		return jop{}, fmt.Errorf("hybrid: unknown journal op %d", op)
 	}
 	n, w := binary.Uvarint(rest)
 	if w <= 0 || n > uint64(len(rest)-w) {
 		return jop{}, fmt.Errorf("hybrid: malformed journal key")
 	}
-	key := append([]byte(nil), rest[w:w+int(n)]...)
+	key := rest[w : w+int(n)]
 	rest = rest[w+int(n):]
 	var value uint64
 	if op != jopDelete {
@@ -140,52 +161,50 @@ func decodeJournalRecord(rec []byte) (jop, error) {
 	return jop{op: op, key: key, value: value}, nil
 }
 
-// applyJournalOp replays one op through the public API. Only successful ops
-// were journaled, so the replayed op succeeds too; results are still ignored
-// defensively (a reset-then-crash can leave a prefix whose tail ops no longer
-// apply cleanly, and replay must take what it can).
-func (h *Index) applyJournalOp(o jop) {
+// journalFold folds a journal, record by record, into the per-key state it
+// leaves behind. A replayed insert always sets (a reset-then-crash prefix can
+// hold an insert of a key the prefix already has), an update sets only a
+// present key, a delete removes it.
+type journalFold struct {
+	m map[string]uint64
+	// load collects the entries of a BulkLoad whose end marker has not been
+	// seen; nil outside one. The end marker makes it the whole state. Ops
+	// never interleave with a load (both are journaled under the writer
+	// mutex), so any other record arriving first — like the end of the
+	// journal — means a crash cut the load short: it never happened.
+	load map[string]uint64
+}
+
+func (f *journalFold) apply(o jop) {
 	switch o.op {
-	case jopInsert:
-		if !h.Insert(o.key, o.value) {
-			h.Update(o.key, o.value)
+	case jopLoadBegin:
+		f.load = map[string]uint64{}
+	case jopLoadEntry:
+		if f.load != nil {
+			f.load[string(o.key)] = o.value
 		}
+	case jopLoadEnd:
+		if f.load != nil {
+			f.m, f.load = f.load, nil
+		}
+	case jopInsert:
+		f.load = nil
+		f.m[string(o.key)] = o.value
 	case jopUpdate:
-		h.Update(o.key, o.value)
+		f.load = nil
+		if _, ok := f.m[string(o.key)]; ok {
+			f.m[string(o.key)] = o.value
+		}
 	case jopDelete:
-		h.Delete(o.key)
+		f.load = nil
+		delete(f.m, string(o.key))
 	}
 }
 
-// journalBatchMin is the replayed-record count at which openJournal switches
-// from per-op replay through the public API to the batched rebuild: fold the
-// whole journal into a last-op-wins map, sort once, and build the static
-// stage directly. Below it the per-op path wins (no sort, no static build
-// for a handful of records). A var so the reopen benchmark and the
-// differential replay test can pin either path.
-var journalBatchMin = 4096
-
-// replayJournalBatched folds the decoded records into the final per-key
-// state and installs it as the initial generation: one sorted slice, one
-// static-stage build, zero per-op index operations. Equivalent to the
-// per-op path from an empty index: a replayed insert always sets (the
-// public-API fallback turns a duplicate insert into an update), a replayed
-// update sets only a present key, a delete removes it. Called from New
-// before the index is shared, so the installs are plain stores.
-func (h *Index) replayJournalBatched(ops []jop) error {
-	m := make(map[string]uint64, len(ops))
-	for _, o := range ops {
-		switch o.op {
-		case jopInsert:
-			m[string(o.key)] = o.value
-		case jopUpdate:
-			if _, ok := m[string(o.key)]; ok {
-				m[string(o.key)] = o.value
-			}
-		case jopDelete:
-			delete(m, string(o.key))
-		}
-	}
+// installReplayed makes the folded journal state the initial generation: one
+// sorted slice, one static-stage build, zero per-op index operations. Called
+// from New before the index is shared, so the installs are plain stores.
+func (h *Index) installReplayed(m map[string]uint64) error {
 	if len(m) == 0 {
 		return nil
 	}
@@ -217,44 +236,26 @@ func (h *Index) openJournal() error {
 	if err := fs.MkdirAll(h.cfg.Dir); err != nil {
 		return fmt.Errorf("hybrid: mkdir %s: %w", h.cfg.Dir, err)
 	}
-	// Decode every record first, then pick the replay strategy by volume:
-	// short journals replay per op through the public API, long ones rebuild
-	// the final state in one batched sort+build (replayJournalBatched) —
-	// reopening a large index no longer pays a full insert path per record.
-	var ops []jop
+	fold := journalFold{m: map[string]uint64{}}
 	stats, err := wal.Replay(fs, h.cfg.Dir, 0, func(rec []byte) error {
 		o, err := decodeJournalRecord(rec)
-		if err != nil {
-			return err
+		if err == nil {
+			fold.apply(o)
 		}
-		ops = append(ops, o)
-		return nil
+		return err
 	})
 	if err != nil {
 		return err
 	}
-	mode := "per-op"
-	if len(ops) >= journalBatchMin {
-		mode = "batched"
-		if err := h.replayJournalBatched(ops); err != nil {
-			return err
-		}
-	} else {
-		// Journal keys are already encoded; disable the codec so the
-		// replayed public calls do not encode twice. Not shared yet.
-		codec := h.codec
-		h.codec = nil
-		for _, o := range ops {
-			h.applyJournalOp(o)
-		}
-		h.codec = codec
+	if err := h.installReplayed(fold.m); err != nil {
+		return err
 	}
 	h.JournalRecovery = stats
 	replayAttrs := []obs.Attr{
 		obs.I64("segments", int64(stats.Segments)),
 		obs.I64("records", int64(stats.Records)),
 		obs.I64("bytes", stats.Bytes),
-		obs.Str("mode", mode),
+		obs.Str("mode", "batched"),
 	}
 	if stats.Torn {
 		replayAttrs = append(replayAttrs,
@@ -292,19 +293,36 @@ func (h *Index) openJournal() error {
 	return nil
 }
 
-// jresetLocked restarts the journal to represent exactly the given (encoded)
-// entries — the BulkLoad path. The caller holds the writer mutex, so no other
-// op can interleave between the reset and the re-journal.
-func (h *Index) jresetLocked(entries []index.Entry) {
+// jresetLocked makes the journal represent exactly the given (encoded)
+// entries — the BulkLoad path. The caller holds the writer mutex, so no op
+// interleaves with the load. The order is what makes it crash-atomic: seal
+// the history (fsynced, segments <= sealed), write the framed load behind it,
+// fsync through the end marker, and only then delete the history. Before that
+// fsync a crash leaves the history intact and at most an unfinished load,
+// which replay ignores; after it the load is complete and replay starts from
+// it, whatever part of the history is still on disk in front of it. A failure
+// is reported like any other journal failure and returned.
+func (h *Index) jresetLocked(entries []index.Entry) error {
 	if h.jl == nil {
-		return
+		return nil
 	}
-	if sealed, err := h.jl.Rotate(); err == nil {
-		h.jl.DeleteBelow(sealed + 1)
+	sealed, err := h.jl.Rotate()
+	if err == nil {
+		h.jl.Enqueue([]byte{jopLoadBegin})
+		for _, e := range entries {
+			h.jl.Enqueue(jrec(jopLoadEntry, e.Key, e.Value))
+		}
+		h.jl.Enqueue([]byte{jopLoadEnd})
+		err = h.jl.Sync()
 	}
-	for _, e := range entries {
-		h.jl.Enqueue(jrec(jopInsert, e.Key, e.Value))
+	if err == nil {
+		err = h.jl.DeleteBelow(sealed + 1)
 	}
+	if err != nil {
+		h.jfail(err)
+		return fmt.Errorf("hybrid: journal reset: %w", err)
+	}
+	return nil
 }
 
 // SyncJournal is the explicit durability barrier: it returns once every op

@@ -5,135 +5,110 @@ import (
 	"math/rand"
 	"testing"
 
-	"mets/internal/index"
 	"mets/internal/keys"
 	"mets/internal/vfs"
 )
 
-// setJournalBatchMin overrides the batched-replay threshold for the duration
-// of a test or benchmark.
-func setJournalBatchMin(t testing.TB, v int) {
-	old := journalBatchMin
-	journalBatchMin = v
-	t.Cleanup(func() { journalBatchMin = old })
-}
-
-// dumpIndex returns the full ordered contents.
-func dumpIndex(h *Index) []index.Entry {
-	var out []index.Entry
-	h.Scan(nil, func(k []byte, v uint64) bool {
-		out = append(out, index.Entry{Key: append([]byte(nil), k...), Value: v})
-		return true
-	})
-	return out
-}
-
-// writeJournalWorkload drives a mixed insert/update/delete stream against a
-// journaled index and closes it, leaving the journal behind on fs.
-func writeJournalWorkload(t testing.TB, fs *vfs.MemFS, cfg Config, nops int, seed int64) {
-	t.Helper()
-	h := NewBTree(cfg)
+// journalWorkload drives a mixed insert/update/delete stream against h and
+// returns the map oracle of what it holds afterwards.
+func journalWorkload(h *Index, nops int, seed int64) map[string]uint64 {
+	want := map[string]uint64{}
 	rng := rand.New(rand.NewSource(seed))
 	space := nops / 2
 	for i := 0; i < nops; i++ {
 		k := keys.Uint64(uint64(rng.Intn(space)))
 		switch rng.Intn(10) {
 		case 0:
-			h.Delete(k)
+			if h.Delete(k) {
+				delete(want, string(k))
+			}
 		case 1, 2:
-			h.Update(k, uint64(i))
+			if h.Update(k, uint64(i)) {
+				want[string(k)] = uint64(i)
+			}
 		default:
-			if !h.Insert(k, uint64(i)) {
-				h.Update(k, uint64(i))
+			if h.Insert(k, uint64(i)) || h.Update(k, uint64(i)) {
+				want[string(k)] = uint64(i)
 			}
 		}
 	}
-	if err := h.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
+	return want
 }
 
-// TestJournalReplayBatchedMatchesPerOp is the differential check behind the
-// batched rebuild: replaying the same journal through the per-op public-API
-// path and through the batched map+sort+build path must produce identical
-// index contents, in lock and epoch mode.
-func TestJournalReplayBatchedMatchesPerOp(t *testing.T) {
-	for _, mode := range []string{"lock", "epoch"} {
-		t.Run(mode, func(t *testing.T) {
-			fs := vfs.NewMemFS()
-			cfg := Config{MergeRatio: 4, MinDynamic: 64, Dir: "idx", FS: fs,
-				EpochReads: mode == "epoch"}
-			writeJournalWorkload(t, fs, cfg, 5000, 42)
-
-			setJournalBatchMin(t, 1 << 30) // force per-op
-			perOp := NewBTree(cfg)
-			wantDump := dumpIndex(perOp)
-			wantLen := perOp.Len()
-			if err := perOp.Close(); err != nil {
-				t.Fatalf("per-op close: %v", err)
+// TestJournalReplayMatchesOracle is the differential check of the one replay
+// path (fold the journal to its final per-key state, sort, build the static
+// stage): whatever a journaled index held when it was closed, the reopened
+// one holds — for every hybrid.New* variant over both memtables, on a long
+// mixed journal and on the 0-, 1- and 2-record journals around the fold's
+// edges (the 2-record one folds to an empty index).
+func TestJournalReplayMatchesOracle(t *testing.T) {
+	workloads := map[string]func(h *Index) (want map[string]uint64, records int){
+		"mixed":     func(h *Index) (map[string]uint64, int) { return journalWorkload(h, 5000, 42), -1 },
+		"0-records": func(h *Index) (map[string]uint64, int) { return map[string]uint64{}, 0 },
+		"1-record": func(h *Index) (map[string]uint64, int) {
+			h.Insert([]byte("a"), 1)
+			return map[string]uint64{"a": 1}, 1
+		},
+		"2-records": func(h *Index) (map[string]uint64, int) {
+			h.Insert([]byte("a"), 1)
+			h.Delete([]byte("a"))
+			return map[string]uint64{}, 2
+		},
+	}
+	for variant, ctor := range variantCtors {
+		for _, epoch := range []bool{false, true} {
+			for wname, drive := range workloads {
+				t.Run(fmt.Sprintf("%s/epoch=%v/%s", variant, epoch, wname), func(t *testing.T) {
+					fs := vfs.NewMemFS()
+					cfg := Config{MergeRatio: 4, MinDynamic: 64, Dir: "idx", FS: fs, EpochReads: epoch}
+					h := ctor(cfg)
+					want, records := drive(h)
+					if err := h.Close(); err != nil {
+						t.Fatalf("close: %v", err)
+					}
+					h2 := ctor(cfg)
+					defer h2.Close()
+					if got := h2.JournalRecovery.Records; records >= 0 && got != records {
+						t.Fatalf("replayed %d records, journal holds %d", got, records)
+					}
+					checkJournalState(t, h2, want)
+					// The reopened index must remain fully writable.
+					k := []byte("zz-after-replay")
+					if !h2.Insert(k, 7) {
+						t.Fatal("insert after replay failed")
+					}
+					if v, ok := h2.Get(k); !ok || v != 7 {
+						t.Fatalf("get after replay = %d,%v", v, ok)
+					}
+				})
 			}
-
-			setJournalBatchMin(t, 1) // force batched
-			batched := NewBTree(cfg)
-			defer batched.Close()
-			gotDump := dumpIndex(batched)
-			if got := batched.Len(); got != wantLen {
-				t.Fatalf("Len: batched %d, per-op %d", got, wantLen)
-			}
-			if len(gotDump) != len(wantDump) {
-				t.Fatalf("dump length: batched %d, per-op %d", len(gotDump), len(wantDump))
-			}
-			for i := range wantDump {
-				if keys.Compare(gotDump[i].Key, wantDump[i].Key) != 0 || gotDump[i].Value != wantDump[i].Value {
-					t.Fatalf("dump[%d]: batched %q=%d, per-op %q=%d", i,
-						gotDump[i].Key, gotDump[i].Value, wantDump[i].Key, wantDump[i].Value)
-				}
-			}
-			// The batched index must remain fully writable afterwards.
-			k := []byte("zz-after-replay")
-			if !batched.Insert(k, 7) {
-				t.Fatal("insert after batched replay failed")
-			}
-			if v, ok := batched.Get(k); !ok || v != 7 {
-				t.Fatalf("get after batched replay = %d,%v", v, ok)
-			}
-		})
+		}
 	}
 }
 
 // BenchmarkJournalReopen measures reopening a journaled index — the recovery
-// path — with the batched rebuild against the old per-op replay. The batched
-// path folds the journal into one sorted build instead of paying a full
-// public-API insert per record.
+// path: fold the journal, sort once, build the static stage.
 func BenchmarkJournalReopen(b *testing.B) {
 	const nops = 50000
-	for _, mode := range []string{"per-op", "batched"} {
-		for _, epochs := range []bool{false, true} {
-			name := fmt.Sprintf("%s/epoch=%v", mode, epochs)
-			b.Run(name, func(b *testing.B) {
-				fs := vfs.NewMemFS()
-				// Realistic merge cadence: the per-op path re-merges the static
-				// stage every MinDynamic replayed inserts, which is exactly the
-				// cost the batched rebuild folds into one build.
-				cfg := Config{MergeRatio: 4, MinDynamic: 4096,
-					Dir: "idx", FS: fs, EpochReads: epochs}
-				writeJournalWorkload(b, fs, cfg, nops, 7)
-				if mode == "per-op" {
-					setJournalBatchMin(b, 1<<30)
-				} else {
-					setJournalBatchMin(b, 1)
+	for _, epochs := range []bool{false, true} {
+		b.Run(fmt.Sprintf("epoch=%v", epochs), func(b *testing.B) {
+			fs := vfs.NewMemFS()
+			cfg := Config{MergeRatio: 4, MinDynamic: 4096, Dir: "idx", FS: fs, EpochReads: epochs}
+			h := NewBTree(cfg)
+			journalWorkload(h, nops, 7)
+			if err := h.Close(); err != nil {
+				b.Fatalf("close: %v", err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h := NewBTree(cfg)
+				if h.Len() == 0 {
+					b.Fatal("replay produced empty index")
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					h := NewBTree(cfg)
-					if h.Len() == 0 {
-						b.Fatal("replay produced empty index")
-					}
-					if err := h.Close(); err != nil {
-						b.Fatalf("close: %v", err)
-					}
+				if err := h.Close(); err != nil {
+					b.Fatalf("close: %v", err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mets/internal/index"
+	"mets/internal/keys"
 	"mets/internal/vfs"
 	"mets/internal/wal"
 )
@@ -47,10 +48,15 @@ func checkJournalState(t *testing.T, h *Index, want map[string]uint64) {
 		}
 	}
 	seen := 0
+	var prev []byte
 	h.Scan(nil, func(k []byte, v uint64) bool {
 		if w, ok := want[string(k)]; !ok || w != v {
 			t.Fatalf("scan saw (%q,%d), oracle (%d,%v)", k, v, want[string(k)], ok)
 		}
+		if seen > 0 && keys.Compare(prev, k) >= 0 {
+			t.Fatalf("scan out of order: %q then %q", prev, k)
+		}
+		prev = append(prev[:0], k...)
 		seen++
 		return true
 	})
@@ -137,6 +143,142 @@ func TestJournalBulkLoadReset(t *testing.T) {
 			defer h2.Close()
 			checkJournalState(t, h2, want)
 		})
+	}
+}
+
+// kv is one journaled insert.
+type kv struct {
+	k string
+	v uint64
+}
+
+func kvRange(prefix string, n int) (m map[string]uint64, list []kv, entries []index.Entry) {
+	m = map[string]uint64{}
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("%s-%04d", prefix, i)
+		m[k] = uint64(i)
+		list = append(list, kv{k, uint64(i)})
+		entries = append(entries, index.Entry{Key: []byte(k), Value: uint64(i)})
+	}
+	return m, list, entries
+}
+
+func contents(h *Index) map[string]uint64 {
+	got := map[string]uint64{}
+	h.Scan(nil, func(k []byte, v uint64) bool { got[string(k)] = v; return true })
+	return got
+}
+
+// isBasePlusPrefix reports whether got is exactly base plus the first n of
+// suffix, for some n: a durable state and what a crash kept of the unsynced
+// inserts that followed it — the only shape the prefix contract allows.
+func isBasePlusPrefix(got, base map[string]uint64, suffix []kv) bool {
+	n := len(got) - len(base)
+	if n < 0 || n > len(suffix) {
+		return false
+	}
+	for k, v := range base {
+		if gv, ok := got[k]; !ok || gv != v {
+			return false
+		}
+	}
+	for _, e := range suffix[:n] {
+		if gv, ok := got[e.k]; !ok || gv != e.v {
+			return false
+		}
+	}
+	return true
+}
+
+// crashedBulkLoad is one crash round on a fresh handle over cfg: unsynced
+// tail inserts, a BulkLoad with a crash armed at the k-th filesystem op from
+// here, unsynced post inserts and a barrier; then the power goes — at the
+// latest now, over one more unsynced write — and the filesystem recovers.
+// fired reports whether the armed crash went off before the round had done
+// all its I/O.
+func crashedBulkLoad(fs *vfs.MemFS, cfg Config, k int64, mode vfs.CrashMode, tail []kv, load []index.Entry, post []kv) (fired bool) {
+	h := NewBTree(cfg)
+	for _, e := range tail {
+		h.Insert([]byte(e.k), e.v)
+	}
+	fs.CrashAt(k, mode, k)
+	h.BulkLoad(load) // its error, if any, is the crash
+	for _, e := range post {
+		h.Insert([]byte(e.k), e.v)
+	}
+	h.SyncJournal()
+	if fired = fs.Crashed(); !fired {
+		h.Update(load[0].Key, load[0].Value)
+		fs.CrashAt(1, mode, k)
+		fs.Create("trip")
+	}
+	h.Close() // stops the committer; on the crashed filesystem it writes nothing
+	fs.Recover()
+	return fired
+}
+
+// TestJournalBulkLoadCrashAtomic is the crash sweep over the journal reset: a
+// crash at every k-th filesystem op of a BulkLoad, in drop, torn and corrupt
+// modes, over a journal of three pre-existing segments. The reopened index
+// must hold exactly the pre-load state (minus at most an unsynced suffix of
+// it) or exactly the loaded entries (plus a prefix of later writes) — never a
+// mix, a head-less history or nothing. Each first-round crash is followed by a
+// second round over the recovered directory, crashed at an op that moves with
+// k, which must land on the same dichotomy one state later.
+func TestJournalBulkLoadCrashAtomic(t *testing.T) {
+	pre := map[string]uint64{}
+	for s := 0; s < 3; s++ {
+		for i := 0; i < 50; i++ {
+			pre[fmt.Sprintf("pre%d-%04d", s, i)] = uint64(i)
+		}
+	}
+	_, tail, _ := kvRange("tail", 10)
+	loaded, _, load := kvRange("load", 120)
+	_, post, _ := kvRange("post", 5)
+	reloaded, _, reload := kvRange("reload", 40)
+
+	for _, mode := range []vfs.CrashMode{vfs.DropUnsynced, vfs.TornTail, vfs.CorruptTail} {
+		for k, fired := int64(1), true; fired; k++ {
+			fs := vfs.NewMemFS()
+			cfg := Config{MergeRatio: 2, MinDynamic: 16, Dir: "idx", FS: fs, EpochReads: true}
+			// Three open/insert/close sessions: segments 1-3 hold the history.
+			for s := 0; s < 3; s++ {
+				h := NewBTree(cfg)
+				for i := 0; i < 50; i++ {
+					h.Insert([]byte(fmt.Sprintf("pre%d-%04d", s, i)), uint64(i))
+				}
+				if err := h.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			fired = crashedBulkLoad(fs, cfg, k, mode, tail, load, post)
+			h := NewBTree(cfg)
+			state := contents(h)
+			isLoaded := isBasePlusPrefix(state, loaded, post)
+			if len(state) != h.Len() || !isLoaded && !isBasePlusPrefix(state, pre, tail) {
+				t.Fatalf("%v, crash at op %d: reopened with %d entries (Len %d) — neither the pre-load state nor the loaded one",
+					mode, k, len(state), h.Len())
+			}
+			if !fired && !isLoaded {
+				t.Fatalf("%v: BulkLoad finished before op %d, yet the reopened index is not the loaded one", mode, k)
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			k2 := 1 + k*7%60
+			crashedBulkLoad(fs, cfg, k2, mode, nil, reload, nil)
+			h = NewBTree(cfg)
+			again := contents(h)
+			if len(again) != h.Len() || !isBasePlusPrefix(again, reloaded, nil) && !isBasePlusPrefix(again, state, nil) {
+				t.Fatalf("%v, crashes at ops %d then %d: reopened with %d entries — neither the first recovery's state nor the second load",
+					mode, k, k2, len(again))
+			}
+			if err := h.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

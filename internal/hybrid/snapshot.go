@@ -11,17 +11,15 @@ import (
 // published, so a snapshot captures them by reference: the generation swap
 // that a later merge performs replaces *pointers*, never mutates the stages
 // a snapshot already holds, and Go's GC keeps the captured structures alive
-// for as long as the snapshot references them — even after the epoch
-// machinery has retired the generation that published them. Only the live
+// for as long as the snapshot references them — exactly as it does for a
+// live reader still on a superseded generation. Only the live
 // write stage needs copying, and its size is bounded by the merge trigger
 // (~1/MergeRatio of the index), so Snapshot() costs O(dynamic stage), not
 // O(index).
 //
-// Deliberately, a Snapshot holds no epoch pin and no lock: a long-running
-// snapshot scan therefore never blocks writers, never delays generation
-// reclamation for other readers, and never goes stale-unsafe — the worst a
-// concurrent merge can do is keep a superseded static stage alive a little
-// longer.
+// A Snapshot holds no lock: a long-running snapshot scan therefore never
+// blocks writers and never goes stale-unsafe — the worst it can do is keep a
+// superseded static stage alive until it is released.
 
 // Snapshot is an immutable point-in-time view of the index. Reads against
 // it are unsynchronized with the live index: Get/Scan/ScanN observe exactly
@@ -34,7 +32,7 @@ import (
 // view is fixed once the call returns.
 type Snapshot struct {
 	codec keycodec.Codec
-	// g is a private generation nobody publishes or retires: the live
+	// g is a private generation nobody publishes: the live
 	// memtable's drained states as its mem, the captured frozen stage (when a
 	// background merge was in flight) with its sealed filter, and the
 	// captured static stage. Reads go through the same gen.get / gen.scan as
@@ -42,13 +40,12 @@ type Snapshot struct {
 	g *gen
 }
 
-// Snapshot captures a point-in-time view. A short epoch pin covers loading
-// the generation's stage pointers; the live memtable is then drained outside
-// any lock of the index's (safe under the memtable's contract: the skip list
-// is drained lock-free, the locked memtable under its own read lock).
+// Snapshot captures a point-in-time view: the current generation's sealed
+// stages by reference, and the live memtable drained outside any lock of the
+// index's (safe under the memtable's contract: the skip list is drained
+// lock-free, the locked memtable under its own read lock).
 func (h *Index) Snapshot() (*Snapshot, error) {
-	var cur gen
-	h.view(func(g *gen) { cur = *g })
+	cur := h.gen.Load()
 	return &Snapshot{codec: h.codec, g: &gen{
 		mem:          sliceMem{states: cur.mem.SnapshotStates()},
 		frozen:       cur.frozen,

@@ -1,6 +1,6 @@
 // Flight recorder: an always-on, fixed-size ring of structured lifecycle
 // events (WAL rotations and fsync batches, flush/compaction commits, manifest
-// installs, quarantines, journal replays, epoch reclaims). Unlike the span
+// installs, quarantines, journal replays, generation swaps). Unlike the span
 // tracer — which records *durations* of long-running background work — the
 // flight recorder records *facts*: discrete things that happened, in order,
 // with enough attributes to reconstruct the lead-up to a failure.

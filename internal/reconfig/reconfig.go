@@ -1,32 +1,33 @@
 // Package reconfig is the shared reconfiguration seam: one publication
 // pipeline for every generation swap in the system. Before this package,
 // three layers each carried their own one-off copy of the same idea —
-// hybrid's epoch generation swap, sharded's atomic codec+router+shard core
-// swap, and the LSM's manifest commit. All of them follow the same shape:
+// hybrid's generation swap, sharded's atomic codec+router+shard core swap,
+// and the LSM's manifest commit. All of them follow the same shape:
 //
 //	propose → build the next generation off-line → validate it →
-//	publish it atomically → retire the old generation
+//	publish it atomically
 //
 // A Seam owns that shape. Owners describe a reconfiguration as a Change
-// whose Build returns a Prepared (validate/publish/retire closures over the
-// freshly built state); the seam runs the pipeline, serializes concurrent
-// reconfigurations, instruments every step (span phases, flight-recorder
-// events, applied/rejected counters, a generation counter), and routes
-// retirement through an epoch manager when one is attached so old
-// generations are reclaimed only after every reader that could hold them
-// has drained.
+// whose Build returns a Prepared (validate/publish closures over the freshly
+// built state); the seam runs the pipeline, serializes concurrent
+// reconfigurations and instruments every step (span phases, flight-recorder
+// events, applied/rejected counters, a generation counter). There is no
+// retire step: a generation is an immutable object behind an atomic pointer,
+// the publishing store drops the owner's reference to its predecessor, and
+// the garbage collector frees that predecessor once the last reader that
+// loaded it is done.
 //
 // Swaps that already run under the owner's writer lock (hybrid's per-merge
 // generation store, the LSM's manifest write) use PublishLocked: the fast
 // path skips the seam mutex and the build/validate phases but still shares
-// the publication bookkeeping, event vocabulary, and retirement routing —
-// so "who swapped what, when, and why" reads the same across layers.
+// the publication bookkeeping and event vocabulary — so "who swapped what,
+// when, and why" reads the same across layers.
 //
 // The background drift tuner (internal/tune) triggers its actions — codec
 // retrain, shard rebalance — through owners' methods built on Apply, which
 // is what makes autonomous reconfiguration safe: the tuner never touches
 // index internals, it only proposes changes that flow through the same
-// validated, serialized, epoch-protected pipeline as a manual BulkLoad.
+// validated, serialized pipeline as a manual BulkLoad.
 package reconfig
 
 import (
@@ -50,11 +51,6 @@ type Prepared struct {
 	// rejects the change after the fact (nothing was made visible, or the
 	// owner's publish is itself atomic-or-nothing).
 	Publish func() error
-	// Retire drops the old generation's references once no reader can hold
-	// it. With a Retirer attached it runs after the epoch drains; otherwise
-	// the old generation is left to the garbage collector and Retire should
-	// be nil (an inline Retire would pull state out from under readers).
-	Retire func()
 	// Discard undoes Build's side effects when validation or publication
 	// fails (e.g. uninstalling a write-capture buffer).
 	Discard func()
@@ -82,42 +78,24 @@ type Change struct {
 	Build func() (Prepared, error)
 }
 
-// Retirer defers a retirement callback until no reader can observe the
-// retired state (epoch.Manager satisfies it).
-type Retirer interface {
-	Retire(fn func())
-}
-
 // Options configure a Seam.
 type Options struct {
 	// Name identifies the seam in events and errors (e.g. "sharded",
-	// "hybrid.epoch", "lsm.manifest").
+	// "hybrid", "lsm.manifest").
 	Name string
 	// Obs hosts the seam's counters and spans ("reconfig.applied",
 	// "reconfig.rejected", "reconfig.<kind>" spans). Nil disables them.
 	Obs *obs.Registry
-	// FlightRec records publication/rejection/reclaim events. Nil disables.
+	// FlightRec records publication/rejection events. Nil disables.
 	FlightRec *obs.FlightRecorder
-	// Retirer, when non-nil, defers Prepared.Retire until readers drain.
-	Retirer Retirer
-	// ReclaimEvent is the flight event recorded when a retirement callback
-	// actually runs (default "reconfig.reclaim"; hybrid keeps its
-	// historical "epoch.reclaim").
-	ReclaimEvent string
-	// ReclaimCounter, when non-nil, is incremented per reclaimed
-	// generation (hybrid's "epoch_reclaims").
-	ReclaimCounter *obs.Counter
 }
 
 // Seam is one layer's reconfiguration pipeline. Create with New; the zero
 // value is not useful.
 type Seam struct {
-	name         string
-	reg          *obs.Registry
-	fr           *obs.FlightRecorder
-	retirer      Retirer
-	reclaimEvent string
-	reclaims     *obs.Counter
+	name string
+	reg  *obs.Registry
+	fr   *obs.FlightRecorder
 
 	applied  *obs.Counter
 	rejected *obs.Counter
@@ -131,18 +109,12 @@ type Seam struct {
 
 // New creates a seam.
 func New(o Options) *Seam {
-	if o.ReclaimEvent == "" {
-		o.ReclaimEvent = "reconfig.reclaim"
-	}
 	return &Seam{
-		name:         o.Name,
-		reg:          o.Obs,
-		fr:           o.FlightRec,
-		retirer:      o.Retirer,
-		reclaimEvent: o.ReclaimEvent,
-		reclaims:     o.ReclaimCounter,
-		applied:      o.Obs.Counter("reconfig.applied"),
-		rejected:     o.Obs.Counter("reconfig.rejected"),
+		name:     o.Name,
+		reg:      o.Obs,
+		fr:       o.FlightRec,
+		applied:  o.Obs.Counter("reconfig.applied"),
+		rejected: o.Obs.Counter("reconfig.rejected"),
 	}
 }
 
@@ -150,7 +122,7 @@ func New(o Options) *Seam {
 func (s *Seam) Generation() int64 { return s.gens.Load() }
 
 // Apply runs the full pipeline for one proposed change: build off-line,
-// validate, publish, retire. Concurrent Applies serialize; the owner's
+// validate, publish. Concurrent Applies serialize; the owner's
 // readers and writers are only affected for as long as the Prepared
 // closures themselves hold the owner's locks.
 func (s *Seam) Apply(c Change) error {
@@ -182,9 +154,9 @@ func (s *Seam) Apply(c Change) error {
 }
 
 // PublishLocked is the fast path for generation swaps already built and
-// validated under the owner's writer lock: it publishes, records, and
-// routes retirement without taking the seam mutex (the owner's lock is the
-// serialization). The caller must hold that lock.
+// validated under the owner's writer lock: it publishes and records without
+// taking the seam mutex (the owner's lock is the serialization). The caller
+// must hold that lock.
 func (s *Seam) PublishLocked(kind string, p Prepared) error {
 	return s.publish(kind, p, p.Span)
 }
@@ -199,7 +171,7 @@ func (s *Seam) publish(kind string, p Prepared, span uint64) error {
 			return err
 		}
 	}
-	gen := s.gens.Add(1)
+	s.gens.Add(1)
 	s.applied.Inc()
 	ev := p.Event
 	if ev == "" {
@@ -211,20 +183,6 @@ func (s *Seam) publish(kind string, p Prepared, span uint64) error {
 	}
 	attrs = append(attrs, p.Attrs...)
 	s.fr.RecordSpan(ev, span, attrs...)
-	if p.Retire != nil {
-		retire := p.Retire
-		c, fr, rev := s.reclaims, s.fr, s.reclaimEvent
-		fn := func() {
-			retire()
-			c.Inc()
-			fr.Record(rev, obs.I64("gen", gen))
-		}
-		if s.retirer != nil {
-			s.retirer.Retire(fn)
-		} else {
-			fn()
-		}
-	}
 	return nil
 }
 

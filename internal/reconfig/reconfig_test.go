@@ -3,10 +3,8 @@ package reconfig
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"mets/internal/epoch"
 	"mets/internal/obs"
 )
 
@@ -47,37 +45,6 @@ func TestPublishLockedRecordsOnePublication(t *testing.T) {
 		if ev.Type == "merge.commit" && ev.Span != 7 {
 			t.Fatalf("merge.commit span = %d, want the owner's span 7", ev.Span)
 		}
-	}
-}
-
-// TestRetireWaitsForPinnedReader pins retirement routing: with a Retirer the
-// old generation's Retire runs only once the reader pinned before the swap
-// has unpinned, and the reclaim is counted and recorded under the layer's
-// own names.
-func TestRetireWaitsForPinnedReader(t *testing.T) {
-	reg := obs.NewRegistry()
-	mgr := epoch.NewManager()
-	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder(), Retirer: mgr,
-		ReclaimEvent: "epoch.reclaim", ReclaimCounter: reg.Counter("epoch_reclaims")})
-	var retired atomic.Bool
-	g := mgr.Pin()
-	if err := s.PublishLocked("generation", Prepared{Retire: func() { retired.Store(true) }}); err != nil {
-		t.Fatal(err)
-	}
-	mgr.Reclaim()
-	if retired.Load() {
-		t.Fatal("Retire ran while a reader pinned before the swap was still pinned")
-	}
-	g.Unpin()
-	mgr.Reclaim()
-	if !retired.Load() {
-		t.Fatal("Retire did not run after the reader unpinned")
-	}
-	if n := reg.Snapshot().Counters["epoch_reclaims"]; n != 1 {
-		t.Fatalf("epoch_reclaims = %d, want 1", n)
-	}
-	if eventTypes(reg.FlightRecorder())["epoch.reclaim"] != 1 {
-		t.Fatalf("no epoch.reclaim event; have %v", eventTypes(reg.FlightRecorder()))
 	}
 }
 

@@ -1,0 +1,257 @@
+package sharded
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"mets/internal/btree"
+	"mets/internal/dstest"
+	"mets/internal/hope"
+	"mets/internal/hybrid"
+	"mets/internal/index"
+	"mets/internal/keycodec"
+	"mets/internal/keys"
+	"mets/internal/obs"
+)
+
+// As in internal/hybrid, a superseded core is retired by the pointer store
+// that replaces it and freed by the garbage collector, so these tests watch
+// collection (dstest.GCWatch): of every core, router and codec, and of every
+// static stage any shard of any core ever built. Shards themselves cannot
+// carry a finalizer (a hybrid.Index reaches itself through its sync.Cond); a
+// shard's static stages being collected is what shows it went with its core.
+
+const leakShards = 4
+
+// watched is a trainer-driven index (so BulkLoad and Retrain swap the whole
+// core) whose shards report every static stage they build. Auto-merges are
+// off; the tests merge by hand.
+type watched struct {
+	*Index
+	w  dstest.GCWatch
+	mu sync.Mutex
+	// newest[i] labels the latest static stage of the i-th shard ever created;
+	// the current core's shards are the last leakShards of them.
+	newest []string
+}
+
+func newWatched(reg *obs.Registry) *watched {
+	ws := &watched{}
+	ws.Index = New(Config{
+		Shards:       leakShards,
+		Hybrid:       hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true},
+		CodecTrainer: keycodec.HOPETrainer(hope.DoubleChar, 1<<10),
+		Obs:          reg,
+	}, ws.newShard)
+	ws.watchCore("new")
+	return ws
+}
+
+func (ws *watched) newShard(hc hybrid.Config) *hybrid.Index {
+	ws.mu.Lock()
+	id := len(ws.newest)
+	ws.newest = append(ws.newest, "")
+	ws.mu.Unlock()
+	built := 0 // a shard builds one stage at a time
+	return hybrid.New(
+		func() index.Dynamic { return btree.New() },
+		func(entries []index.Entry) (index.Static, error) {
+			st, err := btree.NewCompact(entries)
+			if err == nil {
+				built++
+				label := fmt.Sprintf("static shard%d#%d", id, built)
+				ws.w.Watch(label, st)
+				ws.mu.Lock()
+				ws.newest[id] = label
+				ws.mu.Unlock()
+			}
+			return st, err
+		}, hc)
+}
+
+// watchCore puts the current core, its router and its codec on the watch list.
+func (ws *watched) watchCore(step string) {
+	c := ws.load()
+	ws.w.Watch("core@"+step, c)
+	ws.w.Watch("router@"+step, c.router)
+	if c.codec != nil {
+		ws.w.Watch("codec@"+step, c.codec)
+	}
+}
+
+// leaked reports what the collector still holds beyond what the index
+// legitimately references: the current core triple and the newest static
+// stage of each of its shards.
+func (ws *watched) leaked(patience time.Duration) []string {
+	c := ws.load()
+	keep := []any{c, c.router}
+	if c.codec != nil {
+		keep = append(keep, c.codec)
+	}
+	ws.mu.Lock()
+	for _, label := range ws.newest[len(ws.newest)-leakShards:] {
+		keep = append(keep, label)
+	}
+	ws.mu.Unlock()
+	return ws.w.Leaked(patience, keep...)
+}
+
+func emailEntries(n int, seed int64) []index.Entry {
+	ks := keys.Dedup(keys.Emails(n, seed))
+	sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
+	entries := make([]index.Entry, len(ks))
+	for i, k := range ks {
+		entries[i] = index.Entry{Key: k, Value: uint64(i)}
+	}
+	return entries
+}
+
+// TestSupersededCoresCollected: with no reader anywhere, every core, router,
+// codec and shard static stage superseded by shard merges, a retraining
+// BulkLoad, a Retrain and a Rebalance is collected — with a registry attached,
+// whose per-shard gauge closures are re-registered by each new core's shards
+// and must not hold an old one.
+func TestSupersededCoresCollected(t *testing.T) {
+	reg := obs.NewRegistry()
+	ws := newWatched(reg)
+	entries := emailEntries(3000, 77)
+	if err := ws.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("bulkload")
+	if ws.Codec() == nil {
+		t.Fatal("trained bulk load should have installed a codec")
+	}
+	for round := 0; round < 3; round++ {
+		for i, e := range entries {
+			if i%3 == round {
+				ws.Update(e.Key, e.Value+1<<32)
+			}
+		}
+		ws.Merge()
+	}
+	if err := ws.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("retrain")
+	if err := ws.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("rebalance")
+
+	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
+		t.Fatalf("superseded objects never collected: %v", leaked)
+	}
+	if n := reg.Snapshot().Counters["reconfig.applied"]; n != 3 { // bulkload.retrain, codec.retrain, shard.rebalance
+		t.Fatalf("reconfig.applied = %d, want 3", n)
+	}
+	for _, e := range entries {
+		if v, ok := ws.Get(e.Key); !ok || v != e.Value+1<<32 {
+			t.Fatalf("Get(%q) = %d,%v after the swaps, want %d", e.Key, v, ok, e.Value+1<<32)
+		}
+	}
+}
+
+// TestLeakTestCatchesRetainedCore shows the test above bites: a gauge closure
+// over a core (instead of over the index) keeps that core, its router, its
+// codec and its shards' stages alive past a Retrain; dropping it lets them go.
+func TestLeakTestCatchesRetainedCore(t *testing.T) {
+	reg := obs.NewRegistry()
+	ws := newWatched(reg)
+	if err := ws.BulkLoad(emailEntries(2000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("bulkload")
+	func() {
+		c := ws.load()
+		reg.GaugeFunc("leaky_shards", func() float64 { return float64(len(c.shards)) })
+	}()
+	if err := ws.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("retrain")
+
+	held := map[string]bool{}
+	for _, l := range ws.leaked(50 * time.Millisecond) {
+		held[l] = true
+	}
+	// The bulk-loaded core's shards are the second set of four ever created.
+	if !held["core@bulkload"] || !held["router@bulkload"] || !held["codec@bulkload"] || !held["static shard4#1"] {
+		t.Fatalf("held = %v, want the retained bulkload core, its router, codec and shard stages", held)
+	}
+	reg.GaugeFunc("leaky_shards", func() float64 { return 0 })
+	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
+		t.Fatalf("still uncollected after the closure was dropped: %v", leaked)
+	}
+}
+
+// TestParkedScanKeepsItsCore parks a reader inside a Scan callback while every
+// shard merges and a Retrain then swaps the core under it. The core it loaded
+// must survive any number of collections, the scan must finish with exactly
+// the ordered, decoded contents that core held — not the writes that landed in
+// the new one — and afterwards the old core and all its stages are collected.
+func TestParkedScanKeepsItsCore(t *testing.T) {
+	ws := newWatched(nil)
+	entries := emailEntries(3000, 9)
+	if err := ws.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("parked")
+	for i, e := range entries { // a dynamic stage above the loaded one
+		if i%5 == 0 {
+			ws.Update(e.Key, e.Value+1<<32)
+			entries[i].Value += 1 << 32
+		}
+	}
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	done := make(chan []index.Entry)
+	go func() {
+		var got []index.Entry
+		ws.Scan(nil, func(k []byte, v uint64) bool {
+			got = append(got, index.Entry{Key: append([]byte(nil), k...), Value: v})
+			if len(got) == 10 {
+				close(parked)
+				<-release
+			}
+			return true
+		})
+		done <- got
+	}()
+	<-parked
+
+	ws.Merge()
+	if err := ws.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("retrain")
+	for _, e := range entries[:500] { // lands in the new core only
+		ws.Update(e.Key, 7)
+	}
+	ws.Insert([]byte("zzzz@after-retrain"), 7)
+
+	held := map[string]bool{}
+	for _, l := range ws.leaked(20 * time.Millisecond) {
+		held[l] = true
+	}
+	if !held["core@parked"] || !held["router@parked"] || !held["codec@parked"] {
+		t.Fatalf("while parked the collector holds %v; want the parked core, router and codec among them", held)
+	}
+
+	close(release)
+	got := <-done
+	if len(got) != len(entries) {
+		t.Fatalf("parked scan returned %d entries, its core held %d", len(got), len(entries))
+	}
+	for i, e := range got {
+		if keys.Compare(e.Key, entries[i].Key) != 0 || e.Value != entries[i].Value {
+			t.Fatalf("parked scan entry %d = %q=%d, its core held %q=%d", i, e.Key, e.Value, entries[i].Key, entries[i].Value)
+		}
+	}
+	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
+		t.Fatalf("uncollected after the parked scan returned: %v", leaked)
+	}
+}

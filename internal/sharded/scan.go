@@ -9,7 +9,7 @@ import (
 )
 
 // Range scans walk the shards in router order. Each shard is walked through a
-// chunked hybrid.Iterator that pins its shard's generation only during a
+// chunked hybrid.Iterator that reads its shard's generation only during a
 // refill, so no shard state is held while the caller's callback runs and the
 // callback may call back into the index. Consistency is chunk-granular: each
 // refill reads one generation of its shard.
@@ -32,10 +32,9 @@ import (
 // retain; with a codec they are decoded into a reused scratch buffer and are
 // valid only for the duration of the callback (copy to retain).
 func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	// One pin for the whole scan keeps the core triple (codec, router,
-	// shards) from being reclaimed mid-iteration under a concurrent
-	// codec-retraining bulk load.
-	defer s.epochs.Pin().Unpin()
+	// One core for the whole scan: codec, router and shards stay mutually
+	// consistent under a concurrent retrain, which publishes a new core and
+	// never touches this one.
 	c := s.load()
 	start, fn = keycodec.ScanEncoded(c.codec, start, fn)
 	first := 0
@@ -66,7 +65,6 @@ func (s *Index) ScanN(start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
 	}
-	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	if c.codec != nil && start != nil {
 		start = c.codec.EncodeBound(start)

@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mets/internal/epoch"
 	"mets/internal/hybrid"
 	"mets/internal/index"
 	"mets/internal/keycodec"
@@ -101,7 +100,12 @@ func DefaultConfig() Config {
 
 // core is one immutable generation of the index: a codec, a router with
 // boundaries in that codec's encoded space, and the shards holding encoded
-// keys. Swapped wholesale by codec-retraining bulk loads.
+// keys. Swapped wholesale by codec-retraining bulk loads, Retrain and
+// Rebalance; a reader loads the pointer once per operation and works on that
+// triple, which nothing writes to after publication. A superseded core is
+// garbage once the store has replaced it and the last such reader is done —
+// it owns no journals (Dir excludes every core swap), so there is nothing to
+// close.
 type core struct {
 	codec  keycodec.Codec // nil = identity (keys stored raw)
 	router *Router
@@ -137,12 +141,6 @@ type Index struct {
 	cap atomic.Pointer[capture]
 	// tuner is the background drift controller (Config.AutoTune).
 	tuner *tune.Tuner
-
-	// epochs is the one manager shared by this layer and every shard across
-	// every core generation, so a single reader pin covers the core triple
-	// and any shard generation reachable from it. Retired cores
-	// (codec-retraining bulk loads) drain through it too.
-	epochs *epoch.Manager
 }
 
 // New builds a sharded index; newShard creates one hybrid index per range
@@ -169,18 +167,12 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	hc := cfg.Hybrid
 	hc.Codec = nil // the sharded layer owns the codec boundary
 	hc.Dir = ""    // per-shard journal dirs are assigned in newCore
-	mgr := hc.Epochs
-	if mgr == nil {
-		mgr = epoch.NewManager()
-	}
-	hc.Epochs = mgr
 	s := &Index{
 		obs:       cfg.Obs,
 		hybridCfg: hc,
 		newShard:  newShard,
 		trainer:   cfg.CodecTrainer,
 		nshards:   n,
-		epochs:    mgr,
 		dir:       cfg.Dir,
 	}
 	var codec keycodec.Codec
@@ -194,17 +186,10 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	if codec != nil {
 		r = encodeRouter(r, codec)
 	}
-	s.seam = reconfig.New(reconfig.Options{
-		Name:           "sharded",
-		Obs:            cfg.Obs,
-		FlightRec:      cfg.Obs.FlightRecorder(),
-		Retirer:        mgr,
-		ReclaimEvent:   "core.reclaim",
-		ReclaimCounter: cfg.Obs.Counter("core_reclaims"),
-	})
+	s.seam = reconfig.New(reconfig.Options{Name: "sharded", Obs: cfg.Obs, FlightRec: cfg.Obs.FlightRecorder()})
 	s.core.Store(s.newCore(codec, r))
 	if cfg.Obs != nil {
-		cfg.Obs.GaugeFunc("shards", func() float64 { return float64(len(s.shardsView())) })
+		cfg.Obs.GaugeFunc("shards", func() float64 { return float64(s.NumShards()) })
 	}
 	if cfg.AutoTune {
 		targets := tune.Targets{
@@ -302,7 +287,7 @@ func (s *Index) SyncJournals() error {
 	if s.dir == "" {
 		return nil
 	}
-	shards := s.shardsView()
+	shards := s.load().shards
 	barriers := make([]hybrid.JournalBarrier, len(shards))
 	for i, sh := range shards {
 		barriers[i] = sh.StartJournalSync()
@@ -321,7 +306,7 @@ func (s *Index) SyncJournals() error {
 // has diverged from its in-memory state (see hybrid.Index.JournalErr). A
 // no-op (always nil) without Config.Dir.
 func (s *Index) JournalErr() error {
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		if err := sh.JournalErr(); err != nil {
 			return err
 		}
@@ -349,7 +334,7 @@ type Health struct {
 
 // Health reports aggregate shard health. Safe for concurrent use.
 func (s *Index) Health() Health {
-	shards := s.shardsView()
+	shards := s.load().shards
 	h := Health{Healthy: true, Shards: len(shards)}
 	for _, sh := range shards {
 		sh := sh.Health()
@@ -375,7 +360,7 @@ func (s *Index) Close() error {
 		s.tuner.Stop()
 	}
 	var first error
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		if err := sh.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -384,21 +369,6 @@ func (s *Index) Close() error {
 }
 
 func (s *Index) load() *core { return s.core.Load() }
-
-// shardsView reads the current generation's shard list under an epoch pin.
-// Retirement nils a retired core's fields once reader epochs drain, so an
-// unpinned load().shards can race that write (the drift tuner retires cores
-// while stats gauges and aggregate accessors iterate). The pin orders the
-// read before any retirement of the core it observed; the returned slice
-// stays valid after unpin — retirement drops references, it never closes
-// shards.
-func (s *Index) shardsView() []*hybrid.Index {
-	defer s.epochs.Pin().Unpin()
-	return s.load().shards
-}
-
-// EpochManager returns the epoch manager shared with every shard.
-func (s *Index) EpochManager() *epoch.Manager { return s.epochs }
 
 // encodeKey maps key into c's encoded space (no-op without a codec).
 func (c *core) encodeKey(key []byte) []byte {
@@ -409,34 +379,25 @@ func (c *core) encodeKey(key []byte) []byte {
 }
 
 // NumShards returns the shard count.
-func (s *Index) NumShards() int { return len(s.shardsView()) }
+func (s *Index) NumShards() int { return len(s.load().shards) }
 
 // Router returns the boundary router of the current generation. With a
 // codec active its boundaries are in encoded space.
-func (s *Index) Router() *Router {
-	defer s.epochs.Pin().Unpin()
-	return s.load().router
-}
+func (s *Index) Router() *Router { return s.load().router }
 
 // Codec returns the current generation's codec (nil when keys are raw).
-func (s *Index) Codec() keycodec.Codec {
-	defer s.epochs.Pin().Unpin()
-	return s.load().codec
-}
+func (s *Index) Codec() keycodec.Codec { return s.load().codec }
 
 // ShardFor returns the shard index owning key (exposed for tests and
 // placement-aware callers).
 func (s *Index) ShardFor(key []byte) int {
-	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	return c.router.Shard(c.encodeKey(key))
 }
 
-// Get returns the value stored under key. One pin covers the core load; the
-// shard pins again for its own generation (nested pins on the shared manager
-// are redundant but harmless — this one simply outlives the inner one).
+// Get returns the value stored under key: load the core, encode, route, and
+// resolve in the owning shard's current generation.
 func (s *Index) Get(key []byte) (uint64, bool) {
-	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	ek := c.encodeKey(key)
 	return c.shards[c.router.Shard(ek)].Get(ek)
@@ -517,7 +478,7 @@ func (s *Index) Delete(key []byte) bool {
 // Len returns the total number of live entries across shards.
 func (s *Index) Len() int {
 	n := 0
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		n += sh.Len()
 	}
 	return n
@@ -526,7 +487,7 @@ func (s *Index) Len() int {
 // DynamicLen sums the per-shard dynamic (plus frozen) stage sizes.
 func (s *Index) DynamicLen() int {
 	n := 0
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		n += sh.DynamicLen()
 	}
 	return n
@@ -535,7 +496,7 @@ func (s *Index) DynamicLen() int {
 // StaticLen sums the per-shard static stage sizes.
 func (s *Index) StaticLen() int {
 	n := 0
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		n += sh.StaticLen()
 	}
 	return n
@@ -544,7 +505,7 @@ func (s *Index) StaticLen() int {
 // MemoryUsage sums all shards.
 func (s *Index) MemoryUsage() int64 {
 	var m int64
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		m += sh.MemoryUsage()
 	}
 	return m
@@ -553,7 +514,7 @@ func (s *Index) MemoryUsage() int64 {
 // Merge synchronously merges every shard's dynamic stage into its static
 // stage, fanning the per-shard rebuilds out across GOMAXPROCS workers.
 func (s *Index) Merge() {
-	shards := s.shardsView()
+	shards := s.load().shards
 	fns := make([]func(), len(shards))
 	for i := range shards {
 		sh := shards[i]
@@ -565,14 +526,14 @@ func (s *Index) Merge() {
 // MergeShard synchronously merges shard i only. Callers that want to spread
 // maintenance over time (or measure one shard's pause in isolation) can walk
 // the shards themselves instead of using Merge's all-at-once fan-out.
-func (s *Index) MergeShard(i int) { s.shardsView()[i].Merge() }
+func (s *Index) MergeShard(i int) { s.load().shards[i].Merge() }
 
 // MergeShardAsync starts a background merge on shard i only, reporting
 // whether one was started. Together with WaitMerges this lets a maintenance
 // loop stagger the rebuilds — one shard at a time — so that on machines with
 // few spare cores the merges don't all compete with foreground readers at
 // once (the same rationale as the LSM's single background compactor).
-func (s *Index) MergeShardAsync(i int) bool { return s.shardsView()[i].MergeAsync() }
+func (s *Index) MergeShardAsync(i int) bool { return s.load().shards[i].MergeAsync() }
 
 // MergeAsync starts a background merge on every shard that has dynamic
 // entries and no merge already in flight, returning how many were started.
@@ -581,7 +542,7 @@ func (s *Index) MergeShardAsync(i int) bool { return s.shardsView()[i].MergeAsyn
 // short seal/swap critical sections.
 func (s *Index) MergeAsync() int {
 	started := 0
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		if sh.MergeAsync() {
 			started++
 		}
@@ -591,14 +552,14 @@ func (s *Index) MergeAsync() int {
 
 // WaitMerges blocks until no shard has a background merge in flight.
 func (s *Index) WaitMerges() {
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		sh.WaitMerges()
 	}
 }
 
 // Merging reports whether any shard has a background merge running.
 func (s *Index) Merging() bool {
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		if sh.Merging() {
 			return true
 		}
@@ -618,7 +579,7 @@ type ShardStat struct {
 // ShardStats returns per-shard telemetry (the per-shard merge pauses the
 // YCSB driver reports).
 func (s *Index) ShardStats() []ShardStat {
-	shards := s.shardsView()
+	shards := s.load().shards
 	out := make([]ShardStat, len(shards))
 	for i, sh := range shards {
 		merges, last, total := sh.MergeStats()
@@ -634,7 +595,7 @@ func (s *Index) ShardStats() []ShardStat {
 // single-shard last-merge time (the worst pause any one shard imposed), and
 // summed merge work.
 func (s *Index) MergeStats() (merges int, worstLast, total time.Duration) {
-	for _, sh := range s.shardsView() {
+	for _, sh := range s.load().shards {
 		m, last, t := sh.MergeStats()
 		merges += m
 		if last > worstLast {
@@ -665,7 +626,7 @@ const bulkSampleCap = 1 << 16
 // the split boundaries are recomputed as even quantiles of the load in the
 // new encoded space (so shards receive equal entry counts under the loaded
 // distribution), fresh shards are built, and codec+router+shards swap in
-// atomically. Earlier generations drain behind their own locks.
+// atomically. Readers still on the earlier core finish on it.
 //
 // Both paths run through the reconfiguration seam, which serializes them
 // against each other and against Retrain/Rebalance and instruments the
@@ -687,7 +648,6 @@ func (s *Index) BulkLoad(entries []index.Entry) error {
 	return s.seam.Apply(reconfig.Change{
 		Kind: "bulkload.retrain",
 		Build: func() (reconfig.Prepared, error) {
-			old := s.load()
 			sample := sampleKeys(entries, bulkSampleCap)
 			codec, err := s.trainer(sample)
 			if err != nil {
@@ -715,9 +675,6 @@ func (s *Index) BulkLoad(entries []index.Entry) error {
 				cc := codec
 				p.Validate = func() error { return keycodec.Validate(cc, sample) }
 			}
-			// The old codec/router/shards triple drains once every reader
-			// epoch that could have loaded it has unpinned.
-			p.Retire = func() { old.shards, old.router, old.codec = nil, nil, nil }
 			return p, nil
 		},
 	})
@@ -773,8 +730,7 @@ func (s *Index) reconfigure(kind string, retrain bool) error {
 				entries = append(entries, index.Entry{Key: append([]byte(nil), k...), Value: v})
 				return true
 			})
-			old := s.load()
-			codec := old.codec
+			codec := s.load().codec
 			var sample [][]byte
 			if retrain {
 				sample = sampleKeys(entries, bulkSampleCap)
@@ -818,7 +774,6 @@ func (s *Index) reconfigure(kind string, retrain bool) error {
 				cc := codec
 				p.Validate = func() error { return keycodec.Validate(cc, sample) }
 			}
-			p.Retire = func() { old.shards, old.router, old.codec = nil, nil, nil }
 			return p, nil
 		},
 	})

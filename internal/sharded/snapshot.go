@@ -13,20 +13,16 @@ import (
 // aggregate accessors — the cross-shard composite is monotonic rather than
 // a single global instant. What the server's SNAPSHOT_* protocol needs holds
 // regardless: once Snapshot() returns, no concurrent write, merge, or bulk
-// load changes what any read against it observes, and reads hold no lock and
-// no epoch pin, so arbitrarily long snapshot scans never block writers.
+// load changes what any read against it observes, and reads hold no lock, so
+// arbitrarily long snapshot scans never block writers.
 type Snapshot struct {
 	codec  keycodec.Codec
 	router *Router
 	shards []*hybrid.Snapshot
 }
 
-// Snapshot captures a read-only view of every shard. The epoch pin covers
-// only the capture itself — it keeps the core triple from
-// being reclaimed under a concurrent codec-retraining bulk load — and is
-// dropped before the call returns.
+// Snapshot captures a read-only view of every shard of one core.
 func (s *Index) Snapshot() (*Snapshot, error) {
-	defer s.epochs.Pin().Unpin()
 	c := s.load()
 	snap := &Snapshot{
 		codec:  c.codec,

@@ -12,7 +12,6 @@ import (
 	"mets/internal/index"
 	"mets/internal/keycodec"
 	"mets/internal/keys"
-	"mets/internal/obs"
 	"mets/internal/tune"
 )
 
@@ -151,59 +150,6 @@ func TestDriftDifferential(t *testing.T) {
 	})
 	if seen != len(oracle) {
 		t.Fatalf("Scan yielded %d entries, oracle has %d", seen, len(oracle))
-	}
-}
-
-// TestGenerationSwapLeak pins the retirement contract: a retrained core's
-// codec, router, and shards must all be dropped through the epoch finalizer
-// hook once readers drain — retired generations must not accumulate.
-func TestGenerationSwapLeak(t *testing.T) {
-	cfg := tuneCfg(4)
-	cfg.AutoTune = false // drive reconfigurations by hand
-	cfg.Obs = obs.NewRegistry()
-	s := NewBTree(cfg)
-	ks := keys.TimeSeriesKeys(0, 3000, 2)
-	entries := make([]index.Entry, len(ks))
-	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
-	}
-	if err := s.BulkLoad(entries); err != nil {
-		t.Fatal(err)
-	}
-
-	old := s.load()
-	if old.codec == nil {
-		t.Fatal("trained bulk load should have installed a codec")
-	}
-	// A pinned reader holds the old generation live across the swap.
-	g := s.EpochManager().Pin()
-	if err := s.Retrain(); err != nil {
-		t.Fatal(err)
-	}
-	if s.load() == old {
-		t.Fatal("retrain did not publish a new core")
-	}
-	if old.shards == nil {
-		t.Fatal("old core reclaimed under a live pin")
-	}
-	g.Unpin()
-	s.EpochManager().Reclaim()
-	if old.shards != nil || old.router != nil || old.codec != nil {
-		t.Fatalf("retired core leaked: shards=%v router=%v codec=%v",
-			old.shards != nil, old.router != nil, old.codec != nil)
-	}
-	snap := s.Stats()
-	if snap.Counters["core_reclaims"] == 0 {
-		t.Fatal("core_reclaims counter did not advance")
-	}
-	if snap.Counters["reconfig.applied"] < 2 { // bulkload.retrain + codec.retrain
-		t.Fatalf("reconfig.applied = %d, want >= 2", snap.Counters["reconfig.applied"])
-	}
-	// The published generation serves everything.
-	for i, k := range ks {
-		if v, ok := s.Get(k); !ok || v != uint64(i) {
-			t.Fatalf("post-retrain Get(%q) = %d,%v", k, v, ok)
-		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Concurrent is the single-writer / multi-reader memtable behind the hybrid
-// index's epoch-based read path: a tower skip list whose forward links are
+// index's lock-free read path (hybrid.Config.EpochReads): a tower skip list whose forward links are
 // atomic pointers, so any number of readers may search and scan while one
 // writer (the hybrid's write mutex guarantees there is at most one) inserts
 // in place. This is the same memtable shape LevelDB and RocksDB use under

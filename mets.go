@@ -19,7 +19,6 @@
 package mets
 
 import (
-	"mets/internal/epoch"
 	"mets/internal/fst"
 	"mets/internal/hope"
 	"mets/internal/hybrid"
@@ -93,21 +92,15 @@ func UnmarshalFST(data []byte) (*FST, error) { return fst.UnmarshalTrie(data) }
 type HybridIndex = hybrid.Index
 
 // HybridConfig tunes the merge trigger and auxiliary structures. Every
-// hybrid index reads by pinning an epoch and resolving against an
-// atomically published generation, so merges never block a reader and Scan
-// callbacks may call back into the index (see DESIGN.md "Concurrency
-// model"). EpochReads additionally swaps the dynamic stage for the
+// hybrid index reads by loading an atomically published, immutable
+// generation and resolving against it, so merges never block a reader and
+// Scan callbacks may call back into the index; superseded generations are
+// left to the garbage collector (see DESIGN.md "Concurrency model").
+// EpochReads — the name is historical — only picks the dynamic stage: the
 // lock-free skip-list memtable, which makes reads wait-free end to end;
 // unset, the dynamic stage is the constructor's thesis structure behind a
-// readers-writer lock of its own. HybridSecondary ignores it. A sharded
-// index shares one EpochManager across its shards.
+// readers-writer lock of its own. HybridSecondary ignores it.
 type HybridConfig = hybrid.Config
-
-// EpochManager coordinates epoch-based reclamation of index generations.
-type EpochManager = epoch.Manager
-
-// NewEpochManager creates a manager to share across indexes (HybridConfig.Epochs).
-func NewEpochManager() *EpochManager { return epoch.NewManager() }
 
 // Hybrid index constructors over the four substrates.
 var (
@@ -295,7 +288,7 @@ var WritePrometheus = obs.WritePrometheus
 
 // FlightRecorder is the always-on bounded ring of structured engine events
 // (WAL rotations and repairs, flush/compaction commits, quarantines, journal
-// replays, epoch reclaims). Every registry carries one; durable engines dump
+// replays, generation swaps). Every registry carries one; durable engines dump
 // it to <dir>/flightrec.json on recovery, on a sticky durable error, and on
 // Close, so every crash leaves a postmortem artifact.
 type FlightRecorder = obs.FlightRecorder
