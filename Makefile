@@ -91,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecOrderPreserving$$' -fuzztime $(FUZZTIME) ./internal/keycodec
 	$(GO) test -run '^$$' -fuzz '^FuzzCodecOrderPreservingBinary$$' -fuzztime $(FUZZTIME) ./internal/keycodec
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeSearchSWAR$$' -fuzztime $(FUZZTIME) ./internal/btree
+	$(GO) test -run '^$$' -fuzz '^FuzzCompactOps$$' -fuzztime $(FUZZTIME) ./internal/btree
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplayRawSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzSSTableOpen$$' -fuzztime $(FUZZTIME) ./internal/lsm

@@ -526,7 +526,7 @@ func BenchmarkFig621_PrefixBTreeWithHOPE(b *testing.B) {
 		enc[i] = e.Encode(k)
 	}
 	enc = keys.Dedup(enc)
-	p, err := btree.NewPrefixCompact(entriesOf(enc))
+	p, err := btree.NewCompact(entriesOf(enc))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -277,7 +277,7 @@ func runHOPETree(ctx *benchContext, tree string) {
 			} else { // PrefixB+tree is static-only
 				sorted := keys.Dedup(append([][]byte(nil), encoded...))
 				start := time.Now()
-				p, err := btree.NewPrefixCompact(loadEntries(sorted))
+				p, err := btree.NewCompact(loadEntries(sorted))
 				if err != nil {
 					continue
 				}

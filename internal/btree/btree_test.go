@@ -360,62 +360,3 @@ func BenchmarkCompactGetRandInt(b *testing.B) {
 		c.Get(entries[i%len(entries)].Key)
 	}
 }
-
-func TestPrefixCompactMatchesCompact(t *testing.T) {
-	ks := keys.Dedup(keys.Emails(20000, 31))
-	entries := make([]index.Entry, len(ks))
-	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
-	}
-	p, err := NewPrefixCompact(entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range ks {
-		if v, ok := p.Get(k); !ok || v != uint64(i) {
-			t.Fatalf("prefix Get(%q) = %d,%v", k, v, ok)
-		}
-	}
-	// Absent probes and lower-bound agreement with the plain compact tree.
-	c, _ := NewCompact(entries)
-	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 2000; trial++ {
-		probe := append(append([]byte(nil), ks[rng.Intn(len(ks))]...), byte(rng.Intn(255)+1))
-		_, okP := p.Get(probe)
-		_, okC := c.Get(probe)
-		if okP != okC {
-			t.Fatalf("presence mismatch on %q", probe)
-		}
-		var firstP, firstC []byte
-		p.Scan(probe, func(k []byte, _ uint64) bool { firstP = k; return false })
-		c.Scan(probe, func(k []byte, _ uint64) bool { firstC = append([]byte(nil), k...); return false })
-		if !bytes.Equal(firstP, firstC) {
-			t.Fatalf("lower bound mismatch: %q vs %q", firstP, firstC)
-		}
-	}
-	// Front coding must beat full storage on prefix-heavy keys.
-	if p.MemoryUsage() >= c.MemoryUsage() {
-		t.Fatalf("prefix tree (%d) not smaller than compact (%d) on emails",
-			p.MemoryUsage(), c.MemoryUsage())
-	}
-}
-
-func TestPrefixCompactFullScan(t *testing.T) {
-	ks := keys.Dedup(keys.Emails(3000, 33))
-	entries := make([]index.Entry, len(ks))
-	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
-	}
-	p, _ := NewPrefixCompact(entries)
-	i := 0
-	p.Scan(nil, func(k []byte, v uint64) bool {
-		if !bytes.Equal(k, ks[i]) || v != uint64(i) {
-			t.Fatalf("prefix scan[%d] mismatch: %q vs %q", i, k, ks[i])
-		}
-		i++
-		return true
-	})
-	if i != len(ks) {
-		t.Fatalf("scan visited %d", i)
-	}
-}

@@ -93,3 +93,36 @@ func swarUpperBound(pfx []uint64, ks [][]byte, key []byte, qp uint64) int {
 	}
 	return i
 }
+
+// head4 is prefix8's 4-byte sibling for the compact trees (packed.go), whose
+// heads are taken after a node's common prefix: the first 4 bytes of k packed
+// big-endian, zero-padded on the right, ordering like the keys they
+// abbreviate. A short key ties with its own zero-extensions ("a" and
+// "a\x00"); the tie run is resolved on the full bytes.
+func head4(k []byte) uint32 {
+	if len(k) >= 4 {
+		return binary.BigEndian.Uint32(k)
+	}
+	var h uint32
+	for i, b := range k {
+		h |= uint32(b) << (24 - 8*uint(i))
+	}
+	return h
+}
+
+// countLess32 is countLess over 4-byte heads: widened to 64 bits, the borrow
+// of p-q lands in the sign bit.
+func countLess32(p []uint32, q uint32) int {
+	var a, b, c, d uint64
+	n := len(p) &^ 3
+	for i := 0; i < n; i += 4 {
+		a += (uint64(p[i]) - uint64(q)) >> 63
+		b += (uint64(p[i+1]) - uint64(q)) >> 63
+		c += (uint64(p[i+2]) - uint64(q)) >> 63
+		d += (uint64(p[i+3]) - uint64(q)) >> 63
+	}
+	for i := n; i < len(p); i++ {
+		a += (uint64(p[i]) - uint64(q)) >> 63
+	}
+	return int(a + b + c + d)
+}

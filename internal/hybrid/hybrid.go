@@ -448,6 +448,7 @@ func mergeStages(mem memtable, static index.Static) []index.Entry {
 		cur.advance()
 	}
 	if static != nil {
+		var slab keySlab
 		static.Scan(nil, func(k []byte, v uint64) bool {
 			for s := cur.peek(); s != nil; s = cur.peek() {
 				c := keys.Compare(s.Key, k)
@@ -459,7 +460,7 @@ func mergeStages(mem memtable, static index.Static) []index.Entry {
 					return true
 				}
 			}
-			merged = append(merged, index.Entry{Key: cloneKey(k), Value: v})
+			merged = append(merged, index.Entry{Key: slab.clone(k), Value: v})
 			return true
 		})
 	}

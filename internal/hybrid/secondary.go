@@ -131,6 +131,8 @@ func (s *Secondary) Update(key []byte, old, new uint64) bool {
 }
 
 // Scan visits (key, value) pairs in key order from the smallest key >= start.
+// A key is valid only during its callback (static-stage keys are lent, see
+// index.Static); copy it to retain it.
 func (s *Secondary) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -188,14 +190,13 @@ func (s *Secondary) mergeLocked() {
 	} else {
 		merged = make([]index.Entry, 0, len(dyn)+s.static.Len())
 		di := 0
+		var slab keySlab
 		s.static.Scan(nil, func(k []byte, v uint64) bool {
 			for di < len(dyn) && keys.Compare(dyn[di].Key, k) <= 0 {
 				merged = append(merged, dyn[di])
 				di++
 			}
-			kk := make([]byte, len(k))
-			copy(kk, k)
-			merged = append(merged, index.Entry{Key: kk, Value: v})
+			merged = append(merged, index.Entry{Key: slab.clone(k), Value: v})
 			return true
 		})
 		merged = append(merged, dyn[di:]...)

@@ -34,7 +34,9 @@ type Dynamic interface {
 	// Delete removes key, returning false when absent.
 	Delete(key []byte) bool
 	// Scan visits entries in key order starting at the smallest key >= start
-	// until fn returns false; it returns the number of entries visited.
+	// until fn returns false; it returns the number of entries visited. The
+	// key is lent: valid only until fn returns (the structure may reuse or
+	// later mutate its bytes) and not to be modified — copy it to retain it.
 	Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	// Len returns the number of stored entries.
 	Len() int
@@ -46,6 +48,10 @@ type Dynamic interface {
 // Static is a read-only ordered index.
 type Static interface {
 	Get(key []byte) (uint64, bool)
+	// Scan follows Dynamic.Scan, lent key included: a static structure need
+	// not hold its keys contiguously (btree.Compact stores a leaf group's
+	// common prefix once) and may rebuild each one in a buffer the scan
+	// reuses. Every caller that keeps a key clones it.
 	Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	Len() int
 	MemoryUsage() int64

@@ -34,14 +34,16 @@ type watched struct {
 	w  dstest.GCWatch
 	mu sync.Mutex
 	// newest[i] labels the latest static stage of the i-th shard ever created;
-	// the current core's shards are the last leakShards of them.
+	// the current core's shards are the last of them.
 	newest []string
 }
 
-func newWatched(reg *obs.Registry) *watched {
+func newWatched(reg *obs.Registry) *watched { return newWatchedShards(reg, leakShards) }
+
+func newWatchedShards(reg *obs.Registry, shards int) *watched {
 	ws := &watched{}
 	ws.Index = New(Config{
-		Shards:       leakShards,
+		Shards:       shards,
 		Hybrid:       hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true},
 		CodecTrainer: keycodec.HOPETrainer(hope.DoubleChar, 1<<10),
 		Obs:          reg,
@@ -92,7 +94,7 @@ func (ws *watched) leaked(patience time.Duration) []string {
 		keep = append(keep, c.codec)
 	}
 	ws.mu.Lock()
-	for _, label := range ws.newest[len(ws.newest)-leakShards:] {
+	for _, label := range ws.newest[len(ws.newest)-len(c.shards):] {
 		keep = append(keep, label)
 	}
 	ws.mu.Unlock()
@@ -151,6 +153,52 @@ func TestSupersededCoresCollected(t *testing.T) {
 	for _, e := range entries {
 		if v, ok := ws.Get(e.Key); !ok || v != e.Value+1<<32 {
 			t.Fatalf("Get(%q) = %d,%v after the swaps, want %d", e.Key, v, ok, e.Value+1<<32)
+		}
+	}
+}
+
+// TestFewerShardsReleaseOldShards shrinks the core from 8 shards to 3 (a
+// Rebalance over two live keys has only two boundaries to offer). The new
+// core's shards take over the "shard0." to "shard2." derived gauges; nothing
+// re-registers "shard3." to "shard7.", whose closures hold the five retired
+// shard indexes, so publishing the smaller core must drop them from the
+// registry or those indexes and their static stages are never collected.
+func TestFewerShardsReleaseOldShards(t *testing.T) {
+	reg := obs.NewRegistry()
+	ws := newWatchedShards(reg, 8)
+	entries := emailEntries(3000, 21)
+	if err := ws.BulkLoad(entries); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("bulkload")
+	if n := ws.NumShards(); n != 8 {
+		t.Fatalf("bulk load built %d shards, want 8", n)
+	}
+	if _, ok := reg.Snapshot().Gauges["shard7.static_len"]; !ok {
+		t.Fatal("shard7.static_len not registered while shard 7 exists")
+	}
+	for _, e := range entries[2:] {
+		ws.Delete(e.Key)
+	}
+	if err := ws.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	ws.watchCore("rebalance")
+	if n := ws.NumShards(); n != 3 {
+		t.Fatalf("rebalance over two keys built %d shards, want 3", n)
+	}
+	gauges := reg.Snapshot().Gauges
+	for i := 0; i < 8; i++ {
+		if _, ok := gauges[fmt.Sprintf("shard%d.static_len", i)]; ok != (i < 3) {
+			t.Errorf("shard%d.static_len registered = %v with 3 shards", i, ok)
+		}
+	}
+	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
+		t.Fatalf("retired shards never collected: %v", leaked)
+	}
+	for _, e := range entries[:2] {
+		if v, ok := ws.Get(e.Key); !ok || v != e.Value {
+			t.Fatalf("Get(%q) = %d,%v after the shrink, want %d", e.Key, v, ok, e.Value)
 		}
 	}
 }

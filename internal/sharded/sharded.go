@@ -276,6 +276,17 @@ func (s *Index) newCore(codec keycodec.Codec, r *Router) *core {
 	return c
 }
 
+// publish installs a rebuilt core. Its shards re-registered the "shard<i>."
+// derived gauges they share with their predecessors, but a core with fewer
+// shards leaves the higher-numbered ones behind, and each of those closures
+// holds a retired hybrid.Index with its whole static stage: drop them.
+func (s *Index) publish(next *core) {
+	old := s.core.Swap(next)
+	for i := len(next.shards); i < len(old.shards); i++ {
+		s.obs.DropGaugeFuncs(fmt.Sprintf("shard%d.", i))
+	}
+}
+
 // SyncJournals is the explicit durability barrier across every shard
 // journal. It starts the barrier on every shard before waiting on any, so
 // the shard journals' committers fsync side by side and the call costs the
@@ -665,7 +676,7 @@ func (s *Index) BulkLoad(entries []index.Entry) error {
 				return reconfig.Prepared{}, err
 			}
 			p := reconfig.Prepared{
-				Publish: func() error { s.core.Store(next); return nil },
+				Publish: func() error { s.publish(next); return nil },
 				Attrs: []obs.Attr{
 					obs.I64("entries", int64(len(entries))),
 					obs.I64("shards", int64(s.nshards)),
@@ -760,7 +771,7 @@ func (s *Index) reconfigure(kind string, retrain bool) error {
 					ops := cp.ops
 					cp.mu.Unlock()
 					replayCapture(next, ops)
-					s.core.Store(next)
+					s.publish(next)
 					s.cap.Store(nil)
 					return nil
 				},
