@@ -13,6 +13,8 @@ package art
 
 import (
 	"bytes"
+
+	"mets/internal/keys"
 )
 
 type artNode interface{ isARTNode() }
@@ -168,7 +170,7 @@ func (t *Tree) insert(ref *artNode, key []byte, depth int, value uint64) bool {
 			return false
 		}
 		// Split: make a node4 covering the common path of both keys.
-		common := commonLen(l.key[depth:], key[depth:])
+		common := keys.CommonPrefixLen(l.key[depth:], key[depth:])
 		nn := &node4{}
 		t.n4++
 		nn.prefix = cloneKey(key[depth : depth+common])
@@ -179,7 +181,7 @@ func (t *Tree) insert(ref *artNode, key []byte, depth int, value uint64) bool {
 		return true
 	}
 	h := headerOf(n)
-	common := commonLen(h.prefix, keyFrom(key, depth))
+	common := keys.CommonPrefixLen(h.prefix, keyFrom(key, depth))
 	if common < len(h.prefix) {
 		// Prefix mismatch: split the compressed path.
 		nn := &node4{}
@@ -226,18 +228,6 @@ func keyFrom(key []byte, depth int) []byte {
 		return nil
 	}
 	return key[depth:]
-}
-
-func commonLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // findChildSlot returns a settable reference to the child for byte b.

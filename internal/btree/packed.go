@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mets/internal/index"
+	"mets/internal/keys"
 	"mets/internal/par"
 )
 
@@ -41,16 +42,6 @@ type sepLevel struct {
 	plen   []uint32 // per node: length of its separators' common prefix
 }
 
-// commonPrefix returns the length of the longest common prefix of a and b.
-func commonPrefix(a, b []byte) int {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
-}
-
 // packKeys lays out the keys of sorted unique entries; when values is
 // non-nil it also receives every entry's value. Groups are independent, so
 // the arena is assembled by `workers` goroutines (0 = GOMAXPROCS) over
@@ -80,7 +71,7 @@ func packKeys(entries []index.Entry, values []uint64, workers int) (packedKeys, 
 				size += int64(len(entries[i].Key))
 			}
 			// The prefix is kept once and dropped from each of the hi-lo keys.
-			size -= int64(hi-lo-1) * int64(commonPrefix(entries[lo].Key, entries[hi-1].Key))
+			size -= int64(hi-lo-1) * int64(keys.CommonPrefixLen(entries[lo].Key, entries[hi-1].Key))
 			chunkBytes[chunk] += size
 			chunkWide[chunk] = chunkWide[chunk] || size > 1<<16-1
 			p.bases[g+1] = uint32(size) // summed below; a size that wraps fails the total check first
@@ -112,7 +103,7 @@ func packKeys(entries []index.Entry, values []uint64, workers int) (packedKeys, 
 		for g := glo; g < ghi; g++ {
 			lo, hi := g*fanout, min(g*fanout+fanout, n)
 			base := int(p.bases[g])
-			plen := commonPrefix(entries[lo].Key, entries[hi-1].Key)
+			plen := keys.CommonPrefixLen(entries[lo].Key, entries[hi-1].Key)
 			pos := base + copy(p.keyData[base:], entries[lo].Key[:plen])
 			for i := lo; i < hi; i++ {
 				suffix := entries[i].Key[plen:]
@@ -137,7 +128,7 @@ func packKeys(entries []index.Entry, values []uint64, workers int) (packedKeys, 
 		lv := sepLevel{stride: stride, heads: make([]uint32, c), plen: make([]uint32, (c+fanout-1)/fanout)}
 		for lo := 0; lo < c; lo += fanout {
 			hi := min(lo+fanout, c)
-			skip := commonPrefix(sepKey(lo), sepKey(hi-1))
+			skip := keys.CommonPrefixLen(sepKey(lo), sepKey(hi-1))
 			lv.plen[lo/fanout] = uint32(skip)
 			for i := lo; i < hi; i++ {
 				lv.heads[i] = head4(sepKey(i)[skip:])

@@ -1,6 +1,10 @@
 package hope
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"mets/internal/keys"
+)
 
 // Decoder inverts an Encoder. Search-tree queries never decode (§6.2: HOPE
 // optimizes for encoding speed), but the decoder serves the scan-emit path of
@@ -75,8 +79,14 @@ func (d *Decoder) Decode(enc []byte, nbits int) []byte {
 // extended slice. It allocates nothing when dst has capacity — the alloc-free
 // counterpart of Encoder.EncodeAppend for the scan-emit hot path.
 func (d *Decoder) DecodeAppend(dst, enc []byte, nbits int) []byte {
+	return d.decode(dst, enc, 0, nbits, nil)
+}
+
+// decode appends what enc decodes to from bit pos on; when ends is non-nil
+// it also records where every code it passes stops.
+func (d *Decoder) decode(dst, enc []byte, pos, nbits int, ends *[]codeEnd) []byte {
 	var sym [8]byte
-	for pos := 0; pos < nbits; {
+	for pos < nbits {
 		window := readWindow(enc, pos)
 		i := d.codes.floor(window)
 		if i < 0 {
@@ -90,6 +100,9 @@ func (d *Decoder) DecodeAppend(dst, enc []byte, nbits int) []byte {
 		binary.BigEndian.PutUint64(sym[:], s.sym)
 		dst = append(dst, sym[:s.symLen]...)
 		pos += int(s.codeLen)
+		if ends != nil {
+			*ends = append(*ends, codeEnd{bit: int32(pos), out: int32(len(dst))})
+		}
 	}
 	return dst
 }
@@ -103,4 +116,56 @@ func readWindow(enc []byte, pos int) uint64 {
 		v |= uint64(enc[bi+8]) >> (8 - off)
 	}
 	return v
+}
+
+// RunDecoder decodes a run of encoded keys, resuming each one where it stops
+// sharing bits with the one before — the decode twin of Encoder.EncodeBatch.
+// It keeps the previous encoded key, its decoded bytes and where each of its
+// codes ended. Codes are prefix-free, so a code that ends inside the bits two
+// keys share decodes identically in both: the next key starts from the last
+// such end instead of from bit 0. That is correct for any input order; it
+// saves work only when neighbours share a prefix, as the keys a range scan
+// emits do (sorted emails share about two thirds of their bits). Not safe for
+// concurrent use; a Decoder hands out any number of them.
+type RunDecoder struct {
+	d    *Decoder
+	enc  []byte    // previous encoded key
+	out  []byte    // its decoded bytes
+	ends []codeEnd // ends[i]: where its (i+1)-th code stopped
+	// First backing arrays of the three slices above, so a run over short
+	// keys costs the one allocation of this struct.
+	encBuf  [64]byte
+	outBuf  [96]byte
+	endsBuf [48]codeEnd
+}
+
+// codeEnd is the state of a decode just after one code: the bit position
+// reached in the encoded key and the bytes decoded so far.
+type codeEnd struct{ bit, out int32 }
+
+// NewRun returns a run decoder with no previous key.
+func (d *Decoder) NewRun() *RunDecoder {
+	r := &RunDecoder{d: d}
+	r.enc, r.out, r.ends = r.encBuf[:0], r.outBuf[:0], r.endsBuf[:0]
+	return r
+}
+
+// Next decodes enc, a whole encoded key as Encoder.Encode returns it, and
+// returns the source string: what Decoder.DecodeAppend(nil, enc, len(enc)*8)
+// returns, in a buffer the decoder owns — valid until the next call and not
+// to be modified.
+func (r *RunDecoder) Next(enc []byte) []byte {
+	shared := keys.CommonPrefixBits(r.enc, enc)
+	keep := len(r.ends)
+	for keep > 0 && int(r.ends[keep-1].bit) > shared {
+		keep--
+	}
+	pos, n := 0, 0
+	if keep > 0 {
+		pos, n = int(r.ends[keep-1].bit), int(r.ends[keep-1].out)
+	}
+	r.ends = r.ends[:keep]
+	r.enc = append(r.enc[:shared/8], enc[shared/8:]...)
+	r.out = r.d.decode(r.out[:n], enc, pos, len(enc)*8, &r.ends)
+	return r.out
 }

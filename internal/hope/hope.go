@@ -21,6 +21,8 @@ package hope
 import (
 	"fmt"
 	"time"
+
+	"mets/internal/keys"
 )
 
 // Scheme selects a compression scheme.
@@ -224,7 +226,7 @@ func (e *Encoder) EncodeBatch(sorted [][]byte) [][]byte {
 	var prevKey, prevBuf []byte
 	var prev, cur marks // symbol boundaries of the previous and current key
 	for i, key := range sorted {
-		lcp := commonPrefixLen(prevKey, key)
+		lcp := keys.CommonPrefixLen(prevKey, key)
 		// Find the last previous symbol boundary far enough inside the
 		// common prefix that the dictionary cannot distinguish the two keys
 		// from there.

@@ -107,7 +107,7 @@ func appendGapIntervals(out []interval, lo, hi []byte) []interval {
 		}
 		return out
 	}
-	c := commonPrefixLen(lo, hi)
+	c := keys.CommonPrefixLen(lo, hi)
 	if c == len(lo) {
 		// lo is a prefix of hi: every string in [lo, hi) starts with lo.
 		out = append(out, interval{lo: lo, symbol: lo})
@@ -128,18 +128,6 @@ func appendGapIntervals(out []interval, lo, hi []byte) []interval {
 		out = appendGapIntervals(out, tail, hi)
 	}
 	return out
-}
-
-func commonPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 // collectGrams counts fixed-length n-grams in the sample (stride n, matching

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"mets/internal/bloom"
 	"mets/internal/index"
+	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/obs"
 	"mets/internal/skiplist"
@@ -70,64 +71,22 @@ func (g *gen) lower(key []byte) (uint64, bool) {
 	return 0, false
 }
 
-// dynChunk is how many entries a scan cursor buffers at a time; short scans
-// (the YCSB-E common case) then touch only O(scan length) entries. A
-// memtable cursor starts at memChunk and doubles up to dynChunk: the dynamic
-// stage holds about 1/MergeRatio of the entries, so a short scan consumes
-// few of its states, and each one visited is a cache miss.
+// dynChunk caps how many states a memtable cursor buffers at a time. A cursor
+// starts at memChunk and doubles up to the cap: the dynamic stage holds about
+// 1/MergeRatio of the entries, so a short scan (the YCSB-E common case)
+// consumes few of its states, and each one visited is a cache miss.
 const (
 	dynChunk = 64
 	memChunk = 8
 )
 
-// stateScan is the ordered-iteration shape every stage is read through
-// (memtable.ScanStates; a static stage adapts with no tombstones).
+// stateScan is the ordered-iteration shape a memtable is read through
+// (memtable.ScanStates).
 type stateScan func(start []byte, fn func(key []byte, value uint64, tomb bool) bool) int
 
-// cloneKey copies a key a stage only lends for the duration of a callback.
-// make+copy rather than append: no size-class rounding on the scan hot path.
-func cloneKey(k []byte) []byte {
-	kk := make([]byte, len(k))
-	copy(kk, k)
-	return kk
-}
-
-// keySlab clones the keys a static stage lends (index.Static) into shared
-// buffers: one allocation per slab, not one per key — a million fewer in a
-// full merge, 64 fewer in a scan-cursor refill. A slab that cannot take the
-// next key is left to the keys already cut from it and a larger one started,
-// so every clone stays valid for as long as it is referenced; the keys of one
-// slab are collected together.
-type keySlab struct{ buf []byte }
-
-const (
-	slabMin = 1 << 10 // a 64-entry refill of short keys fits
-	slabMax = 1 << 20
-)
-
-func (s *keySlab) clone(k []byte) []byte {
-	if len(k) > cap(s.buf)-len(s.buf) {
-		size := min(max(2*cap(s.buf), slabMin), slabMax)
-		s.buf = make([]byte, 0, max(size, len(k)))
-	}
-	n := len(s.buf)
-	s.buf = append(s.buf, k...)
-	return s.buf[n:len(s.buf):len(s.buf)]
-}
-
-// staticStates adapts a static stage to the cursor's shape; one slab serves
-// all of a cursor's refills.
-func staticStates(st index.Static) stateScan {
-	var slab keySlab
-	return func(start []byte, fn func([]byte, uint64, bool) bool) int {
-		return st.Scan(start, func(k []byte, v uint64) bool {
-			return fn(slab.clone(k), v, false)
-		})
-	}
-}
-
-// cursor pulls a stage's sorted states lazily in chunks, so no stage lock is
-// ever held while the scan's consumer runs.
+// cursor pulls a memtable's sorted states lazily in chunks, so no memtable
+// lock is ever held while the scan's consumer runs. Each refill is an atomic
+// view of its memtable.
 type cursor struct {
 	scan  stateScan
 	buf   []skiplist.StateEntry
@@ -147,11 +106,11 @@ func (c *cursor) fill() {
 	c.buf = c.buf[:0]
 	c.i = 0
 	limit := c.chunk
-	if c.chunk < dynChunk { // only a memtable cursor starts below the cap
+	if c.chunk < dynChunk { // a merge's cursor starts above the cap and stays there
 		c.chunk *= 2
 	}
 	c.scan(c.next, func(k []byte, v uint64, tomb bool) bool {
-		if c.buf == nil { // sized once, and not at all for an empty stage
+		if c.buf == nil { // sized once, and not at all for an empty memtable
 			c.buf = make([]skiplist.StateEntry, 0, limit)
 		}
 		c.buf = append(c.buf, skiplist.StateEntry{Key: k, Value: v, Tomb: tomb})
@@ -183,45 +142,119 @@ func (c *cursor) peek() *skiplist.StateEntry {
 
 func (c *cursor) advance() { c.i++ }
 
-// scan merges the stages on the fly from the smallest key >= start: on equal
-// keys the uppermost stage wins, and a tombstone there suppresses the key
-// altogether. Each cursor refill is an atomic view of its stage; fn runs
-// with no stage lock held.
+// memStack is the memtables above a static stage, uppermost first, read as
+// one sorted stream of states: on equal keys the uppermost memtable's state
+// is the one seen and the copies below it are consumed with it.
+type memStack []*cursor
+
+// peek returns the smallest state at the head of the stack, or nil when every
+// memtable is exhausted; the strict comparison keeps the uppermost on ties.
+func (ms memStack) peek() *skiplist.StateEntry {
+	var best *skiplist.StateEntry
+	for _, c := range ms {
+		if e := c.peek(); e != nil && (best == nil || keys.Compare(e.Key, best.Key) < 0) {
+			best = e
+		}
+	}
+	return best
+}
+
+// pop consumes s, the state peek just returned, and the copies of its key in
+// the memtables below the one it came from.
+func (ms memStack) pop(s *skiplist.StateEntry) {
+	for _, c := range ms {
+		if p := c.peek(); p == s || (p != nil && keys.Compare(p.Key, s.Key) == 0) {
+			c.advance()
+		}
+	}
+}
+
+// walker is the state of one walk.
+type walker struct {
+	ms memStack
+	// next is ms.peek(): the smallest memtable state not yet consumed, nil
+	// when there is none. Kept here, not re-derived per static key — most
+	// static keys sort below it and cost one comparison.
+	next  *skiplist.StateEntry
+	fn    func(key []byte, value uint64) bool
+	count int  // entries fn has seen
+	more  bool // fn has not stopped the walk
+}
+
+// walk is the one ordered walk over a generation's stages, shared by scans
+// and merges: it visits, in key order from the smallest key >= start, every
+// live entry of the memtables in ms layered over static (nil: no static
+// stage), and returns how many fn saw. A memtable state shadows the static
+// entry with the same key — replacing it when live, deleting it when a
+// tombstone. The static stage drives: it is immutable, so it is scanned once,
+// from one seek, and pushes its entries, while the memtable cursors are
+// pulled beside it; whatever they still hold when the stage ends is drained
+// after it. fn runs with no memtable lock held and stops the walk by
+// returning false. own, when non-nil, clones the keys the static stage lends
+// before fn sees them (a merge keeps every key; a memtable's keys may be kept
+// as they are); otherwise fn gets the lent key (index.Static.Scan).
+func walk(ms memStack, static index.Static, start []byte, own *keys.Slab, fn func(key []byte, value uint64) bool) int {
+	w := &walker{ms: ms, next: ms.peek(), fn: fn, more: true}
+	if static != nil {
+		// For each static key: the memtable states below it go first, and one
+		// equal to it shadows it.
+		static.Scan(start, func(k []byte, v uint64) bool {
+			for w.next != nil {
+				c := keys.Compare(w.next.Key, k)
+				if c > 0 {
+					break
+				}
+				if w.take(); !w.more || c == 0 {
+					return w.more
+				}
+			}
+			if own != nil {
+				k = own.Clone(k)
+			}
+			w.emit(k, v)
+			return w.more
+		})
+	}
+	for w.more && w.next != nil {
+		w.take()
+	}
+	return w.count
+}
+
+func (w *walker) emit(key []byte, value uint64) {
+	w.count++
+	w.more = w.fn(key, value)
+}
+
+// take emits the memtable state next, unless it is a tombstone, and consumes
+// it in every memtable.
+func (w *walker) take() {
+	if s := w.next; !s.Tomb {
+		w.emit(s.Key, s.Value)
+	}
+	w.ms.pop(w.next)
+	w.next = w.ms.peek()
+}
+
+// scan visits the generation's live entries from the smallest key >= start
+// and returns how many fn saw. Keys are lent for the callback: one that comes
+// from the static stage is rebuilt in a buffer the stage scan reuses.
 func (g *gen) scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	curs := make([]*cursor, 0, 3)
-	curs = append(curs, newCursor(g.mem.ScanStates, start, memChunk))
+	ms := memStack{newCursor(g.mem.ScanStates, start, memChunk)}
 	if g.frozen != nil {
-		curs = append(curs, newCursor(g.frozen.ScanStates, start, memChunk))
+		ms = append(ms, newCursor(g.frozen.ScanStates, start, memChunk))
 	}
-	if g.static != nil {
-		curs = append(curs, newCursor(staticStates(g.static), start, dynChunk))
+	return walk(ms, g.static, start, nil, fn)
+}
+
+// scanN collects up to n live entries from the smallest key >= start as
+// copies the caller may keep; c is the codec the generation's keys are stored
+// under (nil: raw), and start is in raw key space.
+func (g *gen) scanN(c keycodec.Codec, start []byte, n int) []index.Entry {
+	if n <= 0 {
+		return nil
 	}
-	count := 0
-	for {
-		// Smallest head key; the strict comparison keeps the uppermost stage
-		// on ties.
-		var best *skiplist.StateEntry
-		for _, c := range curs {
-			if e := c.peek(); e != nil && (best == nil || keys.Compare(e.Key, best.Key) < 0) {
-				best = e
-			}
-		}
-		if best == nil {
-			return count
-		}
-		e := *best
-		// Consume the winner and every shadowed copy of the same key.
-		for _, c := range curs {
-			if p := c.peek(); p != nil && keys.Compare(p.Key, e.Key) == 0 {
-				c.advance()
-			}
-		}
-		if e.Tomb {
-			continue
-		}
-		count++
-		if !fn(e.Key, e.Value) {
-			return count
-		}
-	}
+	col := keycodec.NewCollector(c, n)
+	g.scan(keycodec.Bound(c, start), col.Emit)
+	return col.Entries()
 }

@@ -87,9 +87,8 @@ type Config struct {
 	// boundary of every operation, the frozen static structures are built
 	// over encoded keys, and scans decode on emit. The codec is frozen for
 	// the index's lifetime, so every merge generation shares one encoded
-	// space. With a codec active, keys handed to Scan callbacks are only
-	// valid for the duration of the callback (they live in a reused decode
-	// buffer); ScanN and Iterator still return retainable copies.
+	// space. (Keys handed to Scan callbacks are lent with or without a
+	// codec; ScanN and Iterator return retainable copies.)
 	Codec keycodec.Codec
 	// Dir, when non-empty, makes the index journal every successful write to
 	// a segmented op journal in that directory and replay it on New, so the
@@ -391,14 +390,17 @@ func (h *Index) Delete(key []byte) bool {
 }
 
 // Scan visits live entries in key order from the smallest key >= start,
-// merging the stages on the fly. Upper-stage entries shadow lower-stage
-// entries with equal keys; tombstones suppress lower-stage entries. The scan
-// stays on the generation it loaded for its whole duration — that keeps the
-// generation's stages alive, blocks nobody, and fn may call back into h.
-// Each stage is read in chunks, so the scan is consistent per chunk, not
-// across its whole length. With a codec configured the emitted key lives in
-// a reused decode buffer and is only valid during the callback (copy to
-// retain); without one, keys may be retained but not modified.
+// merging the stages on the fly (gen.go, walk). Upper-stage entries shadow
+// lower-stage entries with equal keys; tombstones suppress lower-stage
+// entries. The scan stays on the generation it loaded for its whole duration
+// — that keeps the generation's stages alive, blocks nobody, and fn may call
+// back into h. The static stage of that generation is immutable and is read
+// as it stood; the memtables above it are read in chunks, each an atomic view
+// of its memtable, so what the scan sees of concurrent writes is consistent
+// per chunk, not across its whole length. The key is lent, as in
+// index.Static.Scan: valid only until fn returns (it lives in a buffer the
+// stage scan or the decoder reuses) and not to be modified — copy it to
+// retain it, or use ScanN.
 func (h *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	start, fn = keycodec.ScanEncoded(h.codec, start, fn)
 	h.obsScan.Inc()
@@ -430,43 +432,22 @@ func (h *Index) maybeMergeLocked(g *gen) {
 // noise against the rebuild.
 const mergeChunk = 1024
 
-// mergeStages produces the sorted live entries of mem layered over static: a
-// memtable state shadows the static entry with the same key — replacing it
-// when live, deleting it when a tombstone. The memtable is streamed, never
-// materialized; it must be quiescent (sealed, or the caller holds mu).
+// mergeStages produces the sorted live entries of mem layered over static —
+// the walk a scan does (gen.go), from the beginning and keeping every key:
+// the keys the static stage lends are cloned into one slab. The memtable is
+// streamed, never materialized; it must be quiescent (sealed, or the caller
+// holds mu).
 func mergeStages(mem memtable, static index.Static) []index.Entry {
 	n := mem.Len()
 	if static != nil {
 		n += static.Len()
 	}
 	merged := make([]index.Entry, 0, n)
-	cur := newCursor(mem.ScanStates, nil, mergeChunk)
-	take := func(s *skiplist.StateEntry) {
-		if !s.Tomb {
-			merged = append(merged, index.Entry{Key: s.Key, Value: s.Value})
-		}
-		cur.advance()
-	}
-	if static != nil {
-		var slab keySlab
-		static.Scan(nil, func(k []byte, v uint64) bool {
-			for s := cur.peek(); s != nil; s = cur.peek() {
-				c := keys.Compare(s.Key, k)
-				if c > 0 {
-					break
-				}
-				take(s)
-				if c == 0 {
-					return true
-				}
-			}
-			merged = append(merged, index.Entry{Key: slab.clone(k), Value: v})
-			return true
-		})
-	}
-	for s := cur.peek(); s != nil; s = cur.peek() {
-		take(s)
-	}
+	var slab keys.Slab
+	walk(memStack{newCursor(mem.ScanStates, nil, mergeChunk)}, static, nil, &slab, func(k []byte, v uint64) bool {
+		merged = append(merged, index.Entry{Key: k, Value: v})
+		return true
+	})
 	return merged
 }
 

@@ -8,30 +8,15 @@ import (
 
 // This file exports the stage-snapshot hooks that layered consumers (the
 // range-sharded index in internal/sharded, bulk loaders) build on: a chunked
-// Iterator that holds no generation across user code, a bounded ScanN
-// collector, direct frozen-stage introspection, and BulkLoad.
+// Iterator that holds no generation across user code, the bounded ScanN,
+// direct frozen-stage introspection, and BulkLoad.
 
 // ScanN collects up to n live entries in key order starting at the smallest
-// key >= start. One call reads one generation, and the returned entries may
-// be retained.
+// key >= start. One call reads one generation, and the returned entries are
+// copies the caller may retain.
 func (h *Index) ScanN(start []byte, n int) []index.Entry {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]index.Entry, 0, minInt(n, 1024))
-	// Without a codec, Scan hands out keys no stage modifies afterwards
-	// (memtable.ScanStates' contract; static keys are copied per refill), so
-	// retaining them without another copy is safe. With a codec, Scan emits
-	// from a reused decode buffer and the key must be copied out.
-	copyKeys := h.codec != nil
-	h.Scan(start, func(k []byte, v uint64) bool {
-		if copyKeys {
-			k = append([]byte(nil), k...)
-		}
-		out = append(out, index.Entry{Key: k, Value: v})
-		return len(out) < n
-	})
-	return out
+	h.obsScan.Inc()
+	return h.gen.Load().scanN(h.codec, start, n)
 }
 
 // LowerBound returns the smallest live entry with key >= start (the
@@ -158,11 +143,4 @@ func (h *Index) BulkLoad(entries []index.Entry) error {
 	h.publishLocked(next, reconfig.Prepared{})
 	h.live.Store(int64(len(entries)))
 	return h.jresetLocked(entries)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

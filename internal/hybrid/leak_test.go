@@ -201,14 +201,20 @@ func TestParkedScanKeepsItsGeneration(t *testing.T) {
 			}
 			watchGen(&w, h, "bulkload")
 
+			// The merge in between (static#2, mem@merge) has no reader and must
+			// go — given as long as a loaded host needs to run the cycles a
+			// finalizer chain takes; static#1 and the parked memtable are still
+			// to be read and must survive them.
+			reading := []any{"gen@parked", "mem@parked", "filter@parked", "static#1"}
+			if leaked := w.Leaked(5*time.Second, append(current(h), reading...)...); len(leaked) != 0 {
+				t.Fatalf("superseded with no reader, yet uncollected while the scan is parked: %v", leaked)
+			}
 			held := map[string]bool{}
 			for _, l := range w.Leaked(20*time.Millisecond, current(h)...) {
 				held[l] = true
 			}
-			// static#1 and the parked memtable are still to be read; the merge
-			// in between (static#2, mem@merge) has no reader and must be gone.
-			if !held["static#1"] || !held["mem@parked"] || held["static#2"] || held["mem@merge"] {
-				t.Fatalf("while parked the collector holds %v; want static#1 and mem@parked, not static#2 or mem@merge", held)
+			if !held["static#1"] || !held["mem@parked"] {
+				t.Fatalf("while parked the collector holds %v; want static#1 and mem@parked among them", held)
 			}
 
 			close(release)

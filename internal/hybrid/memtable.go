@@ -99,15 +99,16 @@ func (m *lockedMem) Tomb(key []byte) bool {
 }
 
 // ScanStates interleaves the live entries with the tombstone set. Keys are
-// copied before fn sees them (the structures reuse or mutate theirs), and
-// the tombstones are pulled through a chunked cursor so a short scan over a
-// delete-heavy memtable does not walk the whole set.
+// cloned (into one slab per call) before fn sees them — the structures reuse
+// or mutate theirs — and the tombstones are pulled through a chunked cursor
+// so a short scan over a delete-heavy memtable does not walk the whole set.
 func (m *lockedMem) ScanStates(start []byte, fn func(key []byte, value uint64, tomb bool) bool) int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	var slab keys.Slab
 	tombs := newCursor(func(start []byte, fn func([]byte, uint64, bool) bool) int {
 		return m.tombs.Scan(start, func(k []byte, _ uint64) bool {
-			return fn(cloneKey(k), 0, true)
+			return fn(slab.Clone(k), 0, true)
 		})
 	}, start, memChunk)
 	n, more := 0, true
@@ -123,7 +124,7 @@ func (m *lockedMem) ScanStates(start []byte, fn func(key []byte, value uint64, t
 				return false
 			}
 		}
-		return emit(cloneKey(k), v, false)
+		return emit(slab.Clone(k), v, false)
 	})
 	for e := tombs.peek(); more && e != nil; e = tombs.peek() {
 		tombs.advance()

@@ -190,13 +190,13 @@ func (s *Secondary) mergeLocked() {
 	} else {
 		merged = make([]index.Entry, 0, len(dyn)+s.static.Len())
 		di := 0
-		var slab keySlab
+		var slab keys.Slab
 		s.static.Scan(nil, func(k []byte, v uint64) bool {
 			for di < len(dyn) && keys.Compare(dyn[di].Key, k) <= 0 {
 				merged = append(merged, dyn[di])
 				di++
 			}
-			merged = append(merged, index.Entry{Key: slab.clone(k), Value: v})
+			merged = append(merged, index.Entry{Key: slab.Clone(k), Value: v})
 			return true
 		})
 		merged = append(merged, dyn[di:]...)

@@ -68,10 +68,8 @@ func (s *Snapshot) Get(key []byte) (uint64, bool) {
 }
 
 // Scan visits the snapshot's live entries in key order from the smallest
-// key >= start, merging the captured stages exactly as the live Scan does.
-// With a codec the emitted key lives in a reused decode buffer and is only
-// valid during the callback; otherwise keys reference the captured
-// (immutable) stages and may be retained.
+// key >= start, merging the captured stages exactly as the live Scan does;
+// the key is lent for the callback, as there.
 func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	start, fn = keycodec.ScanEncoded(s.codec, start, fn)
 	return s.g.scan(start, fn)
@@ -80,13 +78,5 @@ func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) in
 // ScanN collects up to n snapshot entries from the smallest key >= start;
 // the returned entries are fresh copies the caller may retain.
 func (s *Snapshot) ScanN(start []byte, n int) []index.Entry {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]index.Entry, 0, minInt(n, 1024))
-	s.Scan(start, func(k []byte, v uint64) bool {
-		out = append(out, index.Entry{Key: append([]byte(nil), k...), Value: v})
-		return len(out) < n
-	})
-	return out
+	return s.g.scanN(s.codec, start, n)
 }

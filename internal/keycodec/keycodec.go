@@ -194,23 +194,3 @@ func HOPETrainer(scheme hope.Scheme, dictLimit int, opts ...hope.Option) Trainer
 		return TrainHOPE(sample, scheme, dictLimit, opts...)
 	}
 }
-
-// ScanEncoded maps a raw-space scan request onto an index that stores keys
-// in c's encoded space: the scan itself runs entirely encoded (a codec is a
-// strict monotone injection, so the encoded start bound selects exactly the
-// encodings of keys >= start) and only the emit decodes, into one reused
-// buffer — the key handed to fn is valid only during the callback. A nil
-// codec (keys stored raw) passes both through untouched.
-func ScanEncoded(c Codec, start []byte, fn func(key []byte, value uint64) bool) ([]byte, func([]byte, uint64) bool) {
-	if c == nil {
-		return start, fn
-	}
-	if start != nil {
-		start = c.EncodeBound(start)
-	}
-	var scratch []byte
-	return start, func(k []byte, v uint64) bool {
-		scratch = c.DecodeAppend(scratch[:0], k)
-		return fn(scratch, v)
-	}
-}

@@ -101,7 +101,16 @@ func (w *instrumented) EncodeAppend(dst, key []byte) []byte {
 	return out
 }
 
-func (w *instrumented) EncodeBound(key []byte) []byte { return w.inner.EncodeBound(key) }
+// EncodeBound is accounted like Encode: a scan's start bound is an encode the
+// caller pays for, and the compression-rate detector reads these counters.
+func (w *instrumented) EncodeBound(key []byte) []byte {
+	t0 := sampleStart()
+	out := w.inner.EncodeBound(key)
+	observeSince(w.encodeLat, t0)
+	w.srcBytes.Add(int64(len(key)))
+	w.encBytes.Add(int64(len(out)))
+	return out
+}
 
 func (w *instrumented) Decode(enc []byte) []byte {
 	t0 := sampleStart()

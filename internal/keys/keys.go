@@ -8,6 +8,7 @@ package keys
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -60,6 +61,28 @@ func Compare(a, b []byte) int {
 	return 0
 }
 
+// CommonPrefixBits returns how many leading bits a and b share, up to the end
+// of the shorter one, comparing eight bytes at a time.
+func CommonPrefixBits(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.BigEndian.Uint64(a[i:]) ^ binary.BigEndian.Uint64(b[i:]); x != 0 {
+			return i*8 + bits.LeadingZeros64(x)
+		}
+	}
+	for ; i < n; i++ {
+		if x := a[i] ^ b[i]; x != 0 {
+			return i*8 + bits.LeadingZeros8(x)
+		}
+	}
+	return n * 8
+}
+
+// CommonPrefixLen returns the length in bytes of the longest common prefix
+// of a and b.
+func CommonPrefixLen(a, b []byte) int { return CommonPrefixBits(a, b) / 8 }
+
 // Successor returns the smallest key strictly greater than all keys having k
 // as a prefix: k with its last byte incremented (carrying into shorter keys
 // when the byte is 0xFF). Returns nil when no such key exists (k is all
@@ -83,6 +106,34 @@ func Next(k []byte) []byte {
 	out := make([]byte, len(k)+1)
 	copy(out, k)
 	return out
+}
+
+// Slab clones keys that are only lent to the caller (index.Static.Scan, a
+// decoder's buffer) into shared buffers: one allocation per slab, not one per
+// key. A slab that cannot take the next key is left to the keys already cut
+// from it and a larger one started, so every clone stays valid for as long as
+// it is referenced; the keys of one slab are collected together. The zero
+// Slab is ready to use and starts at 1 KiB.
+type Slab struct{ buf []byte }
+
+const (
+	slabMin = 1 << 10
+	slabMax = 1 << 20
+)
+
+// NewSlab returns a slab whose first buffer holds size bytes, for a caller
+// that can estimate what it is about to clone.
+func NewSlab(size int) Slab { return Slab{buf: make([]byte, 0, size)} }
+
+// Clone returns a copy of k that nothing else writes to.
+func (s *Slab) Clone(k []byte) []byte {
+	if len(k) > cap(s.buf)-len(s.buf) {
+		size := min(max(2*cap(s.buf), slabMin), slabMax)
+		s.buf = make([]byte, 0, max(size, len(k)))
+	}
+	n := len(s.buf)
+	s.buf = append(s.buf, k...)
+	return s.buf[n:len(s.buf):len(s.buf)]
 }
 
 // Dedup sorts ks in place and removes duplicates, returning the compacted

@@ -323,22 +323,13 @@ func (t *Table) CountBySecondary(name string, key []byte) int {
 
 // Scan visits tuples in primary-key order from the smallest key >= start
 // (encoding preserves order, so encoded-space iteration IS primary-key
-// order). With a codec the emitted key is decoded into a reused scratch
-// buffer and is valid only for the duration of the callback.
+// order). The key is lent: valid only for the duration of the callback (with
+// a codec it lives in the scan's decode buffer).
 func (t *Table) Scan(start []byte, fn func(key, payload []byte) bool) int {
-	if t.codec == nil {
-		return t.primary.Scan(start, func(k []byte, id uint64) bool {
-			return fn(k, t.fetch(id))
-		})
-	}
-	if start != nil {
-		start = t.codec.EncodeBound(start)
-	}
-	var scratch []byte
-	return t.primary.Scan(start, func(k []byte, id uint64) bool {
-		scratch = t.codec.DecodeAppend(scratch[:0], k)
-		return fn(scratch, t.fetch(id))
+	start, emit := keycodec.ScanEncoded(t.codec, start, func(k []byte, id uint64) bool {
+		return fn(k, t.fetch(id))
 	})
+	return t.primary.Scan(start, emit)
 }
 
 // Len returns the number of live tuples.

@@ -57,25 +57,14 @@ func (tx *ReadTx) GetID(table string, key []byte) (uint64, bool) {
 }
 
 // ScanIDs visits (key, tuple id) pairs in primary-key order from the
-// smallest key >= start at snapshot time. With a codec the emitted key is
-// decoded into a reused scratch buffer and is valid only during the
-// callback.
+// smallest key >= start at snapshot time. The key is lent: valid only during
+// the callback.
 func (tx *ReadTx) ScanIDs(table string, start []byte, fn func(key []byte, id uint64) bool) int {
 	v := tx.views[table]
 	if v == nil {
 		return 0
 	}
-	if v.codec != nil {
-		if start != nil {
-			start = v.codec.EncodeBound(start)
-		}
-		inner := fn
-		var scratch []byte
-		fn = func(k []byte, id uint64) bool {
-			scratch = v.codec.DecodeAppend(scratch[:0], k)
-			return inner(scratch, id)
-		}
-	}
+	start, fn = keycodec.ScanEncoded(v.codec, start, fn)
 	if v.snap != nil {
 		return v.snap.Scan(start, fn)
 	}

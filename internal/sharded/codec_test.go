@@ -211,7 +211,7 @@ func TestBulkLoadWithTrainer(t *testing.T) {
 	// Cross-boundary scans decode back to raw keys in global order.
 	for _, off := range []int{0, 100, len(ks)/2 - 3, len(ks) - 10} {
 		got := s.ScanN(ks[off], 900)
-		want := ks[off:minInt(off+900, len(ks))]
+		want := ks[off:min(off+900, len(ks))]
 		if len(got) != len(want) {
 			t.Fatalf("ScanN(%q) returned %d entries, want %d", ks[off], len(got), len(want))
 		}

@@ -30,8 +30,8 @@ func TestObsOverheadGuard(t *testing.T) {
 		attempts = 5 // the codec's counters and sampled timers cost 6-8% here
 		maxRatio = 1.10
 	)
-	plain, ks := newLibReadIndex(t, nKeys, nil)
-	instr, _ := newLibReadIndex(t, nKeys, obs.NewRegistry())
+	plain, ks := newLibReadIndex(t, nKeys, nil, true)
+	instr, _ := newLibReadIndex(t, nKeys, obs.NewRegistry(), true)
 
 	var sink uint64
 	measure := func(s *Index) float64 {

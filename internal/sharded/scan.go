@@ -8,22 +8,23 @@ import (
 	"mets/internal/keys"
 )
 
-// Range scans walk the shards in router order. Each shard is walked through a
-// chunked hybrid.Iterator that reads its shard's generation only during a
-// refill, so no shard state is held while the caller's callback runs and the
-// callback may call back into the index. Consistency is chunk-granular: each
-// refill reads one generation of its shard.
+// Range scans walk the shards in router order. Because the Router assigns
+// shards disjoint, ordered key ranges, visiting shards in index order and
+// concatenating their streams IS the ordered merge. Scan and ScanN both
+// exploit that lazily: a shard is touched only once the shards before it are
+// exhausted, so a short scan satisfied by one shard never reads the others.
 //
-// Because the Router assigns shards disjoint, ordered key ranges, visiting
-// shards in index order and concatenating their streams IS the ordered merge.
-// Scan and ScanN both exploit that lazily: a shard is touched only once the
-// shards before it are exhausted, so a short scan satisfied by one shard
-// never reads the others, and ScanN asks each shard only for the entries
-// still missing.
+// Scan, which runs the caller's callback for an unbounded time, walks each
+// shard through a chunked hybrid.Iterator that reads its shard's generation
+// only during a refill: no shard state is held while the callback runs, the
+// callback may call back into the index, and consistency is chunk-granular
+// (each refill reads one generation of its shard). ScanN runs no caller code:
+// each shard's own Scan lends its keys to one collector (scanN) and stays on
+// one generation for the few entries it contributes.
 //
 // With a codec active the routing and the walk happen in encoded space
 // (encoding is strictly monotone, so encoded order IS key order); keys are
-// decoded once on emit.
+// decoded once on emit, through keycodec's run decoder.
 
 // Scan visits live entries in key order from the smallest key >= start,
 // walking the shards lazily in range order (see the file comment for why
@@ -62,33 +63,31 @@ func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 // style short scans with a known limit); use Scan for unbounded iteration.
 // Returned keys are fresh copies in raw (decoded) space.
 func (s *Index) ScanN(start []byte, n int) []index.Entry {
+	c := s.load()
+	return scanN(c.codec, c.router, c.shards, start, n)
+}
+
+// scanN is ScanN over the shards of a live core or of a snapshot: each shard
+// in turn lends its (encoded) keys to one collector, which decodes and copies
+// only what is returned — no shard materializes entries of its own.
+func scanN[S interface {
+	Scan(start []byte, fn func(key []byte, value uint64) bool) int
+}](codec keycodec.Codec, r *Router, shards []S, start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
 	}
-	c := s.load()
-	if c.codec != nil && start != nil {
-		start = c.codec.EncodeBound(start)
-	}
+	col := keycodec.NewCollector(codec, n)
+	start = keycodec.Bound(codec, start)
 	first := 0
 	if start != nil {
-		first = c.router.Shard(start)
+		first = r.Shard(start)
 	}
 	// start precedes every key of the shards after the first, so it is a
 	// valid (if loose) lower bound for all of them.
-	out := c.shards[first].ScanN(start, n)
-	for i := first + 1; i < len(c.shards) && len(out) < n; i++ {
-		out = append(out, c.shards[i].ScanN(start, n-len(out))...)
+	for i := first; i < len(shards) && !col.Full(); i++ {
+		shards[i].Scan(start, col.Emit)
 	}
-	if c.codec != nil {
-		// Decode through one scratch buffer so every returned key is a
-		// single exact-size allocation.
-		var scratch []byte
-		for i := range out {
-			scratch = c.codec.DecodeAppend(scratch[:0], out[i].Key)
-			out[i].Key = append([]byte(nil), scratch...)
-		}
-	}
-	return out
+	return col.Entries()
 }
 
 // LowerBound returns the smallest live entry with key >= start; the key is a
@@ -104,11 +103,4 @@ func (s *Index) LowerBound(start []byte) (index.Entry, bool) {
 // sortSearchEntries returns the index of the first entry with Key >= b.
 func sortSearchEntries(es []index.Entry, b []byte) int {
 	return sort.Search(len(es), func(i int) bool { return keys.Compare(es[i].Key, b) >= 0 })
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

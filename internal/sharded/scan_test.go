@@ -214,3 +214,34 @@ func TestScanNUnderConcurrentInserts(t *testing.T) {
 		}
 	}
 }
+
+// TestScanN50Allocs pins what the gated benchmark's scan allocates, on its
+// own shape (newLibReadIndex) at 50k keys: a 50-entry ScanN from a random
+// present key. With the HOPE codec that is the encoded start bound, the
+// collector with its entry slice and key slab, the run decoder, and per shard
+// visited a memtable cursor and the stage's scan buffer; it was 68 when every
+// returned key was its own allocation and each layer staged entries of its
+// own.
+func TestScanN50Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, tc := range []struct {
+		name     string
+		withHOPE bool
+		budget   float64
+	}{{"hope", true, 30}, {"raw", false, 12}} {
+		s, ks := newLibReadIndex(t, 50_000, nil, tc.withHOPE)
+		state := uint64(7)
+		allocs := testing.AllocsPerRun(2000, func() {
+			state = state*2862933555777941757 + 3037000493
+			if got := s.ScanN(ks[state%uint64(len(ks))], 50); len(got) == 0 {
+				t.Fatal("empty scan")
+			}
+		})
+		t.Logf("%s: %.1f allocs per ScanN(50)", tc.name, allocs)
+		if allocs > tc.budget {
+			t.Fatalf("%s: %.1f allocs per ScanN(50), budget %.0f", tc.name, allocs, tc.budget)
+		}
+	}
+}

@@ -818,7 +818,7 @@ func sampleKeys(entries []index.Entry, capN int) [][]byte {
 	if len(entries) > capN {
 		step = (len(entries) + capN - 1) / capN
 	}
-	out := make([][]byte, 0, minInt(len(entries), capN))
+	out := make([][]byte, 0, min(len(entries), capN))
 	for i := 0; i < len(entries); i += step {
 		out = append(out, entries[i].Key)
 	}

@@ -78,15 +78,7 @@ func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) in
 // ScanN collects up to n snapshot entries from the smallest key >= start;
 // returned keys are fresh copies in raw (decoded) space.
 func (s *Snapshot) ScanN(start []byte, n int) []index.Entry {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]index.Entry, 0, minInt(n, 1024))
-	s.Scan(start, func(k []byte, v uint64) bool {
-		out = append(out, index.Entry{Key: append([]byte(nil), k...), Value: v})
-		return len(out) < n
-	})
-	return out
+	return scanN(s.codec, s.router, s.shards, start, n)
 }
 
 // Release drops every shard's captured stage references (see
