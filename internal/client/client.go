@@ -1,8 +1,14 @@
 // Package client is the Go client for the mets wire protocol: a pipelined
-// connection (many goroutines share one TCP connection; responses are
-// matched to callers by request id), typed errors for the server's
-// backpressure answers, and a KV adapter that lets the YCSB driver run
-// unmodified against a live server.
+// connection (many goroutines may share one; responses are matched to callers
+// by request id), typed errors for the server's backpressure answers, and a KV
+// adapter that lets the YCSB driver run unmodified against a live server.
+//
+// A Client owns no goroutine. Whoever is waiting for a response reads the
+// socket: after writing its request a caller takes the connection's read role
+// if it is free, delivers the frames that belong to other callers, and returns
+// when its own arrives, handing the role to a caller that is parked waiting.
+// A connection used by one goroutine at a time is therefore a plain write
+// followed by a plain read; DESIGN.md "Connection model" has the hand-off rule.
 package client
 
 import (
@@ -38,6 +44,17 @@ type response struct {
 	body   []byte
 }
 
+// call is one in-flight request. All fields are guarded by Client.mu.
+type call struct {
+	resp response
+	err  error
+	done bool // resp or err is set
+	// parked: the request is on the wire and the caller is blocked on wake,
+	// to be woken once — when done, or to take over the read role.
+	parked bool
+	wake   chan struct{}
+}
+
 // Client is one pipelined protocol connection. All methods are safe for
 // concurrent use; each in-flight request occupies one pending-table slot and
 // responses may return in any order.
@@ -45,13 +62,21 @@ type Client struct {
 	nc     net.Conn
 	nextID atomic.Uint64
 
-	wmu sync.Mutex // serializes frame writes
+	wmu  sync.Mutex // serializes frame writes
+	wbuf []byte     // request frames are built here, under wmu
+
+	rd *wire.Reader // touched only by the holder of the read role
 
 	mu      sync.Mutex
-	pending map[uint64]chan response
-	err     error // sticky; set once the reader dies
-	closed  bool
+	pending map[uint64]*call
+	free    []*call // finished calls, reused so a request allocates none
+	reading bool    // a caller holds the read role, or has been handed it
+	err     error   // sticky; set once the connection is dead
 }
+
+// readBuf is the connection's read buffer: a burst of responses up to this
+// size is one read.
+const readBuf = 16 << 10
 
 // Dial connects to a mets-server at addr.
 func Dial(addr string) (*Client, error) {
@@ -64,105 +89,150 @@ func Dial(addr string) (*Client, error) {
 
 // New wraps an established connection (tests use net.Pipe).
 func New(nc net.Conn) *Client {
-	c := &Client{nc: nc, pending: make(map[uint64]chan response)}
-	go c.readLoop()
-	return c
+	return &Client{nc: nc, rd: wire.NewReader(nc, readBuf), pending: make(map[uint64]*call)}
 }
 
 // Close tears down the connection; in-flight requests fail with ErrClosed.
 func (c *Client) Close() error {
+	return c.fail(ErrClosed)
+}
+
+// fail marks the connection dead with err, fails every in-flight call and
+// closes the socket, which unblocks whoever is reading. Only the first call
+// does anything; it returns the socket's close error.
+func (c *Client) fail(err error) error {
 	c.mu.Lock()
-	if c.closed {
+	if c.err != nil {
 		c.mu.Unlock()
 		return nil
 	}
-	c.closed = true
+	c.err = err
+	for id, cl := range c.pending {
+		delete(c.pending, id)
+		c.finish(cl, response{}, err)
+	}
 	c.mu.Unlock()
 	return c.nc.Close()
 }
 
-// readLoop delivers responses to waiting callers until the connection dies,
-// then fails everyone still pending.
-func (c *Client) readLoop() {
-	var rerr error
-	for {
-		p, err := wire.ReadFrame(c.nc, wire.MaxFrame)
-		if err != nil {
-			rerr = err
-			break
-		}
-		id, status, body, err := wire.ParseHeader(p)
-		if err != nil {
-			rerr = err
-			break
-		}
-		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- response{status: status, body: body}
-		}
+// finish completes cl and wakes its caller if parked. Caller holds c.mu.
+func (c *Client) finish(cl *call, r response, err error) {
+	cl.resp, cl.err, cl.done = r, err, true
+	c.unpark(cl)
+}
+
+func (c *Client) unpark(cl *call) {
+	if cl.parked {
+		cl.parked = false
+		cl.wake <- struct{}{} // cap 1, one send per park: never blocks
 	}
-	c.mu.Lock()
-	if c.closed {
-		rerr = ErrClosed
-	}
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %v", ErrClosed, rerr)
-	}
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch) // a closed channel signals "failed, see c.err"
-	}
-	c.mu.Unlock()
-	c.nc.Close()
 }
 
 // do sends one request (header code + body) and waits for its response.
 func (c *Client) do(code byte, body func(buf []byte) []byte) (response, error) {
 	id := c.nextID.Add(1)
-	buf := wire.NewFrame(id, code)
+
+	c.wmu.Lock()
+	buf := wire.AppendFrame(c.wbuf[:0], id, code)
 	if body != nil {
 		buf = body(buf)
 	}
-	frame, err := wire.Finish(buf)
-	if err != nil {
+	c.wbuf = buf[:0]
+	if err := wire.FinishAt(buf, 0); err != nil {
+		c.wmu.Unlock()
 		return response{}, err
 	}
-	ch := make(chan response, 1)
+	// Registered before the write: the response can overtake Write's return.
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
+		c.wmu.Unlock()
 		return response{}, err
 	}
-	c.pending[id] = ch
+	var cl *call
+	if n := len(c.free); n > 0 {
+		cl, c.free = c.free[n-1], c.free[:n-1]
+		*cl = call{wake: cl.wake}
+	} else {
+		cl = &call{wake: make(chan struct{}, 1)}
+	}
+	c.pending[id] = cl
 	c.mu.Unlock()
-
-	c.wmu.Lock()
-	_, werr := c.nc.Write(frame)
+	_, werr := c.nc.Write(buf)
 	c.wmu.Unlock()
 	if werr != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		err := c.err
-		c.mu.Unlock()
-		c.nc.Close()
-		if err == nil {
-			err = fmt.Errorf("%w: %v", ErrClosed, werr)
-		}
-		return response{}, err
+		c.fail(fmt.Errorf("%w: %v", ErrClosed, werr))
 	}
 
-	resp, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.err
+	c.mu.Lock()
+	if !cl.done && c.reading {
+		// Someone else is reading: park until it delivers our response or
+		// hands us the role. Only now, with the request on the wire, may the
+		// role come our way — see handOff.
+		cl.parked = true
 		c.mu.Unlock()
-		return response{}, err
+		<-cl.wake
+		c.mu.Lock()
 	}
-	return resp, nil
+	if !cl.done {
+		c.reading = true // free, or just handed to us
+		c.mu.Unlock()
+		c.readUntil(cl)
+		c.mu.Lock()
+	}
+	r, err := cl.resp, cl.err
+	c.free = append(c.free, cl)
+	c.mu.Unlock()
+	return r, err
+}
+
+// readUntil holds the read role: it delivers responses to their callers until
+// own's arrives (or the connection dies), then passes the role on.
+func (c *Client) readUntil(own *call) {
+	for {
+		p, err := c.rd.Next()
+		var id uint64
+		var r response
+		if err == nil {
+			id, r.status, r.body, err = wire.ParseHeader(p)
+		}
+		if err != nil {
+			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+		}
+		c.mu.Lock()
+		if err == nil {
+			// A response nobody waits for (unknown id) is dropped.
+			if cl := c.pending[id]; cl != nil {
+				delete(c.pending, id)
+				// The payload is lent until the next read, which may be
+				// another caller's; the body leaves with its owner.
+				r.body = append([]byte(nil), r.body...)
+				c.finish(cl, r, nil)
+			}
+		}
+		if own.done { // by us just now, or by fail
+			c.handOff()
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+	}
+}
+
+// handOff gives the read role to a parked caller, or frees it. Parked means
+// the caller's request is fully written: a caller still blocked in Write must
+// not get the role, or a pipelined connection deadlocks once both socket
+// buffers fill (the server stops reading because nobody reads its responses).
+// Such a caller finds the role free when its Write returns. Caller holds c.mu.
+func (c *Client) handOff() {
+	for _, cl := range c.pending {
+		if cl.parked {
+			c.unpark(cl)
+			return
+		}
+	}
+	c.reading = false
 }
 
 // statusErr maps a non-OK status to a typed error (StatusNotFound is not an
@@ -270,6 +340,10 @@ func parseEntries(body []byte) ([]index.Entry, error) {
 	n, rest, err := wire.Uint(body)
 	if err != nil {
 		return nil, err
+	}
+	// The count is the peer's word; an entry is at least two bytes.
+	if n > uint64(len(rest))/2 {
+		return nil, fmt.Errorf("client: malformed scan response")
 	}
 	out := make([]index.Entry, 0, n)
 	for i := uint64(0); i < n; i++ {

@@ -96,4 +96,18 @@ func TestHistogramExemplar(t *testing.T) {
 	}
 	var hn *Histogram
 	hn.ObserveExemplar(1, 1, "k")
+	hn.ObserveExemplarKey(1, 1, []byte("k"))
+
+	// The bytes form keeps a copy when it sets the max and builds no string
+	// when it does not.
+	h4 := r.Histogram("bytes")
+	key := []byte("key-q")
+	h4.ObserveExemplarKey(700, 4, key)
+	key[4] = 'x' // the caller's buffer is reused
+	if ex := h4.Snapshot().Exemplar; ex == nil || ex.Ns != 700 || ex.SpanID != 4 || ex.Key != "key-q" {
+		t.Fatalf("exemplar from bytes = %+v", ex)
+	}
+	if n := testing.AllocsPerRun(100, func() { h4.ObserveExemplarKey(10, 5, key) }); n != 0 {
+		t.Fatalf("ObserveExemplarKey below the max allocates %.0f times", n)
+	}
 }

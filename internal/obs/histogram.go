@@ -105,9 +105,20 @@ func (h *Histogram) observe(ns int64) bool {
 // update happens only on the new-max path, so the common case costs exactly
 // what ObserveNs costs. No-op on a nil histogram.
 func (h *Histogram) ObserveExemplar(ns int64, span uint64, key string) {
-	if !h.observe(ns) {
-		return
+	if h.observe(ns) {
+		h.setExemplar(ns, span, key)
 	}
+}
+
+// ObserveExemplarKey is ObserveExemplar for a caller that holds the key tag as
+// bytes: the string is built only when the observation is kept as the exemplar.
+func (h *Histogram) ObserveExemplarKey(ns int64, span uint64, key []byte) {
+	if h.observe(ns) {
+		h.setExemplar(ns, span, string(key))
+	}
+}
+
+func (h *Histogram) setExemplar(ns int64, span uint64, key string) {
 	h.exMu.Lock()
 	// Racing new-max observers can interleave; keep the slowest.
 	if ns >= h.ex.Ns {

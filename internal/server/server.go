@@ -46,10 +46,12 @@ type Config struct {
 }
 
 // Server serves the wire protocol over TCP (or any net.Listener). Requests
-// on one connection are pipelined: reads execute inline on the connection's
-// reader goroutine while writes park in the coalescer, so a GET queued
-// behind a fsyncing PUT completes first and responses arrive out of order
-// (matched by request id).
+// on one connection are pipelined and answered by whichever goroutine has the
+// answer: the connection's reader goroutine executes reads inline and writes
+// their responses itself, while writes park in the coalescer and are acked
+// from its goroutine through the connection's writer. A GET queued behind a
+// fsyncing PUT therefore completes first and responses arrive out of order
+// (matched by request id). DESIGN.md "Connection model" has the rules.
 type Server struct {
 	cfg Config
 	co  *coalescer
@@ -176,7 +178,7 @@ func (s *Server) Addr() net.Addr {
 
 // startConn registers and serves one connection.
 func (s *Server) startConn(nc net.Conn) {
-	c := &srvConn{s: s, nc: nc, snaps: make(map[uint64]Snapshot)}
+	c := &srvConn{s: s, nc: nc, rd: wire.NewReader(nc, connReadBuf), snaps: make(map[uint64]Snapshot)}
 	c.q.cond = sync.NewCond(&c.q.mu)
 	s.mu.Lock()
 	if s.closed {
@@ -259,16 +261,25 @@ func (s *Server) stats() []byte {
 	return b
 }
 
-// maxConnOutBytes caps a connection's queued-but-unwritten response bytes;
-// past it the peer is a slow consumer and the connection is dropped rather
-// than buffering without bound.
+// maxConnOutBytes caps a connection's queued-but-unwritten ack bytes; past
+// it the peer is a slow consumer and the connection is dropped rather than
+// buffering without bound.
 const maxConnOutBytes = 32 << 20
 
-// outQueue hands response frames from the reader goroutine and the
-// coalescer's done callbacks to the connection's writer goroutine. push
-// never blocks (the coalescer must never stall on one slow client), so the
-// queue is unbounded in frame count and bounded in bytes by the slow-
-// consumer kill in push.
+// connReadBuf is a connection's read buffer: requests up to this size are
+// parsed in place, and a pipelined burst of that many bytes is one read.
+const connReadBuf = 16 << 10
+
+// inlineFlushBytes is how many sealed response bytes the reader lets pile up
+// while complete requests are still buffered before it writes them anyway: a
+// burst of small reads goes out as one write, a burst of long scans does not
+// grow the buffer past this plus one frame.
+const inlineFlushBytes = 64 << 10
+
+// outQueue hands ack frames from the coalescer's done callbacks to the
+// connection's writer goroutine. push never blocks (the coalescer must never
+// stall on one slow client), so the queue is unbounded in frame count and
+// bounded in bytes by the slow-consumer kill in push.
 type outQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -315,14 +326,23 @@ func (q *outQueue) close() {
 	q.mu.Unlock()
 }
 
-// srvConn is one served connection: a reader goroutine (frame parse, sync
-// ops inline, async ops to the coalescer) and a writer goroutine draining
-// the out queue. Snapshots are owned by the reader goroutine and force-
-// released when the connection ends.
+// srvConn is one served connection. Its reader goroutine parses frames out of
+// rd, executes everything that can be answered on the spot and seals those
+// responses into out, which it writes itself before any read that can block
+// — one goroutine, one read and one write per lone GET. Writes go to the
+// coalescer, whose done callbacks (on its goroutine, which must never touch a
+// socket) push their acks onto q for the writer goroutine. wmu keeps the two
+// writers' frames from interleaving. Snapshots are owned by the reader
+// goroutine and force-released when the connection ends.
 type srvConn struct {
 	s  *Server
 	nc net.Conn
-	q  outQueue
+
+	rd  *wire.Reader // reader goroutine only
+	out []byte       // reader goroutine only: sealed responses not yet written
+
+	wmu sync.Mutex // held across each socket write
+	q   outQueue
 
 	// pend tracks writes admitted to the coalescer whose done callback has
 	// not yet run; the out queue closes only after they all land.
@@ -345,7 +365,7 @@ func (c *srvConn) serve() {
 			if werr != nil {
 				continue // drain so pushers' frames are consumed
 			}
-			if _, werr = c.nc.Write(b); werr != nil {
+			if werr = c.write(b); werr != nil {
 				c.nc.Close() // unblock the reader
 			}
 		}
@@ -364,14 +384,58 @@ func (c *srvConn) serve() {
 	<-writerDone
 }
 
-// respond seals and queues a response frame; on overflow the connection is
-// killed (slow consumer).
-func (c *srvConn) respond(buf []byte) {
-	frame, err := wire.Finish(buf)
-	if err != nil {
+// write puts whole frames on the socket, one writer at a time.
+func (c *srvConn) write(b []byte) error {
+	c.wmu.Lock()
+	_, err := c.nc.Write(b)
+	c.wmu.Unlock()
+	return err
+}
+
+// reply starts a response in the reader's write buffer and returns where it
+// begins; body fields are appended to c.out and sealed by endReply.
+func (c *srvConn) reply(id uint64, code byte) int {
+	at := len(c.out)
+	c.out = wire.AppendFrame(c.out, id, code)
+	return at
+}
+
+func (c *srvConn) endReply(at int) {
+	if err := wire.FinishAt(c.out, at); err != nil {
 		// Response overflowed the frame limit (cannot happen with the scan
 		// caps, but fail closed rather than desync the stream).
+		c.out = c.out[:at]
 		c.nc.Close()
+	}
+}
+
+// replyStatus answers with a bare status.
+func (c *srvConn) replyStatus(id uint64, code byte) {
+	c.endReply(c.reply(id, code))
+}
+
+// flush writes the sealed responses; false means the connection is dead. The
+// write may block on a peer that does not read — that is this connection's
+// back-pressure: nothing more is read or buffered for it until the peer
+// drains or Close closes the socket.
+func (c *srvConn) flush() bool {
+	err := c.write(c.out)
+	if cap(c.out) > 2*inlineFlushBytes {
+		c.out = nil // a long scan's buffer is not kept for the connection's life
+	}
+	c.out = c.out[:0]
+	if err != nil {
+		c.nc.Close()
+	}
+	return err == nil
+}
+
+// ack queues a response produced off the reader goroutine; on overflow the
+// connection is killed (slow consumer).
+func (c *srvConn) ack(buf []byte) {
+	frame, err := wire.Finish(buf)
+	if err != nil {
+		c.nc.Close() // as endReply: fail closed
 		return
 	}
 	if c.q.push(frame) {
@@ -383,29 +447,31 @@ func (c *srvConn) respond(buf []byte) {
 func (c *srvConn) fr() *obs.FlightRecorder { return c.s.fr }
 
 // observe records one request's latency (histogram + slow-request flight
-// event). keyTag is a short exemplar tag, "" when there is no key.
+// event). key is tagged onto the exemplar, nil when there is no key.
 func (c *srvConn) observe(op byte, start time.Time, key []byte) {
 	ns := int64(time.Since(start))
-	tag := keyTag(key)
-	c.s.reqHist.ObserveExemplar(ns, 0, tag)
+	const tagLen = 8 // a short exemplar/flight tag
+	if len(key) > tagLen {
+		key = key[:tagLen]
+	}
+	c.s.reqHist.ObserveExemplarKey(ns, 0, key)
 	if ns >= int64(c.s.cfg.SlowRequest) {
 		c.fr().Record("server.slow_request",
-			obs.Str("op", opNames[op]), obs.Str("key", tag), obs.I64("ns", ns))
+			obs.Str("op", opNames[op]), obs.Str("key", string(key)), obs.I64("ns", ns))
 	}
-}
-
-// keyTag truncates a key to a short exemplar/flight tag.
-func keyTag(key []byte) string {
-	const n = 8
-	if len(key) > n {
-		key = key[:n]
-	}
-	return string(key)
 }
 
 func (c *srvConn) readLoop() {
 	for {
-		p, err := wire.ReadFrame(c.nc, wire.MaxFrame)
+		// Answers never wait behind a read that can block: unless a complete
+		// next frame is already buffered (a pipelined burst, answered with
+		// one write), what is sealed goes out first.
+		if len(c.out) > 0 && (len(c.out) >= inlineFlushBytes || !c.rd.FrameBuffered()) {
+			if !c.flush() {
+				return
+			}
+		}
+		p, err := c.rd.Next() // lent: every op that outlives the loop body copies its key
 		if err != nil {
 			return // EOF, closed, or an unrecoverable framing error
 		}
@@ -461,9 +527,9 @@ func (c *srvConn) readLoop() {
 			}
 			if len(ops) == 0 {
 				// Nothing to commit; answer an empty status list directly.
-				buf := wire.NewFrame(id, wire.StatusOK)
-				buf = wire.AppendUint(buf, 0)
-				c.respond(buf)
+				at := c.reply(id, wire.StatusOK)
+				c.out = wire.AppendUint(c.out, 0)
+				c.endReply(at)
 				c.observe(op, start, nil)
 				continue
 			}
@@ -487,12 +553,12 @@ func (c *srvConn) readLoop() {
 			sn.Release()
 			delete(c.snaps, sid)
 			c.s.snapsLive.Add(-1)
-			c.respond(wire.NewFrame(id, wire.StatusOK))
+			c.replyStatus(id, wire.StatusOK)
 			c.observe(op, start, nil)
 		case wire.OpStats:
-			buf := wire.NewFrame(id, wire.StatusOK)
-			buf = append(buf, c.s.stats()...)
-			c.respond(buf)
+			at := c.reply(id, wire.StatusOK)
+			c.out = append(c.out, c.s.stats()...)
+			c.endReply(at)
 			c.observe(op, start, nil)
 		default:
 			c.badRequest(id)
@@ -502,7 +568,7 @@ func (c *srvConn) readLoop() {
 
 func (c *srvConn) badRequest(id uint64) {
 	c.s.obsBadReq.Inc()
-	c.respond(wire.NewFrame(id, wire.StatusBadRequest))
+	c.replyStatus(id, wire.StatusBadRequest)
 }
 
 func (c *srvConn) capScan(limit uint64) int {
@@ -514,22 +580,22 @@ func (c *srvConn) capScan(limit uint64) int {
 
 func (c *srvConn) respondGet(id uint64, v uint64, ok bool) {
 	if !ok {
-		c.respond(wire.NewFrame(id, wire.StatusNotFound))
+		c.replyStatus(id, wire.StatusNotFound)
 		return
 	}
-	buf := wire.NewFrame(id, wire.StatusOK)
-	buf = wire.AppendUint(buf, v)
-	c.respond(buf)
+	at := c.reply(id, wire.StatusOK)
+	c.out = wire.AppendUint(c.out, v)
+	c.endReply(at)
 }
 
 func (c *srvConn) respondEntries(id uint64, es []index.Entry) {
-	buf := wire.NewFrame(id, wire.StatusOK)
-	buf = wire.AppendUint(buf, uint64(len(es)))
+	at := c.reply(id, wire.StatusOK)
+	c.out = wire.AppendUint(c.out, uint64(len(es)))
 	for _, e := range es {
-		buf = wire.AppendBytes(buf, e.Key)
-		buf = wire.AppendUint(buf, e.Value)
+		c.out = wire.AppendBytes(c.out, e.Key)
+		c.out = wire.AppendUint(c.out, e.Value)
 	}
-	c.respond(buf)
+	c.endReply(at)
 }
 
 // parseScan decodes a SCAN body: start key (empty = from the beginning) and
@@ -587,8 +653,9 @@ func parseBatch(body []byte) ([]Op, bool) {
 	return ops, true
 }
 
-// admitWrite hands ops to the coalescer and answers from its done callback;
-// a rejected admit answers immediately (RETRY_LATER under backpressure).
+// admitWrite hands ops to the coalescer, whose done callback acks through the
+// out queue; a rejected admit is answered here, by the reader (RETRY_LATER
+// under backpressure).
 func (c *srvConn) admitWrite(id uint64, op byte, start time.Time, ops []Op, batch bool) {
 	firstKey := ops[0].Key
 	c.pend.Add(1)
@@ -598,29 +665,29 @@ func (c *srvConn) admitWrite(id uint64, op byte, start time.Time, ops []Op, batc
 		case err != nil:
 			buf := wire.NewFrame(id, wire.StatusErr)
 			buf = append(buf, err.Error()...)
-			c.respond(buf)
+			c.ack(buf)
 		case batch:
 			buf := wire.NewFrame(id, wire.StatusOK)
 			buf = wire.AppendUint(buf, uint64(len(statuses)))
 			buf = append(buf, statuses...)
-			c.respond(buf)
+			c.ack(buf)
 		default:
-			c.respond(wire.NewFrame(id, statuses[0]))
+			c.ack(wire.NewFrame(id, statuses[0]))
 		}
 		c.observe(op, start, firstKey)
 	}}
 	if st := c.s.co.admit(req); st != wire.StatusOK {
 		c.pend.Done()
-		c.respond(wire.NewFrame(id, st))
+		c.replyStatus(id, st)
 		c.observe(op, start, firstKey)
 	}
 }
 
 func (c *srvConn) snapBegin(id uint64) {
 	if len(c.snaps) >= c.s.cfg.SnapshotsPerConn {
-		buf := wire.NewFrame(id, wire.StatusErr)
-		buf = append(buf, "too many snapshots on this connection"...)
-		c.respond(buf)
+		at := c.reply(id, wire.StatusErr)
+		c.out = append(c.out, "too many snapshots on this connection"...)
+		c.endReply(at)
 		return
 	}
 	sn, err := c.s.cfg.Store.Snapshot()
@@ -629,18 +696,18 @@ func (c *srvConn) snapBegin(id uint64) {
 		if errors.Is(err, ErrSnapshotsUnsupported) {
 			st = wire.StatusUnsupported
 		}
-		buf := wire.NewFrame(id, st)
-		buf = append(buf, err.Error()...)
-		c.respond(buf)
+		at := c.reply(id, st)
+		c.out = append(c.out, err.Error()...)
+		c.endReply(at)
 		return
 	}
 	c.snapNext++
 	sid := c.snapNext
 	c.snaps[sid] = sn
 	c.s.snapsLive.Add(1)
-	buf := wire.NewFrame(id, wire.StatusOK)
-	buf = wire.AppendUint(buf, sid)
-	c.respond(buf)
+	at := c.reply(id, wire.StatusOK)
+	c.out = wire.AppendUint(c.out, sid)
+	c.endReply(at)
 }
 
 func (c *srvConn) snapRead(id uint64, body []byte, start time.Time) {

@@ -33,7 +33,7 @@ func newTestSharded(minDynamic int) *ShardedStore {
 
 // startServer serves store on a loopback listener and returns the address
 // plus a shutdown func that also closes the store.
-func startServer(t *testing.T, cfg Config) (addr string, shutdown func()) {
+func startServer(t testing.TB, cfg Config) (addr string, shutdown func()) {
 	t.Helper()
 	s := New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
