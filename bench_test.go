@@ -2,7 +2,8 @@ package mets
 
 // One testing.B benchmark per thesis table/figure. These are the
 // micro-benchmark entry points; the full parameter sweeps that print the
-// paper's rows live in cmd/mets-bench (see DESIGN.md for the mapping).
+// paper's rows live in cmd/mets-bench (see DESIGN.md for the mapping), and the
+// gated end-to-end workloads in bench/.
 
 import (
 	"math/rand"

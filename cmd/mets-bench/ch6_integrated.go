@@ -16,16 +16,13 @@ import (
 
 func init() {
 	register("ch6.integrated",
-		"integrated key-compression sweep: FST/SuRF/hybrid memory and p50/p99, codec on/off per scheme (benchjson-compatible)",
+		"integrated key-compression sweep: FST/SuRF/hybrid memory and p50/p99, codec on/off per scheme",
 		runCh6Integrated)
 }
 
 // runCh6Integrated measures the three index structures with the key codec
 // off and on (per scheme): resident memory, dictionary overhead, and the
-// point-lookup latency distribution. Output rows use the `go test -bench`
-// line format so the run can be piped through cmd/benchjson into the
-// BENCH_<date>.json artifact (`make bench-integrated`); the surrounding
-// human-readable lines are ignored by the parser.
+// point-lookup latency distribution.
 func runCh6Integrated(ctx *benchContext) {
 	datasets := []struct {
 		name string
@@ -44,6 +41,7 @@ func runCh6Integrated(ctx *benchContext) {
 		{"3grams", hope.ThreeGrams, true},
 		{"alm-imp", hope.ALMImproved, true},
 	}
+	row("structure/data/codec", "ns/op", "index-bytes", "dict-bytes", "bits/key", "p50-ns", "p99-ns")
 	for _, ds := range datasets {
 		ks := ds.ks
 		sample := ks[:len(ks)/10+1]
@@ -87,8 +85,7 @@ func runCh6Integrated(ctx *benchContext) {
 				}
 				elapsed := time.Since(start)
 				snap := hist.Snapshot()
-				fmt.Printf("BenchmarkIntegrated/%s/%s/codec=%s \t%d\t%.1f ns/op\t%d index-bytes\t%d dict-bytes\t%.2f bits/key\t%d p50-ns\t%d p99-ns\n",
-					structName, ds.name, mode.name, len(ops),
+				row(fmt.Sprintf("%s/%s/%s", structName, ds.name, mode.name),
 					float64(elapsed.Nanoseconds())/float64(len(ops)),
 					mem, dictBytes,
 					float64(mem*8)/float64(len(stored)),

@@ -18,8 +18,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"mets/internal/obs"
 )
 
 // experiment is one reproducible table or figure.
@@ -39,20 +37,6 @@ func register(id, title string, run func(*benchContext)) {
 type benchContext struct {
 	scale   int // dataset multiplier
 	queries int // queries per measurement
-	shards  int // shard count for the sharded-index experiments
-	threads int // client goroutines for the concurrent driver (0 = GOMAXPROCS)
-	// serverAddr points the server.* experiments at an external mets-server
-	// instead of spinning one up in-process (used by `make server-smoke` to
-	// exercise the real binary over real TCP).
-	serverAddr string
-	// obs is the process-wide metrics registry, non-nil when -debug-addr or
-	// -stats-every is set; experiments that support instrumentation attach
-	// their indexes to it. Nil exercises the no-op instrumentation path.
-	obs *obs.Registry
-	// assertDrift makes drift.rollover exit non-zero unless the tuner fired
-	// and post-retrain read p99 stayed within 2x of the pre-drift baseline
-	// (the CI drift-smoke gate).
-	assertDrift bool
 }
 
 // keysAtScale returns the base dataset size for tree experiments.
@@ -61,12 +45,6 @@ func (c *benchContext) numKeys() int { return 200000 * c.scale }
 func main() {
 	scale := flag.Int("scale", 1, "dataset scale multiplier (1 = ~200k keys)")
 	queries := flag.Int("queries", 200000, "queries per measurement")
-	shards := flag.Int("shards", 8, "shard count for the sharded-index experiments")
-	threads := flag.Int("threads", 0, "concurrent driver client count (0 = GOMAXPROCS)")
-	serverAddr := flag.String("server-addr", "", "drive the server.* experiments against an external mets-server at this address (empty = in-process)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar metrics + pprof on this address (e.g. :6060)")
-	statsEvery := flag.Duration("stats-every", 0, "periodically dump a metrics digest (e.g. 5s; 0 = off)")
-	assertDrift := flag.Bool("assert-drift", false, "fail (exit 1) unless drift.rollover shows a tuner retrain and bounded post-drift read p99")
 	list := flag.Bool("list", false, "list experiment ids")
 	flag.Parse()
 
@@ -82,16 +60,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: mets-bench [-scale N] <experiment-id>... | -list | all")
 		os.Exit(2)
 	}
-	ctx := &benchContext{scale: *scale, queries: *queries, shards: *shards, threads: *threads, serverAddr: *serverAddr, assertDrift: *assertDrift}
-	if *debugAddr != "" || *statsEvery > 0 {
-		ctx.obs = obs.NewRegistry()
-		if *debugAddr != "" {
-			startDebugServer(*debugAddr, ctx.obs)
-		}
-		if *statsEvery > 0 {
-			startStatsDump(*statsEvery, ctx.obs)
-		}
-	}
+	ctx := &benchContext{scale: *scale, queries: *queries}
 	runAll := len(args) == 1 && args[0] == "all"
 	for _, e := range registry {
 		selected := runAll

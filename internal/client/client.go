@@ -1,7 +1,6 @@
 // Package client is the Go client for the mets wire protocol: a pipelined
 // connection (many goroutines may share one; responses are matched to callers
-// by request id), typed errors for the server's backpressure answers, and a KV
-// adapter that lets the YCSB driver run unmodified against a live server.
+// by request id) and typed errors for the server's backpressure answers.
 //
 // A Client owns no goroutine. Whoever is waiting for a response reads the
 // socket: after writing its request a caller takes the connection's read role
@@ -17,7 +16,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mets/internal/index"
 	"mets/internal/wire"
@@ -460,91 +458,4 @@ func (s *Snapshot) End() error {
 		return err
 	}
 	return statusErr(r)
-}
-
-// KV adapts a Client to the ycsb.KV surface so the concurrent YCSB driver
-// can run unchanged against a live server. Writes that hit backpressure
-// (ErrRetryLater) back off and retry a bounded number of times — counted in
-// Retries — then drop (counted in Errors); reads are never shed by the
-// server and fail only on connection errors.
-type KV struct {
-	C *Client
-	// MaxRetries bounds backpressure retries per op (default 8).
-	MaxRetries int
-	// Backoff is the initial retry pause, doubled per attempt (default
-	// 200µs).
-	Backoff time.Duration
-
-	Retries atomic.Int64
-	Errors  atomic.Int64
-}
-
-func (kv *KV) retry(do func() error) bool {
-	max := kv.MaxRetries
-	if max <= 0 {
-		max = 8
-	}
-	pause := kv.Backoff
-	if pause <= 0 {
-		pause = 200 * time.Microsecond
-	}
-	for attempt := 0; ; attempt++ {
-		err := do()
-		if err == nil {
-			return true
-		}
-		if !errors.Is(err, ErrRetryLater) || attempt >= max {
-			kv.Errors.Add(1)
-			return false
-		}
-		kv.Retries.Add(1)
-		time.Sleep(pause)
-		pause *= 2
-	}
-}
-
-func (kv *KV) Get(key []byte) (uint64, bool) {
-	v, ok, err := kv.C.Get(key)
-	if err != nil {
-		kv.Errors.Add(1)
-		return 0, false
-	}
-	return v, ok
-}
-
-func (kv *KV) Insert(key []byte, value uint64) bool {
-	return kv.retry(func() error { return kv.C.Put(key, value) })
-}
-
-func (kv *KV) Update(key []byte, value uint64) bool {
-	return kv.retry(func() error { return kv.C.Put(key, value) })
-}
-
-// scanChunk is the per-request page size for the chunked Scan.
-const scanChunk = 128
-
-// Scan streams entries with key >= start to fn until fn returns false,
-// fetching scanChunk entries per round trip and resuming past the last key.
-func (kv *KV) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	n := 0
-	lo := start
-	for {
-		es, err := kv.C.ScanN(lo, scanChunk)
-		if err != nil {
-			kv.Errors.Add(1)
-			return n
-		}
-		if len(es) == 0 {
-			return n
-		}
-		for _, e := range es {
-			n++
-			if !fn(e.Key, e.Value) {
-				return n
-			}
-		}
-		// Resume strictly after the last key returned.
-		last := es[len(es)-1].Key
-		lo = append(append([]byte(nil), last...), 0)
-	}
 }

@@ -1,6 +1,7 @@
 package fst
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -14,6 +15,10 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	datasets := map[string][][]byte{
 		"ints":   keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(50000, 7))),
 		"emails": keys.Dedup(keys.Emails(30000, 11)),
+		// One trie level of 2,049 nodes: over 64 workers that is 63 chunks
+		// of 33, and a 64th would be the inverted range [2079, 2049), which
+		// the level build cannot slice — par.Chunks must never hand it out.
+		"decimal": decimalKeys(20490),
 	}
 	for name, ks := range datasets {
 		values := make([]uint64, len(ks))
@@ -26,7 +31,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: serial build: %v", name, err)
 		}
-		for _, w := range []int{0, 2, 3, 8} {
+		for _, w := range []int{0, 2, 3, 8, 64} {
 			cfg := DefaultConfig()
 			cfg.Workers = w
 			got, err := Build(ks, values, cfg)
@@ -39,6 +44,14 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+func decimalKeys(n int) [][]byte {
+	ks := make([][]byte, n)
+	for i := range ks {
+		ks[i] = []byte(fmt.Sprintf("%06d", i))
+	}
+	return ks
 }
 
 // TestParallelBuildSortError checks that the chunked sortedness check still

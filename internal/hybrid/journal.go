@@ -229,15 +229,14 @@ func (h *Index) installReplayed(m map[string]uint64) error {
 // New before the index is shared; a failure panics there (New predates the
 // durability option and returns no error).
 func (h *Index) openJournal() error {
-	fs := h.cfg.FS
-	if fs == nil {
-		fs = vfs.OS{}
-	}
-	if err := fs.MkdirAll(h.cfg.Dir); err != nil {
-		return fmt.Errorf("hybrid: mkdir %s: %w", h.cfg.Dir, err)
-	}
 	fold := journalFold{m: map[string]uint64{}}
-	stats, err := wal.Replay(fs, h.cfg.Dir, 0, func(rec []byte) error {
+	l, stats, err := wal.Recover(wal.Options{
+		FS:        h.cfg.FS,
+		Dir:       h.cfg.Dir,
+		Mode:      wal.SyncNone,
+		Obs:       h.obsReg,
+		FlightRec: h.fr,
+	}, 0, "journal", func(rec []byte) error {
 		o, err := decodeJournalRecord(rec)
 		if err == nil {
 			fold.apply(o)
@@ -248,42 +247,10 @@ func (h *Index) openJournal() error {
 		return err
 	}
 	if err := h.installReplayed(fold.m); err != nil {
+		l.Close()
 		return err
 	}
 	h.JournalRecovery = stats
-	replayAttrs := []obs.Attr{
-		obs.I64("segments", int64(stats.Segments)),
-		obs.I64("records", int64(stats.Records)),
-		obs.I64("bytes", stats.Bytes),
-		obs.Str("mode", "batched"),
-	}
-	if stats.Torn {
-		replayAttrs = append(replayAttrs,
-			obs.I64("torn_segment", int64(stats.TornSegment)),
-			obs.I64("torn_offset", stats.TornOffset))
-	}
-	h.fr.Record("journal.replay", replayAttrs...)
-	// Same repair contract as the LSM: truncate a torn tail to its valid
-	// prefix before appending, so ops synced after this recovery are not
-	// stranded behind the damaged frame at the next restart.
-	if err := wal.Repair(fs, h.cfg.Dir, stats); err != nil {
-		return err
-	}
-	if stats.Torn {
-		h.fr.Record("journal.repair",
-			obs.I64("segment", int64(stats.TornSegment)),
-			obs.I64("valid_bytes", stats.TornOffset))
-	}
-	l, err := wal.Open(wal.Options{
-		FS:        fs,
-		Dir:       h.cfg.Dir,
-		Mode:      wal.SyncNone,
-		Obs:       h.obsReg,
-		FlightRec: h.fr,
-	})
-	if err != nil {
-		return err
-	}
 	h.jl = l
 	// Recovery postmortem: like the LSM, the dump written right after a
 	// successful replay is the artifact a crashed run leaves behind (a

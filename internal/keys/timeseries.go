@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 )
 
 // SensorEvent is one record of the synthetic time-series workload used in
@@ -84,14 +83,4 @@ func TimeSeriesKeys(epoch uint64, n int, seed int64) [][]byte {
 	}
 	sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
 	return out
-}
-
-// TimeSeriesInsertKeys adapts the generator to the YCSB driver's InsertKeys
-// hook, reading the current epoch from the shared counter at generation time:
-// bumping the counter mid-run rolls the insert key prefix over — the live
-// drift the tuner has to re-learn without a restart.
-func TimeSeriesInsertKeys(epoch *atomic.Uint64) func(n int, seed int64) [][]byte {
-	return func(n int, seed int64) [][]byte {
-		return TimeSeriesKeys(epoch.Load(), n, seed)
-	}
 }

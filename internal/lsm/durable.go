@@ -207,38 +207,7 @@ func (db *DB) recoverLocked(fs vfs.FS, dir string) error {
 	}
 
 	sp.Phase("replay")
-	stats, err := wal.Replay(fs, dir, walMin, db.applyWALRecord)
-	if err != nil {
-		return err
-	}
-	db.Recovery.WALSegments = stats.Segments
-	db.Recovery.WALRecords = stats.Records
-	db.Recovery.WALTorn = stats.Torn
-	replayAttrs := []obs.Attr{
-		obs.I64("segments", int64(stats.Segments)),
-		obs.I64("records", int64(stats.Records)),
-		obs.I64("bytes", stats.Bytes),
-	}
-	if stats.Torn {
-		replayAttrs = append(replayAttrs,
-			obs.I64("torn_segment", int64(stats.TornSegment)),
-			obs.I64("torn_offset", stats.TornOffset))
-	}
-	db.fr.Record("wal.replay", replayAttrs...)
-	// Commit the replay barrier before appending anything: truncate the torn
-	// segment to its valid prefix (and quarantine untrusted later segments)
-	// so the next replay reads past it into segments created from here on.
-	// Skipping this would strand every write acked after a torn-tail
-	// recovery behind the damaged frame at the second crash.
-	if err := wal.Repair(fs, dir, stats); err != nil {
-		return err
-	}
-	if stats.Torn {
-		db.fr.Record("wal.repair", obs.I64("torn_segment", int64(stats.TornSegment)),
-			obs.I64("torn_offset", stats.TornOffset))
-	}
-
-	w, err := wal.Open(wal.Options{
+	w, stats, err := wal.Recover(wal.Options{
 		FS:           fs,
 		Dir:          dir,
 		SegmentBytes: db.cfg.WALSegmentBytes,
@@ -246,10 +215,13 @@ func (db *DB) recoverLocked(fs vfs.FS, dir string) error {
 		GroupDelay:   db.cfg.GroupCommitDelay,
 		Obs:          db.cfg.Obs,
 		FlightRec:    db.fr,
-	})
+	}, walMin, "wal", db.applyWALRecord)
 	if err != nil {
 		return err
 	}
+	db.Recovery.WALSegments = stats.Segments
+	db.Recovery.WALRecords = stats.Records
+	db.Recovery.WALTorn = stats.Torn
 	db.dur = &durableState{fs: fs, dir: dir, wal: w, walMin: walMin}
 	if man == nil {
 		// Stamp a fresh directory right away so a later open under a

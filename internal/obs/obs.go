@@ -16,8 +16,8 @@
 //     cache line so unrelated counters never false-share).
 //
 // Latency histograms cost two time.Now calls plus four atomic adds per
-// observation and are reserved for paths that already take timestamps (the
-// YCSB driver's per-read pause tracking) or for background work.
+// observation and are reserved for paths that already take timestamps or for
+// background work.
 //
 // # Concurrency
 //
@@ -267,7 +267,7 @@ func (r *Registry) FlightRecorder() *FlightRecorder {
 }
 
 // Snapshot is a point-in-time copy of every metric in a registry, ready for
-// JSON encoding (expvar.Func in cmd/mets-bench serves it verbatim).
+// JSON encoding (expvar.Func in cmd/mets-server serves it verbatim).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`

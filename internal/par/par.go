@@ -28,17 +28,17 @@ const minParallelItems = 2048
 
 // Chunks splits [0, n) into at most `workers` contiguous chunks and runs fn
 // on each concurrently. fn receives the chunk index and its [lo, hi) item
-// range. With workers <= 1 (or small n) everything runs inline on the calling
-// goroutine. NumChunks(workers, n) reports how many chunks fn will see.
+// range, which is never empty. With workers <= 1 (or small n) everything runs
+// inline on the calling goroutine. NumChunks(workers, n) reports how many
+// chunks fn will see.
 func Chunks(workers, n int, fn func(chunk, lo, hi int)) {
-	nc := NumChunks(workers, n)
+	nc, per := split(workers, n)
 	if nc <= 1 {
 		if n > 0 {
 			fn(0, 0, n)
 		}
 		return
 	}
-	per := (n + nc - 1) / nc
 	var wg sync.WaitGroup
 	for c := 0; c < nc; c++ {
 		lo := c * per
@@ -57,17 +57,23 @@ func Chunks(workers, n int, fn func(chunk, lo, hi int)) {
 
 // NumChunks returns the number of chunks Chunks will use for n items.
 func NumChunks(workers, n int) int {
+	nc, _ := split(workers, n)
+	return nc
+}
+
+// split returns the chunk count and chunk size for n items. The size is
+// ceil(n/workers) and the count is however many chunks of that size cover n,
+// not workers: 2049 items over 64 workers are 63 chunks of 33, and a 64th
+// would start past the end.
+func split(workers, n int) (nc, per int) {
 	if workers <= 1 || n < minParallelItems {
 		if n == 0 {
-			return 0
+			return 0, 0
 		}
-		return 1
+		return 1, n
 	}
-	nc := workers
-	if nc > n {
-		nc = n
-	}
-	return nc
+	per = (n + workers - 1) / workers
+	return (n + per - 1) / per, per
 }
 
 // Run executes the given functions concurrently and waits for all of them.

@@ -587,8 +587,7 @@ type ShardStat struct {
 	TotalMerge time.Duration
 }
 
-// ShardStats returns per-shard telemetry (the per-shard merge pauses the
-// YCSB driver reports).
+// ShardStats returns per-shard telemetry (sizes and merge pauses).
 func (s *Index) ShardStats() []ShardStat {
 	shards := s.load().shards
 	out := make([]ShardStat, len(shards))

@@ -188,6 +188,14 @@ func TestReconfigureGuards(t *testing.T) {
 // loop's interval out of reach: a detector window then always holds a whole
 // burst, whatever the host's speed (under the race detector on two cores a
 // 2 ms wall-clock window never reached the 500-op floor, so nothing tripped).
+//
+// Once the loop has closed, one direct Retrain and Rebalance cover both
+// actions whichever tripped first, and the test checks that the two causes
+// of the post-rollover latency cliff are gone — deterministically, where a
+// read-p99 bound would be a timing gate: the rolled-over keys no longer all
+// route to one shard (frozen: 1 shard, share 1.0), and the codec compresses
+// them as well as it compressed the keys it was first trained on (frozen:
+// 1.09x the baseline ratio). No write made before, during or after is lost.
 func TestAutoTuneFiresRetrain(t *testing.T) {
 	cfg := tuneCfg(4)
 	cfg.Tune.Interval = time.Hour
@@ -195,28 +203,78 @@ func TestAutoTuneFiresRetrain(t *testing.T) {
 	defer s.Close()
 	ks0 := keys.TimeSeriesKeys(0, 4000, 3)
 	entries := make([]index.Entry, len(ks0))
+	oracle := make(map[string]uint64)
 	for i, k := range ks0 {
 		entries[i] = index.Entry{Key: k, Value: uint64(i)}
+		oracle[string(k)] = uint64(i)
 	}
 	if err := s.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
 	s.Tuner().Tick() // the baseline window: the load's own keys
+	// encoded/source bytes of ks under the codec now published.
+	cpr := func(ks [][]byte) float64 {
+		var enc, src int
+		for _, k := range ks {
+			enc += len(s.Codec().Encode(k))
+			src += len(k)
+		}
+		return float64(enc) / float64(src)
+	}
+	baseline := cpr(ks0)
 
 	// Drift: every new write carries the rolled-over prefix. Trips = 2, so
 	// the second drifted window fires; a few more are allowed for.
 	rng := rand.New(rand.NewSource(4))
-	for burst := 0; burst < 6; burst++ {
-		for i := 0; i < 2000; i++ {
+	var ks1 [][]byte
+	write := func(n int) {
+		for i := 0; i < n; i++ {
 			k := keys.TimeSeriesKey(1, uint64(rng.Int63n(400000)))
-			s.Insert(k, uint64(i))
+			if s.Insert(k, uint64(i)) {
+				oracle[string(k)] = uint64(i)
+				ks1 = append(ks1, k)
+			}
 			s.Get(k)
 		}
+	}
+	fired := false
+	for burst := 0; burst < 6 && !fired; burst++ {
+		write(2000)
 		s.Tuner().Tick()
 		h := s.Tuner().Health()
-		if h.Retrains+h.Rebalances >= 1 {
-			return // the control loop closed
+		fired = h.Retrains+h.Rebalances >= 1
+	}
+	if !fired {
+		t.Fatalf("tuner never fired under sustained drift: %+v", s.Tuner().Health())
+	}
+	if err := s.Retrain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	write(500) // after the reconfigurations
+
+	perShard := make([]int, s.NumShards())
+	for _, k := range ks1 {
+		perShard[s.ShardFor(k)]++
+	}
+	used, most := 0, 0
+	for _, n := range perShard {
+		if n > 0 {
+			used++
+		}
+		most = max(most, n)
+	}
+	if share := float64(most) / float64(len(ks1)); used < 2 || share > 0.6 {
+		t.Errorf("rolled-over keys per shard %v: want >= 2 shards and no shard above 60%%", perShard)
+	}
+	if got := cpr(ks1); got > 1.03*baseline {
+		t.Errorf("codec ratio on epoch-1 keys %.3f, epoch-0 baseline %.3f: want within 1.03x", got, baseline)
+	}
+	for k, want := range oracle {
+		if v, ok := s.Get([]byte(k)); !ok || v != want {
+			t.Fatalf("Get(%q) = (%d, %v), want %d", k, v, ok, want)
 		}
 	}
-	t.Fatalf("tuner never fired under sustained drift: %+v", s.Tuner().Health())
 }

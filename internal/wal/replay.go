@@ -7,6 +7,7 @@ import (
 	"io"
 	"path"
 
+	"mets/internal/obs"
 	"mets/internal/vfs"
 )
 
@@ -107,6 +108,48 @@ func Repair(fs vfs.FS, dir string, st ReplayStats) error {
 		return fmt.Errorf("wal: repair %s: %w", name, err)
 	}
 	return nil
+}
+
+// Recover is an owner's whole restart sequence: replay every intact record in
+// segments >= minSeg into fn, repair a torn tail, then open the log o
+// describes for appending. The repair is committed before anything can be
+// appended — truncate the torn segment to its valid prefix and quarantine the
+// untrusted segments after it — because skipping it would strand every write
+// acked after this recovery behind the damaged frame at the next crash. The
+// replay and a repair are recorded on o.FlightRec as event+".replay" and
+// event+".repair".
+func Recover(o Options, minSeg uint64, event string, fn func(rec []byte) error) (*Log, ReplayStats, error) {
+	if o.FS == nil {
+		o.FS = vfs.OS{}
+	}
+	if err := o.FS.MkdirAll(o.Dir); err != nil {
+		return nil, ReplayStats{}, fmt.Errorf("wal: mkdir %s: %w", o.Dir, err)
+	}
+	st, err := Replay(o.FS, o.Dir, minSeg, fn)
+	if err != nil {
+		return nil, st, err
+	}
+	attrs := []obs.Attr{
+		obs.I64("segments", int64(st.Segments)),
+		obs.I64("records", int64(st.Records)),
+		obs.I64("bytes", st.Bytes),
+	}
+	torn := []obs.Attr{
+		obs.I64("torn_segment", int64(st.TornSegment)),
+		obs.I64("torn_offset", st.TornOffset),
+	}
+	if st.Torn {
+		attrs = append(attrs, torn...)
+	}
+	o.FlightRec.Record(event+".replay", attrs...)
+	if err := Repair(o.FS, o.Dir, st); err != nil {
+		return nil, st, err
+	}
+	if st.Torn {
+		o.FlightRec.Record(event+".repair", torn...)
+	}
+	l, err := Open(o)
+	return l, st, err
 }
 
 // truncateSegment atomically rewrites name as its first keep bytes.

@@ -2,86 +2,9 @@ package ycsb
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"mets/internal/client"
 )
-
-// NetworkConfig parameterizes a network run: the driver config plus the
-// connection fan-out to the server.
-type NetworkConfig struct {
-	DriverConfig
-	// Conns is how many TCP connections the clients multiplex over
-	// (default 4). Driver threads round-robin across them, so each
-	// connection carries pipelined requests from several threads.
-	Conns int
-}
-
-// NetworkResult is a DriverResult plus the wire-level outcomes the
-// in-process driver cannot have: backpressure retries and dropped ops.
-type NetworkResult struct {
-	DriverResult
-	// Retries counts writes that hit RETRY_LATER and were retried.
-	Retries int64
-	// Errors counts ops dropped after retry exhaustion or connection
-	// failures.
-	Errors int64
-}
-
-// netMux spreads KV ops across several pipelined connections; it is itself
-// a KV, so RunConcurrent drives the network exactly as it drives an index.
-type netMux struct {
-	kvs  []*client.KV
-	next atomic.Uint64
-}
-
-func (m *netMux) pick() *client.KV {
-	return m.kvs[m.next.Add(1)%uint64(len(m.kvs))]
-}
-
-func (m *netMux) Get(key []byte) (uint64, bool)        { return m.pick().Get(key) }
-func (m *netMux) Insert(key []byte, value uint64) bool { return m.pick().Insert(key, value) }
-func (m *netMux) Update(key []byte, value uint64) bool { return m.pick().Update(key, value) }
-func (m *netMux) Scan(start []byte, fn func([]byte, uint64) bool) int {
-	return m.pick().Scan(start, fn)
-}
-
-// RunNetwork executes the workload against a live mets-server at addr
-// through the wire protocol: cfg.Conns pipelined connections, the usual
-// concurrent driver on top. The key set ks must already be loaded into the
-// server (use client.Batch). Read latencies here include the full network
-// round trip, so the interesting signal is the p99/worst-pause shape under
-// merge churn, not the absolute numbers.
-func RunNetwork(addr string, ks [][]byte, cfg NetworkConfig) (NetworkResult, error) {
-	conns := cfg.Conns
-	if conns <= 0 {
-		conns = 4
-	}
-	mux := &netMux{kvs: make([]*client.KV, conns)}
-	for i := range mux.kvs {
-		c, err := client.Dial(addr)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				mux.kvs[j].C.Close()
-			}
-			return NetworkResult{}, fmt.Errorf("ycsb: dial %s: %w", addr, err)
-		}
-		mux.kvs[i] = &client.KV{C: c}
-	}
-	defer func() {
-		for _, kv := range mux.kvs {
-			kv.C.Close()
-		}
-	}()
-
-	res := RunConcurrent(mux, ks, cfg.DriverConfig)
-	out := NetworkResult{DriverResult: res}
-	for _, kv := range mux.kvs {
-		out.Retries += kv.Retries.Load()
-		out.Errors += kv.Errors.Load()
-	}
-	return out, nil
-}
 
 // LoadServer bulk-loads ks into the server at addr via batched writes over
 // a single connection (values are i+1, matching the in-process loaders).

@@ -269,7 +269,7 @@ var (
 type StatsRegistry = obs.Registry
 
 // StatsSnapshot is a point-in-time copy of every metric in a registry,
-// JSON-encodable (cmd/mets-bench serves it over expvar at -debug-addr).
+// JSON-encodable (cmd/mets-server serves it over expvar at -debug-addr).
 type StatsSnapshot = obs.Snapshot
 
 // LatencyHistogram is a mergeable log2-bucketed latency histogram with
@@ -283,7 +283,7 @@ func NewStatsRegistry() *StatsRegistry { return obs.NewRegistry() }
 func Stats(r *StatsRegistry) StatsSnapshot { return r.Snapshot() }
 
 // WritePrometheus renders a snapshot in Prometheus text exposition format
-// (cmd/mets-bench serves it at -debug-addr/metrics).
+// (cmd/mets-server serves it at -debug-addr/metrics).
 var WritePrometheus = obs.WritePrometheus
 
 // FlightRecorder is the always-on bounded ring of structured engine events
