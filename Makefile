@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 23700
+LOC_MAX := 23450
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -71,14 +71,15 @@ fuzz-smoke:
 # resurrection, the journal replay tests, the barrier tests (which fsyncs a
 # barrier may skip, and that a failing shard journal fails the commit), and
 # the same crash sweep over the engine the server runs, driven through
-# ShardedStore.ApplyBatch in 1-op and 8-op commits — all under the race
-# detector.
+# ShardedStore.ApplyBatch in 1-op and 8-op commits, with the check that the
+# flightrec.json it leaves still holds the lifecycle after thousands of
+# commits — all under the race detector.
 crash-smoke:
 	$(GO) test -race -count=1 -run '^(TestCrashRecovery|TestCrashMatrix.*|TestTombstonesDoNotResurrect|TestDurable.*)$$' ./internal/lsm
 	$(GO) test -race -count=1 -run '^(TestTornTailStopsAtAckedPrefix|TestCorruptTailDetected|TestStickyErrorAfterCrash|TestRepairTornSegmentThenContinue|TestRepairQuarantinesUntrustedSuffix|TestBarrier.*|TestCloseSyncsUncoveredRecords)$$' ./internal/wal
 	$(GO) test -race -count=1 -run '^TestMemFSCrash' ./internal/vfs
 	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Health)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
-	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards)$$' ./internal/server
+	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards|LifecycleSurvivesCommits)$$' ./internal/server
 
 # server-smoke exercises the real mets-server binary end to end: a checked
 # mixed workload over loopback TCP, /metrics, SIGTERM, "clean shutdown" (the

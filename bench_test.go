@@ -587,13 +587,12 @@ func BenchmarkConcurrent_HybridGetDuringMerge(b *testing.B) {
 
 // BenchmarkConcurrent_ShardedGetDuringMerges is the sharded counterpart of
 // BenchmarkConcurrent_HybridGetDuringMerge: parallel point reads while the
-// shards rebuild their static stages in the background, staggered one shard
-// at a time (the maintenance policy for CPU-constrained machines — all-at-
-// once MergeAsync works too but then eight CPU-bound builders compete with
-// the readers for cores, which measures the scheduler, not the index). Each
-// shard's merge is ~1/8 the single-index rebuild and blocks only its own
-// range's readers, so merge-ns (worst single-shard rebuild) should sit well
-// below the single-index number at a comparable max-pause-ns.
+// shards rebuild their static stages in the background (MergeAsync: every
+// shard on its own goroutine, so on a machine with few cores max-pause-ns
+// includes the builders competing with the readers for them). Each shard's
+// merge is ~1/8 the single-index rebuild and blocks only its own range's
+// readers, so merge-ns (worst single-shard rebuild) should sit well below the
+// single-index number.
 func BenchmarkConcurrent_ShardedGetDuringMerges(b *testing.B) {
 	ks := intKeys(b)
 	s := sharded.NewBTree(sharded.Config{
@@ -609,21 +608,7 @@ func BenchmarkConcurrent_ShardedGetDuringMerges(b *testing.B) {
 		s.Insert(k, uint64(i))
 	}
 	var maxPause atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // staggered maintenance: one shard's background merge at a time
-		defer wg.Done()
-		for i := 0; i < s.NumShards(); i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.MergeShardAsync(i)
-			s.WaitMerges()
-		}
-	}()
+	s.MergeAsync()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		rng := rand.New(rand.NewSource(42))
@@ -635,8 +620,6 @@ func BenchmarkConcurrent_ShardedGetDuringMerges(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	close(stop)
-	wg.Wait()
 	s.WaitMerges()
 	_, worstLast, _ := s.MergeStats()
 	b.ReportMetric(float64(maxPause.Load()), "max-pause-ns")
@@ -644,7 +627,7 @@ func BenchmarkConcurrent_ShardedGetDuringMerges(b *testing.B) {
 }
 
 // BenchmarkConcurrent_ShardedScan measures parallel short range scans (the
-// YCSB-E shape) against the sharded index's lazy per-shard iterators.
+// YCSB-E shape) against the sharded index's lazy per-shard walk.
 func BenchmarkConcurrent_ShardedScan(b *testing.B) {
 	ks := intKeys(b)
 	s := sharded.NewBTree(sharded.Config{

@@ -56,7 +56,7 @@ func TestDifferentialWithCodec(t *testing.T) {
 
 // TestCodecEquivalence drives the same workload through an identity-codec
 // index and a HOPE-codec index and requires identical answers from Get,
-// Scan, ScanN, LowerBound, and the chunked Iterator.
+// Scan, ScanN and LowerBound.
 func TestCodecEquivalence(t *testing.T) {
 	codec := emailCodec(t, hope.ThreeGrams)
 	cfg := Config{MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10}
@@ -114,17 +114,11 @@ func TestCodecEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// Full iteration must agree entry-for-entry.
-	pi, ci := plain.NewIterator(nil), coded.NewIterator(nil)
-	for pi.Valid() || ci.Valid() {
-		if pi.Valid() != ci.Valid() {
-			t.Fatal("iterators ended at different lengths")
-		}
-		if !bytes.Equal(pi.Key(), ci.Key()) || pi.Value() != ci.Value() {
-			t.Fatalf("iterator diverged: %q/%d vs %q/%d", pi.Key(), pi.Value(), ci.Key(), ci.Value())
-		}
-		pi.Next()
-		ci.Next()
+	// A full scan must agree entry-for-entry.
+	ps, pn := collect(plain, nil, -1)
+	cs, cn := collect(coded, nil, -1)
+	if err := sameEntries(cs, ps); err != nil || pn != cn {
+		t.Fatalf("full scans diverged (%d vs %d entries): %v", pn, cn, err)
 	}
 }
 

@@ -18,7 +18,7 @@ func epochCfg() Config {
 }
 
 // TestEpochBulkLoadAndIterate covers the generation-replacing BulkLoad plus
-// the chunked hooks (ScanN, Iterator, LowerBound) on every variant.
+// the scan hooks (Scan, ScanN through LowerBound) on every variant.
 func TestEpochBulkLoadAndIterate(t *testing.T) {
 	cfg := epochCfg()
 	cfg.BackgroundMerge = true
@@ -39,14 +39,15 @@ func testBulkLoadAndIterate(t *testing.T, h *Index) {
 		t.Fatalf("Len=%d want %d", h.Len(), len(entries))
 	}
 	i := 0
-	for it := h.NewIterator(nil); it.Valid(); it.Next() {
-		if keys.Compare(it.Key(), entries[i].Key) != 0 || it.Value() != entries[i].Value {
-			t.Fatalf("iterator diverged at %d", i)
+	h.Scan(nil, func(k []byte, v uint64) bool {
+		if keys.Compare(k, entries[i].Key) != 0 || v != entries[i].Value {
+			t.Fatalf("scan diverged at %d", i)
 		}
 		i++
-	}
+		return true
+	})
 	if i != len(entries) {
-		t.Fatalf("iterator visited %d entries, want %d", i, len(entries))
+		t.Fatalf("scan visited %d entries, want %d", i, len(entries))
 	}
 	if e, ok := h.LowerBound(entries[17].Key); !ok || keys.Compare(e.Key, entries[17].Key) != 0 {
 		t.Fatal("LowerBound missed an exact key")

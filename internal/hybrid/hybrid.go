@@ -68,10 +68,10 @@ type Config struct {
 	// either way.
 	BackgroundMerge bool
 	// Obs attaches the index to a metrics registry: per-operation counters,
-	// Bloom-filter effectiveness counters, stage-size gauges, and a
-	// seal/build/swap span per merge. Nil disables instrumentation — the
-	// hot-path cost is then a single nil check per counter site. Use
-	// Registry.Sub to prefix per-shard instances.
+	// Bloom-filter effectiveness counters, stage-size gauges, and a "merge"
+	// record with the seal/build/swap durations per merge. Nil disables
+	// instrumentation — the hot-path cost is then a single nil check per
+	// counter site. Use Registry.Sub to prefix per-shard instances.
 	Obs *obs.Registry
 	// EpochReads makes the dynamic stage the built-in concurrent skip-list
 	// memtable: reads are then wait-free end to end — load the generation
@@ -88,7 +88,7 @@ type Config struct {
 	// over encoded keys, and scans decode on emit. The codec is frozen for
 	// the index's lifetime, so every merge generation shares one encoded
 	// space. (Keys handed to Scan callbacks are lent with or without a
-	// codec; ScanN and Iterator return retainable copies.)
+	// codec; ScanN returns retainable copies.)
 	Codec keycodec.Codec
 	// Dir, when non-empty, makes the index journal every successful write to
 	// a segmented op journal in that directory and replay it on New, so the
@@ -224,8 +224,8 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		r.GaugeFunc("dynamic_len", func() float64 { return float64(h.DynamicLen()) })
 		r.GaugeFunc("static_len", func() float64 { return float64(h.StaticLen()) })
 		flag("merging", h.Merging)
-		// The drift tuner's merge-backlog detector watches this: 1 while the
-		// dynamic stage sits past the merge trigger (Health.MergeBehind).
+		// 1 while the dynamic stage sits past the merge trigger
+		// (Health.MergeBehind, which is what the drift tuner is handed).
 		flag("merge_behind", func() bool { return h.Health().MergeBehind })
 		// A sticky journal failure is otherwise invisible until the next
 		// explicit barrier; surface it in every snapshot.
@@ -582,12 +582,6 @@ func (h *Index) MergeStats() (merges int, last, total time.Duration) {
 	defer h.mu.Unlock()
 	return h.Merges, h.LastMergeTime, h.TotalMergeTime
 }
-
-// Stats snapshots the metrics registry the index was configured with
-// (Config.Obs). Zero-value snapshot when observability is disabled. Note
-// that a registry shared across indexes (or a Sub view) snapshots the whole
-// shared namespace.
-func (h *Index) Stats() obs.Snapshot { return h.obsReg.Snapshot() }
 
 // MemoryUsage sums all stages and the Bloom filters (tombstones are part of
 // the memtable accounting).

@@ -2,14 +2,12 @@ package hybrid
 
 import (
 	"mets/internal/index"
-	"mets/internal/keys"
 	"mets/internal/reconfig"
 )
 
 // This file exports the stage-snapshot hooks that layered consumers (the
-// range-sharded index in internal/sharded, bulk loaders) build on: a chunked
-// Iterator that holds no generation across user code, the bounded ScanN,
-// direct frozen-stage introspection, and BulkLoad.
+// range-sharded index in internal/sharded, bulk loaders) build on: the
+// bounded ScanN, direct frozen-stage introspection, and BulkLoad.
 
 // ScanN collects up to n live entries in key order starting at the smallest
 // key >= start. One call reads one generation, and the returned entries are
@@ -28,79 +26,6 @@ func (h *Index) LowerBound(start []byte) (index.Entry, bool) {
 		return index.Entry{}, false
 	}
 	return es[0], true
-}
-
-// Iterator chunk sizing: each refill restarts a cursor seek on the static
-// and dynamic stages, so the first fill is sized to satisfy a typical short
-// range scan (YCSB-E draws 50-100 entries) in a single pass, then
-// doubles up to the cap so long scans amortize further refills.
-const (
-	iterFirstChunk = 128
-	iterChunk      = 512
-)
-
-// Iterator walks the live entries of the index in key order, pulling one
-// chunk of entries per generation load. Unlike Scan — which stays on one
-// generation for its whole duration — an Iterator holds nothing between
-// chunks, so an arbitrarily long iteration never keeps a superseded
-// generation's stages alive. The trade-off is chunk granularity consistency:
-// each chunk reads one generation, but entries inserted behind the cursor
-// after a refill are not revisited.
-type Iterator struct {
-	h     *Index
-	buf   []index.Entry
-	i     int
-	next  []byte // resume key for the next refill
-	chunk int    // next refill size (doubles up to iterChunk)
-	done  bool   // no more refills
-}
-
-// NewIterator returns an iterator positioned at the smallest key >= start
-// (nil starts at the beginning).
-func (h *Index) NewIterator(start []byte) *Iterator {
-	it := &Iterator{h: h, next: start, chunk: iterFirstChunk}
-	if it.next == nil {
-		it.next = []byte{}
-	}
-	it.fill()
-	return it
-}
-
-func (it *Iterator) fill() {
-	it.i = 0
-	if it.done {
-		it.buf = nil
-		return
-	}
-	it.buf = it.h.ScanN(it.next, it.chunk)
-	if len(it.buf) < it.chunk {
-		it.done = true
-		return
-	}
-	it.next = keys.Next(it.buf[len(it.buf)-1].Key)
-	if it.chunk < iterChunk {
-		it.chunk *= 2
-	}
-}
-
-// Valid reports whether the iterator is positioned on an entry.
-func (it *Iterator) Valid() bool { return it.i < len(it.buf) }
-
-// Entry returns the current entry; the key is owned by the caller.
-func (it *Iterator) Entry() index.Entry { return it.buf[it.i] }
-
-// Key returns the current key.
-func (it *Iterator) Key() []byte { return it.buf[it.i].Key }
-
-// Value returns the current value.
-func (it *Iterator) Value() uint64 { return it.buf[it.i].Value }
-
-// Next advances to the next entry, refilling from the index as needed.
-func (it *Iterator) Next() {
-	it.i++
-	if it.i >= len(it.buf) && !it.done {
-		it.fill()
-	}
 }
 
 // FrozenLen returns the entry count of the sealed frozen stage, or 0 when no

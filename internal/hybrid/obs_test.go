@@ -31,7 +31,7 @@ func TestObsCounters(t *testing.T) {
 	}
 	h.Scan(nil, func(k []byte, v uint64) bool { return true })
 
-	s := h.Stats()
+	s := reg.Snapshot()
 	want := map[string]int64{
 		"insert": int64(len(ks)),
 		"get":    501,
@@ -61,8 +61,8 @@ func TestObsCounters(t *testing.T) {
 	}
 }
 
-// TestObsDisabledNilSafe pins that a nil Config.Obs leaves every handle nil
-// and Stats returns an empty snapshot — the disabled path must never panic.
+// TestObsDisabledNilSafe pins that a nil Config.Obs leaves every handle nil —
+// counters, merge span, recorder — and the disabled path never panics.
 func TestObsDisabledNilSafe(t *testing.T) {
 	h := NewBTree(smallCfg())
 	ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(1000, 9)))
@@ -70,17 +70,20 @@ func TestObsDisabledNilSafe(t *testing.T) {
 		h.Insert(k, uint64(i))
 	}
 	h.Merge()
+	h.MergeAsync()
+	h.WaitMerges()
 	h.Get(ks[0])
-	s := h.Stats()
-	if len(s.Counters) != 0 || len(s.Spans) != 0 {
-		t.Fatalf("disabled Stats = %+v, want empty", s)
+	if h.obsReg != nil || h.obsGet != nil || h.fr != nil {
+		t.Fatal("an index without Config.Obs or Config.Dir holds telemetry handles")
 	}
 }
 
 // TestObsMergeSpan drives both the synchronous and the background merge path
-// and checks the recorded span: named phases seal -> build -> swap, each with
-// a non-zero duration, ending in order (seal <= build <= swap). The phase
-// boundaries are the observable shape of the §5.2.2 merge state machine.
+// and checks the record each leaves in the event stream: named "merge", with
+// the phases seal -> build -> swap in that order, each of non-zero duration
+// and together inside the span's. The phase boundaries are the observable
+// shape of the §5.2.2 merge state machine; the merge.commit event of the same
+// span marks the instant the new stage was published.
 func TestObsMergeSpan(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := smallCfg()
@@ -100,12 +103,21 @@ func TestObsMergeSpan(t *testing.T) {
 		t.Fatal("MergeAsync refused with a populated dynamic stage")
 	}
 	h.WaitMerges()
-	// The span is recorded after the swap lock is released, so WaitMerges
-	// returning does not guarantee End() ran yet; wait for the tracer.
+	// The span is ended after the swap lock is released, so WaitMerges
+	// returning does not guarantee End() ran yet; wait for the record.
 	deadline := time.Now().Add(5 * time.Second)
-	var spans []obs.SpanSnapshot
+	var spans []obs.Event
+	var commits map[uint64]int
 	for {
-		spans = reg.Tracer().Recent()
+		spans, commits = nil, map[uint64]int{}
+		for _, ev := range reg.FlightRecorder().Events() {
+			switch ev.Type {
+			case "merge":
+				spans = append(spans, ev)
+			case "merge.commit":
+				commits[ev.Span]++
+			}
+		}
 		if len(spans) >= 2 {
 			break
 		}
@@ -116,43 +128,45 @@ func TestObsMergeSpan(t *testing.T) {
 	}
 
 	for _, s := range spans {
-		if s.Name != "merge" {
-			t.Fatalf("span name = %q, want \"merge\"", s.Name)
+		if len(s.Attrs) != 4 {
+			t.Fatalf("span record has %d attrs, want dur_ns and 3 phases: %+v", len(s.Attrs), s.Attrs)
 		}
-		if len(s.Phases) != 3 {
-			t.Fatalf("span has %d phases, want 3: %+v", len(s.Phases), s.Phases)
+		dur := s.Attrs[0]
+		if dur.Key != "dur_ns" || dur.Val <= 0 {
+			t.Errorf("span duration = %+v, must be positive", dur)
 		}
-		names := []string{"seal", "build", "swap"}
-		var prevEnd time.Time
-		for i, p := range s.Phases {
-			if p.Name != names[i] {
-				t.Fatalf("phase %d = %q, want %q", i, p.Name, names[i])
+		var sum int64
+		for i, name := range []string{"seal_ns", "build_ns", "swap_ns"} {
+			p := s.Attrs[1+i]
+			if p.Key != name {
+				t.Fatalf("phase %d = %q, want %q", i, p.Key, name)
 			}
-			if p.Duration() <= 0 {
-				t.Errorf("phase %q duration = %v, want > 0", p.Name, p.Duration())
+			if p.Val <= 0 {
+				t.Errorf("phase %q duration = %d ns, want > 0", p.Key, p.Val)
 			}
-			if i > 0 && p.End.Before(prevEnd) {
-				t.Errorf("phase %q ends before %q", p.Name, names[i-1])
-			}
-			prevEnd = p.End
+			sum += p.Val
 		}
-		if s.Duration() <= 0 {
-			t.Error("span duration must be positive")
+		if sum > dur.Val {
+			t.Errorf("phases sum to %d ns, outside the span's %d", sum, dur.Val)
+		}
+		if s.Span == 0 || commits[s.Span] != 1 {
+			t.Errorf("merge span %d has %d merge.commit events, want 1", s.Span, commits[s.Span])
 		}
 	}
 	// The build phase dominates a 20k-entry rebuild; seal and swap are
 	// constant-time bookkeeping under the lock.
 	for _, s := range spans {
-		build, _ := s.Phase("build")
-		seal, _ := s.Phase("seal")
-		if build.Duration() < seal.Duration() {
-			t.Logf("note: build (%v) faster than seal (%v) — tiny merge", build.Duration(), seal.Duration())
+		build, _ := s.Attr("build_ns")
+		seal, _ := s.Attr("seal_ns")
+		if build.Val < seal.Val {
+			t.Logf("note: build (%d ns) faster than seal (%d ns) — tiny merge", build.Val, seal.Val)
 		}
 	}
-	if got := h.Stats().Counters["merges"]; got != 2 {
+	snap := reg.Snapshot()
+	if got := snap.Counters["merges"]; got != 2 {
 		t.Fatalf("merges counter = %d, want 2", got)
 	}
-	if m := h.Stats().Gauges["merging"]; m != 0 {
+	if m := snap.Gauges["merging"]; m != 0 {
 		t.Fatalf("merging gauge = %v after WaitMerges, want 0", m)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // The scan-merge oracle table: every variant, under both memtables, with
 // live, shadowing and tombstone states in the current memtable, in a frozen
 // memtable whose background merge is held mid-build, and in the static stage,
-// all at once — checked against a sorted map for Scan, ScanN, Iterator and
+// all at once — checked against a sorted map for Scan, ScanN and
 // Snapshot.Scan from every start position, stopping at every position, and
 // with a callback that calls back into the index.
 
@@ -189,20 +189,6 @@ func (f *scanFixture) checkScans(t *testing.T, what string, s scanner) {
 	}
 }
 
-// checkIterator walks the chunked Iterator from a few starts.
-func (f *scanFixture) checkIterator(t *testing.T) {
-	t.Helper()
-	for _, start := range [][]byte{nil, f.space[0], f.space[len(f.space)/2], keys.Next(f.space[len(f.space)/2]), []byte("\xff")} {
-		var got []index.Entry
-		for it := f.h.NewIterator(start); it.Valid(); it.Next() {
-			got = append(got, it.Entry())
-		}
-		if err := sameEntries(got, f.want(start)); err != nil {
-			t.Fatalf("Iterator(%q): %v", start, err)
-		}
-	}
-}
-
 // checkReentrant scans with a callback that reads and writes the index it is
 // being called from: a Get of the key it was handed, a nested Scan and ScanN
 // from that key, and an Insert behind the scan position (which this scan must
@@ -275,7 +261,6 @@ func TestScanMergeOracle(t *testing.T) {
 					f := newScanFixture(t, ctor, epoch, st.static, st.frozen)
 					defer func() { f.release() }()
 					f.checkScans(t, "live", f.h)
-					f.checkIterator(t)
 					sn, err := f.h.Snapshot()
 					if err != nil {
 						t.Fatal(err)

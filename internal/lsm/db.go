@@ -79,8 +79,6 @@ type Config struct {
 	WALSync wal.SyncMode
 	// WALSegmentBytes is the WAL rotation threshold (default 4 MB).
 	WALSegmentBytes int64
-	// GroupCommitDelay is the wal.SyncBatch coalescing window.
-	GroupCommitDelay time.Duration
 }
 
 // DefaultConfig returns the §4.4-style configuration.
@@ -533,7 +531,6 @@ func (db *DB) flushLocked() error {
 			return db.failLocked(err)
 		}
 	}
-	sp.Annotate(obs.I64("table", int64(t.id)))
 	db.fr.RecordSpan("flush.commit", sp.ID(),
 		obs.I64("table", int64(t.id)), obs.I64("wal_min", int64(sealed+1)))
 	return db.compactUntilCleanLocked(sp.ID())
@@ -562,7 +559,6 @@ func (db *DB) flushWorker(imm *memTable, sealed uint64, sp *obs.Span) {
 		sp.End()
 		return
 	}
-	sp.Annotate(obs.I64("table", int64(t.id)))
 	db.fr.RecordSpan("flush.commit", sp.ID(),
 		obs.I64("table", int64(t.id)), obs.I64("wal_min", int64(sealed+1)))
 	db.imm = nil
@@ -1039,21 +1035,18 @@ func (db *DB) compactUntilCleanLocked(parent uint64) error {
 			sp.End()
 			return db.failLocked(err)
 		}
-		db.recordCompaction(sp, job, out)
+		db.recordCompaction(sp.ID(), job, out)
 		sp.End()
 	}
 }
 
-// recordCompaction annotates a finished compaction's span and emits its
-// flight-recorder commit event.
-func (db *DB) recordCompaction(sp *obs.Span, job *compactJob, out []*SSTable) {
-	attrs := []obs.Attr{
+// recordCompaction emits an installed compaction's commit event, linked to
+// its span (whose record, with the merge and install durations, follows).
+func (db *DB) recordCompaction(span uint64, job *compactJob, out []*SSTable) {
+	db.fr.RecordSpan("compaction.commit", span,
 		obs.I64("src_level", int64(job.srcLevel)),
 		obs.I64("inputs", int64(len(job.inputs)+len(job.merge))),
-		obs.I64("outputs", int64(len(out))),
-	}
-	sp.Annotate(attrs...)
-	db.fr.RecordSpan("compaction.commit", sp.ID(), attrs...)
+		obs.I64("outputs", int64(len(out))))
 }
 
 // compactWorker is the single background compactor: it picks a job under
@@ -1088,7 +1081,7 @@ func (db *DB) compactWorker(parent uint64) {
 			sp.End()
 			return
 		}
-		db.recordCompaction(sp, job, out)
+		db.recordCompaction(sp.ID(), job, out)
 		db.mu.Unlock()
 		sp.End()
 	}

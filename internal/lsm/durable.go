@@ -212,7 +212,6 @@ func (db *DB) recoverLocked(fs vfs.FS, dir string) error {
 		Dir:          dir,
 		SegmentBytes: db.cfg.WALSegmentBytes,
 		Mode:         db.cfg.WALSync,
-		GroupDelay:   db.cfg.GroupCommitDelay,
 		Obs:          db.cfg.Obs,
 		FlightRec:    db.fr,
 	}, walMin, "wal", db.applyWALRecord)

@@ -39,7 +39,12 @@ func eventTypes(d *obs.FlightDump) map[string]int {
 // reopen's recovery dump records the replay it performed.
 func TestDurableFlightRecorder(t *testing.T) {
 	fs := vfs.NewMemFS()
-	db, err := OpenDurable(tinyDurableConfig(fs))
+	// A WAL batch is recorded when it holds the slowest commit the
+	// group_commit histogram has seen, so the log needs a registry to keep
+	// that histogram in (the first commit is always the slowest so far).
+	cfg := tinyDurableConfig(fs)
+	cfg.Obs = obs.NewRegistry()
+	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +61,7 @@ func TestDurableFlightRecorder(t *testing.T) {
 	types := eventTypes(d)
 	// The tiny config forces flushes and WAL activity inside 120 ops; their
 	// commit events must be in the ring, and the final event is the close.
-	for _, want := range []string{"recovery.fresh", "wal.fsync_batch", "flush.commit", "manifest.commit", "close"} {
+	for _, want := range []string{"recovery.fresh", "wal.batch", "flush.commit", "manifest.commit", "close"} {
 		if types[want] == 0 {
 			t.Fatalf("dump missing %q events; have %v", want, types)
 		}
@@ -80,6 +85,76 @@ func TestDurableFlightRecorder(t *testing.T) {
 		t.Fatalf("recovery dump missing manifest/replay events; have %v", types)
 	}
 	db2.Close()
+}
+
+// TestFlushCompactionCausality follows a flush through the one record
+// stream, on the inline and the background path: the flush span's record has
+// the seal/build/install durations, its seal and commit events carry its ID,
+// and a compaction the flush triggered names it as parent, has the
+// merge/install durations, and a commit event of its own under its ID.
+func TestFlushCompactionCausality(t *testing.T) {
+	for _, background := range []bool{false, true} {
+		reg := obs.NewRegistry()
+		cfg := tinyDurableConfig(vfs.NewMemFS())
+		cfg.Obs, cfg.BackgroundCompaction = reg, background
+		db, err := OpenDurable(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 400; i++ {
+			durablePut(t, db, fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%d", i))
+		}
+		if err := db.Close(); err != nil { // waits for the background workers, whose last act is ending their span
+			t.Fatal(err)
+		}
+		evs := reg.Snapshot().Events
+		under := map[uint64]map[string]int{} // span ID -> types of the records carrying it
+		for _, ev := range evs {
+			if under[ev.Span] == nil {
+				under[ev.Span] = map[string]int{}
+			}
+			under[ev.Span][ev.Type]++
+		}
+		followed := 0
+		for _, ev := range evs {
+			if ev.Type != "lsm.compaction" {
+				continue
+			}
+			for _, k := range []string{"dur_ns", "merge_ns", "install_ns"} {
+				if _, ok := ev.Attr(k); !ok {
+					t.Fatalf("background=%v: compaction record without %s: %+v", background, k, ev)
+				}
+			}
+			if under[ev.Span]["compaction.commit"] != 1 {
+				t.Fatalf("background=%v: compaction span %d has records %v, want one commit event", background, ev.Span, under[ev.Span])
+			}
+			p, ok := ev.Attr("parent")
+			if !ok {
+				t.Fatalf("background=%v: compaction record names no parent: %+v", background, ev)
+			}
+			flush := under[uint64(p.Val)]
+			if flush["lsm.flush"] == 0 {
+				continue // the flush's own record has left the ring
+			}
+			if flush["lsm.flush"] != 1 || flush["flush.seal"] != 1 || flush["flush.commit"] != 1 {
+				t.Fatalf("background=%v: records under flush span %d = %v, want one seal, one commit, one span record", background, p.Val, flush)
+			}
+			followed++
+		}
+		for _, ev := range evs {
+			if ev.Type == "lsm.flush" {
+				for _, k := range []string{"dur_ns", "seal_ns", "build_ns", "install_ns"} {
+					if _, ok := ev.Attr(k); !ok {
+						t.Fatalf("background=%v: flush record without %s: %+v", background, k, ev)
+					}
+				}
+			}
+		}
+		if followed == 0 {
+			t.Fatalf("background=%v: no compaction could be followed back to its flush; have %v",
+				background, eventTypes(&obs.FlightDump{Events: evs}))
+		}
+	}
 }
 
 // TestDurableFlightRecorderQuarantine pins that a quarantined table file

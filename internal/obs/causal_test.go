@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestSpanCausality pins the causal-span contract: StartChild links a span
-// to its parent's nonzero ID, annotations ride into the snapshot, and the
-// chain is reconstructable from SpanSnapshots alone.
+// TestSpanCausality pins the causal-span contract: a child's record names its
+// parent's nonzero ID, annotations ride into the record after the durations,
+// and the chain is reconstructable from the event stream alone.
 func TestSpanCausality(t *testing.T) {
 	r := NewRegistry()
 	flush := r.StartSpan("flush")
@@ -15,7 +15,7 @@ func TestSpanCausality(t *testing.T) {
 		t.Fatal("span got ID 0 (reserved for 'no parent')")
 	}
 	flush.Annotate(I64("mem_bytes", 4096))
-	comp := r.StartSpanChild("compaction", flush.ID())
+	comp := r.Sub("lsm.").StartSpanChild("compaction", flush.ID())
 	if comp.ID() == 0 || comp.ID() == flush.ID() {
 		t.Fatalf("child ID %d vs parent %d", comp.ID(), flush.ID())
 	}
@@ -23,33 +23,33 @@ func TestSpanCausality(t *testing.T) {
 	comp.End()
 	flush.End()
 
-	snaps := r.Snapshot().Spans
-	byName := map[string]SpanSnapshot{}
-	for _, s := range snaps {
-		byName[s.Name] = s
+	byName := map[string]Event{}
+	for _, ev := range r.Snapshot().Events {
+		byName[ev.Type] = ev
 	}
-	f, c := byName["flush"], byName["compaction"]
-	if f.ID != flush.ID() || f.Parent != 0 {
-		t.Fatalf("flush snapshot = id %d parent %d", f.ID, f.Parent)
+	f, c := byName["flush"], byName["lsm.compaction"]
+	if _, ok := f.Attr("parent"); f.Span != flush.ID() || ok {
+		t.Fatalf("flush record = %+v, want span %d and no parent", f, flush.ID())
 	}
-	if c.Parent != f.ID {
-		t.Fatalf("compaction parent = %d, want %d", c.Parent, f.ID)
+	if p, _ := c.Attr("parent"); c.Span != comp.ID() || uint64(p.Val) != f.Span {
+		t.Fatalf("compaction record = %+v, want parent %d", c, f.Span)
 	}
-	if len(f.Attrs) != 1 || f.Attrs[0].Key != "mem_bytes" || f.Attrs[0].Val != 4096 {
+	if a := f.Attrs[len(f.Attrs)-1]; len(f.Attrs) != 2 || a.Key != "mem_bytes" || a.Val != 4096 {
 		t.Fatalf("flush attrs = %+v", f.Attrs)
 	}
-	if len(c.Attrs) != 2 || c.Attrs[1].Str != "L0" {
+	if a := c.Attrs[len(c.Attrs)-1]; len(c.Attrs) != 4 || a.Str != "L0" {
 		t.Fatalf("compaction attrs = %+v", c.Attrs)
 	}
 }
 
-// TestSpanCausalityNil pins that the nil disabled path extends to the new
-// surface: ID 0, Annotate no-op, StartSpanChild nil.
+// TestSpanCausalityNil pins the disabled path: a nil registry and a nil
+// recorder hand out a nil span, whose ID is 0 and whose methods no-op.
 func TestSpanCausalityNil(t *testing.T) {
 	var r *Registry
+	var fr *FlightRecorder
 	sp := r.StartSpanChild("x", 9)
-	if sp != nil {
-		t.Fatal("nil registry must hand out nil span")
+	if sp != nil || fr.StartSpan("x", 9) != nil {
+		t.Fatal("nil registry and nil recorder must hand out nil spans")
 	}
 	if sp.ID() != 0 {
 		t.Fatal("nil span must report ID 0")
@@ -65,9 +65,10 @@ func TestSpanCausalityNil(t *testing.T) {
 func TestHistogramExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("commit_ns")
-	h.ObserveExemplar(100, 1, "key-a")
-	h.ObserveExemplar(900, 2, "key-b")
-	h.ObserveExemplar(300, 3, "key-c")
+	// Only an observation that sets the maximum is kept, and says so.
+	if !h.ObserveExemplar(100, 1, "key-a") || !h.ObserveExemplar(900, 2, "key-b") || h.ObserveExemplar(300, 3, "key-c") {
+		t.Fatal("ObserveExemplar must report exactly the new maxima")
+	}
 	s := h.Snapshot()
 	if s.Exemplar == nil {
 		t.Fatal("no exemplar captured")
@@ -95,7 +96,9 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Fatal("plain Observe must not fabricate an exemplar")
 	}
 	var hn *Histogram
-	hn.ObserveExemplar(1, 1, "k")
+	if hn.ObserveExemplar(1, 1, "k") {
+		t.Fatal("a nil histogram keeps nothing")
+	}
 	hn.ObserveExemplarKey(1, 1, []byte("k"))
 
 	// The bytes form keeps a copy when it sets the max and builds no string

@@ -126,9 +126,10 @@ func TestConcurrentHistogramMax(t *testing.T) {
 }
 
 // TestConcurrentSpans ends spans from many goroutines while readers drain
-// Recent — exercises the tracer ring under the race detector.
+// the ring — a record is never torn: whichever span a slot holds, it holds all
+// of it (under the race detector this also exercises the slot locking).
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer(DefaultSpanRing)
+	fr := NewFlightRecorder(DefaultFlightEvents)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	wg.Add(1)
@@ -139,9 +140,10 @@ func TestConcurrentSpans(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				for _, s := range tr.Recent() {
-					if s.End.Before(s.Start) {
-						t.Error("span ends before it starts")
+				for _, ev := range fr.Events() {
+					w, ok := ev.Attr("worker")
+					if ev.Type != "work" || len(ev.Attrs) != 4 || !ok || uint64(w.Val) != ev.Span%4 {
+						t.Errorf("torn span record: %+v", ev)
 						return
 					}
 				}
@@ -149,23 +151,35 @@ func TestConcurrentSpans(t *testing.T) {
 		}
 	}()
 	var ww sync.WaitGroup
+	var ids [4][]uint64
 	for w := 0; w < 4; w++ {
 		ww.Add(1)
-		go func() {
+		go func(w int) {
 			defer ww.Done()
 			for i := 0; i < 500; i++ {
-				sp := tr.Start("work")
+				sp := fr.StartSpan("work", 0)
 				sp.Phase("a")
 				sp.Phase("b")
+				sp.Annotate(I64("worker", int64(sp.ID()%4)))
 				sp.End()
+				ids[w] = append(ids[w], sp.ID())
 			}
-		}()
+		}(w)
 	}
 	ww.Wait()
 	close(stop)
 	wg.Wait()
-	if started, ended := tr.Counts(); started != 2000 || ended != 2000 {
-		t.Fatalf("counts = (%d,%d), want (2000,2000)", started, ended)
+	seen := make(map[uint64]bool)
+	for _, w := range ids {
+		for _, id := range w {
+			if id == 0 || seen[id] {
+				t.Fatalf("span ID %d is zero or was handed out twice", id)
+			}
+			seen[id] = true
+		}
+	}
+	if fr.Len() != 2000 {
+		t.Fatalf("recorded %d spans, want 2000", fr.Len())
 	}
 }
 

@@ -1,9 +1,12 @@
 // Flight recorder: an always-on, fixed-size ring of structured lifecycle
-// events (WAL rotations and fsync batches, flush/compaction commits, manifest
-// installs, quarantines, journal replays, generation swaps). Unlike the span
-// tracer — which records *durations* of long-running background work — the
-// flight recorder records *facts*: discrete things that happened, in order,
-// with enough attributes to reconstruct the lead-up to a failure.
+// records — the one record stream of the process. A record is either a fact
+// (a WAL rotation, a flush/compaction/merge commit, a manifest install, a
+// quarantine, a journal replay, a generation swap: a discrete thing that
+// happened, with enough attributes to reconstruct the lead-up to a failure)
+// or a finished span (span.go: the durations of the background work that led
+// to such a fact, joined to it by the span ID). What happens once per
+// operation — a commit, a get — is a histogram's business, not the ring's:
+// a ring of per-commit records holds nothing else within milliseconds.
 //
 // The recorder never blocks progress and never grows: a writer claims a slot
 // with one atomic increment and fills it under that slot's own (uncontended)
@@ -29,9 +32,9 @@ import (
 // traffic, small enough that a dump is a few tens of KB.
 const DefaultFlightEvents = 256
 
-// Attr is one typed attribute on a flight-recorder event or span: a key with
-// either an integer or a string value (never both). Short JSON tags keep
-// dumps compact.
+// Attr is one typed attribute on a flight-recorder event: a key with either
+// an integer or a string value (never both). Short JSON tags keep dumps
+// compact.
 type Attr struct {
 	Key string `json:"k"`
 	Val int64  `json:"v,omitempty"`
@@ -44,16 +47,26 @@ func I64(key string, v int64) Attr { return Attr{Key: key, Val: v} }
 // Str builds a string attribute.
 func Str(key, s string) Attr { return Attr{Key: key, Str: s} }
 
-// Event is one recorded fact. Seq is a 1-based global order (the ring keeps
-// the highest DefaultFlightEvents of them); Span, when nonzero, is the ID of
-// the causal span the event belongs to (a flush commit points at its flush
-// span, a WAL fsync batch at its batch span).
+// Event is one record. Seq is a 1-based global order (the ring keeps the
+// highest DefaultFlightEvents of them); Span, when nonzero, is the ID of the
+// causal span the event belongs to (a flush commit points at its flush span)
+// or, on the span's own record, the span itself.
 type Event struct {
 	Seq   uint64 `json:"seq"`
 	Time  int64  `json:"t_unix_ns"`
 	Type  string `json:"type"`
 	Span  uint64 `json:"span,omitempty"`
 	Attrs []Attr `json:"attrs,omitempty"`
+}
+
+// Attr returns the event's first attribute named key and whether it has one.
+func (e Event) Attr(key string) (Attr, bool) {
+	for _, a := range e.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return Attr{}, false
 }
 
 // frSlot is one ring slot. The per-slot mutex is held only for the few stores
@@ -68,6 +81,7 @@ type frSlot struct {
 // can hold a possibly-nil recorder and record unconditionally.
 type FlightRecorder struct {
 	next  atomic.Uint64 // number of events ever recorded; Seq of the next is next+1
+	spans atomic.Uint64 // number of spans ever started; the last one's ID
 	slots []frSlot
 }
 
@@ -89,13 +103,16 @@ func (fr *FlightRecorder) Record(typ string, attrs ...Attr) {
 // increment to claim a slot, one time.Now, and one uncontended mutex around
 // the slot stores. Nil-safe.
 func (fr *FlightRecorder) RecordSpan(typ string, span uint64, attrs ...Attr) {
-	if fr == nil {
-		return
+	if fr != nil {
+		fr.record(time.Now(), typ, span, attrs)
 	}
+}
+
+func (fr *FlightRecorder) record(now time.Time, typ string, span uint64, attrs []Attr) {
 	seq := fr.next.Add(1) // 1-based: a zero Seq means "slot never written"
 	s := &fr.slots[(seq-1)%uint64(len(fr.slots))]
 	s.mu.Lock()
-	s.ev = Event{Seq: seq, Time: time.Now().UnixNano(), Type: typ, Span: span, Attrs: attrs}
+	s.ev = Event{Seq: seq, Time: now.UnixNano(), Type: typ, Span: span, Attrs: attrs}
 	s.mu.Unlock()
 }
 

@@ -101,13 +101,17 @@ func (h *Histogram) observe(ns int64) bool {
 }
 
 // ObserveExemplar records ns like ObserveNs and, if it set a new max,
-// remembers (span, key) as the histogram's slow-op exemplar. The exemplar
-// update happens only on the new-max path, so the common case costs exactly
-// what ObserveNs costs. No-op on a nil histogram.
-func (h *Histogram) ObserveExemplar(ns int64, span uint64, key string) {
-	if h.observe(ns) {
+// remembers (span, key) as the histogram's slow-op exemplar and reports true —
+// the caller's cue to End that span, so the exemplar's ID resolves to a record
+// in the ring. The exemplar update happens only on the new-max path, so the
+// common case costs exactly what ObserveNs costs. No-op (false) on a nil
+// histogram.
+func (h *Histogram) ObserveExemplar(ns int64, span uint64, key string) bool {
+	slowest := h.observe(ns)
+	if slowest {
 		h.setExemplar(ns, span, key)
 	}
+	return slowest
 }
 
 // ObserveExemplarKey is ObserveExemplar for a caller that holds the key tag as

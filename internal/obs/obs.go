@@ -1,8 +1,8 @@
 // Package obs is the zero-dependency observability substrate for mets: a
 // registry of named metrics — padded atomic counters and gauges, log-bucketed
-// latency histograms (histogram.go), and a bounded-ring span tracer for
-// background lifecycle events (span.go) — designed so that instrumentation is
-// compile-time cheap on the hot path.
+// latency histograms (histogram.go), and one bounded ring of lifecycle records
+// (flightrec.go; a span, span.go, builds one of them) — designed so that
+// instrumentation is compile-time cheap on the hot path.
 //
 // # Nil-safety and cost model
 //
@@ -29,7 +29,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,7 +92,6 @@ type registryData struct {
 	gauges   map[string]*Gauge
 	gaugeFns map[string]func() float64
 	hists    map[string]*Histogram
-	tracer   *Tracer
 	flight   *FlightRecorder
 }
 
@@ -108,14 +106,13 @@ type Registry struct {
 	prefix string
 }
 
-// NewRegistry creates an empty registry with a default-sized span ring.
+// NewRegistry creates an empty registry with a default-sized flight recorder.
 func NewRegistry() *Registry {
 	return &Registry{data: &registryData{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		gaugeFns: make(map[string]func() float64),
 		hists:    make(map[string]*Histogram),
-		tracer:   NewTracer(DefaultSpanRing),
 		flight:   NewFlightRecorder(DefaultFlightEvents),
 	}}
 }
@@ -230,14 +227,9 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// StartSpan begins a span named prefix+name on the registry's shared tracer;
-// nil (no-op span) on a nil registry.
-func (r *Registry) StartSpan(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return r.data.tracer.Start(r.prefix + name)
-}
+// StartSpan begins a span named prefix+name on the registry's flight
+// recorder; nil (no-op span) on a nil registry.
+func (r *Registry) StartSpan(name string) *Span { return r.StartSpanChild(name, 0) }
 
 // StartSpanChild begins a span named prefix+name causally linked to the span
 // with ID parent; nil (no-op span) on a nil registry.
@@ -245,15 +237,7 @@ func (r *Registry) StartSpanChild(name string, parent uint64) *Span {
 	if r == nil {
 		return nil
 	}
-	return r.data.tracer.StartChild(r.prefix+name, parent)
-}
-
-// Tracer exposes the shared span tracer (nil on a nil registry).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.data.tracer
+	return r.data.flight.StartSpan(r.prefix+name, parent)
 }
 
 // FlightRecorder exposes the registry's shared flight recorder (nil on a nil
@@ -272,12 +256,11 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Spans      []SpanSnapshot               `json:"spans,omitempty"`
 	Events     []Event                      `json:"events,omitempty"`
 }
 
 // Snapshot captures every counter, gauge (stored and derived), histogram,
-// and the recent-span ring. Derived gauges are evaluated outside the
+// and the flight recorder's ring. Derived gauges are evaluated outside the
 // registry lock so they may take their owners' locks. Zero-value snapshot on
 // a nil registry.
 func (r *Registry) Snapshot() Snapshot {
@@ -304,29 +287,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, h := range d.hists {
 		s.Histograms[name] = h.Snapshot()
 	}
-	tracer, flight := d.tracer, d.flight
 	d.mu.RUnlock()
 	for name, fn := range fns {
 		s.Gauges[name] = fn()
 	}
-	s.Spans = tracer.Recent()
-	s.Events = flight.Events()
+	s.Events = d.flight.Events()
 	return s
-}
-
-// CounterNames returns the sorted counter names currently registered
-// (handy for tests and the periodic stats dump).
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	d := r.data
-	d.mu.RLock()
-	names := make([]string, 0, len(d.counters))
-	for name := range d.counters {
-		names = append(names, name)
-	}
-	d.mu.RUnlock()
-	sort.Strings(names)
-	return names
 }

@@ -16,8 +16,8 @@ func TestNilSafety(t *testing.T) {
 	if r.Counter("c") != nil || r.Gauge("g") != nil || r.Histogram("h") != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
-	if r.Tracer() != nil || r.StartSpan("s") != nil {
-		t.Fatal("nil registry must hand out nil tracer/span")
+	if r.FlightRecorder() != nil || r.StartSpan("s") != nil {
+		t.Fatal("nil registry must hand out nil recorder/span")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 }) // must not panic
 	r.DropGaugeFuncs("f")
@@ -42,12 +42,8 @@ func TestNilSafety(t *testing.T) {
 	var sp *Span
 	sp.Phase("p")
 	sp.End()
-	var tr *Tracer
-	if tr.Start("s") != nil || tr.Recent() != nil {
-		t.Fatal("nil tracer must no-op")
-	}
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Spans) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Events) != 0 {
 		t.Fatalf("nil registry snapshot = %+v, want zero", snap)
 	}
 }
@@ -90,15 +86,8 @@ func TestRegistryBasics(t *testing.T) {
 		t.Fatalf("nested sub prefix broken: %v", r.Snapshot().Counters)
 	}
 
-	names := r.CounterNames()
-	want := []string{"ops", "shard0.get", "shard0.inner.x"}
-	if len(names) != len(want) {
-		t.Fatalf("CounterNames = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("CounterNames = %v, want %v", names, want)
-		}
+	if counters := r.Snapshot().Counters; len(counters) != 3 {
+		t.Fatalf("counters = %v, want exactly ops, shard0.get, shard0.inner.x", counters)
 	}
 }
 
@@ -149,13 +138,16 @@ func TestSnapshotJSON(t *testing.T) {
 			t.Fatalf("histogram JSON missing %q: %s", k, data)
 		}
 	}
-	spans := decoded["spans"].([]any)
-	if len(spans) != 1 {
-		t.Fatalf("spans JSON = %v", spans)
+	events := decoded["events"].([]any)
+	if len(events) != 1 {
+		t.Fatalf("events JSON = %v", events)
 	}
-	phases := spans[0].(map[string]any)["phases"].([]any)
-	if len(phases) != 3 {
-		t.Fatalf("span phases JSON = %v", phases)
+	// dur_ns and the three phases.
+	if ev := events[0].(map[string]any); ev["type"] != "merge" || len(ev["attrs"].([]any)) != 4 {
+		t.Fatalf("span record JSON = %v", ev)
+	}
+	if _, ok := decoded["spans"]; ok {
+		t.Fatalf("snapshot still carries a second stream: %s", data)
 	}
 }
 

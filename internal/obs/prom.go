@@ -40,8 +40,8 @@ func promName(name string) string {
 
 // WritePrometheus renders the snapshot in the Prometheus text exposition
 // format (version 0.0.4). Output is deterministic: families are sorted by
-// name. Spans and flight events are not rendered — they are structural, not
-// numeric; scrape the JSON surface for those.
+// name. Flight events are not rendered — they are structural, not numeric;
+// scrape the JSON surface for those.
 func WritePrometheus(w io.Writer, s Snapshot) error {
 	names := make([]string, 0, len(s.Counters))
 	for name := range s.Counters {

@@ -1,58 +1,43 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
-// DefaultSpanRing is the capacity of a registry's recent-span ring.
-const DefaultSpanRing = 64
-
-// Tracer records completed spans into a bounded ring — the most recent
-// DefaultSpanRing background lifecycle events (merges, flushes, compactions)
-// stay inspectable from a debug endpoint without unbounded growth.
+// Span is a builder for one flight-recorder record: a background lifecycle
+// event (a merge, a flush, a compaction, a reconfiguration) subdivided into
+// named sequential phases (a hybrid merge's seal -> build -> swap). End
+// appends it as one Event{Type: name, Span: ID} with attributes dur_ns, one
+// <phase>_ns per phase in order, parent when there is one, then the
+// annotations. The ID is the causal handle: commit-point events (RecordSpan),
+// histogram exemplars (ObserveExemplar) and child spans carry it. A span not
+// worth a record — the WAL committer keeps only its slowest batch — is
+// dropped without End.
 //
-// Every span gets a tracer-unique nonzero ID at Start, so spans can reference
-// each other (Parent) and flight-recorder events and histogram exemplars can
-// point back into the ring.
-type Tracer struct {
-	ids     atomic.Uint64
-	mu      sync.Mutex
-	ring    []SpanSnapshot
-	next    int
-	started int64
-	ended   int64
-}
-
-// NewTracer creates a tracer with the given ring capacity (minimum 1).
-func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{ring: make([]SpanSnapshot, 0, capacity)}
-}
-
-// Span is one in-flight lifecycle event, subdivided into named sequential
-// phases (e.g. a hybrid merge's seal -> build -> swap). A span is owned by
-// one goroutine at a time; handing it across a goroutine boundary is fine as
-// long as the handoff happens-before the next method call (starting the
-// goroutine provides that). All methods no-op on a nil span.
+// A span is owned by one goroutine at a time; handing it across a goroutine
+// boundary is fine as long as the handoff happens-before the next method call
+// (starting the goroutine provides that). All methods no-op on a nil span.
 type Span struct {
-	t        *Tracer
-	name     string
-	id       uint64
-	parent   uint64
-	start    time.Time
-	phases   []PhaseSnapshot
-	curName  string
-	curStart time.Time
-	attrs    []Attr
+	fr      *FlightRecorder
+	name    string
+	id      uint64
+	parent  uint64
+	start   time.Time
+	cur     string // the open phase; "" when none
+	curFrom time.Time
+	phases  []Attr
+	attrs   []Attr
 }
 
-// ID returns the span's tracer-unique nonzero ID; 0 on a nil span. The ID is
-// the causal handle: flight-recorder events (RecordSpan), histogram exemplars
-// (ObserveExemplar), and child spans (StartChild) reference it.
+// StartSpan begins a span with a recorder-unique nonzero ID, causally linked
+// to the span with ID parent (0 for none). Nil-safe: a nil recorder returns a
+// nil (no-op) span.
+func (fr *FlightRecorder) StartSpan(name string, parent uint64) *Span {
+	if fr == nil {
+		return nil
+	}
+	return &Span{fr: fr, name: name, id: fr.spans.Add(1), parent: parent, start: time.Now()}
+}
+
+// ID returns the span's recorder-unique nonzero ID; 0 on a nil span.
 func (s *Span) ID() uint64 {
 	if s == nil {
 		return 0
@@ -60,66 +45,13 @@ func (s *Span) ID() uint64 {
 	return s.id
 }
 
-// Annotate attaches typed attributes to the span (visible in its snapshot).
-// No-op on nil. Like Phase/End, only the owning goroutine may call it.
+// Annotate attaches typed attributes to the span's record. No-op on nil.
+// Like Phase/End, only the owning goroutine may call it.
 func (s *Span) Annotate(attrs ...Attr) {
 	if s == nil {
 		return
 	}
 	s.attrs = append(s.attrs, attrs...)
-}
-
-// PhaseSnapshot is one completed phase of a span.
-type PhaseSnapshot struct {
-	Name  string    `json:"name"`
-	Start time.Time `json:"start"`
-	End   time.Time `json:"end"`
-}
-
-// Duration returns the phase's length.
-func (p PhaseSnapshot) Duration() time.Duration { return p.End.Sub(p.Start) }
-
-// SpanSnapshot is one completed span in the ring. ID is the span's
-// tracer-unique handle; Parent, when nonzero, is the ID of the span that
-// caused this one (a compaction points at the flush that triggered it).
-type SpanSnapshot struct {
-	Name   string          `json:"name"`
-	ID     uint64          `json:"id"`
-	Parent uint64          `json:"parent,omitempty"`
-	Start  time.Time       `json:"start"`
-	End    time.Time       `json:"end"`
-	Phases []PhaseSnapshot `json:"phases,omitempty"`
-	Attrs  []Attr          `json:"attrs,omitempty"`
-}
-
-// Duration returns the span's total length.
-func (s SpanSnapshot) Duration() time.Duration { return s.End.Sub(s.Start) }
-
-// Phase returns the named phase and whether it exists.
-func (s SpanSnapshot) Phase(name string) (PhaseSnapshot, bool) {
-	for _, p := range s.Phases {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return PhaseSnapshot{}, false
-}
-
-// Start begins a span. Nil-safe: a nil tracer returns a nil (no-op) span.
-func (t *Tracer) Start(name string) *Span {
-	return t.StartChild(name, 0)
-}
-
-// StartChild begins a span causally linked to the span with the given ID
-// (0 for no parent). Nil-safe.
-func (t *Tracer) StartChild(name string, parent uint64) *Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	t.started++
-	t.mu.Unlock()
-	return &Span{t: t, name: name, id: t.ids.Add(1), parent: parent, start: time.Now()}
 }
 
 // Phase ends the current phase (if any) and starts a new one. No-op on nil.
@@ -129,63 +61,29 @@ func (s *Span) Phase(name string) {
 	}
 	now := time.Now()
 	s.closePhase(now)
-	s.curName, s.curStart = name, now
+	s.cur, s.curFrom = name, now
 }
 
 func (s *Span) closePhase(now time.Time) {
-	if s.curName != "" {
-		s.phases = append(s.phases, PhaseSnapshot{Name: s.curName, Start: s.curStart, End: now})
-		s.curName = ""
+	if s.cur != "" {
+		s.phases = append(s.phases, I64(s.cur+"_ns", now.Sub(s.curFrom).Nanoseconds()))
+		s.cur = ""
 	}
 }
 
-// End finishes the span (closing any open phase) and records it into the
-// tracer's ring. No-op on nil; calling End twice records twice — don't.
+// End finishes the span (closing any open phase) and appends its record to
+// the ring. No-op on nil; calling End twice records twice — don't.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	now := time.Now()
 	s.closePhase(now)
-	snap := SpanSnapshot{Name: s.name, ID: s.id, Parent: s.parent,
-		Start: s.start, End: now, Phases: s.phases, Attrs: s.attrs}
-	t := s.t
-	t.mu.Lock()
-	if len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, snap)
-	} else {
-		t.ring[t.next] = snap
+	attrs := make([]Attr, 0, 2+len(s.phases)+len(s.attrs))
+	attrs = append(attrs, I64("dur_ns", now.Sub(s.start).Nanoseconds()))
+	attrs = append(attrs, s.phases...)
+	if s.parent != 0 {
+		attrs = append(attrs, I64("parent", int64(s.parent)))
 	}
-	t.next = (t.next + 1) % cap(t.ring)
-	t.ended++
-	t.mu.Unlock()
-}
-
-// Recent returns the completed spans, most recent first. Nil-safe.
-func (t *Tracer) Recent() []SpanSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanSnapshot, 0, len(t.ring))
-	// Walk backwards from the slot before next, wrapping once around.
-	for i := 0; i < len(t.ring); i++ {
-		idx := (t.next - 1 - i + 2*cap(t.ring)) % cap(t.ring)
-		if idx < len(t.ring) {
-			out = append(out, t.ring[idx])
-		}
-	}
-	return out
-}
-
-// Counts returns how many spans were started and ended over the tracer's
-// lifetime (ended can trail started while spans are in flight).
-func (t *Tracer) Counts() (started, ended int64) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.started, t.ended
+	s.fr.record(now, s.name, s.id, append(attrs, s.attrs...))
 }

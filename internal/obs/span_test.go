@@ -5,113 +5,111 @@ import (
 	"testing"
 )
 
+// TestSpanPhases pins the span record: one event named after the span, its
+// ID in Span, dur_ns first, then one <phase>_ns per phase in the order the
+// phases ran — and the same after a trip through flightrec.json.
 func TestSpanPhases(t *testing.T) {
-	tr := NewTracer(8)
-	sp := tr.Start("merge")
+	fr := NewFlightRecorder(8)
+	sp := fr.StartSpan("merge", 0)
 	sp.Phase("seal")
 	sp.Phase("build")
 	sp.Phase("swap")
 	sp.End()
 
-	recent := tr.Recent()
-	if len(recent) != 1 {
-		t.Fatalf("recent = %d spans, want 1", len(recent))
+	d, err := ParseFlightDump(fr.DumpJSON("test"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := recent[0]
-	if s.Name != "merge" || len(s.Phases) != 3 {
-		t.Fatalf("span = %+v", s)
-	}
-	// Phases are sequential and contiguous: each ends where the next starts,
-	// and they tile the span.
-	names := []string{"seal", "build", "swap"}
-	for i, p := range s.Phases {
-		if p.Name != names[i] {
-			t.Fatalf("phase %d = %q, want %q", i, p.Name, names[i])
+	for _, evs := range [][]Event{fr.Events(), d.Events} {
+		if len(evs) != 1 {
+			t.Fatalf("ring = %d records, want 1", len(evs))
 		}
-		if p.End.Before(p.Start) {
-			t.Fatalf("phase %q ends before it starts", p.Name)
+		ev := evs[0]
+		if ev.Type != "merge" || ev.Span != sp.ID() || ev.Time == 0 || len(ev.Attrs) != 4 {
+			t.Fatalf("span record = %+v", ev)
 		}
-		if i > 0 && !p.Start.Equal(s.Phases[i-1].End) {
-			t.Fatalf("phase %q does not start where %q ended", p.Name, names[i-1])
+		// Phases are sequential and contiguous, so they tile the span: none is
+		// negative and together they are no longer than it.
+		var sum int64
+		for i, want := range []string{"dur_ns", "seal_ns", "build_ns", "swap_ns"} {
+			a := ev.Attrs[i]
+			if a.Key != want || a.Val < 0 {
+				t.Fatalf("attr %d = %+v, want %s >= 0", i, a, want)
+			}
+			if i > 0 {
+				sum += a.Val
+			}
 		}
-	}
-	if s.Phases[0].Start.Before(s.Start) || s.Phases[2].End.After(s.End) {
-		t.Fatal("phases extend outside the span")
-	}
-	if _, ok := s.Phase("build"); !ok {
-		t.Fatal("Phase lookup by name failed")
-	}
-	if _, ok := s.Phase("nope"); ok {
-		t.Fatal("Phase lookup found a phase that does not exist")
+		if dur := ev.Attrs[0].Val; sum > dur {
+			t.Fatalf("phases sum to %d ns, outside the span's %d", sum, dur)
+		}
+		if _, ok := ev.Attr("build_ns"); !ok {
+			t.Fatal("Attr lookup by key failed")
+		}
+		if _, ok := ev.Attr("nope_ns"); ok {
+			t.Fatal("Attr lookup found a phase that does not exist")
+		}
 	}
 }
 
-// TestSpanNoPhases pins that a span ended without any Phase call records with
-// an empty phase list (the open-phase bookkeeping must not invent one).
+// TestSpanNoPhases pins that a span ended without any Phase call records
+// only its duration (the open-phase bookkeeping must not invent a phase).
 func TestSpanNoPhases(t *testing.T) {
-	tr := NewTracer(2)
-	tr.Start("bare").End()
-	recent := tr.Recent()
-	if len(recent) != 1 || len(recent[0].Phases) != 0 {
-		t.Fatalf("recent = %+v", recent)
+	fr := NewFlightRecorder(2)
+	fr.StartSpan("bare", 0).End()
+	evs := fr.Events()
+	if len(evs) != 1 || len(evs[0].Attrs) != 1 || evs[0].Attrs[0].Key != "dur_ns" {
+		t.Fatalf("ring = %+v", evs)
 	}
 }
 
-func TestTracerRingBounded(t *testing.T) {
+// TestSpanRingBounded: span records live in the recorder's one bounded ring,
+// in End order, beside the events that point at them.
+func TestSpanRingBounded(t *testing.T) {
 	const capN = 4
-	tr := NewTracer(capN)
+	fr := NewFlightRecorder(capN)
 	for i := 0; i < 11; i++ {
-		sp := tr.Start(fmt.Sprintf("s%d", i))
+		sp := fr.StartSpan(fmt.Sprintf("s%d", i), 0)
+		fr.RecordSpan("commit", sp.ID())
 		sp.End()
 	}
-	recent := tr.Recent()
-	if len(recent) != capN {
-		t.Fatalf("ring holds %d spans, want %d", len(recent), capN)
+	evs := fr.Events()
+	if len(evs) != capN {
+		t.Fatalf("ring holds %d records, want %d", len(evs), capN)
 	}
-	// Most recent first: s10, s9, s8, s7.
-	for i, want := range []string{"s10", "s9", "s8", "s7"} {
-		if recent[i].Name != want {
-			t.Fatalf("recent[%d] = %q, want %q (got %v)", i, recent[i].Name, want, recent)
+	for i, want := range []string{"commit", "s9", "commit", "s10"} {
+		if evs[i].Type != want {
+			t.Fatalf("ring[%d] = %q, want %q (got %+v)", i, evs[i].Type, want, evs)
 		}
 	}
-	started, ended := tr.Counts()
-	if started != 11 || ended != 11 {
-		t.Fatalf("counts = (%d,%d), want (11,11)", started, ended)
+	if evs[2].Span != evs[3].Span || evs[0].Span == evs[2].Span {
+		t.Fatalf("commit events do not resolve to their spans: %+v", evs)
 	}
 }
 
-// TestTracerPartialRing covers Recent before the ring has wrapped.
-func TestTracerPartialRing(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Start("a").End()
-	tr.Start("b").End()
-	recent := tr.Recent()
-	if len(recent) != 2 || recent[0].Name != "b" || recent[1].Name != "a" {
-		t.Fatalf("recent = %+v", recent)
-	}
-}
-
-func TestTracerInFlightCounts(t *testing.T) {
-	tr := NewTracer(4)
-	sp := tr.Start("slow")
-	if started, ended := tr.Counts(); started != 1 || ended != 0 {
-		t.Fatalf("counts mid-span = (%d,%d), want (1,0)", started, ended)
-	}
-	if got := tr.Recent(); len(got) != 0 {
-		t.Fatalf("in-flight span leaked into Recent: %v", got)
+// TestSpanInFlightNotRecorded: a span is in the ring only once it has ended,
+// and one dropped without End never is.
+func TestSpanInFlightNotRecorded(t *testing.T) {
+	fr := NewFlightRecorder(4)
+	sp := fr.StartSpan("slow", 0)
+	fr.StartSpan("dropped", 0).Phase("p")
+	if got := fr.Events(); len(got) != 0 {
+		t.Fatalf("in-flight span leaked into the ring: %v", got)
 	}
 	sp.End()
-	if started, ended := tr.Counts(); started != 1 || ended != 1 {
-		t.Fatalf("counts after end = (%d,%d), want (1,1)", started, ended)
+	if got := fr.Events(); len(got) != 1 || got[0].Type != "slow" {
+		t.Fatalf("ring after End = %+v", got)
 	}
 }
 
-func TestNewTracerMinCapacity(t *testing.T) {
-	tr := NewTracer(0)
-	tr.Start("x").End()
-	tr.Start("y").End()
-	recent := tr.Recent()
-	if len(recent) != 1 || recent[0].Name != "y" {
-		t.Fatalf("capacity-clamped ring = %+v", recent)
+// TestFlightRecorderMinCapacity: a capacity below one is clamped to a ring of
+// one record, which keeps the newest.
+func TestFlightRecorderMinCapacity(t *testing.T) {
+	fr := NewFlightRecorder(0)
+	fr.StartSpan("x", 0).End()
+	fr.StartSpan("y", 0).End()
+	evs := fr.Events()
+	if len(evs) != 1 || evs[0].Type != "y" {
+		t.Fatalf("capacity-clamped ring = %+v", evs)
 	}
 }

@@ -48,6 +48,39 @@ func TestPublishLockedRecordsOnePublication(t *testing.T) {
 	}
 }
 
+// TestApplyRecordsItsPhases pins what a full pipeline leaves in the event
+// stream: one "reconfig.<kind>" record with the build, validate and publish
+// durations in that order, and the publication event under the same span.
+func TestApplyRecordsItsPhases(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder()})
+	err := s.Apply(Change{Kind: "codec.retrain", Build: func() (Prepared, error) {
+		return Prepared{
+			Validate: func() error { return nil },
+			Publish:  func() error { return nil },
+			Attrs:    []obs.Attr{obs.I64("entries", 9)},
+		}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := reg.Snapshot().Events
+	if len(evs) != 2 || evs[0].Type != "reconfig.publish" || evs[1].Type != "reconfig.codec.retrain" {
+		t.Fatalf("events = %+v, want the publication, then the pipeline's span record", evs)
+	}
+	if evs[0].Span == 0 || evs[0].Span != evs[1].Span {
+		t.Fatalf("publication span %d, pipeline span %d; want the same nonzero ID", evs[0].Span, evs[1].Span)
+	}
+	if a, _ := evs[0].Attr("entries"); a.Val != 9 {
+		t.Fatalf("publication attrs = %+v", evs[0].Attrs)
+	}
+	for i, want := range []string{"dur_ns", "build_ns", "validate_ns", "publish_ns"} {
+		if len(evs[1].Attrs) != 4 || evs[1].Attrs[i].Key != want {
+			t.Fatalf("span record attrs = %+v, want dur_ns and the three phases in order", evs[1].Attrs)
+		}
+	}
+}
+
 // TestApplyRejectsOnValidateError pins the rejection path: a failed Validate
 // discards the build, publishes nothing, and counts one rejection.
 func TestApplyRejectsOnValidateError(t *testing.T) {

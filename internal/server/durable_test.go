@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 
 	"mets/internal/dstest"
 	"mets/internal/hybrid"
+	"mets/internal/obs"
 	"mets/internal/sharded"
 	"mets/internal/vfs"
 	"mets/internal/wire"
@@ -69,6 +71,76 @@ func TestShardedStoreCommitSyncsTouchedShards(t *testing.T) {
 		}
 		if got := fs.Syncs() - before; got != int64(len(tc.shards)) {
 			t.Fatalf("%d ops over shards %v: %d file syncs, want %d", tc.ops, tc.shards, got, len(tc.shards))
+		}
+	}
+}
+
+// TestShardedStoreLifecycleSurvivesCommits: the postmortem a durable engine
+// leaves behind still tells its lifecycle after thousands of commits. Every
+// one-op ApplyBatch is a WAL commit on some shard; were each of them a record,
+// the ring would hold nothing else within milliseconds. After 4,000 commits
+// and a few merges per shard, the registry's event stream — and the
+// flightrec.json a shard wrote on Close — must still hold a merge record with
+// its phase durations, the merge's seal and commit events, and every shard's
+// journal.replay from the open, with WAL records a minority.
+func TestShardedStoreLifecycleSurvivesCommits(t *testing.T) {
+	mem := vfs.NewMemFS()
+	reg := obs.NewRegistry()
+	st := NewShardedStore(sharded.NewBTree(sharded.Config{
+		Shards: 8,
+		Dir:    "data",
+		Obs:    reg,
+		Hybrid: hybrid.Config{
+			MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10,
+			EpochReads: true, BackgroundMerge: true, FS: mem,
+		},
+	}))
+	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for i := 0; i < 4000; i++ {
+		if _, err := st.ApplyBatch(opsIn(all[i%8:i%8+1], 1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counters["shard0.merges"]; n < 2 {
+		t.Fatalf("shard 0 merged %d times; the test wants several merges per shard", n)
+	}
+	data, err := vfs.ReadFileAll(mem, "data/shard000/flightrec.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump, err := obs.ParseFlightDump(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, evs := range map[string][]obs.Event{"registry": reg.Snapshot().Events, "flightrec.json": dump.Events} {
+		types := map[string]int{}
+		walRecords, merges := 0, 0
+		for _, ev := range evs {
+			types[ev.Type]++
+			if strings.Contains(ev.Type, "wal.") {
+				walRecords++
+			}
+			if !strings.HasSuffix(ev.Type, ".merge") {
+				continue
+			}
+			merges++
+			for _, k := range []string{"dur_ns", "seal_ns", "build_ns", "swap_ns"} {
+				if _, ok := ev.Attr(k); !ok {
+					t.Fatalf("%s: merge record without %s: %+v", name, k, ev)
+				}
+			}
+		}
+		if merges == 0 || types["merge.seal"] == 0 || types["merge.commit"] == 0 {
+			t.Fatalf("%s: no merge left in the stream; have %v", name, types)
+		}
+		if types["journal.replay"] != 8 {
+			t.Fatalf("%s: %d of the open's 8 journal.replay records survive; have %v", name, types["journal.replay"], types)
+		}
+		if 2*walRecords > len(evs) {
+			t.Fatalf("%s: %d of %d records are WAL records; have %v", name, walRecords, len(evs), types)
 		}
 	}
 }

@@ -156,7 +156,7 @@ func TestParallelShardRecovery(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := s2.Stats().Counters["shard7.wal.fsyncs"]; !ok {
+	if _, ok := cfg.Obs.Snapshot().Counters["shard7.wal.fsyncs"]; !ok {
 		t.Fatal("shard 7's journal counters are missing from the registry")
 	}
 }

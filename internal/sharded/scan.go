@@ -14,13 +14,14 @@ import (
 // exploit that lazily: a shard is touched only once the shards before it are
 // exhausted, so a short scan satisfied by one shard never reads the others.
 //
-// Scan, which runs the caller's callback for an unbounded time, walks each
-// shard through a chunked hybrid.Iterator that reads its shard's generation
-// only during a refill: no shard state is held while the callback runs, the
-// callback may call back into the index, and consistency is chunk-granular
-// (each refill reads one generation of its shard). ScanN runs no caller code:
-// each shard's own Scan lends its keys to one collector (scanN) and stays on
-// one generation for the few entries it contributes.
+// Both walk each shard with that shard's own Scan (hybrid.Index.Scan, or
+// hybrid.Snapshot.Scan under a sharded Snapshot), which holds nothing but a
+// reference to the one generation of its shard it reads: the callback may call
+// back into the index, no writer or merge waits for it, and the generation
+// stays reachable — is not garbage — for as long as the walk of that shard
+// runs. Scan hands the lent key on to the caller's callback; ScanN runs no
+// caller code and lends the keys to one collector (scanN), which copies only
+// what it returns.
 //
 // With a codec active the routing and the walk happen in encoded space
 // (encoding is strictly monotone, so encoded order IS key order); keys are
@@ -28,31 +29,41 @@ import (
 
 // Scan visits live entries in key order from the smallest key >= start,
 // walking the shards lazily in range order (see the file comment for why
-// concatenation is the ordered merge here). No shard state is held while fn
-// runs. Without a codec, keys handed to fn are fresh copies the callback may
-// retain; with a codec they are decoded into a reused scratch buffer and are
-// valid only for the duration of the callback (copy to retain).
+// concatenation is the ordered merge here). Each shard is read at one
+// generation, loaded when the walk reaches it, and fn may call back into the
+// index. The key is lent, with or without a codec: it lives in a buffer the
+// stage scan or the decoder reuses, is valid only until fn returns and is not
+// to be modified — copy it to retain it, or use ScanN.
 func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	// One core for the whole scan: codec, router and shards stay mutually
 	// consistent under a concurrent retrain, which publishes a new core and
 	// never touches this one.
 	c := s.load()
-	start, fn = keycodec.ScanEncoded(c.codec, start, fn)
+	return scan(c.codec, c.router, c.shards, start, fn)
+}
+
+// shardScanner is a shard of a live core or of a snapshot.
+type shardScanner interface {
+	Scan(start []byte, fn func(key []byte, value uint64) bool) int
+}
+
+// scan is Scan over the shards of a live core or of a snapshot.
+func scan[S shardScanner](codec keycodec.Codec, r *Router, shards []S, start []byte, fn func(key []byte, value uint64) bool) int {
+	start, fn = keycodec.ScanEncoded(codec, start, fn)
 	first := 0
 	if start != nil {
-		first = c.router.Shard(start)
+		first = r.Shard(start)
 	}
 	count := 0
-	for i := first; i < len(c.shards); i++ {
-		// start precedes every key of the shards after the first, so it is a
-		// valid (if loose) lower bound for all of them.
-		for it := c.shards[i].NewIterator(start); it.Valid(); it.Next() {
-			e := it.Entry()
-			count++
-			if !fn(e.Key, e.Value) {
-				return count
-			}
-		}
+	stopped := false
+	each := func(k []byte, v uint64) bool {
+		stopped = !fn(k, v)
+		return !stopped
+	}
+	// start precedes every key of the shards after the first, so it is a
+	// valid (if loose) lower bound for all of them.
+	for i := first; i < len(shards) && !stopped; i++ {
+		count += shards[i].Scan(start, each)
 	}
 	return count
 }
@@ -70,9 +81,7 @@ func (s *Index) ScanN(start []byte, n int) []index.Entry {
 // scanN is ScanN over the shards of a live core or of a snapshot: each shard
 // in turn lends its (encoded) keys to one collector, which decodes and copies
 // only what is returned — no shard materializes entries of its own.
-func scanN[S interface {
-	Scan(start []byte, fn func(key []byte, value uint64) bool) int
-}](codec keycodec.Codec, r *Router, shards []S, start []byte, n int) []index.Entry {
+func scanN[S shardScanner](codec keycodec.Codec, r *Router, shards []S, start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
 	}

@@ -9,9 +9,9 @@
 // Partitioning is boundary-based (internal/sharded.Router): boundaries are
 // either learned from a key sample (RouterFromSample, quantile split) or
 // spaced uniformly (UniformRouter). Range scans walk the shards in router
-// order through per-shard chunked iterators; because shard ranges are
-// disjoint and ordered, the concatenated stream is globally sorted with no
-// merge and no cross-shard deduplication.
+// order, each through its own Scan; because shard ranges are disjoint and
+// ordered, the concatenated stream is globally sorted with no merge and no
+// cross-shard deduplication.
 //
 // # Key compression
 //
@@ -58,7 +58,8 @@ type Config struct {
 	Hybrid hybrid.Config
 	// Obs attaches every shard to the registry under a "shard<i>." prefix,
 	// so snapshots expose per-shard op counters (skew), stage sizes, and
-	// merge spans. Overrides Hybrid.Obs. Nil disables instrumentation.
+	// "shard<i>.merge" records. Overrides Hybrid.Obs. Nil disables
+	// instrumentation.
 	Obs *obs.Registry
 	// Codec, when set (and not the identity), stores and routes keys in
 	// encoded space (see the package comment).
@@ -77,14 +78,15 @@ type Config struct {
 	// sharded layer owns the per-shard directories. Hybrid.FS still selects
 	// the filesystem. Use SyncJournals/Close as the durability barriers.
 	Dir string
-	// AutoTune attaches a background drift tuner (internal/tune) watching
-	// this index's registry: decaying codec compression triggers Retrain
+	// AutoTune attaches a background drift tuner (internal/tune) that the
+	// index hands a sample of its counters each tick (tuneSample): decaying
+	// codec compression triggers Retrain
 	// (when CodecTrainer is set), sustained shard skew triggers Rebalance,
 	// and merge debt nudges background merges. All actions flow through the
 	// reconfiguration seam, so they are as safe as the manual calls.
 	// Incompatible with Dir for the same reason as CodecTrainer (New
-	// panics). With a nil Obs a private registry is created — the tuner
-	// needs the metrics to watch.
+	// panics). With a nil Obs a private registry is created — the sample is
+	// read from the index's own counters.
 	AutoTune bool
 	// Tune overrides the tuner's detector thresholds (zero values pick the
 	// internal/tune defaults). Ignored without AutoTune.
@@ -161,7 +163,7 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 			panic("sharded: AutoTune cannot be combined with Dir (reconfiguration would invalidate the encoded-space shard journals)")
 		}
 		if cfg.Obs == nil {
-			cfg.Obs = obs.NewRegistry() // the tuner needs metrics to watch
+			cfg.Obs = obs.NewRegistry() // tuneSample reads the index's counters
 		}
 	}
 	hc := cfg.Hybrid
@@ -193,6 +195,7 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	}
 	if cfg.AutoTune {
 		targets := tune.Targets{
+			Sample:      s.tuneSample(),
 			Rebalance:   s.Rebalance,
 			NudgeMerges: s.MergeAsync,
 		}
@@ -203,6 +206,31 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 		s.tuner.Start()
 	}
 	return s
+}
+
+// tuneSample resolves, once, the counters the drift tuner's detectors read —
+// the codec's byte counters and every shard's five op counters, whose names
+// are stable across generations (newCore) — and returns the function that
+// reads them into a tune.Sample.
+func (s *Index) tuneSample() func() tune.Sample {
+	src, enc := s.obs.Counter("keycodec.src_bytes"), s.obs.Counter("keycodec.enc_bytes")
+	ops := make([][5]*obs.Counter, s.nshards)
+	for i := range ops {
+		sh := s.obs.Sub(fmt.Sprintf("shard%d.", i))
+		for j, op := range [5]string{"get", "insert", "update", "delete", "scan"} {
+			ops[i][j] = sh.Counter(op)
+		}
+	}
+	return func() tune.Sample {
+		sm := tune.Sample{CodecSrcBytes: src.Load(), CodecEncBytes: enc.Load(),
+			ShardOps: make([]int64, len(ops)), MergeBehind: s.Health().MergeBehind}
+		for i, cs := range ops {
+			for _, c := range cs {
+				sm.ShardOps[i] += c.Load()
+			}
+		}
+		return sm
+	}
 }
 
 // Tuner returns the background drift tuner, or nil without Config.AutoTune.
@@ -534,18 +562,6 @@ func (s *Index) Merge() {
 	par.Run(fns...)
 }
 
-// MergeShard synchronously merges shard i only. Callers that want to spread
-// maintenance over time (or measure one shard's pause in isolation) can walk
-// the shards themselves instead of using Merge's all-at-once fan-out.
-func (s *Index) MergeShard(i int) { s.load().shards[i].Merge() }
-
-// MergeShardAsync starts a background merge on shard i only, reporting
-// whether one was started. Together with WaitMerges this lets a maintenance
-// loop stagger the rebuilds — one shard at a time — so that on machines with
-// few spare cores the merges don't all compete with foreground readers at
-// once (the same rationale as the LSM's single background compactor).
-func (s *Index) MergeShardAsync(i int) bool { return s.load().shards[i].MergeAsync() }
-
 // MergeAsync starts a background merge on every shard that has dynamic
 // entries and no merge already in flight, returning how many were started.
 // Each shard merges on its own goroutine, so the rebuilds proceed in
@@ -615,12 +631,6 @@ func (s *Index) MergeStats() (merges int, worstLast, total time.Duration) {
 	}
 	return merges, worstLast, total
 }
-
-// Stats snapshots the metrics registry the index was configured with
-// (Config.Obs): per-shard op counters under "shard<i>.", stage-size gauges,
-// the codec's "keycodec." namespace, and the recent merge spans. Zero-value
-// snapshot when disabled.
-func (s *Index) Stats() obs.Snapshot { return s.obs.Snapshot() }
 
 // bulkSampleCap bounds how many keys a codec-training BulkLoad samples.
 const bulkSampleCap = 1 << 16

@@ -50,29 +50,10 @@ func (s *Snapshot) Get(key []byte) (uint64, bool) {
 // Scan visits the snapshot's entries in key order from the smallest key >=
 // start. Shard ranges are disjoint and ordered, so concatenating the
 // per-shard snapshot scans in shard order is the ordered merge (as in the
-// live Scan). With a codec the emitted key lives in a reused decode buffer
-// and is valid only during the callback.
+// live Scan). The key is lent, as in Index.Scan: valid only during the
+// callback.
 func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	start, fn = keycodec.ScanEncoded(s.codec, start, fn)
-	first := 0
-	if start != nil {
-		first = s.router.Shard(start)
-	}
-	count := 0
-	for i := first; i < len(s.shards); i++ {
-		stop := false
-		count += s.shards[i].Scan(start, func(k []byte, v uint64) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return count
-		}
-	}
-	return count
+	return scan(s.codec, s.router, s.shards, start, fn)
 }
 
 // ScanN collects up to n snapshot entries from the smallest key >= start;

@@ -1,12 +1,13 @@
 // Package tune is the adaptive drift tuner: a background controller that
-// watches a metrics registry (internal/obs) for the three drift signatures a
-// sharded hybrid index develops under a shifting workload, and autonomously
-// triggers the matching reconfiguration through the owner's reconfig seam:
+// reads, once per tick, a Sample its owner hands it, looks for the three drift
+// signatures a sharded hybrid index develops under a shifting workload, and
+// autonomously triggers the matching reconfiguration through the owner's
+// reconfig seam:
 //
-//   - codec drift — the windowed compression ratio (keycodec.src_bytes /
-//     keycodec.enc_bytes deltas per tick) decays below a fraction of the best
-//     ratio seen since the last retrain, meaning new keys no longer match the
-//     trained dictionary → retrain the codec.
+//   - codec drift — the windowed compression ratio (source over encoded key
+//     bytes, deltas per tick) decays below a fraction of the best ratio seen
+//     since the last retrain, meaning new keys no longer match the trained
+//     dictionary → retrain the codec.
 //   - shard skew — one shard's per-tick op-count delta dominates the others
 //     (max*shards/total beyond a ratio), meaning the router's boundaries no
 //     longer split the live key distribution → rebalance the shards.
@@ -15,17 +16,15 @@
 //
 // Every detector runs through hysteresis (consecutive trips required to fire,
 // then a cooldown during which it cannot fire again), so a noisy stationary
-// workload never flaps the expensive actions. The tuner only observes
-// snapshots and calls the Targets closures — it never touches index
-// internals; the owner routes each action through its reconfiguration seam,
-// which is what makes autonomous tuning as safe as a manual BulkLoad.
+// workload never flaps the expensive actions. The tuner only reads samples
+// and calls the Targets closures — it never touches index internals and knows
+// no metric but its own "tune." outputs; the owner routes each action through
+// its reconfiguration seam, which is what makes autonomous tuning as safe as a
+// manual BulkLoad.
 package tune
 
 import (
-	"math"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mets/internal/obs"
@@ -92,9 +91,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Targets are the owner's reconfiguration entry points. Nil members disable
-// the corresponding detector's action (the detector still tracks its gauges).
+// Sample is one tick's detector inputs. Counts are cumulative since the index
+// was built; the tuner differences consecutive samples itself.
+type Sample struct {
+	// CodecSrcBytes and CodecEncBytes are the key bytes handed to the codec
+	// and the bytes it produced for them.
+	CodecSrcBytes, CodecEncBytes int64
+	// ShardOps[i] is the number of point and range operations shard i served.
+	ShardOps []int64
+	// MergeBehind is how many shards sit past their merge trigger right now.
+	MergeBehind int
+}
+
+// Targets are the owner's side of the loop: where a tick's inputs come from
+// and the reconfiguration entry points its verdicts go to. A nil action
+// disables the corresponding detector's action (the detector still tracks its
+// gauges); a nil Sample reads as an idle index.
 type Targets struct {
+	// Sample returns the current detector inputs, from handles the owner
+	// resolved when it was built (e.g. sharded.Index's counters). Called once
+	// per tick, from the ticking goroutine; the tuner keeps the result until
+	// the next tick, so each call returns a ShardOps of its own.
+	Sample func() Sample
 	// RetrainCodec rebuilds the key codec from the live key distribution
 	// (e.g. sharded.Index.Retrain).
 	RetrainCodec func() error
@@ -132,12 +150,6 @@ func (t *trigger) step(tripped bool, need, cooldown int) bool {
 	return true
 }
 
-// gauge is a float published to obs.GaugeFunc from the tick goroutine.
-type gauge struct{ bits atomic.Uint64 }
-
-func (g *gauge) set(v float64) { g.bits.Store(math.Float64bits(v)) }
-func (g *gauge) load() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // Health is a point-in-time view of the tuner for /healthz-style surfaces.
 type Health struct {
 	Running     bool    `json:"running"`
@@ -151,21 +163,18 @@ type Health struct {
 	Skew        float64 `json:"skew"`
 }
 
-// Tuner watches one registry and drives one set of targets. Create with New;
+// Tuner samples one index and drives one set of targets. Create with New;
 // Start launches the background loop, Tick can also be called directly (the
 // tests do) — ticks serialize on an internal mutex either way.
 type Tuner struct {
 	cfg     Config
-	reg     *obs.Registry
 	fr      *obs.FlightRecorder
 	targets Targets
 
 	// mu guards the detector state below; held for the whole of Tick, so a
 	// manual Tick and the background loop never interleave mid-detector.
 	mu          sync.Mutex
-	lastSrc     int64
-	lastEnc     int64
-	lastShard   map[string]int64
+	last        Sample // the previous tick's
 	cprBaseline float64
 	behindRun   int
 	trigRetrain trigger
@@ -177,39 +186,34 @@ type Tuner struct {
 	nudges     *obs.Counter
 	errors     *obs.Counter
 
-	gWindow gauge
-	gBase   gauge
-	gSkew   gauge
-	gBehind gauge
+	gWindow *obs.Gauge
+	gBase   *obs.Gauge
+	gSkew   *obs.Gauge
+	gBehind *obs.Gauge
 
 	startMu sync.Mutex
 	stop    chan struct{}
 	done    chan struct{}
 }
 
-// New builds a tuner over reg (the registry the watched index reports into;
-// the tuner's own "tune." metrics land there too). It does not start the
-// background loop — call Start, or drive Tick directly.
+// New builds a tuner whose own "tune." metrics and flight events land in reg
+// (nil for none); what it watches comes from targets.Sample. It does not
+// start the background loop — call Start, or drive Tick directly.
 func New(cfg Config, reg *obs.Registry, targets Targets) *Tuner {
-	t := &Tuner{
+	return &Tuner{
 		cfg:        cfg.withDefaults(),
-		reg:        reg,
 		fr:         reg.FlightRecorder(),
 		targets:    targets,
-		lastShard:  make(map[string]int64),
 		ticks:      reg.Counter("tune.ticks"),
 		retrains:   reg.Counter("tune.retrains"),
 		rebalances: reg.Counter("tune.rebalances"),
 		nudges:     reg.Counter("tune.merge_nudges"),
 		errors:     reg.Counter("tune.errors"),
+		gWindow:    reg.Gauge("tune.cpr_window"),
+		gBase:      reg.Gauge("tune.cpr_baseline"),
+		gSkew:      reg.Gauge("tune.skew"),
+		gBehind:    reg.Gauge("tune.merge_behind_shards"),
 	}
-	if reg != nil {
-		reg.GaugeFunc("tune.cpr_window", t.gWindow.load)
-		reg.GaugeFunc("tune.cpr_baseline", t.gBase.load)
-		reg.GaugeFunc("tune.skew", t.gSkew.load)
-		reg.GaugeFunc("tune.merge_behind_shards", t.gBehind.load)
-	}
-	return t
 }
 
 // Start launches the background tick loop. Idempotent.
@@ -263,39 +267,41 @@ func (t *Tuner) Health() Health {
 		Rebalances:  t.rebalances.Load(),
 		MergeNudges: t.nudges.Load(),
 		Errors:      t.errors.Load(),
-		CPRWindow:   t.gWindow.load(),
-		CPRBaseline: t.gBase.load(),
-		Skew:        t.gSkew.load(),
+		CPRWindow:   t.gWindow.Load(),
+		CPRBaseline: t.gBase.Load(),
+		Skew:        t.gSkew.Load(),
 	}
 }
 
-// Tick runs one detection round: snapshot the registry, advance every
-// detector, fire the armed ones. Exported so tests (and callers without a
-// background loop) can drive detection deterministically.
+// Tick runs one detection round: take a sample, advance every detector, fire
+// the armed ones. Exported so tests (and callers without a background loop)
+// can drive detection deterministically.
 func (t *Tuner) Tick() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ticks.Inc()
-	snap := t.reg.Snapshot()
-	t.tickCPR(snap)
-	t.tickSkew(snap)
-	t.tickMerges(snap)
+	var sm Sample
+	if t.targets.Sample != nil {
+		sm = t.targets.Sample()
+	}
+	t.tickCPR(sm)
+	t.tickSkew(sm)
+	t.tickMerges(sm.MergeBehind)
+	t.last = sm
 }
 
 // tickCPR tracks the windowed compression ratio and fires a codec retrain
 // when it decays below CPRDecay of the post-retrain baseline.
-func (t *Tuner) tickCPR(snap obs.Snapshot) {
-	src, enc := snap.Counters["keycodec.src_bytes"], snap.Counters["keycodec.enc_bytes"]
-	dsrc, denc := src-t.lastSrc, enc-t.lastEnc
-	t.lastSrc, t.lastEnc = src, enc
+func (t *Tuner) tickCPR(sm Sample) {
+	dsrc, denc := sm.CodecSrcBytes-t.last.CodecSrcBytes, sm.CodecEncBytes-t.last.CodecEncBytes
 	tripped := false
 	if denc >= t.cfg.CPRMinBytes {
 		window := float64(dsrc) / float64(denc)
-		t.gWindow.set(window)
+		t.gWindow.Set(window)
 		if window > t.cprBaseline {
 			t.cprBaseline = window
 		}
-		t.gBase.set(t.cprBaseline)
+		t.gBase.Set(t.cprBaseline)
 		tripped = window < t.cprBaseline*t.cfg.CPRDecay
 	}
 	if !t.trigRetrain.step(tripped, t.cfg.Trips, t.cfg.Cooldown) {
@@ -311,7 +317,7 @@ func (t *Tuner) tickCPR(snap obs.Snapshot) {
 	t.retrains.Inc()
 	t.fr.Record("tune.retrain",
 		obs.Str("why", "cpr_decay"),
-		obs.I64("window_pct", int64(t.gWindow.load()*100)),
+		obs.I64("window_pct", int64(t.gWindow.Load()*100)),
 		obs.I64("baseline_pct", int64(t.cprBaseline*100)))
 	// The retrain rebuilt the dictionary for the live distribution; the old
 	// baseline belongs to the old dictionary. Reset it so the next windows
@@ -321,20 +327,14 @@ func (t *Tuner) tickCPR(snap obs.Snapshot) {
 
 // tickSkew tracks per-shard op-count deltas and fires a rebalance when one
 // shard runs hotter than SkewRatio times its fair share.
-func (t *Tuner) tickSkew(snap obs.Snapshot) {
-	// Fold the five per-op counters of each shard into one per-shard delta.
-	perShard := make(map[string]int64)
-	for name, v := range snap.Counters {
-		if !shardOpCounter(name) {
-			continue
-		}
-		d := v - t.lastShard[name]
-		t.lastShard[name] = v
-		perShard[name[:strings.IndexByte(name, '.')]] += d
-	}
-	shards := len(perShard)
+func (t *Tuner) tickSkew(sm Sample) {
+	shards := len(sm.ShardOps)
 	var total, max int64
-	for _, d := range perShard {
+	for i, ops := range sm.ShardOps {
+		d := ops
+		if i < len(t.last.ShardOps) {
+			d -= t.last.ShardOps[i]
+		}
 		total += d
 		if d > max {
 			max = d
@@ -343,7 +343,7 @@ func (t *Tuner) tickSkew(snap obs.Snapshot) {
 	tripped := false
 	if shards > 1 && total >= t.cfg.SkewMinOps {
 		skew := float64(max) * float64(shards) / float64(total)
-		t.gSkew.set(skew)
+		t.gSkew.Set(skew)
 		tripped = skew >= t.cfg.SkewRatio
 	}
 	if !t.trigRebal.step(tripped, t.cfg.Trips, t.cfg.Cooldown) {
@@ -359,20 +359,14 @@ func (t *Tuner) tickSkew(snap obs.Snapshot) {
 	t.rebalances.Inc()
 	t.fr.Record("tune.rebalance",
 		obs.Str("why", "shard_skew"),
-		obs.I64("skew_pct", int64(t.gSkew.load()*100)),
+		obs.I64("skew_pct", int64(t.gSkew.Load()*100)),
 		obs.I64("shards", int64(shards)))
 }
 
 // tickMerges counts merge-behind shards and nudges background merges after a
 // sustained run of debt.
-func (t *Tuner) tickMerges(snap obs.Snapshot) {
-	behind := 0
-	for name, v := range snap.Gauges {
-		if v > 0 && strings.HasSuffix(name, "merge_behind") {
-			behind++
-		}
-	}
-	t.gBehind.set(float64(behind))
+func (t *Tuner) tickMerges(behind int) {
+	t.gBehind.Set(float64(behind))
 	if behind == 0 {
 		t.behindRun = 0
 		return
@@ -393,24 +387,4 @@ func (t *Tuner) tickMerges(snap obs.Snapshot) {
 func (t *Tuner) fail(action string, err error) {
 	t.errors.Inc()
 	t.fr.Record("tune.error", obs.Str("action", action), obs.Str("err", err.Error()))
-}
-
-// shardOpCounter reports whether name is a per-shard op counter
-// ("shard<i>.<op>" for the five point/range ops).
-func shardOpCounter(name string) bool {
-	if len(name) < len("shardN.x") || name[:5] != "shard" {
-		return false
-	}
-	i := 5
-	for i < len(name) && name[i] >= '0' && name[i] <= '9' {
-		i++
-	}
-	if i == 5 || i >= len(name) || name[i] != '.' {
-		return false
-	}
-	switch name[i+1:] {
-	case "get", "insert", "update", "delete", "scan":
-		return true
-	}
-	return false
 }

@@ -2,10 +2,22 @@ package tune
 
 import (
 	"errors"
+	"os"
+	"regexp"
 	"testing"
 
 	"mets/internal/obs"
 )
+
+// feed is a fake index: the tests add to it what a workload would, and its
+// sample method is the Targets.Sample the tuner reads.
+type feed struct{ s Sample }
+
+func (f *feed) sample() Sample {
+	s := f.s
+	s.ShardOps = append([]int64(nil), f.s.ShardOps...)
+	return s
+}
 
 // tick drives n ticks.
 func tick(t *Tuner, n int) {
@@ -41,45 +53,45 @@ func TestTriggerHysteresis(t *testing.T) {
 	}
 }
 
-// drive feeds one CPR window into the registry: src/enc bytes such that the
-// windowed ratio is `ratio` with enough volume to clear CPRMinBytes.
-func feedCPR(reg *obs.Registry, ratio float64) {
+// cpr feeds one CPR window: src/enc bytes such that the windowed ratio is
+// `ratio` with enough volume to clear CPRMinBytes.
+func (f *feed) cpr(ratio float64) {
 	const enc = 1 << 20
-	reg.Counter("keycodec.enc_bytes").Add(enc)
-	reg.Counter("keycodec.src_bytes").Add(int64(ratio * enc))
+	f.s.CodecEncBytes += enc
+	f.s.CodecSrcBytes += int64(ratio * enc)
 }
 
 func TestCPRStationaryNeverRetrains(t *testing.T) {
-	reg := obs.NewRegistry()
+	var f feed
 	retrains := 0
-	tn := New(Config{Trips: 3, Cooldown: 5},
-		reg, Targets{RetrainCodec: func() error { retrains++; return nil }})
+	tn := New(Config{Trips: 3, Cooldown: 5}, obs.NewRegistry(),
+		Targets{Sample: f.sample, RetrainCodec: func() error { retrains++; return nil }})
 	// A stationary workload with small ratio noise must never trip: the
 	// windows wobble around 3.0, far above the 0.85 decay threshold.
 	noise := []float64{3.0, 2.9, 3.1, 2.95, 3.05, 2.85, 3.0}
 	for i := 0; i < 200; i++ {
-		feedCPR(reg, noise[i%len(noise)])
+		f.cpr(noise[i%len(noise)])
 		tn.Tick()
 	}
-	if retrains != 0 {
-		t.Fatalf("stationary workload fired %d retrains", retrains)
+	if h := tn.Health(); retrains != 0 || h.Retrains != 0 || h.CPRWindow < 2.8 || h.CPRBaseline < 3.0 {
+		t.Fatalf("stationary workload fired %d retrains; health = %+v", retrains, h)
 	}
 }
 
 func TestCPRDecayFiresOnceThenRebaselines(t *testing.T) {
-	reg := obs.NewRegistry()
+	var f feed
 	retrains := 0
-	tn := New(Config{Trips: 3, Cooldown: 5},
-		reg, Targets{RetrainCodec: func() error { retrains++; return nil }})
+	tn := New(Config{Trips: 3, Cooldown: 5}, obs.NewRegistry(),
+		Targets{Sample: f.sample, RetrainCodec: func() error { retrains++; return nil }})
 	for i := 0; i < 10; i++ { // establish a 3.0 baseline
-		feedCPR(reg, 3.0)
+		f.cpr(3.0)
 		tn.Tick()
 	}
 	// Drift: the ratio collapses and stays collapsed (a stub retrain cannot
 	// actually restore it — exactly the flap hazard the baseline reset
 	// guards against).
 	for i := 0; i < 100; i++ {
-		feedCPR(reg, 1.2)
+		f.cpr(1.2)
 		tn.Tick()
 	}
 	if retrains != 1 {
@@ -91,18 +103,18 @@ func TestCPRDecayFiresOnceThenRebaselines(t *testing.T) {
 }
 
 func TestCPRBelowVolumeFloorIgnored(t *testing.T) {
-	reg := obs.NewRegistry()
+	var f feed
 	retrains := 0
-	tn := New(Config{Trips: 2, Cooldown: 3},
-		reg, Targets{RetrainCodec: func() error { retrains++; return nil }})
+	tn := New(Config{Trips: 2, Cooldown: 3}, obs.NewRegistry(),
+		Targets{Sample: f.sample, RetrainCodec: func() error { retrains++; return nil }})
 	for i := 0; i < 5; i++ {
-		feedCPR(reg, 3.0)
+		f.cpr(3.0)
 		tn.Tick()
 	}
 	// Collapsed ratio but only a few bytes per tick: noise, not drift.
 	for i := 0; i < 50; i++ {
-		reg.Counter("keycodec.enc_bytes").Add(100)
-		reg.Counter("keycodec.src_bytes").Add(100)
+		f.s.CodecEncBytes += 100
+		f.s.CodecSrcBytes += 100
 		tn.Tick()
 	}
 	if retrains != 0 {
@@ -110,49 +122,50 @@ func TestCPRBelowVolumeFloorIgnored(t *testing.T) {
 	}
 }
 
-// feedOps adds per-shard get deltas.
-func feedOps(reg *obs.Registry, perShard []int64) {
+// ops adds per-shard op deltas.
+func (f *feed) ops(perShard ...int64) {
+	if f.s.ShardOps == nil {
+		f.s.ShardOps = make([]int64, len(perShard))
+	}
 	for i, d := range perShard {
-		reg.Sub("shard" + string(rune('0'+i)) + ".").Counter("get").Add(d)
+		f.s.ShardOps[i] += d
 	}
 }
 
 func TestSkewFiresRebalanceWithHysteresis(t *testing.T) {
-	reg := obs.NewRegistry()
+	var f feed
 	rebalances := 0
-	tn := New(Config{Trips: 3, Cooldown: 5, SkewMinOps: 1000, SkewRatio: 3},
-		reg, Targets{Rebalance: func() error { rebalances++; return nil }})
+	tn := New(Config{Trips: 3, Cooldown: 5, SkewMinOps: 1000, SkewRatio: 3}, obs.NewRegistry(),
+		Targets{Sample: f.sample, Rebalance: func() error { rebalances++; return nil }})
 	// Balanced load: never fires.
 	for i := 0; i < 20; i++ {
-		feedOps(reg, []int64{500, 500, 500, 500})
+		f.ops(500, 500, 500, 500)
 		tn.Tick()
 	}
-	if rebalances != 0 {
-		t.Fatalf("balanced load fired %d rebalances", rebalances)
+	if h := tn.Health(); rebalances != 0 || h.Skew != 1 {
+		t.Fatalf("balanced load fired %d rebalances; health = %+v", rebalances, h)
 	}
 	// All load on shard 3: skew = 4.0 >= 3 → fires after 3 consecutive
 	// trips, then holds through the cooldown.
 	fired := 0
 	for i := 0; i < 8; i++ {
-		feedOps(reg, []int64{0, 0, 0, 2000})
+		f.ops(0, 0, 0, 2000)
 		tn.Tick()
 		fired = rebalances
 		if i < 2 && fired != 0 {
 			t.Fatalf("fired after only %d skewed ticks", i+1)
 		}
 	}
-	if fired != 1 {
-		t.Fatalf("sustained skew fired %d rebalances in 8 ticks, want 1 (cooldown)", fired)
+	if h := tn.Health(); fired != 1 || h.Rebalances != 1 || h.Skew != 4 {
+		t.Fatalf("sustained skew fired %d rebalances in 8 ticks, want 1 (cooldown); health = %+v", fired, h)
 	}
 }
 
 func TestMergeDebtNudges(t *testing.T) {
-	reg := obs.NewRegistry()
-	behind := 1.0
-	reg.Sub("shard0.").GaugeFunc("merge_behind", func() float64 { return behind })
+	f := feed{s: Sample{MergeBehind: 1}}
 	nudged := 0
-	tn := New(Config{MergeBehindTicks: 3},
-		reg, Targets{NudgeMerges: func() int { nudged++; return 1 }})
+	tn := New(Config{MergeBehindTicks: 3}, obs.NewRegistry(),
+		Targets{Sample: f.sample, NudgeMerges: func() int { nudged++; return 1 }})
 	tick(tn, 2)
 	if nudged != 0 {
 		t.Fatalf("nudged after only 2 behind ticks")
@@ -161,21 +174,21 @@ func TestMergeDebtNudges(t *testing.T) {
 	if nudged != 1 {
 		t.Fatalf("nudged %d times after 3 behind ticks, want 1", nudged)
 	}
-	behind = 0
+	f.s.MergeBehind = 0
 	tick(tn, 10)
-	if nudged != 1 {
-		t.Fatalf("nudged %d times with no debt", nudged)
+	if h := tn.Health(); nudged != 1 || h.MergeNudges != 1 {
+		t.Fatalf("nudged %d times with no debt; health = %+v", nudged, h)
 	}
 }
 
 func TestActionErrorCounted(t *testing.T) {
-	reg := obs.NewRegistry()
-	tn := New(Config{Trips: 1, Cooldown: 2},
-		reg, Targets{RetrainCodec: func() error { return errors.New("boom") }})
-	feedCPR(reg, 3.0)
+	var f feed
+	tn := New(Config{Trips: 1, Cooldown: 2}, obs.NewRegistry(),
+		Targets{Sample: f.sample, RetrainCodec: func() error { return errors.New("boom") }})
+	f.cpr(3.0)
 	tn.Tick()
 	for i := 0; i < 10; i++ {
-		feedCPR(reg, 1.0)
+		f.cpr(1.0)
 		tn.Tick()
 	}
 	if h := tn.Health(); h.Errors == 0 || h.Retrains != 0 {
@@ -196,5 +209,32 @@ func TestStartStopIdempotent(t *testing.T) {
 	tn.Stop()
 	if tn.Health().Running {
 		t.Fatal("running after Stop")
+	}
+}
+
+// TestTunerNamesOnlyItsOwnMetrics pins the boundary the Sample draws: the
+// tuner is handed its inputs, so the only metric and event names its source
+// may spell are its own "tune." outputs — never a counter or gauge of the
+// index it tunes — and it never copies the registry to look for one.
+func TestTunerNamesOnlyItsOwnMetrics(t *testing.T) {
+	src, err := os.ReadFile("tune.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regexp.MustCompile(`\.Snapshot\(`).Match(src) {
+		t.Fatal("tune.go snapshots a registry; its inputs arrive as a Sample")
+	}
+	named := regexp.MustCompile(`\.(?:Counter|Gauge|GaugeFunc|Histogram|Record|RecordSpan|StartSpan)\(\s*"([^"]*)"`)
+	names := named.FindAllSubmatch(src, -1)
+	if len(names) < 9 { // five counters and four gauges at least, or the pattern has rotted
+		t.Fatalf("found only %d metric names in tune.go", len(names))
+	}
+	for _, m := range names {
+		if name := string(m[1]); len(name) < 6 || name[:5] != "tune." {
+			t.Fatalf("tune.go names %q, a metric outside tune.*", name)
+		}
+	}
+	if m := regexp.MustCompile(`"(?:shard\d*\.|keycodec\.|merge_behind)[^"]*"`).Find(src); m != nil {
+		t.Fatalf("tune.go spells %s, a name of the index it tunes", m)
 	}
 }

@@ -56,10 +56,6 @@ const (
 	// share fsyncs (the committer batches whatever queued while the
 	// previous fsync ran). The durable default.
 	SyncEach SyncMode = iota
-	// SyncBatch is SyncEach plus a fixed coalescing window: the committer
-	// waits GroupDelay after the first record of a batch before writing,
-	// trading a bounded ack-latency floor for fewer, larger fsyncs.
-	SyncBatch
 	// SyncNone acks as soon as the record is written to the OS (no fsync):
 	// a crash may lose acked records. Sync/StartSync remain available as
 	// explicit barriers.
@@ -74,18 +70,18 @@ type Options struct {
 	SegmentBytes int64
 	// Mode is the ack durability contract (default SyncEach).
 	Mode SyncMode
-	// GroupDelay is the SyncBatch coalescing window (default 200µs).
-	GroupDelay time.Duration
 	// Obs hooks the log into a metrics registry under "wal.": appended
 	// records/bytes, fsyncs, barriers answered without one (syncs_elided),
-	// rotations, a group-commit latency histogram (enqueue → durable, i.e.
-	// what a committed writer actually waits), per-batch "wal.batch" spans,
-	// and slow-commit exemplars. Nil disables instrumentation.
+	// rotations, and a group-commit latency histogram (enqueue → durable,
+	// i.e. what a committed writer actually waits) that sees every ack. The
+	// ring gets a "wal.batch" record (records, bytes, write_ns, fsync_ns)
+	// only for a batch holding the slowest commit so far — the one the
+	// histogram's exemplar points at. Nil disables instrumentation.
 	Obs *obs.Registry
-	// FlightRec receives structured lifecycle events (fsync batches,
-	// rotations, the first sticky error). Nil falls back to Obs's recorder,
-	// so it only needs setting when the owner keeps a recorder without a
-	// registry (the always-on durable engines).
+	// FlightRec receives structured lifecycle events (rotations, the first
+	// sticky error). Nil falls back to Obs's recorder, so it only needs
+	// setting when the owner keeps a recorder without a registry (the
+	// always-on durable engines).
 	FlightRec *obs.FlightRecorder
 }
 
@@ -124,7 +120,6 @@ type Log struct {
 	dir   string
 	limit int64
 	mode  SyncMode
-	delay time.Duration
 
 	mu      sync.Mutex
 	cond    *sync.Cond // committer wakeup
@@ -153,7 +148,7 @@ type Log struct {
 	obsElided  *obs.Counter
 	obsRotates *obs.Counter
 	obsCommit  *obs.Histogram // group-commit latency (enqueue → ack)
-	obsSpans   *obs.Registry  // "wal."-prefixed view for per-batch spans
+	obsSpans   *obs.Registry  // "wal."-prefixed view for the slowest batch's span
 	fr         *obs.FlightRecorder
 }
 
@@ -217,9 +212,6 @@ func Open(o Options) (*Log, error) {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
 	}
-	if o.GroupDelay <= 0 {
-		o.GroupDelay = 200 * time.Microsecond
-	}
 	if err := o.FS.MkdirAll(o.Dir); err != nil {
 		return nil, fmt.Errorf("wal: mkdir %s: %w", o.Dir, err)
 	}
@@ -236,7 +228,6 @@ func Open(o Options) (*Log, error) {
 		dir:    o.Dir,
 		limit:  o.SegmentBytes,
 		mode:   o.Mode,
-		delay:  o.GroupDelay,
 		closed: make(chan struct{}),
 		seg:    next,
 	}
@@ -439,12 +430,6 @@ func (l *Log) commitLoop() {
 			l.mu.Unlock()
 			return
 		}
-		if l.mode == SyncBatch && len(l.pending) > 0 && l.err == nil {
-			// Coalescing window: let concurrent writers join this batch.
-			l.mu.Unlock()
-			time.Sleep(l.delay)
-			l.mu.Lock()
-		}
 		batch := l.pending
 		l.pending = nil
 		synchs := l.synchs
@@ -454,9 +439,11 @@ func (l *Log) commitLoop() {
 		err := l.err
 		l.mu.Unlock()
 
-		// One "wal.batch" span per group-commit batch: every ack in the
-		// batch carries its ID, so a slow Put's exemplar resolves to the
-		// batch (and fsync) it actually waited on.
+		// Every ack in the batch is observed under this span's ID, and the
+		// span is ended — becomes a record — only if one of them is the
+		// slowest commit so far: a slow Put's exemplar resolves to the batch
+		// (and fsync) it actually waited on, and a commit like any other
+		// leaves the ring to the lifecycle.
 		var sp *obs.Span
 		if l.obsSpans != nil && len(batch) > 0 {
 			sp = l.obsSpans.StartSpan("batch")
@@ -485,13 +472,7 @@ func (l *Log) commitLoop() {
 				l.syncedSeq = l.writtenSeq
 				l.mu.Unlock()
 				l.obsFsyncs.Inc()
-				l.fr.RecordSpan("wal.fsync_batch", sp.ID(),
-					obs.I64("records", int64(len(batch))), obs.I64("bytes", wrote))
 			}
-		}
-		if sp != nil {
-			sp.Annotate(obs.I64("records", int64(len(batch))), obs.I64("bytes", wrote))
-			sp.End()
 		}
 		for _, r := range rotates {
 			if err == nil {
@@ -509,17 +490,20 @@ func (l *Log) commitLoop() {
 		}
 		l.mu.Unlock()
 
-		now := time.Time{}
-		if l.obsCommit != nil {
-			now = time.Now()
-		}
+		now := time.Now()
+		slowest := false
 		for _, p := range batch {
 			p.ack.err = err
 			close(p.ack.done)
 			l.obsAppends.Inc()
-			if l.obsCommit != nil && !p.ack.t0.IsZero() {
-				l.obsCommit.ObserveExemplar(now.Sub(p.ack.t0).Nanoseconds(), sp.ID(), p.tag)
+			// A nil histogram took no t0 at enqueue and observes nothing.
+			if l.obsCommit.ObserveExemplar(now.Sub(p.ack.t0).Nanoseconds(), sp.ID(), p.tag) {
+				slowest = true
 			}
+		}
+		if slowest {
+			sp.Annotate(obs.I64("records", int64(len(batch))), obs.I64("bytes", wrote))
+			sp.End()
 		}
 		l.obsBytes.Add(wrote)
 		if err == nil && !dirty {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"mets/internal/obs"
 	"mets/internal/vfs"
 )
 
@@ -55,7 +56,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	fs := vfs.NewMemFS()
-	l, err := Open(Options{FS: fs, Dir: "wal", Mode: SyncBatch})
+	l, err := Open(Options{FS: fs, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +81,51 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	got, _ := collect(t, fs, "wal", 0)
 	if len(got) != writers*per {
 		t.Fatalf("replayed %d records, want %d", len(got), writers*per)
+	}
+}
+
+// TestSlowestBatchIsTheRingsOnlyCommitRecord pins what a commit leaves
+// behind: every ack lands in the group_commit histogram, and the ring gets a
+// wal.batch record only for a batch that set that histogram's maximum — so
+// the exemplar's span always resolves to the newest such record, and two
+// hundred ordinary commits do not push the lifecycle out of the ring.
+func TestSlowestBatchIsTheRingsOnlyCommitRecord(t *testing.T) {
+	reg := obs.NewRegistry()
+	l, err := Open(Options{FS: vfs.NewMemFS(), Dir: "wal", Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	for i := 0; i < n; i++ {
+		if err := l.EnqueueTagged([]byte("rec"), fmt.Sprintf("k%d", i)).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	h := snap.Histograms["wal.group_commit"]
+	if h.Count != n || snap.Counters["wal.appends"] != n || h.Exemplar == nil {
+		t.Fatalf("group_commit saw %d of %d acks (exemplar %v)", h.Count, n, h.Exemplar)
+	}
+	var batches []obs.Event
+	for _, ev := range snap.Events {
+		if ev.Type != "wal.batch" {
+			t.Fatalf("unexpected record %+v", ev)
+		}
+		for _, k := range []string{"dur_ns", "write_ns", "fsync_ns", "records", "bytes"} {
+			if _, ok := ev.Attr(k); !ok {
+				t.Fatalf("wal.batch record without %s: %+v", k, ev)
+			}
+		}
+		batches = append(batches, ev)
+	}
+	if len(batches) == 0 || len(batches) > n/4 {
+		t.Fatalf("%d wal.batch records for %d commits, want the few that set a new maximum", len(batches), n)
+	}
+	if last := batches[len(batches)-1]; last.Span != h.Exemplar.SpanID {
+		t.Fatalf("exemplar points at span %d, the newest wal.batch record is span %d", h.Exemplar.SpanID, last.Span)
 	}
 }
 

@@ -141,10 +141,10 @@ var (
 // TuneConfig tunes the drift detectors and hysteresis of the background
 // controller; the zero value uses the production defaults. Set
 // ShardedConfig.AutoTune (with ShardedConfig.Tune to override knobs) and the
-// index runs a DriftTuner that watches its stats registry for compression
-// decay, per-shard load skew, and merge backlog, and repairs them in place —
-// codec retrain, shard rebalance, merge nudge — through the generation-swap
-// reconfiguration seam. See DESIGN.md "Control plane".
+// index runs a DriftTuner that it hands a TuneSample each tick, watching for
+// compression decay, per-shard load skew, and merge backlog, and repairs them
+// in place — codec retrain, shard rebalance, merge nudge — through the
+// generation-swap reconfiguration seam. See DESIGN.md "Control plane".
 type TuneConfig = tune.Config
 
 // DriftTuner is the background controller; reach it via ShardedIndex.Tuner.
@@ -154,14 +154,19 @@ type DriftTuner = tune.Tuner
 // detector readings); read it with DriftTuner.Health.
 type TunerHealth = tune.Health
 
-// TuneTargets binds a standalone tuner to reconfiguration actions; only
-// needed when composing a custom controller with NewDriftTuner (the
-// ShardedConfig.AutoTune path wires these automatically).
+// TuneTargets binds a standalone tuner to its index — the sample function it
+// reads and the reconfiguration actions it fires; only needed when composing
+// a custom controller with NewDriftTuner (the ShardedConfig.AutoTune path
+// wires these automatically).
 type TuneTargets = tune.Targets
 
-// NewDriftTuner composes a standalone controller over any stats registry —
-// for engines assembled from the layer packages directly. Call Start to run
-// it and Stop on shutdown.
+// TuneSample is what TuneTargets.Sample hands a tuner each tick.
+type TuneSample = tune.Sample
+
+// NewDriftTuner composes a standalone controller — for engines assembled from
+// the layer packages directly. The detectors read targets.Sample; reg only
+// receives the tuner's own "tune." metrics and flight events (nil for none).
+// Call Start to run it and Stop on shutdown.
 func NewDriftTuner(cfg TuneConfig, reg *StatsRegistry, targets TuneTargets) *DriftTuner {
 	return tune.New(cfg, reg, targets)
 }
@@ -238,15 +243,14 @@ func OpenLSM(cfg LSMConfig) *LSM { return lsm.Open(cfg) }
 // LSMConfig.Dir: every acked write is covered by a checksummed write-ahead
 // log, SSTables persist as validated files, and reopening the directory
 // recovers exactly the acked state (see DESIGN.md, Durability). The sync
-// modes below pick the WAL ack contract; WALSyncBatch is the group-commit
-// sweet spot under concurrent writers.
+// modes below pick the WAL ack contract; under WALSyncEach concurrent writers
+// share fsyncs (group commit).
 func OpenDurableLSM(cfg LSMConfig) (*LSM, error) { return lsm.OpenDurable(cfg) }
 
 // WAL ack durability contracts for LSMConfig.WALSync.
 const (
-	WALSyncEach  = wal.SyncEach
-	WALSyncBatch = wal.SyncBatch
-	WALSyncNone  = wal.SyncNone
+	WALSyncEach = wal.SyncEach
+	WALSyncNone = wal.SyncNone
 )
 
 // Per-SSTable filter builders. The WithCodec variant pairs with
@@ -261,11 +265,11 @@ var (
 // --- Observability ---------------------------------------------------------
 
 // StatsRegistry is the metrics substrate (internal/obs): padded atomic
-// counters and gauges, log-bucketed latency histograms, and a bounded ring
-// of recent background-lifecycle spans (merges, flushes, compactions). Pass
-// one through HybridConfig.Obs / ShardedConfig.Obs / LSMConfig.Obs and read
-// it back with Stats or the instrumented Index's own Stats method. A nil
-// registry disables instrumentation at a single nil check per site.
+// counters and gauges, log-bucketed latency histograms, and the flight
+// recorder's one bounded ring of lifecycle records. Pass one through
+// HybridConfig.Obs / ShardedConfig.Obs / LSMConfig.Obs and read it back with
+// Stats. A nil registry disables instrumentation at a single nil check per
+// site.
 type StatsRegistry = obs.Registry
 
 // StatsSnapshot is a point-in-time copy of every metric in a registry,
@@ -286,14 +290,16 @@ func Stats(r *StatsRegistry) StatsSnapshot { return r.Snapshot() }
 // (cmd/mets-server serves it at -debug-addr/metrics).
 var WritePrometheus = obs.WritePrometheus
 
-// FlightRecorder is the always-on bounded ring of structured engine events
-// (WAL rotations and repairs, flush/compaction commits, quarantines, journal
-// replays, generation swaps). Every registry carries one; durable engines dump
-// it to <dir>/flightrec.json on recovery, on a sticky durable error, and on
-// Close, so every crash leaves a postmortem artifact.
+// FlightRecorder is the always-on bounded ring of structured engine records:
+// facts (WAL rotations and repairs, flush/compaction/merge commits,
+// quarantines, journal replays, generation swaps) and the finished spans that
+// led to them (a merge's seal/build/swap durations), joined by
+// FlightEvent.Span. Every registry carries one; durable engines dump it to
+// <dir>/flightrec.json on recovery, on a sticky durable error, and on Close,
+// so every crash leaves a postmortem artifact.
 type FlightRecorder = obs.FlightRecorder
 
-// FlightEvent is one recorded engine event.
+// FlightEvent is one record of the ring: an event, or a finished span.
 type FlightEvent = obs.Event
 
 // FlightDump is a parsed flightrec.json artifact.
