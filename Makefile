@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 23450
+LOC_MAX := 23250
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -78,7 +78,7 @@ crash-smoke:
 	$(GO) test -race -count=1 -run '^(TestCrashRecovery|TestCrashMatrix.*|TestTombstonesDoNotResurrect|TestDurable.*)$$' ./internal/lsm
 	$(GO) test -race -count=1 -run '^(TestTornTailStopsAtAckedPrefix|TestCorruptTailDetected|TestStickyErrorAfterCrash|TestRepairTornSegmentThenContinue|TestRepairQuarantinesUntrustedSuffix|TestBarrier.*|TestCloseSyncsUncoveredRecords)$$' ./internal/wal
 	$(GO) test -race -count=1 -run '^TestMemFSCrash' ./internal/vfs
-	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Health)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
+	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Status)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
 	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards|LifecycleSurvivesCommits)$$' ./internal/server
 
 # server-smoke exercises the real mets-server binary end to end: a checked

@@ -78,7 +78,8 @@ func runFig57(ctx *benchContext) {
 		h := hybrid.NewBTree(hybrid.Config{MergeRatio: ratio, MinDynamic: 4096, BloomBitsPerKey: 10})
 		ins := measureLoad(h, ks, 2)
 		rd := measureGets(h, ks, ctx.queries, 3)
-		row(fmt.Sprintf("%d", ratio), ins, rd, h.Merges)
+		merges, _, _ := h.MergeStats()
+		row(fmt.Sprintf("%d", ratio), ins, rd, merges)
 	}
 	fmt.Println("paper: larger ratios trade write throughput for slightly better reads; 10 balances OLTP mixes")
 }
@@ -95,7 +96,8 @@ func runFig58(ctx *benchContext) {
 			h.Insert(buf, 1)
 		}
 		h.Merge()
-		row(fmt.Sprintf("%d", h.StaticLen()), float64(h.LastMergeTime.Milliseconds()))
+		_, last, _ := h.MergeStats()
+		row(fmt.Sprintf("%d", h.StaticLen()), float64(last.Milliseconds()))
 	}
 	fmt.Println("paper: merge time grows linearly with index size; amortized cost stays constant")
 }

@@ -34,37 +34,28 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", ":7070", "listen address for the wire protocol")
-		debugAddr  = flag.String("debug-addr", "", "debug HTTP address (/metrics, /debug/vars, /healthz); empty disables")
-		engine     = flag.String("engine", "sharded", "storage engine: sharded | lsm")
-		dir        = flag.String("dir", "", "durability directory (empty = in-memory, no journals/WAL)")
-		shards     = flag.Int("shards", 8, "shard count (sharded engine)")
-		minDynamic = flag.Int("min-dynamic", 0, "per-shard dynamic-stage merge floor (0 = engine default)")
-		writeQueue = flag.Int("write-queue", 1024, "bounded write-queue depth before RETRY_LATER")
-		batchMax   = flag.Int("batch-max", 256, "max ops per group commit")
-		maxConns   = flag.Int("max-conns", 1024, "max concurrent connections")
-		autoTune   = flag.Bool("autotune", false, "run the adaptive drift tuner: watches the metrics registry and retrains/rebalances the sharded engine in place (in-memory sharded engine only)")
+		addr      = flag.String("addr", ":7070", "listen address for the wire protocol")
+		debugAddr = flag.String("debug-addr", "", "debug HTTP address (/metrics, /debug/vars, /healthz); empty disables")
+		engine    = flag.String("engine", "sharded", "storage engine: sharded | lsm")
+		dir       = flag.String("dir", "", "durability directory (empty = in-memory, no journals/WAL)")
+		shards    = flag.Int("shards", 8, "shard count (sharded engine)")
+		maxConns  = flag.Int("max-conns", 1024, "max concurrent connections")
+		autoTune  = flag.Bool("autotune", false, "run the adaptive drift tuner: watches the metrics registry and retrains/rebalances the sharded engine in place (in-memory sharded engine only)")
 	)
 	flag.Parse()
 
 	reg := obs.NewRegistry()
 
-	store, err := buildStore(*engine, *dir, *shards, *minDynamic, *autoTune, reg)
+	store, err := buildStore(*engine, *dir, *shards, *autoTune, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mets-server:", err)
 		os.Exit(1)
 	}
 
-	srv := server.New(server.Config{
-		Store:      store,
-		Obs:        reg,
-		MaxConns:   *maxConns,
-		WriteQueue: *writeQueue,
-		BatchMax:   *batchMax,
-	})
+	srv := server.New(server.Config{Store: store, Obs: reg, MaxConns: *maxConns})
 
 	if *debugAddr != "" {
-		startDebug(*debugAddr, reg, store)
+		startDebug(*debugAddr, reg, srv)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -96,7 +87,7 @@ func main() {
 }
 
 // buildStore constructs the selected engine.
-func buildStore(engine, dir string, shards, minDynamic int, autoTune bool, reg *obs.Registry) (server.Store, error) {
+func buildStore(engine, dir string, shards int, autoTune bool, reg *obs.Registry) (server.Store, error) {
 	switch engine {
 	case "sharded":
 		if autoTune && dir != "" {
@@ -105,9 +96,6 @@ func buildStore(engine, dir string, shards, minDynamic int, autoTune bool, reg *
 		hc := hybrid.DefaultConfig()
 		hc.EpochReads = true
 		hc.BackgroundMerge = true
-		if minDynamic > 0 {
-			hc.MinDynamic = minDynamic
-		}
 		cfg := sharded.Config{
 			Shards: shards,
 			Hybrid: hc,
@@ -143,9 +131,10 @@ func buildStore(engine, dir string, shards, minDynamic int, autoTune bool, reg *
 }
 
 // startDebug serves /metrics (Prometheus), /debug/vars (expvar incl. the
-// full registry snapshot under "mets"), and /healthz (200 when the engine
-// accepts writes, 503 otherwise).
-func startDebug(addr string, reg *obs.Registry, store server.Store) {
+// full registry snapshot under "mets", the document STATS answers with), and
+// /healthz (server.Healthz: 200 when the engine accepts writes, 503
+// otherwise).
+func startDebug(addr string, reg *obs.Registry, srv *server.Server) {
 	expvar.Publish("mets", expvar.Func(func() any { return reg.Snapshot() }))
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -155,21 +144,10 @@ func startDebug(addr string, reg *obs.Registry, store server.Store) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := store.Health()
-		if !h.Healthy {
-			http.Error(w, "unhealthy: "+h.Err, http.StatusServiceUnavailable)
-			return
-		}
-		if h.Backlogged {
-			fmt.Fprintln(w, "ok (backlogged)")
-			return
-		}
-		fmt.Fprintln(w, "ok")
-	})
-	srv := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	mux.HandleFunc("/healthz", srv.Healthz)
+	hs := &http.Server{Addr: addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go func() {
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			fmt.Fprintln(os.Stderr, "mets-server: debug endpoint:", err)
 		}
 	}()

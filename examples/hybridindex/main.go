@@ -33,9 +33,10 @@ func main() {
 
 	fmt.Printf("loaded %d random integer keys\n", n)
 	fmt.Printf("%-14s load %8v  memory %6.1f MB\n", "B+tree", plainLoad.Round(time.Millisecond), float64(plain.MemoryUsage())/(1<<20))
+	merges, _, mergeTime := h.MergeStats()
 	fmt.Printf("%-14s load %8v  memory %6.1f MB  (%d merges, %v total merge time)\n",
 		"Hybrid B+tree", hybridLoad.Round(time.Millisecond), float64(h.MemoryUsage())/(1<<20),
-		h.Merges, h.TotalMergeTime.Round(time.Millisecond))
+		merges, mergeTime.Round(time.Millisecond))
 	fmt.Printf("stage split: %d dynamic / %d static entries\n", h.DynamicLen(), h.StaticLen())
 
 	// Updates shadow the static stage; reads see the newest value.

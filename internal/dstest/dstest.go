@@ -43,9 +43,10 @@ type Config struct {
 	Seed int64
 	// ScanEvery runs a bounded range scan every n-th operation (default 16).
 	ScanEvery int
-	// MaxScanLen bounds verification scans (default 40).
-	MaxScanLen int
 }
+
+// maxScanLen bounds verification scans.
+const maxScanLen = 40
 
 func (c *Config) fill() {
 	if c.Ops <= 0 {
@@ -59,9 +60,6 @@ func (c *Config) fill() {
 	}
 	if c.ScanEvery <= 0 {
 		c.ScanEvery = 16
-	}
-	if c.MaxScanLen <= 0 {
-		c.MaxScanLen = 40
 	}
 }
 
@@ -137,7 +135,7 @@ func Run(t *testing.T, idx Index, cfg Config) {
 		}
 		if op%cfg.ScanEvery == cfg.ScanEvery-1 {
 			start := space[rng.Intn(len(space))]
-			checkScan(t, op, idx, oracle, start, 1+rng.Intn(cfg.MaxScanLen))
+			checkScan(t, op, idx, oracle, start, 1+rng.Intn(maxScanLen))
 		}
 	}
 	// Final full verification: every oracle key readable, full scan matches

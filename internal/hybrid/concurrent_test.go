@@ -146,7 +146,7 @@ func TestConcurrentStress(t *testing.T) {
 			if i != len(sorted) {
 				t.Fatalf("final scan visited %d of %d", i, len(sorted))
 			}
-			if h.Merges == 0 {
+			if merges, _, _ := h.MergeStats(); merges == 0 {
 				t.Fatalf("expected background merges to have run")
 			}
 		})
@@ -172,7 +172,7 @@ func TestBackgroundMergeDoesNotBlockReaders(t *testing.T) {
 		h.Insert(k, uint64(i))
 	}
 	h.Merge() // foreground baseline over the full data set
-	foreground := h.LastMergeTime
+	_, foreground, _ := h.MergeStats()
 	// Refill the dynamic stage so the background merge has real work.
 	extra := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(refill, 6)))
 	for i, k := range extra {
@@ -217,7 +217,7 @@ func TestBackgroundMergeDoesNotBlockReaders(t *testing.T) {
 	if during.Load() == 0 {
 		t.Fatal("no reads completed during the background merge")
 	}
-	background := h.LastMergeTime
+	_, background, _ := h.MergeStats()
 	pause := time.Duration(maxPause.Load())
 	t.Logf("foreground merge %v, background merge %v, %d reads during, max read pause %v",
 		foreground, background, during.Load(), pause)

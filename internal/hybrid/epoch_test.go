@@ -18,7 +18,7 @@ func epochCfg() Config {
 }
 
 // TestEpochBulkLoadAndIterate covers the generation-replacing BulkLoad plus
-// the scan hooks (Scan, ScanN through LowerBound) on every variant.
+// the scan hooks (Scan, ScanN) on every variant.
 func TestEpochBulkLoadAndIterate(t *testing.T) {
 	cfg := epochCfg()
 	cfg.BackgroundMerge = true
@@ -49,8 +49,8 @@ func testBulkLoadAndIterate(t *testing.T, h *Index) {
 	if i != len(entries) {
 		t.Fatalf("scan visited %d entries, want %d", i, len(entries))
 	}
-	if e, ok := h.LowerBound(entries[17].Key); !ok || keys.Compare(e.Key, entries[17].Key) != 0 {
-		t.Fatal("LowerBound missed an exact key")
+	if es := h.ScanN(entries[17].Key, 1); len(es) != 1 || keys.Compare(es[0].Key, entries[17].Key) != 0 {
+		t.Fatal("ScanN(k, 1) missed an exact key")
 	}
 }
 
@@ -97,8 +97,8 @@ func TestEpochStress(t *testing.T) {
 					})
 				}
 				// Aggregate accessors read generation fields too.
-				_ = h.Len() + h.FrozenLen() + h.DynamicLen() + h.StaticLen()
-				_ = h.Health()
+				_ = h.Len() + h.DynamicLen() + h.StaticLen()
+				_ = h.MergeBehind()
 			}
 		}(int64(r))
 	}

@@ -82,12 +82,11 @@ func TestJournalHealth(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		h.Insert([]byte{byte(i >> 8), byte(i)}, uint64(i))
 	}
-	hs := h.Health()
-	if !hs.Healthy || hs.JournalErr != "" || hs.MergeBehind {
-		t.Fatalf("below-trigger Health = %+v", hs)
+	if err := h.JournalErr(); err != nil || h.MergeBehind() {
+		t.Fatalf("below-trigger: JournalErr = %v, MergeBehind = %v", err, h.MergeBehind())
 	}
-	if hs.DynamicLen != 100 {
-		t.Fatalf("DynamicLen = %d, want 100", hs.DynamicLen)
+	if n := h.DynamicLen(); n != 100 {
+		t.Fatalf("DynamicLen = %d, want 100", n)
 	}
 
 	// The trigger fires inline on the write that crosses it, so a behind
@@ -100,21 +99,21 @@ func TestJournalHealth(t *testing.T) {
 		h2.Insert([]byte{byte(i >> 8), byte(i)}, uint64(i))
 	}
 	h2.cfg.MinDynamic = 16
-	if hs := h2.Health(); !hs.MergeBehind {
-		t.Fatalf("past-trigger Health = %+v, want MergeBehind", hs)
+	if !h2.MergeBehind() {
+		t.Fatal("past-trigger: MergeBehind = false")
 	}
 	h2.Merge()
-	if hs := h2.Health(); hs.MergeBehind {
-		t.Fatalf("post-merge Health = %+v, want not behind", hs)
+	if h2.MergeBehind() {
+		t.Fatal("post-merge: MergeBehind = true")
 	}
 
 	// An empty index is never behind.
-	if hs := NewBTree(Config{MergeRatio: 2}).Health(); hs.MergeBehind {
-		t.Fatalf("empty Health = %+v", hs)
+	if NewBTree(Config{MergeRatio: 2}).MergeBehind() {
+		t.Fatal("empty index: MergeBehind = true")
 	}
 }
 
-// TestMergeBehindMatchesTrigger pins that Health, the merge_behind gauge and
+// TestMergeBehindMatchesTrigger pins that MergeBehind, the merge_behind gauge and
 // the write path's trigger are one predicate over raw memtable nodes. The
 // churn is all tombstones — deletes of static-resident keys, which grow the
 // memtable without evaluating the trigger — so a live-entry count would see
@@ -139,18 +138,19 @@ func TestMergeBehindMatchesTrigger(t *testing.T) {
 					t.Fatalf("delete %d failed", i)
 				}
 			}
-			hs := h.Health()
-			if hs.DynamicLen != 0 {
-				t.Fatalf("epoch=%v tombs=%d: DynamicLen = %d, want 0 live entries", epoch, tombs, hs.DynamicLen)
+			if n := h.DynamicLen(); n != 0 {
+				t.Fatalf("epoch=%v tombs=%d: DynamicLen = %d, want 0 live entries", epoch, tombs, n)
 			}
-			if want := tombs >= minDyn; hs.MergeBehind != want {
-				t.Fatalf("epoch=%v tombs=%d: MergeBehind = %v, want %v", epoch, tombs, hs.MergeBehind, want)
+			behind := h.MergeBehind()
+			if want := tombs >= minDyn; behind != want {
+				t.Fatalf("epoch=%v tombs=%d: MergeBehind = %v, want %v", epoch, tombs, behind, want)
 			}
-			if g := reg.Snapshot().Gauges["merge_behind"]; (g == 1) != hs.MergeBehind {
-				t.Fatalf("epoch=%v tombs=%d: merge_behind gauge = %v, Health says %v", epoch, tombs, g, hs.MergeBehind)
+			if g := reg.Snapshot().Gauges["merge_behind"]; (g == 1) != behind {
+				t.Fatalf("epoch=%v tombs=%d: merge_behind gauge = %v, MergeBehind says %v", epoch, tombs, g, behind)
 			}
 			h.Insert(keys.Uint64(1<<40), 1)
-			if merged, want := h.Merges == 1, tombs+1 >= minDyn; merged != want {
+			merges, _, _ := h.MergeStats()
+			if merged, want := merges == 1, tombs+1 >= minDyn; merged != want {
 				t.Fatalf("epoch=%v tombs=%d: next write merged = %v, want %v", epoch, tombs, merged, want)
 			}
 		}

@@ -135,12 +135,10 @@ type Index struct {
 
 	live atomic.Int64 // exact live-entry count, writer-maintained
 
-	// Merge telemetry for the Chapter 5 experiments. The exported fields are
-	// written under mu; read them only via MergeStats or when no merge can be
-	// in flight (single-threaded use, or after WaitMerges).
-	Merges         int
-	LastMergeTime  time.Duration
-	TotalMergeTime time.Duration
+	// Merge telemetry for the Chapter 5 experiments, under mu; MergeStats
+	// reads it.
+	merges                int
+	lastMerge, totalMerge time.Duration
 
 	// jl is the op journal, nil without Config.Dir (journal.go).
 	jl *wal.Log
@@ -224,9 +222,7 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		r.GaugeFunc("dynamic_len", func() float64 { return float64(h.DynamicLen()) })
 		r.GaugeFunc("static_len", func() float64 { return float64(h.StaticLen()) })
 		flag("merging", h.Merging)
-		// 1 while the dynamic stage sits past the merge trigger
-		// (Health.MergeBehind, which is what the drift tuner is handed).
-		flag("merge_behind", func() bool { return h.Health().MergeBehind })
+		flag("merge_behind", h.MergeBehind)
 		// A sticky journal failure is otherwise invisible until the next
 		// explicit barrier; surface it in every snapshot.
 		flag("journal_err", func() bool { return h.JournalErr() != nil })
@@ -408,13 +404,18 @@ func (h *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 }
 
 // mergeDue is the ratio-based merge trigger, the one predicate the write
-// path, Health and the merge_behind gauge share: the memtable has reached
-// MinDynamic and static/dynamic has fallen to MergeRatio. It weighs raw
-// nodes, so accumulated tombstones push toward a merge too.
+// path and MergeBehind share: the memtable has reached MinDynamic and
+// static/dynamic has fallen to MergeRatio. It weighs raw nodes, so
+// accumulated tombstones push toward a merge too.
 func (h *Index) mergeDue(g *gen) bool {
 	d := g.mem.Nodes()
 	return d > 0 && d >= h.cfg.MinDynamic && d*h.cfg.MergeRatio >= g.staticLen()
 }
+
+// MergeBehind reports that the current generation's dynamic stage sits past
+// the merge trigger: the next write that grows the memtable merges, and until
+// it lands reads pay extra stage lookups. It never takes the writer mutex.
+func (h *Index) MergeBehind() bool { return h.mergeDue(h.gen.Load()) }
 
 // maybeMergeLocked fires the trigger after a write that grew the memtable.
 func (h *Index) maybeMergeLocked(g *gen) {
@@ -469,9 +470,9 @@ func (h *Index) commitLocked(next *gen, entries int, startT time.Time, sp *obs.S
 		Span:  sp.ID(),
 		Attrs: []obs.Attr{obs.I64("entries", int64(entries))},
 	})
-	h.LastMergeTime = time.Since(startT)
-	h.TotalMergeTime += h.LastMergeTime
-	h.Merges++
+	h.lastMerge = time.Since(startT)
+	h.totalMerge += h.lastMerge
+	h.merges++
 	h.obsMerges.Inc()
 }
 
@@ -580,7 +581,7 @@ func (h *Index) Merging() bool {
 func (h *Index) MergeStats() (merges int, last, total time.Duration) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.Merges, h.LastMergeTime, h.TotalMergeTime
+	return h.merges, h.lastMerge, h.totalMerge
 }
 
 // MemoryUsage sums all stages and the Bloom filters (tombstones are part of

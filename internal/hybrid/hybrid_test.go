@@ -53,7 +53,7 @@ func TestInsertGetAcrossMerges(t *testing.T) {
 				t.Fatalf("%s: insert failed", name)
 			}
 		}
-		if h.Merges == 0 {
+		if merges, _, _ := h.MergeStats(); merges == 0 {
 			t.Fatalf("%s: expected merges to trigger", name)
 		}
 		if h.Len() != len(ks) {
@@ -215,7 +215,7 @@ func TestMergeRatioControlsFrequency(t *testing.T) {
 		for i, k := range ks {
 			h.Insert(k, uint64(i))
 		}
-		counts[ratio] = h.Merges
+		counts[ratio], _, _ = h.MergeStats()
 	}
 	if !(counts[2] <= counts[10] && counts[10] <= counts[50]) {
 		t.Fatalf("merge counts not monotone in ratio: %v", counts)
@@ -269,7 +269,7 @@ func TestSecondaryIndex(t *testing.T) {
 	if s.Len() != numKeys*10 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.Merges == 0 {
+	if merges, _, _ := s.MergeStats(); merges == 0 {
 		t.Fatal("expected merges")
 	}
 	for i := 0; i < numKeys; i++ {
@@ -331,7 +331,8 @@ func TestMergeTimeGrowsLinearly(t *testing.T) {
 		}
 		h.Merge()
 		sizes = append(sizes, h.StaticLen())
-		times = append(times, float64(h.LastMergeTime.Microseconds()))
+		_, last, _ := h.MergeStats()
+		times = append(times, float64(last.Microseconds()))
 	}
 	// Later merges handle more data; the last must not be faster than the
 	// first by more than noise.

@@ -7,34 +7,14 @@ import (
 
 // This file exports the stage-snapshot hooks that layered consumers (the
 // range-sharded index in internal/sharded, bulk loaders) build on: the
-// bounded ScanN, direct frozen-stage introspection, and BulkLoad.
+// bounded ScanN and BulkLoad.
 
 // ScanN collects up to n live entries in key order starting at the smallest
-// key >= start. One call reads one generation, and the returned entries are
-// copies the caller may retain.
+// key >= start (ScanN(start, 1) is the lower bound). One call reads one
+// generation, and the returned entries are copies the caller may retain.
 func (h *Index) ScanN(start []byte, n int) []index.Entry {
 	h.obsScan.Inc()
 	return h.gen.Load().scanN(h.codec, start, n)
-}
-
-// LowerBound returns the smallest live entry with key >= start (the
-// range-query primitive the sharded fan-out and the encoded-space
-// equivalence tests exercise). The returned key is a fresh copy.
-func (h *Index) LowerBound(start []byte) (index.Entry, bool) {
-	es := h.ScanN(start, 1)
-	if len(es) == 0 {
-		return index.Entry{}, false
-	}
-	return es[0], true
-}
-
-// FrozenLen returns the entry count of the sealed frozen stage, or 0 when no
-// background merge is in flight.
-func (h *Index) FrozenLen() int {
-	if f := h.gen.Load().frozen; f != nil {
-		return f.Len()
-	}
-	return 0
 }
 
 // BulkLoad replaces the index contents with the given sorted unique entries,

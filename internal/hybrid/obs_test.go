@@ -32,20 +32,21 @@ func TestObsCounters(t *testing.T) {
 	h.Scan(nil, func(k []byte, v uint64) bool { return true })
 
 	s := reg.Snapshot()
+	merges, _, _ := h.MergeStats()
 	want := map[string]int64{
 		"insert": int64(len(ks)),
 		"get":    501,
 		"update": 100,
 		"delete": 50,
 		"scan":   1,
-		"merges": int64(h.Merges),
+		"merges": int64(merges),
 	}
 	for name, n := range want {
 		if s.Counters[name] != n {
 			t.Errorf("counter %q = %d, want %d", name, s.Counters[name], n)
 		}
 	}
-	if h.Merges == 0 {
+	if merges == 0 {
 		t.Fatal("test did not exercise merges; shrink thresholds")
 	}
 	// After the merged stage absorbed everything, most Gets on static-only

@@ -31,10 +31,9 @@ type Secondary struct {
 	static  *btree.CompactMulti
 	filter  *bloom.Filter
 
-	// Written under the write lock; read them only when no writer is active.
-	Merges         int
-	LastMergeTime  time.Duration
-	TotalMergeTime time.Duration
+	// Merge telemetry, under the write lock; MergeStats reads it.
+	merges                int
+	lastMerge, totalMerge time.Duration
 }
 
 // NewSecondary returns an empty secondary hybrid B+tree index.
@@ -208,9 +207,16 @@ func (s *Secondary) mergeLocked() {
 	s.static = st
 	s.dynamic = btree.NewMulti()
 	s.resetFilter(len(merged) / s.cfg.MergeRatio)
-	s.LastMergeTime = time.Since(startT)
-	s.TotalMergeTime += s.LastMergeTime
-	s.Merges++
+	s.lastMerge = time.Since(startT)
+	s.totalMerge += s.lastMerge
+	s.merges++
+}
+
+// MergeStats returns the merge count and the last and total merge times.
+func (s *Secondary) MergeStats() (merges int, last, total time.Duration) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.merges, s.lastMerge, s.totalMerge
 }
 
 // MemoryUsage sums both stages and the Bloom filter.

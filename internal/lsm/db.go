@@ -139,7 +139,7 @@ type DB struct {
 	// dumped as <dir>/flightrec.json on recovery, sticky failure, and close.
 	fr *obs.FlightRecorder
 	// quarantined counts table files renamed aside as *.corrupt (recovery
-	// increments it; Stats()-style gauges and Health read it).
+	// increments it; the lsm.quarantined gauge reads it).
 	quarantined atomic.Int64
 
 	codec   keycodec.Codec // nil when identity: keys stored raw

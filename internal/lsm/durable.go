@@ -297,6 +297,31 @@ func (db *DB) Err() error {
 	return db.durErr
 }
 
+// maxBacklogSegments is how many WAL segments a reopen may have to replay
+// before the DB reports itself backlogged.
+const maxBacklogSegments = 4
+
+// Backlogged reports that maintenance is behind the writers: a sealed
+// memtable waits on the background flusher, or a reopen would replay more
+// than maxBacklogSegments WAL segments (flushes are not keeping up).
+func (db *DB) Backlogged() bool {
+	db.mu.RLock()
+	imm, dur := db.imm != nil, db.dur
+	var walMin uint64
+	if dur != nil {
+		walMin = dur.walMin
+	}
+	db.mu.RUnlock()
+	if imm || dur == nil {
+		return imm
+	}
+	// Segments walMin..Seq() would all be read back by a reopen. Seq takes
+	// the WAL's own mutex after db.mu is released; dur is immutable after
+	// open, so there is no lock-order entanglement.
+	lo, hi := max(walMin, 1), dur.wal.Seq()
+	return hi >= lo && hi-lo+1 > maxBacklogSegments
+}
+
 // Sync is an explicit durability barrier: it returns once every previously
 // acked write is fsynced (meaningful under WALSync=SyncNone; a no-op for an
 // in-memory DB).

@@ -196,35 +196,47 @@ func TestDurableFlightRecorderQuarantine(t *testing.T) {
 	if !found {
 		t.Fatalf("no lsm.quarantine event in recovery dump; have %v", eventTypes(d))
 	}
-	if h := db.Health(); h.Quarantined != 1 || !h.Healthy {
-		t.Fatalf("Health = %+v, want healthy with 1 quarantined", h)
+	if q, err := db.Recovery.Quarantined, db.Err(); q != 1 || err != nil {
+		t.Fatalf("Recovery.Quarantined = %d, Err = %v; want healthy with 1 quarantined", q, err)
 	}
 }
 
 // TestDurableHealth pins the health surface: a fresh durable engine is
-// healthy with a single live WAL segment, and a sticky durable error flips
-// Healthy off with the error text attached.
+// healthy and not backlogged, WAL segments that no flush retires make it
+// backlogged past maxBacklogSegments and a flush clears that, and a sticky
+// durable error (here: Close) turns Err on with the error text attached.
 func TestDurableHealth(t *testing.T) {
 	fs := vfs.NewMemFS()
-	db, err := OpenDurable(tinyDurableConfig(fs))
+	cfg := tinyDurableConfig(fs)
+	cfg.MemTableBytes = 1 << 20 // no automatic flush: every WAL segment stays live
+	db, err := OpenDurable(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := db.Health()
-	if !h.Healthy || h.Err != "" || h.WALBacklogSegments < 1 {
-		t.Fatalf("fresh Health = %+v", h)
+	if err := db.Err(); err != nil || db.Backlogged() {
+		t.Fatalf("fresh: Err = %v, Backlogged = %v", err, db.Backlogged())
 	}
-	durablePut(t, db, "a", "1")
+	for i := 0; !db.Backlogged(); i++ {
+		if i == 1000 {
+			t.Fatal("1000 unflushed puts over 2 KiB WAL segments never backlogged the DB")
+		}
+		durablePut(t, db, fmt.Sprintf("k%04d", i), strings.Repeat("v", 64))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Backlogged() {
+		t.Fatal("still backlogged after a flush retired the WAL segments")
+	}
 	db.Close()
-	h = db.Health()
-	if h.Healthy || h.Err == "" {
-		t.Fatalf("closed Health = %+v, want unhealthy with error", h)
+	if err := db.Err(); err == nil || err.Error() == "" {
+		t.Fatalf("closed: Err = %v, want a sticky error with text", err)
 	}
 
 	// In-memory engines are healthy with no WAL backlog.
 	mem := Open(Config{})
-	if h := mem.Health(); !h.Healthy || h.WALBacklogSegments != 0 {
-		t.Fatalf("in-memory Health = %+v", h)
+	if err := mem.Err(); err != nil || mem.Backlogged() {
+		t.Fatalf("in-memory: Err = %v, Backlogged = %v", err, mem.Backlogged())
 	}
 	mem.Close()
 }

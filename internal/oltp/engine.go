@@ -12,7 +12,6 @@ package oltp
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"mets/internal/btree"
 	"mets/internal/hybrid"
@@ -54,8 +53,6 @@ type Config struct {
 	EvictionThreshold int64
 	// EvictBatch is the number of tuples evicted per eviction pass.
 	EvictBatch int
-	// DiskLatency is charged per evicted-tuple fetch.
-	DiskLatency time.Duration
 	// KeyCodec, when set (and not the identity), stores every table's
 	// primary keys in encoded space regardless of index type: keys are
 	// encoded once at the Table method boundary and Scan decodes on emit,
@@ -242,14 +239,11 @@ func (t *Table) Insert(key, payload []byte, secondaryKeys map[string][]byte) boo
 }
 
 // fetch returns the tuple payload, un-evicting from the anti-cache when
-// needed (the paper's abort-and-restart is modelled as a charged disk read).
+// needed (the paper's abort-and-restart is modelled as a counted disk read).
 func (t *Table) fetch(id uint64) []byte {
 	if t.evicted[id] {
 		t.eng.Stats.DiskReads++
 		t.eng.obsDiskReads.Inc()
-		if t.eng.cfg.DiskLatency > 0 {
-			time.Sleep(t.eng.cfg.DiskLatency)
-		}
 		payload := t.disk[id]
 		delete(t.disk, id)
 		t.tuples[id] = payload

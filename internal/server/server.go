@@ -3,7 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,10 +19,12 @@ import (
 type Config struct {
 	// Store is the engine the server fronts (required).
 	Store Store
-	// Obs attaches the server to a metrics registry under a "server."
-	// prefix: connection/request counters, shed counters, queue-depth
-	// gauge, request-latency histogram with slow-op exemplars, and flight-
-	// recorder events for accept/shed/slow-request. Nil disables.
+	// Obs is the metrics registry the server reports to under a "server."
+	// prefix: connection/request counters, shed counters, queue-depth gauge,
+	// the engine verdict (healthy, backlogged), request-latency histogram
+	// with slow-op exemplars, and flight-recorder events for
+	// accept/shed/slow-request. STATS answers with its snapshot. Nil gives
+	// the server a private registry.
 	Obs *obs.Registry
 	// MaxConns caps concurrently served connections (default 1024); excess
 	// accepts are closed immediately.
@@ -31,19 +35,21 @@ type Config struct {
 	WriteQueue int
 	// BatchMax caps ops per commit batch (default 256).
 	BatchMax int
-	// MaxScan caps entries per SCAN/SNAPSHOT_READ response (default 1024);
-	// clients chunk longer scans.
-	MaxScan int
-	// SnapshotsPerConn caps live snapshots per connection (default 16).
-	SnapshotsPerConn int
 	// HealthEvery is how often admission control refreshes the engine
 	// health (default 50ms; <= 0 refreshes on every write, which tests use
 	// for determinism).
 	HealthEvery time.Duration
-	// SlowRequest is the latency above which a request is flight-recorded
-	// (default 50ms).
-	SlowRequest time.Duration
 }
+
+const (
+	// maxScan caps entries per SCAN/SNAPSHOT_READ response; clients chunk
+	// longer scans.
+	maxScan = 1024
+	// maxSnapshots caps live snapshots per connection.
+	maxSnapshots = 16
+	// slowRequest is the latency above which a request is flight-recorded.
+	slowRequest = 50 * time.Millisecond
+)
 
 // Server serves the wire protocol over TCP (or any net.Listener). Requests
 // on one connection are pipelined and answered by whichever goroutine has the
@@ -92,17 +98,11 @@ func New(cfg Config) *Server {
 	if cfg.BatchMax <= 0 {
 		cfg.BatchMax = 256
 	}
-	if cfg.MaxScan <= 0 {
-		cfg.MaxScan = 1024
-	}
-	if cfg.SnapshotsPerConn <= 0 {
-		cfg.SnapshotsPerConn = 16
-	}
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = 50 * time.Millisecond
 	}
-	if cfg.SlowRequest <= 0 {
-		cfg.SlowRequest = 50 * time.Millisecond
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry() // STATS is the registry snapshot
 	}
 	reg := cfg.Obs.Sub("server.")
 	s := &Server{
@@ -121,6 +121,18 @@ func New(cfg Config) *Server {
 	}
 	reg.GaugeFunc("conns_active", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("snapshots_active", func() float64 { return float64(s.snapsLive.Load()) })
+	// The engine verdict, as /healthz and admission read it; the error text
+	// is in /healthz and in the engine's journal.error/durable.error record.
+	flag := func(name string, f func(Health) bool) {
+		reg.GaugeFunc(name, func() float64 {
+			if f(cfg.Store.Health()) {
+				return 1
+			}
+			return 0
+		})
+	}
+	flag("healthy", func(h Health) bool { return h.Healthy })
+	flag("backlogged", func(h Health) bool { return h.Backlogged })
 	s.co = newCoalescer(cfg.Store, cfg.WriteQueue, cfg.BatchMax, cfg.HealthEvery, reg)
 	return s
 }
@@ -233,32 +245,25 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// statsPayload is the STATS response body (JSON).
-type statsPayload struct {
-	ConnsActive   int64  `json:"conns_active"`
-	ConnsAccepted int64  `json:"conns_accepted"`
-	QueueDepth    int    `json:"queue_depth"`
-	QueueCap      int    `json:"queue_cap"`
-	Snapshots     int64  `json:"snapshots_active"`
-	Healthy       bool   `json:"healthy"`
-	Backlogged    bool   `json:"backlogged"`
-	HealthErr     string `json:"health_err,omitempty"`
+// stats is the STATS response body: the registry snapshot as JSON, the
+// document /debug/vars serves under "mets".
+func (s *Server) stats() []byte {
+	b, _ := json.Marshal(s.reg.Snapshot())
+	return b
 }
 
-func (s *Server) stats() []byte {
-	h := s.cfg.Store.Health()
-	p := statsPayload{
-		ConnsActive:   s.active.Load(),
-		ConnsAccepted: s.obsAccepted.Load(),
-		QueueDepth:    len(s.co.ch),
-		QueueCap:      cap(s.co.ch),
-		Snapshots:     s.snapsLive.Load(),
-		Healthy:       h.Healthy,
-		Backlogged:    h.Backlogged,
-		HealthErr:     h.Err,
+// Healthz serves /healthz from the verdict admission control reads: 200 "ok"
+// or "ok (backlogged)" while the engine takes writes, 503 with its sticky
+// error once it does not.
+func (s *Server) Healthz(w http.ResponseWriter, _ *http.Request) {
+	switch h := s.cfg.Store.Health(); {
+	case !h.Healthy:
+		http.Error(w, "unhealthy: "+h.Err, http.StatusServiceUnavailable)
+	case h.Backlogged:
+		fmt.Fprintln(w, "ok (backlogged)")
+	default:
+		fmt.Fprintln(w, "ok")
 	}
-	b, _ := json.Marshal(p)
-	return b
 }
 
 // maxConnOutBytes caps a connection's queued-but-unwritten ack bytes; past
@@ -455,7 +460,7 @@ func (c *srvConn) observe(op byte, start time.Time, key []byte) {
 		key = key[:tagLen]
 	}
 	c.s.reqHist.ObserveExemplarKey(ns, 0, key)
-	if ns >= int64(c.s.cfg.SlowRequest) {
+	if ns >= int64(slowRequest) {
 		c.fr().Record("server.slow_request",
 			obs.Str("op", opNames[op]), obs.Str("key", string(key)), obs.I64("ns", ns))
 	}
@@ -572,8 +577,8 @@ func (c *srvConn) badRequest(id uint64) {
 }
 
 func (c *srvConn) capScan(limit uint64) int {
-	if limit == 0 || limit > uint64(c.s.cfg.MaxScan) {
-		return c.s.cfg.MaxScan
+	if limit == 0 || limit > maxScan {
+		return maxScan
 	}
 	return int(limit)
 }
@@ -684,7 +689,7 @@ func (c *srvConn) admitWrite(id uint64, op byte, start time.Time, ops []Op, batc
 }
 
 func (c *srvConn) snapBegin(id uint64) {
-	if len(c.snaps) >= c.s.cfg.SnapshotsPerConn {
+	if len(c.snaps) >= maxSnapshots {
 		at := c.reply(id, wire.StatusErr)
 		c.out = append(c.out, "too many snapshots on this connection"...)
 		c.endReply(at)

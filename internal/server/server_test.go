@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -135,19 +137,9 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 
 	// STATS parses and reports this connection.
-	raw, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	var st struct {
-		ConnsActive int64 `json:"conns_active"`
-		Healthy     bool  `json:"healthy"`
-	}
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("stats json: %v (%s)", err, raw)
-	}
-	if st.ConnsActive < 1 || !st.Healthy {
-		t.Fatalf("stats = %+v", st)
+	st := stats(t, c)
+	if st.Gauges["server.conns_active"] < 1 || st.Gauges["server.healthy"] != 1 {
+		t.Fatalf("stats gauges = %v", st.Gauges)
 	}
 
 	c.Close()
@@ -490,6 +482,77 @@ func TestServerUnhealthyRejects(t *testing.T) {
 	}
 	if v, ok, err := c.Get([]byte("k")); err != nil || !ok || v != 7 {
 		t.Fatalf("read on unhealthy engine = (%d,%v,%v)", v, ok, err)
+	}
+}
+
+// stats fetches the STATS body and parses it as the registry snapshot it is.
+func stats(t *testing.T, c *client.Client) obs.Snapshot {
+	t.Helper()
+	raw, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats: %v", err)
+	}
+	var st obs.Snapshot
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatalf("stats json: %v (%s)", err, raw)
+	}
+	return st
+}
+
+// TestServerOneVerdict walks an engine healthy → backlogged → failed and
+// checks that the three readers of its one verdict agree at every step:
+// admission (a PUT is acked, answered RETRY_LATER, or refused with ERR),
+// /healthz (200 ok, 200 backlogged, 503), and the server.healthy and
+// server.backlogged gauges of the STATS body. It runs on a caller's registry
+// and with Config.Obs nil, where the server keeps its own.
+func TestServerOneVerdict(t *testing.T) {
+	steps := []struct {
+		name    string
+		health  Health
+		put     func(error) bool
+		code    int
+		healthy float64
+		behind  float64
+	}{
+		{"healthy", Health{Healthy: true}, func(err error) bool { return err == nil }, http.StatusOK, 1, 0},
+		{"backlogged", Health{Healthy: true, Backlogged: true},
+			func(err error) bool { return errors.Is(err, client.ErrRetryLater) }, http.StatusOK, 1, 1},
+		{"failed", Health{Err: "journal gone"},
+			func(err error) bool { return err != nil && !errors.Is(err, client.ErrRetryLater) }, http.StatusServiceUnavailable, 0, 0},
+	}
+	for _, reg := range []*obs.Registry{obs.NewRegistry(), nil} {
+		stub := newStubStore()
+		close(stub.release) // apply at once
+		// A one-slot queue is half full when empty, so a backlogged engine
+		// sheds every write; HealthEvery -1 re-reads the verdict per admit.
+		srv := New(Config{Store: stub, Obs: reg, WriteQueue: 1, HealthEvery: -1})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		c, err := client.Dial(ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, step := range steps {
+			stub.health.Store(&step.health)
+			if err := c.Put([]byte(fmt.Sprintf("k%d", i)), 1); !step.put(err) {
+				t.Fatalf("obs=%v %s: PUT answered %v", reg != nil, step.name, err)
+			}
+			rec := httptest.NewRecorder()
+			srv.Healthz(rec, nil)
+			if rec.Code != step.code {
+				t.Fatalf("obs=%v %s: /healthz = %d %q, want %d", reg != nil, step.name, rec.Code, rec.Body, step.code)
+			}
+			g := stats(t, c).Gauges
+			if g["server.healthy"] != step.healthy || g["server.backlogged"] != step.behind || g["server.conns_active"] < 1 {
+				t.Fatalf("obs=%v %s: STATS healthy=%v backlogged=%v conns_active=%v, want %v/%v/>=1", reg != nil, step.name,
+					g["server.healthy"], g["server.backlogged"], g["server.conns_active"], step.healthy, step.behind)
+			}
+		}
+		c.Close()
+		srv.Close()
 	}
 }
 

@@ -26,7 +26,8 @@ type Op struct {
 	Value  uint64
 }
 
-// Health is the engine summary admission control keys off.
+// Health is the engine verdict that admission control, /healthz and the
+// server.healthy/server.backlogged gauges all read.
 type Health struct {
 	// Healthy false means writes are refused outright (sticky journal/WAL
 	// failure): the server answers ERR, not RETRY_LATER.
@@ -35,6 +36,15 @@ type Health struct {
 	// Backlogged means maintenance (merges, flushes) is behind; the server
 	// sheds writes early instead of queueing toward the hard limit.
 	Backlogged bool
+}
+
+// verdict builds a Health from an engine's sticky error and backlog.
+func verdict(err error, backlogged bool) Health {
+	h := Health{Healthy: err == nil, Backlogged: backlogged}
+	if err != nil {
+		h.Err = err.Error()
+	}
+	return h
 }
 
 // Snapshot is a released point-in-time read view (SNAPSHOT_* ops).
@@ -114,16 +124,12 @@ func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 
 func (s *ShardedStore) Snapshot() (Snapshot, error) { return s.idx.Snapshot() }
 
+// Health is unhealthy on a sticky shard journal failure, and backlogged once
+// half the shards are past their merge trigger: transient single-shard merges
+// should not shed load, a stalled merge pipeline should.
 func (s *ShardedStore) Health() Health {
-	h := s.idx.Health()
-	return Health{
-		Healthy: h.Healthy,
-		Err:     h.JournalErr,
-		// Backlogged once half the shards are past their merge trigger:
-		// transient single-shard merges should not shed load, a stalled
-		// merge pipeline should.
-		Backlogged: h.Shards > 0 && 2*h.MergeBehind >= h.Shards,
-	}
+	shards := s.idx.NumShards()
+	return verdict(s.idx.JournalErr(), shards > 0 && 2*s.idx.MergeBehind() >= shards)
 }
 
 func (s *ShardedStore) Close() error { return s.idx.Close() }
@@ -197,13 +203,8 @@ func (s *LSMStore) ApplyBatch(ops []Op) ([]byte, error) {
 
 func (s *LSMStore) Snapshot() (Snapshot, error) { return nil, ErrSnapshotsUnsupported }
 
-func (s *LSMStore) Health() Health {
-	h := s.db.Health()
-	return Health{
-		Healthy:    h.Healthy,
-		Err:        h.Err,
-		Backlogged: h.FlushBacklog || h.WALBacklogSegments > 4,
-	}
-}
+// Health is unhealthy on the DB's sticky error (a closed DB included), and
+// backlogged while its flushes are behind (lsm.DB.Backlogged).
+func (s *LSMStore) Health() Health { return verdict(s.db.Err(), s.db.Backlogged()) }
 
 func (s *LSMStore) Close() error { return s.db.Close() }

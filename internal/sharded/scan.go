@@ -99,16 +99,6 @@ func scanN[S shardScanner](codec keycodec.Codec, r *Router, shards []S, start []
 	return col.Entries()
 }
 
-// LowerBound returns the smallest live entry with key >= start; the key is a
-// fresh copy in raw space.
-func (s *Index) LowerBound(start []byte) (index.Entry, bool) {
-	es := s.ScanN(start, 1)
-	if len(es) == 0 {
-		return index.Entry{}, false
-	}
-	return es[0], true
-}
-
 // sortSearchEntries returns the index of the first entry with Key >= b.
 func sortSearchEntries(es []index.Entry, b []byte) int {
 	return sort.Search(len(es), func(i int) bool { return keys.Compare(es[i].Key, b) >= 0 })

@@ -47,9 +47,9 @@ func newScanFixture(t *testing.T, codec keycodec.Codec) *scanFixture {
 	for i, k := range ks {
 		f.want = append(f.want, index.Entry{Key: k, Value: uint64(i)})
 	}
-	for i, st := range f.idx.ShardStats() {
-		if (st.Len == 0) != (i == 2) {
-			t.Fatalf("shard %d holds %d keys; only shard 2 should be empty", i, st.Len)
+	for i, sh := range f.idx.load().shards {
+		if (sh.Len() == 0) != (i == 2) {
+			t.Fatalf("shard %d holds %d keys; only shard 2 should be empty", i, sh.Len())
 		}
 	}
 	return f
@@ -85,19 +85,19 @@ func TestScanNBoundaries(t *testing.T) {
 			}
 			perShard := len(f.want) / 5
 			for _, start := range starts {
-				// 1 is LowerBound; perShard+1 always crosses a boundary;
+				// 1 is the lower bound; perShard+1 always crosses a boundary;
 				// 3*perShard spans at least three shards (four with the
 				// empty one); the last asks for more than exists.
 				for _, n := range []int{1, 2, perShard + 1, 3 * perShard, len(f.want) + 10} {
 					checkScanMatches(t, f.idx, f.want, start, n)
 				}
 				lo := sortSearchEntries(f.want, start)
-				e, ok := f.idx.LowerBound(start)
-				if ok != (lo < len(f.want)) {
-					t.Fatalf("LowerBound(%q) found=%v, want %v", start, ok, lo < len(f.want))
+				es := f.idx.ScanN(start, 1)
+				if ok := len(es) == 1; ok != (lo < len(f.want)) {
+					t.Fatalf("ScanN(%q, 1) found=%v, want %v", start, ok, lo < len(f.want))
 				}
-				if ok && (!bytes.Equal(e.Key, f.want[lo].Key) || e.Value != f.want[lo].Value) {
-					t.Fatalf("LowerBound(%q) = %q, want %q", start, e.Key, f.want[lo].Key)
+				if len(es) == 1 && (!bytes.Equal(es[0].Key, f.want[lo].Key) || es[0].Value != f.want[lo].Value) {
+					t.Fatalf("ScanN(%q, 1) = %q, want %q", start, es[0].Key, f.want[lo].Key)
 				}
 			}
 			if got := f.idx.ScanN(nil, 0); got != nil {

@@ -223,7 +223,7 @@ func (s *Index) tuneSample() func() tune.Sample {
 	}
 	return func() tune.Sample {
 		sm := tune.Sample{CodecSrcBytes: src.Load(), CodecEncBytes: enc.Load(),
-			ShardOps: make([]int64, len(ops)), MergeBehind: s.Health().MergeBehind}
+			ShardOps: make([]int64, len(ops)), MergeBehind: s.MergeBehind()}
 		for i, cs := range ops {
 			for _, c := range cs {
 				sm.ShardOps[i] += c.Load()
@@ -353,42 +353,17 @@ func (s *Index) JournalErr() error {
 	return nil
 }
 
-// Health aggregates shard health (see hybrid.Health): the sharded index is
-// healthy while every shard journal is, and the counts report how many
-// shards are mid-merge or behind on merging. Like the other aggregate
-// accessors it visits shards one at a time — a monotonic summary, not a
-// point-in-time cut.
-type Health struct {
-	// Healthy is false once any shard journal has a sticky failure.
-	Healthy bool `json:"healthy"`
-	// JournalErr is the first failed shard's sticky error ("" while healthy).
-	JournalErr string `json:"journal_err,omitempty"`
-	// Shards is the shard count of the current generation.
-	Shards int `json:"shards"`
-	// Merging counts shards with an in-flight background merge.
-	Merging int `json:"merging"`
-	// MergeBehind counts shards past their merge trigger.
-	MergeBehind int `json:"merge_behind"`
-}
-
-// Health reports aggregate shard health. Safe for concurrent use.
-func (s *Index) Health() Health {
-	shards := s.load().shards
-	h := Health{Healthy: true, Shards: len(shards)}
-	for _, sh := range shards {
-		sh := sh.Health()
-		if !sh.Healthy && h.Healthy {
-			h.Healthy = false
-			h.JournalErr = sh.JournalErr
-		}
-		if sh.Merging {
-			h.Merging++
-		}
-		if sh.MergeBehind {
-			h.MergeBehind++
+// MergeBehind counts the shards past their merge trigger (see
+// hybrid.Index.MergeBehind). Like the other aggregate accessors it visits
+// shards one at a time — a monotonic count, not a point-in-time cut.
+func (s *Index) MergeBehind() int {
+	n := 0
+	for _, sh := range s.load().shards {
+		if sh.MergeBehind() {
+			n++
 		}
 	}
-	return h
+	return n
 }
 
 // Close stops the drift tuner (if any), settles background merges, and
@@ -592,29 +567,6 @@ func (s *Index) Merging() bool {
 		}
 	}
 	return false
-}
-
-// ShardStat is one shard's size and merge telemetry.
-type ShardStat struct {
-	Len        int
-	DynamicLen int
-	Merges     int
-	LastMerge  time.Duration
-	TotalMerge time.Duration
-}
-
-// ShardStats returns per-shard telemetry (sizes and merge pauses).
-func (s *Index) ShardStats() []ShardStat {
-	shards := s.load().shards
-	out := make([]ShardStat, len(shards))
-	for i, sh := range shards {
-		merges, last, total := sh.MergeStats()
-		out[i] = ShardStat{
-			Len: sh.Len(), DynamicLen: sh.DynamicLen(),
-			Merges: merges, LastMerge: last, TotalMerge: total,
-		}
-	}
-	return out
 }
 
 // MergeStats aggregates across shards: total merge count, the longest

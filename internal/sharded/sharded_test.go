@@ -121,8 +121,8 @@ func TestShardedBasic(t *testing.T) {
 		t.Fatalf("Len = %d after deletes, want %d", s.Len(), want)
 	}
 	// Every shard got some keys (random uint64 keys, uniform router).
-	for i, st := range s.ShardStats() {
-		if st.Len == 0 {
+	for i, sh := range s.load().shards {
+		if sh.Len() == 0 {
 			t.Fatalf("shard %d is empty", i)
 		}
 	}
@@ -257,16 +257,16 @@ func TestBulkLoadWithLearnedRouter(t *testing.T) {
 	if err := s.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	for i, st := range s.ShardStats() {
-		if st.Len < n/16 || st.Len > n/4 {
-			t.Fatalf("learned router: shard %d holds %d of %d keys, want balanced", i, st.Len, n)
+	for i, sh := range s.load().shards {
+		if l := sh.Len(); l < n/16 || l > n/4 {
+			t.Fatalf("learned router: shard %d holds %d of %d keys, want balanced", i, l, n)
 		}
 	}
 	uni := NewBTree(smallCfg(8))
 	if err := uni.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	if st := uni.ShardStats(); st[uni.ShardFor(ks[0])].Len != n {
+	if uni.load().shards[uni.ShardFor(ks[0])].Len() != n {
 		t.Fatal("expected the uniform router to collapse the skewed keyspace into one shard (sanity check)")
 	}
 }
@@ -454,9 +454,9 @@ func TestMergeAsyncAllShards(t *testing.T) {
 	if merges != 8 || worst <= 0 || total < worst {
 		t.Fatalf("MergeStats = (%d, %v, %v), want 8 merges and sane times", merges, worst, total)
 	}
-	for i, st := range s.ShardStats() {
-		if st.Merges != 1 {
-			t.Fatalf("shard %d ran %d merges, want 1", i, st.Merges)
+	for i, sh := range s.load().shards {
+		if merges, _, _ := sh.MergeStats(); merges != 1 {
+			t.Fatalf("shard %d ran %d merges, want 1", i, merges)
 		}
 	}
 }

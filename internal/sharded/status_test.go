@@ -1,0 +1,39 @@
+package sharded
+
+import (
+	"fmt"
+	"testing"
+
+	"mets/internal/hybrid"
+	"mets/internal/vfs"
+)
+
+// TestShardedStatus pins the aggregate status surface: shard count, healthy
+// journals, and no shard merging or behind once every shard has merged. (The
+// per-shard MergeBehind semantics are pinned in the hybrid package; this is
+// the aggregation.)
+func TestShardedStatus(t *testing.T) {
+	fs := vfs.NewMemFS()
+	hc := hybrid.DefaultConfig()
+	hc.MinDynamic = 16
+	hc.MergeRatio = 2
+	hc.FS = fs
+	s := NewBTree(Config{Shards: 4, Hybrid: hc, Dir: "data"})
+	for i := 0; i < 400; i++ {
+		s.Insert([]byte(fmt.Sprintf("key-%05d", i)), uint64(i))
+	}
+	if err := s.JournalErr(); err != nil {
+		t.Fatalf("JournalErr = %v, want healthy", err)
+	}
+	if n := s.NumShards(); n != 4 {
+		t.Fatalf("NumShards = %d, want 4", n)
+	}
+	s.Merge()
+	s.WaitMerges()
+	if merging, behind := s.Merging(), s.MergeBehind(); merging || behind != 0 {
+		t.Fatalf("post-merge: Merging = %v, MergeBehind = %d, want settled", merging, behind)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+}

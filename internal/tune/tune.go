@@ -150,19 +150,6 @@ func (t *trigger) step(tripped bool, need, cooldown int) bool {
 	return true
 }
 
-// Health is a point-in-time view of the tuner for /healthz-style surfaces.
-type Health struct {
-	Running     bool    `json:"running"`
-	Ticks       int64   `json:"ticks"`
-	Retrains    int64   `json:"retrains"`
-	Rebalances  int64   `json:"rebalances"`
-	MergeNudges int64   `json:"merge_nudges"`
-	Errors      int64   `json:"errors"`
-	CPRWindow   float64 `json:"cpr_window"`
-	CPRBaseline float64 `json:"cpr_baseline"`
-	Skew        float64 `json:"skew"`
-}
-
 // Tuner samples one index and drives one set of targets. Create with New;
 // Start launches the background loop, Tick can also be called directly (the
 // tests do) — ticks serialize on an internal mutex either way.
@@ -252,24 +239,6 @@ func (t *Tuner) run(stop, done chan struct{}) {
 		case <-tk.C:
 			t.Tick()
 		}
-	}
-}
-
-// Health reports the tuner's counters and current detector gauges.
-func (t *Tuner) Health() Health {
-	t.startMu.Lock()
-	running := t.stop != nil
-	t.startMu.Unlock()
-	return Health{
-		Running:     running,
-		Ticks:       t.ticks.Load(),
-		Retrains:    t.retrains.Load(),
-		Rebalances:  t.rebalances.Load(),
-		MergeNudges: t.nudges.Load(),
-		Errors:      t.errors.Load(),
-		CPRWindow:   t.gWindow.Load(),
-		CPRBaseline: t.gBase.Load(),
-		Skew:        t.gSkew.Load(),
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"regexp"
 	"testing"
+	"time"
 
 	"mets/internal/obs"
 )
@@ -64,7 +65,8 @@ func (f *feed) cpr(ratio float64) {
 func TestCPRStationaryNeverRetrains(t *testing.T) {
 	var f feed
 	retrains := 0
-	tn := New(Config{Trips: 3, Cooldown: 5}, obs.NewRegistry(),
+	reg := obs.NewRegistry()
+	tn := New(Config{Trips: 3, Cooldown: 5}, reg,
 		Targets{Sample: f.sample, RetrainCodec: func() error { retrains++; return nil }})
 	// A stationary workload with small ratio noise must never trip: the
 	// windows wobble around 3.0, far above the 0.85 decay threshold.
@@ -73,15 +75,17 @@ func TestCPRStationaryNeverRetrains(t *testing.T) {
 		f.cpr(noise[i%len(noise)])
 		tn.Tick()
 	}
-	if h := tn.Health(); retrains != 0 || h.Retrains != 0 || h.CPRWindow < 2.8 || h.CPRBaseline < 3.0 {
-		t.Fatalf("stationary workload fired %d retrains; health = %+v", retrains, h)
+	m := reg.Snapshot()
+	if retrains != 0 || m.Counters["tune.retrains"] != 0 || m.Gauges["tune.cpr_window"] < 2.8 || m.Gauges["tune.cpr_baseline"] < 3.0 {
+		t.Fatalf("stationary workload fired %d retrains; tune.* = %v %v", retrains, m.Counters, m.Gauges)
 	}
 }
 
 func TestCPRDecayFiresOnceThenRebaselines(t *testing.T) {
 	var f feed
 	retrains := 0
-	tn := New(Config{Trips: 3, Cooldown: 5}, obs.NewRegistry(),
+	reg := obs.NewRegistry()
+	tn := New(Config{Trips: 3, Cooldown: 5}, reg,
 		Targets{Sample: f.sample, RetrainCodec: func() error { retrains++; return nil }})
 	for i := 0; i < 10; i++ { // establish a 3.0 baseline
 		f.cpr(3.0)
@@ -97,8 +101,8 @@ func TestCPRDecayFiresOnceThenRebaselines(t *testing.T) {
 	if retrains != 1 {
 		t.Fatalf("decay fired %d retrains, want exactly 1 (no flapping)", retrains)
 	}
-	if h := tn.Health(); h.Retrains != 1 || h.Ticks != 110 {
-		t.Fatalf("health = %+v", h)
+	if c := reg.Snapshot().Counters; c["tune.retrains"] != 1 || c["tune.ticks"] != 110 {
+		t.Fatalf("tune.* counters = %v", c)
 	}
 }
 
@@ -135,15 +139,16 @@ func (f *feed) ops(perShard ...int64) {
 func TestSkewFiresRebalanceWithHysteresis(t *testing.T) {
 	var f feed
 	rebalances := 0
-	tn := New(Config{Trips: 3, Cooldown: 5, SkewMinOps: 1000, SkewRatio: 3}, obs.NewRegistry(),
+	reg := obs.NewRegistry()
+	tn := New(Config{Trips: 3, Cooldown: 5, SkewMinOps: 1000, SkewRatio: 3}, reg,
 		Targets{Sample: f.sample, Rebalance: func() error { rebalances++; return nil }})
 	// Balanced load: never fires.
 	for i := 0; i < 20; i++ {
 		f.ops(500, 500, 500, 500)
 		tn.Tick()
 	}
-	if h := tn.Health(); rebalances != 0 || h.Skew != 1 {
-		t.Fatalf("balanced load fired %d rebalances; health = %+v", rebalances, h)
+	if skew := reg.Snapshot().Gauges["tune.skew"]; rebalances != 0 || skew != 1 {
+		t.Fatalf("balanced load fired %d rebalances; tune.skew = %v", rebalances, skew)
 	}
 	// All load on shard 3: skew = 4.0 >= 3 → fires after 3 consecutive
 	// trips, then holds through the cooldown.
@@ -156,15 +161,17 @@ func TestSkewFiresRebalanceWithHysteresis(t *testing.T) {
 			t.Fatalf("fired after only %d skewed ticks", i+1)
 		}
 	}
-	if h := tn.Health(); fired != 1 || h.Rebalances != 1 || h.Skew != 4 {
-		t.Fatalf("sustained skew fired %d rebalances in 8 ticks, want 1 (cooldown); health = %+v", fired, h)
+	if m := reg.Snapshot(); fired != 1 || m.Counters["tune.rebalances"] != 1 || m.Gauges["tune.skew"] != 4 {
+		t.Fatalf("sustained skew fired %d rebalances in 8 ticks, want 1 (cooldown); tune.rebalances = %d, tune.skew = %v",
+			fired, m.Counters["tune.rebalances"], m.Gauges["tune.skew"])
 	}
 }
 
 func TestMergeDebtNudges(t *testing.T) {
 	f := feed{s: Sample{MergeBehind: 1}}
 	nudged := 0
-	tn := New(Config{MergeBehindTicks: 3}, obs.NewRegistry(),
+	reg := obs.NewRegistry()
+	tn := New(Config{MergeBehindTicks: 3}, reg,
 		Targets{Sample: f.sample, NudgeMerges: func() int { nudged++; return 1 }})
 	tick(tn, 2)
 	if nudged != 0 {
@@ -176,14 +183,15 @@ func TestMergeDebtNudges(t *testing.T) {
 	}
 	f.s.MergeBehind = 0
 	tick(tn, 10)
-	if h := tn.Health(); nudged != 1 || h.MergeNudges != 1 {
-		t.Fatalf("nudged %d times with no debt; health = %+v", nudged, h)
+	if n := reg.Snapshot().Counters["tune.merge_nudges"]; nudged != 1 || n != 1 {
+		t.Fatalf("nudged %d times with no debt; tune.merge_nudges = %d", nudged, n)
 	}
 }
 
 func TestActionErrorCounted(t *testing.T) {
 	var f feed
-	tn := New(Config{Trips: 1, Cooldown: 2}, obs.NewRegistry(),
+	reg := obs.NewRegistry()
+	tn := New(Config{Trips: 1, Cooldown: 2}, reg,
 		Targets{Sample: f.sample, RetrainCodec: func() error { return errors.New("boom") }})
 	f.cpr(3.0)
 	tn.Tick()
@@ -191,24 +199,31 @@ func TestActionErrorCounted(t *testing.T) {
 		f.cpr(1.0)
 		tn.Tick()
 	}
-	if h := tn.Health(); h.Errors == 0 || h.Retrains != 0 {
-		t.Fatalf("health = %+v, want errors counted and no retrains", h)
+	if c := reg.Snapshot().Counters; c["tune.errors"] == 0 || c["tune.retrains"] != 0 {
+		t.Fatalf("tune.* counters = %v, want errors counted and no retrains", c)
 	}
 }
 
+// TestStartStopIdempotent reads whether the loop runs from tune.ticks: it
+// advances after Start (twice is one loop) and stands still after Stop.
 func TestStartStopIdempotent(t *testing.T) {
 	reg := obs.NewRegistry()
-	tn := New(Config{}, reg, Targets{})
+	tn := New(Config{Interval: time.Millisecond}, reg, Targets{})
+	ticks := func() int64 { return reg.Snapshot().Counters["tune.ticks"] }
 	tn.Stop() // never started: no-op
 	tn.Start()
 	tn.Start()
-	if !tn.Health().Running {
-		t.Fatal("not running after Start")
+	for deadline := time.Now().Add(5 * time.Second); ticks() < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("tune.ticks = %d 5s after Start, want the loop ticking", ticks())
+		}
 	}
 	tn.Stop()
 	tn.Stop()
-	if tn.Health().Running {
-		t.Fatal("running after Stop")
+	stopped := ticks()
+	time.Sleep(20 * time.Millisecond)
+	if n := ticks(); n != stopped {
+		t.Fatalf("tune.ticks went %d -> %d after Stop", stopped, n)
 	}
 }
 

@@ -14,6 +14,13 @@
 //   - LSM — a log-structured storage engine with pluggable filters, the
 //     Chapter 4 example application.
 //
+// Each engine answers "failed?" and "behind?" once: HybridIndex and
+// ShardedIndex through JournalErr and MergeBehind, LSM through Err and
+// Backlogged; everything else about them is a metric in the StatsRegistry
+// they were given. cmd/mets-server folds the two answers into one verdict
+// for admission control, /healthz and its server.healthy/server.backlogged
+// gauges.
+//
 // See the examples directory for runnable end-to-end usage and DESIGN.md for
 // the system inventory and experiment map.
 package mets
@@ -148,11 +155,9 @@ var (
 type TuneConfig = tune.Config
 
 // DriftTuner is the background controller; reach it via ShardedIndex.Tuner.
+// Its tick and action counts and detector readings are the "tune." counters
+// and gauges of the registry it was given.
 type DriftTuner = tune.Tuner
-
-// TunerHealth is a point-in-time controller summary (tick/action counts and
-// detector readings); read it with DriftTuner.Health.
-type TunerHealth = tune.Health
 
 // TuneTargets binds a standalone tuner to its index — the sample function it
 // reads and the reconfiguration actions it fires; only needed when composing
@@ -307,19 +312,6 @@ type FlightDump = obs.FlightDump
 
 // ParseFlightDump decodes and validates a flightrec.json postmortem.
 var ParseFlightDump = obs.ParseFlightDump
-
-// LSMHealth summarizes a durable LSM engine's liveness (sticky errors,
-// quarantined tables, WAL backlog, flush/compaction pressure); read it with
-// LSM.Health.
-type LSMHealth = lsm.Health
-
-// HybridHealth summarizes a hybrid index's liveness (journal error, merge
-// backlog); read it with HybridIndex.Health.
-type HybridHealth = hybrid.Health
-
-// ShardedHealth aggregates HybridHealth across shards; read it with
-// ShardedIndex.Health.
-type ShardedHealth = sharded.Health
 
 // --- Key helpers -----------------------------------------------------------
 
