@@ -34,7 +34,8 @@ type Config struct {
 	TargetTableBytes int64
 	// Filter builds per-table filters at flush/compaction time; nil = none.
 	Filter FilterBuilder
-	// BlockCacheBytes caps the decoded-block cache (default 8 MB).
+	// BlockCacheBytes caps the block cache, charged serialized block bytes
+	// (default 8 MB).
 	BlockCacheBytes int64
 	// IOLatency is charged per block fetch that misses the cache,
 	// simulating the SSD of §4.4 (default 0: count only).
@@ -594,15 +595,16 @@ func (db *DB) installFlushedLocked(t *SSTable) {
 	atomic.AddInt64(&db.Stats.Flushes, 1)
 }
 
-// readBlock fetches (and decodes) one block, consulting the cache. Callers
-// hold at least the read lock; the cache has its own mutex. A read I/O
-// failure or a block that fails its checksum after passing open-time
-// validation is unrecoverable mid-read (Get/Seek have no error channel)
-// and panics; the recovery path re-validates every block before serving.
-func (db *DB) readBlock(t *SSTable, idx int) []Entry {
-	if e := db.cache.get(t.id, idx); e != nil {
+// readBlock fetches one serialized block, consulting the cache; callers read
+// it in place with a blockReader. Callers hold at least the read lock; the
+// cache has its own mutex. A read I/O failure or a block that fails its
+// checksum after passing open-time validation is unrecoverable mid-read
+// (Get/Seek have no error channel) and panics; the recovery path
+// re-validates every block before serving.
+func (db *DB) readBlock(t *SSTable, idx int) []byte {
+	if raw := db.cache.get(t.id, idx); raw != nil {
 		atomic.AddInt64(&db.Stats.CacheHits, 1)
-		return e
+		return raw
 	}
 	atomic.AddInt64(&db.Stats.BlockReads, 1)
 	if db.cfg.IOLatency > 0 {
@@ -612,9 +614,8 @@ func (db *DB) readBlock(t *SSTable, idx int) []Entry {
 	if err != nil {
 		panic(fmt.Sprintf("lsm: table %d: %v", t.id, err))
 	}
-	e := decodeBlock(raw)
-	db.cache.put(t.id, idx, e, t.blockBytes(idx))
-	return e
+	db.cache.put(t.id, idx, raw, t.blockBytes(idx))
+	return raw
 }
 
 // memGet resolves key against the mutable then the immutable MemTable.
@@ -842,9 +843,9 @@ func (db *DB) tableSeek(t *SSTable, lo []byte) (Entry, bool) {
 		}
 	}
 	for ; b < t.numBlocks(); b++ {
-		entries := db.readBlock(t, b)
-		if i := firstGE(entries, lo); i < len(entries) {
-			return entries[i], true
+		r := blockReader{raw: db.readBlock(t, b)}
+		if r.seek(lo) {
+			return Entry{Key: r.key, Value: r.value}, true
 		}
 	}
 	return Entry{}, false
@@ -872,19 +873,14 @@ func (db *DB) Count(lo, hi []byte) int {
 			}
 		}
 		for b := t.blockFor(lo); b >= 0 && b < t.numBlocks(); b++ {
-			entries := db.readBlock(t, b)
-			done := false
-			for i := firstGE(entries, lo); i < len(entries); i++ {
-				if keys.Compare(entries[i].Key, hi) > 0 {
-					done = true
-					break
+			r := blockReader{raw: db.readBlock(t, b)}
+			for ok := r.seek(lo); ok; ok = r.next() {
+				if keys.Compare(r.key, hi) > 0 {
+					return
 				}
-				if !isTombstone(entries[i].Value) {
+				if !isTombstone(r.value) {
 					total++
 				}
-			}
-			if done {
-				break
 			}
 		}
 	}
@@ -1124,7 +1120,8 @@ func (db *DB) mergeTables(tables []*SSTable, dropTombstones bool) ([]Entry, erro
 			if err != nil {
 				return nil, fmt.Errorf("lsm: compaction read table %d: %w", t.id, err)
 			}
-			for _, e := range decodeBlock(raw) {
+			for r := (blockReader{raw: raw}); r.next(); {
+				e := Entry{Key: r.key, Value: r.value}
 				if i, ok := seen[string(e.Key)]; ok {
 					all[i] = e
 					continue

@@ -76,25 +76,18 @@ func FuzzSSTableOpen(f *testing.F) {
 		}
 		// Accepted: the table must be fully self-consistent.
 		defer tab.Close()
-		var prev []byte
 		total := 0
 		for i := 0; i < tab.numBlocks(); i++ {
 			raw, err := tab.readBlockRaw(i)
 			if err != nil {
 				t.Fatalf("accepted table, block %d unreadable: %v", i, err)
 			}
-			entries, err := parseBlock(raw)
-			if err != nil {
-				t.Fatalf("accepted table, block %d unparseable: %v", i, err)
-			}
-			for _, e := range entries {
-				if prev != nil && bytes.Compare(prev, e.Key) > 0 {
-					// Key order within one generation is a writer invariant,
-					// not re-checked at open; only fail on parse/CRC issues.
-					_ = e
-				}
-				prev = e.Key
+			r := blockReader{raw: raw, untrusted: true}
+			for r.next() {
 				total++
+			}
+			if r.err != nil {
+				t.Fatalf("accepted table, block %d unparseable: %v", i, r.err)
 			}
 		}
 		if total != tab.NumEntries() {

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"math/bits"
 	"sync"
 
 	"mets/internal/btree"
@@ -83,17 +84,19 @@ func (m *memTable) sorted() []Entry {
 	return out
 }
 
-// blockCache is a CLOCK cache of decoded blocks keyed by (table, block),
+// blockCache is a CLOCK cache of serialized blocks keyed by (table, block),
 // capped by total serialized bytes. It has its own mutex (lookups set ref
 // bits, so even the read path mutates) and is safe for concurrent use by
-// readers holding only the DB's shared read lock. Cached entry slices are
-// immutable once published.
+// readers holding only the DB's shared read lock. Cached blocks are immutable
+// once published. The dead bitmap finds the lowest-numbered free slot and
+// len(where) is the live count, so a miss no longer walks every slot.
 type blockCache struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
 	hand     int
 	slots    []cacheSlot
+	dead     []uint64 // bit i set: slots[i] is dead
 	where    map[cacheKey]int
 }
 
@@ -103,67 +106,69 @@ type cacheKey struct {
 }
 
 type cacheSlot struct {
-	key     cacheKey
-	entries []Entry
-	bytes   int64
-	ref     bool
-	live    bool
+	key   cacheKey
+	block []byte // nil: dead
+	bytes int64
+	ref   bool
 }
 
 func newBlockCache(capacity int64) *blockCache {
 	return &blockCache{capacity: capacity, where: make(map[cacheKey]int)}
 }
 
-func (c *blockCache) get(table uint64, block int) []Entry {
+func (c *blockCache) get(table uint64, block int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i, ok := c.where[cacheKey{table, block}]; ok {
 		c.slots[i].ref = true
-		return c.slots[i].entries
+		return c.slots[i].block
 	}
 	return nil
 }
 
-func (c *blockCache) put(table uint64, block int, entries []Entry, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.used+bytes > c.capacity && c.evictOne() {
-	}
-	if c.used+bytes > c.capacity {
-		return // block larger than the whole cache
+func (c *blockCache) put(table uint64, block int, raw []byte, bytes int64) {
+	if bytes > c.capacity {
+		return // larger than the whole cache: evicting for it would only empty it
 	}
 	k := cacheKey{table, block}
-	slot := cacheSlot{key: k, entries: entries, bytes: bytes, ref: true, live: true}
-	for i := range c.slots {
-		if !c.slots[i].live {
-			c.slots[i] = slot
-			c.where[k] = i
-			c.used += bytes
-			return
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.where[k]; ok {
+		return // a concurrent reader cached it first
+	}
+	for c.used+bytes > c.capacity && c.evictOne() {
+	}
+	i := len(c.slots) // the lowest-numbered dead slot, else a new one
+	for w, word := range c.dead {
+		if word != 0 {
+			i = w*64 + bits.TrailingZeros64(word)
+			break
 		}
 	}
-	c.where[k] = len(c.slots)
-	c.slots = append(c.slots, slot)
+	if i == len(c.slots) {
+		c.slots = append(c.slots, cacheSlot{})
+		if i%64 == 0 {
+			c.dead = append(c.dead, 0)
+		}
+	}
+	c.dead[i/64] &^= 1 << (i % 64)
+	c.slots[i] = cacheSlot{key: k, block: raw, bytes: bytes, ref: true}
+	c.where[k] = i
 	c.used += bytes
 }
 
 func (c *blockCache) evictOne() bool {
-	live := 0
-	for i := range c.slots {
-		if c.slots[i].live {
-			live++
-		}
-	}
-	if live == 0 {
+	if len(c.where) == 0 {
 		return false
 	}
 	for {
 		if c.hand >= len(c.slots) {
 			c.hand = 0
 		}
-		s := &c.slots[c.hand]
+		i := c.hand
+		s := &c.slots[i]
 		c.hand++
-		if !s.live {
+		if s.block == nil {
 			continue
 		}
 		if s.ref {
@@ -172,8 +177,8 @@ func (c *blockCache) evictOne() bool {
 		}
 		delete(c.where, s.key)
 		c.used -= s.bytes
-		s.live = false
-		s.entries = nil
+		s.block = nil
+		c.dead[i/64] |= 1 << (i % 64)
 		return true
 	}
 }

@@ -9,6 +9,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -126,39 +127,68 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 	return t, nil
 }
 
-// decodeBlock parses a serialized block known to be well-formed (built by
-// this process or CRC-verified on open).
-func decodeBlock(raw []byte) []Entry {
-	out, err := parseBlock(raw)
-	if err != nil {
-		panic(fmt.Sprintf("lsm: corrupt block passed validation: %v", err))
-	}
-	return out
+// blockReader is the one cursor over a serialized block's records (uvarint
+// key length, key, uvarint value length, value), read where the block lies:
+// key and value alias the block, nothing is decoded or copied. Every frame
+// is bounds-checked. A block read with untrusted set (open-time validation)
+// reports a malformed frame through err; any other block was built by this
+// process or CRC-verified on open, so a malformed frame there panics.
+type blockReader struct {
+	raw        []byte
+	off        int
+	key, value []byte
+	untrusted  bool
+	err        error
 }
 
-// parseBlock is the bounds-checked block decoder used when validating
-// untrusted bytes (sstable open); malformed input returns an error instead
-// of panicking.
-func parseBlock(raw []byte) ([]Entry, error) {
-	var out []Entry
-	for off := 0; off < len(raw); {
-		kl, n := binary.Uvarint(raw[off:])
-		if n <= 0 || kl > uint64(len(raw)-off-n) {
-			return nil, fmt.Errorf("malformed key frame at %d", off)
-		}
-		off += n
-		k := raw[off : off+int(kl)]
-		off += int(kl)
-		vl, n := binary.Uvarint(raw[off:])
-		if n <= 0 || vl > uint64(len(raw)-off-n) {
-			return nil, fmt.Errorf("malformed value frame at %d", off)
-		}
-		off += n
-		v := raw[off : off+int(vl)]
-		off += int(vl)
-		out = append(out, Entry{Key: k, Value: v})
+// next advances to the following record; false at the end of the block or
+// at a malformed frame.
+func (r *blockReader) next() bool {
+	if r.off >= len(r.raw) {
+		return false
 	}
-	return out, nil
+	r.key, r.value = r.field(), r.field()
+	return r.err == nil
+}
+
+var errMalformedFrame = errors.New("malformed frame")
+
+// field reads one length-prefixed frame. A frame that runs past the block, or
+// whose length is not a minimal uvarint (the writer never makes one), is
+// malformed and leaves the reader at the end of the block.
+func (r *blockReader) field() []byte {
+	l, n := binary.Uvarint(r.raw[r.off:])
+	if n <= 0 || l > uint64(len(r.raw)-r.off-n) || (n > 1 && r.raw[r.off+n-1] == 0) {
+		if !r.untrusted {
+			panic(fmt.Sprintf("lsm: corrupt block passed validation: malformed frame at %d", r.off))
+		}
+		r.err, r.off = errMalformedFrame, len(r.raw)
+		return nil
+	}
+	start := r.off + n
+	r.off = start + int(l)
+	return r.raw[start:r.off]
+}
+
+// seek advances to the first record with key >= lo; false when the rest of
+// the block holds none.
+func (r *blockReader) seek(lo []byte) bool {
+	for r.next() {
+		if keys.Compare(r.key, lo) >= 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// blockGet returns the value stored under key in one block: the scan stops
+// at the first key >= key, which is the record or proves its absence.
+func blockGet(raw, key []byte) ([]byte, bool) {
+	r := blockReader{raw: raw}
+	if r.seek(key) && bytes.Equal(r.key, key) {
+		return r.value, true
+	}
+	return nil, false
 }
 
 // blockFor returns the index of the block that may contain key, or -1.
@@ -207,20 +237,4 @@ func (t *SSTable) DiskUsage() int64 {
 		m += t.blockBytes(i)
 	}
 	return m
-}
-
-// firstGE scans the decoded block for the first entry with key >= lo.
-func firstGE(entries []Entry, lo []byte) int {
-	return sort.Search(len(entries), func(i int) bool {
-		return keys.Compare(entries[i].Key, lo) >= 0
-	})
-}
-
-// get searches the decoded block for an exact key.
-func blockGet(entries []Entry, key []byte) ([]byte, bool) {
-	i := firstGE(entries, key)
-	if i < len(entries) && bytes.Equal(entries[i].Key, key) {
-		return entries[i].Value, true
-	}
-	return nil, false
 }

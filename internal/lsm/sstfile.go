@@ -69,10 +69,7 @@ func writeSSTableFile(fs vfs.FS, dir string, t *SSTable) (*SSTable, error) {
 		}
 	}
 	// Meta section.
-	var meta []byte
-	var tmp [binary.MaxVarintLen64]byte
-	_ = tmp
-	meta = binary.LittleEndian.AppendUint64(meta, t.id)
+	meta := binary.LittleEndian.AppendUint64(nil, t.id)
 	meta = binary.LittleEndian.AppendUint64(meta, uint64(t.count))
 	meta = binary.LittleEndian.AppendUint16(meta, uint16(len(t.codecID)))
 	meta = append(meta, t.codecID...)
@@ -307,25 +304,26 @@ func loadSSTable(rf vfs.ReadFile, fb FilterBuilder) (*SSTable, error) {
 		if err != nil {
 			return nil, err
 		}
-		entries, err := parseBlock(raw)
-		if err != nil {
-			return nil, fmt.Errorf("block %d: %w", i, err)
-		}
-		if len(entries) == 0 {
-			return nil, fmt.Errorf("block %d: empty", i)
-		}
-		if i == 0 {
-			t.minKey = append([]byte(nil), entries[0].Key...)
-		}
-		if i == len(t.binfo)-1 {
-			t.maxKey = append([]byte(nil), entries[len(entries)-1].Key...)
-		}
-		total += len(entries)
-		if rebuild {
-			for _, e := range entries {
-				allKeys = append(allKeys, append([]byte(nil), e.Key...))
+		r := blockReader{raw: raw, untrusted: true}
+		n := 0
+		for ; r.next(); n++ {
+			if i == 0 && n == 0 {
+				t.minKey = append([]byte(nil), r.key...)
+			}
+			if rebuild {
+				allKeys = append(allKeys, append([]byte(nil), r.key...))
 			}
 		}
+		if r.err != nil {
+			return nil, fmt.Errorf("block %d: %w", i, r.err)
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("block %d: empty", i)
+		}
+		if i == len(t.binfo)-1 { // r.key is still the block's last record
+			t.maxKey = append([]byte(nil), r.key...)
+		}
+		total += n
 	}
 	if total != t.count {
 		return nil, fmt.Errorf("key count %d != header %d", total, t.count)
