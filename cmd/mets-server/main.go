@@ -1,13 +1,17 @@
-// Command mets-server serves a mets storage engine over the wire protocol:
-// pipelined TCP connections, a write coalescer with group commit, admission
-// control that sheds load under merge/flush backlog, and MVCC snapshot reads
-// (sharded engine). A debug HTTP endpoint exposes /metrics (Prometheus text
-// format), /debug/vars, and /healthz.
+// Command mets-server serves the sharded hybrid index over the wire
+// protocol: pipelined TCP connections, a write coalescer with group commit,
+// admission control that sheds load under merge backlog, and MVCC snapshot
+// reads. With -dir every shard journals its writes (internal/wal) and a
+// restart replays them. A debug HTTP endpoint exposes /metrics (Prometheus
+// text format), /debug/vars, and /healthz.
 //
 // Usage:
 //
-//	mets-server -addr :7070 -engine sharded -shards 8 -dir /tmp/mets \
+//	mets-server -addr :7070 -shards 8 -dir /tmp/mets \
 //	            -debug-addr 127.0.0.1:7071
+//
+// -engine names the engine; sharded is the only one, and any other value
+// is refused.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, drain
 // connections and the write queue, close the engine, print "clean shutdown".
@@ -26,7 +30,6 @@ import (
 	"mets/internal/hope"
 	"mets/internal/hybrid"
 	"mets/internal/keycodec"
-	"mets/internal/lsm"
 	"mets/internal/obs"
 	"mets/internal/server"
 	"mets/internal/sharded"
@@ -36,8 +39,8 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":7070", "listen address for the wire protocol")
 		debugAddr = flag.String("debug-addr", "", "debug HTTP address (/metrics, /debug/vars, /healthz); empty disables")
-		engine    = flag.String("engine", "sharded", "storage engine: sharded | lsm")
-		dir       = flag.String("dir", "", "durability directory (empty = in-memory, no journals/WAL)")
+		engine    = flag.String("engine", "sharded", "storage engine (sharded is the only one)")
+		dir       = flag.String("dir", "", "durability directory (empty = in-memory, no journals)")
 		shards    = flag.Int("shards", 8, "shard count (sharded engine)")
 		maxConns  = flag.Int("max-conns", 1024, "max concurrent connections")
 		autoTune  = flag.Bool("autotune", false, "run the adaptive drift tuner: watches the metrics registry and retrains/rebalances the sharded engine in place (in-memory sharded engine only)")
@@ -86,48 +89,32 @@ func main() {
 	fmt.Println("clean shutdown")
 }
 
-// buildStore constructs the selected engine.
+// buildStore constructs the sharded engine.
 func buildStore(engine, dir string, shards int, autoTune bool, reg *obs.Registry) (server.Store, error) {
-	switch engine {
-	case "sharded":
-		if autoTune && dir != "" {
-			return nil, fmt.Errorf("-autotune requires an in-memory index (shard journals hold encoded keys); drop -dir")
-		}
-		hc := hybrid.DefaultConfig()
-		hc.EpochReads = true
-		hc.BackgroundMerge = true
-		cfg := sharded.Config{
-			Shards: shards,
-			Hybrid: hc,
-			Obs:    reg,
-			Dir:    dir,
-		}
-		if autoTune {
-			// The trainer gives the tuner's compression-decay detector an
-			// action; without it the tuner could only rebalance. Everything
-			// the tuner does lands on /metrics (tune.* counters/gauges) and
-			// in the flight ring (tune.retrain / tune.rebalance events).
-			cfg.CodecTrainer = keycodec.HOPETrainer(hope.DoubleChar, 1<<10)
-			cfg.AutoTune = true
-		}
-		idx := sharded.NewBTree(cfg)
-		return server.NewShardedStore(idx), nil
-	case "lsm":
-		if autoTune {
-			return nil, fmt.Errorf("-autotune is a sharded-engine feature (the LSM engine compacts on its own)")
-		}
-		cfg := lsm.Config{Obs: reg, Dir: dir, BackgroundCompaction: true}
-		if dir == "" {
-			return server.NewLSMStore(lsm.Open(cfg)), nil
-		}
-		db, err := lsm.OpenDurable(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("open lsm: %w", err)
-		}
-		return server.NewLSMStore(db), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want sharded or lsm)", engine)
+	if engine != "sharded" {
+		return nil, fmt.Errorf("unknown engine %q (sharded is the only engine)", engine)
 	}
+	if autoTune && dir != "" {
+		return nil, fmt.Errorf("-autotune requires an in-memory index (shard journals hold encoded keys); drop -dir")
+	}
+	hc := hybrid.DefaultConfig()
+	hc.EpochReads = true
+	hc.BackgroundMerge = true
+	cfg := sharded.Config{
+		Shards: shards,
+		Hybrid: hc,
+		Obs:    reg,
+		Dir:    dir,
+	}
+	if autoTune {
+		// The trainer gives the tuner's compression-decay detector an
+		// action; without it the tuner could only rebalance. Everything
+		// the tuner does lands on /metrics (tune.* counters/gauges) and
+		// in the flight ring (tune.retrain / tune.rebalance events).
+		cfg.CodecTrainer = keycodec.HOPETrainer(hope.DoubleChar, 1<<10)
+		cfg.AutoTune = true
+	}
+	return server.NewShardedStore(sharded.NewBTree(cfg)), nil
 }
 
 // startDebug serves /metrics (Prometheus), /debug/vars (expvar incl. the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -30,22 +31,30 @@ func freeAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
+// buildServer compiles the binary into a temporary directory.
+func buildServer(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "mets-server")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestServerSmoke drives the real binary end to end over loopback TCP: build
-// it, start it with the debug endpoint, wait on /healthz, load a key set,
-// check every answer of a mixed GET/PUT/SCAN/BATCH stream against an oracle,
+// it, start it with the debug endpoint and the arguments the gated
+// benchmark's served workloads pass, wait on /healthz, load a key set, check
+// every answer of a mixed GET/PUT/SCAN/BATCH stream against an oracle,
 // require server- and shard-namespaced samples on /metrics (registry →
 // renderer → HTTP; the exposition grammar is pinned by internal/obs), then
 // SIGTERM and require the "clean shutdown" line and exit status 0 inside a
 // timeout. Clean shutdown is the goroutine-leak check: Close waits for every
 // connection handler and the coalescer, so a leaked goroutine hangs it.
 func TestServerSmoke(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "mets-server")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildServer(t)
 	addr, debug := freeAddr(t), freeAddr(t)
 	var output bytes.Buffer
-	cmd := exec.Command(bin, "-addr", addr, "-debug-addr", debug)
+	cmd := exec.Command(bin, "-addr", addr, "-debug-addr", debug, "-engine", "sharded")
 	cmd.Stdout, cmd.Stderr = &output, &output
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -167,5 +176,21 @@ func TestServerSmoke(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatalf("no exit within 20s of SIGTERM (a leaked goroutine hangs Close); output:\n%s", output.String())
+	}
+}
+
+// TestServerRejectsOtherEngines pins -engine: sharded is the one engine, and
+// any other value exits non-zero, naming it, before the server listens.
+func TestServerRejectsOtherEngines(t *testing.T) {
+	bin := buildServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second) // a server that starts anyway is killed
+	defer cancel()
+	out, err := exec.CommandContext(ctx, bin, "-addr", freeAddr(t), "-engine", "lsm").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("-engine lsm: err = %v, want a non-zero exit; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown engine "lsm"`) || !strings.Contains(string(out), "sharded") {
+		t.Fatalf("-engine lsm: output does not name the one engine:\n%s", out)
 	}
 }

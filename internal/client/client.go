@@ -30,7 +30,7 @@ var ErrRetryLater = errors.New("client: server busy, retry later")
 var ErrBadRequest = errors.New("client: bad request")
 
 // ErrUnsupported means the engine behind the server lacks the capability
-// (e.g. snapshots on the LSM engine).
+// (wire.StatusUnsupported, which the sharded engine never sends).
 var ErrUnsupported = errors.New("client: operation unsupported by engine")
 
 // ErrClosed means the connection is gone; in-flight and future calls fail.
@@ -281,8 +281,7 @@ func (c *Client) Put(key []byte, value uint64) error {
 	return statusErr(r)
 }
 
-// Delete removes key; found reports whether it existed (always true on the
-// blind-delete LSM engine).
+// Delete removes key; found reports whether it existed.
 func (c *Client) Delete(key []byte) (bool, error) {
 	r, err := c.do(wire.OpDelete, func(buf []byte) []byte {
 		return wire.AppendBytes(buf, key)

@@ -1,4 +1,5 @@
-// Op journal: the durability seam for the in-memory hybrid index. With
+// Op journal: the durability seam for the in-memory hybrid index, and the
+// system's one durability and recovery mechanism. With
 // Config.Dir set, every successful Insert/Update/Delete appends one record to
 // a segmented write-ahead journal (internal/wal) from inside the write
 // critical section, so journal order always equals apply order. New replays
@@ -7,8 +8,8 @@
 // The journal is buffered (wal.SyncNone): writes are acked as soon as the
 // record reaches the OS, and an explicit SyncJournal / StartJournalSync (or
 // Close) is the durability barrier. A crash can therefore lose a suffix of
-// recent ops — never a middle — matching the prefix-durability contract the
-// LSM layer pins with its fault-injection harness.
+// recent ops — never a middle — the prefix-durability contract that
+// dstest.RunCrash pins with its fault-injection harness.
 //
 // Records hold keys in encoded (codec) space, the same space every stage
 // uses. The codec is frozen for the index lifetime (sharded.Config panics on
@@ -252,10 +253,9 @@ func (h *Index) openJournal() error {
 	}
 	h.JournalRecovery = stats
 	h.jl = l
-	// Recovery postmortem: like the LSM, the dump written right after a
-	// successful replay is the artifact a crashed run leaves behind (a
-	// crashed MemFS refuses writes until Recover, so failure-time dumps may
-	// not land).
+	// Recovery postmortem: the dump written right after a successful
+	// replay is the artifact a crashed run leaves behind (a crashed MemFS
+	// refuses writes until Recover, so failure-time dumps may not land).
 	h.dumpFlight("recovery")
 	return nil
 }

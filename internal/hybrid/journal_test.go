@@ -318,10 +318,9 @@ func TestJournalErrSurfacesWriteFailure(t *testing.T) {
 	}
 }
 
-// TestJournalSurvivesSecondCrash is the hybrid analogue of the LSM
-// double-crash case: a torn-tail crash, recovery (which must repair the
-// torn segment), more ops synced through the explicit barrier, and a second
-// crash. The ops synced after the first recovery must replay — an
+// TestJournalSurvivesSecondCrash is the double-crash case: a torn-tail
+// crash, recovery (which must repair the torn segment), more ops synced
+// through the explicit barrier, and a second crash. The ops synced after the first recovery must replay — an
 // unrepaired torn frame in the older segment would strand them.
 func TestJournalSurvivesSecondCrash(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {

@@ -2,42 +2,12 @@ package lsm
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"mets/internal/keys"
 )
-
-// FuzzBlockReader pins the in-place reader's contract on untrusted bytes:
-// it never panics, and a block it reads without error is exactly the
-// concatenation of the frames it yielded.
-func FuzzBlockReader(f *testing.F) {
-	tab, err := buildSSTable(1, oracleEntries(40, 1), 128, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(tab.blocks[0])
-	f.Add([]byte{})
-	f.Add([]byte{0, 0})
-	f.Add([]byte{1, 'a', 0})
-	f.Add([]byte{0x80, 0x00, 0})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		r := blockReader{raw: raw, untrusted: true}
-		var out []byte
-		for r.next() {
-			out = binary.AppendUvarint(out, uint64(len(r.key)))
-			out = append(out, r.key...)
-			out = binary.AppendUvarint(out, uint64(len(r.value)))
-			out = append(out, r.value...)
-		}
-		if r.err == nil && !bytes.Equal(out, raw) {
-			t.Fatalf("frames re-serialize to %x, block is %x", out, raw)
-		}
-	})
-}
 
 // oracleEntries returns sorted records whose keys are short strings over
 // {a, b, 0x00}, so many keys are prefixes of others; every third value is

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"path"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,10 +12,10 @@ import (
 	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/obs"
-	"mets/internal/reconfig"
-	"mets/internal/vfs"
-	"mets/internal/wal"
 )
+
+// ErrClosed is returned by writes against a closed DB.
+var ErrClosed = errors.New("lsm: db closed")
 
 // Config tunes the engine.
 type Config struct {
@@ -53,33 +52,15 @@ type Config struct {
 	// MemTable, blocks, fence keys, and filters all hold encoded keys
 	// (filters built by Config.Filter therefore index encoded keys — pair
 	// with SuRFFilterBuilderWithCodec so marshaled filters stay
-	// self-describing). Seek decodes the winning key on emit. The codec is
-	// frozen for the DB's lifetime; every SSTable is stamped with its ID and
-	// compactions refuse to merge tables from different codec generations.
+	// self-describing). Seek decodes the winning key on emit. Open reads the
+	// codec once: a DB holds keys of one codec for its whole life.
 	Codec keycodec.Codec
 	// Obs attaches the engine to a metrics registry under an "lsm." prefix:
 	// I/O and filter-effectiveness gauges (including a live point-lookup FPR
 	// derived from false positives vs filter negatives), MemTable/backlog
-	// gauges, and a span per background flush and per compaction job. Nil
-	// disables instrumentation. The durable engine adds "wal." counters
-	// (appends, bytes, fsyncs, rotations, a group-commit latency histogram)
-	// and a "recovery" span on open.
+	// gauges, and a span per flush and per compaction job in the registry's
+	// flight recorder. Nil disables instrumentation.
 	Obs *obs.Registry
-	// Dir, when non-empty, makes the engine durable: writes go through a
-	// write-ahead log in Dir (group-committed, fsynced per WALSync),
-	// SSTables persist as checksummed files, and OpenDurable recovers the
-	// exact acked state after a crash. Empty keeps the historical in-memory
-	// engine. Use OpenDurable to open with a Dir; Put/Delete/Flush report
-	// I/O errors through their error returns.
-	Dir string
-	// FS is the filesystem under Dir (default the real OS). Tests inject
-	// vfs.MemFS to simulate crashes and corruption.
-	FS vfs.FS
-	// WALSync is the WAL ack durability contract (default wal.SyncEach: an
-	// acked write survives any crash). See wal.SyncMode.
-	WALSync wal.SyncMode
-	// WALSegmentBytes is the WAL rotation threshold (default 4 MB).
-	WALSegmentBytes int64
 }
 
 // DefaultConfig returns the §4.4-style configuration.
@@ -134,48 +115,18 @@ type DB struct {
 	nextID atomic.Uint64
 	cache  *blockCache
 	Stats  Stats
-	obs    *obs.Registry // nil when Config.Obs is nil
-	// fr is the always-on flight recorder (shared with Config.Obs's when a
-	// registry is attached, private otherwise): the ring of lifecycle events
-	// dumped as <dir>/flightrec.json on recovery, sticky failure, and close.
-	fr *obs.FlightRecorder
-	// quarantined counts table files renamed aside as *.corrupt (recovery
-	// increments it; the lsm.quarantined gauge reads it).
-	quarantined atomic.Int64
+	obs    *obs.Registry       // nil when Config.Obs is nil
+	fr     *obs.FlightRecorder // Config.Obs's recorder; nil (no-op) without one
 
-	codec   keycodec.Codec // nil when identity: keys stored raw
-	codecID string         // stamped into every SSTable this DB builds
+	codec keycodec.Codec // nil when identity: keys stored raw
 
-	// seam routes manifest commits through the shared reconfiguration
-	// pipeline (publication counters, the "manifest.commit" event): each
-	// commit is a generation publication of the durable tree shape.
-	seam *reconfig.Seam
-
-	// dur is non-nil for a durable DB (Config.Dir set); durErr (under mu)
-	// is the sticky first hard failure — once set, every write returns it.
-	dur    *durableState
-	durErr error
-	// Recovery describes what OpenDurable found on disk; informational.
-	Recovery RecoveryStats
+	// err (under mu) is the sticky first failure — a filter build that
+	// failed, or ErrClosed; once set, every write returns it.
+	err error
 }
 
-// Open creates a DB, panicking on error — the historical constructor, fine
-// for in-memory use where opening cannot fail. Durable callers (Config.Dir
-// set) should prefer OpenDurable, whose recovery can legitimately fail.
+// Open creates an empty DB.
 func Open(cfg Config) *DB {
-	db, err := OpenDurable(cfg)
-	if err != nil {
-		panic("lsm: open: " + err.Error())
-	}
-	return db
-}
-
-// OpenDurable creates a DB; with Config.Dir set it first recovers the
-// on-disk state: manifest, table files (corrupt ones quarantined as
-// *.corrupt rather than failing the open), orphan GC, then WAL replay into
-// the memtable — stopping at a torn tail, which under the crash model is
-// never behind an acked write.
-func OpenDurable(cfg Config) (*DB, error) {
 	def := DefaultConfig()
 	if cfg.MemTableBytes == 0 {
 		cfg.MemTableBytes = def.MemTableBytes
@@ -196,29 +147,15 @@ func OpenDurable(cfg Config) (*DB, error) {
 		cfg.BlockCacheBytes = def.BlockCacheBytes
 	}
 	db := &DB{
-		cfg:     cfg,
-		mem:     newMemTable(),
-		cache:   newBlockCache(cfg.BlockCacheBytes),
-		codecID: keycodec.IdentityID,
+		cfg:   cfg,
+		mem:   newMemTable(),
+		cache: newBlockCache(cfg.BlockCacheBytes),
+		fr:    cfg.Obs.FlightRecorder(),
 	}
 	if !keycodec.IsIdentity(cfg.Codec) {
 		db.codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
-		db.codecID = cfg.Codec.ID()
 	}
 	db.bgCond = sync.NewCond(&db.mu)
-	// The flight recorder is always on — a durable engine must leave a
-	// postmortem even when nobody attached a registry. With a registry, share
-	// its recorder so one dump covers every layer writing to it.
-	if fr := cfg.Obs.FlightRecorder(); fr != nil {
-		db.fr = fr
-	} else {
-		db.fr = obs.NewFlightRecorder(obs.DefaultFlightEvents)
-	}
-	db.seam = reconfig.New(reconfig.Options{
-		Name:      "lsm.manifest",
-		Obs:       cfg.Obs,
-		FlightRec: db.fr,
-	})
 	if cfg.Obs != nil {
 		r := cfg.Obs.Sub("lsm.")
 		db.obs = r
@@ -256,29 +193,8 @@ func OpenDurable(cfg Config) (*DB, error) {
 		})
 		r.GaugeFunc("levels", func() float64 { return float64(db.NumLevels()) })
 		r.GaugeFunc("disk_bytes", func() float64 { return float64(db.DiskUsage()) })
-		// Durability health in every snapshot: quarantined table files are
-		// no longer silent renames, and a sticky durable error shows up as a
-		// flag any scraper can alert on.
-		r.GaugeFunc("quarantined", func() float64 { return float64(db.quarantined.Load()) })
-		r.GaugeFunc("durable_err", func() float64 {
-			db.mu.RLock()
-			defer db.mu.RUnlock()
-			if db.durErr != nil && !errors.Is(db.durErr, ErrClosed) {
-				return 1
-			}
-			return 0
-		})
 	}
-	if cfg.Dir != "" {
-		fs := cfg.FS
-		if fs == nil {
-			fs = vfs.OS{}
-		}
-		if err := db.recoverLocked(fs, cfg.Dir); err != nil {
-			return nil, err
-		}
-	}
-	return db, nil
+	return db
 }
 
 // encodeKey maps key into the DB's stored key space (no-op without a
@@ -303,58 +219,17 @@ func (db *DB) encodeBound(b []byte) []byte {
 // Codec returns the DB's key codec (nil when keys are stored raw).
 func (db *DB) Codec() keycodec.Codec { return db.codec }
 
-// keyTag truncates an (encoded) key to a short exemplar tag. Non-UTF-8
-// bytes are fine — JSON encoding escapes them.
-func keyTag(key []byte) string {
-	const n = 8
-	if len(key) > n {
-		key = key[:n]
-	}
-	return string(key)
-}
-
-// Put inserts or overwrites a record. On a durable DB the write is
-// WAL-logged and the returned error is the durability verdict: nil means
-// the record is acked per Config.WALSync (fsynced, by default) and will
-// survive a crash. In-memory DBs always return nil.
-//
-// The record is applied to the memtable before the WAL ack resolves (so
-// WAL order equals apply order under one lock hold). When the ack fails,
-// the DB is marked failed — every later write returns the sticky error —
-// but the never-durable record remains visible to this process's reads
-// until restart. Callers that must not serve a failed write check Err()
-// before trusting reads; after a restart the recovered state is exactly
-// the acked prefix. See the read-your-failed-write note on Get.
+// Put inserts or overwrites a record. The error is the DB's sticky failure
+// (Err): a filter build that failed in a flush or compaction, or ErrClosed.
 func (db *DB) Put(key, value []byte) error {
 	key = db.encodeKey(key)
 	db.mu.Lock()
-	if db.durErr != nil {
-		err := db.durErr
-		db.mu.Unlock()
-		return err
-	}
-	var ack *wal.Ack
-	if db.dur != nil {
-		// Enqueue under mu so WAL order matches memtable apply order; the
-		// blocking Wait happens after unlock (group commit runs elsewhere).
-		// With a registry attached, tag the record with a key prefix so the
-		// group-commit histogram's slow-op exemplar names a concrete op.
-		if db.obs != nil {
-			ack = db.dur.wal.EnqueueTagged(encodeWALPut(key, value), keyTag(key))
-		} else {
-			ack = db.dur.wal.Enqueue(encodeWALPut(key, value))
-		}
+	defer db.mu.Unlock()
+	if db.err != nil {
+		return db.err
 	}
 	db.mem.put(key, value)
-	ferr := db.maybeFlushLocked()
-	db.mu.Unlock()
-	if ack != nil {
-		if err := ack.Wait(); err != nil {
-			db.fail(err)
-			return err
-		}
-	}
-	return ferr
+	return db.maybeFlushLocked()
 }
 
 // tombstoneMarker is the value stored for deleted keys until compaction
@@ -371,33 +246,16 @@ func userValue(stored []byte) []byte { return stored[1:] }
 
 // Delete removes key by writing a tombstone; the space is reclaimed when a
 // compaction merges the tombstone past the key's last live version. The
-// error is the durability verdict, as for Put.
+// error is the sticky failure, as for Put.
 func (db *DB) Delete(key []byte) error {
 	key = db.encodeKey(key)
 	db.mu.Lock()
-	if db.durErr != nil {
-		err := db.durErr
-		db.mu.Unlock()
-		return err
-	}
-	var ack *wal.Ack
-	if db.dur != nil {
-		if db.obs != nil {
-			ack = db.dur.wal.EnqueueTagged(encodeWALDelete(key), keyTag(key))
-		} else {
-			ack = db.dur.wal.Enqueue(encodeWALDelete(key))
-		}
+	defer db.mu.Unlock()
+	if db.err != nil {
+		return db.err
 	}
 	db.mem.putRaw(key, tombstoneMarker)
-	ferr := db.maybeFlushLocked()
-	db.mu.Unlock()
-	if ack != nil {
-		if err := ack.Wait(); err != nil {
-			db.fail(err)
-			return err
-		}
-	}
-	return ferr
+	return db.maybeFlushLocked()
 }
 
 // maybeFlushLocked checks the MemTable size trigger after a write.
@@ -412,79 +270,56 @@ func (db *DB) maybeFlushLocked() error {
 	// the flusher rather than stacking sealed tables. Wait releases the
 	// lock, so another writer may seal (or drain) the MemTable meanwhile.
 	for db.imm != nil {
-		if db.durErr != nil {
-			return db.durErr
+		if db.err != nil {
+			return db.err
 		}
 		if db.mem.bytes < db.cfg.MemTableBytes {
 			return nil
 		}
 		db.bgCond.Wait()
 	}
-	return db.sealLocked()
+	db.sealLocked()
+	return nil
 }
 
-// sealLocked rotates the WAL (durable mode: every logged record covering
-// the sealed MemTable now sits in fsynced segments <= sealed), moves the
-// MemTable into the immutable slot (which must be free), and hands it to a
-// background flusher.
-func (db *DB) sealLocked() error {
+// sealLocked moves the MemTable into the immutable slot (which must be
+// free) and hands it to a background flusher.
+func (db *DB) sealLocked() {
 	if db.mem.bytes == 0 {
-		return nil
+		return
 	}
 	// The flush span starts at the seal: its ID is the causal handle linking
-	// the WAL rotation, the built table, the manifest commit, and any
-	// compaction the flush triggers.
+	// the built table and any compaction the flush triggers.
 	sp := db.obs.StartSpan("flush")
 	sp.Phase("seal")
-	var sealed uint64
-	if db.dur != nil {
-		s, err := db.dur.wal.Rotate()
-		if err != nil {
-			sp.End()
-			return db.failLocked(err)
-		}
-		sealed = s
-	}
-	db.fr.RecordSpan("flush.seal", sp.ID(),
-		obs.I64("mem_bytes", db.mem.bytes), obs.I64("wal_sealed", int64(sealed)))
+	db.fr.RecordSpan("flush.seal", sp.ID(), obs.I64("mem_bytes", db.mem.bytes))
 	db.imm = db.mem
 	db.mem = newMemTable()
 	db.bg.Add(1)
-	go db.flushWorker(db.imm, sealed, sp)
-	return nil
+	go db.flushWorker(db.imm, sp)
 }
 
 // Flush forces the MemTable to level 0. With background compaction enabled
 // it is a full barrier: it returns once the flush and any triggered
 // compactions have settled.
 func (db *DB) Flush() error {
+	db.mu.Lock()
 	if !db.cfg.BackgroundCompaction {
-		db.mu.Lock()
 		defer db.mu.Unlock()
-		if db.durErr != nil {
-			return db.durErr
+		if db.err != nil {
+			return db.err
 		}
 		return db.flushLocked()
 	}
-	db.mu.Lock()
-	for db.imm != nil && db.durErr == nil {
+	for db.imm != nil && db.err == nil {
 		db.bgCond.Wait()
 	}
-	if db.durErr != nil {
-		err := db.durErr
-		db.mu.Unlock()
-		return err
+	if db.err == nil {
+		db.sealLocked()
 	}
-	err := db.sealLocked()
 	db.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	db.WaitIdle()
-	db.mu.Lock()
-	err = db.durErr
-	db.mu.Unlock()
-	return err
+	return db.Err()
 }
 
 // WaitIdle blocks until no background flush or compaction is in flight (or
@@ -492,13 +327,15 @@ func (db *DB) Flush() error {
 // (until the next write).
 func (db *DB) WaitIdle() {
 	db.mu.Lock()
-	for (db.imm != nil || db.compacting) && db.durErr == nil {
+	for (db.imm != nil || db.compacting) && db.err == nil {
 		db.bgCond.Wait()
 	}
 	db.mu.Unlock()
 }
 
-// flushLocked is the inline (foreground) flush + compaction path.
+// flushLocked is the inline (foreground) flush + compaction path. The
+// MemTable is replaced only once its table is built, so a failed build
+// leaves its records readable.
 func (db *DB) flushLocked() error {
 	entries := db.mem.sorted()
 	if len(entries) == 0 {
@@ -507,84 +344,54 @@ func (db *DB) flushLocked() error {
 	sp := db.obs.StartSpan("flush")
 	defer sp.End()
 	sp.Phase("seal")
-	var sealed uint64
-	if db.dur != nil {
-		s, err := db.dur.wal.Rotate()
-		if err != nil {
-			return db.failLocked(err)
-		}
-		sealed = s
-	}
-	db.fr.RecordSpan("flush.seal", sp.ID(),
-		obs.I64("entries", int64(len(entries))), obs.I64("wal_sealed", int64(sealed)))
-	db.mem = newMemTable()
+	db.fr.RecordSpan("flush.seal", sp.ID(), obs.I64("entries", int64(len(entries))))
 	sp.Phase("build")
 	t, err := db.buildTable(entries)
 	if err != nil {
 		return db.failLocked(err)
 	}
 	sp.Phase("install")
+	db.mem = newMemTable()
 	db.installFlushedLocked(t)
-	if db.dur != nil {
-		// The memtable's covering segments (<= sealed) are no longer needed
-		// once the table's membership is manifest-committed.
-		if err := db.advanceWALLocked(sealed + 1); err != nil {
-			return db.failLocked(err)
-		}
-	}
-	db.fr.RecordSpan("flush.commit", sp.ID(),
-		obs.I64("table", int64(t.id)), obs.I64("wal_min", int64(sealed+1)))
+	db.fr.RecordSpan("flush.commit", sp.ID(), obs.I64("table", int64(t.id)))
 	return db.compactUntilCleanLocked(sp.ID())
 }
 
 // flushWorker builds the SSTable from the sealed MemTable off-lock, installs
-// it under a short write lock, and kicks the compactor if needed. On a hard
-// failure the immutable MemTable stays in place (reads keep seeing its
-// records; recovery replays them from the sealed WAL segments) and the DB
-// is marked failed.
-func (db *DB) flushWorker(imm *memTable, sealed uint64, sp *obs.Span) {
+// it under a short write lock, and kicks the compactor if needed. A failed
+// build leaves the immutable MemTable in place (reads keep seeing its
+// records) and marks the DB failed.
+func (db *DB) flushWorker(imm *memTable, sp *obs.Span) {
 	defer db.bg.Done()
 	sp.Phase("build")
 	t, err := db.buildTable(imm.sorted())
 	sp.Phase("install")
 	db.mu.Lock()
-	if err == nil {
-		db.installFlushedLocked(t)
-		if db.dur != nil {
-			err = db.advanceWALLocked(sealed + 1)
-		}
-	}
 	if err != nil {
 		db.failLocked(err)
-		db.mu.Unlock()
-		sp.End()
-		return
+	} else {
+		db.installFlushedLocked(t)
+		db.fr.RecordSpan("flush.commit", sp.ID(), obs.I64("table", int64(t.id)))
+		db.imm = nil
+		if !db.compacting && db.hasCompactionWorkLocked() {
+			db.compacting = true
+			db.bg.Add(1)
+			// The compactor's spans are parented to the flush that woke it.
+			go db.compactWorker(sp.ID())
+		}
+		db.bgCond.Broadcast()
 	}
-	db.fr.RecordSpan("flush.commit", sp.ID(),
-		obs.I64("table", int64(t.id)), obs.I64("wal_min", int64(sealed+1)))
-	db.imm = nil
-	if !db.compacting && db.hasCompactionWorkLocked() {
-		db.compacting = true
-		db.bg.Add(1)
-		// The compactor's spans are parented to the flush that woke it.
-		go db.compactWorker(sp.ID())
-	}
-	db.bgCond.Broadcast()
 	db.mu.Unlock()
 	sp.End()
 }
 
-// buildTable builds (and, in durable mode, persists and fsyncs) one table.
+// buildTable builds one table; only its filter build can fail.
 func (db *DB) buildTable(entries []Entry) (*SSTable, error) {
 	t, err := buildSSTable(db.nextID.Add(1)-1, entries, db.cfg.BlockSize, db.cfg.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: filter build: %w", err)
 	}
-	t.codecID = db.codecID
-	if db.dur == nil {
-		return t, nil
-	}
-	return writeSSTableFile(db.dur.fs, db.dur.dir, t)
+	return t, nil
 }
 
 func (db *DB) installFlushedLocked(t *SSTable) {
@@ -596,11 +403,9 @@ func (db *DB) installFlushedLocked(t *SSTable) {
 }
 
 // readBlock fetches one serialized block, consulting the cache; callers read
-// it in place with a blockReader. Callers hold at least the read lock; the
-// cache has its own mutex. A read I/O failure or a block that fails its
-// checksum after passing open-time validation is unrecoverable mid-read
-// (Get/Seek have no error channel) and panics; the recovery path
-// re-validates every block before serving.
+// it in place with a blockReader. A miss is the simulated disk read: it is
+// counted (and charged Config.IOLatency) and caches the table's own block.
+// Callers hold at least the read lock; the cache has its own mutex.
 func (db *DB) readBlock(t *SSTable, idx int) []byte {
 	if raw := db.cache.get(t.id, idx); raw != nil {
 		atomic.AddInt64(&db.Stats.CacheHits, 1)
@@ -610,11 +415,8 @@ func (db *DB) readBlock(t *SSTable, idx int) []byte {
 	if db.cfg.IOLatency > 0 {
 		time.Sleep(db.cfg.IOLatency)
 	}
-	raw, err := t.readBlockRaw(idx)
-	if err != nil {
-		panic(fmt.Sprintf("lsm: table %d: %v", t.id, err))
-	}
-	db.cache.put(t.id, idx, raw, t.blockBytes(idx))
+	raw := t.blocks[idx]
+	db.cache.put(t.id, idx, raw, int64(len(raw)))
 	return raw
 }
 
@@ -631,14 +433,6 @@ func (db *DB) memGet(key []byte) ([]byte, bool) {
 
 // Get returns the value stored under key (Fig 4.3 left path). Tombstones
 // shadow older versions across all levels.
-//
-// Read-your-failed-write window: on a durable DB whose WAL has failed
-// (Err() != nil), Get/Seek/Count still serve the in-memory state — which
-// can include records whose Put/Delete returned an error and which will
-// not survive a restart. Reads have no error channel by design (the hot
-// path stays allocation- and branch-light); callers that need
-// durable-only reads must check Err() and treat a failed DB's contents
-// as advisory.
 func (db *DB) Get(key []byte) ([]byte, bool) {
 	key = db.encodeKey(key)
 	db.mu.RLock()
@@ -973,20 +767,13 @@ func (db *DB) pickCompactionLocked() *compactJob {
 // executeJob merges the job's inputs and builds the output tables. L0 inputs
 // are newest-last, so later tables correctly win on duplicate keys.
 func (db *DB) executeJob(job *compactJob) ([]*SSTable, error) {
-	merged, err := db.mergeTables(append(append([]*SSTable(nil), job.merge...), job.inputs...), job.bottom)
-	if err != nil {
-		return nil, err
-	}
-	return db.splitIntoTables(merged)
+	return db.splitIntoTables(mergeTables(append(append([]*SSTable(nil), job.merge...), job.inputs...), job.bottom))
 }
 
 // installLocked swaps the job's output into the level structure. Tables
 // flushed to L0 while an L0 job was merging sit after the consumed prefix
-// and survive the swap. In durable mode the new shape is manifest-committed
-// before the replaced input files are deleted: a crash between the two
-// leaves orphan files that open-time GC removes, never a manifest pointing
-// at missing tables.
-func (db *DB) installLocked(job *compactJob, out []*SSTable) error {
+// and survive the swap.
+func (db *DB) installLocked(job *compactJob, out []*SSTable) {
 	if job.srcLevel == 0 {
 		db.levels[0] = append([]*SSTable(nil), db.levels[0][len(job.inputs):]...)
 	} else {
@@ -996,18 +783,6 @@ func (db *DB) installLocked(job *compactJob, out []*SSTable) error {
 		db.levels = append(db.levels, nil)
 	}
 	db.levels[job.srcLevel+1] = sortTables(append(append([]*SSTable(nil), job.keep...), out...))
-	if db.dur == nil {
-		return nil
-	}
-	if err := db.commitManifestLocked(); err != nil {
-		return err
-	}
-	for _, t := range append(append([]*SSTable(nil), job.inputs...), job.merge...) {
-		t.Close()
-		// Best-effort: a failed remove just leaves an orphan for GC.
-		_ = db.dur.fs.Remove(path.Join(db.dur.dir, sstName(t.id)))
-	}
-	return nil
 }
 
 // compactUntilCleanLocked runs compactions inline until the shape invariants
@@ -1027,10 +802,7 @@ func (db *DB) compactUntilCleanLocked(parent uint64) error {
 			return db.failLocked(err)
 		}
 		sp.Phase("install")
-		if err := db.installLocked(job, out); err != nil {
-			sp.End()
-			return db.failLocked(err)
-		}
+		db.installLocked(job, out)
 		db.recordCompaction(sp.ID(), job, out)
 		sp.End()
 	}
@@ -1066,9 +838,6 @@ func (db *DB) compactWorker(parent uint64) {
 		out, err := db.executeJob(job)
 		sp.Phase("install")
 		db.mu.Lock()
-		if err == nil {
-			err = db.installLocked(job, out)
-		}
 		if err != nil {
 			db.failLocked(err)
 			db.compacting = false
@@ -1077,6 +846,7 @@ func (db *DB) compactWorker(parent uint64) {
 			sp.End()
 			return
 		}
+		db.installLocked(job, out)
 		db.recordCompaction(sp.ID(), job, out)
 		db.mu.Unlock()
 		sp.End()
@@ -1103,23 +873,11 @@ func (db *DB) levelTarget(l int) int64 {
 // charging I/O: compaction reads are sequential background work, not the
 // foreground I/O the experiments count. When the output is the bottom
 // level, tombstones are garbage-collected.
-func (db *DB) mergeTables(tables []*SSTable, dropTombstones bool) ([]Entry, error) {
+func mergeTables(tables []*SSTable, dropTombstones bool) []Entry {
 	var all []Entry
 	seen := make(map[string]int)
 	for _, t := range tables {
-		// Keys only compare meaningfully within one codec generation; a
-		// mismatch here means a table from another generation leaked into
-		// this DB's level structure — corrupt state, not a recoverable
-		// condition.
-		if t.codecID != db.codecID {
-			panic(fmt.Sprintf("lsm: compaction mixing codec generations %q and %q",
-				t.codecID, db.codecID))
-		}
-		for b := 0; b < t.numBlocks(); b++ {
-			raw, err := t.readBlockRaw(b)
-			if err != nil {
-				return nil, fmt.Errorf("lsm: compaction read table %d: %w", t.id, err)
-			}
+		for _, raw := range t.blocks {
 			for r := (blockReader{raw: raw}); r.next(); {
 				e := Entry{Key: r.key, Value: r.value}
 				if i, ok := seen[string(e.Key)]; ok {
@@ -1141,7 +899,7 @@ func (db *DB) mergeTables(tables []*SSTable, dropTombstones bool) ([]Entry, erro
 		all = live
 	}
 	sort.Slice(all, func(i, j int) bool { return keys.Compare(all[i].Key, all[j].Key) < 0 })
-	return all, nil
+	return all
 }
 
 func (db *DB) splitIntoTables(entries []Entry) ([]*SSTable, error) {
@@ -1218,4 +976,39 @@ func (db *DB) ResetStats() {
 	db.mu.Lock()
 	db.Stats = Stats{}
 	db.mu.Unlock()
+}
+
+// failLocked records the first failure; every later write observes it, and
+// waiters on bgCond wake to see it.
+func (db *DB) failLocked(err error) error {
+	if db.err == nil {
+		db.err = err
+		db.fr.Record("lsm.error", obs.Str("err", err.Error()))
+	}
+	db.bgCond.Broadcast()
+	return err
+}
+
+// Err returns the DB's sticky failure, if any.
+func (db *DB) Err() error {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	return db.err
+}
+
+// Close waits for background flushes and compactions to settle and marks
+// the DB closed: later writes return ErrClosed, reads keep serving. It
+// returns the failure the DB had before closing, if any.
+func (db *DB) Close() error {
+	db.bg.Wait()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if errors.Is(db.err, ErrClosed) {
+		return nil
+	}
+	first := db.err
+	if first == nil {
+		db.err = ErrClosed
+	}
+	return first
 }

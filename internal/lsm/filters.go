@@ -95,7 +95,3 @@ func (s *surfAdapter) Count(lo, hi []byte) (int, bool) {
 }
 
 func (s *surfAdapter) MemoryUsage() int64 { return s.f.MemoryUsage() }
-
-// MarshalBinary exposes the underlying SuRF wire form so durable SSTables
-// can embed the filter payload (codec id and dictionary travel with it).
-func (s *surfAdapter) MarshalBinary() ([]byte, error) { return s.f.MarshalBinary() }

@@ -9,17 +9,11 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"mets/internal/keys"
-	"mets/internal/vfs"
 )
-
-// castagnoli is the CRC-32C table shared by the SSTable file format.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Entry is a key-value record.
 type Entry struct {
@@ -57,29 +51,13 @@ type SSTable struct {
 	maxKey []byte
 	filter Filter
 	count  int
-	// codecID identifies the key-codec generation the table's keys (blocks,
-	// fences, filter) were encoded with; stamped by the owning DB at build
-	// time and checked by compactions ("identity" for raw keys).
-	codecID string
-	// File backing (durable mode). When rf is non-nil, blocks is nil and
-	// payloads are pread through binfo with per-block CRC verification.
-	rf      vfs.ReadFile
-	binfo   []blockInfo
-	dataOff int64 // file offset of the blocks region
-}
-
-// blockInfo locates one block inside a table file's data region.
-type blockInfo struct {
-	off    int64
-	length uint32
-	crc    uint32
 }
 
 // NumEntries returns the number of records.
 func (t *SSTable) NumEntries() int { return t.count }
 
-// CodecID returns the key-codec generation stamp.
-func (t *SSTable) CodecID() string { return t.codecID }
+// numBlocks returns the block count.
+func (t *SSTable) numBlocks() int { return len(t.blocks) }
 
 // buildSSTable serializes sorted entries into blocks of ~blockSize bytes.
 func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (*SSTable, error) {
@@ -129,41 +107,31 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 
 // blockReader is the one cursor over a serialized block's records (uvarint
 // key length, key, uvarint value length, value), read where the block lies:
-// key and value alias the block, nothing is decoded or copied. Every frame
-// is bounds-checked. A block read with untrusted set (open-time validation)
-// reports a malformed frame through err; any other block was built by this
-// process or CRC-verified on open, so a malformed frame there panics.
+// key and value alias the block, nothing is decoded or copied. Every block
+// was built by buildSSTable in this process, so a malformed frame is a
+// writer bug and panics.
 type blockReader struct {
 	raw        []byte
 	off        int
 	key, value []byte
-	untrusted  bool
-	err        error
 }
 
-// next advances to the following record; false at the end of the block or
-// at a malformed frame.
+// next advances to the following record; false at the end of the block.
 func (r *blockReader) next() bool {
 	if r.off >= len(r.raw) {
 		return false
 	}
 	r.key, r.value = r.field(), r.field()
-	return r.err == nil
+	return true
 }
-
-var errMalformedFrame = errors.New("malformed frame")
 
 // field reads one length-prefixed frame. A frame that runs past the block, or
 // whose length is not a minimal uvarint (the writer never makes one), is
-// malformed and leaves the reader at the end of the block.
+// malformed.
 func (r *blockReader) field() []byte {
 	l, n := binary.Uvarint(r.raw[r.off:])
 	if n <= 0 || l > uint64(len(r.raw)-r.off-n) || (n > 1 && r.raw[r.off+n-1] == 0) {
-		if !r.untrusted {
-			panic(fmt.Sprintf("lsm: corrupt block passed validation: malformed frame at %d", r.off))
-		}
-		r.err, r.off = errMalformedFrame, len(r.raw)
-		return nil
+		panic(fmt.Sprintf("lsm: malformed block frame at %d (writer bug)", r.off))
 	}
 	start := r.off + n
 	r.off = start + int(l)
@@ -233,8 +201,8 @@ func (t *SSTable) MemoryUsage() int64 {
 // DiskUsage returns the total serialized block bytes.
 func (t *SSTable) DiskUsage() int64 {
 	var m int64
-	for i := 0; i < t.numBlocks(); i++ {
-		m += t.blockBytes(i)
+	for _, b := range t.blocks {
+		m += int64(len(b))
 	}
 	return m
 }

@@ -1,8 +1,8 @@
 // Flight recorder: an always-on, fixed-size ring of structured lifecycle
 // records — the one record stream of the process. A record is either a fact
-// (a WAL rotation, a flush/compaction/merge commit, a manifest install, a
-// quarantine, a journal replay, a generation swap: a discrete thing that
-// happened, with enough attributes to reconstruct the lead-up to a failure)
+// (a WAL rotation, a flush/compaction/merge commit, a journal replay or
+// repair, a generation swap: a discrete thing that happened, with enough
+// attributes to reconstruct the lead-up to a failure)
 // or a finished span (span.go: the durations of the background work that led
 // to such a fact, joined to it by the span ID). What happens once per
 // operation — a commit, a get — is a histogram's business, not the ring's:
@@ -28,8 +28,8 @@ import (
 
 // DefaultFlightEvents is the ring capacity of a registry's flight recorder:
 // large enough to hold the full recovery story of a freshly reopened engine
-// (manifest read, per-table opens, replay, repair) plus a tail of steady-state
-// traffic, small enough that a dump is a few tens of KB.
+// (every shard's replay and repair) plus a tail of steady-state traffic,
+// small enough that a dump is a few tens of KB.
 const DefaultFlightEvents = 256
 
 // Attr is one typed attribute on a flight-recorder event: a key with either

@@ -1,8 +1,8 @@
 // Package reconfig is the shared reconfiguration seam: one publication
-// pipeline for every generation swap in the system. Before this package,
-// three layers each carried their own one-off copy of the same idea —
-// hybrid's generation swap, sharded's atomic codec+router+shard core swap,
-// and the LSM's manifest commit. All of them follow the same shape:
+// pipeline for every generation swap in the system. Its two users are
+// hybrid's generation swap and sharded's atomic codec+router+shard core
+// swap, which before this package each carried a one-off copy of the same
+// idea. Both follow the same shape:
 //
 //	propose → build the next generation off-line → validate it →
 //	publish it atomically
@@ -18,10 +18,10 @@
 // loaded it is done.
 //
 // Swaps that already run under the owner's writer lock (hybrid's per-merge
-// generation store, the LSM's manifest write) use PublishLocked: the fast
-// path skips the seam mutex and the build/validate phases but still shares
-// the publication bookkeeping and event vocabulary — so "who swapped what,
-// when, and why" reads the same across layers.
+// generation store) use PublishLocked: the fast path skips the seam mutex and
+// the build/validate phases but still shares the publication bookkeeping and
+// event vocabulary — so "who swapped what, when, and why" reads the same
+// across layers.
 //
 // The background drift tuner (internal/tune) triggers its actions — codec
 // retrain, shard rebalance — through owners' methods built on Apply, which
@@ -47,16 +47,15 @@ type Prepared struct {
 	// Publish is never called and Discard runs instead.
 	Validate func() error
 	// Publish makes the generation visible — typically one atomic pointer
-	// store, or a crash-atomic file rename for durable state. An error
-	// rejects the change after the fact (nothing was made visible, or the
-	// owner's publish is itself atomic-or-nothing).
+	// store. An error rejects the change after the fact (nothing was made
+	// visible, or the owner's publish is itself atomic-or-nothing).
 	Publish func() error
 	// Discard undoes Build's side effects when validation or publication
 	// fails (e.g. uninstalling a write-capture buffer).
 	Discard func()
 	// Event overrides the flight-recorder event type recorded on a
-	// successful publication (default "reconfig.publish"). The LSM keeps
-	// its historical "manifest.commit" vocabulary this way.
+	// successful publication (default "reconfig.publish"). The hybrid
+	// index keeps its "merge.seal"/"merge.commit" vocabulary this way.
 	Event string
 	// Attrs are appended to the publication event.
 	Attrs []obs.Attr
@@ -80,8 +79,8 @@ type Change struct {
 
 // Options configure a Seam.
 type Options struct {
-	// Name identifies the seam in events and errors (e.g. "sharded",
-	// "hybrid", "lsm.manifest").
+	// Name identifies the seam in events and errors ("sharded",
+	// "hybrid").
 	Name string
 	// Obs hosts the seam's counters and spans ("reconfig.applied",
 	// "reconfig.rejected", "reconfig.<kind>" spans). Nil disables them.

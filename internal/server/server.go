@@ -122,7 +122,7 @@ func New(cfg Config) *Server {
 	reg.GaugeFunc("conns_active", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("snapshots_active", func() float64 { return float64(s.snapsLive.Load()) })
 	// The engine verdict, as /healthz and admission read it; the error text
-	// is in /healthz and in the engine's journal.error/durable.error record.
+	// is in /healthz and in the engine's journal.error record.
 	flag := func(name string, f func(Health) bool) {
 		reg.GaugeFunc(name, func() float64 {
 			if f(cfg.Store.Health()) {
@@ -697,11 +697,7 @@ func (c *srvConn) snapBegin(id uint64) {
 	}
 	sn, err := c.s.cfg.Store.Snapshot()
 	if err != nil {
-		st := wire.StatusErr
-		if errors.Is(err, ErrSnapshotsUnsupported) {
-			st = wire.StatusUnsupported
-		}
-		at := c.reply(id, st)
+		at := c.reply(id, wire.StatusErr)
 		c.out = append(c.out, err.Error()...)
 		c.endReply(at)
 		return

@@ -335,7 +335,7 @@ func (s *stubStore) ApplyBatch(ops []Op) ([]byte, error) {
 	return make([]byte, len(ops)), nil
 }
 
-func (s *stubStore) Snapshot() (Snapshot, error) { return nil, ErrSnapshotsUnsupported }
+func (s *stubStore) Snapshot() (Snapshot, error) { return nil, errors.New("stub: no snapshots") }
 func (s *stubStore) Health() Health              { return *s.health.Load() }
 func (s *stubStore) Close() error                { return nil }
 

@@ -8,12 +8,7 @@
 package server
 
 import (
-	"encoding/binary"
-	"errors"
-
 	"mets/internal/index"
-	"mets/internal/keys"
-	"mets/internal/lsm"
 	"mets/internal/sharded"
 	"mets/internal/wire"
 )
@@ -68,10 +63,6 @@ type Store interface {
 	Health() Health
 	Close() error
 }
-
-// ErrSnapshotsUnsupported is returned by engines without an MVCC snapshot
-// path; the server maps it to STATUS_UNSUPPORTED.
-var ErrSnapshotsUnsupported = errors.New("server: engine does not support snapshots")
 
 // ShardedStore fronts a sharded.Index: wait-free epoch reads, true MVCC
 // snapshots, and one journal barrier per batch via SyncJournals.
@@ -133,78 +124,3 @@ func (s *ShardedStore) Health() Health {
 }
 
 func (s *ShardedStore) Close() error { return s.idx.Close() }
-
-// LSMStore fronts a durable lsm.DB. Values are stored as 8-byte
-// little-endian payloads. Writes go through DB.ApplyBatch, whose
-// apply-after-ack ordering closes the engine's documented
-// read-your-failed-write window for the server path: a PUT the server
-// reported failed is never visible to a subsequent GET.
-type LSMStore struct {
-	db *lsm.DB
-}
-
-// NewLSMStore wraps db (which the store takes ownership of).
-func NewLSMStore(db *lsm.DB) *LSMStore { return &LSMStore{db: db} }
-
-// DB exposes the wrapped engine.
-func (s *LSMStore) DB() *lsm.DB { return s.db }
-
-func (s *LSMStore) Get(key []byte) (uint64, bool) {
-	b, ok := s.db.Get(key)
-	if !ok || len(b) != 8 {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(b), true
-}
-
-// ScanN iterates by repeated Seek (the engine's range primitive), advancing
-// the lower bound past each winning key. O(log) table probes per entry —
-// adequate for the bounded scans the protocol allows, not a bulk-export
-// path.
-func (s *LSMStore) ScanN(start []byte, n int) []index.Entry {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]index.Entry, 0, n)
-	lo := start
-	if lo == nil {
-		lo = []byte{}
-	}
-	for len(out) < n {
-		e, ok := s.db.Seek(lo, nil)
-		if !ok {
-			break
-		}
-		var v uint64
-		if len(e.Value) == 8 {
-			v = binary.LittleEndian.Uint64(e.Value)
-		}
-		key := append([]byte(nil), e.Key...)
-		out = append(out, index.Entry{Key: key, Value: v})
-		lo = keys.Next(key)
-	}
-	return out
-}
-
-func (s *LSMStore) ApplyBatch(ops []Op) ([]byte, error) {
-	bops := make([]lsm.BatchOp, len(ops))
-	for i, op := range ops {
-		bops[i] = lsm.BatchOp{Delete: op.Delete, Key: op.Key}
-		if !op.Delete {
-			bops[i].Value = binary.LittleEndian.AppendUint64(nil, op.Value)
-		}
-	}
-	if err := s.db.ApplyBatch(bops); err != nil {
-		return nil, err
-	}
-	// LSM deletes are blind tombstone writes; every op acks OK.
-	return make([]byte, len(ops)), nil
-}
-
-func (s *LSMStore) Snapshot() (Snapshot, error) { return nil, ErrSnapshotsUnsupported }
-
-// Health is unhealthy on the DB's sticky error (a closed DB included), and
-// backlogged while its flushes are behind (lsm.DB.Backlogged).
-func (s *LSMStore) Health() Health { return verdict(s.db.Err(), s.db.Backlogged()) }
-
-func (s *LSMStore) Close() error { return s.db.Close() }

@@ -281,7 +281,7 @@ func (fs *MemFS) Size(name string) (int64, error) {
 }
 
 // Corrupt flips bits at off in name's durable contents — the out-of-band
-// damage injector for crash-matrix tests (bit-flipped SSTable header).
+// damage injector for crash-matrix tests (a bit-flipped WAL frame).
 func (fs *MemFS) Corrupt(name string, off int64, xor byte) error {
 	name = path.Clean(name)
 	fs.mu.Lock()
@@ -426,8 +426,8 @@ var (
 	_ FS = (*MemFS)(nil)
 )
 
-// SegmentedName formats/strips fixed-width numeric file names shared by the
-// WAL and SSTable layers ("000042.wal"). Kept here so both packages agree.
+// SegmentedName formats/strips the fixed-width numeric file names of WAL
+// segments ("000042.wal").
 func SegmentedName(seq uint64, ext string) string { return fmt.Sprintf("%06d%s", seq, ext) }
 
 // ParseSegmentedName inverts SegmentedName; ok=false for foreign files.

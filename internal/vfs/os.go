@@ -59,7 +59,7 @@ func (OS) Remove(name string) error { return os.Remove(hostPath(name)) }
 
 // Rename renames and then syncs the parent directory, so the new directory
 // entry survives a crash (the POSIX contract behind the
-// write-tmp-sync-rename manifest commit). A dir-sync failure is returned:
+// write-tmp-sync-rename commit). A dir-sync failure is returned:
 // callers treat Rename as a commit point and must not ack on top of an
 // unsynced rename.
 func (OS) Rename(oldname, newname string) error {

@@ -3,10 +3,10 @@ package vfs
 import "fmt"
 
 // WriteFileAtomic publishes data as name with the tmp → sync → rename
-// pattern every atomic commit in the engine uses (manifest commits, torn-WAL
-// truncation, flight-recorder dumps): readers see either the old content or
-// the complete new content, never a torn prefix. The temporary file is
-// name+".tmp", which the callers' orphan GC conventions already sweep.
+// pattern every atomic commit in the engine uses (torn-WAL truncation,
+// flight-recorder dumps): readers see either the old content or the complete
+// new content, never a torn prefix. The temporary file is name+".tmp"; a
+// crash can leave it behind, and the next write to name recreates it.
 func WriteFileAtomic(fs FS, name string, data []byte) error {
 	tmp := name + ".tmp"
 	f, err := fs.Create(tmp)

@@ -1,5 +1,5 @@
-// Package vfs is the filesystem seam under the durability layer (WAL,
-// file-backed SSTables, manifest). Production code runs on OS, a thin
+// Package vfs is the filesystem seam under the durability layer (the WAL
+// and its repair, flight-recorder dumps). Production code runs on OS, a thin
 // wrapper over the os package; tests run on MemFS, an in-memory
 // implementation that models exactly the crash semantics a journaling
 // filesystem gives a database: written-but-unsynced bytes may be lost,
@@ -46,7 +46,7 @@ type FS interface {
 	// Remove deletes a file (durable immediately).
 	Remove(name string) error
 	// Rename atomically replaces newname with oldname (durable
-	// immediately, the manifest-commit primitive). The destination's old
+	// immediately, the atomic-commit primitive). The destination's old
 	// contents are gone afterwards.
 	Rename(oldname, newname string) error
 	// MkdirAll creates dir and parents.

@@ -68,9 +68,8 @@ func Replay(fs vfs.FS, dir string, minSeg uint64, fn func(rec []byte) error) (Re
 	return st, nil
 }
 
-// corruptSuffix marks quarantined segment files (same convention as the
-// LSM's corrupt-table quarantine): kept for forensics, invisible to
-// ListSegments.
+// corruptSuffix marks quarantined segment files: kept for forensics,
+// invisible to ListSegments.
 const corruptSuffix = ".corrupt"
 
 // Repair makes a torn log appendable again: it quarantines every segment

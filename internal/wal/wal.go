@@ -1,5 +1,5 @@
 // Package wal implements the append-only segmented write-ahead log under
-// the durable LSM engine (and the hybrid index's op journal). Records are
+// the hybrid index's op journal, the one durability mechanism. Records are
 // opaque byte payloads framed as
 //
 //	u32 payload length | u32 CRC-32C over (length bytes ‖ payload) | payload
@@ -9,9 +9,9 @@
 // segment and fsyncs once per batch — group commit: every writer blocked in
 // Ack.Wait for that batch is acked by one fsync, so the fsync cost
 // amortizes across concurrent writers. Segments rotate at a size threshold
-// (or on demand, which is how the LSM ties "memtable sealed" to "WAL
-// position"), and DeleteBelow truncates the log once a covering memtable
-// has been flushed durably.
+// (or on demand, which is how the journal ties a BulkLoad reset to a WAL
+// position), and DeleteBelow truncates the log once the state it covers is
+// durable elsewhere.
 //
 // Replay tolerates a torn tail: it applies records in segment order and
 // stops at the first frame that is short, oversized, or fails its CRC —
@@ -326,8 +326,8 @@ func (l *Log) StartSync() *Barrier {
 // Rotate seals the current segment — every record enqueued before the call
 // is written and fsynced into segments <= the returned sequence — and
 // starts a fresh one. Callers must not race Rotate with Enqueue for
-// records whose covering state depends on the rotation point (the LSM
-// calls both under its own write lock).
+// records whose covering state depends on the rotation point (the hybrid
+// journal calls both under its index's writer lock).
 func (l *Log) Rotate() (sealed uint64, err error) {
 	l.mu.Lock()
 	if l.err != nil {
@@ -346,9 +346,10 @@ func (l *Log) Rotate() (sealed uint64, err error) {
 	return r.sealed, r.err
 }
 
-// DeleteBelow removes every segment with sequence < minKeep. Called after
-// a manifest commit advances the WAL low-water mark; a failure leaves
-// harmless garbage that the next successful call removes.
+// DeleteBelow removes every segment with sequence < minKeep. Called once
+// the records below minKeep are covered elsewhere (the journal's BulkLoad
+// reset); a failure leaves harmless garbage that the next successful call
+// removes.
 func (l *Log) DeleteBelow(minKeep uint64) error {
 	segs, err := ListSegments(l.fs, l.dir)
 	if err != nil {

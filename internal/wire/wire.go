@@ -54,7 +54,7 @@ const (
 	StatusRetryLater  byte = 2 // admission control shed the request; retry after backoff
 	StatusBadRequest  byte = 3 // malformed body, unknown opcode, unknown snapshot id
 	StatusErr         byte = 4 // store-side failure; body carries the message
-	StatusUnsupported byte = 5 // engine does not implement the operation (e.g. lsm snapshots)
+	StatusUnsupported byte = 5 // engine does not implement the operation; the one served engine never sends it
 )
 
 // Batch body op tags (one per op inside an OpBatch request).

@@ -11,15 +11,14 @@
 //     over B+tree, ART, Skip List and Masstree substrates.
 //   - HOPE — the High-speed Order-Preserving Encoder (Chapter 6): compress
 //     keys before inserting them into any ordered structure.
-//   - LSM — a log-structured storage engine with pluggable filters, the
-//     Chapter 4 example application.
+//   - LSM — an in-memory log-structured engine with pluggable filters and
+//     counted block I/O, the Chapter 4 example application.
 //
-// Each engine answers "failed?" and "behind?" once: HybridIndex and
-// ShardedIndex through JournalErr and MergeBehind, LSM through Err and
-// Backlogged; everything else about them is a metric in the StatsRegistry
-// they were given. cmd/mets-server folds the two answers into one verdict
-// for admission control, /healthz and its server.healthy/server.backlogged
-// gauges.
+// HybridIndex and ShardedIndex answer "failed?" and "behind?" once, through
+// JournalErr and MergeBehind (LSM answers "failed?" through Err); everything
+// else about them is a metric in the StatsRegistry they were given.
+// cmd/mets-server folds the two answers into one verdict for admission
+// control, /healthz and its server.healthy/server.backlogged gauges.
 //
 // See the examples directory for runnable end-to-end usage and DESIGN.md for
 // the system inventory and experiment map.
@@ -37,7 +36,6 @@ import (
 	"mets/internal/sharded"
 	"mets/internal/surf"
 	"mets/internal/tune"
-	"mets/internal/wal"
 )
 
 // Entry is one key-value pair (values are 64-bit "tuple pointers").
@@ -244,20 +242,6 @@ type LSMConfig = lsm.Config
 // NewBloomSSTFilter / NewSuRFSSTFilter.
 func OpenLSM(cfg LSMConfig) *LSM { return lsm.Open(cfg) }
 
-// OpenDurableLSM opens (or creates) a durable engine rooted at
-// LSMConfig.Dir: every acked write is covered by a checksummed write-ahead
-// log, SSTables persist as validated files, and reopening the directory
-// recovers exactly the acked state (see DESIGN.md, Durability). The sync
-// modes below pick the WAL ack contract; under WALSyncEach concurrent writers
-// share fsyncs (group commit).
-func OpenDurableLSM(cfg LSMConfig) (*LSM, error) { return lsm.OpenDurable(cfg) }
-
-// WAL ack durability contracts for LSMConfig.WALSync.
-const (
-	WALSyncEach = wal.SyncEach
-	WALSyncNone = wal.SyncNone
-)
-
 // Per-SSTable filter builders. The WithCodec variant pairs with
 // LSMConfig.Codec: built filters index the (encoded) stored keys and carry
 // the codec id and dictionary through MarshalBinary.
@@ -296,12 +280,12 @@ func Stats(r *StatsRegistry) StatsSnapshot { return r.Snapshot() }
 var WritePrometheus = obs.WritePrometheus
 
 // FlightRecorder is the always-on bounded ring of structured engine records:
-// facts (WAL rotations and repairs, flush/compaction/merge commits,
-// quarantines, journal replays, generation swaps) and the finished spans that
-// led to them (a merge's seal/build/swap durations), joined by
-// FlightEvent.Span. Every registry carries one; durable engines dump it to
-// <dir>/flightrec.json on recovery, on a sticky durable error, and on Close,
-// so every crash leaves a postmortem artifact.
+// facts (WAL rotations and repairs, flush/compaction/merge commits, journal
+// replays, generation swaps) and the finished spans that led to them (a
+// merge's seal/build/swap durations), joined by FlightEvent.Span. Every
+// registry carries one; a journaled index dumps it to <dir>/flightrec.json
+// on recovery, on a sticky journal error, and on Close, so every crash
+// leaves a postmortem artifact.
 type FlightRecorder = obs.FlightRecorder
 
 // FlightEvent is one record of the ring: an event, or a finished span.
