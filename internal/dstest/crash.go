@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"mets/internal/keys"
@@ -13,23 +12,15 @@ import (
 )
 
 // CrashStore is the surface the differential crash-recovery harness drives:
-// a durable ordered store whose Put/Delete return the durability verdict
-// (nil = acked). Scan enumerates the full live state in key order.
+// a durable ordered store that commits a group of ops under one durability
+// verdict (a server's coalesced write batch). Scan enumerates the full live
+// state in key order.
 type CrashStore interface {
-	Put(key, value []byte) error
-	Delete(key []byte) error
+	// ApplyBatch applies ops in order; nil acks every one of them.
+	ApplyBatch(ops []CrashOp) error
 	Get(key []byte) ([]byte, bool)
 	Scan(fn func(key, value []byte) bool)
 	Close() error
-}
-
-// BatchCrashStore is a CrashStore that can also commit a group of ops under
-// one durability verdict (a server's coalesced write batch). CrashConfig.Batch
-// drives it.
-type BatchCrashStore interface {
-	CrashStore
-	// ApplyBatch applies ops in order; nil acks every one of them.
-	ApplyBatch(ops []CrashOp) error
 }
 
 // CrashOp is one mutation in the deterministic op stream.
@@ -59,11 +50,8 @@ type CrashConfig struct {
 	// (e.g. a torn segment must be repaired, or writes acked after the
 	// first recovery are lost at the second crash).
 	Crashes int
-	// Batch > 1 issues the ops in groups of Batch through
-	// BatchCrashStore.ApplyBatch (which the store must then implement), one
-	// verdict per group. A store with several logs need not recover a
-	// contiguous prefix of the group that was in flight at the crash, so for
-	// that group the invariant is per key (see RunCrash).
+	// Batch is the number of ops per ApplyBatch call, one verdict per group
+	// (default 1).
 	Batch int
 	// FlightRec, when set, is the MemFS path of the store's flight-recorder
 	// dump (e.g. "data/flightrec.json"): after every post-crash recovery the
@@ -88,12 +76,14 @@ func (c *CrashConfig) fill() {
 	if c.Crashes <= 0 {
 		c.Crashes = 1
 	}
+	if c.Batch <= 0 {
+		c.Batch = 1
+	}
 }
 
 // crashOps generates the deterministic mutation stream. Every Put carries a
-// value unique to its op index, so the oracle state after t ops differs for
-// every t — the prefix check below can therefore identify exactly which
-// prefix survived.
+// value unique to its op index, so a recovered value names the one op that
+// wrote it: a stale or phantom value cannot pass for an allowed one.
 func crashOps(cfg *CrashConfig) []CrashOp {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	space := keySpace(cfg.KeySpace, rng)
@@ -118,54 +108,13 @@ func applyOp(oracle map[string][]byte, op CrashOp) {
 	}
 }
 
-// storeEquals compares the store's full state to the oracle: same key set
-// (no lost writes, no phantoms), same values, and Get agrees with Scan.
-func storeEquals(st CrashStore, oracle map[string][]byte) (bool, string) {
-	want := make([][]byte, 0, len(oracle))
-	for k := range oracle {
-		want = append(want, []byte(k))
-	}
-	sort.Slice(want, func(i, j int) bool { return keys.Compare(want[i], want[j]) < 0 })
-	i := 0
-	diff := ""
-	st.Scan(func(k, v []byte) bool {
-		if diff != "" {
-			return false
-		}
-		if i >= len(want) {
-			diff = fmt.Sprintf("phantom key %q past oracle end", k)
-			return false
-		}
-		if !bytes.Equal(k, want[i]) {
-			diff = fmt.Sprintf("scan[%d] = %q, oracle %q", i, k, want[i])
-			return false
-		}
-		if !bytes.Equal(v, oracle[string(k)]) {
-			diff = fmt.Sprintf("value for %q = %q, oracle %q", k, v, oracle[string(k)])
-			return false
-		}
-		i++
-		return true
-	})
-	if diff != "" {
-		return false, diff
-	}
-	if i != len(want) {
-		return false, fmt.Sprintf("scan visited %d keys, oracle has %d (first missing %q)", i, len(want), want[i])
-	}
-	for k, v := range oracle {
-		got, ok := st.Get([]byte(k))
-		if !ok || !bytes.Equal(got, v) {
-			return false, fmt.Sprintf("Get(%q) = (%q,%v), oracle %q", k, got, ok, v)
-		}
-	}
-	return true, ""
-}
-
 // batchRecovered checks a store recovered from a crash that caught the group
 // ops[acked:issued] in flight: every key the group does not touch must hold
 // what ops[:acked] leave, every key it touches what ops[:acked] plus some
 // prefix of the group's ops on that key leave. "" means the invariant holds.
+// With a one-op group that is exactly prefix durability: the store holds
+// fold(ops[:acked]) or fold(ops[:acked+1]); with an empty one, exactly
+// fold(ops[:acked]), Get agreeing with Scan.
 func batchRecovered(st CrashStore, ops []CrashOp, acked, issued int) string {
 	oracle := make(map[string][]byte)
 	for _, op := range ops[:acked] {
@@ -245,33 +194,25 @@ func checkFlightRec(t *testing.T, fs *vfs.MemFS, name, context string) {
 
 // RunCrash is the differential crash-recovery harness: it reruns one
 // deterministic op stream with a simulated crash armed at every Step-th VFS
-// operation, recovers the filesystem, reopens the store, and checks the
-// recovery invariant —
+// operation, recovers the filesystem, reopens the store, and checks the one
+// recovery invariant. Ops are committed cfg.Batch at a time; acked counts the
+// ops whose ApplyBatch returned nil before the crash, and the group after
+// them is the one the crash caught in flight. Every acked op must be
+// recovered; within the in-flight group, each key must hold what some prefix
+// of the group's ops on that key leaves (none of them, all of them, or
+// anything between — a store may split the group over several logs, each
+// recovering a prefix of its own); no other key may differ from the acked
+// state, and nothing that was never written may appear. At Batch 1 that is
+// strict prefix durability: the recovered state is fold(ops[:t]) for t =
+// acked or acked+1 (an op whose ack failed may still have reached durable
+// media).
 //
-//	recovered state == fold(ops[:t]) for some t with acked <= t <= issued
-//
-// where acked counts the ops whose Put/Delete returned nil before the crash
-// and issued additionally includes the op that observed it. That is exactly
-// prefix durability: no acked write is ever lost, no suffix survives a lost
-// middle (no gaps), and nothing that was never written appears (no
-// phantoms). An op past the acked count may legitimately survive (its WAL
-// record can reach durable media before its ack fails on a later step), but
-// only as part of a contiguous prefix.
-//
-// With cfg.Crashes > 1 the recovered store is driven on with the remaining
-// ops under another armed crash, up to Crashes cycles per run — so the
-// invariant is also checked for writes acked *after* a recovery (the
-// torn-tail-then-crash-again scenario, where an unrepaired log would lose
-// them).
-//
-// With cfg.Batch > 1 ops are acked a group at a time, and a crash catches a
-// whole group in flight. Every op before that group must be recovered, as
-// above; within it, each key must hold what some prefix of the group's ops on
-// that key leaves (none of them, all of them, or anything between — the
-// store may have split the group over several logs, each recovering a prefix
-// of its own), and no other key may differ from the acked state. The round
-// after the recovery starts over from that group: its ops are blind upserts
-// and deletes, so reapplying all of them converges on the full fold.
+// With cfg.Crashes > 1 the recovered store is driven on under another armed
+// crash, up to Crashes cycles per run — so the invariant is also checked for
+// writes acked *after* a recovery (the torn-tail-then-crash-again scenario,
+// where an unrepaired log would lose them). The round after a recovery starts
+// over from the in-flight group: its ops are blind upserts and deletes, so
+// reapplying all of them converges on the full fold.
 //
 // The sweep stops after the first run whose initial round completes without
 // tripping the crash; every completed run also checks clean-shutdown
@@ -296,18 +237,8 @@ func RunCrash(t *testing.T, open func(fs *vfs.MemFS) (CrashStore, error), cfg Cr
 			}
 			acked, issued := base, base
 			for acked < len(ops) {
-				var err error
-				if cfg.Batch > 1 {
-					issued = min(acked+cfg.Batch, len(ops))
-					err = st.(BatchCrashStore).ApplyBatch(ops[acked:issued])
-				} else if op := ops[acked]; op.Del {
-					issued++
-					err = st.Delete(op.Key)
-				} else {
-					issued++
-					err = st.Put(op.Key, op.Value)
-				}
-				if err != nil {
+				issued = min(acked+cfg.Batch, len(ops))
+				if st.ApplyBatch(ops[acked:issued]) != nil {
 					break
 				}
 				acked = issued
@@ -325,11 +256,9 @@ func RunCrash(t *testing.T, open func(fs *vfs.MemFS) (CrashStore, error), cfg Cr
 				if err != nil {
 					t.Fatalf("mode=%v crash@%d round %d: clean reopen: %v", cfg.Mode, crash, round, err)
 				}
-				oracle := make(map[string][]byte, cfg.KeySpace)
-				for _, op := range ops {
-					applyOp(oracle, op)
-				}
-				if ok, diff := storeEquals(st2, oracle); !ok {
+				// With nothing in flight the invariant is equality with the
+				// full fold.
+				if diff := batchRecovered(st2, ops, len(ops), len(ops)); diff != "" {
 					t.Fatalf("mode=%v crash@%d round %d: clean-shutdown state diverged: %s",
 						cfg.Mode, crash, round, diff)
 				}
@@ -351,44 +280,14 @@ func RunCrash(t *testing.T, open func(fs *vfs.MemFS) (CrashStore, error), cfg Cr
 				checkFlightRec(t, fs, cfg.FlightRec,
 					fmt.Sprintf("mode=%v crash@%d round %d", cfg.Mode, crash, round))
 			}
-			if cfg.Batch > 1 {
-				if diff := batchRecovered(st2, ops, acked, issued); diff != "" {
-					t.Fatalf("mode=%v crash@%d round %d: recovered state breaks the batch invariant (acked=%d, in flight through %d): %s",
-						cfg.Mode, crash, round, acked, issued, diff)
-				}
-				st = st2
-				base = acked
-				continue
-			}
-			// Find the surviving prefix: fold ops[:acked] first, then extend
-			// one op at a time through issued until the store matches.
-			oracle := make(map[string][]byte, cfg.KeySpace)
-			for i := 0; i < acked; i++ {
-				applyOp(oracle, ops[i])
-			}
-			matched := -1
-			var firstDiff string
-			for tlen := acked; tlen <= issued; tlen++ {
-				if tlen > acked {
-					applyOp(oracle, ops[tlen-1])
-				}
-				ok, diff := storeEquals(st2, oracle)
-				if tlen == acked {
-					firstDiff = diff
-				}
-				if ok {
-					matched = tlen
-					break
-				}
-			}
-			if matched < 0 {
-				t.Fatalf("mode=%v crash@%d round %d: recovered state matches no prefix in [acked=%d, issued=%d]; vs acked: %s",
-					cfg.Mode, crash, round, acked, issued, firstDiff)
+			if diff := batchRecovered(st2, ops, acked, issued); diff != "" {
+				t.Fatalf("mode=%v crash@%d round %d: recovered state breaks the recovery invariant (acked=%d, in flight through %d): %s",
+					cfg.Mode, crash, round, acked, issued, diff)
 			}
 			// Drive the recovered store through the remaining ops (with
 			// another crash armed, if the budget allows).
 			st = st2
-			base = matched
+			base = acked
 		}
 	}
 }

@@ -5,11 +5,11 @@
 // critical section, so journal order always equals apply order. New replays
 // an existing journal before the index serves its first operation.
 //
-// The journal is buffered (wal.SyncNone): writes are acked as soon as the
-// record reaches the OS, and an explicit SyncJournal / StartJournalSync (or
-// Close) is the durability barrier. A crash can therefore lose a suffix of
-// recent ops — never a middle — the prefix-durability contract that
-// dstest.RunCrash pins with its fault-injection harness.
+// A write returns once its record is handed to the journal's committer, and
+// an explicit SyncJournal / StartJournalSync (or Close) is the durability
+// barrier. A crash can therefore lose a suffix of recent ops — never a middle
+// — the prefix-durability contract that dstest.RunCrash pins with its
+// fault-injection harness.
 //
 // Records hold keys in encoded (codec) space, the same space every stage
 // uses. The codec is frozen for the index lifetime (sharded.Config panics on
@@ -64,25 +64,19 @@ func jrec(op byte, key []byte, value uint64) []byte {
 	return buf
 }
 
-// jlog appends one op to the journal, fire-and-forget: the Ack is not
-// awaited (the Insert/Update/Delete API has no error channel, and SyncNone
-// acks carry no durability anyway). A write failure is not silent, though —
-// the log's first error is sticky, every subsequent Enqueue is refused, and
-// the failure surfaces through JournalErr, SyncJournal, and Close. Callers
-// that need to know the journal is still tracking the index before the next
-// barrier poll JournalErr. Callers hold the writer mutex, which fixes the
+// jlog appends one op to the journal without waiting for it: the op is
+// durable at the next barrier (SyncJournal, StartJournalSync, Close). A write
+// failure is not silent, though — the log's first error is sticky, every
+// subsequent Enqueue is refused with it, and the failure surfaces through
+// JournalErr, SyncJournal, and Close. The refusal reaches jfail on the very
+// next op, so the postmortem dump lands while the failure is fresh instead of
+// waiting for the next barrier. Callers hold the writer mutex, which fixes the
 // journal order.
 func (h *Index) jlog(op byte, key []byte, value uint64) {
 	if h.jl == nil {
 		return
 	}
-	a := h.jl.Enqueue(jrec(op, key, value))
-	// A healthy SyncNone log resolves acks asynchronously; a failed one
-	// resolves them immediately with the sticky error. The non-blocking probe
-	// therefore costs nothing on the happy path but catches a sticky failure
-	// on the very next op, so the postmortem dump lands while the failure is
-	// fresh instead of waiting for the next SyncJournal/Close barrier.
-	if err, done := a.Ready(); done && err != nil {
+	if err := h.jl.Enqueue(jrec(op, key, value)); err != nil {
 		h.jfail(err)
 	}
 }
@@ -234,10 +228,9 @@ func (h *Index) openJournal() error {
 	l, stats, err := wal.Recover(wal.Options{
 		FS:        h.cfg.FS,
 		Dir:       h.cfg.Dir,
-		Mode:      wal.SyncNone,
 		Obs:       h.obsReg,
 		FlightRec: h.fr,
-	}, 0, "journal", func(rec []byte) error {
+	}, func(rec []byte) error {
 		o, err := decodeJournalRecord(rec)
 		if err == nil {
 			fold.apply(o)

@@ -386,7 +386,7 @@ func TestJournalSurvivesSecondCrash(t *testing.T) {
 }
 
 // TestJournalTornTailLosesOnlySuffix crashes the filesystem without a final
-// sync: the journal is buffered (SyncNone), so recovery may lose recent ops
+// sync: an op is durable only once a barrier covers it, so recovery may lose recent ops
 // but must come back to a clean prefix of the applied stream.
 func TestJournalTornTailLosesOnlySuffix(t *testing.T) {
 	fs := vfs.NewMemFS()

@@ -66,7 +66,7 @@ func TestHistogramExemplar(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("commit_ns")
 	// Only an observation that sets the maximum is kept, and says so.
-	if !h.ObserveExemplar(100, 1, "key-a") || !h.ObserveExemplar(900, 2, "key-b") || h.ObserveExemplar(300, 3, "key-c") {
+	if !h.ObserveExemplar(100, 1, []byte("key-a")) || !h.ObserveExemplar(900, 2, []byte("key-b")) || h.ObserveExemplar(300, 3, []byte("key-c")) {
 		t.Fatal("ObserveExemplar must report exactly the new maxima")
 	}
 	s := h.Snapshot()
@@ -82,7 +82,7 @@ func TestHistogramExemplar(t *testing.T) {
 
 	// Merge keeps the slower exemplar.
 	h2 := NewRegistry().Histogram("other")
-	h2.ObserveExemplar(5000, 7, "key-z")
+	h2.ObserveExemplar(5000, 7, []byte("key-z"))
 	m := s
 	m.Merge(h2.Snapshot())
 	if m.Exemplar.Ns != 5000 || m.Exemplar.Key != "key-z" {
@@ -96,21 +96,20 @@ func TestHistogramExemplar(t *testing.T) {
 		t.Fatal("plain Observe must not fabricate an exemplar")
 	}
 	var hn *Histogram
-	if hn.ObserveExemplar(1, 1, "k") {
+	if hn.ObserveExemplar(1, 1, []byte("k")) {
 		t.Fatal("a nil histogram keeps nothing")
 	}
-	hn.ObserveExemplarKey(1, 1, []byte("k"))
 
-	// The bytes form keeps a copy when it sets the max and builds no string
-	// when it does not.
+	// The exemplar keeps a copy of the key when it sets the max and builds no
+	// string when it does not.
 	h4 := r.Histogram("bytes")
 	key := []byte("key-q")
-	h4.ObserveExemplarKey(700, 4, key)
+	h4.ObserveExemplar(700, 4, key)
 	key[4] = 'x' // the caller's buffer is reused
 	if ex := h4.Snapshot().Exemplar; ex == nil || ex.Ns != 700 || ex.SpanID != 4 || ex.Key != "key-q" {
 		t.Fatalf("exemplar from bytes = %+v", ex)
 	}
-	if n := testing.AllocsPerRun(100, func() { h4.ObserveExemplarKey(10, 5, key) }); n != 0 {
-		t.Fatalf("ObserveExemplarKey below the max allocates %.0f times", n)
+	if n := testing.AllocsPerRun(100, func() { h4.ObserveExemplar(10, 5, key) }); n != 0 {
+		t.Fatalf("ObserveExemplar below the max allocates %.0f times", n)
 	}
 }

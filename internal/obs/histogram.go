@@ -103,32 +103,20 @@ func (h *Histogram) observe(ns int64) bool {
 // ObserveExemplar records ns like ObserveNs and, if it set a new max,
 // remembers (span, key) as the histogram's slow-op exemplar and reports true —
 // the caller's cue to End that span, so the exemplar's ID resolves to a record
-// in the ring. The exemplar update happens only on the new-max path, so the
-// common case costs exactly what ObserveNs costs. No-op (false) on a nil
-// histogram.
-func (h *Histogram) ObserveExemplar(ns int64, span uint64, key string) bool {
-	slowest := h.observe(ns)
-	if slowest {
-		h.setExemplar(ns, span, key)
+// in the ring. The exemplar update (and the copy of key, which the caller may
+// reuse) happens only on the new-max path, so the common case costs exactly
+// what ObserveNs costs. No-op (false) on a nil histogram.
+func (h *Histogram) ObserveExemplar(ns int64, span uint64, key []byte) bool {
+	if !h.observe(ns) {
+		return false
 	}
-	return slowest
-}
-
-// ObserveExemplarKey is ObserveExemplar for a caller that holds the key tag as
-// bytes: the string is built only when the observation is kept as the exemplar.
-func (h *Histogram) ObserveExemplarKey(ns int64, span uint64, key []byte) {
-	if h.observe(ns) {
-		h.setExemplar(ns, span, string(key))
-	}
-}
-
-func (h *Histogram) setExemplar(ns int64, span uint64, key string) {
 	h.exMu.Lock()
 	// Racing new-max observers can interleave; keep the slowest.
 	if ns >= h.ex.Ns {
-		h.ex = Exemplar{Ns: ns, SpanID: span, Key: key}
+		h.ex = Exemplar{Ns: ns, SpanID: span, Key: string(key)}
 	}
 	h.exMu.Unlock()
+	return true
 }
 
 // HistogramSnapshot is an immutable copy of a histogram, mergeable with

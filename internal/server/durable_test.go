@@ -221,14 +221,6 @@ func (c crashSharded) ApplyBatch(ops []dstest.CrashOp) error {
 	return err
 }
 
-func (c crashSharded) Put(key, value []byte) error {
-	return c.ApplyBatch([]dstest.CrashOp{{Key: key, Value: value}})
-}
-
-func (c crashSharded) Delete(key []byte) error {
-	return c.ApplyBatch([]dstest.CrashOp{{Del: true, Key: key}})
-}
-
 func (c crashSharded) Get(key []byte) ([]byte, bool) {
 	v, ok := c.st.Get(key)
 	if !ok {

@@ -459,7 +459,7 @@ func (c *srvConn) observe(op byte, start time.Time, key []byte) {
 	if len(key) > tagLen {
 		key = key[:tagLen]
 	}
-	c.s.reqHist.ObserveExemplarKey(ns, 0, key)
+	c.s.reqHist.ObserveExemplar(ns, 0, key)
 	if ns >= int64(slowRequest) {
 		c.fr().Record("server.slow_request",
 			obs.Str("op", opNames[op]), obs.Str("key", string(key)), obs.I64("ns", ns))

@@ -13,7 +13,6 @@ import (
 	"mets/internal/bloom"
 	"mets/internal/fst"
 	"mets/internal/keys"
-	"mets/internal/obs"
 )
 
 // Config selects the SuRF variant and the underlying trie tuning.
@@ -52,44 +51,7 @@ type Filter struct {
 	// self-describing. Empty for raw-key filters.
 	codecID   string
 	codecDict []byte
-
-	// Optional observability handles (EnableObs); nil-safe no-ops otherwise.
-	// The filter itself can only count how its answers split into positives
-	// and negatives — ground truth lives with the caller, which reports
-	// positives that turned out wrong via RecordFalsePositive (the LSM does
-	// this when a passed table probe finds no record).
-	obsPos *obs.Counter
-	obsNeg *obs.Counter
-	obsFP  *obs.Counter
 }
-
-// EnableObs attaches point-lookup effectiveness counters under name:
-// "<name>.positives"/"<name>.negatives" (maintained by Lookup),
-// "<name>.false_positives" (maintained by the caller through
-// RecordFalsePositive), and a derived "<name>.fpr" gauge — false positives
-// over all true-negative-or-false-positive probes, the Ch. 4 FPR definition
-// (SuRF has no false negatives, so every filter negative is a true
-// negative). Call before sharing the filter across goroutines.
-func (f *Filter) EnableObs(reg *obs.Registry, name string) {
-	if reg == nil {
-		return
-	}
-	f.obsPos = reg.Counter(name + ".positives")
-	f.obsNeg = reg.Counter(name + ".negatives")
-	f.obsFP = reg.Counter(name + ".false_positives")
-	fp, neg := f.obsFP, f.obsNeg
-	reg.GaugeFunc(name+".fpr", func() float64 {
-		f, n := fp.Load(), neg.Load()
-		if f+n == 0 {
-			return 0
-		}
-		return float64(f) / float64(f+n)
-	})
-}
-
-// RecordFalsePositive reports that an earlier positive Lookup answer turned
-// out wrong against ground truth. No-op without EnableObs.
-func (f *Filter) RecordFalsePositive() { f.obsFP.Inc() }
 
 // Build constructs a filter over sorted unique keys.
 func Build(ks [][]byte, cfg Config) (*Filter, error) {
@@ -172,16 +134,6 @@ func extractBits(key []byte, start, n int) uint64 {
 // Lookup performs an approximate point membership test: false guarantees
 // the key was not inserted.
 func (f *Filter) Lookup(key []byte) bool {
-	ok := f.lookup(key)
-	if ok {
-		f.obsPos.Inc()
-	} else {
-		f.obsNeg.Inc()
-	}
-	return ok
-}
-
-func (f *Filter) lookup(key []byte) bool {
 	slot, pathLen, _, ok := f.trie.GetSlot(key)
 	if !ok {
 		return false

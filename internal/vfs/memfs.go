@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"path"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -425,23 +424,3 @@ var (
 	_ FS = OS{}
 	_ FS = (*MemFS)(nil)
 )
-
-// SegmentedName formats/strips the fixed-width numeric file names of WAL
-// segments ("000042.wal").
-func SegmentedName(seq uint64, ext string) string { return fmt.Sprintf("%06d%s", seq, ext) }
-
-// ParseSegmentedName inverts SegmentedName; ok=false for foreign files.
-func ParseSegmentedName(name, ext string) (uint64, bool) {
-	base, found := strings.CutSuffix(name, ext)
-	if !found || len(base) == 0 {
-		return 0, false
-	}
-	var seq uint64
-	for _, c := range base {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		seq = seq*10 + uint64(c-'0')
-	}
-	return seq, true
-}

@@ -97,23 +97,6 @@ func TestListRenameRemove(t *testing.T) {
 	})
 }
 
-func TestSegmentedNames(t *testing.T) {
-	name := SegmentedName(42, ".wal")
-	if name != "000042.wal" {
-		t.Fatalf("name = %q", name)
-	}
-	seq, ok := ParseSegmentedName(name, ".wal")
-	if !ok || seq != 42 {
-		t.Fatalf("parse = %d, %v", seq, ok)
-	}
-	if _, ok := ParseSegmentedName("x.wal", ".wal"); ok {
-		t.Fatal("parsed junk")
-	}
-	if _, ok := ParseSegmentedName("000042.sst", ".wal"); ok {
-		t.Fatal("parsed wrong extension")
-	}
-}
-
 func TestMemFSCrashDropsUnsynced(t *testing.T) {
 	fs := NewMemFS()
 	writeFile(t, fs, "durable.bin", []byte("synced"))

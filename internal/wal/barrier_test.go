@@ -13,10 +13,10 @@ import (
 
 // openCounted opens a log on a MemFS behind a vfs.SyncCounter, so a test can
 // state how many File.Sync calls a step made.
-func openCounted(t *testing.T, mode SyncMode, reg *obs.Registry) (*Log, *vfs.SyncCounter) {
+func openCounted(t *testing.T, reg *obs.Registry) (*Log, *vfs.SyncCounter) {
 	t.Helper()
 	fs := &vfs.SyncCounter{FS: vfs.NewMemFS()}
-	l, err := Open(Options{FS: fs, Dir: "wal", Mode: mode, Obs: reg})
+	l, err := Open(Options{FS: fs, Dir: "wal", Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func syncsDuring(fs *vfs.SyncCounter, step func()) int64 {
 // exactly when a record was enqueued since the last fsync, never otherwise.
 func TestBarrierSyncCounts(t *testing.T) {
 	reg := obs.NewRegistry()
-	l, fs := openCounted(t, SyncNone, reg)
+	l, fs := openCounted(t, reg)
 	mustSync := func() {
 		t.Helper()
 		if err := l.Sync(); err != nil {
@@ -44,11 +44,11 @@ func TestBarrierSyncCounts(t *testing.T) {
 	if n := syncsDuring(fs, mustSync); n != 0 {
 		t.Fatalf("barrier on a fresh log made %d syncs, want 0", n)
 	}
-	if err := l.Enqueue([]byte("one")).Wait(); err != nil {
+	if err := l.Enqueue([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
 	if n := syncsDuring(fs, mustSync); n != 1 {
-		t.Fatalf("barrier after one SyncNone enqueue made %d syncs, want 1", n)
+		t.Fatalf("barrier after one enqueue made %d syncs, want 1", n)
 	}
 	if n := syncsDuring(fs, mustSync); n != 0 {
 		t.Fatalf("second barrier straight after made %d syncs, want 0", n)
@@ -93,33 +93,10 @@ func TestBarrierSyncCounts(t *testing.T) {
 	}
 }
 
-// TestBarrierSyncEachIsClean: under SyncEach an acked record is already
-// covered, so the explicit barrier after it is free, and Close syncs nothing.
-func TestBarrierSyncEachIsClean(t *testing.T) {
-	l, fs := openCounted(t, SyncEach, nil)
-	if n := syncsDuring(fs, func() {
-		if err := l.Append([]byte("acked")); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 1 {
-		t.Fatalf("SyncEach append made %d syncs, want 1", n)
-	}
-	if n := syncsDuring(fs, func() {
-		if err := l.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("barrier + Close after an acked SyncEach append made %d syncs, want 0", n)
-	}
-}
-
 // TestCloseSyncsUncoveredRecords is the other half of the clean-Close rule:
-// a SyncNone record no barrier covered is fsynced by Close.
+// Close is the last barrier, so a record no earlier one covered is fsynced.
 func TestCloseSyncsUncoveredRecords(t *testing.T) {
-	l, fs := openCounted(t, SyncNone, nil)
+	l, fs := openCounted(t, nil)
 	l.Enqueue([]byte("buffered"))
 	if n := syncsDuring(fs, func() {
 		if err := l.Close(); err != nil {
@@ -134,11 +111,11 @@ func TestCloseSyncsUncoveredRecords(t *testing.T) {
 // error, in the one-step and the two-step form alike.
 func TestBarrierErrors(t *testing.T) {
 	mem := vfs.NewMemFS()
-	l, err := Open(Options{FS: mem, Dir: "wal", Mode: SyncNone})
+	l, err := Open(Options{FS: mem, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Enqueue([]byte("written")).Wait(); err != nil {
+	if err := l.Enqueue([]byte("written")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("device gone")
@@ -159,7 +136,7 @@ func TestBarrierErrors(t *testing.T) {
 		t.Fatalf("barrier on a failed, closed log = %v, want %v", err, boom)
 	}
 
-	l2, _ := openCounted(t, SyncNone, nil)
+	l2, _ := openCounted(t, nil)
 	l2.Close()
 	if err := l2.StartSync().Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("barrier on a closed log = %v, want ErrClosed", err)
@@ -176,7 +153,7 @@ func TestBarrierCoversEarlierEnqueues(t *testing.T) {
 		mem := vfs.NewMemFS()
 		// One segment throughout: a size rotation would fsync on its own and
 		// cover records the barrier under test missed.
-		l, err := Open(Options{FS: mem, Dir: "wal", Mode: SyncNone})
+		l, err := Open(Options{FS: mem, Dir: "wal"})
 		if err != nil {
 			t.Fatal(err)
 		}

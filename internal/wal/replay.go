@@ -28,8 +28,8 @@ type ReplayStats struct {
 // Replay applies every intact record in dir's segments with sequence >=
 // minSeg, in (segment, offset) order, to fn. It stops — without error — at
 // the first frame that does not validate: under the crash model that frame
-// and everything after it are unsynced (unacked) bytes, so stopping never
-// loses an acked write. A record-apply error from fn aborts the replay and
+// and everything after it are bytes no barrier covered, so stopping never
+// loses a durable record. A record-apply error from fn aborts the replay and
 // is returned.
 //
 // Replay never panics on arbitrary segment contents (FuzzWALReplay pins
@@ -109,22 +109,21 @@ func Repair(fs vfs.FS, dir string, st ReplayStats) error {
 	return nil
 }
 
-// Recover is an owner's whole restart sequence: replay every intact record in
-// segments >= minSeg into fn, repair a torn tail, then open the log o
-// describes for appending. The repair is committed before anything can be
-// appended — truncate the torn segment to its valid prefix and quarantine the
-// untrusted segments after it — because skipping it would strand every write
-// acked after this recovery behind the damaged frame at the next crash. The
-// replay and a repair are recorded on o.FlightRec as event+".replay" and
-// event+".repair".
-func Recover(o Options, minSeg uint64, event string, fn func(rec []byte) error) (*Log, ReplayStats, error) {
+// Recover is the journal's whole restart sequence: replay every intact record
+// into fn, repair a torn tail, then open the log o describes for appending.
+// The repair is committed before anything can be appended — truncate the torn
+// segment to its valid prefix and quarantine the untrusted segments after it
+// — because skipping it would strand every write made durable after this
+// recovery behind the damaged frame at the next crash. The replay and a
+// repair are recorded on o.FlightRec as "journal.replay" and "journal.repair".
+func Recover(o Options, fn func(rec []byte) error) (*Log, ReplayStats, error) {
 	if o.FS == nil {
 		o.FS = vfs.OS{}
 	}
 	if err := o.FS.MkdirAll(o.Dir); err != nil {
 		return nil, ReplayStats{}, fmt.Errorf("wal: mkdir %s: %w", o.Dir, err)
 	}
-	st, err := Replay(o.FS, o.Dir, minSeg, fn)
+	st, err := Replay(o.FS, o.Dir, 0, fn)
 	if err != nil {
 		return nil, st, err
 	}
@@ -140,12 +139,12 @@ func Recover(o Options, minSeg uint64, event string, fn func(rec []byte) error) 
 	if st.Torn {
 		attrs = append(attrs, torn...)
 	}
-	o.FlightRec.Record(event+".replay", attrs...)
+	o.FlightRec.Record("journal.replay", attrs...)
 	if err := Repair(o.FS, o.Dir, st); err != nil {
 		return nil, st, err
 	}
 	if st.Torn {
-		o.FlightRec.Record(event+".repair", torn...)
+		o.FlightRec.Record("journal.repair", torn...)
 	}
 	l, err := Open(o)
 	return l, st, err

@@ -4,19 +4,21 @@
 //
 //	u32 payload length | u32 CRC-32C over (length bytes ‖ payload) | payload
 //
-// in little-endian, appended to numbered segment files ("000001.wal"). A
-// single committer goroutine drains enqueued records into the current
-// segment and fsyncs once per batch — group commit: every writer blocked in
-// Ack.Wait for that batch is acked by one fsync, so the fsync cost
-// amortizes across concurrent writers. Segments rotate at a size threshold
-// (or on demand, which is how the journal ties a BulkLoad reset to a WAL
-// position), and DeleteBelow truncates the log once the state it covers is
-// durable elsewhere.
+// in little-endian, appended to numbered segment files ("000001.wal").
+//
+// The log has one contract: Enqueue hands a record to a single committer
+// goroutine, which writes it to the current segment, and the record is
+// durable once a barrier — StartSync/Sync, Rotate or Close — covers it. The
+// committer answers every barrier queued while it wrote with one fsync
+// (group commit), and a barrier with nothing new to cover costs none.
+// Segments rotate at a size threshold (or on demand, which is how the
+// journal ties a BulkLoad reset to a WAL position), and DeleteBelow
+// truncates the log once the state it covers is durable elsewhere.
 //
 // Replay tolerates a torn tail: it applies records in segment order and
 // stops at the first frame that is short, oversized, or fails its CRC —
-// which, under the vfs crash model, is always at or after the last synced
-// (acked) record, never behind it.
+// which, under the vfs crash model, is always after the last record a
+// barrier covered, never behind it.
 package wal
 
 import (
@@ -25,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"path"
+	"strings"
 	"sync"
 	"time"
 
@@ -32,8 +35,8 @@ import (
 	"mets/internal/vfs"
 )
 
-// SegmentExt is the WAL segment file suffix.
-const SegmentExt = ".wal"
+// segmentExt is the WAL segment file suffix.
+const segmentExt = ".wal"
 
 // frameHeaderLen is the per-record framing overhead.
 const frameHeaderLen = 8
@@ -47,70 +50,26 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// SyncMode selects the durability contract of Ack.Wait.
-type SyncMode int
-
-const (
-	// SyncEach acks a record only after the fsync of the batch containing
-	// it: an acked write survives any crash. Concurrent writers still
-	// share fsyncs (the committer batches whatever queued while the
-	// previous fsync ran). The durable default.
-	SyncEach SyncMode = iota
-	// SyncNone acks as soon as the record is written to the OS (no fsync):
-	// a crash may lose acked records. Sync/StartSync remain available as
-	// explicit barriers.
-	SyncNone
-)
-
 // Options configures Open.
 type Options struct {
 	FS  vfs.FS // nil = vfs.OS{}
 	Dir string // segment directory (created if missing)
 	// SegmentBytes is the rotation threshold (default 4 MB).
 	SegmentBytes int64
-	// Mode is the ack durability contract (default SyncEach).
-	Mode SyncMode
 	// Obs hooks the log into a metrics registry under "wal.": appended
 	// records/bytes, fsyncs, barriers answered without one (syncs_elided),
-	// rotations, and a group-commit latency histogram (enqueue → durable,
-	// i.e. what a committed writer actually waits) that sees every ack. The
-	// ring gets a "wal.batch" record (records, bytes, write_ns, fsync_ns)
-	// only for a batch holding the slowest commit so far — the one the
-	// histogram's exemplar points at. Nil disables instrumentation.
+	// rotations, and a group-commit latency histogram (StartSync → resolved,
+	// i.e. what a committed writer actually waits) that sees every barrier
+	// the committer answers. The ring gets a "wal.batch" record (records,
+	// bytes, write_ns, fsync_ns) only for a pass holding the slowest barrier
+	// so far — the one the histogram's exemplar points at. Nil disables
+	// instrumentation.
 	Obs *obs.Registry
 	// FlightRec receives structured lifecycle events (rotations, the first
 	// sticky error). Nil falls back to Obs's recorder, so it only needs
 	// setting when the owner keeps a recorder without a registry (the
-	// always-on durable engines).
+	// always-on journal of a hybrid index).
 	FlightRec *obs.FlightRecorder
-}
-
-// Ack is one record's durability promise.
-type Ack struct {
-	seq  uint64 // 1-based enqueue index of the record
-	done chan struct{}
-	err  error
-	t0   time.Time
-}
-
-// Wait blocks until the record is durable per the log's SyncMode and
-// returns the write/sync error, if any.
-func (a *Ack) Wait() error {
-	<-a.done
-	return a.err
-}
-
-// Ready is the non-blocking probe: done reports whether the ack has
-// resolved, and err is its verdict when it has. Fire-and-forget callers
-// (the hybrid op journal) use it to notice a sticky failure — a failed log
-// resolves acks immediately — without ever blocking on a healthy one.
-func (a *Ack) Ready() (err error, done bool) {
-	select {
-	case <-a.done:
-		return a.err, true
-	default:
-		return nil, false
-	}
 }
 
 // Log is a segmented write-ahead log. Enqueue is cheap and safe to call
@@ -119,11 +78,10 @@ type Log struct {
 	fs    vfs.FS
 	dir   string
 	limit int64
-	mode  SyncMode
 
 	mu      sync.Mutex
 	cond    *sync.Cond // committer wakeup
-	pending []pendingRec
+	pending [][]byte
 	synchs  []*Barrier
 	rotates []*rotateReq
 	closing bool
@@ -131,11 +89,11 @@ type Log struct {
 	err     error // sticky: first write/sync failure kills the log
 
 	enqSeq    uint64 // records enqueued
-	syncedSeq uint64 // highest record sequence covered by an fsync
+	syncedSeq uint64 // records covered by an fsync
 
-	// writtenSeq is the highest record sequence written to a segment file.
-	// Only the committer touches it; writtenSeq > syncedSeq means the files
-	// hold bytes no fsync has covered yet.
+	// writtenSeq counts the records written to a segment file. Only the
+	// committer touches it; writtenSeq > syncedSeq means the files hold bytes
+	// no fsync has covered yet.
 	writtenSeq uint64
 
 	seg     uint64   // current segment sequence number
@@ -147,21 +105,16 @@ type Log struct {
 	obsFsyncs  *obs.Counter
 	obsElided  *obs.Counter
 	obsRotates *obs.Counter
-	obsCommit  *obs.Histogram // group-commit latency (enqueue → ack)
-	obsSpans   *obs.Registry  // "wal."-prefixed view for the slowest batch's span
+	obsCommit  *obs.Histogram // group-commit latency (StartSync → resolved)
+	obsSpans   *obs.Registry  // "wal."-prefixed view for the slowest pass's span
 	fr         *obs.FlightRecorder
-}
-
-type pendingRec struct {
-	rec []byte
-	tag string // slow-op exemplar tag (key prefix); "" when untagged
-	ack *Ack
 }
 
 // Barrier is the wait handle of one StartSync call.
 type Barrier struct {
 	done chan struct{} // nil when the barrier resolved inside StartSync
 	err  error
+	t0   time.Time // StartSync time, for the group-commit histogram
 }
 
 // Wait blocks until every record enqueued before the StartSync call is
@@ -183,8 +136,24 @@ type rotateReq struct {
 	err    error
 }
 
-// SegmentName returns the file name of segment seq.
-func SegmentName(seq uint64) string { return vfs.SegmentedName(seq, SegmentExt) }
+// SegmentName returns the file name of segment seq: fixed-width decimal,
+// so names sort in sequence order ("000042.wal").
+func SegmentName(seq uint64) string { return fmt.Sprintf("%06d%s", seq, segmentExt) }
+
+// parseSegmentName inverts SegmentName; ok=false for foreign files.
+func parseSegmentName(name string) (seq uint64, ok bool) {
+	base, found := strings.CutSuffix(name, segmentExt)
+	if !found || len(base) == 0 {
+		return 0, false
+	}
+	for _, c := range base {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		seq = seq*10 + uint64(c-'0')
+	}
+	return seq, true
+}
 
 // ListSegments returns the segment sequence numbers present in dir,
 // ascending.
@@ -195,7 +164,7 @@ func ListSegments(fs vfs.FS, dir string) ([]uint64, error) {
 	}
 	var segs []uint64
 	for _, n := range names {
-		if seq, ok := vfs.ParseSegmentedName(n, SegmentExt); ok {
+		if seq, ok := parseSegmentName(n); ok {
 			segs = append(segs, seq)
 		}
 	}
@@ -227,7 +196,6 @@ func Open(o Options) (*Log, error) {
 		fs:     o.FS,
 		dir:    o.Dir,
 		limit:  o.SegmentBytes,
-		mode:   o.Mode,
 		closed: make(chan struct{}),
 		seg:    next,
 	}
@@ -255,46 +223,36 @@ func Open(o Options) (*Log, error) {
 	return l, nil
 }
 
-// Enqueue stages rec for the committer and returns its Ack. The record
-// contents are captured by reference; callers must not mutate rec
-// afterwards. Safe (and intended) to call under a caller mutex so that WAL
-// order matches in-memory apply order; do the blocking Wait after
-// unlocking.
-func (l *Log) Enqueue(rec []byte) *Ack { return l.EnqueueTagged(rec, "") }
-
-// EnqueueTagged is Enqueue with a short human-readable tag (e.g. the op's
-// key prefix). If this record turns out to be the slowest commit seen, the
-// tag lands in the group-commit histogram's exemplar, pointing the p99
-// reader at a concrete op.
-func (l *Log) EnqueueTagged(rec []byte, tag string) *Ack {
-	a := &Ack{done: make(chan struct{})}
-	if l.obsCommit != nil {
-		a.t0 = time.Now()
+// refusalLocked is the error a failed or closing log answers new work
+// with, nil while it is healthy. The caller holds l.mu.
+func (l *Log) refusalLocked() error {
+	if l.err != nil {
+		return l.err
 	}
-	l.mu.Lock()
-	if l.err != nil || l.closing {
-		err := l.err
-		if err == nil {
-			err = ErrClosed
-		}
-		l.mu.Unlock()
-		a.err = err
-		close(a.done)
-		return a
+	if l.closing {
+		return ErrClosed
 	}
-	l.enqSeq++
-	a.seq = l.enqSeq
-	l.pending = append(l.pending, pendingRec{rec: rec, tag: tag, ack: a})
-	l.cond.Signal()
-	l.mu.Unlock()
-	return a
+	return nil
 }
 
-// Append is Enqueue + Wait.
-func (l *Log) Append(rec []byte) error { return l.Enqueue(rec).Wait() }
+// Enqueue stages rec for the committer; the record is durable once a later
+// barrier covers it. It returns the log's sticky error (or ErrClosed) when
+// the record is refused. The record contents are captured by reference;
+// callers must not mutate rec afterwards. Safe (and intended) to call under
+// a caller mutex so that WAL order matches in-memory apply order.
+func (l *Log) Enqueue(rec []byte) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err := l.refusalLocked(); err != nil {
+		return err
+	}
+	l.enqSeq++
+	l.pending = append(l.pending, rec)
+	l.cond.Signal()
+	return nil
+}
 
-// Sync blocks until every record enqueued so far is written and fsynced —
-// an explicit durability barrier valid in every mode, including SyncNone.
+// Sync blocks until every record enqueued so far is written and fsynced.
 func (l *Log) Sync() error { return l.StartSync().Wait() }
 
 // StartSync is the non-blocking half of Sync: it asks the committer to cover
@@ -307,17 +265,14 @@ func (l *Log) Sync() error { return l.StartSync().Wait() }
 func (l *Log) StartSync() *Barrier {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return &Barrier{err: l.err}
-	}
-	if l.closing {
-		return &Barrier{err: ErrClosed}
+	if err := l.refusalLocked(); err != nil {
+		return &Barrier{err: err}
 	}
 	if l.syncedSeq == l.enqSeq {
 		l.obsElided.Inc()
 		return cleanBarrier
 	}
-	b := &Barrier{done: make(chan struct{})}
+	b := &Barrier{done: make(chan struct{}), t0: time.Now()}
 	l.synchs = append(l.synchs, b)
 	l.cond.Signal()
 	return b
@@ -330,13 +285,9 @@ func (l *Log) StartSync() *Barrier {
 // journal calls both under its index's writer lock).
 func (l *Log) Rotate() (sealed uint64, err error) {
 	l.mu.Lock()
-	if l.err != nil {
-		defer l.mu.Unlock()
-		return 0, l.err
-	}
-	if l.closing {
-		defer l.mu.Unlock()
-		return 0, ErrClosed
+	if err := l.refusalLocked(); err != nil {
+		l.mu.Unlock()
+		return 0, err
 	}
 	r := &rotateReq{done: make(chan struct{})}
 	l.rotates = append(l.rotates, r)
@@ -372,13 +323,6 @@ func (l *Log) DeleteBelow(minKeep uint64) error {
 	return nil
 }
 
-// Seq returns the current (live) segment sequence number.
-func (l *Log) Seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seg
-}
-
 // Err returns the sticky error, if the log has failed.
 func (l *Log) Err() error {
 	l.mu.Lock()
@@ -409,9 +353,10 @@ func (l *Log) Close() error {
 	return l.err
 }
 
-// commitLoop is the single committer: it steals the pending batch, writes
-// each record (rotating mid-batch when the segment fills), fsyncs once,
-// and completes the batch's acks and any barrier requests.
+// commitLoop is the single committer: each pass steals the pending records
+// and requests, writes the records (rotating mid-pass when the segment
+// fills), fsyncs once if a barrier or rotation asks for it and something is
+// uncovered, and answers the requests.
 func (l *Log) commitLoop() {
 	defer close(l.closed)
 	for {
@@ -420,8 +365,7 @@ func (l *Log) commitLoop() {
 			l.cond.Wait()
 		}
 		if l.closing && len(l.pending) == 0 && len(l.synchs) == 0 && len(l.rotates) == 0 {
-			// Final fsync so buffered bytes of SyncNone-mode records are not
-			// lost by a clean Close.
+			// Close is the last barrier: cover what no earlier one did.
 			if l.err == nil && l.writtenSeq > l.syncedSeq {
 				if err := l.segFile.Sync(); err == nil {
 					l.obsFsyncs.Inc()
@@ -431,40 +375,35 @@ func (l *Log) commitLoop() {
 			l.mu.Unlock()
 			return
 		}
-		batch := l.pending
-		l.pending = nil
-		synchs := l.synchs
-		l.synchs = nil
-		rotates := l.rotates
-		l.rotates = nil
+		batch, synchs, rotates := l.pending, l.synchs, l.rotates
+		l.pending, l.synchs, l.rotates = nil, nil, nil
 		err := l.err
 		l.mu.Unlock()
 
-		// Every ack in the batch is observed under this span's ID, and the
-		// span is ended — becomes a record — only if one of them is the
-		// slowest commit so far: a slow Put's exemplar resolves to the batch
-		// (and fsync) it actually waited on, and a commit like any other
+		// Every barrier this pass answers is observed under this span's ID,
+		// and the span is ended — becomes a record — only if one of them is
+		// the slowest commit so far: a slow commit's exemplar resolves to the
+		// pass (and fsync) it actually waited on, and a commit like any other
 		// leaves the ring to the lifecycle.
 		var sp *obs.Span
-		if l.obsSpans != nil && len(batch) > 0 {
+		if len(synchs) > 0 {
 			sp = l.obsSpans.StartSpan("batch")
 			sp.Phase("write")
 		}
 		var wrote int64
 		if err == nil {
-			for _, p := range batch {
-				if err = l.writeRecord(p.rec); err != nil {
+			for _, rec := range batch {
+				if err = l.writeRecord(rec); err != nil {
 					break
 				}
-				l.writtenSeq = p.ack.seq
-				wrote += int64(frameHeaderLen + len(p.rec))
+				l.writtenSeq++
+				wrote += int64(frameHeaderLen + len(rec))
 			}
 		}
 		// A barrier that found every written record already covered (it was
 		// queued while the fsync covering them ran) needs no fsync of its own.
 		dirty := l.writtenSeq > l.syncedSeq
-		needSync := dirty && (l.mode != SyncNone || len(synchs) > 0 || len(rotates) > 0)
-		if err == nil && needSync {
+		if err == nil && dirty && (len(synchs) > 0 || len(rotates) > 0) {
 			sp.Phase("fsync")
 			if serr := l.segFile.Sync(); serr != nil {
 				err = serr
@@ -491,24 +430,21 @@ func (l *Log) commitLoop() {
 		}
 		l.mu.Unlock()
 
+		l.obsAppends.Add(int64(len(batch)))
+		l.obsBytes.Add(wrote)
+		if err == nil && !dirty {
+			l.obsElided.Add(int64(len(synchs)))
+		}
 		now := time.Now()
 		slowest := false
-		for _, p := range batch {
-			p.ack.err = err
-			close(p.ack.done)
-			l.obsAppends.Inc()
-			// A nil histogram took no t0 at enqueue and observes nothing.
-			if l.obsCommit.ObserveExemplar(now.Sub(p.ack.t0).Nanoseconds(), sp.ID(), p.tag) {
+		for _, b := range synchs {
+			if l.obsCommit.ObserveExemplar(now.Sub(b.t0).Nanoseconds(), sp.ID(), nil) {
 				slowest = true
 			}
 		}
 		if slowest {
 			sp.Annotate(obs.I64("records", int64(len(batch))), obs.I64("bytes", wrote))
 			sp.End()
-		}
-		l.obsBytes.Add(wrote)
-		if err == nil && !dirty {
-			l.obsElided.Add(int64(len(synchs)))
 		}
 		for _, b := range synchs {
 			b.err = err
@@ -524,7 +460,7 @@ func (l *Log) writeRecord(rec []byte) error {
 		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(rec))
 	}
 	if l.segSize > 0 && l.segSize+int64(frameHeaderLen+len(rec)) > l.limit {
-		// Mid-batch rotation: sync and seal the full segment, open the next.
+		// Mid-pass rotation: sync and seal the full segment, open the next.
 		if err := l.segFile.Sync(); err != nil {
 			return err
 		}

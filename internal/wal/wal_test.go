@@ -23,20 +23,50 @@ func collect(t *testing.T, fs vfs.FS, dir string, minSeg uint64) ([][]byte, Repl
 	return recs, st
 }
 
+// write enqueues recs and makes them durable with one barrier.
+func write(t *testing.T, l *Log, recs ...string) {
+	t.Helper()
+	for _, r := range recs {
+		if err := l.Enqueue([]byte(r)); err != nil {
+			t.Fatalf("enqueue %q: %v", r, err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+}
+
+func TestSegmentedNames(t *testing.T) {
+	name := SegmentName(42)
+	if name != "000042.wal" {
+		t.Fatalf("name = %q", name)
+	}
+	seq, ok := parseSegmentName(name)
+	if !ok || seq != 42 {
+		t.Fatalf("parse = %d, %v", seq, ok)
+	}
+	if _, ok := parseSegmentName("x.wal"); ok {
+		t.Fatal("parsed junk")
+	}
+	if _, ok := parseSegmentName(".wal"); ok {
+		t.Fatal("parsed an empty sequence")
+	}
+	if _, ok := parseSegmentName("000042.sst"); ok {
+		t.Fatal("parsed wrong extension")
+	}
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, err := Open(Options{FS: fs, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]byte
+	var want []string
 	for i := 0; i < 100; i++ {
-		rec := []byte(fmt.Sprintf("record-%03d", i))
-		want = append(want, rec)
-		if err := l.Append(rec); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
+		want = append(want, fmt.Sprintf("record-%03d", i))
 	}
+	write(t, l, want...)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +78,15 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if string(got[i]) != string(want[i]) {
+		if string(got[i]) != want[i] {
 			t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
 		}
 	}
 }
 
+// TestGroupCommitConcurrentWriters: writers that each make every record
+// durable before the next one share the committer; every record is replayed,
+// each writer's in its own order.
 func TestGroupCommitConcurrentWriters(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, err := Open(Options{FS: fs, Dir: "wal"})
@@ -67,8 +100,12 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					t.Errorf("append: %v", err)
+				if err := l.Enqueue([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+					t.Errorf("enqueue: %v", err)
+					return
+				}
+				if err := l.Sync(); err != nil {
+					t.Errorf("sync: %v", err)
 					return
 				}
 			}
@@ -82,13 +119,46 @@ func TestGroupCommitConcurrentWriters(t *testing.T) {
 	if len(got) != writers*per {
 		t.Fatalf("replayed %d records, want %d", len(got), writers*per)
 	}
+	next := make([]int, writers)
+	for _, rec := range got {
+		var w, i int
+		if _, err := fmt.Sscanf(string(rec), "w%d-%d", &w, &i); err != nil || w < 0 || w >= writers || i != next[w] {
+			t.Fatalf("record %q out of order (writer %d expects %d)", rec, w, next[w])
+		}
+		next[w]++
+	}
+}
+
+// TestOneBarrierIsOneCommit: what the group_commit histogram counts is
+// barriers, not records — N records made durable by one Sync are N appends
+// and one commit.
+func TestOneBarrierIsOneCommit(t *testing.T) {
+	reg := obs.NewRegistry()
+	l, err := Open(Options{FS: vfs.NewMemFS(), Dir: "wal", Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	recs := make([]string, n)
+	for i := range recs {
+		recs[i] = fmt.Sprintf("rec-%d", i)
+	}
+	write(t, l, recs...)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if c, a := snap.Histograms["wal.group_commit"].Count, snap.Counters["wal.appends"]; c != 1 || a != n {
+		t.Fatalf("group_commit count = %d, wal.appends = %d; want 1 and %d", c, a, n)
+	}
 }
 
 // TestSlowestBatchIsTheRingsOnlyCommitRecord pins what a commit leaves
-// behind: every ack lands in the group_commit histogram, and the ring gets a
-// wal.batch record only for a batch that set that histogram's maximum — so
-// the exemplar's span always resolves to the newest such record, and two
-// hundred ordinary commits do not push the lifecycle out of the ring.
+// behind: every barrier lands in the group_commit histogram, and the ring
+// gets a wal.batch record only for a committer pass whose barrier set that
+// histogram's maximum — so the exemplar's span always resolves to the newest
+// such record, and two hundred ordinary commits do not push the lifecycle out
+// of the ring.
 func TestSlowestBatchIsTheRingsOnlyCommitRecord(t *testing.T) {
 	reg := obs.NewRegistry()
 	l, err := Open(Options{FS: vfs.NewMemFS(), Dir: "wal", Obs: reg})
@@ -97,9 +167,7 @@ func TestSlowestBatchIsTheRingsOnlyCommitRecord(t *testing.T) {
 	}
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := l.EnqueueTagged([]byte("rec"), fmt.Sprintf("k%d", i)).Wait(); err != nil {
-			t.Fatal(err)
-		}
+		write(t, l, "rec")
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -107,7 +175,7 @@ func TestSlowestBatchIsTheRingsOnlyCommitRecord(t *testing.T) {
 	snap := reg.Snapshot()
 	h := snap.Histograms["wal.group_commit"]
 	if h.Count != n || snap.Counters["wal.appends"] != n || h.Exemplar == nil {
-		t.Fatalf("group_commit saw %d of %d acks (exemplar %v)", h.Count, n, h.Exemplar)
+		t.Fatalf("group_commit saw %d of %d barriers (exemplar %v)", h.Count, n, h.Exemplar)
 	}
 	var batches []obs.Event
 	for _, ev := range snap.Events {
@@ -136,7 +204,7 @@ func TestSizeRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		if err := l.Append(make([]byte, 32)); err != nil {
+		if err := l.Enqueue(make([]byte, 32)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,13 +230,13 @@ func TestExplicitRotateAndDeleteBelow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("old-1"))
-	l.Append([]byte("old-2"))
+	l.Enqueue([]byte("old-1"))
+	l.Enqueue([]byte("old-2"))
 	sealed, err := l.Rotate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("new-1"))
+	write(t, l, "new-1")
 	// Replay from past the sealed segment sees only the new record.
 	got, _ := collect(t, fs, "wal", sealed+1)
 	if len(got) != 1 || string(got[0]) != "new-1" {
@@ -193,17 +261,16 @@ func TestExplicitRotateAndDeleteBelow(t *testing.T) {
 func TestReopenContinuesNumbering(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, _ := Open(Options{FS: fs, Dir: "wal"})
-	l.Append([]byte("first"))
-	first := l.Seq()
+	l.Enqueue([]byte("first"))
 	l.Close()
 	l2, err := Open(Options{FS: fs, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.Seq() <= first {
-		t.Fatalf("reopen segment %d not past %d", l2.Seq(), first)
+	if segs, _ := ListSegments(fs, "wal"); len(segs) != 2 || segs[0] != 1 || segs[1] != 2 {
+		t.Fatalf("segments after reopen = %v, want [1 2]", segs)
 	}
-	l2.Append([]byte("second"))
+	l2.Enqueue([]byte("second"))
 	l2.Close()
 	got, _ := collect(t, fs, "wal", 0)
 	if len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "second" {
@@ -213,25 +280,26 @@ func TestReopenContinuesNumbering(t *testing.T) {
 
 func TestTornTailStopsAtAckedPrefix(t *testing.T) {
 	// Crash with unsynced bytes in TornTail mode: replay must recover every
-	// acked record and stop cleanly at the torn frame.
+	// record a barrier covered and stop cleanly at the torn frame.
 	for seed := int64(1); seed <= 20; seed++ {
 		fs := vfs.NewMemFS()
-		l, err := Open(Options{FS: fs, Dir: "wal", Mode: SyncNone})
+		l, err := Open(Options{FS: fs, Dir: "wal"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			l.Append([]byte(fmt.Sprintf("acked-%d", i)))
+			write(t, l, fmt.Sprintf("acked-%d", i))
 		}
-		if err := l.Sync(); err != nil { // acked-durable barrier
-			t.Fatal(err)
-		}
+		// Each record is one file write: the five risky records are written,
+		// not synced, and the write of "boom" trips the crash.
+		fs.CrashAt(6, vfs.TornTail, seed)
 		for i := 0; i < 5; i++ {
-			l.Append([]byte(fmt.Sprintf("risky-%d", i))) // written, not synced
+			l.Enqueue([]byte(fmt.Sprintf("risky-%d", i)))
 		}
-		fs.CrashAt(1, vfs.TornTail, seed)
-		// Log dies on its next write; ignore the error.
-		l.Append([]byte("boom"))
+		l.Enqueue([]byte("boom"))
+		if err := l.Sync(); err == nil {
+			t.Fatalf("seed %d: barrier over a crashed write succeeded", seed)
+		}
 		fs.Recover()
 		got, _ := collect(t, fs, "wal", 0)
 		if len(got) < 5 {
@@ -255,12 +323,12 @@ func TestTornTailStopsAtAckedPrefix(t *testing.T) {
 func TestCorruptTailDetected(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		fs := vfs.NewMemFS()
-		l, _ := Open(Options{FS: fs, Dir: "wal", Mode: SyncNone})
-		l.Append([]byte("acked"))
+		l, _ := Open(Options{FS: fs, Dir: "wal"})
+		write(t, l, "acked")
+		fs.CrashAt(2, vfs.CorruptTail, seed) // the risky write lands, "boom" trips
+		l.Enqueue([]byte("risky-record-with-some-length"))
+		l.Enqueue([]byte("boom"))
 		l.Sync()
-		l.Append([]byte("risky-record-with-some-length"))
-		fs.CrashAt(1, vfs.CorruptTail, seed)
-		l.Append([]byte("boom"))
 		fs.Recover()
 		got, st := collect(t, fs, "wal", 0)
 		if len(got) < 1 || string(got[0]) != "acked" {
@@ -282,18 +350,16 @@ func TestCorruptTailDetected(t *testing.T) {
 // torn frame mid-segment must be truncated away by Repair so that records
 // appended (and synced) into later segments after the recovery are still
 // reached by the next replay. Without Repair, the second replay stops at
-// the old torn frame and the new acked records are lost.
+// the old torn frame and the new durable records are lost.
 func TestRepairTornSegmentThenContinue(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, err := Open(Options{FS: fs, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := func(i int) []byte { return []byte(fmt.Sprintf("record-%03d", i)) }
+	rec := func(i int) string { return fmt.Sprintf("record-%03d", i) }
 	for i := 0; i < 5; i++ {
-		if err := l.Append(rec(i)); err != nil {
-			t.Fatal(err)
-		}
+		write(t, l, rec(i))
 	}
 	l.Close()
 	// Tear the segment mid-frame: keep 2 whole frames plus 3 bytes.
@@ -319,21 +385,16 @@ func TestRepairTornSegmentThenContinue(t *testing.T) {
 		t.Fatalf("repaired segment size = %d,%v, want %d", sz, err, 2*frame)
 	}
 
-	// Post-recovery writes land in a new segment and are acked (fsynced).
+	// Post-recovery writes land in a new segment and are fsynced.
 	l2, err := Open(Options{FS: fs, Dir: "wal"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append([]byte("after-crash-1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Append([]byte("after-crash-2")); err != nil {
-		t.Fatal(err)
-	}
+	write(t, l2, "after-crash-1", "after-crash-2")
 	l2.Close()
 
 	// Second recovery: the repaired segment reads cleanly to EOF, so replay
-	// continues into the new segment — no acked write lost.
+	// continues into the new segment — no durable write lost.
 	got, st = collect(t, fs, "wal", 0)
 	if st.Torn {
 		t.Fatalf("replay after repair still torn: %+v", st)
@@ -359,11 +420,11 @@ func TestRepairQuarantinesUntrustedSuffix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("seg1-rec"))
+	l.Enqueue([]byte("seg1-rec"))
 	if _, err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	l.Append([]byte("seg2-rec"))
+	l.Enqueue([]byte("seg2-rec"))
 	l.Close()
 	// Corrupt the first segment's frame CRC (synced, mid-log damage).
 	if err := fs.Corrupt("wal/"+SegmentName(1), 5, 0x01); err != nil {
@@ -405,8 +466,8 @@ func TestSyncBarrierAfterClose(t *testing.T) {
 	if err := l.Sync(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Sync on closed log = %v", err)
 	}
-	if err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Append on closed log = %v", err)
+	if err := l.Enqueue([]byte("x")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Enqueue on closed log = %v", err)
 	}
 	if _, err := l.Rotate(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Rotate on closed log = %v", err)
@@ -416,15 +477,16 @@ func TestSyncBarrierAfterClose(t *testing.T) {
 func TestStickyErrorAfterCrash(t *testing.T) {
 	fs := vfs.NewMemFS()
 	l, _ := Open(Options{FS: fs, Dir: "wal"})
-	l.Append([]byte("ok"))
+	write(t, l, "ok")
 	fs.CrashAt(1, vfs.DropUnsynced, 1)
-	if err := l.Append([]byte("boom")); err == nil {
-		t.Fatal("append on crashed fs succeeded")
+	l.Enqueue([]byte("boom"))
+	if err := l.Sync(); err == nil {
+		t.Fatal("barrier on crashed fs succeeded")
 	}
 	if l.Err() == nil {
 		t.Fatal("no sticky error")
 	}
-	if err := l.Append([]byte("later")); err == nil {
-		t.Fatal("append after sticky error succeeded")
+	if err := l.Enqueue([]byte("later")); err == nil {
+		t.Fatal("enqueue after sticky error succeeded")
 	}
 }
