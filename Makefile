@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 21590
+LOC_MAX := 21300
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -73,13 +73,15 @@ fuzz-smoke:
 # filesystem op, in drop/torn/corrupt unsynced-byte modes) over the engine
 # the server runs, driven through ShardedStore.ApplyBatch in 1-op and 8-op
 # commits, with the check that the flightrec.json it leaves still holds the
-# lifecycle after thousands of commits — all under the race detector.
+# lifecycle after thousands of commits, and that a connection's pipelined
+# burst of PUTs is one commit syncing each touched journal at most once — all
+# under the race detector.
 crash-smoke:
 	$(GO) test -race -count=1 -run '^(TestTornTailStopsAtAckedPrefix|TestCorruptTailDetected|TestStickyErrorAfterCrash|TestRepairTornSegmentThenContinue|TestRepairQuarantinesUntrustedSuffix|TestBarrier.*|TestCloseSyncsUncoveredRecords)$$' ./internal/wal
 	$(GO) test -race -count=1 -run '^TestMemFSCrash' ./internal/vfs
 	$(GO) test -race -count=1 -run '^TestHarness(PassesCorrect|Bites)$$' ./internal/dstest
 	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Status)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
-	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards|LifecycleSurvivesCommits)$$' ./internal/server
+	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards|LifecycleSurvivesCommits|BurstSharesOneCommit)$$' ./internal/server
 
 # server-smoke exercises the real mets-server binary end to end, started
 # with the arguments the gated benchmark passes (-engine sharded): a checked

@@ -1,8 +1,9 @@
 // Command mets-server serves the sharded hybrid index over the wire
-// protocol: pipelined TCP connections, a write coalescer with group commit,
-// admission control that sheds load under merge backlog, and MVCC snapshot
-// reads. With -dir every shard journals its writes (internal/wal) and a
-// restart replays them. A debug HTTP endpoint exposes /metrics (Prometheus
+// protocol: pipelined TCP connections, each served by one goroutine that
+// commits a burst of pipelined writes with one durability barrier, and MVCC
+// snapshot reads. With -dir every shard journals its writes (internal/wal),
+// concurrent connections' barriers share each journal's fsync, and a restart
+// replays them. A debug HTTP endpoint exposes /metrics (Prometheus
 // text format), /debug/vars, and /healthz.
 //
 // Usage:
@@ -13,8 +14,9 @@
 // -engine names the engine; sharded is the only one, and any other value
 // is refused.
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, drain
-// connections and the write queue, close the engine, print "clean shutdown".
+// SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, close every
+// connection and wait for its goroutine (a commit in flight completes first),
+// close the engine, print "clean shutdown".
 package main
 
 import (

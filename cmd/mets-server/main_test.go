@@ -49,7 +49,7 @@ func buildServer(t *testing.T) string {
 // renderer → HTTP; the exposition grammar is pinned by internal/obs), then
 // SIGTERM and require the "clean shutdown" line and exit status 0 inside a
 // timeout. Clean shutdown is the goroutine-leak check: Close waits for every
-// connection handler and the coalescer, so a leaked goroutine hangs it.
+// connection's goroutine, so a leaked one hangs it.
 func TestServerSmoke(t *testing.T) {
 	bin := buildServer(t)
 	addr, debug := freeAddr(t), freeAddr(t)
@@ -102,17 +102,6 @@ func TestServerSmoke(t *testing.T) {
 		defer c.Close()
 		conns[i] = c
 	}
-	// A shed write (RETRY_LATER) was not queued: send it again.
-	retry := func(op int, write func() error) {
-		t.Helper()
-		for {
-			if err := write(); err == nil {
-				return
-			} else if !errors.Is(err, client.ErrRetryLater) {
-				t.Fatalf("op %d: %v", op, err)
-			}
-		}
-	}
 	gen := ycsb.NewGenerator(len(ks), false, 7)
 	ops := append(gen.Ops(ycsb.WorkloadA, 3000), gen.Ops(ycsb.WorkloadE, 1000)...)
 	for n, op := range ops {
@@ -126,20 +115,18 @@ func TestServerSmoke(t *testing.T) {
 				t.Fatalf("op %d: Get(%q) = (%d, %v, %v), want %d", n, ks[i], v, ok, err, want[i])
 			}
 		case ycsb.OpUpdate:
-			retry(n, func() error { return c.Put(ks[i], uint64(n)<<20) })
+			if err := c.Put(ks[i], uint64(n)<<20); err != nil {
+				t.Fatalf("op %d: %v", n, err)
+			}
 			want[i] = uint64(n) << 20
 		case ycsb.OpInsert: // as a batch over a run of existing keys
 			var batch []client.BatchOp
 			for j := i; j < min(i+4, len(ks)); j++ {
 				batch = append(batch, client.BatchOp{Key: ks[j], Value: uint64(n)<<20 + uint64(j)})
 			}
-			retry(n, func() error {
-				sts, err := c.Batch(batch)
-				if err == nil && !bytes.Equal(sts, make([]byte, len(batch))) {
-					err = fmt.Errorf("batch statuses %v", sts)
-				}
-				return err
-			})
+			if sts, err := c.Batch(batch); err != nil || !bytes.Equal(sts, make([]byte, len(batch))) {
+				t.Fatalf("op %d: batch = (%v, %v)", n, sts, err)
+			}
 			for j := range batch {
 				want[i+j] = batch[j].Value
 			}

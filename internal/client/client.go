@@ -1,6 +1,6 @@
 // Package client is the Go client for the mets wire protocol: a pipelined
 // connection (many goroutines may share one; responses are matched to callers
-// by request id) and typed errors for the server's backpressure answers.
+// by request id) and typed errors for the server's failure statuses.
 //
 // A Client owns no goroutine. Whoever is waiting for a response reads the
 // socket: after writing its request a caller takes the connection's read role
@@ -20,11 +20,6 @@ import (
 	"mets/internal/index"
 	"mets/internal/wire"
 )
-
-// ErrRetryLater is the server's backpressure answer: the write was NOT
-// queued (the write queue is full or the engine is backlogged); retry after
-// a pause.
-var ErrRetryLater = errors.New("client: server busy, retry later")
 
 // ErrBadRequest means the server could not parse the request body.
 var ErrBadRequest = errors.New("client: bad request")
@@ -239,8 +234,6 @@ func statusErr(r response) error {
 	switch r.status {
 	case wire.StatusOK, wire.StatusNotFound:
 		return nil
-	case wire.StatusRetryLater:
-		return ErrRetryLater
 	case wire.StatusBadRequest:
 		return ErrBadRequest
 	case wire.StatusUnsupported:
@@ -268,8 +261,7 @@ func (c *Client) Get(key []byte) (uint64, bool, error) {
 	return v, err == nil, err
 }
 
-// Put upserts key -> value. ErrRetryLater means the write was shed by
-// admission control and was NOT applied.
+// Put upserts key -> value.
 func (c *Client) Put(key []byte, value uint64) error {
 	r, err := c.do(wire.OpPut, func(buf []byte) []byte {
 		buf = wire.AppendBytes(buf, key)

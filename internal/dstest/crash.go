@@ -13,7 +13,7 @@ import (
 
 // CrashStore is the surface the differential crash-recovery harness drives:
 // a durable ordered store that commits a group of ops under one durability
-// verdict (a server's coalesced write batch). Scan enumerates the full live
+// verdict (a server connection's burst of pipelined writes). Scan enumerates the full live
 // state in key order.
 type CrashStore interface {
 	// ApplyBatch applies ops in order; nil acks every one of them.

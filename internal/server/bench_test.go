@@ -16,9 +16,9 @@ import (
 )
 
 // BenchmarkShardedStoreApplyBatchDurable times the server's commit path —
-// apply, one journal barrier, ack — on the real filesystem, for the two batch
-// shapes the coalescer produces: a lone PUT (one journal dirtied) and a full
-// 64-op batch of uniform keys (all eight dirtied). ns/op is per batch;
+// apply, one journal barrier, ack — on the real filesystem, for two burst
+// shapes a connection commits: a lone PUT (one journal dirtied) and 64
+// pipelined writes of uniform keys (all eight dirtied). ns/op is per commit;
 // fsyncs/op is file syncs per PUT, counted under the journals.
 func BenchmarkShardedStoreApplyBatchDurable(b *testing.B) {
 	for _, n := range []int{1, 64} {

@@ -5,17 +5,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
-	"strings"
+	"sync"
 	"testing"
 	"time"
 
-	"mets/internal/client"
 	"mets/internal/index"
-	"mets/internal/obs"
 	"mets/internal/wire"
 )
 
@@ -116,21 +113,36 @@ func newScanStore() scanStore {
 }
 
 // TestPipelinedReadsToPeerThatNeverReads: a peer pipelines GETs and SCANs and
-// reads nothing. The reader goroutine blocks in its own write, so it stops
-// consuming requests (the peer's write stalls with bytes left over: memory on
-// the server is bounded by what was already buffered), and Server.Close still
-// returns and takes the connection's goroutines with it.
+// reads nothing. The connection's goroutine blocks in its own write, so it
+// stops consuming requests (the peer's write stalls with bytes left over:
+// memory on the server is bounded by what was already buffered), and
+// Server.Close still returns and takes the connection's goroutine with it.
 func TestPipelinedReadsToPeerThatNeverReads(t *testing.T) {
+	stallPeerThatNeverReads(t, newScanStore(), func(i uint64) []byte {
+		return append(getFrame(2*i, "k"), scanFrame(2*i+1, "", 1024)...)
+	})
+}
+
+// TestPipelinedWritesToPeerThatNeverReads is the same for a burst of PUTs: the
+// goroutine commits the burst it has read, blocks writing the acks, and reads
+// nothing more — no ack is queued off the socket for a peer that never reads.
+func TestPipelinedWritesToPeerThatNeverReads(t *testing.T) {
+	stub := newStubStore()
+	close(stub.release)
+	stallPeerThatNeverReads(t, stub, func(i uint64) []byte { return putFrame(i, fmt.Sprintf("k%d", i), i) })
+}
+
+// stallPeerThatNeverReads pipelines 4*connReadBuf bytes of requests (request
+// i is frames(i)) at a server over net.Pipe and reads none of the answers.
+func stallPeerThatNeverReads(t *testing.T, store Store, frames func(i uint64) []byte) {
 	base := runtime.NumGoroutine()
-	store := newScanStore()
 	s := New(Config{Store: store})
 	nc := pipeConn(s)
 	defer nc.Close()
 
 	var burst []byte
 	for i := uint64(0); len(burst) < 4*connReadBuf; i++ {
-		burst = append(burst, getFrame(2*i, "k")...)
-		burst = append(burst, scanFrame(2*i+1, "", 1024)...)
+		burst = append(burst, frames(i)...)
 	}
 	nc.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
 	n, err := nc.Write(burst)
@@ -199,86 +211,46 @@ func TestPipelinedBurstIsAnsweredInFewWrites(t *testing.T) {
 	t.Logf("%d answers in %d writes", frames, writes)
 }
 
-// failingStore refuses every commit with a long message, so each PUT's ack is
-// a large frame.
-type failingStore struct {
-	*stubStore
-	msg string
-}
-
-func (f failingStore) ApplyBatch([]Op) ([]byte, error) { return nil, errors.New(f.msg) }
-
-// TestSlowConsumerOfAcksIsDropped: acks are produced on the coalescer's
-// goroutine, which must never wait for a socket, so they queue without bound
-// in count — and a peer that never reads them is dropped once maxConnOutBytes
-// are queued, with the slow_consumer shed event.
-func TestSlowConsumerOfAcksIsDropped(t *testing.T) {
-	base := runtime.NumGoroutine()
-	reg := obs.NewRegistry()
-	store := failingStore{stubStore: newStubStore(), msg: strings.Repeat("x", 512<<10)}
-	s := New(Config{Store: store, Obs: reg})
-	nc := pipeConn(s)
-	defer nc.Close()
-
-	// Never read. Enough PUTs that their acks pass the cap; the server must
-	// cut the connection before or while they are written.
-	nc.SetWriteDeadline(time.Now().Add(20 * time.Second))
-	puts := maxConnOutBytes/len(store.msg) + 8
-	var werr error
-	for i := 0; i < puts && werr == nil; i++ {
-		_, werr = nc.Write(putFrame(uint64(i), fmt.Sprintf("k%d", i), 1))
-	}
-	// Still not reading: the drop must come from the queue's byte cap alone.
-	shed := func() bool {
-		for _, ev := range reg.FlightRecorder().Events() {
-			if ev.Type == "server.shed" && len(ev.Attrs) > 0 && ev.Attrs[0].Str == "slow_consumer" {
-				return true
-			}
-		}
-		return false
-	}
-	for deadline := time.Now().Add(20 * time.Second); !shed(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("no server.shed reason=slow_consumer flight event (last write error: %v)", werr)
-		}
-	}
-	// Dropped means closed by the server: a read ends, it does not time out.
-	nc.SetReadDeadline(time.Now().Add(20 * time.Second))
-	if _, err := io.Copy(io.Discard, nc); err != nil && !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("connection not dropped: %v", err)
-	}
-	closeWithin(t, s, 5*time.Second)
-	waitGoroutines(t, base)
-}
-
-// TestGetOvertakesPendingPut is pipelining's guarantee on ONE connection: a
-// GET sent behind a PUT whose commit is stuck completes first.
+// TestGetOvertakesPendingPut is pipelining's guarantee within one burst: a GET
+// that arrives in the same write as a PUT is answered before the PUT's commit
+// returns — here it never would, being wedged — and the PUT is acked only once
+// the commit does return.
 func TestGetOvertakesPendingPut(t *testing.T) {
 	stub := newStubStore()
 	stub.m["k"] = 7
-	addr, shutdown := startServer(t, Config{Store: stub})
-	defer shutdown()
-	c, err := client.Dial(addr)
-	if err != nil {
+	release := sync.OnceFunc(func() { close(stub.release) })
+	s := New(Config{Store: stub})
+	defer s.Close()
+	defer release() // before Close, which waits for the wedged commit
+	nc := pipeConn(s)
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(5 * time.Second))
+
+	if _, err := nc.Write(append(putFrame(1, "w", 1), getFrame(2, "k")...)); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-
-	put := make(chan error, 1)
-	go func() { put <- c.Put([]byte("w"), 1) }()
-	<-stub.entered // the PUT is inside the (wedged) commit
-	for i := 0; i < 3; i++ {
-		if v, ok, err := c.Get([]byte("k")); err != nil || !ok || v != 7 {
-			t.Fatalf("get behind the pending put = (%d,%v,%v)", v, ok, err)
+	br := bufio.NewReader(nc)
+	expect := func(id uint64, what string) []byte {
+		t.Helper()
+		p, err := wire.ReadFrame(br, 0)
+		if err != nil {
+			t.Fatalf("%s did not arrive: %v", what, err)
 		}
+		gotID, st, body, _ := wire.ParseHeader(p)
+		if gotID != id || st != wire.StatusOK {
+			t.Fatalf("%s = (id %d, status %d), want (%d, OK)", what, gotID, st, id)
+		}
+		return body
 	}
-	select {
-	case err := <-put:
-		t.Fatalf("put returned (%v) while its commit was wedged", err)
-	default:
+	if v, _, _ := wire.Uint(expect(2, "the GET's answer, with the PUT's commit wedged")); v != 7 {
+		t.Fatalf("GET = %d, want 7", v)
 	}
-	close(stub.release)
-	if err := <-put; err != nil {
-		t.Fatalf("put: %v", err)
+	nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if p, err := wire.ReadFrame(br, 0); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read while the PUT's commit is wedged = (%x, %v), want nothing: no ack before the commit returns", p, err)
 	}
+	<-stub.entered // the PUT is inside the wedged commit
+	release()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	expect(1, "the PUT's ack")
 }

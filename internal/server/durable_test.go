@@ -1,13 +1,17 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"mets/internal/client"
 	"mets/internal/dstest"
 	"mets/internal/hybrid"
 	"mets/internal/obs"
@@ -71,6 +75,91 @@ func TestShardedStoreCommitSyncsTouchedShards(t *testing.T) {
 		}
 		if got := fs.Syncs() - before; got != int64(len(tc.shards)) {
 			t.Fatalf("%d ops over shards %v: %d file syncs, want %d", tc.ops, tc.shards, got, len(tc.shards))
+		}
+	}
+}
+
+// TestShardedStoreBurstSharesOneCommit: PUTs pipelined in one write are one
+// burst, committed with one ApplyBatch whose barrier syncs each journal the
+// burst touched at most once, and every one of them is acked OK.
+func TestShardedStoreBurstSharesOneCommit(t *testing.T) {
+	fs := &vfs.SyncCounter{FS: vfs.NewMemFS()}
+	st := newDurableSharded(fs)
+	defer st.Close()
+	reg := obs.NewRegistry()
+	s := New(Config{Store: st, Obs: reg})
+	defer s.Close()
+	nc := pipeConn(s)
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+
+	shards := []int{0, 2, 7}
+	ops := opsIn(shards, 48, 0)
+	var burst []byte
+	for i, op := range ops {
+		burst = append(burst, putFrame(uint64(i), string(op.Key), op.Value)...)
+	}
+	commits, syncs := reg.Counter("server.commit_batches").Load(), fs.Syncs()
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	for range ops {
+		p, err := wire.ReadFrame(br, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, code, body, _ := wire.ParseHeader(p); code != wire.StatusOK {
+			t.Fatalf("PUT %d answered status %d %q", id, code, body)
+		}
+	}
+	if got := reg.Counter("server.commit_batches").Load() - commits; got != 1 {
+		t.Fatalf("%d pipelined PUTs took %d commits, want 1", len(ops), got)
+	}
+	if got := fs.Syncs() - syncs; got > int64(len(shards)) {
+		t.Fatalf("%d pipelined PUTs over %d journals: %d file syncs", len(ops), len(shards), got)
+	}
+	for _, op := range ops {
+		if v, ok := st.Get(op.Key); !ok || v != op.Value {
+			t.Fatalf("acked PUT %q = (%d,%v), want %d", op.Key, v, ok, op.Value)
+		}
+	}
+}
+
+// TestShardedStoreConcurrentUpserts: four connections upsert each fresh key
+// at the same moment, so their commits race on its Update→Insert→Update and
+// their barriers meet in the journals' committers. Every PUT is acked OK, and
+// each key ends up holding one of the values written to it.
+func TestShardedStoreConcurrentUpserts(t *testing.T) {
+	st := newDurableSharded(vfs.NewMemFS())
+	addr, shutdown := startServer(t, Config{Store: st})
+	defer shutdown()
+	cs := make([]*client.Client, 4)
+	for ci := range cs {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cs[ci] = c
+	}
+	ops := opsIn([]int{0, 1, 2, 3, 4, 5, 6, 7}, 200, 0)
+	value := func(ci, i int) uint64 { return uint64(i)<<8 | uint64(ci+1) }
+	for i, op := range ops {
+		var wg sync.WaitGroup
+		for ci, c := range cs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c.Put(op.Key, value(ci, i)); err != nil {
+					t.Errorf("conn %d: PUT %q: %v", ci, op.Key, err)
+				}
+			}()
+		}
+		wg.Wait()
+		v, ok := st.Get(op.Key)
+		if ci := int(v&0xff) - 1; !ok || v>>8 != uint64(i) || ci < 0 || ci >= len(cs) {
+			t.Fatalf("%q = (%#x,%v), want one of the values written to it", op.Key, v, ok)
 		}
 	}
 }
@@ -145,10 +234,12 @@ func TestShardedStoreLifecycleSurvivesCommits(t *testing.T) {
 	}
 }
 
-// TestShardedStoreJournalFailure: one shard's journal fails its fsync. The
-// batch is refused as a whole (error, no statuses) only after every other
-// shard's barrier was awaited — their ops are on disk — admission control
-// answers the next write with ERR, and closing leaves no goroutine behind.
+// TestShardedStoreJournalFailure: one shard's journal fails its fsync under a
+// served BATCH. The batch is refused as a whole — answered ERR, and
+// ApplyBatch returns an error and no statuses — only after every other
+// shard's barrier was awaited, so their ops are on disk; the next PUT's burst
+// is answered ERR without being applied, and closing leaves no goroutine
+// behind.
 func TestShardedStoreJournalFailure(t *testing.T) {
 	base := runtime.NumGoroutine()
 	mem := vfs.NewMemFS()
@@ -157,6 +248,8 @@ func TestShardedStoreJournalFailure(t *testing.T) {
 	if _, err := st.ApplyBatch(opsIn(all, 16, 0)); err != nil {
 		t.Fatal(err)
 	}
+	s := New(Config{Store: st})
+	c := client.New(pipeConn(s))
 	boom := errors.New("shard 4 device gone")
 	mem.FailSyncs(func(name string) error {
 		if name == "data/shard004/000001.wal" {
@@ -165,19 +258,26 @@ func TestShardedStoreJournalFailure(t *testing.T) {
 		return nil
 	})
 	ops := opsIn(all, 16, 1)
+	batch := make([]client.BatchOp, len(ops))
+	for i, op := range ops {
+		batch[i] = client.BatchOp{Key: op.Key, Value: op.Value}
+	}
+	if _, err := c.Batch(batch); err == nil || !strings.Contains(err.Error(), boom.Error()) {
+		t.Fatalf("BATCH over a failing journal = %v, want ERR with %q", err, boom)
+	}
 	statuses, err := st.ApplyBatch(ops)
 	if !errors.Is(err, boom) || statuses != nil {
-		t.Fatalf("ApplyBatch over a failing journal = (%v, %v), want (nil, %v)", statuses, err, boom)
+		t.Fatalf("ApplyBatch over a failed journal = (%v, %v), want (nil, %v)", statuses, err, boom)
 	}
-
-	co := newCoalescer(st, 4, 64, -1, nil)
-	if got := co.admit(&writeReq{ops: ops[:1], done: func([]byte, error) {}}); got != wire.StatusErr {
-		t.Fatalf("admit after the journal failure = status %d, want ERR", got)
+	if err := c.Put(ops[0].Key, ops[0].Value+1); err == nil || !strings.Contains(err.Error(), boom.Error()) {
+		t.Fatalf("PUT after the journal failure = %v, want ERR with %q", err, boom)
 	}
-	co.close()
+	c.Close()
+	s.Close()
 
 	// Power cut, restart: the refused batch's ops in the seven healthy
-	// shards were fsynced before ApplyBatch returned.
+	// shards were fsynced before ApplyBatch returned, and the PUT answered
+	// ERR was not applied.
 	mem.CrashAt(1, vfs.DropUnsynced, 1)
 	mem.Create("trip")
 	st.Close()

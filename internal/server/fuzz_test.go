@@ -13,8 +13,8 @@ import (
 
 // FuzzServerFrame throws arbitrary bytes at a live connection: malformed,
 // truncated, and oversized frames must never panic the server, desync its
-// response stream into garbage, or leak the connection's goroutines (the
-// deferred Close hangs if a reader/writer goroutine is stuck).
+// response stream into garbage, or leak the connection's goroutine (the
+// deferred Close hangs if it is stuck).
 func FuzzServerFrame(f *testing.F) {
 	// Well-formed seeds, then deliberately broken ones.
 	put := wire.NewFrame(1, wire.OpPut)
@@ -41,7 +41,7 @@ func FuzzServerFrame(f *testing.F) {
 		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 1 << 20, BloomBitsPerKey: 10, EpochReads: true},
 	}))
 	store.Index().Insert([]byte("key"), 7)
-	s := New(Config{Store: store, WriteQueue: 16, BatchMax: 8})
+	s := New(Config{Store: store})
 	f.Cleanup(func() {
 		s.Close()
 		store.Close()
@@ -51,7 +51,7 @@ func FuzzServerFrame(f *testing.F) {
 		cliEnd, srvEnd := net.Pipe()
 		s.startConn(srvEnd)
 
-		// Drain whatever the server answers so its writer never wedges on
+		// Drain whatever the server answers so its writes never wedge on
 		// the unbuffered pipe.
 		drained := make(chan struct{})
 		go func() {

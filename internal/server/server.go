@@ -20,25 +20,15 @@ type Config struct {
 	// Store is the engine the server fronts (required).
 	Store Store
 	// Obs is the metrics registry the server reports to under a "server."
-	// prefix: connection/request counters, shed counters, queue-depth gauge,
-	// the engine verdict (healthy, backlogged), request-latency histogram
-	// with slow-op exemplars, and flight-recorder events for
-	// accept/shed/slow-request. STATS answers with its snapshot. Nil gives
-	// the server a private registry.
+	// prefix: connection/request counters, commit counters and latency, the
+	// engine's healthy gauge, request-latency histogram with slow-op
+	// exemplars, and flight-recorder events for accept/shed/slow-request.
+	// STATS answers with its snapshot. Nil gives the server a private
+	// registry.
 	Obs *obs.Registry
 	// MaxConns caps concurrently served connections (default 1024); excess
 	// accepts are closed immediately.
 	MaxConns int
-	// WriteQueue bounds the coalescer's pending-write queue (default 1024
-	// requests). A full queue answers RETRY_LATER — the server never queues
-	// writes unboundedly.
-	WriteQueue int
-	// BatchMax caps ops per commit batch (default 256).
-	BatchMax int
-	// HealthEvery is how often admission control refreshes the engine
-	// health (default 50ms; <= 0 refreshes on every write, which tests use
-	// for determinism).
-	HealthEvery time.Duration
 }
 
 const (
@@ -51,16 +41,14 @@ const (
 	slowRequest = 50 * time.Millisecond
 )
 
-// Server serves the wire protocol over TCP (or any net.Listener). Requests
-// on one connection are pipelined and answered by whichever goroutine has the
-// answer: the connection's reader goroutine executes reads inline and writes
-// their responses itself, while writes park in the coalescer and are acked
-// from its goroutine through the connection's writer. A GET queued behind a
-// fsyncing PUT therefore completes first and responses arrive out of order
-// (matched by request id). DESIGN.md "Connection model" has the rules.
+// Server serves the wire protocol over TCP (or any net.Listener). Each
+// connection is served by one goroutine: it executes reads as they arrive and
+// gathers the writes of a pipelined burst, which it commits with one
+// Store.ApplyBatch before it reads again. A GET in the same burst as a PUT is
+// therefore answered before the PUT's commit, and responses arrive out of
+// order (matched by request id). DESIGN.md "Connection model" has the rules.
 type Server struct {
 	cfg Config
-	co  *coalescer
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -79,6 +67,10 @@ type Server struct {
 	obsBadReq   *obs.Counter
 	obsOps      [10]*obs.Counter // indexed by opcode
 	reqHist     *obs.Histogram
+
+	obsCommits      *obs.Counter // bursts committed
+	obsCommittedOps *obs.Counter
+	commitHist      *obs.Histogram
 }
 
 // opNames label the per-opcode request counters.
@@ -92,48 +84,37 @@ func New(cfg Config) *Server {
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
 	}
-	if cfg.WriteQueue <= 0 {
-		cfg.WriteQueue = 1024
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 256
-	}
-	if cfg.HealthEvery == 0 {
-		cfg.HealthEvery = 50 * time.Millisecond
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry() // STATS is the registry snapshot
 	}
 	reg := cfg.Obs.Sub("server.")
 	s := &Server{
-		cfg:         cfg,
-		conns:       make(map[*srvConn]struct{}),
-		reg:         reg,
-		fr:          reg.FlightRecorder(),
-		obsAccepted: reg.Counter("conns_accepted"),
-		obsRejected: reg.Counter("conns_rejected"),
-		obsClosed:   reg.Counter("conns_closed"),
-		obsBadReq:   reg.Counter("bad_requests"),
-		reqHist:     reg.Histogram("request_ns"),
+		cfg:             cfg,
+		conns:           make(map[*srvConn]struct{}),
+		reg:             reg,
+		fr:              reg.FlightRecorder(),
+		obsAccepted:     reg.Counter("conns_accepted"),
+		obsRejected:     reg.Counter("conns_rejected"),
+		obsClosed:       reg.Counter("conns_closed"),
+		obsBadReq:       reg.Counter("bad_requests"),
+		reqHist:         reg.Histogram("request_ns"),
+		obsCommits:      reg.Counter("commit_batches"),
+		obsCommittedOps: reg.Counter("committed_ops"),
+		commitHist:      reg.Histogram("commit_ns"),
 	}
 	for op := 1; op < len(opNames); op++ {
 		s.obsOps[op] = reg.Counter("req_" + opNames[op])
 	}
 	reg.GaugeFunc("conns_active", func() float64 { return float64(s.active.Load()) })
 	reg.GaugeFunc("snapshots_active", func() float64 { return float64(s.snapsLive.Load()) })
-	// The engine verdict, as /healthz and admission read it; the error text
-	// is in /healthz and in the engine's journal.error record.
-	flag := func(name string, f func(Health) bool) {
-		reg.GaugeFunc(name, func() float64 {
-			if f(cfg.Store.Health()) {
-				return 1
-			}
+	// Store.Err as commits and /healthz read it; the error text is in
+	// /healthz and in the engine's journal.error record.
+	reg.GaugeFunc("healthy", func() float64 {
+		if cfg.Store.Err() != nil {
 			return 0
-		})
-	}
-	flag("healthy", func(h Health) bool { return h.Healthy })
-	flag("backlogged", func(h Health) bool { return h.Backlogged })
-	s.co = newCoalescer(cfg.Store, cfg.WriteQueue, cfg.BatchMax, cfg.HealthEvery, reg)
+		}
+		return 1
+	})
 	return s
 }
 
@@ -191,7 +172,6 @@ func (s *Server) Addr() net.Addr {
 // startConn registers and serves one connection.
 func (s *Server) startConn(nc net.Conn) {
 	c := &srvConn{s: s, nc: nc, rd: wire.NewReader(nc, connReadBuf), snaps: make(map[uint64]Snapshot)}
-	c.q.cond = sync.NewCond(&c.q.mu)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -218,9 +198,9 @@ func (s *Server) startConn(nc net.Conn) {
 	}()
 }
 
-// Close stops accepting, closes every connection, waits for their handlers
-// (and every in-flight write ack) to finish, then stops the coalescer. The
-// store itself is NOT closed — the caller that built it owns it.
+// Close stops accepting, closes every connection and waits for their
+// goroutines to finish (a commit in flight completes first). The store itself
+// is NOT closed — the caller that built it owns it.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -241,7 +221,6 @@ func (s *Server) Close() error {
 		c.nc.Close()
 	}
 	s.connWG.Wait()
-	s.co.close()
 	return nil
 }
 
@@ -252,27 +231,20 @@ func (s *Server) stats() []byte {
 	return b
 }
 
-// Healthz serves /healthz from the verdict admission control reads: 200 "ok"
-// or "ok (backlogged)" while the engine takes writes, 503 with its sticky
-// error once it does not.
+// Healthz serves /healthz from Store.Err, which every commit reads too: 200
+// "ok" while the engine takes writes, 503 with its sticky error once it does
+// not.
 func (s *Server) Healthz(w http.ResponseWriter, _ *http.Request) {
-	switch h := s.cfg.Store.Health(); {
-	case !h.Healthy:
-		http.Error(w, "unhealthy: "+h.Err, http.StatusServiceUnavailable)
-	case h.Backlogged:
-		fmt.Fprintln(w, "ok (backlogged)")
-	default:
-		fmt.Fprintln(w, "ok")
+	if err := s.cfg.Store.Err(); err != nil {
+		http.Error(w, "unhealthy: "+err.Error(), http.StatusServiceUnavailable)
+		return
 	}
+	fmt.Fprintln(w, "ok")
 }
 
-// maxConnOutBytes caps a connection's queued-but-unwritten ack bytes; past
-// it the peer is a slow consumer and the connection is dropped rather than
-// buffering without bound.
-const maxConnOutBytes = 32 << 20
-
 // connReadBuf is a connection's read buffer: requests up to this size are
-// parsed in place, and a pipelined burst of that many bytes is one read.
+// parsed in place, and a pipelined burst of that many bytes is one read —
+// and so at most one commit.
 const connReadBuf = 16 << 10
 
 // inlineFlushBytes is how many sealed response bytes the reader lets pile up
@@ -281,124 +253,47 @@ const connReadBuf = 16 << 10
 // grow the buffer past this plus one frame.
 const inlineFlushBytes = 64 << 10
 
-// outQueue hands ack frames from the coalescer's done callbacks to the
-// connection's writer goroutine. push never blocks (the coalescer must never
-// stall on one slow client), so the queue is unbounded in frame count and
-// bounded in bytes by the slow-consumer kill in push.
-type outQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	frames [][]byte
-	bytes  int
-	closed bool
-}
-
-func (q *outQueue) push(b []byte) (overflow bool) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return false
-	}
-	q.frames = append(q.frames, b)
-	q.bytes += len(b)
-	overflow = q.bytes > maxConnOutBytes
-	q.cond.Signal()
-	q.mu.Unlock()
-	return overflow
-}
-
-// pop blocks until a frame or close; close drains remaining frames first.
-func (q *outQueue) pop() ([]byte, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.frames) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.frames) == 0 {
-		return nil, false
-	}
-	b := q.frames[0]
-	q.frames[0] = nil
-	q.frames = q.frames[1:]
-	q.bytes -= len(b)
-	return b, true
-}
-
-func (q *outQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// srvConn is one served connection. Its reader goroutine parses frames out of
-// rd, executes everything that can be answered on the spot and seals those
-// responses into out, which it writes itself before any read that can block
-// — one goroutine, one read and one write per lone GET. Writes go to the
-// coalescer, whose done callbacks (on its goroutine, which must never touch a
-// socket) push their acks onto q for the writer goroutine. wmu keeps the two
-// writers' frames from interleaving. Snapshots are owned by the reader
-// goroutine and force-released when the connection ends.
+// srvConn is one served connection, served by one goroutine. It parses frames
+// out of rd, executes everything that can be answered on the spot and seals
+// those responses into out; the writes it reads go into the burst (ops and
+// writes), which commit applies with one Store.ApplyBatch. Before any read
+// that can block it writes what is sealed, commits the burst and writes its
+// acks — one read and one write per lone GET, one barrier per pipelined burst
+// of writes. Snapshots are force-released when the connection ends.
 type srvConn struct {
 	s  *Server
 	nc net.Conn
 
-	rd  *wire.Reader // reader goroutine only
-	out []byte       // reader goroutine only: sealed responses not yet written
+	rd  *wire.Reader
+	out []byte // sealed responses not yet written
 
-	wmu sync.Mutex // held across each socket write
-	q   outQueue
-
-	// pend tracks writes admitted to the coalescer whose done callback has
-	// not yet run; the out queue closes only after they all land.
-	pend sync.WaitGroup
+	ops    []Op         // the burst's ops, in arrival order
+	writes []burstWrite // the burst's requests, each owning its next n ops
 
 	snaps    map[uint64]Snapshot
 	snapNext uint64
 }
 
+// burstWrite is one PUT, DELETE or BATCH request waiting in the burst.
+type burstWrite struct {
+	id    uint64
+	op    byte
+	start time.Time
+	n     int
+}
+
 func (c *srvConn) serve() {
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		var werr error
-		for {
-			b, ok := c.q.pop()
-			if !ok {
-				break
-			}
-			if werr != nil {
-				continue // drain so pushers' frames are consumed
-			}
-			if werr = c.write(b); werr != nil {
-				c.nc.Close() // unblock the reader
-			}
-		}
-		c.nc.Close()
-	}()
 	c.readLoop()
-	// Reader done: no new snapshots or admits. Release snapshot pins, wait
-	// out in-flight write acks, then let the writer drain and exit.
+	c.nc.Close()
 	for id, sn := range c.snaps {
 		sn.Release()
 		delete(c.snaps, id)
 		c.s.snapsLive.Add(-1)
 	}
-	c.pend.Wait()
-	c.q.close()
-	<-writerDone
 }
 
-// write puts whole frames on the socket, one writer at a time.
-func (c *srvConn) write(b []byte) error {
-	c.wmu.Lock()
-	_, err := c.nc.Write(b)
-	c.wmu.Unlock()
-	return err
-}
-
-// reply starts a response in the reader's write buffer and returns where it
-// begins; body fields are appended to c.out and sealed by endReply.
+// reply starts a response in the write buffer and returns where it begins;
+// body fields are appended to c.out and sealed by endReply.
 func (c *srvConn) reply(id uint64, code byte) int {
 	at := len(c.out)
 	c.out = wire.AppendFrame(c.out, id, code)
@@ -421,32 +316,54 @@ func (c *srvConn) replyStatus(id uint64, code byte) {
 
 // flush writes the sealed responses; false means the connection is dead. The
 // write may block on a peer that does not read — that is this connection's
-// back-pressure: nothing more is read or buffered for it until the peer
-// drains or Close closes the socket.
+// back-pressure: nothing more is read, committed or buffered for it until the
+// peer drains or Close closes the socket.
 func (c *srvConn) flush() bool {
-	err := c.write(c.out)
+	if len(c.out) == 0 {
+		return true
+	}
+	_, err := c.nc.Write(c.out)
 	if cap(c.out) > 2*inlineFlushBytes {
 		c.out = nil // a long scan's buffer is not kept for the connection's life
 	}
 	c.out = c.out[:0]
-	if err != nil {
-		c.nc.Close()
-	}
 	return err == nil
 }
 
-// ack queues a response produced off the reader goroutine; on overflow the
-// connection is killed (slow consumer).
-func (c *srvConn) ack(buf []byte) {
-	frame, err := wire.Finish(buf)
-	if err != nil {
-		c.nc.Close() // as endReply: fail closed
-		return
+// commit applies the burst with one Store.ApplyBatch — the ops in order, then
+// one durability barrier — and seals every request's ack into out, so no write
+// is acked before the barrier covering it has returned nil. An engine that
+// has already failed answers every write of the burst ERR, none applied.
+func (c *srvConn) commit() {
+	err := c.s.cfg.Store.Err()
+	var statuses []byte
+	if err == nil {
+		t0 := time.Now()
+		statuses, err = c.s.cfg.Store.ApplyBatch(c.ops)
+		c.s.commitHist.ObserveNs(int64(time.Since(t0)))
+		c.s.obsCommits.Inc()
+		c.s.obsCommittedOps.Add(int64(len(c.ops)))
 	}
-	if c.q.push(frame) {
-		c.fr().Record("server.shed", obs.Str("reason", "slow_consumer"))
-		c.nc.Close()
+	off := 0
+	for _, w := range c.writes {
+		switch {
+		case err != nil:
+			at := c.reply(w.id, wire.StatusErr)
+			c.out = append(c.out, err.Error()...)
+			c.endReply(at)
+		case w.op == wire.OpBatch:
+			at := c.reply(w.id, wire.StatusOK)
+			c.out = wire.AppendUint(c.out, uint64(w.n))
+			c.out = append(c.out, statuses[off:off+w.n]...)
+			c.endReply(at)
+		default:
+			c.replyStatus(w.id, statuses[off])
+		}
+		c.observe(w.op, w.start, c.ops[off].Key)
+		off += w.n
 	}
+	clear(c.ops) // the reused slice must not keep the burst's keys alive
+	c.ops, c.writes = c.ops[:0], c.writes[:0]
 }
 
 func (c *srvConn) fr() *obs.FlightRecorder { return c.s.fr }
@@ -468,13 +385,23 @@ func (c *srvConn) observe(op byte, start time.Time, key []byte) {
 
 func (c *srvConn) readLoop() {
 	for {
-		// Answers never wait behind a read that can block: unless a complete
-		// next frame is already buffered (a pipelined burst, answered with
-		// one write), what is sealed goes out first.
-		if len(c.out) > 0 && (len(c.out) >= inlineFlushBytes || !c.rd.FrameBuffered()) {
+		// Nothing waits behind a read that can block: unless a complete next
+		// frame is already buffered (a pipelined burst), the reader writes
+		// the answers it has sealed — before the commit, so a read in the
+		// burst does not wait for the fsync — then commits the burst's
+		// writes and writes their acks.
+		if !c.rd.FrameBuffered() {
 			if !c.flush() {
 				return
 			}
+			if len(c.writes) > 0 {
+				c.commit()
+				if !c.flush() {
+					return
+				}
+			}
+		} else if len(c.out) >= inlineFlushBytes && !c.flush() {
+			return
 		}
 		p, err := c.rd.Next() // lent: every op that outlives the loop body copies its key
 		if err != nil {
@@ -516,14 +443,14 @@ func (c *srvConn) readLoop() {
 				c.badRequest(id)
 				continue
 			}
-			c.admitWrite(id, op, start, []Op{{Key: append([]byte(nil), key...), Value: v}}, false)
+			c.gather(id, op, start, Op{Key: append([]byte(nil), key...), Value: v})
 		case wire.OpDelete:
 			key, _, err := wire.Bytes(body)
 			if err != nil {
 				c.badRequest(id)
 				continue
 			}
-			c.admitWrite(id, op, start, []Op{{Delete: true, Key: append([]byte(nil), key...)}}, false)
+			c.gather(id, op, start, Op{Delete: true, Key: append([]byte(nil), key...)})
 		case wire.OpBatch:
 			ops, ok := parseBatch(body)
 			if !ok {
@@ -538,7 +465,7 @@ func (c *srvConn) readLoop() {
 				c.observe(op, start, nil)
 				continue
 			}
-			c.admitWrite(id, op, start, ops, true)
+			c.gather(id, op, start, ops...)
 		case wire.OpSnapBegin:
 			c.snapBegin(id)
 			c.observe(op, start, nil)
@@ -658,34 +585,11 @@ func parseBatch(body []byte) ([]Op, bool) {
 	return ops, true
 }
 
-// admitWrite hands ops to the coalescer, whose done callback acks through the
-// out queue; a rejected admit is answered here, by the reader (RETRY_LATER
-// under backpressure).
-func (c *srvConn) admitWrite(id uint64, op byte, start time.Time, ops []Op, batch bool) {
-	firstKey := ops[0].Key
-	c.pend.Add(1)
-	req := &writeReq{ops: ops, done: func(statuses []byte, err error) {
-		defer c.pend.Done()
-		switch {
-		case err != nil:
-			buf := wire.NewFrame(id, wire.StatusErr)
-			buf = append(buf, err.Error()...)
-			c.ack(buf)
-		case batch:
-			buf := wire.NewFrame(id, wire.StatusOK)
-			buf = wire.AppendUint(buf, uint64(len(statuses)))
-			buf = append(buf, statuses...)
-			c.ack(buf)
-		default:
-			c.ack(wire.NewFrame(id, statuses[0]))
-		}
-		c.observe(op, start, firstKey)
-	}}
-	if st := c.s.co.admit(req); st != wire.StatusOK {
-		c.pend.Done()
-		c.replyStatus(id, st)
-		c.observe(op, start, firstKey)
-	}
+// gather adds one write request and its ops to the burst, which commit
+// answers before the next read that can block.
+func (c *srvConn) gather(id uint64, op byte, start time.Time, ops ...Op) {
+	c.ops = append(c.ops, ops...)
+	c.writes = append(c.writes, burstWrite{id: id, op: op, start: start, n: len(ops)})
 }
 
 func (c *srvConn) snapBegin(id uint64) {

@@ -9,8 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,7 +58,7 @@ func startServer(t testing.TB, cfg Config) (addr string, shutdown func()) {
 }
 
 // waitGoroutines waits for the goroutine count to drop back near base;
-// failing means a connection or coalescer goroutine leaked.
+// failing means a connection goroutine leaked.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -236,7 +236,7 @@ func TestServerSnapshotScanUnderChurn(t *testing.T) {
 			default:
 			}
 			k := []byte(fmt.Sprintf("zchurn%05d", rng.Intn(5000)))
-			if err := cw.Put(k, uint64(i+1)); err != nil && !errors.Is(err, client.ErrRetryLater) {
+			if err := cw.Put(k, uint64(i+1)); err != nil {
 				t.Errorf("churn put: %v", err)
 				return
 			}
@@ -287,27 +287,25 @@ func TestServerSnapshotScanUnderChurn(t *testing.T) {
 	}
 }
 
-// stubStore is a controllable Store for admission-control tests.
+// stubStore is a Store whose commits a test can hold and whose engine it can
+// fail.
 type stubStore struct {
-	mu     sync.Mutex
-	m      map[string]uint64
-	health atomic.Pointer[Health]
+	mu  sync.Mutex
+	m   map[string]uint64
+	err error // Err's answer
 
-	// entered signals each ApplyBatch entry; release gates its return.
+	// entered is signalled (if empty) on each ApplyBatch entry; release
+	// gates its return.
 	entered chan struct{}
 	release chan struct{}
-
-	applied atomic.Int64
 }
 
 func newStubStore() *stubStore {
-	s := &stubStore{
+	return &stubStore{
 		m:       make(map[string]uint64),
-		entered: make(chan struct{}, 64),
+		entered: make(chan struct{}, 1),
 		release: make(chan struct{}),
 	}
-	s.health.Store(&Health{Healthy: true})
-	return s
 }
 
 func (s *stubStore) Get(key []byte) (uint64, bool) {
@@ -320,7 +318,10 @@ func (s *stubStore) Get(key []byte) (uint64, bool) {
 func (s *stubStore) ScanN(start []byte, n int) []index.Entry { return nil }
 
 func (s *stubStore) ApplyBatch(ops []Op) ([]byte, error) {
-	s.entered <- struct{}{}
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
 	<-s.release
 	s.mu.Lock()
 	for _, op := range ops {
@@ -331,143 +332,33 @@ func (s *stubStore) ApplyBatch(ops []Op) ([]byte, error) {
 		}
 	}
 	s.mu.Unlock()
-	s.applied.Add(int64(len(ops)))
 	return make([]byte, len(ops)), nil
 }
 
 func (s *stubStore) Snapshot() (Snapshot, error) { return nil, errors.New("stub: no snapshots") }
-func (s *stubStore) Health() Health              { return *s.health.Load() }
 func (s *stubStore) Close() error                { return nil }
 
-// TestServerBackpressureQueueFull pins the hard bound: with the applier
-// wedged and the bounded queue full, the server answers RETRY_LATER instead
-// of queueing more.
-func TestServerBackpressureQueueFull(t *testing.T) {
-	stub := newStubStore()
-	reg := obs.NewRegistry()
-	addr, shutdown := startServer(t, Config{
-		Store: stub, Obs: reg,
-		WriteQueue: 2, BatchMax: 1,
-		HealthEvery: -1, // refresh on every admit: deterministic
-	})
-
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-
-	put := func(k string) chan error {
-		ch := make(chan error, 1)
-		go func() { ch <- c.Put([]byte(k), 1) }()
-		return ch
-	}
-
-	// First put: dequeued by the applier, which wedges inside ApplyBatch.
-	r1 := put("w1")
-	<-stub.entered
-	// Two more fill the queue (cap 2). They cannot respond yet, so give the
-	// reader a moment to admit them before the overflow put.
-	r2, r3 := put("w2"), put("w3")
-	deadline := time.Now().Add(2 * time.Second)
-	for stubQueueDepth(reg) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if stubQueueDepth(reg) < 2 {
-		t.Fatal("queue never filled")
-	}
-
-	// Queue full, applier wedged: this put must shed.
-	if err := c.Put([]byte("w4"), 1); !errors.Is(err, client.ErrRetryLater) {
-		t.Fatalf("overflow put = %v, want ErrRetryLater", err)
-	}
-	if got := reg.Counter("server.shed_queue_full").Load(); got == 0 {
-		t.Fatal("shed_queue_full counter did not move")
-	}
-
-	// Release the applier: the queued puts all land.
-	close(stub.release)
-	for i, r := range []chan error{r1, r2, r3} {
-		if err := <-r; err != nil {
-			t.Fatalf("queued put %d failed after release: %v", i+1, err)
-		}
-	}
-	if v, ok := stub.Get([]byte("w3")); !ok || v != 1 {
-		t.Fatal("queued put not applied")
-	}
-
-	c.Close()
-	shutdown()
+func (s *stubStore) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
-// stubQueueDepth reads the coalescer's queue-depth gauge (a GaugeFunc, so
-// it is only visible through a registry snapshot).
-func stubQueueDepth(reg *obs.Registry) float64 {
-	return reg.Snapshot().Gauges["server.write_queue_depth"]
+func (s *stubStore) fail(err error) {
+	s.mu.Lock()
+	s.err = err
+	s.mu.Unlock()
 }
 
-// TestServerBackpressureBacklog pins the early-shed path: with the engine
-// reporting maintenance backlog, the server sheds once the queue is half
-// full rather than waiting for the hard bound.
-func TestServerBackpressureBacklog(t *testing.T) {
-	stub := newStubStore()
-	reg := obs.NewRegistry()
-	addr, shutdown := startServer(t, Config{
-		Store: stub, Obs: reg,
-		WriteQueue: 4, BatchMax: 1,
-		HealthEvery: -1,
-	})
-
-	c, err := client.Dial(addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-
-	// Wedge the applier, then half-fill the queue while still healthy.
-	go c.Put([]byte("w1"), 1)
-	<-stub.entered
-	done2 := make(chan error, 1)
-	done3 := make(chan error, 1)
-	go func() { done2 <- c.Put([]byte("w2"), 1) }()
-	go func() { done3 <- c.Put([]byte("w3"), 1) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for stubQueueDepth(reg) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if stubQueueDepth(reg) < 2 {
-		t.Fatal("queue never reached half full")
-	}
-
-	// Engine reports backlog: the next write sheds even though the queue
-	// has room (2/4).
-	stub.health.Store(&Health{Healthy: true, Backlogged: true})
-	if err := c.Put([]byte("w4"), 1); !errors.Is(err, client.ErrRetryLater) {
-		t.Fatalf("backlogged put = %v, want ErrRetryLater", err)
-	}
-	if reg.Counter("server.shed_backlog").Load() == 0 {
-		t.Fatal("shed_backlog counter did not move")
-	}
-
-	// Backlog clears: writes flow again.
-	stub.health.Store(&Health{Healthy: true})
-	close(stub.release)
-	<-done2
-	<-done3
-	if err := c.Put([]byte("w5"), 1); err != nil {
-		t.Fatalf("put after backlog cleared: %v", err)
-	}
-
-	c.Close()
-	shutdown()
-}
-
-// TestServerUnhealthyRejects pins the sticky-failure path: an unhealthy
-// engine refuses writes with a hard error (not RETRY_LATER) but still
+// TestServerUnhealthyRejects pins the sticky-failure path: a failed engine
+// refuses writes with ERR and its error, applies none of them, and still
 // serves reads.
 func TestServerUnhealthyRejects(t *testing.T) {
 	stub := newStubStore()
+	close(stub.release) // a commit that should not happen would not hang
 	stub.m["k"] = 7
-	stub.health.Store(&Health{Healthy: false, Err: "journal gone"})
-	addr, shutdown := startServer(t, Config{Store: stub, HealthEvery: -1})
+	stub.fail(errors.New("journal gone"))
+	addr, shutdown := startServer(t, Config{Store: stub})
 	defer shutdown()
 
 	c, err := client.Dial(addr)
@@ -477,8 +368,11 @@ func TestServerUnhealthyRejects(t *testing.T) {
 	defer c.Close()
 
 	err = c.Put([]byte("w"), 1)
-	if err == nil || errors.Is(err, client.ErrRetryLater) {
-		t.Fatalf("put on unhealthy engine = %v, want hard error", err)
+	if err == nil || !strings.Contains(err.Error(), "journal gone") {
+		t.Fatalf("put on unhealthy engine = %v, want the engine's error", err)
+	}
+	if _, ok := stub.Get([]byte("w")); ok {
+		t.Fatal("a write refused with ERR was applied")
 	}
 	if v, ok, err := c.Get([]byte("k")); err != nil || !ok || v != 7 {
 		t.Fatalf("read on unhealthy engine = (%d,%v,%v)", v, ok, err)
@@ -499,33 +393,26 @@ func stats(t *testing.T, c *client.Client) obs.Snapshot {
 	return st
 }
 
-// TestServerOneVerdict walks an engine healthy → backlogged → failed and
-// checks that the three readers of its one verdict agree at every step:
-// admission (a PUT is acked, answered RETRY_LATER, or refused with ERR),
-// /healthz (200 ok, 200 backlogged, 503), and the server.healthy and
-// server.backlogged gauges of the STATS body. It runs on a caller's registry
-// and with Config.Obs nil, where the server keeps its own.
+// TestServerOneVerdict walks an engine healthy → failed and checks that the
+// three readers of its one answer, Store.Err, agree at every step: the commit
+// of a PUT's burst (acked, or refused with ERR), /healthz (200 ok, 503) and the
+// server.healthy gauge of the STATS body. It runs on a caller's registry and
+// with Config.Obs nil, where the server keeps its own.
 func TestServerOneVerdict(t *testing.T) {
 	steps := []struct {
 		name    string
-		health  Health
-		put     func(error) bool
+		err     error
+		putOK   bool
 		code    int
 		healthy float64
-		behind  float64
 	}{
-		{"healthy", Health{Healthy: true}, func(err error) bool { return err == nil }, http.StatusOK, 1, 0},
-		{"backlogged", Health{Healthy: true, Backlogged: true},
-			func(err error) bool { return errors.Is(err, client.ErrRetryLater) }, http.StatusOK, 1, 1},
-		{"failed", Health{Err: "journal gone"},
-			func(err error) bool { return err != nil && !errors.Is(err, client.ErrRetryLater) }, http.StatusServiceUnavailable, 0, 0},
+		{"healthy", nil, true, http.StatusOK, 1},
+		{"failed", errors.New("journal gone"), false, http.StatusServiceUnavailable, 0},
 	}
 	for _, reg := range []*obs.Registry{obs.NewRegistry(), nil} {
 		stub := newStubStore()
 		close(stub.release) // apply at once
-		// A one-slot queue is half full when empty, so a backlogged engine
-		// sheds every write; HealthEvery -1 re-reads the verdict per admit.
-		srv := New(Config{Store: stub, Obs: reg, WriteQueue: 1, HealthEvery: -1})
+		srv := New(Config{Store: stub, Obs: reg})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -536,8 +423,8 @@ func TestServerOneVerdict(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, step := range steps {
-			stub.health.Store(&step.health)
-			if err := c.Put([]byte(fmt.Sprintf("k%d", i)), 1); !step.put(err) {
+			stub.fail(step.err)
+			if err := c.Put([]byte(fmt.Sprintf("k%d", i)), 1); (err == nil) != step.putOK {
 				t.Fatalf("obs=%v %s: PUT answered %v", reg != nil, step.name, err)
 			}
 			rec := httptest.NewRecorder()
@@ -546,9 +433,9 @@ func TestServerOneVerdict(t *testing.T) {
 				t.Fatalf("obs=%v %s: /healthz = %d %q, want %d", reg != nil, step.name, rec.Code, rec.Body, step.code)
 			}
 			g := stats(t, c).Gauges
-			if g["server.healthy"] != step.healthy || g["server.backlogged"] != step.behind || g["server.conns_active"] < 1 {
-				t.Fatalf("obs=%v %s: STATS healthy=%v backlogged=%v conns_active=%v, want %v/%v/>=1", reg != nil, step.name,
-					g["server.healthy"], g["server.backlogged"], g["server.conns_active"], step.healthy, step.behind)
+			if g["server.healthy"] != step.healthy || g["server.conns_active"] < 1 {
+				t.Fatalf("obs=%v %s: STATS healthy=%v conns_active=%v, want %v/>=1", reg != nil, step.name,
+					g["server.healthy"], g["server.conns_active"], step.healthy)
 			}
 		}
 		c.Close()
@@ -557,15 +444,13 @@ func TestServerOneVerdict(t *testing.T) {
 }
 
 // TestServerSoak (short-mode bounded) runs pipelined clients over a
-// merge-churning store: mixed gets/puts/deletes/scans/snapshots, shed
-// tolerance, then a full shutdown that must leave no goroutines behind.
+// merge-churning store: mixed gets/puts/deletes/scans/snapshots, every one
+// answered without error, then a full shutdown that must leave no goroutines
+// behind.
 func TestServerSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	store := newTestSharded(64)
-	addr, shutdown := startServer(t, Config{
-		Store: store, Obs: obs.NewRegistry(),
-		WriteQueue: 64, BatchMax: 32,
-	})
+	addr, shutdown := startServer(t, Config{Store: store, Obs: obs.NewRegistry()})
 
 	clients := 4
 	perClient := 3
@@ -575,7 +460,6 @@ func TestServerSoak(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	var retried atomic.Int64
 	for ci := 0; ci < clients; ci++ {
 		c, err := client.Dial(addr)
 		if err != nil {
@@ -592,10 +476,6 @@ func TestServerSoak(t *testing.T) {
 					switch rng.Intn(10) {
 					case 0, 1, 2, 3, 4:
 						if err := c.Put(k, uint64(i+1)); err != nil {
-							if errors.Is(err, client.ErrRetryLater) {
-								retried.Add(1)
-								continue
-							}
 							t.Errorf("soak put: %v", err)
 							return
 						}
@@ -605,7 +485,7 @@ func TestServerSoak(t *testing.T) {
 							return
 						}
 					case 7:
-						if _, err := c.Delete(k); err != nil && !errors.Is(err, client.ErrRetryLater) {
+						if _, err := c.Delete(k); err != nil {
 							t.Errorf("soak delete: %v", err)
 							return
 						}
@@ -635,7 +515,6 @@ func TestServerSoak(t *testing.T) {
 		defer c.Close()
 	}
 	wg.Wait()
-	t.Logf("soak done, %d backpressure retries", retried.Load())
 
 	shutdown()
 	waitGoroutines(t, base)

@@ -1,10 +1,9 @@
 // Package server implements the mets network front-end: a length-prefixed
 // binary protocol (internal/wire) over TCP with per-connection request
-// pipelining, a write coalescer that funnels concurrent writes into the
-// storage engine's group-commit path with one durability barrier per batch,
-// admission control that sheds load (RETRY_LATER) when the engine reports
-// backlog or the write queue fills, and MVCC snapshot reads over the
-// hybrid/sharded generation machinery.
+// pipelining, one goroutine per connection that commits the writes of each
+// pipelined burst with one durability barrier (concurrent connections'
+// barriers share fsyncs in the shard journals' committers), and MVCC snapshot
+// reads over the hybrid/sharded generation machinery.
 package server
 
 import (
@@ -13,33 +12,12 @@ import (
 	"mets/internal/wire"
 )
 
-// Op is one write as the coalescer sees it: an upsert (PUT) or a delete.
-// Values are 64-bit tuple pointers, as everywhere in mets.
+// Op is one write in a commit: an upsert (PUT) or a delete. Values are 64-bit
+// tuple pointers, as everywhere in mets.
 type Op struct {
 	Delete bool
 	Key    []byte
 	Value  uint64
-}
-
-// Health is the engine verdict that admission control, /healthz and the
-// server.healthy/server.backlogged gauges all read.
-type Health struct {
-	// Healthy false means writes are refused outright (sticky journal/WAL
-	// failure): the server answers ERR, not RETRY_LATER.
-	Healthy bool
-	Err     string
-	// Backlogged means maintenance (merges, flushes) is behind; the server
-	// sheds writes early instead of queueing toward the hard limit.
-	Backlogged bool
-}
-
-// verdict builds a Health from an engine's sticky error and backlog.
-func verdict(err error, backlogged bool) Health {
-	h := Health{Healthy: err == nil, Backlogged: backlogged}
-	if err != nil {
-		h.Err = err.Error()
-	}
-	return h
 }
 
 // Snapshot is a released point-in-time read view (SNAPSHOT_* ops).
@@ -49,18 +27,21 @@ type Snapshot interface {
 	Release()
 }
 
-// Store is the engine surface the server fronts. Reads (Get/ScanN/Snapshot)
-// must be safe concurrently with ApplyBatch; ApplyBatch itself is only ever
-// called from the server's single coalescer goroutine.
+// Store is the engine surface the server fronts. Every method must be safe
+// for concurrent use: each connection's goroutine reads and commits on its
+// own.
 type Store interface {
 	Get(key []byte) (uint64, bool)
 	ScanN(start []byte, n int) []index.Entry
 	// ApplyBatch applies the ops in order and returns one wire status per
-	// op. A non-nil error means durability failed for the whole batch (the
-	// per-op statuses are then ignored and every op is reported failed).
+	// op once one durability barrier covers them all. A non-nil error means
+	// durability failed for the whole batch (the per-op statuses are then
+	// ignored and every op is reported failed).
 	ApplyBatch(ops []Op) ([]byte, error)
 	Snapshot() (Snapshot, error)
-	Health() Health
+	// Err is the engine's sticky failure: non-nil means writes are refused
+	// for good. /healthz, the server.healthy gauge and every commit read it.
+	Err() error
 	Close() error
 }
 
@@ -82,12 +63,14 @@ func (s *ShardedStore) Get(key []byte) (uint64, bool) { return s.idx.Get(key) }
 func (s *ShardedStore) ScanN(start []byte, n int) []index.Entry { return s.idx.ScanN(start, n) }
 
 // ApplyBatch applies the ops in order (PUT = upsert) and then runs ONE
-// durability barrier for the whole batch — the group-commit amortization: N
-// coalesced writes cost one fsync per shard journal they touched, not N.
-// SyncJournals starts the barrier on every shard before it waits on any, so
-// those fsyncs run side by side on the journals' committers and the batch
-// waits for the slowest of them; a journal the batch wrote nothing to is
-// clean since its last fsync and is not touched.
+// durability barrier for the whole batch: a connection's pipelined burst of N
+// writes costs one fsync per shard journal it touched, not N. SyncJournals
+// starts the barrier on every shard before it waits on any, so those fsyncs
+// run side by side on the journals' committers and the batch waits for the
+// slowest of them; a journal the batch wrote nothing to is clean since its
+// last fsync and is not touched. Connections call it concurrently, and their
+// barriers meet in each journal's committer, which answers every barrier
+// pending at a pass with one fsync.
 func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 	statuses := make([]byte, len(ops))
 	for i, op := range ops {
@@ -98,9 +81,8 @@ func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 			continue
 		}
 		// Upsert: update a present key, insert an absent one. Both fail only
-		// if another writer inserted the key between the two calls — the
-		// coalescer is the server's single writer, but Index() hands the
-		// index to preloaders — and then the key is present: update it.
+		// if another connection inserted the key between the two calls, and
+		// then the key is present: update it.
 		if !s.idx.Update(op.Key, op.Value) && !s.idx.Insert(op.Key, op.Value) {
 			if !s.idx.Update(op.Key, op.Value) {
 				statuses[i] = wire.StatusErr
@@ -115,12 +97,8 @@ func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 
 func (s *ShardedStore) Snapshot() (Snapshot, error) { return s.idx.Snapshot() }
 
-// Health is unhealthy on a sticky shard journal failure, and backlogged once
-// half the shards are past their merge trigger: transient single-shard merges
-// should not shed load, a stalled merge pipeline should.
-func (s *ShardedStore) Health() Health {
-	shards := s.idx.NumShards()
-	return verdict(s.idx.JournalErr(), shards > 0 && 2*s.idx.MergeBehind() >= shards)
-}
+// Err is the first shard journal's sticky failure. Merge backlog is not a
+// failure: it is visible through the per-shard merge_behind gauges.
+func (s *ShardedStore) Err() error { return s.idx.JournalErr() }
 
 func (s *ShardedStore) Close() error { return s.idx.Close() }

@@ -47,11 +47,11 @@ const (
 	OpStats     byte = 9
 )
 
-// Response statuses.
+// Response statuses. 2 stays unassigned: older clients read it as "retry
+// later".
 const (
 	StatusOK          byte = 0
 	StatusNotFound    byte = 1
-	StatusRetryLater  byte = 2 // admission control shed the request; retry after backoff
 	StatusBadRequest  byte = 3 // malformed body, unknown opcode, unknown snapshot id
 	StatusErr         byte = 4 // store-side failure; body carries the message
 	StatusUnsupported byte = 5 // engine does not implement the operation; the one served engine never sends it

@@ -24,20 +24,14 @@ func LoadServer(addr string, ks [][]byte) error {
 		for i := off; i < end; i++ {
 			ops = append(ops, client.BatchOp{Key: ks[i], Value: uint64(i + 1)})
 		}
-		for {
-			sts, err := c.Batch(ops)
-			if err == client.ErrRetryLater {
-				continue
+		sts, err := c.Batch(ops)
+		if err != nil {
+			return fmt.Errorf("ycsb: load batch at %d: %w", off, err)
+		}
+		for j, st := range sts {
+			if st != 0 {
+				return fmt.Errorf("ycsb: load op %d rejected with status %d", off+j, st)
 			}
-			if err != nil {
-				return fmt.Errorf("ycsb: load batch at %d: %w", off, err)
-			}
-			for j, st := range sts {
-				if st != 0 {
-					return fmt.Errorf("ycsb: load op %d rejected with status %d", off+j, st)
-				}
-			}
-			break
 		}
 	}
 	return nil

@@ -17,8 +17,8 @@
 // HybridIndex and ShardedIndex answer "failed?" and "behind?" once, through
 // JournalErr and MergeBehind (LSM answers "failed?" through Err); everything
 // else about them is a metric in the StatsRegistry they were given.
-// cmd/mets-server folds the two answers into one verdict for admission
-// control, /healthz and its server.healthy/server.backlogged gauges.
+// cmd/mets-server reads the first for every commit, /healthz and its
+// server.healthy gauge; the second is the per-shard merge_behind gauge.
 //
 // See the examples directory for runnable end-to-end usage and DESIGN.md for
 // the system inventory and experiment map.
