@@ -2,7 +2,9 @@
 // support, following the lightweight lookup-table designs of Fast Succinct
 // Tries (Zhang, "Memory-Efficient Search Trees for Database Management
 // Systems", §3.6): a single-level rank LUT with a configurable basic-block
-// size and a sampled select LUT.
+// size and a sampled select LUT. Beside them are a frame-of-reference array
+// for a static structure's values (FOR) and the allocator rounding memory
+// accounting charges (AllocSize).
 package bits
 
 import (

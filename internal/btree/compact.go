@@ -3,7 +3,9 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"unsafe"
 
+	"mets/internal/bits"
 	"mets/internal/index"
 )
 
@@ -13,9 +15,13 @@ import (
 // offsets instead of stored pointers. Its key set is a prefix B+tree leaf
 // level (packed.go): each group of fanout keys stores its common prefix once,
 // and separators are the groups' first keys, so no key bytes are duplicated.
+// Its values go one step past the thesis' rules: they are a frame-of-reference
+// array (bits.FOR) whose blocks are the leaf groups, so a group of neighbouring
+// tuple IDs stores its minimum once and each value as a few-bit delta — or
+// plain 64-bit slots, when the values are too spread for that to be smaller.
 type Compact struct {
 	keys   packedKeys
-	values []uint64
+	values bits.FOR
 }
 
 // NewCompact builds a Compact B+tree from sorted unique entries. The packed
@@ -26,22 +32,22 @@ func NewCompact(entries []index.Entry) (*Compact, error) {
 }
 
 func newCompact(entries []index.Entry, workers int) (*Compact, error) {
-	c := &Compact{values: make([]uint64, len(entries))}
-	var err error
-	if c.keys, err = packKeys(entries, c.values, workers); err != nil {
+	values := make([]uint64, len(entries))
+	pk, err := packKeys(entries, values, workers)
+	if err != nil {
 		return nil, fmt.Errorf("btree: %w", err)
 	}
-	return c, nil
+	return &Compact{keys: pk, values: bits.NewFOR(values)}, nil
 }
 
 // Len returns the number of entries.
-func (c *Compact) Len() int { return len(c.values) }
+func (c *Compact) Len() int { return c.values.Len() }
 
 // Get returns the value stored under key.
 func (c *Compact) Get(key []byte) (uint64, bool) {
 	i := c.keys.lowerBound(key)
-	if i < len(c.values) && c.keys.equal(i, key) {
-		return c.values[i], true
+	if i < c.values.Len() && c.keys.equal(i, key) {
+		return c.values.Get(i), true
 	}
 	return 0, false
 }
@@ -51,17 +57,21 @@ func (c *Compact) Get(key []byte) (uint64, bool) {
 // one buffer.
 func (c *Compact) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	count := 0
+	var values bits.FORIter
 	c.keys.scan(start, func(i int, key []byte) bool {
+		if count == 0 {
+			values = c.values.Iter(i)
+		}
 		count++
-		return fn(key, c.values[i])
+		return fn(key, values.Next())
 	})
 	return count
 }
 
-// MemoryUsage returns the packed structure size in bytes: every array plus
-// the slice headers that hold them.
+// MemoryUsage returns the bytes the allocator handed out for the structure:
+// the struct itself and every array it holds.
 func (c *Compact) MemoryUsage() int64 {
-	return c.keys.memoryUsage() + int64(len(c.values))*8 + sliceHeader
+	return bits.AllocSize(int(unsafe.Sizeof(*c))) + c.keys.memoryUsage() + c.values.MemoryUsage()
 }
 
 // CompactMulti is the secondary-index (non-unique) variant of Compact: each
@@ -135,7 +145,7 @@ func (c *CompactMulti) Scan(start []byte, fn func(key []byte, value uint64) bool
 	return count
 }
 
-// MemoryUsage returns the packed structure size in bytes.
+// MemoryUsage returns the bytes the allocator handed out for the structure.
 func (c *CompactMulti) MemoryUsage() int64 {
-	return c.keys.memoryUsage() + int64(len(c.valStart))*4 + int64(len(c.vals))*8 + 2*sliceHeader
+	return bits.AllocSize(int(unsafe.Sizeof(*c))) + c.keys.memoryUsage() + bits.SliceAlloc(c.valStart) + bits.SliceAlloc(c.vals)
 }

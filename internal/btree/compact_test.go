@@ -3,11 +3,15 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
+	"mets/internal/bits"
 	"mets/internal/hope"
 	"mets/internal/index"
 	"mets/internal/keycodec"
@@ -18,12 +22,65 @@ import (
 // CompactMulti.
 func multiCount(i int) int { return i%3 + 1 }
 
-func uniqueEntries(ks [][]byte) []index.Entry {
+// uniqueEntries pairs the i-th key with vals[i].
+func uniqueEntries(ks [][]byte, vals []uint64) []index.Entry {
 	entries := make([]index.Entry, len(ks))
 	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
+		entries[i] = index.Entry{Key: k, Value: vals[i]}
 	}
 	return entries
+}
+
+// valueDists are the tuple-ID distributions the value codec is pinned on:
+// IDs in key order (a bulk load's, and the gated benchmark's), shuffled
+// 48-bit addresses, and uniform random 64-bit values.
+var valueDists = []struct {
+	name string
+	of   func(n int) []uint64
+}{
+	{"key order", func(n int) []uint64 {
+		vs := make([]uint64, n)
+		for i := range vs {
+			vs[i] = uint64(i)
+		}
+		return vs
+	}},
+	{"shuffled 48-bit", func(n int) []uint64 { return randomValues(n, 16) }},
+	{"random 64-bit", func(n int) []uint64 { return randomValues(n, 0) }},
+}
+
+// randomValues returns n random values of 64-drop bits.
+func randomValues(n int, drop uint) []uint64 {
+	rng := rand.New(rand.NewSource(int64(n) + int64(drop)))
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = rng.Uint64() >> drop
+	}
+	return vs
+}
+
+// valuesFrom derives n values from src (fuzz input, or a case name): each
+// leaf group spans a width an input byte picks — 0, 1, a few bits, one that
+// straddles words, 63 or 64 — above a random base, so the oracle decodes
+// every form and width the value codec has.
+func valuesFrom(n int, src []byte) []uint64 {
+	h := fnv.New64a()
+	h.Write(src)
+	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	widths := []uint{5, 0, 1, 33, 63, 64}
+	vs := make([]uint64, n)
+	var base uint64
+	var w uint
+	for i := range vs {
+		if g := i / fanout; i%fanout == 0 {
+			base, w = rng.Uint64(), widths[0]
+			if len(src) > 0 {
+				w = widths[int(src[g%len(src)])%len(widths)]
+			}
+		}
+		vs[i] = base + rng.Uint64()>>(64-w)
+	}
+	return vs
 }
 
 func multiEntries(ks [][]byte) []index.Entry {
@@ -62,12 +119,13 @@ func probesFor(ks [][]byte) [][]byte {
 	return probes
 }
 
-// checkCompactOracle builds a Compact and a CompactMulti over the sorted
-// unique keys ks and holds Get, lower-bound Scan(start) and the full
-// Scan(nil) of both against the sorted slice.
-func checkCompactOracle(t testing.TB, ks [][]byte, probes [][]byte) (*Compact, *CompactMulti) {
+// checkCompactOracle builds a Compact over the sorted unique keys ks, the
+// i-th one holding vals[i], and a CompactMulti over them, and holds Get,
+// lower-bound Scan(start) and the full Scan(nil) of both against the sorted
+// slice.
+func checkCompactOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte) (*Compact, *CompactMulti) {
 	t.Helper()
-	c, err := NewCompact(uniqueEntries(ks))
+	c, err := NewCompact(uniqueEntries(ks, vals))
 	if err != nil {
 		t.Fatalf("NewCompact: %v", err)
 	}
@@ -82,8 +140,8 @@ func checkCompactOracle(t testing.TB, ks [][]byte, probes [][]byte) (*Compact, *
 	for _, q := range probes {
 		want := sort.Search(len(ks), func(i int) bool { return bytes.Compare(ks[i], q) >= 0 })
 		present := want < len(ks) && bytes.Equal(ks[want], q)
-		if v, ok := c.Get(q); ok != present || ok && v != uint64(want) {
-			t.Fatalf("Compact.Get(%x) = %d,%v; want %d,%v", q, v, ok, want, present)
+		if v, ok := c.Get(q); ok != present || ok && v != vals[want] {
+			t.Fatalf("Compact.Get(%x) = %d,%v; want index %d,%v", q, v, ok, want, present)
 		}
 		vs := cm.GetAll(q)
 		if present && (len(vs) != multiCount(want) || vs[0] != uint64(want)<<8) || !present && vs != nil {
@@ -91,7 +149,7 @@ func checkCompactOracle(t testing.TB, ks [][]byte, probes [][]byte) (*Compact, *
 		}
 		i := want
 		c.Scan(q, func(k []byte, v uint64) bool {
-			if i >= len(ks) || !bytes.Equal(k, ks[i]) || v != uint64(i) {
+			if i >= len(ks) || !bytes.Equal(k, ks[i]) || v != vals[i] {
 				t.Fatalf("Compact.Scan(%x) entry %d = %x,%d; want index %d", q, i-want, k, v, i)
 			}
 			i++
@@ -116,7 +174,7 @@ func checkCompactOracle(t testing.TB, ks [][]byte, probes [][]byte) (*Compact, *
 	}
 	i := 0
 	n := c.Scan(nil, func(k []byte, v uint64) bool {
-		if i >= len(ks) || !bytes.Equal(k, ks[i]) || v != uint64(i) {
+		if i >= len(ks) || !bytes.Equal(k, ks[i]) || v != vals[i] {
 			t.Fatalf("Compact.Scan(nil)[%d] = %x,%d", i, k, v)
 		}
 		i++
@@ -166,7 +224,7 @@ func TestCompactEdgeCases(t *testing.T) {
 	}
 	for name, ks := range cases {
 		t.Run(name, func(t *testing.T) {
-			c, _ := checkCompactOracle(t, ks, probesFor(ks))
+			c, _ := checkCompactOracle(t, ks, valuesFrom(len(ks), []byte(name)), probesFor(ks))
 			if c.keys.off32 != nil {
 				t.Fatal("no group exceeds 64 KiB, yet the wide offset form was chosen")
 			}
@@ -184,7 +242,8 @@ func TestCompactEdgeCases(t *testing.T) {
 			}
 			ks = append(ks, k)
 		}
-		c, cm := checkCompactOracle(t, keys.Dedup(ks), probesFor(ks))
+		ks = keys.Dedup(ks)
+		c, cm := checkCompactOracle(t, ks, valuesFrom(len(ks), []byte("wide")), probesFor(ks))
 		if c.keys.off16 != nil || cm.keys.off16 != nil {
 			t.Fatal("a 128 KiB group must select 32-bit offsets")
 		}
@@ -192,32 +251,46 @@ func TestCompactEdgeCases(t *testing.T) {
 }
 
 // TestCompactLargeSets runs the oracle over the datasets the benchmarks use,
-// deep enough for two separator levels.
+// deep enough for two separator levels, with every value distribution.
 func TestCompactLargeSets(t *testing.T) {
 	for name, ks := range map[string][][]byte{
 		"emails": keys.Dedup(keys.Emails(20000, 31)),
 		"urls":   keys.Dedup(keys.URLs(5000, 32)),
 		"ints":   keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(20000, 33))),
 	} {
-		t.Run(name, func(t *testing.T) { checkCompactOracle(t, ks, probesFor(ks)) })
+		t.Run(name, func(t *testing.T) {
+			for _, d := range valueDists {
+				t.Run(d.name, func(t *testing.T) { checkCompactOracle(t, ks, d.of(len(ks)), probesFor(ks)) })
+			}
+			t.Run("mixed widths", func(t *testing.T) {
+				checkCompactOracle(t, ks, valuesFrom(len(ks), []byte(name)), probesFor(ks))
+			})
+		})
 	}
 }
 
 // TestCompactBuildDeterministic checks that the chunk-parallel build emits
-// the same structure for any worker count.
+// the same structure — value arrays included — for any worker count.
 func TestCompactBuildDeterministic(t *testing.T) {
-	entries := uniqueEntries(keys.Dedup(keys.Emails(100000, 5)))
-	serial, err := newCompact(entries, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{0, 2, 7} {
-		got, err := newCompact(entries, w)
+	ks := keys.Dedup(keys.Emails(100000, 5))
+	var entries []index.Entry
+	for _, d := range valueDists {
+		entries = uniqueEntries(ks, d.of(len(ks)))
+		serial, err := newCompact(entries, -1)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("workers=%d: structure differs from the serial build", w)
+		for _, w := range []int{0, 2, 7} {
+			got, err := newCompact(entries, w)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			if !reflect.DeepEqual(got.values, serial.values) {
+				t.Fatalf("%s, workers=%d: value arrays differ from the serial build", d.name, w)
+			}
+			if !reflect.DeepEqual(got, serial) {
+				t.Fatalf("%s, workers=%d: structure differs from the serial build", d.name, w)
+			}
 		}
 	}
 	for _, corrupt := range []int{1, 49999, len(entries) - 1} {
@@ -234,7 +307,7 @@ func TestCompactBuildDeterministic(t *testing.T) {
 // the bytes); the key set is every part and every concatenation of two, so a
 // small input yields up to ~1,700 keys sharing prefixes at every depth —
 // enough for two separator levels. What is left of the input probes, beside
-// the probes derived from the keys.
+// the probes derived from the keys, and picks each leaf group's value width.
 func FuzzCompactOps(f *testing.F) {
 	f.Add([]byte("seed-corpus-entry"))
 	f.Add([]byte{0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
@@ -254,7 +327,7 @@ func FuzzCompactOps(f *testing.F) {
 			}
 		}
 		ks = keys.Dedup(ks)
-		checkCompactOracle(t, ks, append(probesFor(ks), data))
+		checkCompactOracle(t, ks, valuesFrom(len(ks), data), append(probesFor(ks), data))
 	})
 }
 
@@ -288,7 +361,9 @@ func hopeEncoded(t testing.TB, ks [][]byte) [][]byte {
 
 // TestCompactMemoryUsageMatchesHeap is the reported-versus-actual audit the
 // bits/key figures rest on: MemoryUsage must be within 3% of what a build
-// leaves on the heap, and never more than 1% below it.
+// leaves on the heap, and never more than 1% below it — for every value
+// distribution, so both the packed values and the plain-slot fallback are
+// audited.
 func TestCompactMemoryUsageMatchesHeap(t *testing.T) {
 	check := func(name string, build func() (interface{ MemoryUsage() int64 }, error)) {
 		before := heapAlloc()
@@ -310,39 +385,68 @@ func TestCompactMemoryUsageMatchesHeap(t *testing.T) {
 		"random-u64":  keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(200000, 1))),
 	}
 	for name, ks := range datasets {
-		unique, multi := uniqueEntries(ks), multiEntries(ks)
-		check(name+"/Compact", func() (interface{ MemoryUsage() int64 }, error) { return NewCompact(unique) })
+		for _, d := range valueDists {
+			unique := uniqueEntries(ks, d.of(len(ks)))
+			check(name+"/Compact/"+d.name, func() (interface{ MemoryUsage() int64 }, error) { return NewCompact(unique) })
+			// The input must not die — and shrink the heap — between the two readings.
+			runtime.KeepAlive(unique)
+		}
+		multi := multiEntries(ks)
 		check(name+"/CompactMulti", func() (interface{ MemoryUsage() int64 }, error) { return NewCompactMulti(multi) })
-		// The inputs must not die — and shrink the heap — between the two readings.
-		runtime.KeepAlive(unique)
 		runtime.KeepAlive(multi)
 	}
 	runtime.KeepAlive(datasets)
 }
 
+// slotCompact is the layout Compact had before its values were
+// frame-of-reference coded: one 64-bit slot per key.
+type slotCompact struct {
+	keys   packedKeys
+	values []uint64
+}
+
 // TestCompactBitsPerKeyBudget pins the static stage's memory on deterministic
-// 100k-key builds, so a later change cannot silently give it back. The
-// 8-byte-mirror layout this one replaced cost 236 / 320 / 518 / 227.
+// 100k-key builds, so a later change cannot silently give it back. With IDs
+// in key order the values cost a few bits; the 64-bit slots they replaced
+// cost 153 / 167 / 217 / 171, and the 8-byte-mirror key layout before that
+// 236 / 320 / 518 / 227. Shuffled 48-bit addresses must cost no more than
+// 64-bit slots, and uniform random 64-bit values exactly what the slots did.
 func TestCompactBitsPerKeyBudget(t *testing.T) {
 	emails := keys.Dedup(keys.Emails(100000, 1))
 	for _, tc := range []struct {
 		name   string
 		ks     [][]byte
-		budget float64
+		budget float64 // with IDs in key order
 	}{
-		{"hope-emails", hopeEncoded(t, emails), 165},
-		{"raw-emails", emails, 180},
-		{"urls", keys.Dedup(keys.URLs(100000, 1)), 235},
-		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 180},
+		{"hope-emails", hopeEncoded(t, emails), 105},
+		{"raw-emails", emails, 122},
+		{"urls", keys.Dedup(keys.URLs(100000, 1)), 176},
+		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 126},
 	} {
-		c, err := NewCompact(uniqueEntries(tc.ks))
-		if err != nil {
-			t.Fatal(err)
-		}
-		bits := float64(c.MemoryUsage()) * 8 / float64(c.Len())
-		t.Logf("%s: %.1f bits/key (budget %.0f)", tc.name, bits, tc.budget)
-		if bits > tc.budget {
-			t.Errorf("%s: %.1f bits/key exceeds the budget of %.0f", tc.name, bits, tc.budget)
+		for _, d := range valueDists {
+			c, err := NewCompact(uniqueEntries(tc.ks, d.of(len(tc.ks))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := c.Len()
+			slots := bits.AllocSize(int(unsafe.Sizeof(slotCompact{}))) + c.keys.memoryUsage() + bits.AllocSize(8*n)
+			got := c.MemoryUsage()
+			perKey := func(b int64) float64 { return float64(b) * 8 / float64(n) }
+			t.Logf("%s, %s: %.1f bits/key (64-bit slots: %.1f)", tc.name, d.name, perKey(got), perKey(slots))
+			switch d.name {
+			case "key order":
+				if perKey(got) > tc.budget {
+					t.Errorf("%s: %.1f bits/key exceeds the budget of %.0f", tc.name, perKey(got), tc.budget)
+				}
+			case "shuffled 48-bit":
+				if got > slots {
+					t.Errorf("%s, %s: %d B, more than the %d B of 64-bit slots", tc.name, d.name, got, slots)
+				}
+			case "random 64-bit":
+				if got != slots {
+					t.Errorf("%s, %s: %d B, want exactly the %d B of 64-bit slots", tc.name, d.name, got, slots)
+				}
+			}
 		}
 	}
 }

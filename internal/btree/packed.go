@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mets/internal/bits"
 	"mets/internal/index"
 	"mets/internal/keys"
 	"mets/internal/par"
@@ -272,16 +273,13 @@ func (p *packedKeys) scan(start []byte, fn func(i int, key []byte) bool) {
 	}
 }
 
-// sliceHeader is what memoryUsage charges for a slice field.
-const sliceHeader = 24
-
-// memoryUsage counts every array the structure holds and the headers that
-// hold them.
+// memoryUsage returns what the allocator handed out for every array the key
+// set holds; its own fields are charged with the struct that embeds it.
 func (p *packedKeys) memoryUsage() int64 {
-	m := int64(len(p.keyData)) + int64(len(p.bases))*4 + int64(len(p.off16))*2 +
-		int64(len(p.off32))*4 + int64(len(p.heads))*4 + 6*sliceHeader
+	m := bits.SliceAlloc(p.keyData) + bits.SliceAlloc(p.bases) + bits.SliceAlloc(p.off16) +
+		bits.SliceAlloc(p.off32) + bits.SliceAlloc(p.heads) + bits.SliceAlloc(p.levels)
 	for _, lv := range p.levels {
-		m += int64(len(lv.heads))*4 + int64(len(lv.plen))*4 + 2*sliceHeader + 8
+		m += bits.SliceAlloc(lv.heads) + bits.SliceAlloc(lv.plen)
 	}
 	return m
 }
