@@ -29,9 +29,7 @@ import (
 	"syscall"
 	"time"
 
-	"mets/internal/hope"
 	"mets/internal/hybrid"
-	"mets/internal/keycodec"
 	"mets/internal/obs"
 	"mets/internal/server"
 	"mets/internal/sharded"
@@ -45,13 +43,12 @@ func main() {
 		dir       = flag.String("dir", "", "durability directory (empty = in-memory, no journals)")
 		shards    = flag.Int("shards", 8, "shard count (sharded engine)")
 		maxConns  = flag.Int("max-conns", 1024, "max concurrent connections")
-		autoTune  = flag.Bool("autotune", false, "run the adaptive drift tuner: watches the metrics registry and retrains/rebalances the sharded engine in place (in-memory sharded engine only)")
 	)
 	flag.Parse()
 
 	reg := obs.NewRegistry()
 
-	store, err := buildStore(*engine, *dir, *shards, *autoTune, reg)
+	store, err := buildStore(*engine, *dir, *shards, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mets-server:", err)
 		os.Exit(1)
@@ -92,12 +89,9 @@ func main() {
 }
 
 // buildStore constructs the sharded engine.
-func buildStore(engine, dir string, shards int, autoTune bool, reg *obs.Registry) (server.Store, error) {
+func buildStore(engine, dir string, shards int, reg *obs.Registry) (server.Store, error) {
 	if engine != "sharded" {
 		return nil, fmt.Errorf("unknown engine %q (sharded is the only engine)", engine)
-	}
-	if autoTune && dir != "" {
-		return nil, fmt.Errorf("-autotune requires an in-memory index (shard journals hold encoded keys); drop -dir")
 	}
 	hc := hybrid.DefaultConfig()
 	hc.EpochReads = true
@@ -107,14 +101,6 @@ func buildStore(engine, dir string, shards int, autoTune bool, reg *obs.Registry
 		Hybrid: hc,
 		Obs:    reg,
 		Dir:    dir,
-	}
-	if autoTune {
-		// The trainer gives the tuner's compression-decay detector an
-		// action; without it the tuner could only rebalance. Everything
-		// the tuner does lands on /metrics (tune.* counters/gauges) and
-		// in the flight ring (tune.retrain / tune.rebalance events).
-		cfg.CodecTrainer = keycodec.HOPETrainer(hope.DoubleChar, 1<<10)
-		cfg.AutoTune = true
 	}
 	return server.NewShardedStore(sharded.NewBTree(cfg)), nil
 }

@@ -322,9 +322,6 @@ func (c *Compact) Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	return count
 }
 
-// At returns the i-th entry.
-func (c *Compact) At(i int) ([]byte, uint64) { return c.key(i), c.values[i] }
-
 // MemoryUsage counts the packed arenas and the exact-size nodes: a Layout 1
 // node costs 12 bytes of header + 1 byte per label + 4 bytes per child, a
 // Layout 3 node 12 + 1024 bytes.

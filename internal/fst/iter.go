@@ -243,7 +243,7 @@ func (it *Iterator) Value() uint64 { return it.t.valueAt(it.leafLoc()) }
 // DropLeafRefs).
 func (it *Iterator) LeafRef() LeafRef { return it.t.leafRefAt(it.leafLoc()) }
 
-// Slot returns the current leaf's global slot in [0, NumLeaves).
+// Slot returns the current leaf's global slot in [0, leaf count).
 func (it *Iterator) Slot() int { return it.t.slotOf(it.leafLoc()) }
 
 // PathLen returns the number of key bytes the current leaf's stored prefix

@@ -176,9 +176,6 @@ func (t *Trie) Height() int { return t.height }
 // DenseHeight returns the number of LOUDS-Dense encoded levels.
 func (t *Trie) DenseHeight() int { return t.denseHeight }
 
-// NumLeaves returns the number of leaves (stored key prefixes).
-func (t *Trie) NumLeaves() int { return t.numDenseLeaves + t.numSparseLeaves }
-
 // MemoryUsage returns the structure's size in bytes: all bitmaps with their
 // rank/select support, the sparse label bytes, and the value arrays.
 func (t *Trie) MemoryUsage() int64 {
@@ -187,13 +184,6 @@ func (t *Trie) MemoryUsage() int64 {
 	m += t.sHasChild.MemoryUsage() + t.sLouds.MemoryUsage()
 	m += int64(len(t.dValues)+len(t.sValues)) * 8
 	return m + 64
-}
-
-// MemoryUsageWithLeafRefs additionally counts the leaf back-references (used
-// when the trie is used as an index over an external key list rather than as
-// a filter).
-func (t *Trie) MemoryUsageWithLeafRefs() int64 {
-	return t.MemoryUsage() + int64(t.numDenseLeaves+t.numSparseLeaves)*8
 }
 
 // --- Dense-region helpers. Ranks are inclusive of the queried position. ---
@@ -364,7 +354,7 @@ func (t *Trie) lookup(key []byte) (loc leafLoc, pathLen int, exact, ok bool) {
 	}
 }
 
-// slotOf maps a leaf location to its global slot in [0, NumLeaves): dense
+// slotOf maps a leaf location to its global slot in [0, leaf count): dense
 // leaves first, then sparse leaves, each in level order.
 func (t *Trie) slotOf(loc leafLoc) int {
 	if loc.region == regionDense {
@@ -384,9 +374,6 @@ func (t *Trie) GetSlot(key []byte) (slot, pathLen int, exact, ok bool) {
 	return t.slotOf(loc), pathLen, exact, true
 }
 
-// NumDenseLeaves returns the number of leaves in the LOUDS-Dense region.
-func (t *Trie) NumDenseLeaves() int { return t.numDenseLeaves }
-
 // DropLeafRefs releases the build-time leaf back-references. Filters call
 // this once suffix material has been extracted, so that MemoryUsage and the
 // structure itself match the thesis' layout. LeafRef accessors must not be
@@ -405,15 +392,4 @@ func (t *Trie) Get(key []byte) (uint64, bool) {
 		return 0, false
 	}
 	return t.valueAt(loc), true
-}
-
-// GetLeaf walks the trie for key and returns the reached leaf's
-// back-reference plus whether the leaf consumed the key completely. Filters
-// use it to fetch suffix material for candidate matches.
-func (t *Trie) GetLeaf(key []byte) (ref LeafRef, exact, ok bool) {
-	loc, _, exact, ok := t.lookup(key)
-	if !ok {
-		return LeafRef{}, false, false
-	}
-	return t.leafRefAt(loc), exact, ok
 }

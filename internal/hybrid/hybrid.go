@@ -206,8 +206,8 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		}
 	}
 	// Derived gauges register last: a registry snapshot may evaluate them
-	// from another goroutine the moment they land in the gauge map (the
-	// drift tuner ticks concurrently with core rebuilds), so the index must
+	// from another goroutine the moment they land in the gauge map (a
+	// scrape can run concurrently with a core rebuild), so the index must
 	// be fully constructed first — and the registry's own lock publishes
 	// everything written above to the snapshotting goroutine.
 	if r := h.obsReg; r != nil {

@@ -77,8 +77,8 @@ func TestRunDecoderSamplesLatency(t *testing.T) {
 }
 
 // TestEncodeBoundCounted: a scan's start bound is an encode like any other —
-// the byte counters behind keycodec.cpr (which the drift tuner's
-// compression-rate detector reads) and the latency histogram must see it.
+// the byte counters behind keycodec.cpr and the latency histogram must see
+// it.
 func TestEncodeBoundCounted(t *testing.T) {
 	sample := keys.Dedup(keys.Emails(2000, 54))
 	base, err := TrainHOPE(sample, hope.ThreeGrams, 1<<11)

@@ -9,7 +9,7 @@ import (
 // Validate vets a codec against a key sample before it is published: every
 // sampled key must round-trip exactly (Decode inverts Encode) and the
 // encoding must preserve the sample's order strictly. This is the validation
-// step a codec-retraining reconfiguration runs between building the codec
+// step a codec-training BulkLoad runs between building the codec
 // off-line and swapping it in — a dictionary that mis-orders or corrupts
 // even one key would silently break routing, range scans, and every filter
 // built over encoded keys.

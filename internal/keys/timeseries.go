@@ -1,7 +1,6 @@
 package keys
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -51,36 +50,4 @@ func expRand(rng *rand.Rand, mean float64) uint64 {
 		g = 1
 	}
 	return uint64(g)
-}
-
-// TimeSeriesKey formats a rolling-prefix time-series key: a textual epoch
-// prefix ("tsNNNNNN:") followed by a fixed-width sequence number. All keys of
-// one epoch share the prefix, so a trained key codec compresses them well —
-// and when the epoch rolls over, fresh keys stop matching the trained
-// dictionary and sort past every learned shard boundary. That is the drift
-// signature the adaptive tuner exists to detect, which makes this generator
-// the canonical drift workload.
-func TimeSeriesKey(epoch, seq uint64) []byte {
-	return []byte(fmt.Sprintf("ts%06d:%014d", epoch, seq))
-}
-
-// TimeSeriesKeys returns n distinct keys of the given epoch with pseudo-random
-// sequence numbers (reproducible per seed), sorted. The sequence space is
-// 100× n, so consecutive keys share long common prefixes like real
-// time-ordered data.
-func TimeSeriesKeys(epoch uint64, n int, seed int64) [][]byte {
-	rng := rand.New(rand.NewSource(seed))
-	space := int64(n) * 100
-	seen := make(map[uint64]bool, n)
-	out := make([][]byte, 0, n)
-	for len(out) < n {
-		s := uint64(rng.Int63n(space))
-		if seen[s] {
-			continue
-		}
-		seen[s] = true
-		out = append(out, TimeSeriesKey(epoch, s))
-	}
-	sort.Slice(out, func(i, j int) bool { return Compare(out[i], out[j]) < 0 })
-	return out
 }

@@ -163,9 +163,6 @@ func (c *Compact) Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	return count
 }
 
-// At returns the i-th entry.
-func (c *Compact) At(i int) ([]byte, uint64) { return c.key(i), c.values[i] }
-
 // NumLayers returns the number of flattened trie layers.
 func (c *Compact) NumLayers() int { return len(c.layers) }
 

@@ -22,12 +22,6 @@
 // the build/validate phases but still shares the publication bookkeeping and
 // event vocabulary — so "who swapped what, when, and why" reads the same
 // across layers.
-//
-// The background drift tuner (internal/tune) triggers its actions — codec
-// retrain, shard rebalance — through owners' methods built on Apply, which
-// is what makes autonomous reconfiguration safe: the tuner never touches
-// index internals, it only proposes changes that flow through the same
-// validated, serialized pipeline as a manual BulkLoad.
 package reconfig
 
 import (
@@ -44,15 +38,12 @@ type Prepared struct {
 	// Validate vets the built generation before anything becomes visible
 	// (e.g. keycodec.Validate proving a retrained codec round-trips and
 	// preserves order on the training sample). An error rejects the change:
-	// Publish is never called and Discard runs instead.
+	// Publish is never called.
 	Validate func() error
 	// Publish makes the generation visible — typically one atomic pointer
 	// store. An error rejects the change after the fact (nothing was made
 	// visible, or the owner's publish is itself atomic-or-nothing).
 	Publish func() error
-	// Discard undoes Build's side effects when validation or publication
-	// fails (e.g. uninstalling a write-capture buffer).
-	Discard func()
 	// Event overrides the flight-recorder event type recorded on a
 	// successful publication (default "reconfig.publish"). The hybrid
 	// index keeps its "merge.seal"/"merge.commit" vocabulary this way.
@@ -69,7 +60,7 @@ type Prepared struct {
 // Prepared closures later publish).
 type Change struct {
 	// Kind names the reconfiguration in events, spans, and errors
-	// (e.g. "codec.retrain", "shard.rebalance", "bulkload").
+	// (e.g. "bulkload", "bulkload.retrain").
 	Kind string
 	// Build constructs the next generation and returns its remaining
 	// pipeline steps. On error the change is rejected; Build must have
@@ -138,9 +129,6 @@ func (s *Seam) Apply(c Change) error {
 	if p.Validate != nil {
 		sp.Phase("validate")
 		if err := p.Validate(); err != nil {
-			if p.Discard != nil {
-				p.Discard()
-			}
 			s.reject(c.Kind, err)
 			return fmt.Errorf("reconfig %s/%s: validate: %w", s.name, c.Kind, err)
 		}
@@ -163,9 +151,6 @@ func (s *Seam) PublishLocked(kind string, p Prepared) error {
 func (s *Seam) publish(kind string, p Prepared, span uint64) error {
 	if p.Publish != nil {
 		if err := p.Publish(); err != nil {
-			if p.Discard != nil {
-				p.Discard()
-			}
 			s.reject(kind, err)
 			return err
 		}

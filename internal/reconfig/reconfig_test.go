@@ -54,7 +54,7 @@ func TestPublishLockedRecordsOnePublication(t *testing.T) {
 func TestApplyRecordsItsPhases(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder()})
-	err := s.Apply(Change{Kind: "codec.retrain", Build: func() (Prepared, error) {
+	err := s.Apply(Change{Kind: "bulkload.retrain", Build: func() (Prepared, error) {
 		return Prepared{
 			Validate: func() error { return nil },
 			Publish:  func() error { return nil },
@@ -65,7 +65,7 @@ func TestApplyRecordsItsPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := reg.Snapshot().Events
-	if len(evs) != 2 || evs[0].Type != "reconfig.publish" || evs[1].Type != "reconfig.codec.retrain" {
+	if len(evs) != 2 || evs[0].Type != "reconfig.publish" || evs[1].Type != "reconfig.bulkload.retrain" {
 		t.Fatalf("events = %+v, want the publication, then the pipeline's span record", evs)
 	}
 	if evs[0].Span == 0 || evs[0].Span != evs[1].Span {
@@ -82,24 +82,23 @@ func TestApplyRecordsItsPhases(t *testing.T) {
 }
 
 // TestApplyRejectsOnValidateError pins the rejection path: a failed Validate
-// discards the build, publishes nothing, and counts one rejection.
+// publishes nothing and counts one rejection.
 func TestApplyRejectsOnValidateError(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder()})
 	bad := errors.New("codec does not round-trip")
-	var published, discarded bool
-	err := s.Apply(Change{Kind: "codec.retrain", Build: func() (Prepared, error) {
+	published := false
+	err := s.Apply(Change{Kind: "bulkload.retrain", Build: func() (Prepared, error) {
 		return Prepared{
 			Validate: func() error { return bad },
 			Publish:  func() error { published = true; return nil },
-			Discard:  func() { discarded = true },
 		}, nil
 	}})
 	if !errors.Is(err, bad) {
 		t.Fatalf("Apply error = %v, want it to wrap the validation error", err)
 	}
-	if published || !discarded || s.Generation() != 0 {
-		t.Fatalf("published=%v discarded=%v generation=%d; want false, true, 0", published, discarded, s.Generation())
+	if published || s.Generation() != 0 {
+		t.Fatalf("published=%v generation=%d; want false, 0", published, s.Generation())
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["reconfig.rejected"] != 1 || snap.Counters["reconfig.applied"] != 0 {

@@ -38,7 +38,7 @@ func TestSyncJournalsSyncsOnlyDirtyShards(t *testing.T) {
 			for j := 0; j < 3; j++ { // several ops, still one sync per shard
 				n++
 				k := keyIn(sh, n)
-				if got := s.ShardFor(k); got != sh {
+				if got := shardOf(s, k); got != sh {
 					t.Fatalf("key %q routed to shard %d, want %d", k, got, sh)
 				}
 				s.Insert(k, uint64(n))

@@ -85,8 +85,8 @@ func TestShardedCodecEquivalence(t *testing.T) {
 		if plain.Insert(k, uint64(i)) != coded.Insert(k, uint64(i)) {
 			t.Fatalf("insert disagreement at %q", k)
 		}
-		if plain.ShardFor(k) != coded.ShardFor(k) {
-			t.Fatalf("ShardFor(%q) diverged: %d vs %d", k, plain.ShardFor(k), coded.ShardFor(k))
+		if shardOf(plain, k) != shardOf(coded, k) {
+			t.Fatalf("shard of %q diverged: %d vs %d", k, shardOf(plain, k), shardOf(coded, k))
 		}
 	}
 	for i, k := range ks {

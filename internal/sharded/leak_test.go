@@ -26,8 +26,9 @@ import (
 
 const leakShards = 4
 
-// watched is a trainer-driven index (so BulkLoad and Retrain swap the whole
-// core) whose shards report every static stage they build. Auto-merges are
+// watched is a trainer-driven index (so every BulkLoad swaps the whole core:
+// codec, router and shards) whose shards report every static stage they
+// build. Auto-merges are
 // off; the tests merge by hand.
 type watched struct {
 	*Index
@@ -112,10 +113,10 @@ func emailEntries(n int, seed int64) []index.Entry {
 }
 
 // TestSupersededCoresCollected: with no reader anywhere, every core, router,
-// codec and shard static stage superseded by shard merges, a retraining
-// BulkLoad, a Retrain and a Rebalance is collected — with a registry attached,
-// whose per-shard gauge closures are re-registered by each new core's shards
-// and must not hold an old one.
+// codec and shard static stage superseded by shard merges and three
+// retraining BulkLoads is collected — with a registry attached, whose
+// per-shard gauge closures are re-registered by each new core's shards and
+// must not hold an old one.
 func TestSupersededCoresCollected(t *testing.T) {
 	reg := obs.NewRegistry()
 	ws := newWatched(reg)
@@ -135,19 +136,21 @@ func TestSupersededCoresCollected(t *testing.T) {
 		}
 		ws.Merge()
 	}
-	if err := ws.Retrain(); err != nil {
-		t.Fatal(err)
+	updated := make([]index.Entry, len(entries))
+	for i, e := range entries {
+		updated[i] = index.Entry{Key: e.Key, Value: e.Value + 1<<32}
 	}
-	ws.watchCore("retrain")
-	if err := ws.Rebalance(); err != nil {
-		t.Fatal(err)
+	for _, step := range []string{"reload1", "reload2"} {
+		if err := ws.BulkLoad(updated); err != nil {
+			t.Fatal(err)
+		}
+		ws.watchCore(step)
 	}
-	ws.watchCore("rebalance")
 
 	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
 		t.Fatalf("superseded objects never collected: %v", leaked)
 	}
-	if n := reg.Snapshot().Counters["reconfig.applied"]; n != 3 { // bulkload.retrain, codec.retrain, shard.rebalance
+	if n := reg.Snapshot().Counters["reconfig.applied"]; n != 3 { // three bulkload.retrain
 		t.Fatalf("reconfig.applied = %d, want 3", n)
 	}
 	for _, e := range entries {
@@ -158,11 +161,11 @@ func TestSupersededCoresCollected(t *testing.T) {
 }
 
 // TestFewerShardsReleaseOldShards shrinks the core from 8 shards to 3 (a
-// Rebalance over two live keys has only two boundaries to offer). The new
-// core's shards take over the "shard0." to "shard2." derived gauges; nothing
-// re-registers "shard3." to "shard7.", whose closures hold the five retired
-// shard indexes, so publishing the smaller core must drop them from the
-// registry or those indexes and their static stages are never collected.
+// retraining BulkLoad of two entries has only two boundaries to offer). The
+// new core's shards take over the "shard0." to "shard2." derived gauges;
+// nothing re-registers "shard3." to "shard7.", whose closures hold the five
+// retired shard indexes, so publishing the smaller core must drop them from
+// the registry or those indexes and their static stages are never collected.
 func TestFewerShardsReleaseOldShards(t *testing.T) {
 	reg := obs.NewRegistry()
 	ws := newWatchedShards(reg, 8)
@@ -177,15 +180,12 @@ func TestFewerShardsReleaseOldShards(t *testing.T) {
 	if _, ok := reg.Snapshot().Gauges["shard7.static_len"]; !ok {
 		t.Fatal("shard7.static_len not registered while shard 7 exists")
 	}
-	for _, e := range entries[2:] {
-		ws.Delete(e.Key)
-	}
-	if err := ws.Rebalance(); err != nil {
+	if err := ws.BulkLoad(entries[:2]); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("rebalance")
+	ws.watchCore("reload")
 	if n := ws.NumShards(); n != 3 {
-		t.Fatalf("rebalance over two keys built %d shards, want 3", n)
+		t.Fatalf("bulk load of two keys built %d shards, want 3", n)
 	}
 	gauges := reg.Snapshot().Gauges
 	for i := 0; i < 8; i++ {
@@ -205,11 +205,13 @@ func TestFewerShardsReleaseOldShards(t *testing.T) {
 
 // TestLeakTestCatchesRetainedCore shows the test above bites: a gauge closure
 // over a core (instead of over the index) keeps that core, its router, its
-// codec and its shards' stages alive past a Retrain; dropping it lets them go.
+// codec and its shards' stages alive past a retraining BulkLoad; dropping it
+// lets them go.
 func TestLeakTestCatchesRetainedCore(t *testing.T) {
 	reg := obs.NewRegistry()
 	ws := newWatched(reg)
-	if err := ws.BulkLoad(emailEntries(2000, 5)); err != nil {
+	entries := emailEntries(2000, 5)
+	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
 	ws.watchCore("bulkload")
@@ -217,10 +219,10 @@ func TestLeakTestCatchesRetainedCore(t *testing.T) {
 		c := ws.load()
 		reg.GaugeFunc("leaky_shards", func() float64 { return float64(len(c.shards)) })
 	}()
-	if err := ws.Retrain(); err != nil {
+	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("retrain")
+	ws.watchCore("reload")
 
 	held := map[string]bool{}
 	for _, l := range ws.leaked(50 * time.Millisecond) {
@@ -237,11 +239,11 @@ func TestLeakTestCatchesRetainedCore(t *testing.T) {
 }
 
 // TestParkedScanKeepsItsCore parks a reader inside a Scan callback while every
-// shard merges and a Retrain then swaps the core under it. The shards of the
-// core it loaded must survive any number of collections, the scan must finish
-// with exactly the ordered, decoded contents that core held — not the writes
-// that landed in the new one — and afterwards the old core and all its stages
-// are collected.
+// shard merges and a retraining BulkLoad then swaps the core under it. The
+// shards of the core it loaded must survive any number of collections, the
+// scan must finish with exactly the ordered, decoded contents that core held
+// — not the writes that landed in the new one — and afterwards the old core
+// and all its stages are collected.
 func TestParkedScanKeepsItsCore(t *testing.T) {
 	ws := newWatched(nil)
 	entries := emailEntries(3000, 9)
@@ -273,14 +275,14 @@ func TestParkedScanKeepsItsCore(t *testing.T) {
 	<-parked
 
 	ws.Merge()
-	if err := ws.Retrain(); err != nil {
+	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("retrain")
+	ws.watchCore("reload")
 	for _, e := range entries[:500] { // lands in the new core only
 		ws.Update(e.Key, 7)
 	}
-	ws.Insert([]byte("zzzz@after-retrain"), 7)
+	ws.Insert([]byte("zzzz@after-reload"), 7)
 
 	held := map[string]bool{}
 	for _, l := range ws.leaked(20 * time.Millisecond) {

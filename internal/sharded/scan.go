@@ -36,8 +36,8 @@ import (
 // to be modified — copy it to retain it, or use ScanN.
 func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
 	// One core for the whole scan: codec, router and shards stay mutually
-	// consistent under a concurrent retrain, which publishes a new core and
-	// never touches this one.
+	// consistent under a concurrent retraining BulkLoad, which publishes a new
+	// core and never touches this one.
 	c := s.load()
 	return scan(c.codec, c.router, c.shards, start, fn)
 }

@@ -28,7 +28,6 @@ package sharded
 import (
 	"fmt"
 	"path"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -38,7 +37,6 @@ import (
 	"mets/internal/obs"
 	"mets/internal/par"
 	"mets/internal/reconfig"
-	"mets/internal/tune"
 )
 
 // Config tunes the sharded index.
@@ -78,19 +76,6 @@ type Config struct {
 	// sharded layer owns the per-shard directories. Hybrid.FS still selects
 	// the filesystem. Use SyncJournals/Close as the durability barriers.
 	Dir string
-	// AutoTune attaches a background drift tuner (internal/tune) that the
-	// index hands a sample of its counters each tick (tuneSample): decaying
-	// codec compression triggers Retrain
-	// (when CodecTrainer is set), sustained shard skew triggers Rebalance,
-	// and merge debt nudges background merges. All actions flow through the
-	// reconfiguration seam, so they are as safe as the manual calls.
-	// Incompatible with Dir for the same reason as CodecTrainer (New
-	// panics). With a nil Obs a private registry is created — the sample is
-	// read from the index's own counters.
-	AutoTune bool
-	// Tune overrides the tuner's detector thresholds (zero values pick the
-	// internal/tune defaults). Ignored without AutoTune.
-	Tune tune.Config
 }
 
 // DefaultConfig returns 8 uniform shards with background merges enabled.
@@ -102,12 +87,11 @@ func DefaultConfig() Config {
 
 // core is one immutable generation of the index: a codec, a router with
 // boundaries in that codec's encoded space, and the shards holding encoded
-// keys. Swapped wholesale by codec-retraining bulk loads, Retrain and
-// Rebalance; a reader loads the pointer once per operation and works on that
-// triple, which nothing writes to after publication. A superseded core is
-// garbage once the store has replaced it and the last such reader is done —
-// it owns no journals (Dir excludes every core swap), so there is nothing to
-// close.
+// keys. Swapped wholesale by codec-retraining bulk loads; a reader loads the
+// pointer once per operation and works on that triple, which nothing writes
+// to after publication. A superseded core is garbage once the store has
+// replaced it and the last such reader is done — it owns no journals (Dir
+// excludes every core swap), so there is nothing to close.
 type core struct {
 	codec  keycodec.Codec // nil = identity (keys stored raw)
 	router *Router
@@ -128,21 +112,9 @@ type Index struct {
 	nshards   int
 	// dir is Config.Dir; each shard journals under dir/shardNNN.
 	dir string
-	// seam is the reconfiguration pipeline every core rebuild publishes
-	// through — BulkLoad, Retrain, Rebalance, and the drift tuner's
-	// autonomous actions all serialize on it (it replaces the old bulkMu).
+	// seam is the reconfiguration pipeline every BulkLoad publishes
+	// through; concurrent bulk loads serialize on it.
 	seam *reconfig.Seam
-	// wmu fences writers against a core publication: Insert/Update/Delete
-	// hold it shared, a reconfiguration's capture install and publish hold
-	// it exclusive. Readers never touch it — they go straight through the
-	// atomic core pointer.
-	wmu sync.RWMutex
-	// cap, while a reconfiguration builds its next core off-line, records
-	// every successful write (in raw key space) so the publication can
-	// replay them onto the new generation. Nil outside that window.
-	cap atomic.Pointer[capture]
-	// tuner is the background drift controller (Config.AutoTune).
-	tuner *tune.Tuner
 }
 
 // New builds a sharded index; newShard creates one hybrid index per range
@@ -157,14 +129,6 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	}
 	if cfg.Dir != "" && cfg.CodecTrainer != nil {
 		panic("sharded: Dir cannot be combined with CodecTrainer (a codec swap would invalidate the encoded-space shard journals)")
-	}
-	if cfg.AutoTune {
-		if cfg.Dir != "" {
-			panic("sharded: AutoTune cannot be combined with Dir (reconfiguration would invalidate the encoded-space shard journals)")
-		}
-		if cfg.Obs == nil {
-			cfg.Obs = obs.NewRegistry() // tuneSample reads the index's counters
-		}
 	}
 	hc := cfg.Hybrid
 	hc.Codec = nil // the sharded layer owns the codec boundary
@@ -193,48 +157,8 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("shards", func() float64 { return float64(s.NumShards()) })
 	}
-	if cfg.AutoTune {
-		targets := tune.Targets{
-			Sample:      s.tuneSample(),
-			Rebalance:   s.Rebalance,
-			NudgeMerges: s.MergeAsync,
-		}
-		if s.trainer != nil {
-			targets.RetrainCodec = s.Retrain
-		}
-		s.tuner = tune.New(cfg.Tune, cfg.Obs, targets)
-		s.tuner.Start()
-	}
 	return s
 }
-
-// tuneSample resolves, once, the counters the drift tuner's detectors read —
-// the codec's byte counters and every shard's five op counters, whose names
-// are stable across generations (newCore) — and returns the function that
-// reads them into a tune.Sample.
-func (s *Index) tuneSample() func() tune.Sample {
-	src, enc := s.obs.Counter("keycodec.src_bytes"), s.obs.Counter("keycodec.enc_bytes")
-	ops := make([][5]*obs.Counter, s.nshards)
-	for i := range ops {
-		sh := s.obs.Sub(fmt.Sprintf("shard%d.", i))
-		for j, op := range [5]string{"get", "insert", "update", "delete", "scan"} {
-			ops[i][j] = sh.Counter(op)
-		}
-	}
-	return func() tune.Sample {
-		sm := tune.Sample{CodecSrcBytes: src.Load(), CodecEncBytes: enc.Load(),
-			ShardOps: make([]int64, len(ops)), MergeBehind: s.MergeBehind()}
-		for i, cs := range ops {
-			for _, c := range cs {
-				sm.ShardOps[i] += c.Load()
-			}
-		}
-		return sm
-	}
-}
-
-// Tuner returns the background drift tuner, or nil without Config.AutoTune.
-func (s *Index) Tuner() *tune.Tuner { return s.tuner }
 
 // NewBTree builds a sharded index with B-tree shards.
 func NewBTree(cfg Config) *Index { return New(cfg, hybrid.NewBTree) }
@@ -353,26 +277,9 @@ func (s *Index) JournalErr() error {
 	return nil
 }
 
-// MergeBehind counts the shards past their merge trigger (see
-// hybrid.Index.MergeBehind). Like the other aggregate accessors it visits
-// shards one at a time — a monotonic count, not a point-in-time cut.
-func (s *Index) MergeBehind() int {
-	n := 0
-	for _, sh := range s.load().shards {
-		if sh.MergeBehind() {
-			n++
-		}
-	}
-	return n
-}
-
-// Close stops the drift tuner (if any), settles background merges, and
-// closes every shard journal (each with a final fsync if it needs one).
-// Journal-less indexes only need Close with AutoTune.
+// Close settles background merges and closes every shard journal (each with
+// a final fsync if it needs one).
 func (s *Index) Close() error {
-	if s.tuner != nil {
-		s.tuner.Stop()
-	}
 	var first error
 	for _, sh := range s.load().shards {
 		if err := sh.Close(); err != nil && first == nil {
@@ -402,91 +309,39 @@ func (s *Index) Router() *Router { return s.load().router }
 // Codec returns the current generation's codec (nil when keys are raw).
 func (s *Index) Codec() keycodec.Codec { return s.load().codec }
 
-// ShardFor returns the shard index owning key (exposed for tests and
-// placement-aware callers).
-func (s *Index) ShardFor(key []byte) int {
+// shard loads the core, encodes key and routes it: the owning shard and the
+// key in its encoded space. Every point operation starts here and takes no
+// lock of the sharded layer; the shard's own writer mutex is the only one a
+// write meets.
+func (s *Index) shard(key []byte) (*hybrid.Index, []byte) {
 	c := s.load()
-	return c.router.Shard(c.encodeKey(key))
+	ek := c.encodeKey(key)
+	return c.shards[c.router.Shard(ek)], ek
 }
 
-// Get returns the value stored under key: load the core, encode, route, and
-// resolve in the owning shard's current generation.
+// Get returns the value stored under key, resolved in the owning shard's
+// current generation.
 func (s *Index) Get(key []byte) (uint64, bool) {
-	c := s.load()
-	ek := c.encodeKey(key)
-	return c.shards[c.router.Shard(ek)].Get(ek)
+	sh, ek := s.shard(key)
+	return sh.Get(ek)
 }
-
-// capOp is one captured write, held in raw key space so it can be re-encoded
-// under whatever codec the next generation publishes with.
-type capOp struct {
-	op  byte // jop-style: 1 insert, 2 update, 3 delete
-	key []byte
-	val uint64
-}
-
-// capture collects the writes that land while a reconfiguration builds its
-// next core. Its mutex is held across apply+append, so the recorded order is
-// exactly the order the ops took effect in — replaying the log onto the new
-// core therefore converges on the same per-key final state (the log is
-// self-synchronizing: only successful ops are recorded, and insert replays
-// fall back to update when the snapshot already carried the key).
-type capture struct {
-	mu  sync.Mutex
-	ops []capOp
-}
-
-// write applies one point write to the current core, recording it in the
-// active capture, if any. Writers hold wmu shared, so a reconfiguration's
-// exclusive sections (capture install, core publication) see no write in
-// flight on either side.
-func (s *Index) write(op byte, key []byte, value uint64) bool {
-	s.wmu.RLock()
-	defer s.wmu.RUnlock()
-	cp := s.cap.Load()
-	if cp != nil {
-		// Serialize captured writes so log order equals apply order; the
-		// window only lasts while a rebuild is in flight.
-		cp.mu.Lock()
-		defer cp.mu.Unlock()
-	}
-	c := s.load()
-	ek := c.encodeKey(key)
-	sh := c.shards[c.router.Shard(ek)]
-	var ok bool
-	switch op {
-	case capInsert:
-		ok = sh.Insert(ek, value)
-	case capUpdate:
-		ok = sh.Update(ek, value)
-	case capDelete:
-		ok = sh.Delete(ek)
-	}
-	if ok && cp != nil {
-		cp.ops = append(cp.ops, capOp{op: op, key: append([]byte(nil), key...), val: value})
-	}
-	return ok
-}
-
-const (
-	capInsert byte = 1
-	capUpdate byte = 2
-	capDelete byte = 3
-)
 
 // Insert adds a new entry (primary-index semantics: duplicates rejected).
 func (s *Index) Insert(key []byte, value uint64) bool {
-	return s.write(capInsert, key, value)
+	sh, ek := s.shard(key)
+	return sh.Insert(ek, value)
 }
 
 // Update overwrites the value of an existing key.
 func (s *Index) Update(key []byte, value uint64) bool {
-	return s.write(capUpdate, key, value)
+	sh, ek := s.shard(key)
+	return sh.Update(ek, value)
 }
 
 // Delete removes key.
 func (s *Index) Delete(key []byte) bool {
-	return s.write(capDelete, key, 0)
+	sh, ek := s.shard(key)
+	return sh.Delete(ek)
 }
 
 // Len returns the total number of live entries across shards.
@@ -601,8 +456,7 @@ const bulkSampleCap = 1 << 16
 // atomically. Readers still on the earlier core finish on it.
 //
 // Both paths run through the reconfiguration seam, which serializes them
-// against each other and against Retrain/Rebalance and instruments the
-// build/validate/publish pipeline.
+// against each other and instruments the build/validate/publish pipeline.
 func (s *Index) BulkLoad(entries []index.Entry) error {
 	if s.trainer == nil {
 		return s.seam.Apply(reconfig.Change{
@@ -650,127 +504,6 @@ func (s *Index) BulkLoad(entries []index.Entry) error {
 			return p, nil
 		},
 	})
-}
-
-// Retrain rebuilds the key codec from the live key distribution and swaps in
-// a fresh core (new codec, quantile router over the re-encoded keys, rebuilt
-// shards) without blocking readers: the rebuild runs off a scan snapshot
-// while writes continue (captured and replayed at publication). Requires a
-// CodecTrainer; errors without one. This is the action the drift tuner takes
-// when the compression ratio decays.
-func (s *Index) Retrain() error { return s.reconfigure("codec.retrain", true) }
-
-// Rebalance recomputes the shard boundaries as even quantiles of the
-// current live keys under the current codec and swaps in a rebuilt core —
-// the skew-correcting half of Retrain, without touching the codec. This is
-// the action the drift tuner takes when one shard runs disproportionately
-// hot.
-func (s *Index) Rebalance() error { return s.reconfigure("shard.rebalance", false) }
-
-// reconfigure rebuilds the core from a live snapshot plus captured writes.
-//
-// The protocol: (1) install a write-capture under the exclusive writer
-// fence, so every write from here on is recorded in order; (2) snapshot the
-// index contents in raw key space (writes keep flowing — any that land
-// before the scan passes them are both in the snapshot and in the capture,
-// which is safe because the capture log is self-synchronizing, see capture);
-// (3) train/encode/build the next core off-line; (4) validate a retrained
-// codec against the sample; (5) under the exclusive fence again, replay the
-// captured writes onto the new core and publish it. Readers are never
-// blocked; writers only wait during (1) and (5).
-func (s *Index) reconfigure(kind string, retrain bool) error {
-	if s.dir != "" {
-		return fmt.Errorf("sharded: %s requires an in-memory index (shard journals hold encoded keys)", kind)
-	}
-	if retrain && s.trainer == nil {
-		return fmt.Errorf("sharded: %s requires Config.CodecTrainer", kind)
-	}
-	return s.seam.Apply(reconfig.Change{
-		Kind: kind,
-		Build: func() (reconfig.Prepared, error) {
-			cp := &capture{}
-			s.wmu.Lock()
-			s.cap.Store(cp)
-			s.wmu.Unlock()
-			discard := func() {
-				s.wmu.Lock()
-				s.cap.Store(nil)
-				s.wmu.Unlock()
-			}
-			var entries []index.Entry
-			s.Scan(nil, func(k []byte, v uint64) bool {
-				entries = append(entries, index.Entry{Key: append([]byte(nil), k...), Value: v})
-				return true
-			})
-			codec := s.load().codec
-			var sample [][]byte
-			if retrain {
-				sample = sampleKeys(entries, bulkSampleCap)
-				c, err := s.trainer(sample)
-				if err != nil {
-					discard()
-					return reconfig.Prepared{}, fmt.Errorf("sharded: codec training failed: %w", err)
-				}
-				if keycodec.IsIdentity(c) {
-					codec = nil
-				} else {
-					codec = keycodec.Instrument(c, s.obs)
-				}
-			}
-			enc := encodeEntries(entries, codec)
-			router := quantileRouter(enc, s.nshards)
-			next := s.newCore(codec, router)
-			if err := bulkLoadCore(next, enc); err != nil {
-				discard()
-				return reconfig.Prepared{}, err
-			}
-			p := reconfig.Prepared{
-				Publish: func() error {
-					s.wmu.Lock()
-					defer s.wmu.Unlock()
-					cp.mu.Lock() // no writer can hold it now; taken for order
-					ops := cp.ops
-					cp.mu.Unlock()
-					replayCapture(next, ops)
-					s.publish(next)
-					s.cap.Store(nil)
-					return nil
-				},
-				Discard: discard,
-				Attrs: []obs.Attr{
-					obs.I64("entries", int64(len(entries))),
-					obs.I64("shards", int64(s.nshards)),
-				},
-			}
-			if retrain && codec != nil {
-				cc := codec
-				p.Validate = func() error { return keycodec.Validate(cc, sample) }
-			}
-			return p, nil
-		},
-	})
-}
-
-// replayCapture applies captured raw-space writes onto a new core, encoding
-// and routing under the new generation. Runs with the writer fence held
-// exclusively, before the core is published. Insert replays fall back to
-// update: an op captured after the snapshot scan passed its key is already
-// reflected in the snapshot, and the fallback converges both cases.
-func replayCapture(next *core, ops []capOp) {
-	for _, o := range ops {
-		ek := next.encodeKey(o.key)
-		sh := next.shards[next.router.Shard(ek)]
-		switch o.op {
-		case capInsert:
-			if !sh.Insert(ek, o.val) {
-				sh.Update(ek, o.val)
-			}
-		case capUpdate:
-			sh.Update(ek, o.val)
-		case capDelete:
-			sh.Delete(ek)
-		}
-	}
 }
 
 // sampleKeys draws an evenly spaced key sample of at most cap entries.

@@ -244,9 +244,6 @@ func (c *Compact) Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	return count
 }
 
-// At returns the i-th entry.
-func (c *Compact) At(i int) ([]byte, uint64) { return c.key(i), c.values[i] }
-
 // MemoryUsage returns the packed structure size in bytes.
 func (c *Compact) MemoryUsage() int64 {
 	m := int64(len(c.keyData)) + int64(len(c.keyOffs))*4 + int64(len(c.values))*8

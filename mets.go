@@ -14,11 +14,11 @@
 //   - LSM — an in-memory log-structured engine with pluggable filters and
 //     counted block I/O, the Chapter 4 example application.
 //
-// HybridIndex and ShardedIndex answer "failed?" and "behind?" once, through
-// JournalErr and MergeBehind (LSM answers "failed?" through Err); everything
-// else about them is a metric in the StatsRegistry they were given.
-// cmd/mets-server reads the first for every commit, /healthz and its
-// server.healthy gauge; the second is the per-shard merge_behind gauge.
+// HybridIndex answers "failed?" and "behind?" once, through JournalErr and
+// MergeBehind; ShardedIndex answers "failed?" through JournalErr (LSM through
+// Err). Everything else about them is a metric in the StatsRegistry they were
+// given. cmd/mets-server reads JournalErr for every commit, /healthz and its
+// server.healthy gauge; "behind?" is the per-shard merge_behind gauge.
 //
 // See the examples directory for runnable end-to-end usage and DESIGN.md for
 // the system inventory and experiment map.
@@ -35,7 +35,6 @@ import (
 	"mets/internal/obs"
 	"mets/internal/sharded"
 	"mets/internal/surf"
-	"mets/internal/tune"
 )
 
 // Entry is one key-value pair (values are 64-bit "tuple pointers").
@@ -141,39 +140,6 @@ var (
 	RouterFromSample     = sharded.RouterFromSample
 )
 
-// --- Adaptive tuning -------------------------------------------------------
-
-// TuneConfig tunes the drift detectors and hysteresis of the background
-// controller; the zero value uses the production defaults. Set
-// ShardedConfig.AutoTune (with ShardedConfig.Tune to override knobs) and the
-// index runs a DriftTuner that it hands a TuneSample each tick, watching for
-// compression decay, per-shard load skew, and merge backlog, and repairs them
-// in place — codec retrain, shard rebalance, merge nudge — through the
-// generation-swap reconfiguration seam. See DESIGN.md "Control plane".
-type TuneConfig = tune.Config
-
-// DriftTuner is the background controller; reach it via ShardedIndex.Tuner.
-// Its tick and action counts and detector readings are the "tune." counters
-// and gauges of the registry it was given.
-type DriftTuner = tune.Tuner
-
-// TuneTargets binds a standalone tuner to its index — the sample function it
-// reads and the reconfiguration actions it fires; only needed when composing
-// a custom controller with NewDriftTuner (the ShardedConfig.AutoTune path
-// wires these automatically).
-type TuneTargets = tune.Targets
-
-// TuneSample is what TuneTargets.Sample hands a tuner each tick.
-type TuneSample = tune.Sample
-
-// NewDriftTuner composes a standalone controller — for engines assembled from
-// the layer packages directly. The detectors read targets.Sample; reg only
-// receives the tuner's own "tune." metrics and flight events (nil for none).
-// Call Start to run it and Stop on shutdown.
-func NewDriftTuner(cfg TuneConfig, reg *StatsRegistry, targets TuneTargets) *DriftTuner {
-	return tune.New(cfg, reg, targets)
-}
-
 // --- HOPE ------------------------------------------------------------------
 
 // KeyEncoder is a trained order-preserving key compressor.
@@ -208,7 +174,8 @@ func TrainHOPE(sample [][]byte, scheme HOPEScheme, dictLimit int) (*KeyEncoder, 
 type KeyCodec = keycodec.Codec
 
 // KeyCodecTrainer trains a codec from a key sample; ShardedConfig's
-// CodecTrainer uses one to retrain during BulkLoad.
+// CodecTrainer uses one to train the codec once per BulkLoad, from the load's
+// own sample (Ch. 6's offline training), and there is no retraining after.
 type KeyCodecTrainer = keycodec.Trainer
 
 // IdentityKeyCodec returns the no-op codec (keys stored raw).
