@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 20771
+LOC_MAX := 21037
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -51,6 +51,7 @@ obs-overhead:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTrieOps$$' -fuzztime $(FUZZTIME) ./internal/fst
 	$(GO) test -run '^$$' -fuzz '^FuzzFSTBuildLookup$$' -fuzztime $(FUZZTIME) ./internal/fst
+	$(GO) test -run '^$$' -fuzz '^FuzzStaticOps$$' -fuzztime $(FUZZTIME) ./internal/fst
 	$(GO) test -run '^$$' -fuzz '^FuzzSuRFNoFalseNegatives$$' -fuzztime $(FUZZTIME) ./internal/surf
 	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesReference$$' -fuzztime $(FUZZTIME) ./internal/hope
 	$(GO) test -run '^$$' -fuzz '^FuzzRunDecoder$$' -fuzztime $(FUZZTIME) ./internal/hope

@@ -225,3 +225,28 @@ func TestRankLUTCapacityGuard(t *testing.T) {
 	}()
 	checkLUTCapacity(1 << 32)
 }
+
+// TestSelectInWord holds the broadword select to a bit-by-bit scan on every
+// rank of words of every density, and to 64 past a word's last set bit.
+func TestSelectInWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	words := []uint64{0, 1, 1 << 63, ^uint64(0), 0x8080808080808080, 0x00FF00000000FF01}
+	for i := 0; i < 2000; i++ {
+		words = append(words, rng.Uint64()&rng.Uint64(), rng.Uint64()|rng.Uint64(), rng.Uint64())
+	}
+	for _, w := range words {
+		rank := 0
+		for p := 0; p < 64; p++ {
+			if w&(1<<p) == 0 {
+				continue
+			}
+			rank++
+			if got := selectInWord(w, rank); got != p {
+				t.Fatalf("selectInWord(%#x, %d) = %d, want %d", w, rank, got, p)
+			}
+		}
+		if got := selectInWord(w, rank+1); got != 64 {
+			t.Fatalf("selectInWord(%#x, %d) = %d past the last set bit, want 64", w, rank+1, got)
+		}
+	}
+}

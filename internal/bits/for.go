@@ -34,76 +34,112 @@ type FOR struct {
 // NewFOR encodes values. The slice is taken over: when the packed form is not
 // smaller it becomes the plain form, so the caller must not modify it.
 func NewFOR(values []uint64) FOR {
-	n := len(values)
+	b := NewFORBuilder(len(values))
+	for i, v := range values {
+		b.Frame(i, v)
+	}
+	if !b.packed() {
+		return FOR{data: values, n: len(values)}
+	}
+	for i, v := range values {
+		b.Put(i, v)
+	}
+	return b.f
+}
+
+// FORBuilder encodes n values that arrive in any order. Each value is handed
+// over twice: first to Frame, then, once every value has been framed, to
+// Put. A structure whose values reach their slots out of order — the static
+// trie's leaves arrive in key order, its slots are in level order — builds
+// its FOR without first gathering the values in a 64-bit array.
+type FORBuilder struct {
+	f FOR
+	// Per block: its minimum (the base), and its maximum until the layout,
+	// which replaces it with where its deltas start << 8 | their width.
+	lo, hi []uint64
+	laid   bool // the form is chosen and, when packed, the array laid out
+	plain  bool
+}
+
+// NewFORBuilder returns a builder for n values.
+func NewFORBuilder(n int) *FORBuilder {
 	blocks := (n + forBlock - 1) / forBlock
-	bases, widths := make([]uint64, blocks), make([]uint8, blocks)
+	b := &FORBuilder{f: FOR{n: n}, lo: make([]uint64, blocks), hi: make([]uint64, blocks)}
+	for k := range b.lo {
+		b.lo[k] = ^uint64(0)
+	}
+	return b
+}
+
+// Frame takes value i into its block's frame.
+func (b *FORBuilder) Frame(i int, v uint64) {
+	k := i / forBlock
+	b.lo[k], b.hi[k] = min(b.lo[k], v), max(b.hi[k], v)
+}
+
+// packed reports whether the packed form was chosen, choosing on its first
+// call.
+func (b *FORBuilder) packed() bool {
+	if !b.laid {
+		b.layout()
+	}
+	return !b.plain
+}
+
+// layout chooses the form from the frames and lays out the packed array: the
+// start table and every block's base.
+func (b *FORBuilder) layout() {
+	b.laid = true
+	blocks := len(b.lo)
 	units := uint64(blocks + 1) // the start table
-	for b := range bases {
-		bases[b], widths[b] = frame(values[b*forBlock : min(b*forBlock+forBlock, n)])
-		units += 2 + uint64(widths[b])
+	for k := range b.hi {
+		b.hi[k] = uint64(mathbits.Len64(b.hi[k] - b.lo[k]))
+		units += 2 + b.hi[k]
 	}
 	words := units/2 + 2
-	if words >= uint64(n) || units > 1<<32-1 {
-		return FOR{data: values, n: n}
-	}
-	f := FOR{data: make([]uint64, words), n: n}
-	s := uint64(blocks + 1)
-	for b, w := range widths {
-		f.data[b>>1] |= s << (b & 1 * 32)
-		s += 2 + uint64(w)
-	}
-	f.data[blocks>>1] |= s << (blocks & 1 * 32)
-	// The records follow the table, so one sequential pass writes them all.
-	out := bitWriter{data: f.data, k: (blocks + 1) / 2}
-	if blocks&1 == 0 { // the table ends in the low half of a word
-		out.acc, out.n = f.data[out.k], 32
-	}
-	for b, base := range bases {
-		out.write(base, 64)
-		w := uint(widths[b])
-		for _, v := range values[b*forBlock : min(b*forBlock+forBlock, n)] {
-			out.write(v-base, w)
-		}
-	}
-	out.flush()
-	return f
-}
-
-// frame returns a block's base (its minimum) and the bits its deltas need.
-func frame(vs []uint64) (base uint64, width uint8) {
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs[1:] {
-		lo, hi = min(lo, v), max(hi, v)
-	}
-	return lo, uint8(mathbits.Len64(hi - lo))
-}
-
-// bitWriter appends bit fields to data from word k on; acc holds the n bits
-// of the word being filled.
-type bitWriter struct {
-	data []uint64
-	k    int
-	acc  uint64
-	n    uint
-}
-
-// write appends the w low bits of v; v must have no higher bit set.
-func (o *bitWriter) write(v uint64, w uint) {
-	o.acc |= v << (o.n & 63)
-	if o.n+w < 64 {
-		o.n += w
+	if b.plain = words >= uint64(b.f.n) || units > 1<<32-1; b.plain {
 		return
 	}
-	o.data[o.k] = o.acc
-	o.k++
-	o.acc = v >> (64 - o.n) // all of v went in when n is 0: a shift by 64 is 0
-	o.n = o.n + w - 64
+	f := &b.f
+	f.data = make([]uint64, words)
+	s := uint64(blocks + 1)
+	for k, w := range b.hi {
+		f.data[k>>1] |= s << (k & 1 * 32)
+		f.or(uint(s)*32, b.lo[k])
+		b.hi[k] = (s*32+64)<<8 | w
+		s += 2 + w
+	}
+	f.data[blocks>>1] |= s << (blocks & 1 * 32)
 }
 
-// flush stores the word being filled, if it holds any bits.
-func (o *bitWriter) flush() {
-	if o.n > 0 {
-		o.data[o.k] = o.acc
+// Put stores value i; every value must have been framed.
+func (b *FORBuilder) Put(i int, v uint64) {
+	f := &b.f
+	if !b.packed() {
+		if f.data == nil {
+			f.data = make([]uint64, f.n)
+		}
+		f.data[i] = v
+		return
+	}
+	k := i / forBlock
+	h := b.hi[k]
+	f.or(uint(h>>8)+uint(i%forBlock)*uint(h&0xFF), v-b.lo[k])
+}
+
+// FOR returns the encoded array once every value has been put.
+func (b *FORBuilder) FOR() FOR {
+	b.packed()
+	return b.f
+}
+
+// or sets the bits of v from bit position p on; they must be clear. A field
+// may end in the next word, which the padding guarantees is there.
+func (f *FOR) or(p uint, v uint64) {
+	k, off := p>>6, p&63
+	f.data[k] |= v << off
+	if off != 0 {
+		f.data[k+1] |= v >> (64 - off)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -36,6 +37,18 @@ func checkFOR(t testing.TB, values []uint64) FOR {
 	}
 	if !packed(f) && len(want) > 0 && &f.data[0] != &values[0] {
 		t.Fatal("plain form copied its input")
+	}
+	// The builder, handed the values in any order, lays out the same words.
+	order := rand.New(rand.NewSource(int64(len(want)))).Perm(len(want))
+	b := NewFORBuilder(len(want))
+	for _, i := range order {
+		b.Frame(i, want[i])
+	}
+	for _, i := range order {
+		b.Put(i, want[i])
+	}
+	if g := b.FOR(); g.n != f.n || !slices.Equal(g.data, f.data) {
+		t.Fatalf("n=%d packed=%v: FORBuilder in shuffled order differs from NewFOR", len(want), packed(f))
 	}
 	return f
 }

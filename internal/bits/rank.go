@@ -3,6 +3,7 @@ package bits
 import (
 	"fmt"
 	mathbits "math/bits"
+	"unsafe"
 )
 
 // RankVector augments a bit vector with a single-level rank lookup table
@@ -99,4 +100,10 @@ func (r *RankVector) Ones() int { return int(r.lut[len(r.lut)-1]) }
 // MemoryUsage returns the bytes used by the payload plus the rank LUT.
 func (r *RankVector) MemoryUsage() int64 {
 	return r.Vector.MemoryUsage() + int64(len(r.lut)*4) + 16
+}
+
+// HeapSize returns the bytes the allocator handed out for r: the struct and
+// the two arrays it holds.
+func (r *RankVector) HeapSize() int64 {
+	return AllocSize(int(unsafe.Sizeof(*r))) + SliceAlloc(r.words) + SliceAlloc(r.lut)
 }

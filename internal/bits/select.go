@@ -1,6 +1,9 @@
 package bits
 
-import mathbits "math/bits"
+import (
+	mathbits "math/bits"
+	"unsafe"
+)
 
 // SelectVector augments a RankVector with sampled select support: the
 // positions of every sampleRate-th set bit are precomputed, and queries scan
@@ -22,15 +25,14 @@ func NewSelectVector(v *Vector, blockSize, sampleRate int) *SelectVector {
 	for 1<<s.sampleShift < sampleRate {
 		s.sampleShift++
 	}
-	ones := 0
+	s.samples = make([]uint32, 0, (s.Ones()+sampleRate-1)/sampleRate)
+	ones, next := 0, 0 // set bits before word wi; the 0-based rank of the next sample
 	for wi, w := range s.words {
-		for w != 0 {
-			if ones%sampleRate == 0 {
-				s.samples = append(s.samples, uint32(wi*64+mathbits.TrailingZeros64(w)))
-			}
-			ones++
-			w &= w - 1
+		c := mathbits.OnesCount64(w)
+		for ; next < ones+c; next += sampleRate {
+			s.samples = append(s.samples, uint32(wi*64+selectInWord(w, next-ones+1)))
 		}
+		ones += c
 	}
 	return s
 }
@@ -65,4 +67,10 @@ func (s *SelectVector) Select1(i int) int {
 // MemoryUsage returns bytes used by payload, rank LUT, and select samples.
 func (s *SelectVector) MemoryUsage() int64 {
 	return s.RankVector.MemoryUsage() + int64(len(s.samples)*4) + 16
+}
+
+// HeapSize returns the bytes the allocator handed out for s: the struct and
+// the three arrays it holds.
+func (s *SelectVector) HeapSize() int64 {
+	return AllocSize(int(unsafe.Sizeof(*s))) + SliceAlloc(s.words) + SliceAlloc(s.lut) + SliceAlloc(s.samples)
 }

@@ -177,15 +177,23 @@ func init() {
 }
 
 // selectInWord returns the position (0-based) of the i-th (1-based) set bit
-// within word w, or 64 if w has fewer than i set bits.
+// within word w, or 64 if w has fewer than i set bits. It is broadword: the
+// byte popcounts are summed into running totals by one multiply, one masked
+// subtract marks the bytes whose total is still below i, and the first byte
+// not marked holds the bit.
 func selectInWord(w uint64, i int) int {
-	for sh := 0; sh < 64; sh += 8 {
-		b := int(w>>uint(sh)) & 0xFF
-		c := mathbits.OnesCount8(uint8(b))
-		if i <= c {
-			return sh + int(selectInByte[b][i-1])
-		}
-		i -= c
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	s := w - w>>1&0x5555555555555555
+	s = s&0x3333333333333333 + s>>2&0x3333333333333333
+	s = (s + s>>4) & 0x0F0F0F0F0F0F0F0F
+	sums := s * ones // byte k: the set bits in bytes 0..k
+	// A byte's high bit survives the subtract while its total is at most i-1
+	// (both are below 128, so no byte borrows from the next).
+	below := (uint64(i-1)*ones | highs) - sums
+	k := uint(mathbits.TrailingZeros64(^below&highs)) >> 3
+	if k == 8 {
+		return 64
 	}
-	return 64
+	before := int(sums<<8>>(k*8)) & 0xFF
+	return int(k*8) + int(selectInByte[w>>(k*8)&0xFF][i-before-1])
 }

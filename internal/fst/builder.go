@@ -7,13 +7,16 @@
 // lookup, lower-bound seeks with forward iteration, and O(height) approximate
 // range counting. With Config.Truncate it stores only minimum-length
 // distinguishing prefixes, which is the basis of the SuRF filter (Chapter 4).
+// Static wraps a complete trie as a hybrid index's static stage.
 package fst
 
 import (
+	"encoding/binary"
 	"fmt"
+	mathbits "math/bits"
 
-	"mets/internal/keys"
-	"mets/internal/par"
+	"mets/internal/bits"
+	"mets/internal/index"
 )
 
 // Config controls trie construction.
@@ -22,7 +25,7 @@ type Config struct {
 	// keys (SuRF-Base behaviour, §4.1.1).
 	Truncate bool
 	// StoreValues keeps the caller-supplied uint64 value per key. Filters
-	// turn this off and attach suffix arrays via LeafRefs instead.
+	// turn this off and keep per-leaf material of their own (BuildLeaves).
 	StoreValues bool
 	// DenseRatio is the LOUDS-Sparse : LOUDS-Dense size ratio R of §3.4 that
 	// picks the dense/sparse cutoff level. Zero means the default of 64.
@@ -35,14 +38,11 @@ type Config struct {
 	LinearLabelSearch bool
 	// RankSparseBlock overrides the sparse rank basic-block size (default
 	// 512); RankDenseBlock the dense one (default 64); SelectSample the
-	// select sampling rate (default 64). Used by the Fig 3.6 ablations.
+	// select sampling rate (default 64). Used by the Fig 3.6 ablations and
+	// by Static.
 	RankSparseBlock int
 	RankDenseBlock  int
 	SelectSample    int
-	// Workers bounds the goroutines used by Build for the per-level node
-	// construction and the rank/select encoding. 0 means GOMAXPROCS, negative
-	// forces a serial build. The resulting trie is identical for any value.
-	Workers int
 }
 
 // DefaultConfig returns the configuration used by the thesis: full keys,
@@ -51,148 +51,220 @@ func DefaultConfig() Config {
 	return Config{StoreValues: true, DenseLevels: -1}
 }
 
-// LeafRef locates the source key behind a leaf: the index into the build-time
-// key list and the byte offset at which the stored prefix ended (the suffix
-// keys[KeyIndex][SuffixStart:] was not stored in the trie).
-type LeafRef struct {
-	KeyIndex    int32
-	SuffixStart int32
+// Build constructs a Trie over sorted unique keys. values may be nil when
+// cfg.StoreValues is false; otherwise it must be parallel to ks.
+func Build(ks [][]byte, values []uint64, cfg Config) (*Trie, error) {
+	if cfg.StoreValues && len(values) != len(ks) {
+		return nil, fmt.Errorf("fst: %d values for %d keys", len(values), len(ks))
+	}
+	t := &Trie{}
+	if err := (&builder{n: len(ks), ks: ks, values: values}).build(t, cfg); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// bNode is the neutral (pre-encoding) representation of one trie node.
-type bNode struct {
-	prefixKey bool
-	pkLeaf    LeafRef
-	labels    []byte
-	hasChild  []bool
-	leaves    []LeafRef // parallel to labels; valid where !hasChild
+// BuildLeaves constructs a Trie that stores no values over sorted unique
+// keys, calling leaf once per key with the slot its leaf took (GetSlot and
+// Iterator.Slot report the same number), the key's index in ks, and where in
+// the key the stored path ends. A filter keeps per-leaf material of its own
+// from these: SuRF's suffix bits are the key's bits from suffixStart on.
+func BuildLeaves(ks [][]byte, cfg Config, leaf func(slot, key, suffixStart int)) (*Trie, error) {
+	cfg.StoreValues = false
+	t := &Trie{}
+	if err := (&builder{n: len(ks), ks: ks, leaf: leaf}).build(t, cfg); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// buildRange is a BFS work item: keys[lo:hi) share the first depth bytes.
-type buildRange struct {
-	lo, hi, depth int
+// builder constructs a trie from n sorted keys: ks with their values, or the
+// entries es.
+//
+// A key's place in the trie follows from its longest common prefixes with
+// its neighbours: with p the LCP with the previous key and q the one with the
+// next, the key owns one entry on each level from p to its leaf level —
+// max(p, q) in a truncated trie, max(len-1, q) in a complete one. The entry
+// on level p joins the node the previous key is in; every deeper one starts a
+// node of its own. All but the last have a child; the last is the key's
+// leaf, a terminator when the key ends there because the next key extends
+// it. Appending each key's entries to their levels in key order lays every
+// level out in LOUDS order.
+//
+// So one walk over the keys compares neighbours and counts each level's
+// entries, nodes and leaves, which give the dense/sparse cutoff and
+// exact-size arrays, keeping each key's LCP with its successor in a byte; a
+// second walk replays the keys from those bytes and writes the entries
+// straight into the arrays.
+//
+// The values reach their slots in key order, not slot order, so the
+// frame-of-reference arrays are filled in place (bits.FORBuilder) rather than
+// from a 64-bit array gathered first. Their frames come from the first walk:
+// a level's leaves take consecutive slots, so it records the minimum and
+// maximum of each run of 32 of a level's leaves, and once the levels' first
+// slots are known, every block gets the frames of the runs that overlap it:
+// a frame that holds the block's values, and for values that grow with the
+// key — tuple IDs loaded in key order — about twice as wide as theirs.
+type builder struct {
+	n      int
+	ks     [][]byte
+	values []uint64
+	es     []index.Entry
+	leaf   func(slot, key, suffixStart int) // nil: leaves are not reported
+
+	cfg    Config
+	lcps   []uint8 // lcps[i]: the LCP of keys i and i+1, or lcpLong if not below it
+	levels []levelCount
+	frames [][]valueFrame // per level, per run of valueRun leaves
 }
 
-// buildLevels constructs the neutral level-ordered node lists from sorted,
-// unique keys. The sortedness check and each level's node construction fan
-// out across `workers` goroutines (already normalized by par.Workers); chunk
-// results are reassembled in order, so the levels match a serial build.
-func buildLevels(ks [][]byte, truncate bool, workers int) ([][]bNode, error) {
-	nc := par.NumChunks(workers, len(ks))
-	chunkErr := make([]error, nc+1)
-	par.Chunks(workers, len(ks), func(chunk, lo, hi int) {
-		if lo == 0 {
-			lo = 1
-		}
-		for i := lo; i < hi; i++ {
-			if keys.Compare(ks[i-1], ks[i]) >= 0 {
-				chunkErr[chunk] = fmt.Errorf("fst: keys must be sorted and unique (violated at index %d)", i)
-				return
-			}
-		}
-	})
-	for _, e := range chunkErr {
-		if e != nil {
-			return nil, e
+const lcpLong = 255
+
+// valueRun is the FOR block size: a run of a level's leaves spans at most two
+// blocks.
+const valueRun = 32
+
+type valueFrame struct{ lo, hi uint64 }
+
+// levelCount is what the counting walk learns about one level.
+type levelCount struct {
+	entries, nodes, leaves int
+}
+
+// lcp returns the length of the longest common prefix of a and b, comparing
+// a word at a time.
+func lcp(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + mathbits.TrailingZeros64(x)>>3
 		}
 	}
-	var levels [][]bNode
-	cur := []buildRange{{0, len(ks), 0}}
-	for len(cur) > 0 {
-		ncl := par.NumChunks(workers, len(cur))
-		if ncl <= 1 {
-			nodes, next := buildLevelRange(ks, truncate, cur, 0, len(cur))
-			levels = append(levels, nodes)
-			cur = next
-			continue
-		}
-		nodeChunks := make([][]bNode, ncl)
-		nextChunks := make([][]buildRange, ncl)
-		par.Chunks(workers, len(cur), func(chunk, lo, hi int) {
-			nodeChunks[chunk], nextChunks[chunk] = buildLevelRange(ks, truncate, cur, lo, hi)
-		})
-		totalNodes, totalNext := 0, 0
-		for c := 0; c < ncl; c++ {
-			totalNodes += len(nodeChunks[c])
-			totalNext += len(nextChunks[c])
-		}
-		nodes := make([]bNode, 0, totalNodes)
-		next := make([]buildRange, 0, totalNext)
-		for c := 0; c < ncl; c++ {
-			nodes = append(nodes, nodeChunks[c]...)
-			next = append(next, nextChunks[c]...)
-		}
-		levels = append(levels, nodes)
-		cur = next
+	for i < n && a[i] == b[i] {
+		i++
 	}
-	return levels, nil
+	return i
 }
 
-// buildLevelRange expands the BFS work items cur[lo:hi) into their nodes and
-// the next level's work items.
-func buildLevelRange(ks [][]byte, truncate bool, cur []buildRange, lo, hi int) ([]bNode, []buildRange) {
-	nodes := make([]bNode, 0, hi-lo)
-	var next []buildRange
-	for _, r := range cur[lo:hi] {
-		var n bNode
-		i := r.lo
-		if len(ks[i]) == r.depth {
-			n.prefixKey = true
-			n.pkLeaf = LeafRef{KeyIndex: int32(i), SuffixStart: int32(r.depth)}
-			i++
-		}
-		for i < r.hi {
-			b := ks[i][r.depth]
-			j := i + 1
-			for j < r.hi && ks[j][r.depth] == b {
-				j++
-			}
-			switch {
-			case j-i == 1 && (truncate || len(ks[i]) == r.depth+1):
-				n.labels = append(n.labels, b)
-				n.hasChild = append(n.hasChild, false)
-				n.leaves = append(n.leaves, LeafRef{KeyIndex: int32(i), SuffixStart: int32(r.depth + 1)})
-			default:
-				n.labels = append(n.labels, b)
-				n.hasChild = append(n.hasChild, true)
-				n.leaves = append(n.leaves, LeafRef{})
-				next = append(next, buildRange{i, j, r.depth + 1})
-			}
-			i = j
-		}
-		nodes = append(nodes, n)
+func (b *builder) key(i int) []byte {
+	if b.es != nil {
+		return b.es[i].Key
 	}
-	return nodes, next
+	return b.ks[i]
 }
 
-// levelSizes returns, per level, the encoded size in bits under LOUDS-Dense
-// (513 bits per node) and LOUDS-Sparse (10 bits per entry, terminators
-// included).
-func levelSizes(levels [][]bNode) (dense, sparse []int64) {
-	dense = make([]int64, len(levels))
-	sparse = make([]int64, len(levels))
-	for l, nodes := range levels {
-		dense[l] = int64(len(nodes)) * 513
-		var entries int64
-		for _, n := range nodes {
-			entries += int64(len(n.labels))
-			if n.prefixKey {
-				entries++
+func (b *builder) value(i int) uint64 {
+	if b.es != nil {
+		return b.es[i].Value
+	}
+	return b.values[i]
+}
+
+// next returns the LCP of keys i and i+1 (0 for the last key).
+func (b *builder) next(i int) int {
+	if q := b.lcps[i]; q != lcpLong {
+		return int(q)
+	}
+	return lcp(b.key(i), b.key(i+1))
+}
+
+// leafLevel returns the level of the leaf of key k, whose LCPs with its
+// neighbours are p and q.
+func (b *builder) leafLevel(k []byte, p, q int) int {
+	if b.cfg.Truncate {
+		return max(p, q)
+	}
+	return max(len(k)-1, q)
+}
+
+// build fills t.
+func (b *builder) build(t *Trie, cfg Config) error {
+	if b.n == 0 {
+		return fmt.Errorf("fst: empty key set")
+	}
+	b.cfg = cfg
+	if err := b.count(); err != nil {
+		return err
+	}
+	ratio := cfg.DenseRatio
+	if ratio == 0 {
+		ratio = 64
+	}
+	cutoff := cfg.DenseLevels
+	if cutoff < 0 {
+		cutoff = pickCutoff(b.levels, ratio)
+	}
+	cutoff = min(cutoff, len(b.levels))
+	// A root holding only the empty key (no branches) cannot be expressed in
+	// LOUDS-Sparse — a lone 0xFF entry reads as a real label — so encode it
+	// with LOUDS-Dense, whose IsPrefixKey bit is unambiguous.
+	if cutoff == 0 && b.n == 1 && len(b.key(0)) == 0 {
+		cutoff = 1
+	}
+	*t = Trie{cfg: cfg, height: len(b.levels), denseHeight: cutoff}
+	b.write(t)
+	return nil
+}
+
+// count checks the keys are sorted and unique, records their LCPs and fills
+// b.levels. A key adds an entry to each of levels p..leaf and a node to each
+// of levels p+1..leaf (the first key also the root), so the walk records
+// where those ranges start and end, and the sums come after.
+func (b *builder) count() error {
+	b.lcps = make([]uint8, b.n)
+	var diff []levelCount
+	q := 0
+	for i := 0; i < b.n; i++ {
+		k, p := b.key(i), q
+		if q = 0; i+1 < b.n {
+			next := b.key(i + 1)
+			q = lcp(k, next)
+			if q == len(next) || q < len(k) && k[q] > next[q] {
+				return fmt.Errorf("fst: keys must be sorted and unique (violated at index %d)", i+1)
+			}
+			b.lcps[i] = uint8(min(q, lcpLong))
+		}
+		leaf := b.leafLevel(k, p, q)
+		for len(diff) < leaf+2 {
+			diff = append(diff, levelCount{})
+		}
+		diff[p].entries++
+		diff[p+1].nodes++
+		diff[leaf+1].entries--
+		diff[leaf+1].nodes--
+		if b.cfg.StoreValues {
+			for len(b.frames) <= leaf {
+				b.frames = append(b.frames, nil)
+			}
+			v, fs := b.value(i), b.frames[leaf]
+			if diff[leaf].leaves%valueRun == 0 {
+				b.frames[leaf] = append(fs, valueFrame{v, v})
+			} else {
+				f := &fs[len(fs)-1]
+				f.lo, f.hi = min(f.lo, v), max(f.hi, v)
 			}
 		}
-		sparse[l] = entries * 10
+		diff[leaf].leaves++
 	}
-	return dense, sparse
+	diff[0].nodes++ // the root
+	diff[1].nodes--
+	b.levels = diff[:len(diff)-1]
+	for l := 1; l < len(b.levels); l++ {
+		b.levels[l].entries += b.levels[l-1].entries
+		b.levels[l].nodes += b.levels[l-1].nodes
+	}
+	return nil
 }
 
 // pickCutoff implements §3.4: the cutoff is the largest l such that
 // LOUDS-Dense-Size(l) * R <= LOUDS-Sparse-Size(l), where the former covers
-// levels [0, l) and the latter levels [l, H).
-func pickCutoff(levels [][]bNode, ratio int) int {
-	dense, sparse := levelSizes(levels)
+// levels [0, l) at 513 bits per node and the latter levels [l, H) at 10 bits
+// per entry.
+func pickCutoff(levels []levelCount, ratio int) int {
 	suffix := make([]int64, len(levels)+1)
 	for l := len(levels) - 1; l >= 0; l-- {
-		suffix[l] = suffix[l+1] + sparse[l]
+		suffix[l] = suffix[l+1] + int64(levels[l].entries)*10
 	}
 	cutoff := 0
 	var densePrefix int64
@@ -201,41 +273,139 @@ func pickCutoff(levels [][]bNode, ratio int) int {
 			cutoff = l
 		}
 		if l < len(levels) {
-			densePrefix += dense[l]
+			densePrefix += int64(levels[l].nodes) * 513
 		}
 	}
 	return cutoff
 }
 
-// Build constructs a Trie over sorted unique keys. values may be nil when
-// cfg.StoreValues is false; otherwise it must be parallel to ks.
-func Build(ks [][]byte, values []uint64, cfg Config) (*Trie, error) {
-	if cfg.StoreValues && len(values) != len(ks) {
-		return nil, fmt.Errorf("fst: %d values for %d keys", len(values), len(ks))
+// write lays out t's arrays from the level counts, the value frames
+// included, and fills them in the second walk.
+func (b *builder) write(t *Trie) {
+	cfg, cutoff := t.cfg, t.denseHeight
+	// cur is, per level, the dense node being filled or the next sparse
+	// position; slot the slot of the level's next leaf.
+	cur := make([]int, len(b.levels))
+	slot := make([]int, len(b.levels))
+	t.dLevelValueStart = make([]int, cutoff+1)
+	t.sLevelPosStart = make([]int, len(b.levels)-cutoff+1)
+	t.sLevelValueStart = make([]int, len(b.levels)-cutoff+1)
+	sparseEntries := 0
+	for l, c := range b.levels {
+		if l < cutoff {
+			cur[l] = t.denseNodeCount - 1
+			slot[l] = t.numDenseLeaves
+			t.denseNodeCount += c.nodes
+			t.denseChildCount += c.entries - c.leaves
+			t.numDenseLeaves += c.leaves
+			t.dLevelValueStart[l+1] = t.numDenseLeaves
+			continue
+		}
+		cur[l] = sparseEntries
+		slot[l] = t.numSparseLeaves // counted from the dense leaves below
+		sparseEntries += c.entries
+		t.numSparseLeaves += c.leaves
+		t.sLevelPosStart[l-cutoff+1] = sparseEntries
+		t.sLevelValueStart[l-cutoff+1] = t.numSparseLeaves
 	}
-	if len(ks) == 0 {
-		return nil, fmt.Errorf("fst: empty key set")
+	for l := cutoff; l < len(b.levels); l++ {
+		slot[l] += t.numDenseLeaves
 	}
-	levels, err := buildLevels(ks, cfg.Truncate, par.Workers(cfg.Workers))
-	if err != nil {
-		return nil, err
+
+	dLabels := bits.NewVector(t.denseNodeCount * 256)
+	dHasChild := bits.NewVector(t.denseNodeCount * 256)
+	dIsPrefix := bits.NewVector(t.denseNodeCount)
+	t.sLabels = make([]byte, sparseEntries)
+	sHasChild := bits.NewVector(sparseEntries)
+	sLouds := bits.NewVector(sparseEntries)
+	nd := t.numDenseLeaves
+	var dValues, sValues *bits.FORBuilder
+	if cfg.StoreValues {
+		dValues, sValues = bits.NewFORBuilder(nd), bits.NewFORBuilder(t.numSparseLeaves)
+		for l, fs := range b.frames {
+			values, first := dValues, slot[l]
+			if l >= cutoff {
+				values, first = sValues, first-nd
+			}
+			last := first + b.levels[l].leaves - 1
+			for r, f := range fs {
+				for _, s := range [2]int{first + r*valueRun, min(first+r*valueRun+valueRun-1, last)} {
+					values.Frame(s, f.lo)
+					values.Frame(s, f.hi)
+				}
+			}
+		}
+		b.frames = nil
 	}
-	ratio := cfg.DenseRatio
-	if ratio == 0 {
-		ratio = 64
+
+	q := 0
+	for i := 0; i < b.n; i++ {
+		k, p := b.key(i), q
+		q = b.next(i)
+		leaf := b.leafLevel(k, p, q)
+		d := p
+		for ; d <= leaf && d < cutoff; d++ {
+			if d > p || i == 0 {
+				cur[d]++
+			}
+			switch pos := cur[d] * 256; {
+			case d == len(k):
+				dIsPrefix.Set(cur[d])
+			case d < leaf:
+				dHasChild.Set(pos + int(k[d]))
+				fallthrough
+			default:
+				dLabels.Set(pos + int(k[d]))
+			}
+		}
+		for ; d <= leaf; d++ {
+			pos := cur[d]
+			cur[d]++
+			if d < len(k) {
+				t.sLabels[pos] = k[d]
+			} else {
+				t.sLabels[pos] = terminator
+			}
+			if d < leaf {
+				sHasChild.Set(pos)
+			}
+			if d > p || i == 0 {
+				sLouds.Set(pos)
+			}
+		}
+		s := slot[leaf]
+		slot[leaf]++
+		if b.leaf != nil {
+			b.leaf(s, i, min(leaf+1, len(k)))
+		}
+		if !cfg.StoreValues {
+			continue
+		}
+		if v := b.value(i); s < nd {
+			dValues.Put(s, v)
+		} else {
+			sValues.Put(s-nd, v)
+		}
 	}
-	cutoff := cfg.DenseLevels
-	if cutoff < 0 {
-		cutoff = pickCutoff(levels, ratio)
+	if cfg.StoreValues {
+		t.dValues, t.sValues = dValues.FOR(), sValues.FOR()
 	}
-	if cutoff > len(levels) {
-		cutoff = len(levels)
+
+	denseBlock := cfg.RankDenseBlock
+	if denseBlock == 0 {
+		denseBlock = 64
 	}
-	// A root holding only the empty key (no branches) cannot be expressed in
-	// LOUDS-Sparse — a lone 0xFF entry reads as a real label — so encode it
-	// with LOUDS-Dense, whose IsPrefixKey bit is unambiguous.
-	if cutoff == 0 && levels[0][0].prefixKey && len(levels[0][0].labels) == 0 {
-		cutoff = 1
+	sparseBlock := cfg.RankSparseBlock
+	if sparseBlock == 0 {
+		sparseBlock = 512
 	}
-	return encode(levels, ks, values, cutoff, cfg), nil
+	sample := cfg.SelectSample
+	if sample == 0 {
+		sample = 64
+	}
+	t.dLabels = bits.NewRankVector(dLabels, denseBlock)
+	t.dHasChild = bits.NewRankVector(dHasChild, denseBlock)
+	t.dIsPrefix = bits.NewRankVector(dIsPrefix, denseBlock)
+	t.sHasChild = bits.NewRankVector(sHasChild, sparseBlock)
+	t.sLouds = bits.NewSelectVector(sLouds, sparseBlock, sample)
 }

@@ -1,140 +1,238 @@
 package fst
 
-// cursor identifies one entry on the root-to-leaf trace at a given level.
+import "mets/internal/bits"
+
+// cursor is one level's place in a walk.
 type cursor struct {
-	dense   bool
-	pos     int  // dense: bit position in dLabels; sparse: position in sLabels
-	node    int  // dense: node number; sparse: node start position
-	nodeEnd int  // sparse only: one past the node's last entry
-	atTerm  bool // dense only: at the node's prefix-key pseudo-entry
+	// pos is the entry: dense node*256+label, sparse a position in sLabels.
+	// A sparse node ends at the next LOUDS bit, so once a sparse level's
+	// node is done, pos is where the level's next node starts.
+	pos   int
+	end   int    // dense only: one past the node's last entry, (node+1)*256
+	child bool   // the entry has a child
+	term  bool   // the entry is the node's prefix key (dense: pos is node*256)
+	gen   uint32 // Iterator.gen once the level is entered after the last seek
 }
 
-// Iterator walks the trie's leaves in key order. It keeps one cursor per
-// level (§3.4) so MoveToNext is in-node cursor movement in the common case.
+// levelValues decodes one level's values in slot order; next is one more
+// than the slot of the value it returns next (0: not started).
+type levelValues struct {
+	it   bits.FORIter
+	next int
+}
+
+// Iterator walks the trie's leaves in key order, level by level: it keeps
+// one cursor per level, and from a seek on, a level's entries are visited
+// consecutively. The next entry of a sparse level is the next position, and
+// a node ends at the next LOUDS bit; a dense level's next node is the next
+// node number. A child node is always the next node of its level, so it
+// starts where that level's cursor stopped, and the level's next value is
+// the one after the last it decoded. Only the first entry into a level below
+// the seek path pays for a select.
 type Iterator struct {
-	t       *Trie
-	valid   bool
-	cursors []cursor
+	t     *Trie
+	valid bool
+	gen   uint32        // bumped by every seek, which leaves every level unentered
+	depth int           // lv[:depth] is the path to the current leaf
+	lv    []cursor      // per level
+	vals  []levelValues // per level, from the first Value on
+	key   []byte        // the current leaf's stored path
+	// The sparse region's arrays, read on every step.
+	dense           int // t.denseHeight
+	labels          []byte
+	hasChild, louds []uint64
+	// keyBuf holds the key of a trie no taller than it, so that such an
+	// iterator is two allocations (SuRF makes one per range query).
+	keyBuf [32]byte
 }
 
 // NewIterator returns an iterator positioned before the first key; call
 // First or SeekLowerBound before use.
 func (t *Trie) NewIterator() *Iterator {
-	return &Iterator{t: t, cursors: make([]cursor, 0, t.height)}
+	it := &Iterator{}
+	it.reset(t)
+	return it
+}
+
+// reset points the iterator at t with every level unentered.
+func (it *Iterator) reset(t *Trie) {
+	it.t, it.valid, it.depth = t, false, 0
+	it.dense, it.labels = t.denseHeight, t.sLabels
+	it.hasChild, it.louds = t.sHasChild.Words(), t.sLouds.Words()
+	if cap(it.lv) < t.height {
+		it.lv = make([]cursor, t.height)
+	}
+	switch {
+	case cap(it.key) >= t.height:
+	case t.height <= len(it.keyBuf):
+		it.key = it.keyBuf[:]
+	default:
+		it.key = make([]byte, 0, t.height)
+	}
+	it.lv, it.key = it.lv[:t.height], it.key[:0]
+	if it.gen++; it.gen == 0 { // wrapped: stale levels could match again
+		clear(it.lv)
+		it.gen = 1
+	}
+}
+
+// detach drops every reference into the trie, so that an iterator kept for
+// reuse does not keep a retired trie alive.
+func (it *Iterator) detach() {
+	it.t, it.labels, it.hasChild, it.louds = nil, nil, nil, nil
+	clear(it.vals)
 }
 
 // Valid reports whether the iterator points at a leaf.
 func (it *Iterator) Valid() bool { return it.valid }
 
-func (it *Iterator) isLeaf(c *cursor) bool {
-	if c.dense {
-		return c.atTerm || !it.t.dHasChild.Get(c.pos)
+// enter positions level l's cursor at the first entry of the node below the
+// path's entry on level l-1 (the root for l == 0). That node follows the
+// last one the level visited; a level not yet entered finds it by select.
+func (it *Iterator) enter(l int) {
+	t, c := it.t, &it.lv[l]
+	if c.gen != it.gen {
+		node := 0 // numbered across both regions
+		if l > 0 {
+			p := &it.lv[l-1]
+			if l-1 < t.denseHeight {
+				node = t.denseChildNode(p.pos)
+			} else {
+				node = t.sHasChild.Rank1(p.pos) + t.denseChildCount
+			}
+		}
+		if l < t.denseHeight {
+			c.end = node * 256
+		} else {
+			c.pos = t.sparseNodeStart(node - t.denseNodeCount)
+		}
+		c.gen = it.gen
+		if l < len(it.vals) {
+			it.vals[l].next = 0
+		}
 	}
-	return !it.t.sHasChild.Get(c.pos)
-}
-
-// isTermCursor reports whether c sits on a prefix-key entry (whose leaf key
-// is exactly the path above it).
-func (it *Iterator) isTermCursor(c *cursor) bool {
-	if c.dense {
-		return c.atTerm
-	}
-	return c.pos == c.node && it.t.hasTerminator(c.node, c.nodeEnd)
-}
-
-func (it *Iterator) pushDenseFirst(node int) {
-	if it.t.dIsPrefix.Get(node) {
-		it.cursors = append(it.cursors, cursor{dense: true, node: node, atTerm: true})
+	if l >= t.denseHeight {
+		it.startSparse(c)
 		return
 	}
-	p := it.t.dLabels.NextSet(node*256, (node+1)*256)
-	it.cursors = append(it.cursors, cursor{dense: true, node: node, pos: p})
-}
-
-func (it *Iterator) pushSparseFirst(idx int) {
-	start := it.t.sparseNodeStart(idx)
-	it.cursors = append(it.cursors, cursor{pos: start, node: start, nodeEnd: it.t.sparseNodeEnd(start)})
-}
-
-// pushChildOf pushes the first entry of the child node below cursor c, which
-// must be a branch (hasChild set).
-func (it *Iterator) pushChildOf(c *cursor) {
-	childLevel := len(it.cursors)
-	if c.dense {
-		child := it.t.denseChildNode(c.pos)
-		if childLevel < it.t.denseHeight {
-			it.pushDenseFirst(child)
-		} else {
-			it.pushSparseFirst(child - it.t.denseNodeCount)
-		}
-		return
-	}
-	it.pushSparseFirst(it.t.sparseChildIdx(c.pos))
-}
-
-// descendLeftmost extends the trace from the current top cursor down to the
-// leftmost leaf below it.
-func (it *Iterator) descendLeftmost() {
-	for {
-		top := &it.cursors[len(it.cursors)-1]
-		if it.isLeaf(top) {
-			return
-		}
-		it.pushChildOf(top)
+	start := c.end
+	c.end = start + 256
+	c.pos, c.term, c.child = start, t.dIsPrefix.Get(start/256), false
+	if !c.term {
+		c.pos = t.dLabels.NextSet(start, c.end)
+		c.child = t.dHasChild.Get(c.pos)
 	}
 }
 
-// nextInNode advances c to the following entry within its node, returning
-// false at the node boundary.
-func (it *Iterator) nextInNode(c *cursor) bool {
-	if c.dense {
-		var from int
-		if c.atTerm {
-			from = c.node * 256
-		} else {
-			from = c.pos + 1
-		}
-		p := it.t.dLabels.NextSet(from, (c.node+1)*256)
-		if p < 0 {
-			return false
-		}
-		c.atTerm = false
-		c.pos = p
-		return true
+// startSparse takes c's entry as the first of its node. A lone 0xFF entry is
+// a real label (§3.3); a leading one followed by others is the terminator.
+func (it *Iterator) startSparse(c *cursor) {
+	p := c.pos
+	c.child = bitAt(it.hasChild, p)
+	c.term = !c.child && it.labels[p] == terminator && it.inNode(p+1)
+}
+
+// inNode reports whether sparse position p continues the node before it.
+func (it *Iterator) inNode(p int) bool {
+	return p < len(it.labels) && !bitAt(it.louds, p)
+}
+
+// stepDense moves dense level l's cursor to the next entry of its node and
+// reports false when the node has none.
+func (it *Iterator) stepDense(l int) bool {
+	t, c := it.t, &it.lv[l]
+	from := c.pos + 1
+	if c.term {
+		from, c.term = c.pos, false
 	}
-	if c.pos+1 < c.nodeEnd {
-		c.pos++
-		return true
+	if c.pos = t.dLabels.NextSet(from, c.end); c.pos < 0 {
+		return false
 	}
-	return false
+	c.child = t.dHasChild.Get(c.pos)
+	return true
+}
+
+// bitAt reports whether bit i of words is set.
+func bitAt(words []uint64, i int) bool { return words[i>>6]>>(i&63)&1 != 0 }
+
+// push appends level l's label to the key; a prefix-key entry has none.
+func (it *Iterator) push(l int) {
+	c := &it.lv[l]
+	switch {
+	case c.term:
+	case l < it.t.denseHeight:
+		it.key = append(it.key, byte(c.pos))
+	default:
+		it.key = append(it.key, it.t.sLabels[c.pos])
+	}
+}
+
+// descend extends the path from its deepest entry down to the leftmost leaf
+// below it. A sparse level already entered continues with the node after the
+// one it last visited.
+func (it *Iterator) descend() {
+	lv, key, labels, dense := it.lv, it.key, it.labels, it.dense
+	l := it.depth - 1
+	for lv[l].child {
+		l++
+		c := &lv[l]
+		if l < dense || c.gen != it.gen {
+			it.key = key
+			it.enter(l)
+			it.push(l)
+			key = it.key
+			continue
+		}
+		if it.startSparse(c); !c.term {
+			key = append(key, labels[c.pos])
+		}
+	}
+	it.key, it.depth, it.valid = key, l+1, true
 }
 
 // First positions the iterator at the smallest key.
 func (it *Iterator) First() {
-	it.cursors = it.cursors[:0]
-	if it.t.denseHeight > 0 {
-		it.pushDenseFirst(0)
-	} else {
-		it.pushSparseFirst(0)
-	}
-	it.descendLeftmost()
-	it.valid = true
+	it.reset(it.t)
+	it.enter(0)
+	it.push(0)
+	it.depth = 1
+	it.descend()
 }
 
 // Next advances to the following leaf in key order; the iterator becomes
 // invalid past the last key.
 func (it *Iterator) Next() {
-	if !it.valid {
-		return
+	if it.valid {
+		it.next(it.depth - 1)
 	}
-	for l := len(it.cursors) - 1; l >= 0; l-- {
-		it.cursors = it.cursors[:l+1]
-		if it.nextInNode(&it.cursors[l]) {
-			it.descendLeftmost()
+}
+
+// next moves on from level l: at the deepest level whose node has a
+// following entry, to that entry's leftmost leaf.
+func (it *Iterator) next(l int) {
+	lv := it.lv
+	for ; l >= it.dense; l-- {
+		// A sparse level's next entry is the next position.
+		c := &lv[l]
+		if c.pos++; it.inNode(c.pos) {
+			c.term, c.child = false, bitAt(it.hasChild, c.pos)
+			it.key = append(it.key[:l], it.labels[c.pos])
+			it.depth, it.valid = l+1, true
+			if c.child {
+				it.descend()
+			}
 			return
 		}
 	}
-	it.cursors = it.cursors[:0]
+	for ; l >= 0; l-- {
+		if it.stepDense(l) {
+			it.key = it.key[:l]
+			it.push(l)
+			it.depth = l + 1
+			it.descend()
+			return
+		}
+	}
 	it.valid = false
 }
 
@@ -144,152 +242,139 @@ func (it *Iterator) Next() {
 // complete tries the caller advances once to get true lower-bound
 // semantics; filters use it for boundary suffix checks.
 func (it *Iterator) SeekLowerBound(key []byte) (prefixMatch bool) {
-	it.cursors = it.cursors[:0]
-	it.valid = true
-	inDense := it.t.denseHeight > 0
-	denseNode, sparseIdx := 0, 0
-	for level := 0; ; level++ {
-		if level >= len(key) {
-			if inDense {
-				it.pushDenseFirst(denseNode)
-			} else {
-				it.pushSparseFirst(sparseIdx)
-			}
-			it.descendLeftmost()
+	t := it.t
+	it.reset(t)
+	for l := 0; ; l++ {
+		it.enter(l)
+		it.depth = l + 1
+		if l >= len(key) {
+			// The whole node sorts at or after key.
+			it.push(l)
+			it.descend()
 			return false
 		}
-		b := key[level]
-		if inDense {
-			base := denseNode * 256
-			p := it.t.dLabels.NextSet(base+int(b), base+256)
-			if p == base+int(b) {
-				it.cursors = append(it.cursors, cursor{dense: true, node: denseNode, pos: p})
-				if !it.t.dHasChild.Get(p) {
-					return level < len(key)-1
-				}
-				child := it.t.denseChildNode(p)
-				if level+1 < it.t.denseHeight {
-					denseNode = child
-				} else {
-					inDense = false
-					sparseIdx = child - it.t.denseNodeCount
-				}
-				continue
-			}
-			if p >= 0 {
-				it.cursors = append(it.cursors, cursor{dense: true, node: denseNode, pos: p})
-				it.descendLeftmost()
-				return false
+		c, b := &it.lv[l], key[l]
+		found := false
+		if l < t.denseHeight {
+			if p := t.dLabels.NextSet(c.end-256+int(b), c.end); p >= 0 {
+				c.pos, c.child, found = p, t.dHasChild.Get(p), true
 			}
 		} else {
-			start := it.t.sparseNodeStart(sparseIdx)
-			end := it.t.sparseNodeEnd(start)
-			from := start
-			if it.t.hasTerminator(start, end) {
-				from++
+			// The first label >= b past the terminator. When there is none,
+			// pos stops at the node's end, as on a level whose node is done.
+			p := c.pos
+			if c.term {
+				p++
 			}
-			p := -1
-			for q := from; q < end; q++ {
-				if it.t.sLabels[q] >= b {
-					p = q
+			for ; p == c.pos || it.inNode(p); p++ {
+				if t.sLabels[p] >= b {
+					found = true
 					break
 				}
 			}
-			if p >= 0 && it.t.sLabels[p] == b {
-				it.cursors = append(it.cursors, cursor{pos: p, node: start, nodeEnd: end})
-				if !it.t.sHasChild.Get(p) {
-					return level < len(key)-1
-				}
-				sparseIdx = it.t.sparseChildIdx(p)
-				continue
-			}
-			if p >= 0 {
-				it.cursors = append(it.cursors, cursor{pos: p, node: start, nodeEnd: end})
-				it.descendLeftmost()
-				return false
+			if c.pos = p; found {
+				c.child = bitAt(it.hasChild, p)
 			}
 		}
-		// No label >= key[level] in the current node: advance at the nearest
-		// ancestor with a following entry, then take its leftmost leaf.
-		for l := len(it.cursors) - 1; l >= 0; l-- {
-			it.cursors = it.cursors[:l+1]
-			if it.nextInNode(&it.cursors[l]) {
-				it.descendLeftmost()
-				return false
-			}
+		c.term = false
+		if !found {
+			// No entry of this node reaches key[l]: the bound is past it.
+			it.key = it.key[:l]
+			it.next(l - 1)
+			return false
 		}
-		it.cursors = it.cursors[:0]
-		it.valid = false
-		return false
+		it.push(l)
+		if it.key[l] > b {
+			it.descend()
+			return false
+		}
+		if !c.child {
+			it.valid = true
+			return l < len(key)-1
+		}
 	}
 }
 
-// leafLoc returns the current leaf's slot.
-func (it *Iterator) leafLoc() leafLoc {
-	c := &it.cursors[len(it.cursors)-1]
-	if c.dense {
-		if c.atTerm {
-			return leafLoc{regionDense, it.t.densePrefixValueIdx(c.node)}
-		}
-		return leafLoc{regionDense, it.t.denseBranchValueIdx(c.pos)}
+// slot returns the current leaf's slot.
+func (it *Iterator) slot() int {
+	t, l := it.t, it.depth-1
+	c := &it.lv[l]
+	switch {
+	case l >= t.denseHeight:
+		return t.numDenseLeaves + t.sparseValueIdx(c.pos)
+	case c.term:
+		return t.densePrefixValueIdx(c.pos / 256)
+	default:
+		return t.denseBranchValueIdx(c.pos)
 	}
-	return leafLoc{regionSparse, it.t.sparseValueIdx(c.pos)}
 }
 
 // Value returns the current leaf's stored value (StoreValues must be on).
-func (it *Iterator) Value() uint64 { return it.t.valueAt(it.leafLoc()) }
-
-// LeafRef returns the current leaf's back-reference (only valid before
-// DropLeafRefs).
-func (it *Iterator) LeafRef() LeafRef { return it.t.leafRefAt(it.leafLoc()) }
-
-// Slot returns the current leaf's global slot in [0, leaf count).
-func (it *Iterator) Slot() int { return it.t.slotOf(it.leafLoc()) }
-
-// PathLen returns the number of key bytes the current leaf's stored prefix
-// covers (the length of Key without reconstructing it).
-func (it *Iterator) PathLen() int {
-	n := len(it.cursors)
-	if it.AtPrefixKey() {
-		n--
+// A level's values are decoded in order, as its leaves are visited.
+func (it *Iterator) Value() uint64 {
+	s := it.slot()
+	v := it.levelValues()
+	if v.next != s+1 {
+		it.startValues(v, s)
 	}
-	return n
+	v.next = s + 2
+	return v.it.Next()
 }
 
-// Key reconstructs the stored path of the current leaf (the full key for
-// complete tries, the retained prefix for truncated ones). It allocates;
-// iteration loops should use AppendKey with a reused buffer instead.
+// nextValue is Value for a walk that reads the value of every leaf it
+// visits: a level's leaves are then visited in slot order, so only the first
+// one a level reports is located.
+func (it *Iterator) nextValue() uint64 {
+	v := it.levelValues()
+	if v.next == 0 {
+		it.startValues(v, it.slot())
+	}
+	v.next++
+	return v.it.Next()
+}
+
+// levelValues returns the current level's value decoder; the decoders are
+// allocated on first use, so an iterator that reads no values has none.
+func (it *Iterator) levelValues() *levelValues {
+	if len(it.vals) < it.t.height {
+		it.vals = make([]levelValues, it.t.height)
+	}
+	return &it.vals[it.depth-1]
+}
+
+// startValues points v at slot s.
+func (it *Iterator) startValues(v *levelValues, s int) {
+	if s < it.t.numDenseLeaves {
+		v.it = it.t.dValues.Iter(s)
+	} else {
+		v.it = it.t.sValues.Iter(s - it.t.numDenseLeaves)
+	}
+	v.next = s + 1
+}
+
+// Slot returns the current leaf's slot in [0, leaf count).
+func (it *Iterator) Slot() int { return it.slot() }
+
+// PathLen returns the number of key bytes the current leaf's stored prefix
+// covers.
+func (it *Iterator) PathLen() int { return len(it.key) }
+
+// Key returns a copy of the current leaf's stored path (the full key for
+// complete tries, the retained prefix for truncated ones). Iteration loops
+// should use AppendKey with a reused buffer instead.
 func (it *Iterator) Key() []byte {
 	return it.AppendKey(nil)
 }
 
 // AppendKey appends the current leaf's stored path to dst and returns the
-// extended slice, allocating only when dst lacks capacity. Scan loops call it
-// as `buf = it.AppendKey(buf[:0])` to reconstruct keys with zero steady-state
-// allocations.
+// extended slice.
 func (it *Iterator) AppendKey(dst []byte) []byte {
-	if n := len(dst) + len(it.cursors); cap(dst) < n {
-		grown := make([]byte, len(dst), n)
-		copy(grown, dst)
-		dst = grown
-	}
-	for i := range it.cursors {
-		c := &it.cursors[i]
-		if it.isTermCursor(c) {
-			continue // the prefix-key entry contributes no byte
-		}
-		if c.dense {
-			dst = append(dst, byte(c.pos&255))
-		} else {
-			dst = append(dst, it.t.sLabels[c.pos])
-		}
-	}
-	return dst
+	return append(dst, it.key...)
 }
 
 // AtPrefixKey reports whether the current leaf is a prefix-key entry.
 func (it *Iterator) AtPrefixKey() bool {
-	return it.isTermCursor(&it.cursors[len(it.cursors)-1])
+	return it.lv[it.depth-1].term
 }
 
 // LowerBound returns an iterator at the smallest stored key >= key on a

@@ -21,8 +21,8 @@ import (
 //
 // Rank and select support structures are rebuilt on load (they are small
 // and derive deterministically from the payload bits), so the on-disk form
-// stays close to the succinct structure itself. Leaf back-references are
-// not serialized: a loaded trie behaves like one after DropLeafRefs.
+// stays close to the succinct structure itself. The values are written one
+// word each and frame-of-reference coded again on load.
 
 const (
 	marshalMagic   = "FST1"
@@ -68,6 +68,13 @@ func (s *sectionWriter) words(ws []uint64) {
 	s.u64(uint64(len(ws)))
 	for _, w := range ws {
 		s.u64(w)
+	}
+}
+
+func (s *sectionWriter) values(f *bits.FOR) {
+	s.u64(uint64(f.Len()))
+	for i := 0; i < f.Len(); i++ {
+		s.u64(f.Get(i))
 	}
 }
 
@@ -162,7 +169,7 @@ func (s *sectionReader) vector() *bits.Vector {
 	return bits.FromWords(ws, int(n))
 }
 
-// MarshalBinary serializes the trie (without leaf back-references).
+// MarshalBinary serializes the trie.
 func (t *Trie) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
 	s := &sectionWriter{w: &buf}
@@ -197,8 +204,8 @@ func (t *Trie) MarshalBinary() ([]byte, error) {
 	s.bytes(t.sLabels)
 	s.vector(&t.sHasChild.Vector)
 	s.vector(&t.sLouds.Vector)
-	s.words(t.dValues)
-	s.words(t.sValues)
+	s.values(&t.dValues)
+	s.values(&t.sValues)
 	s.ints(t.dLevelValueStart)
 	s.ints(t.sLevelPosStart)
 	s.ints(t.sLevelValueStart)
@@ -247,8 +254,8 @@ func UnmarshalTrie(data []byte) (*Trie, error) {
 	t.sLabels = s.bytes()
 	sHasChild := s.vector()
 	sLouds := s.vector()
-	t.dValues = s.words()
-	t.sValues = s.words()
+	t.dValues = bits.NewFOR(s.words())
+	t.sValues = bits.NewFOR(s.words())
 	t.dLevelValueStart = s.ints()
 	t.sLevelPosStart = s.ints()
 	t.sLevelValueStart = s.ints()

@@ -1,8 +1,9 @@
 package fst
 
 import (
+	mathbits "math/bits"
+
 	"mets/internal/bits"
-	"mets/internal/par"
 )
 
 // Trie is an immutable LOUDS-DS encoded trie (the Fast Succinct Trie).
@@ -16,15 +17,13 @@ type Trie struct {
 	dLabels         *bits.RankVector
 	dHasChild       *bits.RankVector
 	dIsPrefix       *bits.RankVector
-	dValues         []uint64
-	dLeaves         []LeafRef
+	dValues         bits.FOR // per leaf, in slot order
 	numDenseLeaves  int
 	// Sparse region (levels [denseHeight, height)).
 	sLabels         []byte
 	sHasChild       *bits.RankVector
 	sLouds          *bits.SelectVector
-	sValues         []uint64
-	sLeaves         []LeafRef
+	sValues         bits.FOR
 	numSparseLeaves int
 	// Per-level layout bookkeeping for O(height) range counting: entry l is
 	// the state at the start of level l, with one sentinel entry at the end.
@@ -40,135 +39,9 @@ type Trie struct {
 	codecDict []byte
 }
 
-// region tags which encoding a leaf lives in.
-type region uint8
-
-const (
-	regionDense region = iota
-	regionSparse
-)
-
-// encode turns the neutral level lists into the final LOUDS-DS structure.
-// The dense and sparse regions touch disjoint Trie fields, so they are
-// encoded concurrently, and the five rank/select constructions over the raw
-// bit vectors likewise fan out (cfg.Workers permitting). The result is
-// identical to a serial encode.
-func encode(levels [][]bNode, ks [][]byte, values []uint64, cutoff int, cfg Config) *Trie {
-	t := &Trie{cfg: cfg, height: len(levels), denseHeight: cutoff}
-
-	denseBlock := cfg.RankDenseBlock
-	if denseBlock == 0 {
-		denseBlock = 64
-	}
-	sparseBlock := cfg.RankSparseBlock
-	if sparseBlock == 0 {
-		sparseBlock = 512
-	}
-	sample := cfg.SelectSample
-	if sample == 0 {
-		sample = 64
-	}
-
-	for l := 0; l < cutoff; l++ {
-		t.denseNodeCount += len(levels[l])
-	}
-	dLabels := bits.NewVector(t.denseNodeCount * 256)
-	dHasChild := bits.NewVector(t.denseNodeCount * 256)
-	dIsPrefix := bits.NewVector(t.denseNodeCount)
-	var sHasChild, sLouds bits.Vector
-
-	encodeDense := func() {
-		nodeNum := 0
-		for l := 0; l < cutoff; l++ {
-			t.dLevelValueStart = append(t.dLevelValueStart, len(t.dLeaves))
-			for _, n := range levels[l] {
-				base := nodeNum * 256
-				if n.prefixKey {
-					dIsPrefix.Set(nodeNum)
-					t.appendDenseLeaf(n.pkLeaf, ks, values)
-				}
-				for i, b := range n.labels {
-					dLabels.Set(base + int(b))
-					if n.hasChild[i] {
-						dHasChild.Set(base + int(b))
-						t.denseChildCount++
-					} else {
-						t.appendDenseLeaf(n.leaves[i], ks, values)
-					}
-				}
-				nodeNum++
-			}
-		}
-		t.dLevelValueStart = append(t.dLevelValueStart, len(t.dLeaves))
-	}
-	encodeSparse := func() {
-		for l := cutoff; l < len(levels); l++ {
-			t.sLevelPosStart = append(t.sLevelPosStart, len(t.sLabels))
-			t.sLevelValueStart = append(t.sLevelValueStart, len(t.sLeaves))
-			for _, n := range levels[l] {
-				first := true
-				if n.prefixKey {
-					t.sLabels = append(t.sLabels, terminator)
-					sHasChild.Append(false)
-					sLouds.Append(true)
-					first = false
-					t.appendSparseLeaf(n.pkLeaf, ks, values)
-				}
-				for i, b := range n.labels {
-					t.sLabels = append(t.sLabels, b)
-					sHasChild.Append(n.hasChild[i])
-					sLouds.Append(first)
-					first = false
-					if !n.hasChild[i] {
-						t.appendSparseLeaf(n.leaves[i], ks, values)
-					}
-				}
-			}
-		}
-		t.sLevelPosStart = append(t.sLevelPosStart, len(t.sLabels))
-		t.sLevelValueStart = append(t.sLevelValueStart, len(t.sLeaves))
-	}
-
-	workers := par.Workers(cfg.Workers)
-	runAll := func(fns ...func()) {
-		if workers > 1 {
-			par.Run(fns...)
-			return
-		}
-		for _, fn := range fns {
-			fn()
-		}
-	}
-	runAll(encodeDense, encodeSparse)
-	t.numDenseLeaves = len(t.dLeaves)
-	t.numSparseLeaves = len(t.sLeaves)
-	runAll(
-		func() { t.dLabels = bits.NewRankVector(dLabels, denseBlock) },
-		func() { t.dHasChild = bits.NewRankVector(dHasChild, denseBlock) },
-		func() { t.dIsPrefix = bits.NewRankVector(dIsPrefix, denseBlock) },
-		func() { t.sHasChild = bits.NewRankVector(&sHasChild, sparseBlock) },
-		func() { t.sLouds = bits.NewSelectVector(&sLouds, sparseBlock, sample) },
-	)
-	return t
-}
-
 // terminator is the special label marking "the prefix leading to this node
 // is itself a stored key" in LOUDS-Sparse ($ / 0xFF in Fig 3.2).
 const terminator = 0xFF
-
-func (t *Trie) appendDenseLeaf(ref LeafRef, ks [][]byte, values []uint64) {
-	t.dLeaves = append(t.dLeaves, ref)
-	if t.cfg.StoreValues {
-		t.dValues = append(t.dValues, values[ref.KeyIndex])
-	}
-}
-
-func (t *Trie) appendSparseLeaf(ref LeafRef, ks [][]byte, values []uint64) {
-	t.sLeaves = append(t.sLeaves, ref)
-	if t.cfg.StoreValues {
-		t.sValues = append(t.sValues, values[ref.KeyIndex])
-	}
-}
 
 // Height returns the number of trie levels.
 func (t *Trie) Height() int { return t.height }
@@ -182,7 +55,7 @@ func (t *Trie) MemoryUsage() int64 {
 	m := t.dLabels.MemoryUsage() + t.dHasChild.MemoryUsage() + t.dIsPrefix.MemoryUsage()
 	m += int64(len(t.sLabels))
 	m += t.sHasChild.MemoryUsage() + t.sLouds.MemoryUsage()
-	m += int64(len(t.dValues)+len(t.sValues)) * 8
+	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage()
 	return m + 64
 }
 
@@ -213,11 +86,16 @@ func (t *Trie) sparseNodeStart(idx int) int {
 }
 
 // sparseNodeEnd returns one past the last entry of the node starting at
-// start.
+// start: the next LOUDS bit. Nodes are tiny (>90% have < 8 entries, §3.6),
+// so the bit is nearly always in the same word, which is looked at first.
 func (t *Trie) sparseNodeEnd(start int) int {
-	// Nodes are tiny (>90% have < 8 entries, §3.6), so a word-wise forward
-	// scan on the LOUDS bits beats a select.
-	if p := t.sLouds.NextSet(start+1, len(t.sLabels)); p >= 0 {
+	p := start + 1
+	if ws := t.sLouds.Words(); p>>6 < len(ws) {
+		if w := ws[p>>6] >> (p & 63); w != 0 {
+			return p + mathbits.TrailingZeros64(w)
+		}
+	}
+	if p = t.sLouds.NextSet(p, len(t.sLabels)); p >= 0 {
 		return p
 	}
 	return len(t.sLabels)
@@ -284,112 +162,76 @@ func findByte(labels []byte, start, end int, b byte) int {
 	return -1
 }
 
-// leafLoc identifies a leaf slot.
-type leafLoc struct {
-	region   region
-	valueIdx int
-}
-
-// Value returns the stored value at loc (cfg.StoreValues must be on).
-func (t *Trie) valueAt(loc leafLoc) uint64 {
-	if loc.region == regionDense {
-		return t.dValues[loc.valueIdx]
+// valueAt returns the value of the leaf in slot (cfg.StoreValues must be
+// on). Slots number the leaves in [0, leaf count): the dense region's first,
+// then the sparse region's, each in level order.
+func (t *Trie) valueAt(slot int) uint64 {
+	if slot < t.numDenseLeaves {
+		return t.dValues.Get(slot)
 	}
-	return t.sValues[loc.valueIdx]
+	return t.sValues.Get(slot - t.numDenseLeaves)
 }
 
-// leafRefAt returns the leaf back-reference at loc.
-func (t *Trie) leafRefAt(loc leafLoc) LeafRef {
-	if loc.region == regionDense {
-		return t.dLeaves[loc.valueIdx]
-	}
-	return t.sLeaves[loc.valueIdx]
-}
-
-// lookup walks the trie for key. ok reports whether a leaf was reached.
-// pathLen is the number of key bytes the stored prefix covered. exact
-// reports whether the leaf consumed the key completely: in a complete
-// (non-truncated) trie, exact means the key is stored; in a truncated trie a
-// non-exact leaf means the stored prefix is a proper prefix of the key (the
-// caller — SuRF — checks suffixes).
-func (t *Trie) lookup(key []byte) (loc leafLoc, pathLen int, exact, ok bool) {
+// lookup walks the trie for key and returns the slot of the leaf it reached.
+// ok reports whether a leaf was reached. pathLen is the number of key bytes
+// the stored prefix covered. exact reports whether the leaf consumed the key
+// completely: in a complete (non-truncated) trie, exact means the key is
+// stored; in a truncated trie a non-exact leaf means the stored prefix is a
+// proper prefix of the key (the caller — SuRF — checks suffixes).
+func (t *Trie) lookup(key []byte) (slot, pathLen int, exact, ok bool) {
 	nodeNum := 0
 	for level := 0; level < t.denseHeight; level++ {
 		if level >= len(key) {
 			if t.dIsPrefix.Get(nodeNum) {
-				return leafLoc{regionDense, t.densePrefixValueIdx(nodeNum)}, level, true, true
+				return t.densePrefixValueIdx(nodeNum), level, true, true
 			}
-			return leafLoc{}, 0, false, false
+			return 0, 0, false, false
 		}
 		pos := nodeNum*256 + int(key[level])
 		if !t.dLabels.Get(pos) {
-			return leafLoc{}, 0, false, false
+			return 0, 0, false, false
 		}
 		if !t.dHasChild.Get(pos) {
-			return leafLoc{regionDense, t.denseBranchValueIdx(pos)}, level + 1, level == len(key)-1, true
+			return t.denseBranchValueIdx(pos), level + 1, level == len(key)-1, true
 		}
 		nodeNum = t.denseChildNode(pos)
 	}
 	if t.height == t.denseHeight {
-		return leafLoc{}, 0, false, false
+		return 0, 0, false, false
 	}
-	sparseIdx := nodeNum - t.denseNodeCount
-	pos := t.sparseNodeStart(sparseIdx)
+	pos := t.sparseNodeStart(nodeNum - t.denseNodeCount)
 	for level := t.denseHeight; ; level++ {
 		end := t.sparseNodeEnd(pos)
 		if level >= len(key) {
 			if t.hasTerminator(pos, end) {
-				return leafLoc{regionSparse, t.sparseValueIdx(pos)}, level, true, true
+				return t.numDenseLeaves + t.sparseValueIdx(pos), level, true, true
 			}
-			return leafLoc{}, 0, false, false
+			return 0, 0, false, false
 		}
 		p := t.findLabel(pos, end, key[level])
 		if p < 0 {
-			return leafLoc{}, 0, false, false
+			return 0, 0, false, false
 		}
 		if !t.sHasChild.Get(p) {
-			return leafLoc{regionSparse, t.sparseValueIdx(p)}, level + 1, level == len(key)-1, true
+			return t.numDenseLeaves + t.sparseValueIdx(p), level + 1, level == len(key)-1, true
 		}
 		pos = t.sparseNodeStart(t.sparseChildIdx(p))
 	}
 }
 
-// slotOf maps a leaf location to its global slot in [0, leaf count): dense
-// leaves first, then sparse leaves, each in level order.
-func (t *Trie) slotOf(loc leafLoc) int {
-	if loc.region == regionDense {
-		return loc.valueIdx
-	}
-	return t.numDenseLeaves + loc.valueIdx
-}
-
-// GetSlot walks the trie for key and returns the reached leaf's global slot
-// plus the covered path length; used by filters to index per-leaf suffix
-// material without back-references.
+// GetSlot walks the trie for key and returns the reached leaf's slot plus
+// the covered path length; filters index per-leaf suffix material by it.
 func (t *Trie) GetSlot(key []byte) (slot, pathLen int, exact, ok bool) {
-	loc, pathLen, exact, ok := t.lookup(key)
-	if !ok {
-		return 0, 0, false, false
-	}
-	return t.slotOf(loc), pathLen, exact, true
-}
-
-// DropLeafRefs releases the build-time leaf back-references. Filters call
-// this once suffix material has been extracted, so that MemoryUsage and the
-// structure itself match the thesis' layout. LeafRef accessors must not be
-// used afterwards.
-func (t *Trie) DropLeafRefs() {
-	t.dLeaves = t.dLeaves[:0:0]
-	t.sLeaves = t.sLeaves[:0:0]
+	return t.lookup(key)
 }
 
 // Get returns the value stored for key. On a truncated trie Get requires the
 // stored prefix to cover the key exactly; use the surf package for filter
 // semantics.
 func (t *Trie) Get(key []byte) (uint64, bool) {
-	loc, _, exact, ok := t.lookup(key)
+	slot, _, exact, ok := t.lookup(key)
 	if !ok || !exact {
 		return 0, false
 	}
-	return t.valueAt(loc), true
+	return t.valueAt(slot), true
 }

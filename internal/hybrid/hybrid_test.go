@@ -34,10 +34,11 @@ func allVariants(cfg Config) map[string]*Index {
 	return out
 }
 
-// variantCtors are the five hybrid.New* constructors, for tests that must
+// variantCtors are the six hybrid.New* constructors, for tests that must
 // build their indexes one at a time (a journal directory has one owner).
 var variantCtors = map[string]func(Config) *Index{
 	"btree":      NewBTree,
+	"fst":        NewFST,
 	"compressed": func(cfg Config) *Index { return NewCompressedBTree(cfg, 0) },
 	"art":        NewART,
 	"skiplist":   NewSkipList,

@@ -3,6 +3,7 @@ package hybrid
 import (
 	"mets/internal/art"
 	"mets/internal/btree"
+	"mets/internal/fst"
 	"mets/internal/index"
 	"mets/internal/masstree"
 	"mets/internal/skiplist"
@@ -14,6 +15,15 @@ func NewBTree(cfg Config) *Index {
 	return New(
 		func() index.Dynamic { return btree.New() },
 		func(entries []index.Entry) (index.Static, error) { return btree.NewCompact(entries) },
+		cfg)
+}
+
+// NewFST returns a dynamic STX-style B+tree over the thesis' own static
+// structure, the Fast Succinct Trie (Ch. 3), as the static stage.
+func NewFST(cfg Config) *Index {
+	return New(
+		func() index.Dynamic { return btree.New() },
+		func(entries []index.Entry) (index.Static, error) { return fst.NewStatic(entries) },
 		cfg)
 }
 

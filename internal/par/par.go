@@ -1,8 +1,8 @@
 // Package par provides the small deterministic fan-out helpers used by the
-// bulk static-structure builders (fst.Build, btree.NewCompact,
-// art.NewCompact). Work is split into contiguous chunks processed by a
-// bounded set of goroutines; callers assemble results in chunk order, so the
-// output is byte-identical regardless of the worker count.
+// bulk static-structure builders (btree.NewCompact, art.NewCompact). Work is
+// split into contiguous chunks processed by a bounded set of goroutines;
+// callers assemble results in chunk order, so the output is byte-identical
+// regardless of the worker count.
 package par
 
 import (

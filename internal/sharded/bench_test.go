@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"mets/internal/btree"
+	"mets/internal/fst"
 	"mets/internal/hope"
 	"mets/internal/hybrid"
 	"mets/internal/index"
@@ -144,5 +146,116 @@ func BenchmarkShardedGetHOPE(b *testing.B) {
 		if _, ok := s.Get(ks[state%uint64(len(ks))]); !ok {
 			b.Fatal("missing key")
 		}
+	}
+}
+
+// libReadShard returns shard 0 of the lib-read index as the merge hands it to
+// the static-stage builder: its keys HOPE-encoded (3-Grams, a 2^14-entry
+// dictionary trained on every 100th key), sorted, with their tuple IDs.
+func libReadShard(tb testing.TB) []index.Entry {
+	tb.Helper()
+	ks := keys.Dedup(keys.Emails(libReadKeys, 1))
+	sample := make([][]byte, 0, len(ks)/100+1)
+	for i := 0; i < len(ks); i += 100 {
+		sample = append(sample, ks[i])
+	}
+	codec, err := keycodec.TrainHOPE(sample, hope.ThreeGrams, 1<<14)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	router := RouterFromSample(sample, 8)
+	var entries []index.Entry
+	for i, k := range ks {
+		if router.Shard(k) == 0 {
+			entries = append(entries, index.Entry{Key: codec.Encode(k), Value: uint64(i)})
+		}
+	}
+	return entries
+}
+
+// BenchmarkStaticStage holds the FST stage to the compact B+tree on
+// lib-read's shard 0, op by op: a build (with what it allocates per byte of
+// the stage it returns), a point read of a present key, a 50-entry scan from
+// one, and a full scan — a merge's stage work is one build and one full
+// scan. Every iteration runs a batch on each stage, alternating which goes
+// first, so both see the same host; each reports its ns per op and the
+// FST's time as a multiple of the compact B+tree's, and the build the
+// stages' bits per key.
+func BenchmarkStaticStage(b *testing.B) {
+	entries := libReadShard(b)
+	builds := [2]func([]index.Entry) (index.Static, error){
+		func(es []index.Entry) (index.Static, error) { return btree.NewCompact(es) },
+		func(es []index.Entry) (index.Static, error) { return fst.NewStatic(es) },
+	}
+	var stages [2]index.Static
+	for k, build := range builds {
+		st, err := build(entries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stages[k] = st
+	}
+	var allocs [2]uint64
+	for _, op := range []struct {
+		name  string
+		batch int
+		do    func(k int, state *uint64)
+	}{
+		{"build", 1, func(k int, _ *uint64) {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			if _, err := builds[k](entries); err != nil {
+				b.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms1)
+			allocs[k] += ms1.TotalAlloc - ms0.TotalAlloc
+		}},
+		{"get", 1000, func(k int, state *uint64) {
+			*state = *state*2862933555777941757 + 3037000493
+			e := entries[*state%uint64(len(entries))]
+			if v, ok := stages[k].Get(e.Key); !ok || v != e.Value {
+				b.Fatal("wrong value")
+			}
+		}},
+		{"scan50", 100, func(k int, state *uint64) {
+			*state = *state*2862933555777941757 + 3037000493
+			n := 0
+			stages[k].Scan(entries[*state%uint64(len(entries))].Key, func([]byte, uint64) bool {
+				n++
+				return n < 50
+			})
+		}},
+		{"fullscan", 1, func(k int, _ *uint64) {
+			if stages[k].Scan(nil, func([]byte, uint64) bool { return true }) != len(entries) {
+				b.Fatal("short scan")
+			}
+		}},
+	} {
+		b.Run("op="+op.name, func(b *testing.B) {
+			runtime.GC()
+			allocs = [2]uint64{}
+			var spent [2]time.Duration
+			for i := 0; i < b.N; i++ {
+				for j := range 2 {
+					k := (i + j) % 2
+					state := uint64(i)
+					t0 := time.Now()
+					for range op.batch {
+						op.do(k, &state)
+					}
+					spent[k] += time.Since(t0)
+				}
+			}
+			per := func(k int) float64 { return float64(spent[k]) / float64(b.N*op.batch) }
+			b.ReportMetric(per(0), "compact-ns/op")
+			b.ReportMetric(per(1), "fst-ns/op")
+			b.ReportMetric(per(1)/per(0), "fst/compact")
+			if op.name == "build" {
+				for k, name := range [2]string{"compact", "fst"} {
+					b.ReportMetric(float64(allocs[k])/float64(b.N)/float64(stages[k].MemoryUsage()), name+"-alloc/stage")
+					b.ReportMetric(float64(stages[k].MemoryUsage())*8/float64(len(entries)), name+"-bits/key")
+				}
+			}
+		})
 	}
 }

@@ -219,9 +219,9 @@ func TestScanNUnderConcurrentInserts(t *testing.T) {
 // own shape (newLibReadIndex) at 50k keys: a 50-entry ScanN from a random
 // present key. With the HOPE codec that is the encoded start bound, the
 // collector with its entry slice and key slab, the run decoder, and per shard
-// visited a memtable cursor and the stage's scan buffer; it was 68 when every
-// returned key was its own allocation and each layer staged entries of its
-// own.
+// visited a memtable cursor (the FST stage's walk reuses a pooled iterator);
+// it was 68 when every returned key was its own allocation and each layer
+// staged entries of its own.
 func TestScanN50Allocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

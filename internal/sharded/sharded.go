@@ -160,8 +160,9 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	return s
 }
 
-// NewBTree builds a sharded index with B-tree shards.
-func NewBTree(cfg Config) *Index { return New(cfg, hybrid.NewBTree) }
+// NewBTree builds a sharded index whose shards keep a B+tree dynamic stage
+// over an FST static stage (hybrid.NewFST).
+func NewBTree(cfg Config) *Index { return New(cfg, hybrid.NewFST) }
 
 // NewART builds a sharded index with ART shards.
 func NewART(cfg Config) *Index { return New(cfg, hybrid.NewART) }

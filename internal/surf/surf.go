@@ -53,37 +53,36 @@ type Filter struct {
 	codecDict []byte
 }
 
-// Build constructs a filter over sorted unique keys.
+// Build constructs a filter over sorted unique keys. The trie build reports
+// each key's leaf slot and where its stored prefix ends, and the suffix bits
+// go straight into that slot.
 func Build(ks [][]byte, cfg Config) (*Filter, error) {
-	trie, err := fst.Build(ks, nil, fst.Config{
+	f := &Filter{cfg: cfg, numKeys: len(ks), sufBits: cfg.HashSuffixLen + cfg.RealSuffixLen}
+	if f.sufBits > 0 {
+		f.suffixes = bits.NewVector(f.sufBits * len(ks))
+	}
+	trie, err := fst.BuildLeaves(ks, fst.Config{
 		Truncate:    true,
 		DenseLevels: cfg.DenseLevels,
 		DenseRatio:  cfg.DenseRatio,
+	}, func(slot, i, suffixStart int) {
+		if f.sufBits == 0 {
+			return
+		}
+		key := ks[i]
+		var v uint64
+		if cfg.HashSuffixLen > 0 {
+			v = bloom.Hash64(key) & (1<<uint(cfg.HashSuffixLen) - 1)
+		}
+		if cfg.RealSuffixLen > 0 {
+			v = v<<uint(cfg.RealSuffixLen) | extractBits(key, suffixStart, cfg.RealSuffixLen)
+		}
+		f.putSuffix(slot, v)
 	})
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{cfg: cfg, trie: trie, numKeys: len(ks),
-		sufBits: cfg.HashSuffixLen + cfg.RealSuffixLen}
-	if f.sufBits > 0 {
-		f.suffixes = bits.NewVector(f.sufBits * len(ks))
-		it := trie.NewIterator()
-		for it.First(); it.Valid(); it.Next() {
-			ref := it.LeafRef()
-			key := ks[ref.KeyIndex]
-			var v uint64
-			if cfg.HashSuffixLen > 0 {
-				v = bloom.Hash64(key) & (1<<uint(cfg.HashSuffixLen) - 1)
-			}
-			if cfg.RealSuffixLen > 0 {
-				v = v<<uint(cfg.RealSuffixLen) | extractBits(key, int(ref.SuffixStart), cfg.RealSuffixLen)
-			}
-			f.putSuffix(it.Slot(), v)
-		}
-	}
-	// The filter addresses suffixes by leaf slot; the build-time
-	// back-references are no longer needed.
-	trie.DropLeafRefs()
+	f.trie = trie
 	return f, nil
 }
 

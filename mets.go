@@ -8,7 +8,8 @@
 //     tests for points and ranges with one-sided errors.
 //   - HybridIndex — the dual-stage architecture (Chapter 5) that makes the
 //     compact static trees writable with amortized merge cost, available
-//     over B+tree, ART, Skip List and Masstree substrates.
+//     over B+tree, ART, Skip List and Masstree substrates, and as a B+tree
+//     over an FST static stage, which ShardedIndex's NewShardedBTree builds.
 //   - HOPE — the High-speed Order-Preserving Encoder (Chapter 6): compress
 //     keys before inserting them into any ordered structure.
 //   - LSM — an in-memory log-structured engine with pluggable filters and
@@ -106,8 +107,10 @@ type HybridIndex = hybrid.Index
 // readers-writer lock of its own. HybridSecondary ignores it.
 type HybridConfig = hybrid.Config
 
-// Hybrid index constructors over the four substrates.
+// Hybrid index constructors: a B+tree dynamic stage over the thesis' FST
+// (the sharded engine's shards), and the four Ch. 5 substrates.
 var (
+	NewHybridFST             = hybrid.NewFST
 	NewHybridBTree           = hybrid.NewBTree
 	NewHybridCompressedBTree = hybrid.NewCompressedBTree
 	NewHybridART             = hybrid.NewART
@@ -129,7 +132,8 @@ type ShardedConfig = sharded.Config
 // ShardRouter maps keys to shards via sorted boundary keys.
 type ShardRouter = sharded.Router
 
-// Sharded constructors and routers.
+// Sharded constructors and routers. NewShardedBTree's shards keep a B+tree
+// dynamic stage over an FST static stage.
 var (
 	NewShardedBTree      = sharded.NewBTree
 	NewShardedART        = sharded.NewART
