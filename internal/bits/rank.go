@@ -83,17 +83,6 @@ func (r *RankVector) Rank1(i int) int {
 	return c
 }
 
-// Rank0 returns the number of clear bits in positions [0, i] inclusive.
-func (r *RankVector) Rank0(i int) int {
-	if i < 0 || r.n == 0 {
-		return 0
-	}
-	if i >= r.n {
-		i = r.n - 1
-	}
-	return i + 1 - r.Rank1(i)
-}
-
 // Ones returns the total number of set bits.
 func (r *RankVector) Ones() int { return int(r.lut[len(r.lut)-1]) }
 

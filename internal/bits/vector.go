@@ -68,29 +68,6 @@ func (v *Vector) SetAtomic(i int) {
 	}
 }
 
-// Clear sets bit i to zero.
-func (v *Vector) Clear(i int) {
-	v.words[i>>6] &^= 1 << (uint(i) & 63)
-}
-
-// Append adds one bit at the end of the vector.
-func (v *Vector) Append(bit bool) {
-	if v.n>>6 == len(v.words) {
-		v.words = append(v.words, 0)
-	}
-	if bit {
-		v.words[v.n>>6] |= 1 << (uint(v.n) & 63)
-	}
-	v.n++
-}
-
-// AppendN adds n copies of bit at the end of the vector.
-func (v *Vector) AppendN(bit bool, n int) {
-	for i := 0; i < n; i++ {
-		v.Append(bit)
-	}
-}
-
 // NextSet returns the smallest position p with from <= p < limit whose bit
 // is set, or -1 if there is none. limit is clamped to Len.
 func (v *Vector) NextSet(from, limit int) int {
@@ -121,36 +98,9 @@ func (v *Vector) NextSet(from, limit int) int {
 	}
 }
 
-// Count returns the total number of set bits.
-func (v *Vector) Count() int {
-	c := 0
-	for _, w := range v.words {
-		c += mathbits.OnesCount64(w)
-	}
-	return c
-}
-
 // MemoryUsage returns the number of bytes used by the vector payload.
 func (v *Vector) MemoryUsage() int64 {
 	return int64(len(v.words)*8) + 16
-}
-
-// rankWithin counts the ones in v.words in bit positions [from, to] inclusive.
-func (v *Vector) rankWithin(from, to int) int {
-	if to < from {
-		return 0
-	}
-	fw, tw := from>>6, to>>6
-	if fw == tw {
-		mask := (^uint64(0) << (uint(from) & 63)) & maskUpTo(uint(to)&63)
-		return mathbits.OnesCount64(v.words[fw] & mask)
-	}
-	c := mathbits.OnesCount64(v.words[fw] &^ (1<<(uint(from)&63) - 1))
-	for w := fw + 1; w < tw; w++ {
-		c += mathbits.OnesCount64(v.words[w])
-	}
-	c += mathbits.OnesCount64(v.words[tw] & maskUpTo(uint(to)&63))
-	return c
 }
 
 // maskUpTo returns a mask with bits 0..b inclusive set.

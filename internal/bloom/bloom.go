@@ -16,7 +16,6 @@ type Filter struct {
 	bv      *bits.Vector
 	numBits uint64
 	k       int
-	n       int
 }
 
 // New creates a filter sized for expectedKeys at bitsPerKey bits per key.
@@ -51,7 +50,6 @@ func (f *Filter) Add(key []byte) {
 	for i := 0; i < f.k; i++ {
 		f.bv.Set(int((h1 + uint64(i)*h2) % f.numBits))
 	}
-	f.n++
 }
 
 // Contains reports whether key may be in the filter. False means definitely
@@ -67,14 +65,12 @@ func (f *Filter) Contains(key []byte) bool {
 }
 
 // AddAtomic inserts key with atomic bit stores, for filters probed by
-// lock-free readers while a (single) writer keeps inserting. The key-count
-// bookkeeping is writer-owned and remains unsynchronized.
+// lock-free readers while a (single) writer keeps inserting.
 func (f *Filter) AddAtomic(key []byte) {
 	h1, h2 := hash128(key)
 	for i := 0; i < f.k; i++ {
 		f.bv.SetAtomic(int((h1 + uint64(i)*h2) % f.numBits))
 	}
-	f.n++
 }
 
 // ContainsAtomic is Contains over atomic bit loads, safe to run concurrently
@@ -90,9 +86,6 @@ func (f *Filter) ContainsAtomic(key []byte) bool {
 	}
 	return true
 }
-
-// NumKeys returns the number of keys added so far.
-func (f *Filter) NumKeys() int { return f.n }
 
 // MemoryUsage returns the filter's size in bytes.
 func (f *Filter) MemoryUsage() int64 { return f.bv.MemoryUsage() + 32 }

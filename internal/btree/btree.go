@@ -59,8 +59,6 @@ func newLeaf() *leafNode {
 
 func (l *leafNode) live(i int) bool { return l.occ>>uint(i)&1 == 1 }
 
-func (l *leafNode) count() int { return bits.OnesCount32(l.occ) }
-
 // nextLive returns the first live slot >= i, or fanout when none.
 func (l *leafNode) nextLive(i int) int {
 	if i >= fanout {
@@ -413,45 +411,6 @@ func (t *Tree) Delete(key []byte) bool {
 	return true
 }
 
-// DeleteValue removes the first entry matching both key and value (multimap
-// mode), returning false when no such pair exists.
-func (t *Tree) DeleteValue(key []byte, value uint64) bool {
-	qp := prefix8(key)
-	l, _ := t.findLeaf(key, qp)
-	if l == nil {
-		return false
-	}
-	i := l.nextLive(l.lowerBoundSlot(key, qp))
-	for {
-		if i == fanout {
-			l = l.next
-			if l == nil {
-				return false
-			}
-			i = l.firstLive()
-			continue
-		}
-		if !bytes.Equal(l.keys[i], key) {
-			return false
-		}
-		if l.vals[i] == value {
-			t.keyBytes -= int64(len(l.keys[i]))
-			l.clearSlot(i)
-			if l.occ == 0 {
-				if l.prev != nil {
-					l.prev.next = l.next
-				}
-				if l.next != nil {
-					l.next.prev = l.prev
-				}
-			}
-			t.length--
-			return true
-		}
-		i = l.nextLive(i + 1)
-	}
-}
-
 // findLeaf descends to the leaf holding the first entry >= key. Routing
 // goes left of equal separators so that duplicate runs spanning a split are
 // found from their beginning (reads then continue along the leaf chain).
@@ -542,20 +501,6 @@ func lowerBound(ks [][]byte, key []byte) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if keys.Compare(ks[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// upperBound returns the number of keys <= key.
-func upperBound(ks [][]byte, key []byte) int {
-	lo, hi := 0, len(ks)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if keys.Compare(ks[mid], key) <= 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

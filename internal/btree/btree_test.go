@@ -215,8 +215,8 @@ func TestCompactMulti(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumKeys() != 1000 || c.Len() != 10000 {
-		t.Fatalf("NumKeys=%d Len=%d", c.NumKeys(), c.Len())
+	if c.keys.numKeys() != 1000 || c.Len() != 10000 {
+		t.Fatalf("NumKeys=%d Len=%d", c.keys.numKeys(), c.Len())
 	}
 	for i := 0; i < 1000; i++ {
 		vs := c.GetAll(keys.Uint64(uint64(i)))

@@ -107,9 +107,8 @@ func NewCompactMulti(entries []index.Entry) (*CompactMulti, error) {
 	return c, nil
 }
 
-// NumKeys returns the number of distinct keys; Len the number of pairs.
-func (c *CompactMulti) NumKeys() int { return c.keys.numKeys() }
-func (c *CompactMulti) Len() int     { return len(c.vals) }
+// Len returns the number of pairs.
+func (c *CompactMulti) Len() int { return len(c.vals) }
 
 // GetAll returns every value stored under key.
 func (c *CompactMulti) GetAll(key []byte) []uint64 {

@@ -133,8 +133,8 @@ func checkCompactOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byt
 	if err != nil {
 		t.Fatalf("NewCompactMulti: %v", err)
 	}
-	if c.Len() != len(ks) || cm.NumKeys() != len(ks) {
-		t.Fatalf("Len = %d, NumKeys = %d, want %d", c.Len(), cm.NumKeys(), len(ks))
+	if c.Len() != len(ks) || cm.keys.numKeys() != len(ks) {
+		t.Fatalf("Len = %d, NumKeys = %d, want %d", c.Len(), cm.keys.numKeys(), len(ks))
 	}
 	const look = 3 // entries checked after each lower bound
 	for _, q := range probes {

@@ -243,7 +243,7 @@ func TestGappedLeafChurn(t *testing.T) {
 }
 
 // TestGappedLeafMultimapChurn exercises duplicate runs spanning gapped
-// splits plus DeleteValue's cross-leaf walk.
+// splits.
 func TestGappedLeafMultimapChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tr := NewMulti()
@@ -251,24 +251,11 @@ func TestGappedLeafMultimapChurn(t *testing.T) {
 	for op := 0; op < 40000; op++ {
 		k := keys.Uint64(uint64(rng.Intn(300)))
 		s := string(k)
-		switch rng.Intn(4) {
+		switch rng.Intn(3) {
 		case 0, 1:
 			tr.Insert(k, uint64(op))
 			oracle[s] = append(oracle[s], uint64(op))
 		case 2:
-			vs := oracle[s]
-			if len(vs) == 0 {
-				if tr.DeleteValue(k, 1) {
-					t.Fatalf("op %d: deleted a pair the oracle lacks", op)
-				}
-				break
-			}
-			i := rng.Intn(len(vs))
-			if !tr.DeleteValue(k, vs[i]) {
-				t.Fatalf("op %d: DeleteValue(%x, %d) failed", op, k, vs[i])
-			}
-			oracle[s] = append(vs[:i:i], vs[i+1:]...)
-		case 3:
 			got := append([]uint64(nil), tr.GetAll(k)...)
 			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 			want := append([]uint64(nil), oracle[s]...)

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -71,12 +70,13 @@ func readRequests(nc net.Conn) <-chan request {
 	ch := make(chan request)
 	go func() {
 		defer close(ch)
-		br := bufio.NewReader(nc)
+		fr := wire.NewReader(nc, 4096)
 		for {
-			p, err := wire.ReadFrame(br, 0)
+			p, err := fr.Next()
 			if err != nil {
 				return
 			}
+			p = bytes.Clone(p) // the request outlives the reader's loan
 			id, op, body, _ := wire.ParseHeader(p)
 			ch <- request{id, op, body}
 		}
@@ -364,12 +364,13 @@ func TestReadRoleSkipsCallerStillWriting(t *testing.T) {
 	writes := make(chan struct{}, 3)
 	c := New(&hookConn{Conn: cliEnd, onWrite: func() { writes <- struct{}{} }})
 	defer c.Close()
-	br := bufio.NewReader(srvEnd)
+	fr := wire.NewReader(srvEnd, 4096)
 	readReq := func() request {
-		p, err := wire.ReadFrame(br, 0)
+		p, err := fr.Next()
 		if err != nil {
 			t.Fatalf("peer read: %v", err)
 		}
+		p = bytes.Clone(p) // the request outlives the reader's loan
 		id, op, body, _ := wire.ParseHeader(p)
 		return request{id, op, body}
 	}

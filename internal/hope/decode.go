@@ -38,11 +38,7 @@ func (e *Encoder) NewDecoder() *Decoder {
 		codes = append(codes, c.Bits)
 		d.syms = append(d.syms, decSym{sym: sym, symLen: symLen, codeLen: c.Len})
 	}
-	dict := e.dict
-	if t, ok := dict.(*bitmapTrieDict); ok {
-		dict = t.fallback // the trie only accelerates the same intervals
-	}
-	switch dict := dict.(type) {
+	switch dict := e.dict.(type) {
 	case *singleCharDict:
 		for b, c := range dict.codes {
 			add(c, uint64(b)<<56, 1)
@@ -65,14 +61,6 @@ func (e *Encoder) NewDecoder() *Decoder {
 // MemoryUsage returns the size of the decode tables in bytes.
 func (d *Decoder) MemoryUsage() int64 {
 	return d.codes.memoryUsage() + int64(len(d.syms))*codeBytes
-}
-
-// Decode reconstructs the source string from an encoded bit string of the
-// given exact bit length. Passing len(enc)*8 also works: no codeword is
-// all-zero (see reserveZeroCode), so the byte-boundary padding zeros match
-// nothing and decoding stops by itself.
-func (d *Decoder) Decode(enc []byte, nbits int) []byte {
-	return d.DecodeAppend(nil, enc, nbits)
 }
 
 // DecodeAppend appends the decoded source string to dst and returns the

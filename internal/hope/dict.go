@@ -1,9 +1,6 @@
 package hope
 
-import (
-	"encoding/binary"
-	mathbits "math/bits"
-)
+import "encoding/binary"
 
 // dictionary encodes a key one longest-applicable entry at a time.
 type dictionary interface {
@@ -193,121 +190,4 @@ func (d *intervalDict) numEntries() int   { return len(d.entries) }
 func (d *intervalDict) contextBytes() int { return d.maxLo + 1 }
 func (d *intervalDict) memoryUsage() int64 {
 	return d.bounds.memoryUsage() + int64(len(d.entries))*codeBytes
-}
-
-// bitmapTrieDict is the 3-gram bitmap-trie of Fig 6.6: each node holds a
-// 256-bit bitmap of branches plus a cumulative set-bit counter, giving
-// pointer-free constant-time child addressing. It accelerates lookups for
-// fixed-length-gram interval dictionaries; misses fall back to the packed
-// interval dictionary.
-type bitmapTrieDict struct {
-	gramLen  int
-	bitmaps  [][4]uint64
-	counters []uint32
-	// leafCode[i] is the dictionary slot of the i-th (in order) complete
-	// gram path.
-	leafSlot []uint32
-	fallback *intervalDict
-}
-
-// slot returns the dictionary slot of the full gram at the head of src, if
-// the trie holds it.
-func (d *bitmapTrieDict) slot(src []byte) (int, bool) {
-	if len(src) < d.gramLen {
-		return 0, false
-	}
-	node := 0
-	for level := 0; level < d.gramLen; level++ {
-		b := src[level]
-		bm := &d.bitmaps[node]
-		if bm[b>>6]&(1<<(uint(b)&63)) == 0 {
-			return 0, false
-		}
-		// Rank of this branch within the global breadth-first bit order.
-		rank := int(d.counters[node])
-		for w := 0; w < int(b>>6); w++ {
-			rank += popcount(bm[w])
-		}
-		rank += popcount(bm[b>>6] & (1<<(uint(b)&63) - 1))
-		if level == d.gramLen-1 {
-			return int(d.leafSlot[rank-d.leafBase()]), true
-		}
-		node = rank + 1 // breadth-first child numbering, root = 0
-	}
-	return 0, false
-}
-
-func (d *bitmapTrieDict) encode(w bitWriter, key []byte, pos int, m *marks) bitWriter {
-	for pos < len(key) {
-		i, ok := d.slot(key[pos:])
-		if !ok {
-			i = d.fallback.find(headAt(key, pos), len(key)-pos)
-		}
-		pos = d.fallback.emit(&w, i, key, pos, m)
-	}
-	return w
-}
-
-// leafBase returns the rank offset where last-level branches begin.
-func (d *bitmapTrieDict) leafBase() int { return len(d.bitmaps) - 1 }
-
-func (d *bitmapTrieDict) numEntries() int   { return d.fallback.numEntries() }
-func (d *bitmapTrieDict) contextBytes() int { return d.fallback.contextBytes() }
-func (d *bitmapTrieDict) memoryUsage() int64 {
-	return int64(len(d.bitmaps))*36 + int64(len(d.leafSlot))*4 + d.fallback.memoryUsage()
-}
-
-func popcount(x uint64) int { return mathbits.OnesCount64(x) }
-
-// newBitmapTrieDict indexes the full-length grams of an interval dictionary.
-func newBitmapTrieDict(gramLen int, fallback *intervalDict) *bitmapTrieDict {
-	d := &bitmapTrieDict{gramLen: gramLen, fallback: fallback}
-	// Collect dictionary slots whose symbol is a full gram and whose
-	// interval starts exactly at the gram (so the trie resolves exactly the
-	// [g, g+) intervals; everything else falls back).
-	type item struct {
-		gram []byte
-		slot uint32
-	}
-	var items []item
-	for i, e := range fallback.entries {
-		if int(e.symLen) == gramLen && int(e.loLen) == gramLen {
-			items = append(items, item{fallback.lo(i), uint32(i)})
-		}
-	}
-	// Build the trie breadth-first over the (already sorted) grams.
-	type nodeRange struct{ lo, hi, depth int }
-	queue := []nodeRange{{0, len(items), 0}}
-	var leafOrder []uint32
-	for len(queue) > 0 {
-		nr := queue[0]
-		queue = queue[1:]
-		var bm [4]uint64
-		i := nr.lo
-		for i < nr.hi {
-			b := items[i].gram[nr.depth]
-			j := i + 1
-			for j < nr.hi && items[j].gram[nr.depth] == b {
-				j++
-			}
-			bm[b>>6] |= 1 << (uint(b) & 63)
-			if nr.depth+1 < gramLen {
-				queue = append(queue, nodeRange{i, j, nr.depth + 1})
-			} else {
-				leafOrder = append(leafOrder, items[i].slot)
-			}
-			i = j
-		}
-		d.bitmaps = append(d.bitmaps, bm)
-	}
-	// counters[n] = total set bits in bitmaps before node n.
-	d.counters = make([]uint32, len(d.bitmaps))
-	acc := uint32(0)
-	for n := range d.bitmaps {
-		d.counters[n] = acc
-		bm := &d.bitmaps[n]
-		acc += uint32(popcount(bm[0]) + popcount(bm[1]) + popcount(bm[2]) + popcount(bm[3]))
-	}
-	d.leafSlot = leafOrder
-	return d
 }

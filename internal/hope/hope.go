@@ -72,27 +72,13 @@ type Encoder struct {
 	}
 }
 
-// Option tweaks training.
-type Option func(*trainOpts)
-
-type trainOpts struct {
-	useBitmapTrie bool
-}
-
-// WithBitmapTrie builds the Fig 6.6 bitmap-trie index for gram dictionaries.
-func WithBitmapTrie() Option { return func(o *trainOpts) { o.useBitmapTrie = true } }
-
 // Train builds an encoder of the given scheme from a key sample.
 // dictLimit caps the number of dictionary entries (power of two between 2^8
 // and 2^16 in the thesis; ignored by Single/Double-Char whose sizes are
 // fixed).
-func Train(sample [][]byte, scheme Scheme, dictLimit int, opts ...Option) (*Encoder, error) {
+func Train(sample [][]byte, scheme Scheme, dictLimit int) (*Encoder, error) {
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("hope: empty sample")
-	}
-	var o trainOpts
-	for _, f := range opts {
-		f(&o)
 	}
 	if dictLimit <= 0 {
 		dictLimit = 1 << 16
@@ -167,16 +153,7 @@ func Train(sample [][]byte, scheme Scheme, dictLimit int, opts ...Option) (*Enco
 		}
 		e.BuildStats.CodeAssign = time.Since(t0)
 		t0 = time.Now()
-		id := newIntervalDict(ivs, codes)
-		if o.useBitmapTrie && (scheme == ThreeGrams || scheme == FourGrams) {
-			gl := 3
-			if scheme == FourGrams {
-				gl = 4
-			}
-			e.dict = newBitmapTrieDict(gl, id)
-		} else {
-			e.dict = id
-		}
+		e.dict = newIntervalDict(ivs, codes)
 		e.BuildStats.DictBuild = time.Since(t0)
 	default:
 		return nil, fmt.Errorf("hope: unknown scheme %d", scheme)

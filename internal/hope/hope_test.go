@@ -68,7 +68,7 @@ func TestUniqueDecodability(t *testing.T) {
 		for i := 0; i < len(sample); i += 3 {
 			k := sample[i]
 			enc, nbits := e.EncodeBits(k)
-			dec := d.Decode(enc, nbits)
+			dec := d.DecodeAppend(nil, enc, nbits)
 			// Double-Char pads a trailing odd byte with 0x00.
 			if s == DoubleChar {
 				dec = bytes.TrimRight(dec, "\x00")
@@ -156,23 +156,6 @@ func TestEncodeBatchMatchesEncode(t *testing.T) {
 			if !bytes.Equal(batch[i], want) {
 				t.Fatalf("%v: batch[%d] (%q) = %x, want %x", s, i, k, batch[i], want)
 			}
-		}
-	}
-}
-
-func TestBitmapTrieDictMatchesBinarySearch(t *testing.T) {
-	sample := emailSample(3000, 15)
-	plain := trainOn(t, sample, ThreeGrams, 1<<12)
-	trie, err := Train(sample, ThreeGrams, 1<<12, WithBitmapTrie())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := trie.dict.(*bitmapTrieDict); !ok {
-		t.Fatal("bitmap trie not installed")
-	}
-	for _, k := range sample {
-		if !bytes.Equal(plain.Encode(k), trie.Encode(k)) {
-			t.Fatalf("bitmap trie encoding differs for %q", k)
 		}
 	}
 }

@@ -78,12 +78,6 @@ func TestKernelsMatchReference(t *testing.T) {
 	}
 	ints := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(3000, 34)))
 	checkAgainstReference(t, "ints/Single-Char", trainOn(t, ints[:1500], SingleChar, 0), edgeKeys(ints))
-
-	trie, err := Train(datasets[0].keys, ThreeGrams, 1<<11, WithBitmapTrie())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstReference(t, "emails/3-Grams+trie", trie, edgeKeys(datasets[0].keys))
 }
 
 // TestKernelsMatchReferenceOnZeroBytes trains the interval schemes outside

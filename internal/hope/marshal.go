@@ -12,12 +12,10 @@ import (
 //	magic "HOPE" | u32 version | u32 scheme | u8 dict kind | dict payload
 //
 // Dict payloads: single-char and double-char are their full fixed code
-// tables; interval dictionaries store (lo, symLen, code) triples; the
-// bitmap-trie kind stores its gram length plus the fallback interval
-// dictionary and rebuilds the trie on load. The encoding is complete — an
-// unmarshaled encoder produces bit-identical encodings — which is what lets
-// SSTable filters and SuRF/FST payloads embed the dictionary and survive
-// process restarts (§6 integration).
+// tables; interval dictionaries store (lo, symLen, code) triples. The
+// encoding is complete — an unmarshaled encoder produces bit-identical
+// encodings — which is what lets SSTable filters and SuRF/FST payloads embed
+// the dictionary and survive process restarts (§6 integration).
 const marshalMagic = "HOPE"
 
 const marshalVersion = 1
@@ -26,7 +24,6 @@ const (
 	dictKindSingle byte = iota
 	dictKindDouble
 	dictKindInterval
-	dictKindBitmapTrie
 )
 
 type byteWriter struct{ b []byte }
@@ -135,10 +132,6 @@ func (e *Encoder) MarshalBinary() ([]byte, error) {
 	case *intervalDict:
 		w.u8(dictKindInterval)
 		marshalIntervalDict(w, dict)
-	case *bitmapTrieDict:
-		w.u8(dictKindBitmapTrie)
-		w.u32(uint32(dict.gramLen))
-		marshalIntervalDict(w, dict.fallback)
 	default:
 		return nil, fmt.Errorf("hope: cannot marshal dictionary %T", e.dict)
 	}
@@ -222,16 +215,6 @@ func UnmarshalEncoder(data []byte) (*Encoder, error) {
 			return nil, err
 		}
 		e.dict = d
-	case dictKindBitmapTrie:
-		gramLen := int(r.u32())
-		d, err := unmarshalIntervalDict(r)
-		if err != nil {
-			return nil, err
-		}
-		if gramLen < 1 || gramLen > 8 {
-			return nil, fmt.Errorf("hope: bad bitmap-trie gram length %d", gramLen)
-		}
-		e.dict = newBitmapTrieDict(gramLen, d)
 	default:
 		return nil, fmt.Errorf("hope: unknown dictionary kind %d", kind)
 	}

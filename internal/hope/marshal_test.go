@@ -36,37 +36,13 @@ func TestMarshalRoundTripAllSchemes(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%v: encoding diverged for %q: %x vs %x", s, k, got, want)
 			}
-			dec := d2.Decode(got, len(got)*8)
+			dec := d2.DecodeAppend(nil, got, len(got)*8)
 			if s == DoubleChar {
 				dec = bytes.TrimRight(dec, "\x00")
 			}
 			if !bytes.Equal(dec, k) {
 				t.Fatalf("%v: unmarshaled decoder got %q, want %q", s, dec, k)
 			}
-		}
-	}
-}
-
-func TestMarshalRoundTripBitmapTrie(t *testing.T) {
-	sample := keys.Dedup(keys.Emails(2000, 33))
-	e, err := Train(sample, ThreeGrams, 1<<11, WithBitmapTrie())
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := e.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := UnmarshalEncoder(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e2.dict.(*bitmapTrieDict); !ok {
-		t.Fatalf("bitmap trie not rebuilt: %T", e2.dict)
-	}
-	for _, k := range sample {
-		if !bytes.Equal(e.Encode(k), e2.Encode(k)) {
-			t.Fatalf("bitmap-trie encoding diverged for %q", k)
 		}
 	}
 }
@@ -107,7 +83,7 @@ func TestDecodeSelfTerminating(t *testing.T) {
 		for i := 0; i < len(sample); i += 7 {
 			k := sample[i]
 			enc := e.Encode(k)
-			dec := d.Decode(enc, len(enc)*8)
+			dec := d.DecodeAppend(nil, enc, len(enc)*8)
 			if s == DoubleChar {
 				dec = bytes.TrimRight(dec, "\x00")
 			}

@@ -117,10 +117,7 @@ func newRefCodec(e *Encoder) (*refCodec, error) {
 			c.symbols = append(c.symbols, []byte{byte(p >> 8), byte(p)})
 		}
 		c.dict = d
-	case dictKindInterval, dictKindBitmapTrie:
-		if kind == dictKindBitmapTrie {
-			r.u32() // gram length: the trie only accelerates the same lookup
-		}
+	case dictKindInterval:
 		d := &refIntervalDict{}
 		for n := int(r.u32()); n > 0; n-- {
 			d.los = append(d.los, r.bytesCopy())

@@ -98,11 +98,11 @@ func TestCodecEquivalence(t *testing.T) {
 	// index (and absent from the training sample).
 	probes := append(keys.Dedup(keys.Emails(200, 64)), nil, []byte("a"), []byte("zzzz"))
 	for _, p := range probes {
-		pe, ce := plain.ScanN(p, 1), coded.ScanN(p, 1)
+		pe, ce := liveIndex{plain}.ScanN(p, 1), liveIndex{coded}.ScanN(p, 1)
 		if len(pe) != len(ce) || (len(pe) == 1 && (!bytes.Equal(pe[0].Key, ce[0].Key) || pe[0].Value != ce[0].Value)) {
 			t.Fatalf("lower bound ScanN(%q, 1) diverged: %v vs %v", p, pe, ce)
 		}
-		ps, cs := plain.ScanN(p, 25), coded.ScanN(p, 25)
+		ps, cs := liveIndex{plain}.ScanN(p, 25), liveIndex{coded}.ScanN(p, 25)
 		if len(ps) != len(cs) {
 			t.Fatalf("ScanN(%q) lengths: %d vs %d", p, len(ps), len(cs))
 		}
@@ -114,8 +114,8 @@ func TestCodecEquivalence(t *testing.T) {
 		}
 	}
 	// A full scan must agree entry-for-entry.
-	ps, pn := collect(plain, nil, -1)
-	cs, cn := collect(coded, nil, -1)
+	ps, pn := collect(liveIndex{plain}, nil, -1)
+	cs, cn := collect(liveIndex{coded}, nil, -1)
 	if err := sameEntries(cs, ps); err != nil || pn != cn {
 		t.Fatalf("full scans diverged (%d vs %d entries): %v", pn, cn, err)
 	}

@@ -205,10 +205,10 @@ func TestBackgroundMergeDoesNotBlockReaders(t *testing.T) {
 			}
 		}(int64(r) + 11)
 	}
-	if !h.MergeAsync() {
+	if !startMerge(h) {
 		close(stop)
 		wg.Wait()
-		t.Fatal("MergeAsync did not start")
+		t.Fatal("no merge started")
 	}
 	h.WaitMerges()
 	close(stop)

@@ -49,7 +49,7 @@ func testBulkLoadAndIterate(t *testing.T, h *Index) {
 	if i != len(entries) {
 		t.Fatalf("scan visited %d entries, want %d", i, len(entries))
 	}
-	if es := h.ScanN(entries[17].Key, 1); len(es) != 1 || keys.Compare(es[0].Key, entries[17].Key) != 0 {
+	if es := (liveIndex{h}).ScanN(entries[17].Key, 1); len(es) != 1 || keys.Compare(es[0].Key, entries[17].Key) != 0 {
 		t.Fatal("ScanN(k, 1) missed an exact key")
 	}
 }

@@ -93,7 +93,7 @@ type Config struct {
 	// Dir, when non-empty, makes the index journal every successful write to
 	// a segmented op journal in that directory and replay it on New, so the
 	// in-memory index survives restarts (journal.go). The journal is
-	// buffered: SyncJournal (or Close) is the durability barrier. New panics
+	// buffered: StartJournalSync (or Close) is the durability barrier. New panics
 	// if the directory cannot be opened or replayed.
 	Dir string
 	// FS overrides the journal's filesystem (default the real OS). Tests
@@ -279,9 +279,6 @@ func (h *Index) encodeKey(key []byte) []byte {
 	return h.codec.Encode(key)
 }
 
-// Codec returns the configured key codec (nil when keys are stored raw).
-func (h *Index) Codec() keycodec.Codec { return h.codec }
-
 // Get returns the value stored under key, searching the stages of the
 // current generation in order.
 func (h *Index) Get(key []byte) (uint64, bool) {
@@ -423,7 +420,7 @@ func (h *Index) maybeMergeLocked(g *gen) {
 	case !h.mergeDue(g):
 	case h.cfg.BackgroundMerge:
 		h.sealLocked(g)
-	case !h.merging: // else a manual MergeAsync is in flight and will absorb the size
+	default:
 		h.mergeLocked(g)
 	}
 }
@@ -505,23 +502,15 @@ func (h *Index) mergeLocked(g *gen) {
 	sp.End()
 }
 
-// MergeAsync seals the current dynamic stage and starts a background merge,
-// returning false when one is already running or there is nothing to merge.
-// Readers and the writer proceed concurrently while the rebuild runs; call
-// WaitMerges to block until the new static stage has been swapped in.
-func (h *Index) MergeAsync() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sealLocked(h.gen.Load())
-}
-
 // sealLocked publishes a generation whose memtable is fresh and whose
 // previous memtable (with its filter) is sealed as the frozen stage, then
 // hands the rebuild to a background goroutine. The seal is one pointer
-// store — writers pause for an allocation, readers not at all. Requires mu.
-func (h *Index) sealLocked(g *gen) bool {
+// store — writers pause for an allocation, readers not at all. A seal while
+// a merge is in flight is skipped: the next write past the trigger retries.
+// Requires mu.
+func (h *Index) sealLocked(g *gen) {
 	if h.merging || g.mem.Nodes() == 0 {
-		return false
+		return
 	}
 	sp := h.obsReg.StartSpan("merge")
 	sp.Phase("seal")
@@ -539,7 +528,6 @@ func (h *Index) sealLocked(g *gen) bool {
 		Attrs: []obs.Attr{obs.I64("frozen", int64(g.mem.Len()))},
 	})
 	go h.backgroundMerge(next.frozen, next.static, time.Now(), sp)
-	return true
 }
 
 // backgroundMerge streams the sealed memtable (stable: its writer moved on to

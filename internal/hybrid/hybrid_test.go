@@ -258,6 +258,19 @@ func TestBloomAblation(t *testing.T) {
 	}
 }
 
+// startMerge seals h's memtable into the frozen stage and starts its
+// background rebuild, as a BackgroundMerge trigger does; it reports whether
+// a merge started (none does while one runs, or with nothing to merge).
+func startMerge(h *Index) bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.merging {
+		return false
+	}
+	h.sealLocked(h.gen.Load())
+	return h.merging
+}
+
 func TestSecondaryIndex(t *testing.T) {
 	s := NewSecondary(Config{MergeRatio: 10, MinDynamic: 512})
 	numKeys := 2000
@@ -270,7 +283,7 @@ func TestSecondaryIndex(t *testing.T) {
 	if s.Len() != numKeys*10 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if merges, _, _ := s.MergeStats(); merges == 0 {
+	if s.static == nil {
 		t.Fatal("expected merges")
 	}
 	for i := 0; i < numKeys; i++ {
@@ -284,26 +297,6 @@ func TestSecondaryIndex(t *testing.T) {
 				t.Fatalf("key %d values wrong: %v", i, vs)
 			}
 		}
-	}
-	// In-place update in whichever stage.
-	if !s.Update(keys.Uint64(0), 5, 99995) {
-		t.Fatal("update failed")
-	}
-	vs := s.GetAll(keys.Uint64(0))
-	found := false
-	for _, v := range vs {
-		if v == 99995 {
-			found = true
-		}
-		if v == 5 {
-			t.Fatal("old value still present")
-		}
-	}
-	if !found || len(vs) != 10 {
-		t.Fatalf("update result wrong: %v", vs)
-	}
-	if s.Update(keys.Uint64(99999), 0, 1) {
-		t.Fatal("update on absent key succeeded")
 	}
 	// Ordered scan over pairs.
 	prev := []byte(nil)

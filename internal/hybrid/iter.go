@@ -5,17 +5,8 @@ import (
 	"mets/internal/reconfig"
 )
 
-// This file exports the stage-snapshot hooks that layered consumers (the
-// range-sharded index in internal/sharded, bulk loaders) build on: the
-// bounded ScanN and BulkLoad.
-
-// ScanN collects up to n live entries in key order starting at the smallest
-// key >= start (ScanN(start, 1) is the lower bound). One call reads one
-// generation, and the returned entries are copies the caller may retain.
-func (h *Index) ScanN(start []byte, n int) []index.Entry {
-	h.obsScan.Inc()
-	return h.gen.Load().scanN(h.codec, start, n)
-}
+// This file exports the bulk-load hook that layered consumers (the
+// range-sharded index in internal/sharded, bulk loaders) build on.
 
 // BulkLoad replaces the index contents with the given sorted unique entries,
 // building the static stage directly instead of funnelling every entry

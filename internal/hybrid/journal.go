@@ -6,7 +6,7 @@
 // an existing journal before the index serves its first operation.
 //
 // A write returns once its record is handed to the journal's committer, and
-// an explicit SyncJournal / StartJournalSync (or Close) is the durability
+// an explicit StartJournalSync (or Close) is the durability
 // barrier. A crash can therefore lose a suffix of recent ops — never a middle
 // — the prefix-durability contract that dstest.RunCrash pins with its
 // fault-injection harness.
@@ -65,10 +65,10 @@ func jrec(op byte, key []byte, value uint64) []byte {
 }
 
 // jlog appends one op to the journal without waiting for it: the op is
-// durable at the next barrier (SyncJournal, StartJournalSync, Close). A write
+// durable at the next barrier (StartJournalSync, Close). A write
 // failure is not silent, though — the log's first error is sticky, every
 // subsequent Enqueue is refused with it, and the failure surfaces through
-// JournalErr, SyncJournal, and Close. The refusal reaches jfail on the very
+// JournalErr, StartJournalSync, and Close. The refusal reaches jfail on the very
 // next op, so the postmortem dump lands while the failure is fresh instead of
 // waiting for the next barrier. Callers hold the writer mutex, which fixes the
 // journal order.
@@ -285,17 +285,13 @@ func (h *Index) jresetLocked(entries []index.Entry) error {
 	return nil
 }
 
-// SyncJournal is the explicit durability barrier: it returns once every op
-// journaled so far is fsynced. A no-op without Config.Dir.
-func (h *Index) SyncJournal() error { return h.StartJournalSync().Wait() }
-
 // JournalBarrier is the wait handle of one StartJournalSync call.
 type JournalBarrier struct {
 	h *Index
 	b *wal.Barrier
 }
 
-// StartJournalSync is the non-blocking half of SyncJournal (see
+// StartJournalSync is the explicit durability barrier, split in two (see
 // wal.Log.StartSync): the journal's committer starts covering every op
 // journaled so far, and the caller waits on the handle — after starting the
 // barriers of other indexes, if it has any. A journal with nothing new since

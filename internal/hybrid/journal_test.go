@@ -206,7 +206,7 @@ func crashedBulkLoad(fs *vfs.MemFS, cfg Config, k int64, mode vfs.CrashMode, tai
 	for _, e := range post {
 		h.Insert([]byte(e.k), e.v)
 	}
-	h.SyncJournal()
+	h.StartJournalSync().Wait()
 	if fired = fs.Crashed(); !fired {
 		h.Update(load[0].Key, load[0].Value)
 		fs.CrashAt(1, mode, k)
@@ -284,7 +284,7 @@ func TestJournalBulkLoadCrashAtomic(t *testing.T) {
 
 // TestJournalErrSurfacesWriteFailure pins that a fire-and-forget journal
 // append failure is not silent: the log's sticky error must become visible
-// through JournalErr before the next explicit barrier, and SyncJournal must
+// through JournalErr before the next explicit barrier, and the barrier must
 // return it.
 func TestJournalErrSurfacesWriteFailure(t *testing.T) {
 	fs := vfs.NewMemFS()
@@ -292,7 +292,7 @@ func TestJournalErrSurfacesWriteFailure(t *testing.T) {
 	h := NewBTree(cfg)
 	defer h.Close()
 	h.Insert([]byte("before"), 1)
-	if err := h.SyncJournal(); err != nil {
+	if err := h.StartJournalSync().Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.JournalErr(); err != nil {
@@ -310,8 +310,8 @@ func TestJournalErrSurfacesWriteFailure(t *testing.T) {
 	if h.JournalErr() == nil {
 		t.Fatal("JournalErr still nil after failed append")
 	}
-	if err := h.SyncJournal(); err == nil {
-		t.Fatal("SyncJournal succeeded on a failed journal")
+	if err := h.StartJournalSync().Wait(); err == nil {
+		t.Fatal("the barrier succeeded on a failed journal")
 	}
 	if _, ok := h.Get([]byte("unjournaled")); !ok {
 		t.Fatal("in-memory op lost (only its journaling should fail)")
@@ -330,11 +330,11 @@ func TestJournalSurvivesSecondCrash(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			h.Insert([]byte(fmt.Sprintf("old-%04d", i)), uint64(i))
 		}
-		if err := h.SyncJournal(); err != nil {
+		if err := h.StartJournalSync().Wait(); err != nil {
 			t.Fatal(err)
 		}
 		seg := path.Join("idx", wal.SegmentName(1))
-		syncedSize, err := fs.Size(seg)
+		syncedSize, err := fileSize(fs, seg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestJournalSurvivesSecondCrash(t *testing.T) {
 		// so Recover below has bytes to tear.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if sz, err := fs.Size(seg); err == nil && sz > syncedSize {
+			if sz, err := fileSize(fs, seg); err == nil && sz > syncedSize {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -361,7 +361,7 @@ func TestJournalSurvivesSecondCrash(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			h2.Insert([]byte(fmt.Sprintf("new-%04d", i)), uint64(1000+i))
 		}
-		if err := h2.SyncJournal(); err != nil { // durability barrier: acked
+		if err := h2.StartJournalSync().Wait(); err != nil { // durability barrier: acked
 			t.Fatal(err)
 		}
 		fs.CrashAt(1, vfs.DropUnsynced, seed)
@@ -402,7 +402,7 @@ func TestJournalTornTailLosesOnlySuffix(t *testing.T) {
 		h.Insert([]byte(k), uint64(i))
 		applied = append(applied, op{k, uint64(i)})
 		if i == 100 {
-			if err := h.SyncJournal(); err != nil {
+			if err := h.StartJournalSync().Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -424,4 +424,14 @@ func TestJournalTornTailLosesOnlySuffix(t *testing.T) {
 				applied[i].key, got, ok, applied[i].val, n)
 		}
 	}
+}
+
+// fileSize is the size of name as a reader of fs sees it.
+func fileSize(fs vfs.FS, name string) (int64, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.Size(), nil
 }

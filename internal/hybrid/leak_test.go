@@ -87,8 +87,8 @@ func TestSupersededGenerationsCollected(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				insertRange(h, n, n+500)
 				n += 500
-				if !h.MergeAsync() {
-					t.Fatal("MergeAsync did not start")
+				if !startMerge(h) {
+					t.Fatal("no merge started")
 				}
 				watchGen(&w, h, fmt.Sprintf("seal%d", i)) // or already the commit; either is fine
 				h.WaitMerges()

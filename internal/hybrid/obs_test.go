@@ -71,7 +71,7 @@ func TestObsDisabledNilSafe(t *testing.T) {
 		h.Insert(k, uint64(i))
 	}
 	h.Merge()
-	h.MergeAsync()
+	startMerge(h)
 	h.WaitMerges()
 	h.Get(ks[0])
 	if h.obsReg != nil || h.obsGet != nil || h.fr != nil {
@@ -100,8 +100,8 @@ func TestObsMergeSpan(t *testing.T) {
 	for i, k := range ks[10000:] {
 		h.Insert(k, uint64(10000+i))
 	}
-	if !h.MergeAsync() {
-		t.Fatal("MergeAsync refused with a populated dynamic stage")
+	if !startMerge(h) {
+		t.Fatal("no merge started with a populated dynamic stage")
 	}
 	h.WaitMerges()
 	// The span is ended after the swap lock is released, so WaitMerges
@@ -157,8 +157,8 @@ func TestObsMergeSpan(t *testing.T) {
 	// The build phase dominates a 20k-entry rebuild; seal and swap are
 	// constant-time bookkeeping under the lock.
 	for _, s := range spans {
-		build, _ := s.Attr("build_ns")
-		seal, _ := s.Attr("seal_ns")
+		build, _ := attr(s, "build_ns")
+		seal, _ := attr(s, "seal_ns")
 		if build.Val < seal.Val {
 			t.Logf("note: build (%d ns) faster than seal (%d ns) — tiny merge", build.Val, seal.Val)
 		}
@@ -170,4 +170,14 @@ func TestObsMergeSpan(t *testing.T) {
 	if m := snap.Gauges["merging"]; m != 0 {
 		t.Fatalf("merging gauge = %v after WaitMerges, want 0", m)
 	}
+}
+
+// attr returns ev's first attribute named key and whether it has one.
+func attr(ev obs.Event, key string) (obs.Attr, bool) {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
 }

@@ -50,7 +50,7 @@ type scanFixture struct {
 
 // newScanFixture drives three rounds of operations through the public API,
 // one per stage from the bottom up. After the static round the index is
-// merged; after the frozen round the memtable is sealed by MergeAsync with
+// merged; after the frozen round the memtable is sealed by startMerge with
 // the static builder blocked, so the generation keeps its frozen stage until
 // release. Every key draws its own history: absent or live below, then
 // untouched, updated (a shadowing state), deleted (a tombstone) or inserted
@@ -102,8 +102,8 @@ func newScanFixture(t *testing.T, ctor func(Config) *Index, epoch, withStatic, w
 			<-gate
 			return build(es)
 		}
-		if !f.h.MergeAsync() {
-			t.Fatal("MergeAsync did not seal")
+		if !startMerge(f.h) {
+			t.Fatal("the memtable was not sealed")
 		}
 		f.release = func() { close(gate); f.h.WaitMerges() }
 	}
@@ -143,6 +143,14 @@ func sameEntries(got, want []index.Entry) error {
 type scanner interface {
 	Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	ScanN(start []byte, n int) []index.Entry
+}
+
+// liveIndex gives the live index the bounded scan a Snapshot has, read from the
+// current generation.
+type liveIndex struct{ *Index }
+
+func (l liveIndex) ScanN(start []byte, n int) []index.Entry {
+	return l.gen.Load().scanN(l.codec, start, n)
 }
 
 // collect runs Scan from start, stopping on the limit-th callback (limit < 0:
@@ -210,12 +218,12 @@ func (f *scanFixture) checkReentrant(t *testing.T) {
 				done <- fmt.Errorf("nested Get(%q) = %d,%v, scan saw %d", k, got, ok, v)
 				return false
 			}
-			nested, _ := collect(f.h, k, 3)
+			nested, _ := collect(liveIndex{f.h}, k, 3)
 			if err := sameEntries(nested, all[i:min(i+3, len(all))]); err != nil {
 				done <- fmt.Errorf("nested Scan(%q): %v", k, err)
 				return false
 			}
-			if err := sameEntries(f.h.ScanN(k, 2), all[i:min(i+2, len(all))]); err != nil {
+			if err := sameEntries(liveIndex{f.h}.ScanN(k, 2), all[i:min(i+2, len(all))]); err != nil {
 				done <- fmt.Errorf("nested ScanN(%q): %v", k, err)
 				return false
 			}
@@ -260,13 +268,13 @@ func TestScanMergeOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/epoch=%v/%s", variant, epoch, st.name), func(t *testing.T) {
 					f := newScanFixture(t, ctor, epoch, st.static, st.frozen)
 					defer func() { f.release() }()
-					f.checkScans(t, "live", f.h)
+					f.checkScans(t, "live", liveIndex{f.h})
 					sn, err := f.h.Snapshot()
 					if err != nil {
 						t.Fatal(err)
 					}
 					f.checkReentrant(t)
-					f.checkScans(t, "live after the re-entrant inserts", f.h)
+					f.checkScans(t, "live after the re-entrant inserts", liveIndex{f.h})
 
 					// The snapshot predates the re-entrant inserts and must
 					// still read as the index did then.
@@ -285,12 +293,12 @@ func TestScanMergeOracle(t *testing.T) {
 					// again once the memtable is folded in, nothing may move.
 					f.release()
 					f.release = func() {}
-					f.checkScans(t, "after the background merge", f.h)
+					f.checkScans(t, "after the background merge", liveIndex{f.h})
 					f.h.Merge()
 					if g := f.h.gen.Load(); g.mem.Nodes() != 0 || g.frozen != nil || f.h.Len() != len(f.oracle) {
 						t.Fatalf("after Merge: mem nodes=%d frozen=%v Len=%d oracle=%d", g.mem.Nodes(), g.frozen != nil, f.h.Len(), len(f.oracle))
 					}
-					f.checkScans(t, "fully merged", f.h)
+					f.checkScans(t, "fully merged", liveIndex{f.h})
 				})
 			}
 		}
@@ -316,7 +324,7 @@ func TestScanKeysAreLent(t *testing.T) {
 	if string(kept[0]) == "key00" {
 		t.Fatalf("a retained key still reads %q after two more callbacks: the static stage no longer lends its scan buffer, update the contract", kept[0])
 	}
-	for i, e := range h.ScanN(nil, 3) {
+	for i, e := range (liveIndex{h}).ScanN(nil, 3) {
 		if want := fmt.Sprintf("key%02d", i); string(e.Key) != want {
 			t.Fatalf("ScanN[%d] = %q, want %q", i, e.Key, want)
 		}

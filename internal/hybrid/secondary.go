@@ -2,7 +2,6 @@ package hybrid
 
 import (
 	"sync"
-	"time"
 
 	"mets/internal/bloom"
 	"mets/internal/btree"
@@ -12,9 +11,7 @@ import (
 
 // Secondary is the non-unique (secondary index) hybrid of §5.3.5: the
 // dynamic stage is a multimap B+tree; the static stage stores each distinct
-// key once with a packed value list. Value updates are applied in place in
-// whichever stage holds the entry, so a key's values never straddle both
-// stages' semantics.
+// key once with a packed value list.
 //
 // Secondary is the thesis-faithful design end to end: concurrent readers plus
 // a single writer behind one readers-writer lock, merges in the foreground
@@ -30,10 +27,6 @@ type Secondary struct {
 	dynamic *btree.Tree
 	static  *btree.CompactMulti
 	filter  *bloom.Filter
-
-	// Merge telemetry, under the write lock; MergeStats reads it.
-	merges                int
-	lastMerge, totalMerge time.Duration
 }
 
 // NewSecondary returns an empty secondary hybrid B+tree index.
@@ -105,30 +98,6 @@ func (s *Secondary) Get(key []byte) (uint64, bool) {
 	return vs[0], true
 }
 
-// Update replaces old with new among key's values, in place in whichever
-// stage holds it (§5.1: secondary indexes update in place to keep a key's
-// value list in one stage).
-func (s *Secondary) Update(key []byte, old, new uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.filter == nil || s.filter.Contains(key) {
-		if s.dynamic.DeleteValue(key, old) {
-			s.dynamic.Insert(key, new)
-			return true
-		}
-	}
-	if s.static != nil {
-		vs := s.static.GetAll(key)
-		for i, v := range vs {
-			if v == old {
-				vs[i] = new // packed value lists are mutable in place
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Scan visits (key, value) pairs in key order from the smallest key >= start.
 // A key is valid only during its callback (static-stage keys are lent, see
 // index.Static); copy it to retain it.
@@ -173,15 +142,8 @@ func (s *Secondary) maybeMergeLocked() {
 	s.mergeLocked()
 }
 
-// Merge migrates all dynamic pairs into a rebuilt static stage.
-func (s *Secondary) Merge() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mergeLocked()
-}
-
+// mergeLocked migrates all dynamic pairs into a rebuilt static stage.
 func (s *Secondary) mergeLocked() {
-	startT := time.Now()
 	dyn := index.Snapshot(s.dynamic)
 	var merged []index.Entry
 	if s.static == nil {
@@ -207,16 +169,6 @@ func (s *Secondary) mergeLocked() {
 	s.static = st
 	s.dynamic = btree.NewMulti()
 	s.resetFilter(len(merged) / s.cfg.MergeRatio)
-	s.lastMerge = time.Since(startT)
-	s.totalMerge += s.lastMerge
-	s.merges++
-}
-
-// MergeStats returns the merge count and the last and total merge times.
-func (s *Secondary) MergeStats() (merges int, last, total time.Duration) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.merges, s.lastMerge, s.totalMerge
 }
 
 // MemoryUsage sums both stages and the Bloom filter.

@@ -19,7 +19,9 @@ func NewBTree(cfg Config) *Index {
 }
 
 // NewFST returns a dynamic STX-style B+tree over the thesis' own static
-// structure, the Fast Succinct Trie (Ch. 3), as the static stage.
+// structure, the Fast Succinct Trie (Ch. 3), as the static stage. Under
+// Config.EpochReads the dynamic stage is the skip-list memtable and the
+// B+tree factory is ignored.
 func NewFST(cfg Config) *Index {
 	return New(
 		func() index.Dynamic { return btree.New() },

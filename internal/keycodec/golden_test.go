@@ -25,36 +25,32 @@ func TestGoldenCodecs(t *testing.T) {
 		sample    [][]byte
 		scheme    hope.Scheme
 		limit     int
-		opts      []hope.Option
 		id        string
 		marshal   string
 		encodings string // "" = not recorded
 	}{
-		{"Single-Char", sample, hope.SingleChar, 1 << 10, nil, "hope:Single-Char:3a1f46eb59f61b7f",
+		{"Single-Char", sample, hope.SingleChar, 1 << 10, "hope:Single-Char:3a1f46eb59f61b7f",
 			"d7b88d70472ae3988b1760675ea6e64d9eab98315bc29ffe54fac092352cccda",
 			"82dd41f55a1ff29b152f7e0941ac1fb0b021309fa55a672b984d450d983ce104"},
-		{"Double-Char", sample, hope.DoubleChar, 1 << 10, nil, "hope:Double-Char:928e0d50c65b30be",
+		{"Double-Char", sample, hope.DoubleChar, 1 << 10, "hope:Double-Char:928e0d50c65b30be",
 			"0f3920c65201ed001545bd6248a98ed32bc56a49cffb53beda991ec47637a91b",
 			"73a443f6a0097fef5345157017b27f13ee9c7b330998027849b4f9486b79a0dd"},
-		{"ALM", sample, hope.ALM, 1 << 10, nil, "hope:ALM:a2b372dd0b315bb7",
+		{"ALM", sample, hope.ALM, 1 << 10, "hope:ALM:a2b372dd0b315bb7",
 			"8610d2138cea148b690b3bdad7ea50b8c80be56b4506fe3b993d64de78dd561c",
 			"79fb54e0a194bffa7dd0a626e4277adac164fb319a756d8db196d574971b07fd"},
-		{"3-Grams", sample, hope.ThreeGrams, 1 << 10, nil, "hope:3-Grams:de14dc11bce083a9",
+		{"3-Grams", sample, hope.ThreeGrams, 1 << 10, "hope:3-Grams:de14dc11bce083a9",
 			"91d8258c59ac7ea318f8b52cd741448870659070fd3757d08ee490e43aef591f",
 			"5c80b702a929a261f244aeb1b809ae80a925a95f7678a0baa7269ce5b417827a"},
-		{"4-Grams", sample, hope.FourGrams, 1 << 10, nil, "hope:4-Grams:473089e81a3fd863",
+		{"4-Grams", sample, hope.FourGrams, 1 << 10, "hope:4-Grams:473089e81a3fd863",
 			"7c1bbae2d7b37834a59400768d16914637583775b13655e8c1cd706d5d741aa9",
 			"f1db7ff7f622517ff97f17c6e6b177ea2d7163de3c465fe7fadfb6bfe3160658"},
-		{"ALM-Improved", sample, hope.ALMImproved, 1 << 10, nil, "hope:ALM-Improved:f12ee44b46494a27",
+		{"ALM-Improved", sample, hope.ALMImproved, 1 << 10, "hope:ALM-Improved:f12ee44b46494a27",
 			"3461e44b56af721a91ab610fe6298593f7ba52b89964a84922f07b1d9f213e11",
 			"3f08c00fe5ac981024d88eea2f4016d88427ce9ed34655fa7b9c64625aeea59e"},
-		{"3-Grams+trie", sample, hope.ThreeGrams, 1 << 10, []hope.Option{hope.WithBitmapTrie()}, "hope:3-Grams:22880af3dbbee4dd",
-			"cb66075f030026beeaf35da8e87b8c771fc9dfdcf64d6da2431e67d47c0acb7d",
-			"5c80b702a929a261f244aeb1b809ae80a925a95f7678a0baa7269ce5b417827a"},
-		{"Single-Char/ints", ints, hope.SingleChar, 0, nil, "hope:Single-Char:0b7810806cca94e3",
+		{"Single-Char/ints", ints, hope.SingleChar, 0, "hope:Single-Char:0b7810806cca94e3",
 			"ecbbde6a252d968adfc00d0ebc4a33302e51ece0396237b3160bdab78f226430", ""},
 	} {
-		c, err := TrainHOPE(g.sample, g.scheme, g.limit, g.opts...)
+		c, err := TrainHOPE(g.sample, g.scheme, g.limit)
 		if err != nil {
 			t.Fatalf("%s: %v", g.name, err)
 		}

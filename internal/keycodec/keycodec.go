@@ -117,8 +117,8 @@ func NewHOPE(e *hope.Encoder) (Codec, error) {
 
 // TrainHOPE trains a HOPE encoder of the given scheme on sample and wraps it
 // as a Codec. dictLimit caps the dictionary size (0 = default).
-func TrainHOPE(sample [][]byte, scheme hope.Scheme, dictLimit int, opts ...hope.Option) (Codec, error) {
-	e, err := hope.Train(sample, scheme, dictLimit, opts...)
+func TrainHOPE(sample [][]byte, scheme hope.Scheme, dictLimit int) (Codec, error) {
+	e, err := hope.Train(sample, scheme, dictLimit)
 	if err != nil {
 		return nil, err
 	}
@@ -158,9 +158,6 @@ func (c *hopeCodec) MarshalBinary() ([]byte, error) {
 // arrays plus the decoder's tables over the same entries.
 func (c *hopeCodec) DictBytes() int64 { return c.enc.MemoryUsage() + c.dec.MemoryUsage() }
 
-// Scheme returns the underlying HOPE scheme.
-func (c *hopeCodec) Scheme() hope.Scheme { return c.enc.Scheme() }
-
 // Unmarshal reconstructs a codec serialized by MarshalBinary. The result's
 // ID equals the original's.
 func Unmarshal(data []byte) (Codec, error) {
@@ -189,8 +186,8 @@ func Unmarshal(data []byte) (Codec, error) {
 type Trainer func(sample [][]byte) (Codec, error)
 
 // HOPETrainer returns a Trainer for the given scheme and dictionary limit.
-func HOPETrainer(scheme hope.Scheme, dictLimit int, opts ...hope.Option) Trainer {
+func HOPETrainer(scheme hope.Scheme, dictLimit int) Trainer {
 	return func(sample [][]byte) (Codec, error) {
-		return TrainHOPE(sample, scheme, dictLimit, opts...)
+		return TrainHOPE(sample, scheme, dictLimit)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"mets/internal/surf"
 )
@@ -33,18 +32,17 @@ func lsmVal(k []byte, updated bool) []byte {
 	return out[:]
 }
 
-// TestConcurrentStress hammers a background-compacting DB with writer
-// goroutines (serialized against a shared oracle) and lock-free readers,
-// using a tiny MemTable so flushes and compactions fire constantly. Run
-// under -race this exercises the seal/flush/compact locking protocol.
+// TestConcurrentStress races readers against writer goroutines (serialized
+// against a shared oracle) whose tiny MemTable makes every few writes flush
+// and compact inline under the write lock. Run under -race this exercises
+// the readers-writer locking of the level structure and the block cache.
 func TestConcurrentStress(t *testing.T) {
 	for _, filtered := range []bool{false, true} {
 		name := "nofilter"
 		cfg := Config{
-			MemTableBytes:        8 << 10,
-			L0CompactionTrigger:  2,
-			TargetTableBytes:     16 << 10,
-			BackgroundCompaction: true,
+			MemTableBytes:       8 << 10,
+			L0CompactionTrigger: 2,
+			TargetTableBytes:    16 << 10,
 		}
 		if filtered {
 			name = "surf"
@@ -119,13 +117,12 @@ func TestConcurrentStress(t *testing.T) {
 			writerWg.Wait()
 			close(done) // writers are done; release the readers
 			readerWg.Wait()
-			db.WaitIdle()
 
 			if reads.Load() == 0 {
 				t.Fatal("readers made no progress")
 			}
 			if db.Stats.Flushes == 0 || db.Stats.Compactions == 0 {
-				t.Fatalf("expected background flushes and compactions, got %d/%d",
+				t.Fatalf("expected flushes and compactions, got %d/%d",
 					db.Stats.Flushes, db.Stats.Compactions)
 			}
 			for kk, want := range oracle {
@@ -142,77 +139,5 @@ func TestConcurrentStress(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBackgroundCompactionDoesNotBlockReaders checks that point reads keep
-// completing, with pauses far below a compaction's wall time, while the
-// background compactor rebuilds levels.
-func TestBackgroundCompactionDoesNotBlockReaders(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-sensitive")
-	}
-	cfg := Config{
-		MemTableBytes:        256 << 10,
-		L0CompactionTrigger:  2,
-		TargetTableBytes:     128 << 10,
-		BackgroundCompaction: true,
-		IOLatency:            20 * time.Microsecond, // make compaction wall time visible
-	}
-	db := Open(cfg)
-	n := 60000
-	if raceEnabled {
-		n = 15000
-	}
-	for i := 0; i < n; i++ {
-		k := lsmKey(i)
-		db.Put(k, lsmVal(k, false))
-	}
-	db.WaitIdle()
-
-	var maxPause atomic.Int64
-	var during atomic.Int64
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				runtime.Gosched()
-				k := lsmKey(rng.Intn(n))
-				t0 := time.Now()
-				db.Get(k)
-				if d := int64(time.Since(t0)); d > maxPause.Load() {
-					maxPause.Store(d)
-				}
-				during.Add(1)
-			}
-		}(int64(r) + 11)
-	}
-	// Trigger more flushes and compactions while the readers run.
-	start := time.Now()
-	for i := 0; i < n/2; i++ {
-		k := lsmKey(i)
-		db.Put(k, lsmVal(k, true))
-	}
-	db.WaitIdle()
-	wall := time.Since(start)
-	close(stop)
-	wg.Wait()
-
-	if during.Load() == 0 {
-		t.Fatal("no reads completed during background maintenance")
-	}
-	t.Logf("maintenance wall %v, flushes %d, compactions %d, %d reads during, max read pause %v",
-		wall, db.Stats.Flushes, db.Stats.Compactions, during.Load(), time.Duration(maxPause.Load()))
-	if pause := time.Duration(maxPause.Load()); pause > wall/2 {
-		t.Fatalf("max read pause %v is not well below maintenance wall time %v", pause, wall)
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/obs"
 )
@@ -36,28 +34,9 @@ type Config struct {
 	// BlockCacheBytes caps the block cache, charged serialized block bytes
 	// (default 8 MB).
 	BlockCacheBytes int64
-	// IOLatency is charged per block fetch that misses the cache,
-	// simulating the SSD of §4.4 (default 0: count only).
-	IOLatency time.Duration
-	// BackgroundCompaction moves flushes and compactions off the write path:
-	// a full MemTable is sealed into an immutable sibling (at most one, with
-	// cond-var backpressure) and flushed by a background goroutine, which in
-	// turn hands level maintenance to a single background compactor. Reads
-	// and writes proceed concurrently; call WaitIdle for a barrier. Off by
-	// default, which keeps flush/compaction inline and deterministic for the
-	// I/O-counting experiments.
-	BackgroundCompaction bool
-	// Codec, when set (and not the identity), stores keys in encoded space:
-	// they are encoded once at the Put/Delete/Get/Seek/Count boundary, so
-	// MemTable, blocks, fence keys, and filters all hold encoded keys
-	// (filters built by Config.Filter therefore index encoded keys — pair
-	// with SuRFFilterBuilderWithCodec so marshaled filters stay
-	// self-describing). Seek decodes the winning key on emit. Open reads the
-	// codec once: a DB holds keys of one codec for its whole life.
-	Codec keycodec.Codec
 	// Obs attaches the engine to a metrics registry under an "lsm." prefix:
 	// I/O and filter-effectiveness gauges (including a live point-lookup FPR
-	// derived from false positives vs filter negatives), MemTable/backlog
+	// derived from false positives vs filter negatives), MemTable and level
 	// gauges, and a span per flush and per compaction job in the registry's
 	// flight recorder. Nil disables instrumentation.
 	Obs *obs.Registry
@@ -77,7 +56,7 @@ func DefaultConfig() Config {
 
 // Stats counts simulated I/O. The counters are incremented atomically (reads
 // happen under the shared read lock); read them when the DB is quiescent —
-// single-threaded use, or after WaitIdle with no readers active.
+// no reader or writer active.
 type Stats struct {
 	BlockReads      int64 // block fetches that missed the cache ("I/O")
 	CacheHits       int64
@@ -93,32 +72,21 @@ type Stats struct {
 
 // DB is the storage engine. It supports any number of concurrent readers
 // (Get, Seek, Count and the size accessors) plus a single writer at a time
-// (Put, Delete, Flush) behind a readers-writer lock; see
-// Config.BackgroundCompaction for the non-blocking maintenance path.
+// (Put, Delete, Flush) behind a readers-writer lock. A write that fills the
+// MemTable flushes it and runs the compactions it triggers inline, so the
+// level shape, and the I/O the experiments count, are deterministic.
 type DB struct {
 	cfg Config
 
-	mu sync.RWMutex
-	// bgCond (on the write side of mu) is broadcast whenever background
-	// state changes: the immutable MemTable slot clears or the compactor
-	// goes idle.
-	bgCond *sync.Cond
-
-	mem *memTable
-	// imm is the sealed MemTable currently being flushed by a background
-	// goroutine; nil when no flush is in flight. Immutable while set.
-	imm        *memTable
-	levels     [][]*SSTable // levels[0] newest-last; levels >= 1 sorted by minKey, disjoint
-	compacting bool         // a background compactor is running
-	bg         sync.WaitGroup
+	mu     sync.RWMutex
+	mem    *memTable
+	levels [][]*SSTable // levels[0] newest-last; levels >= 1 sorted by minKey, disjoint
 
 	nextID atomic.Uint64
 	cache  *blockCache
 	Stats  Stats
 	obs    *obs.Registry       // nil when Config.Obs is nil
 	fr     *obs.FlightRecorder // Config.Obs's recorder; nil (no-op) without one
-
-	codec keycodec.Codec // nil when identity: keys stored raw
 
 	// err (under mu) is the sticky first failure — a filter build that
 	// failed, or ErrClosed; once set, every write returns it.
@@ -152,10 +120,6 @@ func Open(cfg Config) *DB {
 		cache: newBlockCache(cfg.BlockCacheBytes),
 		fr:    cfg.Obs.FlightRecorder(),
 	}
-	if !keycodec.IsIdentity(cfg.Codec) {
-		db.codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
-	}
-	db.bgCond = sync.NewCond(&db.mu)
 	if cfg.Obs != nil {
 		r := cfg.Obs.Sub("lsm.")
 		db.obs = r
@@ -181,48 +145,15 @@ func Open(cfg Config) *DB {
 			defer db.mu.RUnlock()
 			return float64(db.mem.bytes)
 		})
-		// imm_pending exposes the flush backlog: 1 while a sealed MemTable
-		// waits on (or is being) flushed, when writers may hit backpressure.
-		r.GaugeFunc("imm_pending", func() float64 {
-			db.mu.RLock()
-			defer db.mu.RUnlock()
-			if db.imm != nil {
-				return 1
-			}
-			return 0
-		})
 		r.GaugeFunc("levels", func() float64 { return float64(db.NumLevels()) })
 		r.GaugeFunc("disk_bytes", func() float64 { return float64(db.DiskUsage()) })
 	}
 	return db
 }
 
-// encodeKey maps key into the DB's stored key space (no-op without a
-// codec). The codec is frozen, so encoding needs no lock.
-func (db *DB) encodeKey(key []byte) []byte {
-	if db.codec == nil {
-		return key
-	}
-	return db.codec.Encode(key)
-}
-
-// encodeBound maps a range bound into stored key space, preserving nil
-// (open bound). Encoding is strictly monotone, so encoded bounds select
-// exactly the encodings of the raw keys the raw bounds would select.
-func (db *DB) encodeBound(b []byte) []byte {
-	if db.codec == nil || b == nil {
-		return b
-	}
-	return db.codec.EncodeBound(b)
-}
-
-// Codec returns the DB's key codec (nil when keys are stored raw).
-func (db *DB) Codec() keycodec.Codec { return db.codec }
-
-// Put inserts or overwrites a record. The error is the DB's sticky failure
-// (Err): a filter build that failed in a flush or compaction, or ErrClosed.
+// Put inserts or overwrites a record. The error is the DB's sticky failure:
+// a filter build that failed in a flush or compaction, or ErrClosed.
 func (db *DB) Put(key, value []byte) error {
-	key = db.encodeKey(key)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.err != nil {
@@ -248,7 +179,6 @@ func userValue(stored []byte) []byte { return stored[1:] }
 // compaction merges the tombstone past the key's last live version. The
 // error is the sticky failure, as for Put.
 func (db *DB) Delete(key []byte) error {
-	key = db.encodeKey(key)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.err != nil {
@@ -263,79 +193,22 @@ func (db *DB) maybeFlushLocked() error {
 	if db.mem.bytes < db.cfg.MemTableBytes {
 		return nil
 	}
-	if !db.cfg.BackgroundCompaction {
-		return db.flushLocked()
-	}
-	// Backpressure: with an immutable MemTable already in flight, wait for
-	// the flusher rather than stacking sealed tables. Wait releases the
-	// lock, so another writer may seal (or drain) the MemTable meanwhile.
-	for db.imm != nil {
-		if db.err != nil {
-			return db.err
-		}
-		if db.mem.bytes < db.cfg.MemTableBytes {
-			return nil
-		}
-		db.bgCond.Wait()
-	}
-	db.sealLocked()
-	return nil
+	return db.flushLocked()
 }
 
-// sealLocked moves the MemTable into the immutable slot (which must be
-// free) and hands it to a background flusher.
-func (db *DB) sealLocked() {
-	if db.mem.bytes == 0 {
-		return
-	}
-	// The flush span starts at the seal: its ID is the causal handle linking
-	// the built table and any compaction the flush triggers.
-	sp := db.obs.StartSpan("flush")
-	sp.Phase("seal")
-	db.fr.RecordSpan("flush.seal", sp.ID(), obs.I64("mem_bytes", db.mem.bytes))
-	db.imm = db.mem
-	db.mem = newMemTable()
-	db.bg.Add(1)
-	go db.flushWorker(db.imm, sp)
-}
-
-// Flush forces the MemTable to level 0. With background compaction enabled
-// it is a full barrier: it returns once the flush and any triggered
-// compactions have settled.
+// Flush forces the MemTable to level 0 and runs the compactions it triggers.
 func (db *DB) Flush() error {
 	db.mu.Lock()
-	if !db.cfg.BackgroundCompaction {
-		defer db.mu.Unlock()
-		if db.err != nil {
-			return db.err
-		}
-		return db.flushLocked()
+	defer db.mu.Unlock()
+	if db.err != nil {
+		return db.err
 	}
-	for db.imm != nil && db.err == nil {
-		db.bgCond.Wait()
-	}
-	if db.err == nil {
-		db.sealLocked()
-	}
-	db.mu.Unlock()
-	db.WaitIdle()
-	return db.Err()
+	return db.flushLocked()
 }
 
-// WaitIdle blocks until no background flush or compaction is in flight (or
-// the DB has failed). The level shape and Stats are stable afterwards
-// (until the next write).
-func (db *DB) WaitIdle() {
-	db.mu.Lock()
-	for (db.imm != nil || db.compacting) && db.err == nil {
-		db.bgCond.Wait()
-	}
-	db.mu.Unlock()
-}
-
-// flushLocked is the inline (foreground) flush + compaction path. The
-// MemTable is replaced only once its table is built, so a failed build
-// leaves its records readable.
+// flushLocked flushes the MemTable and compacts until the level shape is
+// clean. The MemTable is replaced only once its table is built, so a failed
+// build leaves its records readable.
 func (db *DB) flushLocked() error {
 	entries := db.mem.sorted()
 	if len(entries) == 0 {
@@ -357,34 +230,6 @@ func (db *DB) flushLocked() error {
 	return db.compactUntilCleanLocked(sp.ID())
 }
 
-// flushWorker builds the SSTable from the sealed MemTable off-lock, installs
-// it under a short write lock, and kicks the compactor if needed. A failed
-// build leaves the immutable MemTable in place (reads keep seeing its
-// records) and marks the DB failed.
-func (db *DB) flushWorker(imm *memTable, sp *obs.Span) {
-	defer db.bg.Done()
-	sp.Phase("build")
-	t, err := db.buildTable(imm.sorted())
-	sp.Phase("install")
-	db.mu.Lock()
-	if err != nil {
-		db.failLocked(err)
-	} else {
-		db.installFlushedLocked(t)
-		db.fr.RecordSpan("flush.commit", sp.ID(), obs.I64("table", int64(t.id)))
-		db.imm = nil
-		if !db.compacting && db.hasCompactionWorkLocked() {
-			db.compacting = true
-			db.bg.Add(1)
-			// The compactor's spans are parented to the flush that woke it.
-			go db.compactWorker(sp.ID())
-		}
-		db.bgCond.Broadcast()
-	}
-	db.mu.Unlock()
-	sp.End()
-}
-
 // buildTable builds one table; only its filter build can fail.
 func (db *DB) buildTable(entries []Entry) (*SSTable, error) {
 	t, err := buildSSTable(db.nextID.Add(1)-1, entries, db.cfg.BlockSize, db.cfg.Filter)
@@ -404,7 +249,7 @@ func (db *DB) installFlushedLocked(t *SSTable) {
 
 // readBlock fetches one serialized block, consulting the cache; callers read
 // it in place with a blockReader. A miss is the simulated disk read: it is
-// counted (and charged Config.IOLatency) and caches the table's own block.
+// counted and caches the table's own block.
 // Callers hold at least the read lock; the cache has its own mutex.
 func (db *DB) readBlock(t *SSTable, idx int) []byte {
 	if raw := db.cache.get(t.id, idx); raw != nil {
@@ -412,32 +257,17 @@ func (db *DB) readBlock(t *SSTable, idx int) []byte {
 		return raw
 	}
 	atomic.AddInt64(&db.Stats.BlockReads, 1)
-	if db.cfg.IOLatency > 0 {
-		time.Sleep(db.cfg.IOLatency)
-	}
 	raw := t.blocks[idx]
 	db.cache.put(t.id, idx, raw, int64(len(raw)))
 	return raw
 }
 
-// memGet resolves key against the mutable then the immutable MemTable.
-func (db *DB) memGet(key []byte) ([]byte, bool) {
-	if v, ok := db.mem.get(key); ok {
-		return v, true
-	}
-	if db.imm != nil {
-		return db.imm.get(key)
-	}
-	return nil, false
-}
-
 // Get returns the value stored under key (Fig 4.3 left path). Tombstones
 // shadow older versions across all levels.
 func (db *DB) Get(key []byte) ([]byte, bool) {
-	key = db.encodeKey(key)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if v, ok := db.memGet(key); ok {
+	if v, ok := db.mem.get(key); ok {
 		if isTombstone(v) {
 			return nil, false
 		}
@@ -519,11 +349,7 @@ func candLess(a, b *seekCandidate) bool {
 // key < hi, following the Fig 4.3 Seek path: with SuRF filters, candidate
 // keys come from the filters and only the winning table's block is fetched;
 // a closed seek whose candidates all fall past hi costs no I/O.
-// With a codec the whole candidate resolution runs in encoded space (filter
-// candidates, fence keys, and blocks all hold encoded keys) and only the
-// winning key is decoded on emit.
 func (db *DB) Seek(lo, hi []byte) (Entry, bool) {
-	lo, hi = db.encodeBound(lo), db.encodeBound(hi)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	// A seek that lands on a tombstone restarts past it; iterate instead of
@@ -531,9 +357,6 @@ func (db *DB) Seek(lo, hi []byte) (Entry, bool) {
 	for lo != nil {
 		e, ok, next := db.seekOnceLocked(lo, hi)
 		if next == nil {
-			if ok && db.codec != nil {
-				e.Key = db.codec.Decode(e.Key)
-			}
 			return e, ok
 		}
 		lo = next
@@ -547,11 +370,6 @@ func (db *DB) seekOnceLocked(lo, hi []byte) (Entry, bool, []byte) {
 	var cands []seekCandidate
 	if k, v, ok := db.mem.seek(lo); ok {
 		cands = append(cands, seekCandidate{key: k, value: v, exact: true, prio: 1 << 30})
-	}
-	if db.imm != nil {
-		if k, v, ok := db.imm.seek(lo); ok {
-			cands = append(cands, seekCandidate{key: k, value: v, exact: true, prio: 1<<30 - 1})
-		}
 	}
 	addTable := func(t *SSTable, prio int) {
 		if !t.overlaps(lo, nil) {
@@ -645,23 +463,24 @@ func (db *DB) tableSeek(t *SSTable, lo []byte) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Count approximates the number of records in [lo, hi]: with counting
-// filters it is pure in-memory work (plus the MemTable); otherwise blocks
-// are scanned (Fig 4.3 right path).
+// Count approximates the number of records in [lo, hi]; nil hi means
+// +infinity, as for Seek. With counting filters it is pure in-memory work
+// (plus the MemTable); otherwise blocks are scanned (Fig 4.3 right path).
 func (db *DB) Count(lo, hi []byte) int {
-	lo, hi = db.encodeBound(lo), db.encodeBound(hi)
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	total := db.mem.count(lo, hi)
-	if db.imm != nil {
-		total += db.imm.count(lo, hi)
-	}
 	each := func(t *SSTable) {
 		if !t.overlaps(lo, hi) {
 			return
 		}
+		// An open range ends, within one table, at the table's last key.
+		thi := hi
+		if thi == nil {
+			thi = t.maxKey
+		}
 		if t.filter != nil {
-			if n, ok := t.filter.Count(lo, hi); ok {
+			if n, ok := t.filter.Count(lo, thi); ok {
 				total += n
 				return
 			}
@@ -669,7 +488,7 @@ func (db *DB) Count(lo, hi []byte) int {
 		for b := t.blockFor(lo); b >= 0 && b < t.numBlocks(); b++ {
 			r := blockReader{raw: db.readBlock(t, b)}
 			for ok := r.seek(lo); ok; ok = r.next() {
-				if keys.Compare(r.key, hi) > 0 {
+				if keys.Compare(r.key, thi) > 0 {
 					return
 				}
 				if !isTombstone(r.value) {
@@ -691,28 +510,14 @@ func (db *DB) Count(lo, hi []byte) int {
 	return total
 }
 
-// compactJob is one unit of level maintenance, picked under the lock and
-// executed (merge + table build) without it: every input table is immutable,
-// and the target level is only ever mutated by the single compactor.
+// compactJob is one unit of level maintenance: the tables it merges and the
+// level it installs the output into.
 type compactJob struct {
 	srcLevel int
 	inputs   []*SSTable // tables leaving srcLevel (for L0: the whole level at pick time)
 	merge    []*SSTable // overlapping tables at srcLevel+1 folded into the merge
 	keep     []*SSTable // srcLevel+1 tables carried over untouched
 	bottom   bool       // output is the bottom level: drop tombstones
-}
-
-// hasCompactionWorkLocked reports whether any shape invariant is violated.
-func (db *DB) hasCompactionWorkLocked() bool {
-	if len(db.levels) > 0 && len(db.levels[0]) >= db.cfg.L0CompactionTrigger {
-		return true
-	}
-	for l := 1; l < len(db.levels); l++ {
-		if db.levelBytes(l) > db.levelTarget(l) {
-			return true
-		}
-	}
-	return false
 }
 
 // pickCompactionLocked selects the next compaction: level 0 first, then the
@@ -770,12 +575,10 @@ func (db *DB) executeJob(job *compactJob) ([]*SSTable, error) {
 	return db.splitIntoTables(mergeTables(append(append([]*SSTable(nil), job.merge...), job.inputs...), job.bottom))
 }
 
-// installLocked swaps the job's output into the level structure. Tables
-// flushed to L0 while an L0 job was merging sit after the consumed prefix
-// and survive the swap.
+// installLocked swaps the job's output into the level structure.
 func (db *DB) installLocked(job *compactJob, out []*SSTable) {
 	if job.srcLevel == 0 {
-		db.levels[0] = append([]*SSTable(nil), db.levels[0][len(job.inputs):]...)
+		db.levels[0] = nil
 	} else {
 		db.levels[job.srcLevel] = db.levels[job.srcLevel][1:]
 	}
@@ -785,8 +588,8 @@ func (db *DB) installLocked(job *compactJob, out []*SSTable) {
 	db.levels[job.srcLevel+1] = sortTables(append(append([]*SSTable(nil), job.keep...), out...))
 }
 
-// compactUntilCleanLocked runs compactions inline until the shape invariants
-// hold (the foreground path). parent links the compaction spans and events to
+// compactUntilCleanLocked runs compactions until the shape invariants hold.
+// parent links the compaction spans and events to
 // the flush that triggered them (0 for none).
 func (db *DB) compactUntilCleanLocked(parent uint64) error {
 	for {
@@ -817,42 +620,6 @@ func (db *DB) recordCompaction(span uint64, job *compactJob, out []*SSTable) {
 		obs.I64("outputs", int64(len(out))))
 }
 
-// compactWorker is the single background compactor: it picks a job under
-// the lock, merges off-lock while readers and the writer proceed, installs
-// the result under a short lock, and repeats until the shape is clean.
-// parent is the span ID of the flush that woke it.
-func (db *DB) compactWorker(parent uint64) {
-	defer db.bg.Done()
-	for {
-		db.mu.Lock()
-		job := db.pickCompactionLocked()
-		if job == nil {
-			db.compacting = false
-			db.bgCond.Broadcast()
-			db.mu.Unlock()
-			return
-		}
-		db.mu.Unlock()
-		sp := db.obs.StartSpanChild("compaction", parent)
-		sp.Phase("merge")
-		out, err := db.executeJob(job)
-		sp.Phase("install")
-		db.mu.Lock()
-		if err != nil {
-			db.failLocked(err)
-			db.compacting = false
-			db.bgCond.Broadcast()
-			db.mu.Unlock()
-			sp.End()
-			return
-		}
-		db.installLocked(job, out)
-		db.recordCompaction(sp.ID(), job, out)
-		db.mu.Unlock()
-		sp.End()
-	}
-}
-
 func (db *DB) levelBytes(l int) int64 {
 	var m int64
 	for _, t := range db.levels[l] {
@@ -870,8 +637,8 @@ func (db *DB) levelTarget(l int) int64 {
 }
 
 // mergeTables merges tables (later tables win on equal keys) without
-// charging I/O: compaction reads are sequential background work, not the
-// foreground I/O the experiments count. When the output is the bottom
+// charging I/O: compaction reads are sequential maintenance work, not the
+// point and range I/O the experiments count. When the output is the bottom
 // level, tombstones are garbage-collected.
 func mergeTables(tables []*SSTable, dropTombstones bool) []Entry {
 	var all []Entry
@@ -933,16 +700,6 @@ func (db *DB) NumLevels() int {
 	return len(db.levels)
 }
 
-// TablesAt returns the number of tables at level l.
-func (db *DB) TablesAt(l int) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if l >= len(db.levels) {
-		return 0
-	}
-	return len(db.levels[l])
-}
-
 // FilterMemory totals the resident filter bytes.
 func (db *DB) FilterMemory() int64 {
 	db.mu.RLock()
@@ -978,29 +735,18 @@ func (db *DB) ResetStats() {
 	db.mu.Unlock()
 }
 
-// failLocked records the first failure; every later write observes it, and
-// waiters on bgCond wake to see it.
+// failLocked records the first failure; every later write observes it.
 func (db *DB) failLocked(err error) error {
 	if db.err == nil {
 		db.err = err
 		db.fr.Record("lsm.error", obs.Str("err", err.Error()))
 	}
-	db.bgCond.Broadcast()
 	return err
 }
 
-// Err returns the DB's sticky failure, if any.
-func (db *DB) Err() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.err
-}
-
-// Close waits for background flushes and compactions to settle and marks
-// the DB closed: later writes return ErrClosed, reads keep serving. It
-// returns the failure the DB had before closing, if any.
+// Close marks the DB closed: later writes return ErrClosed, reads keep
+// serving. It returns the failure the DB had before closing, if any.
 func (db *DB) Close() error {
-	db.bg.Wait()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if errors.Is(db.err, ErrClosed) {

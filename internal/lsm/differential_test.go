@@ -74,15 +74,13 @@ func (a dbAdapter) Scan(start []byte, fn func(key []byte, value uint64) bool) in
 
 // TestDifferential runs the shared oracle harness against the LSM engine
 // with tiny tables (constant flushes and compactions mid-stream), with and
-// without SuRF filters and background compaction. The Seek-based scan path
+// without SuRF filters. The Seek-based scan path
 // exercises tombstone restarts across levels.
 func TestDifferential(t *testing.T) {
 	cases := map[string]Config{
 		"plain": {MemTableBytes: 4 << 10, TargetTableBytes: 4 << 10, BlockCacheBytes: 64 << 10},
 		"surf": {MemTableBytes: 4 << 10, TargetTableBytes: 4 << 10, BlockCacheBytes: 64 << 10,
 			Filter: SuRFFilterBuilder(surf.MixedConfig(4, 4))},
-		"background": {MemTableBytes: 4 << 10, TargetTableBytes: 4 << 10, BlockCacheBytes: 64 << 10,
-			BackgroundCompaction: true},
 	}
 	for name, cfg := range cases {
 		cfg := cfg
@@ -93,7 +91,6 @@ func TestDifferential(t *testing.T) {
 				ops = 1500
 			}
 			dstest.Run(t, dbAdapter{db}, dstest.Config{Ops: ops, KeySpace: 400, Seed: 2, ScanEvery: 32})
-			db.WaitIdle()
 		})
 	}
 }

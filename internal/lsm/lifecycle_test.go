@@ -18,70 +18,67 @@ func mustPut(t *testing.T, db *DB, k, v string) {
 }
 
 // TestFlushCompactionCausality follows a flush through the one record
-// stream, on the inline and the background path: the flush span's record has
-// the seal/build/install durations, its seal and commit events carry its ID,
-// and a compaction the flush triggered names it as parent, has the
-// merge/install durations, and a commit event of its own under its ID.
+// stream: the flush span's record has the seal/build/install durations, its
+// seal and commit events carry its ID, and a compaction the flush triggered
+// names it as parent, has the merge/install durations, and a commit event of
+// its own under its ID.
 func TestFlushCompactionCausality(t *testing.T) {
-	for _, background := range []bool{false, true} {
-		reg := obs.NewRegistry()
-		// 1 KB MemTables: 400 puts make dozens of flushes and compactions.
-		db := Open(Config{MemTableBytes: 1 << 10, BlockSize: 256, TargetTableBytes: 1 << 10,
-			Obs: reg, BackgroundCompaction: background})
-		for i := 0; i < 400; i++ {
-			mustPut(t, db, fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%d", i))
+	reg := obs.NewRegistry()
+	// 1 KB MemTables: 400 puts make dozens of flushes and compactions.
+	db := Open(Config{MemTableBytes: 1 << 10, BlockSize: 256, TargetTableBytes: 1 << 10, Obs: reg})
+	for i := 0; i < 400; i++ {
+		mustPut(t, db, fmt.Sprintf("key-%04d", i), fmt.Sprintf("val-%d", i))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	evs := reg.Snapshot().Events
+	under := map[uint64]map[string]int{} // span ID -> types of the records carrying it
+	types := map[string]int{}
+	for _, ev := range evs {
+		if under[ev.Span] == nil {
+			under[ev.Span] = map[string]int{}
 		}
-		if err := db.Close(); err != nil { // waits for the background workers, whose last act is ending their span
-			t.Fatal(err)
+		under[ev.Span][ev.Type]++
+		types[ev.Type]++
+	}
+	followed := 0
+	for _, ev := range evs {
+		if ev.Type != "lsm.compaction" {
+			continue
 		}
-		evs := reg.Snapshot().Events
-		under := map[uint64]map[string]int{} // span ID -> types of the records carrying it
-		types := map[string]int{}
-		for _, ev := range evs {
-			if under[ev.Span] == nil {
-				under[ev.Span] = map[string]int{}
+		for _, k := range []string{"dur_ns", "merge_ns", "install_ns"} {
+			if _, ok := attr(ev, k); !ok {
+				t.Fatalf("compaction record without %s: %+v", k, ev)
 			}
-			under[ev.Span][ev.Type]++
-			types[ev.Type]++
 		}
-		followed := 0
-		for _, ev := range evs {
-			if ev.Type != "lsm.compaction" {
-				continue
-			}
-			for _, k := range []string{"dur_ns", "merge_ns", "install_ns"} {
-				if _, ok := ev.Attr(k); !ok {
-					t.Fatalf("background=%v: compaction record without %s: %+v", background, k, ev)
-				}
-			}
-			if under[ev.Span]["compaction.commit"] != 1 {
-				t.Fatalf("background=%v: compaction span %d has records %v, want one commit event", background, ev.Span, under[ev.Span])
-			}
-			p, ok := ev.Attr("parent")
-			if !ok {
-				t.Fatalf("background=%v: compaction record names no parent: %+v", background, ev)
-			}
-			flush := under[uint64(p.Val)]
-			if flush["lsm.flush"] == 0 {
-				continue // the flush's own record has left the ring
-			}
-			if flush["lsm.flush"] != 1 || flush["flush.seal"] != 1 || flush["flush.commit"] != 1 {
-				t.Fatalf("background=%v: records under flush span %d = %v, want one seal, one commit, one span record", background, p.Val, flush)
-			}
-			followed++
+		if under[ev.Span]["compaction.commit"] != 1 {
+			t.Fatalf("compaction span %d has records %v, want one commit event", ev.Span, under[ev.Span])
 		}
-		for _, ev := range evs {
-			if ev.Type == "lsm.flush" {
-				for _, k := range []string{"dur_ns", "seal_ns", "build_ns", "install_ns"} {
-					if _, ok := ev.Attr(k); !ok {
-						t.Fatalf("background=%v: flush record without %s: %+v", background, k, ev)
-					}
+		p, ok := attr(ev, "parent")
+		if !ok {
+			t.Fatalf("compaction record names no parent: %+v", ev)
+		}
+		flush := under[uint64(p.Val)]
+		if flush["lsm.flush"] == 0 {
+			continue // the flush's own record has left the ring
+		}
+		if flush["lsm.flush"] != 1 || flush["flush.seal"] != 1 || flush["flush.commit"] != 1 {
+			t.Fatalf("records under flush span %d = %v, want one seal, one commit, one span record", p.Val, flush)
+		}
+		followed++
+	}
+	for _, ev := range evs {
+		if ev.Type == "lsm.flush" {
+			for _, k := range []string{"dur_ns", "seal_ns", "build_ns", "install_ns"} {
+				if _, ok := attr(ev, k); !ok {
+					t.Fatalf("flush record without %s: %+v", k, ev)
 				}
 			}
 		}
-		if followed == 0 {
-			t.Fatalf("background=%v: no compaction could be followed back to its flush; have %v", background, types)
-		}
+	}
+	if followed == 0 {
+		t.Fatalf("no compaction could be followed back to its flush; have %v", types)
 	}
 }
 
@@ -102,8 +99,8 @@ func TestTombstonesDoNotResurrect(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if db.TablesAt(2) == 0 {
-		t.Fatalf("%d levels, %d tables at level 2: no version reached level 2", db.NumLevels(), db.TablesAt(2))
+	if db.NumLevels() < 3 || len(db.levels[2]) == 0 {
+		t.Fatalf("%d levels: no version reached level 2", db.NumLevels())
 	}
 	// Delete every even key and rewrite every odd one, flushing often enough
 	// that level 0 is compacted into level 1 while level 2 still holds the
@@ -150,4 +147,14 @@ func TestTombstonesDoNotResurrect(t *testing.T) {
 	if e, ok := db.Seek([]byte(key(0)), []byte(key(1))); ok {
 		t.Fatalf("Seek found deleted key %q", e.Key)
 	}
+}
+
+// attr returns ev's first attribute named key and whether it has one.
+func attr(ev obs.Event, key string) (obs.Attr, bool) {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
 }

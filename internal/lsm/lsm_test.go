@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mets/internal/keys"
@@ -224,6 +225,65 @@ func TestCountApproximate(t *testing.T) {
 	}
 }
 
+// TestCountAgainstOracle checks Count against a sorted slice, with a closed
+// and an open (nil) hi, on a DB whose keys sit in the MemTable, level 0 and
+// level 1 at once. Without a filter Count is exact; SuRF may over- or
+// under-count by at most one key at each end of each table's range.
+func TestCountAgainstOracle(t *testing.T) {
+	for _, name := range []string{"none", "surf-real"} {
+		t.Run(name, func(t *testing.T) {
+			db := Open(Config{MemTableBytes: 2 << 10, BlockSize: 256, Filter: filterConfigs()[name]})
+			const n = 2000
+			ks := make([][]byte, n)
+			for i := range ks {
+				ks[i] = []byte(fmt.Sprintf("k%05d", i))
+			}
+			for _, i := range rand.New(rand.NewSource(5)).Perm(n) {
+				db.Put(ks[i], []byte("v"))
+			}
+			if db.mem.idx.Len() == 0 || db.NumLevels() < 2 || len(db.levels[0]) == 0 || len(db.levels[1]) == 0 {
+				t.Fatalf("want keys in the MemTable, L0 and L1; have %d levels", db.NumLevels())
+			}
+			tables := 0
+			for _, level := range db.levels {
+				tables += len(level)
+			}
+			slack := 0
+			if name != "none" {
+				slack = 2 * tables
+			}
+			oracle := func(lo, hi []byte) int {
+				i := sort.Search(n, func(i int) bool { return keys.Compare(ks[i], lo) >= 0 })
+				j := n
+				if hi != nil {
+					j = sort.Search(n, func(j int) bool { return keys.Compare(ks[j], hi) > 0 })
+				}
+				return max(j-i, 0)
+			}
+			check := func(lo, hi []byte) {
+				got, want := db.Count(lo, hi), oracle(lo, hi)
+				if got < want-slack || got > want+slack {
+					t.Fatalf("Count(%q, %q) = %d, want %d (±%d)", lo, hi, got, want, slack)
+				}
+			}
+			check([]byte("k01000"), nil)
+			check(nil, nil)
+			check([]byte("k"), nil)
+			check([]byte("k99999"), nil)
+			rng := rand.New(rand.NewSource(6))
+			for trial := 0; trial < 200; trial++ {
+				a, b := rng.Intn(n), rng.Intn(n)
+				if a > b {
+					a, b = b, a
+				}
+				check(ks[a], nil)
+				check(ks[a], ks[b])
+				check(append(ks[a], '5'), ks[b]) // between two stored keys
+			}
+		})
+	}
+}
+
 func TestCacheReducesRepeatIO(t *testing.T) {
 	db, ks := loadDB(t, nil, 20000, 23)
 	db.ResetStats()
@@ -242,8 +302,8 @@ func TestCacheReducesRepeatIO(t *testing.T) {
 
 func TestLevelShape(t *testing.T) {
 	db, _ := loadDB(t, nil, 50000, 25)
-	if db.TablesAt(0) >= db.cfg.L0CompactionTrigger {
-		t.Fatalf("L0 not compacted: %d tables", db.TablesAt(0))
+	if len(db.levels[0]) >= db.cfg.L0CompactionTrigger {
+		t.Fatalf("L0 not compacted: %d tables", len(db.levels[0]))
 	}
 	// Levels >= 1 must be disjoint and sorted.
 	for l := 1; l < db.NumLevels(); l++ {

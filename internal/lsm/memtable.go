@@ -60,11 +60,11 @@ func (m *memTable) seek(lo []byte) ([]byte, []byte, bool) {
 	return k, v, k != nil
 }
 
-// count returns the number of records in [lo, hi].
+// count returns the number of records in [lo, hi]; nil hi means +infinity.
 func (m *memTable) count(lo, hi []byte) int {
 	n := 0
 	m.idx.Scan(lo, func(key []byte, _ uint64) bool {
-		if keys.Compare(key, hi) > 0 {
+		if hi != nil && keys.Compare(key, hi) > 0 {
 			return false
 		}
 		n++

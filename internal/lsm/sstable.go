@@ -2,8 +2,8 @@
 // the read paths of Fig 4.3: a MemTable over leveled, immutable SSTables cut
 // into fixed-size blocks with fence indexes, a block cache, and pluggable
 // per-table filters (none / Bloom / SuRF). "Disk" is simulated: block
-// fetches that miss the cache are counted (and can be charged a configurable
-// latency), which is the quantity that drives the Chapter 4 system results.
+// fetches that miss the cache are counted, which is the quantity that drives
+// the Chapter 4 system results.
 package lsm
 
 import (
@@ -24,9 +24,6 @@ type Entry struct {
 // Filter is the per-SSTable approximate-membership interface.
 type Filter interface {
 	Lookup(key []byte) bool
-	// LookupRange reports whether a stored key may lie in [lo, hi); a nil
-	// hi means +infinity (open seek).
-	LookupRange(lo, hi []byte) bool
 	// SeekCandidate returns the smallest stored (possibly truncated) key
 	// >= lo, with approx=true when the key may be inexact; ok=false means
 	// no stored key is >= lo. Filters without ordering (Bloom) return
@@ -50,18 +47,14 @@ type SSTable struct {
 	minKey []byte
 	maxKey []byte
 	filter Filter
-	count  int
 }
-
-// NumEntries returns the number of records.
-func (t *SSTable) NumEntries() int { return t.count }
 
 // numBlocks returns the block count.
 func (t *SSTable) numBlocks() int { return len(t.blocks) }
 
 // buildSSTable serializes sorted entries into blocks of ~blockSize bytes.
 func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (*SSTable, error) {
-	t := &SSTable{id: id, count: len(entries)}
+	t := &SSTable{id: id}
 	if len(entries) == 0 {
 		return t, nil
 	}
@@ -183,19 +176,6 @@ func (t *SSTable) overlaps(lo, hi []byte) bool {
 		return false
 	}
 	return keys.Compare(t.maxKey, lo) >= 0
-}
-
-// MemoryUsage returns the in-memory footprint attributable to the table's
-// resident metadata: fence keys and the filter ("disk" blocks excluded).
-func (t *SSTable) MemoryUsage() int64 {
-	var m int64
-	for _, f := range t.fence {
-		m += int64(len(f)) + 16
-	}
-	if t.filter != nil {
-		m += t.filter.MemoryUsage()
-	}
-	return m
 }
 
 // DiskUsage returns the total serialized block bytes.

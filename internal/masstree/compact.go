@@ -163,9 +163,6 @@ func (c *Compact) Scan(start []byte, fn func(key []byte, value uint64) bool) int
 	return count
 }
 
-// NumLayers returns the number of flattened trie layers.
-func (c *Compact) NumLayers() int { return len(c.layers) }
-
 // MemoryUsage returns the packed structure size in bytes.
 func (c *Compact) MemoryUsage() int64 {
 	m := int64(len(c.keyData)) + int64(len(c.keyOffs))*4 + int64(len(c.values))*8

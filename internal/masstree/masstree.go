@@ -48,15 +48,14 @@ func newLayer() *layer { return &layer{tree: btree.New()} }
 
 // Tree is a dynamic Masstree mapping byte keys to uint64 values.
 type Tree struct {
-	root      *layer
-	records   []record
-	free      []uint64
-	length    int
-	numLayers int
+	root    *layer
+	records []record
+	free    []uint64
+	length  int
 }
 
 // New returns an empty Masstree.
-func New() *Tree { return &Tree{root: newLayer(), numLayers: 1} }
+func New() *Tree { return &Tree{root: newLayer()} }
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.length }
@@ -129,7 +128,6 @@ func (t *Tree) insertInto(l *layer, rem []byte, value uint64) bool {
 			// grow the record table and invalidate rec.
 			oldSuffix, oldValue := rec.suffix, rec.value
 			nl := newLayer()
-			t.numLayers++
 			t.insertInto(nl, oldSuffix, oldValue)
 			t.records[recIdx] = record{kind: recLayer, layer: nl}
 			l = nl
@@ -270,9 +268,6 @@ func (t *Tree) scanLayer(l *layer, start []byte, prefix []byte, fn func([]byte, 
 	})
 	return cont
 }
-
-// NumLayers returns the number of trie layers (B+trees).
-func (t *Tree) NumLayers() int { return t.numLayers }
 
 // MemoryUsage sums the layer B+trees, the record table, and suffix bytes.
 func (t *Tree) MemoryUsage() int64 {

@@ -28,10 +28,10 @@ func TestSpanCausality(t *testing.T) {
 		byName[ev.Type] = ev
 	}
 	f, c := byName["flush"], byName["lsm.compaction"]
-	if _, ok := f.Attr("parent"); f.Span != flush.ID() || ok {
+	if _, ok := attr(f, "parent"); f.Span != flush.ID() || ok {
 		t.Fatalf("flush record = %+v, want span %d and no parent", f, flush.ID())
 	}
-	if p, _ := c.Attr("parent"); c.Span != comp.ID() || uint64(p.Val) != f.Span {
+	if p, _ := attr(c, "parent"); c.Span != comp.ID() || uint64(p.Val) != f.Span {
 		t.Fatalf("compaction record = %+v, want parent %d", c, f.Span)
 	}
 	if a := f.Attrs[len(f.Attrs)-1]; len(f.Attrs) != 2 || a.Key != "mem_bytes" || a.Val != 4096 {
@@ -78,15 +78,6 @@ func TestHistogramExemplar(t *testing.T) {
 	}
 	if s.Count != 3 || s.Max != 900 {
 		t.Fatalf("histogram stats = count %d max %d", s.Count, s.Max)
-	}
-
-	// Merge keeps the slower exemplar.
-	h2 := NewRegistry().Histogram("other")
-	h2.ObserveExemplar(5000, 7, []byte("key-z"))
-	m := s
-	m.Merge(h2.Snapshot())
-	if m.Exemplar.Ns != 5000 || m.Exemplar.Key != "key-z" {
-		t.Fatalf("merged exemplar = %+v", *m.Exemplar)
 	}
 
 	// Plain observations and nil histograms stay exemplar-free and safe.

@@ -141,7 +141,7 @@ func TestConcurrentSpans(t *testing.T) {
 				return
 			default:
 				for _, ev := range fr.Events() {
-					w, ok := ev.Attr("worker")
+					w, ok := attr(ev, "worker")
 					if ev.Type != "work" || len(ev.Attrs) != 4 || !ok || uint64(w.Val) != ev.Span%4 {
 						t.Errorf("torn span record: %+v", ev)
 						return
@@ -178,8 +178,8 @@ func TestConcurrentSpans(t *testing.T) {
 			seen[id] = true
 		}
 	}
-	if fr.Len() != 2000 {
-		t.Fatalf("recorded %d spans, want 2000", fr.Len())
+	if n := fr.next.Load(); n != 2000 {
+		t.Fatalf("recorded %d spans, want 2000", n)
 	}
 }
 

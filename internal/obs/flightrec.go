@@ -59,16 +59,6 @@ type Event struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// Attr returns the event's first attribute named key and whether it has one.
-func (e Event) Attr(key string) (Attr, bool) {
-	for _, a := range e.Attrs {
-		if a.Key == key {
-			return a, true
-		}
-	}
-	return Attr{}, false
-}
-
 // frSlot is one ring slot. The per-slot mutex is held only for the few stores
 // of a single write or the copy of a single read — with DefaultFlightEvents
 // slots, contention on any one slot is negligible.
@@ -136,15 +126,6 @@ func (fr *FlightRecorder) Events() []Event {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
-}
-
-// Len returns how many events were ever recorded (not the ring occupancy).
-// Nil-safe.
-func (fr *FlightRecorder) Len() uint64 {
-	if fr == nil {
-		return 0
-	}
-	return fr.next.Load()
 }
 
 // FlightDump is the serialized form of a recorder: the dump trigger, when it

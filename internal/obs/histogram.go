@@ -64,14 +64,6 @@ func BucketUpper(i int) int64 {
 	return int64(1)<<uint(i) - 1
 }
 
-// BucketLower returns the smallest value bucket i holds.
-func BucketLower(i int) int64 {
-	if i <= 0 {
-		return 0
-	}
-	return int64(1) << uint(i-1)
-}
-
 // Observe records a duration. No-op on a nil histogram.
 func (h *Histogram) Observe(d time.Duration) { h.ObserveNs(int64(d)) }
 
@@ -164,24 +156,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Merge folds o into s (bucket-wise sum, max of maxes) and refreshes the
-// quantile summaries.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	if o.Exemplar != nil && (s.Exemplar == nil || o.Exemplar.Ns > s.Exemplar.Ns) {
-		ex := *o.Exemplar
-		s.Exemplar = &ex
-	}
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.fillQuantiles()
-}
-
 func (s *HistogramSnapshot) fillQuantiles() {
 	s.P50 = s.Quantile(0.50)
 	s.P95 = s.Quantile(0.95)
@@ -220,14 +194,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the exact mean in nanoseconds (Sum is tracked exactly).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // String renders the headline figures for human-readable dumps.

@@ -43,10 +43,10 @@ func TestSpanPhases(t *testing.T) {
 		if dur := ev.Attrs[0].Val; sum > dur {
 			t.Fatalf("phases sum to %d ns, outside the span's %d", sum, dur)
 		}
-		if _, ok := ev.Attr("build_ns"); !ok {
+		if _, ok := attr(ev, "build_ns"); !ok {
 			t.Fatal("Attr lookup by key failed")
 		}
-		if _, ok := ev.Attr("nope_ns"); ok {
+		if _, ok := attr(ev, "nope_ns"); ok {
 			t.Fatal("Attr lookup found a phase that does not exist")
 		}
 	}
@@ -112,4 +112,14 @@ func TestFlightRecorderMinCapacity(t *testing.T) {
 	if len(evs) != 1 || evs[0].Type != "y" {
 		t.Fatalf("capacity-clamped ring = %+v", evs)
 	}
+}
+
+// attr returns ev's first attribute named key and whether it has one.
+func attr(ev Event, key string) (Attr, bool) {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return Attr{}, false
 }

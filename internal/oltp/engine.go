@@ -16,7 +16,6 @@ import (
 	"mets/internal/btree"
 	"mets/internal/hybrid"
 	"mets/internal/index"
-	"mets/internal/keycodec"
 	"mets/internal/obs"
 )
 
@@ -53,13 +52,6 @@ type Config struct {
 	EvictionThreshold int64
 	// EvictBatch is the number of tuples evicted per eviction pass.
 	EvictBatch int
-	// KeyCodec, when set (and not the identity), stores every table's
-	// primary keys in encoded space regardless of index type: keys are
-	// encoded once at the Table method boundary and Scan decodes on emit,
-	// shrinking the primary-index key memory of the Table 1.1 breakdown.
-	// Secondary indexes keep raw keys (their keys are attribute values, not
-	// trained key domains). The codec is frozen for the engine's lifetime.
-	KeyCodec keycodec.Codec
 	// Obs attaches the engine to a metrics registry under an "oltp." prefix:
 	// transaction/eviction/disk-read counters and memory-breakdown gauges.
 	// Nil disables instrumentation.
@@ -77,7 +69,6 @@ type Stats struct {
 type secondaryIndex interface {
 	Insert(key []byte, value uint64) bool
 	GetAll(key []byte) []uint64
-	Len() int
 	MemoryUsage() int64
 }
 
@@ -99,8 +90,6 @@ type Engine struct {
 	obsTx        *obs.Counter
 	obsEvictions *obs.Counter
 	obsDiskReads *obs.Counter
-
-	codec keycodec.Codec // nil when identity: tables store raw keys
 }
 
 // New creates an empty engine.
@@ -109,9 +98,6 @@ func New(cfg Config) *Engine {
 		cfg.EvictBatch = 1024
 	}
 	e := &Engine{cfg: cfg, tables: make(map[string]*Table)}
-	if !keycodec.IsIdentity(cfg.KeyCodec) {
-		e.codec = keycodec.Instrument(cfg.KeyCodec, cfg.Obs)
-	}
 	if cfg.Obs != nil {
 		r := cfg.Obs.Sub("oltp.")
 		e.obsTx = r.Counter("transactions")
@@ -140,10 +126,8 @@ type Table struct {
 	name    string
 	eng     *Engine
 	tuples  [][]byte // payload per tuple id; nil = evicted or free
-	keys    [][]byte // primary key per tuple id (kept for re-indexing)
 	evicted []bool
 	ref     []bool // CLOCK reference bits for anti-caching
-	free    []uint64
 	hand    int
 	disk    map[uint64][]byte // the anti-cache
 	live    int
@@ -151,15 +135,6 @@ type Table struct {
 	primary     index.Dynamic
 	secondaries map[string]secondaryIndex
 	tupleBytes  int64
-	codec       keycodec.Codec // nil when the table stores raw keys
-}
-
-// encodeKey maps a primary key into the table's stored key space.
-func (t *Table) encodeKey(key []byte) []byte {
-	if t.codec == nil {
-		return key
-	}
-	return t.codec.Encode(key)
 }
 
 // CreateTable registers a table with a primary index and the named
@@ -170,7 +145,6 @@ func (e *Engine) CreateTable(name string, secondaryNames ...string) *Table {
 		eng:         e,
 		disk:        make(map[uint64][]byte),
 		secondaries: make(map[string]secondaryIndex),
-		codec:       e.codec,
 	}
 	t.primary = e.newPrimary()
 	for _, s := range secondaryNames {
@@ -207,28 +181,13 @@ func (e *Engine) Table(name string) *Table { return e.tables[name] }
 // Insert adds a tuple, returning false when the primary key exists.
 // secondaryKeys maps secondary index name to that index's key.
 func (t *Table) Insert(key, payload []byte, secondaryKeys map[string][]byte) bool {
-	key = t.encodeKey(key)
-	var id uint64
-	if n := len(t.free); n > 0 {
-		id = t.free[n-1]
-	} else {
-		id = uint64(len(t.tuples))
-	}
+	id := uint64(len(t.tuples))
 	if !t.primary.Insert(key, id) {
 		return false
 	}
-	if n := len(t.free); n > 0 {
-		t.free = t.free[:n-1]
-		t.tuples[id] = append([]byte(nil), payload...)
-		t.keys[id] = append([]byte(nil), key...)
-		t.evicted[id] = false
-		t.ref[id] = true
-	} else {
-		t.tuples = append(t.tuples, append([]byte(nil), payload...))
-		t.keys = append(t.keys, append([]byte(nil), key...))
-		t.evicted = append(t.evicted, false)
-		t.ref = append(t.ref, true)
-	}
+	t.tuples = append(t.tuples, append([]byte(nil), payload...))
+	t.evicted = append(t.evicted, false)
+	t.ref = append(t.ref, true)
 	t.tupleBytes += int64(len(payload) + len(key))
 	t.live++
 	for name, sk := range secondaryKeys {
@@ -256,7 +215,7 @@ func (t *Table) fetch(id uint64) []byte {
 
 // Get returns the payload stored under the primary key.
 func (t *Table) Get(key []byte) ([]byte, bool) {
-	id, ok := t.primary.Get(t.encodeKey(key))
+	id, ok := t.primary.Get(key)
 	if !ok {
 		return nil, false
 	}
@@ -265,7 +224,7 @@ func (t *Table) Get(key []byte) ([]byte, bool) {
 
 // Update overwrites the payload under the primary key.
 func (t *Table) Update(key, payload []byte) bool {
-	id, ok := t.primary.Get(t.encodeKey(key))
+	id, ok := t.primary.Get(key)
 	if !ok {
 		return false
 	}
@@ -273,30 +232,6 @@ func (t *Table) Update(key, payload []byte) bool {
 	t.tupleBytes += int64(len(payload) - len(t.tuples[id]))
 	t.tuples[id] = append(t.tuples[id][:0], payload...)
 	t.ref[id] = true
-	return true
-}
-
-// Delete removes the tuple under the primary key. Secondary entries are
-// removed lazily (the benchmarks do not delete from secondary-indexed
-// tables).
-func (t *Table) Delete(key []byte) bool {
-	key = t.encodeKey(key)
-	id, ok := t.primary.Get(key)
-	if !ok {
-		return false
-	}
-	t.primary.Delete(key)
-	if t.evicted[id] {
-		delete(t.disk, id)
-	} else {
-		t.tupleBytes -= int64(len(t.tuples[id]))
-	}
-	t.tupleBytes -= int64(len(t.keys[id]))
-	t.tuples[id] = nil
-	t.keys[id] = nil
-	t.evicted[id] = false
-	t.free = append(t.free, id)
-	t.live--
 	return true
 }
 
@@ -315,15 +250,10 @@ func (t *Table) CountBySecondary(name string, key []byte) int {
 	return len(t.secondaries[name].GetAll(key))
 }
 
-// Scan visits tuples in primary-key order from the smallest key >= start
-// (encoding preserves order, so encoded-space iteration IS primary-key
-// order). The key is lent: valid only for the duration of the callback (with
-// a codec it lives in the scan's decode buffer).
+// Scan visits tuples in primary-key order from the smallest key >= start.
+// The key is lent: valid only for the duration of the callback.
 func (t *Table) Scan(start []byte, fn func(key, payload []byte) bool) int {
-	start, emit := keycodec.ScanEncoded(t.codec, start, func(k []byte, id uint64) bool {
-		return fn(k, t.fetch(id))
-	})
-	return t.primary.Scan(start, emit)
+	return t.primary.Scan(start, func(k []byte, id uint64) bool { return fn(k, t.fetch(id)) })
 }
 
 // Len returns the number of live tuples.
@@ -340,7 +270,7 @@ type Memory struct {
 func (m Memory) Total() int64 { return m.Tuples + m.Primary + m.Secondary }
 
 // MemoryUsage returns the table's in-memory breakdown (evicted payloads are
-// on disk and not counted; tombstone slots cost 8 bytes).
+// on disk and not counted; every tuple slot costs 8 bytes).
 func (t *Table) MemoryUsage() Memory {
 	m := Memory{Tuples: t.tupleBytes + int64(len(t.tuples))*8, Primary: t.primary.MemoryUsage()}
 	for _, s := range t.secondaries {

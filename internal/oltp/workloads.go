@@ -9,7 +9,6 @@ import (
 
 // Workload drives an Engine with one of the three thesis benchmarks.
 type Workload interface {
-	Name() string
 	// Load populates the initial database.
 	Load(e *Engine)
 	// Tx executes one transaction drawn from the benchmark mix.
@@ -32,8 +31,6 @@ type TPCC struct {
 func NewTPCC(warehouses, items int) *TPCC {
 	return &TPCC{Warehouses: warehouses, Items: items}
 }
-
-func (w *TPCC) Name() string { return "TPC-C" }
 
 func ck(parts ...uint64) []byte {
 	out := make([]byte, 8*len(parts))
@@ -149,8 +146,6 @@ func NewVoter(phones int) *Voter {
 	return &Voter{Contestants: 6, MaxVotes: 10, Phones: phones}
 }
 
-func (w *Voter) Name() string { return "Voter" }
-
 func (w *Voter) Load(e *Engine) {
 	contestants := e.CreateTable("contestants")
 	e.CreateTable("votes", "by_phone")
@@ -197,8 +192,6 @@ type Articles struct {
 func NewArticles(initial int) *Articles {
 	return &Articles{InitialArticles: initial}
 }
-
-func (w *Articles) Name() string { return "Articles" }
 
 func (w *Articles) Load(e *Engine) {
 	articles := e.CreateTable("articles")

@@ -71,7 +71,7 @@ func TestApplyRecordsItsPhases(t *testing.T) {
 	if evs[0].Span == 0 || evs[0].Span != evs[1].Span {
 		t.Fatalf("publication span %d, pipeline span %d; want the same nonzero ID", evs[0].Span, evs[1].Span)
 	}
-	if a, _ := evs[0].Attr("entries"); a.Val != 9 {
+	if a, _ := attr(evs[0], "entries"); a.Val != 9 {
 		t.Fatalf("publication attrs = %+v", evs[0].Attrs)
 	}
 	for i, want := range []string{"dur_ns", "build_ns", "validate_ns", "publish_ns"} {
@@ -143,4 +143,14 @@ func TestConcurrentAppliesSerialize(t *testing.T) {
 	if applied != workers*each || s.Generation() != workers*each {
 		t.Fatalf("applied %d, generation %d; want %d", applied, s.Generation(), workers*each)
 	}
+}
+
+// attr returns ev's first attribute named key and whether it has one.
+func attr(ev obs.Event, key string) (obs.Attr, bool) {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
 }

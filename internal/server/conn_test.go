@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -72,10 +71,10 @@ func TestInlineReplyNotHeldByPartialFrame(t *testing.T) {
 		if _, err := nc.Write(append(getFrame(1, "a"), second[:split]...)); err != nil {
 			t.Fatalf("split %d: write: %v", split, err)
 		}
-		br := bufio.NewReader(nc)
+		br := wire.NewReader(nc, 4096)
 		expect := func(id, v uint64) {
 			t.Helper()
-			p, err := wire.ReadFrame(br, 0)
+			p, err := br.Next()
 			if err != nil {
 				t.Fatalf("split %d: answer %d did not arrive: %v", split, id, err)
 			}
@@ -229,10 +228,10 @@ func TestGetOvertakesPendingPut(t *testing.T) {
 	if _, err := nc.Write(append(putFrame(1, "w", 1), getFrame(2, "k")...)); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(nc)
+	br := wire.NewReader(nc, 4096)
 	expect := func(id uint64, what string) []byte {
 		t.Helper()
-		p, err := wire.ReadFrame(br, 0)
+		p, err := br.Next()
 		if err != nil {
 			t.Fatalf("%s did not arrive: %v", what, err)
 		}
@@ -246,7 +245,7 @@ func TestGetOvertakesPendingPut(t *testing.T) {
 		t.Fatalf("GET = %d, want 7", v)
 	}
 	nc.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if p, err := wire.ReadFrame(br, 0); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if p, err := br.Next(); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("read while the PUT's commit is wedged = (%x, %v), want nothing: no ack before the commit returns", p, err)
 	}
 	<-stub.entered // the PUT is inside the wedged commit

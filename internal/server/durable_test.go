@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -103,9 +102,9 @@ func TestShardedStoreBurstSharesOneCommit(t *testing.T) {
 	if _, err := nc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(nc)
+	br := wire.NewReader(nc, 4096)
 	for range ops {
-		p, err := wire.ReadFrame(br, 0)
+		p, err := br.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +216,7 @@ func TestShardedStoreLifecycleSurvivesCommits(t *testing.T) {
 			}
 			merges++
 			for _, k := range []string{"dur_ns", "seal_ns", "build_ns", "swap_ns"} {
-				if _, ok := ev.Attr(k); !ok {
+				if _, ok := attr(ev, k); !ok {
 					t.Fatalf("%s: merge record without %s: %+v", name, k, ev)
 				}
 			}
@@ -376,4 +375,14 @@ func TestShardedStoreCrashRecovery(t *testing.T) {
 			})
 		}
 	}
+}
+
+// attr returns ev's first attribute named key and whether it has one.
+func attr(ev obs.Event, key string) (obs.Attr, bool) {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
 }

@@ -159,16 +159,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Addr returns the serving listener's address (nil before Serve).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
 // startConn registers and serves one connection.
 func (s *Server) startConn(nc net.Conn) {
 	c := &srvConn{s: s, nc: nc, rd: wire.NewReader(nc, connReadBuf), snaps: make(map[uint64]Snapshot)}

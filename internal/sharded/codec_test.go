@@ -173,13 +173,13 @@ func TestBulkLoadWithTrainer(t *testing.T) {
 		Hybrid:       hc,
 		CodecTrainer: keycodec.HOPETrainer(hope.ThreeGrams, 1<<11),
 	})
-	if s.Codec() != nil {
+	if s.load().codec != nil {
 		t.Fatal("codec attached before any trained bulk load")
 	}
 	if err := s.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	if s.Codec() == nil {
+	if s.load().codec == nil {
 		t.Fatal("trained bulk load left no codec attached")
 	}
 	if got := s.NumShards(); got != 8 {

@@ -105,15 +105,17 @@ func TestEpochRetrainStress(t *testing.T) {
 			i := rng.Intn(len(ks))
 			s.Update(ks[i], uint64(i)+1<<32)
 		}
-		s.MergeAsync()
-		// Codec retrain + quantile rebalance + core swap under live readers.
+		// A merge of the current core on another goroutine, then a codec
+		// retrain + quantile rebalance + core swap, all under live readers.
+		merged := make(chan struct{})
+		go func() { s.Merge(); close(merged) }()
 		if err := s.BulkLoad(entries); err != nil {
 			t.Fatal(err)
 		}
+		<-merged
 	}
 	stop.Store(true)
 	wg.Wait()
-	s.WaitMerges()
 	for i, k := range ks {
 		if v, ok := s.Get(k); !ok || v != uint64(i) {
 			t.Fatalf("post-stress Get(%q) = %d,%v (bulk reload should reset values)", k, v, ok)

@@ -125,7 +125,7 @@ func TestSupersededCoresCollected(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws.watchCore("bulkload")
-	if ws.Codec() == nil {
+	if ws.load().codec == nil {
 		t.Fatal("trained bulk load should have installed a codec")
 	}
 	for round := 0; round < 3; round++ {

@@ -161,7 +161,9 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 }
 
 // NewBTree builds a sharded index whose shards keep a B+tree dynamic stage
-// over an FST static stage (hybrid.NewFST).
+// over an FST static stage (hybrid.NewFST). Under Hybrid.EpochReads, which
+// mets-server and the gated benchmark set, the dynamic stage is the
+// skip-list memtable and the B+tree is not built.
 func NewBTree(cfg Config) *Index { return New(cfg, hybrid.NewFST) }
 
 // NewART builds a sharded index with ART shards.
@@ -307,9 +309,6 @@ func (s *Index) NumShards() int { return len(s.load().shards) }
 // codec active its boundaries are in encoded space.
 func (s *Index) Router() *Router { return s.load().router }
 
-// Codec returns the current generation's codec (nil when keys are raw).
-func (s *Index) Codec() keycodec.Codec { return s.load().codec }
-
 // shard loads the core, encodes key and routes it: the owning shard and the
 // key in its encoded space. Every point operation starts here and takes no
 // lock of the sharded layer; the shard's own writer mutex is the only one a
@@ -354,24 +353,6 @@ func (s *Index) Len() int {
 	return n
 }
 
-// DynamicLen sums the per-shard dynamic (plus frozen) stage sizes.
-func (s *Index) DynamicLen() int {
-	n := 0
-	for _, sh := range s.load().shards {
-		n += sh.DynamicLen()
-	}
-	return n
-}
-
-// StaticLen sums the per-shard static stage sizes.
-func (s *Index) StaticLen() int {
-	n := 0
-	for _, sh := range s.load().shards {
-		n += sh.StaticLen()
-	}
-	return n
-}
-
 // MemoryUsage sums all shards.
 func (s *Index) MemoryUsage() int64 {
 	var m int64
@@ -393,36 +374,11 @@ func (s *Index) Merge() {
 	par.Run(fns...)
 }
 
-// MergeAsync starts a background merge on every shard that has dynamic
-// entries and no merge already in flight, returning how many were started.
-// Each shard merges on its own goroutine, so the rebuilds proceed in
-// parallel and each shard's readers only ever wait on their own shard's
-// short seal/swap critical sections.
-func (s *Index) MergeAsync() int {
-	started := 0
-	for _, sh := range s.load().shards {
-		if sh.MergeAsync() {
-			started++
-		}
-	}
-	return started
-}
-
 // WaitMerges blocks until no shard has a background merge in flight.
 func (s *Index) WaitMerges() {
 	for _, sh := range s.load().shards {
 		sh.WaitMerges()
 	}
-}
-
-// Merging reports whether any shard has a background merge running.
-func (s *Index) Merging() bool {
-	for _, sh := range s.load().shards {
-		if sh.Merging() {
-			return true
-		}
-	}
-	return false
 }
 
 // MergeStats aggregates across shards: total merge count, the longest

@@ -232,9 +232,9 @@ func TestBulkLoad(t *testing.T) {
 		if err := s.BulkLoad(entries); err != nil {
 			t.Fatal(err)
 		}
-		if s.Len() != len(ks) || s.StaticLen() != len(ks) || s.DynamicLen() != 0 {
-			t.Fatalf("shards=%d: Len=%d StaticLen=%d DynamicLen=%d, want all static %d",
-				shards, s.Len(), s.StaticLen(), s.DynamicLen(), len(ks))
+		if dyn, st := stageLens(s); s.Len() != len(ks) || st != len(ks) || dyn != 0 {
+			t.Fatalf("shards=%d: Len=%d static=%d dynamic=%d, want all static %d",
+				shards, s.Len(), st, dyn, len(ks))
 		}
 		for i, k := range ks {
 			if v, ok := s.Get(k); !ok || v != uint64(i) {
@@ -438,9 +438,18 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestMergeAsyncAllShards checks that MergeAsync fires one independent
-// background merge per loaded shard and WaitMerges drains them all.
-func TestMergeAsyncAllShards(t *testing.T) {
+// stageLens sums the shards' dynamic (plus frozen) and static stage sizes.
+func stageLens(s *Index) (dynamic, static int) {
+	for _, sh := range s.load().shards {
+		dynamic += sh.DynamicLen()
+		static += sh.StaticLen()
+	}
+	return dynamic, static
+}
+
+// TestMergeAllShards checks that Merge runs one merge per loaded shard and
+// that MergeStats aggregates them.
+func TestMergeAllShards(t *testing.T) {
 	cfg := smallCfg(8)
 	cfg.Hybrid.MinDynamic = 1 << 30 // no ratio-triggered merges
 	s := NewBTree(cfg)
@@ -448,13 +457,9 @@ func TestMergeAsyncAllShards(t *testing.T) {
 	for i, k := range ks {
 		s.Insert(k, uint64(i))
 	}
-	started := s.MergeAsync()
-	if started != 8 {
-		t.Fatalf("MergeAsync started %d merges, want 8", started)
-	}
-	s.WaitMerges()
-	if s.DynamicLen() != 0 || s.StaticLen() != len(ks) {
-		t.Fatalf("after merge: dynamic %d static %d, want 0/%d", s.DynamicLen(), s.StaticLen(), len(ks))
+	s.Merge()
+	if dyn, st := stageLens(s); dyn != 0 || st != len(ks) {
+		t.Fatalf("after merge: dynamic %d static %d, want 0/%d", dyn, st, len(ks))
 	}
 	merges, worst, total := s.MergeStats()
 	if merges != 8 || worst <= 0 || total < worst {

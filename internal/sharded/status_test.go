@@ -30,10 +30,10 @@ func TestShardedStatus(t *testing.T) {
 	}
 	s.Merge()
 	s.WaitMerges()
-	if s.Merging() {
-		t.Fatal("post-merge: Merging = true, want settled")
-	}
 	for i, sh := range s.load().shards {
+		if sh.Merging() {
+			t.Fatalf("post-merge: shard %d Merging, want settled", i)
+		}
 		if sh.MergeBehind() {
 			t.Fatalf("post-merge: shard %d MergeBehind, want settled", i)
 		}

@@ -229,41 +229,6 @@ func (c *Concurrent) Scan(start []byte, fn func(key []byte, value uint64) bool) 
 	return count
 }
 
-// Cursor is a pull-style iterator over the memtable's nodes, live and
-// tombstoned. Unlike the chunked cursors layered over push-style Scan
-// interfaces, a Cursor resumes from its node pointer without re-seeking and
-// without copying keys (node keys are immutable). Reader-safe under a
-// concurrent writer with the usual memtable contract: nodes inserted behind
-// the cursor are not revisited.
-type Cursor struct {
-	n *cnode
-}
-
-// Seek returns a cursor positioned at the smallest key >= start.
-func (c *Concurrent) Seek(start []byte) Cursor {
-	return Cursor{n: c.findPredecessors(start, nil)}
-}
-
-// Valid reports whether the cursor is positioned on a node.
-func (cu *Cursor) Valid() bool { return cu.n != nil }
-
-// Entry returns the current node's key, value, and tombstone flag. The state
-// pair is read in tombstone-before-value order so a concurrent revive never
-// yields a stale value marked present.
-func (cu *Cursor) Entry() (key []byte, value uint64, tomb bool) {
-	if cu.n.st.Load() == stateTombstone {
-		return cu.n.key, 0, true
-	}
-	return cu.n.key, cu.n.val.Load(), false
-}
-
-// Key returns the current node's key without touching its state (cheap
-// equal-key consumption checks in multi-stage merges).
-func (cu *Cursor) Key() []byte { return cu.n.key }
-
-// Next advances to the following node.
-func (cu *Cursor) Next() { cu.n = cu.n.next[0].Load() }
-
 // StateEntry is one drained node: a key with either a value or a tombstone.
 type StateEntry struct {
 	Key   []byte

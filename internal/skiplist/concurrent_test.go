@@ -174,10 +174,10 @@ func TestConcurrentMatchesList(t *testing.T) {
 }
 
 // TestConcurrentPresentKeyNeverMisses is the regression for the search
-// re-load bug: Get and Seek used to load the bottom-level successor a second
-// time after the search loop, so a writer linking a smaller neighbour between
-// the loop's last comparison and that second load made a present key read as
-// absent and started a cursor below its bound. The writer links every new
+// re-load bug: Get and the scan start used to load the bottom-level successor
+// a second time after the search loop, so a writer linking a smaller
+// neighbour between the loop's last comparison and that second load made a
+// present key read as absent and started a scan below its bound. The writer links every new
 // key directly in front of the probed one — the only position that changes
 // the link the reader last followed — while one reader probes it.
 func TestConcurrentPresentKeyNeverMisses(t *testing.T) {
@@ -198,7 +198,12 @@ func TestConcurrentPresentKeyNeverMisses(t *testing.T) {
 			if v, ok, _ := c.Get(target); !ok || v != 42 {
 				misses.Add(1)
 			}
-			if cu := c.Seek(target); !cu.Valid() || keys.Compare(cu.Key(), target) < 0 {
+			atTarget := false
+			c.ScanStates(target, func(k []byte, _ uint64, _ bool) bool {
+				atTarget = keys.Compare(k, target) >= 0
+				return false
+			})
+			if !atTarget {
 				below.Add(1)
 			}
 			probes.Add(1)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"mets/internal/hope"
+	"mets/internal/keycodec"
 	"mets/internal/keys"
 )
 
@@ -62,5 +64,65 @@ func TestMarshalVersioning(t *testing.T) {
 	// Truncated annotation sections must be rejected, not crash.
 	if _, err := Unmarshal(v2[:10]); err == nil {
 		t.Fatal("truncated SuR2 payload accepted")
+	}
+}
+
+// TestCodecFilterRoundTrip builds a filter over HOPE-encoded keys, stamps it
+// with the codec's ID and dictionary, and checks that the SuR2 payload alone
+// is enough to use it: the loaded filter names the codec, its embedded
+// dictionary rebuilds a codec with that ID, and point and range probes with
+// keys re-encoded by the rebuilt codec answer as the original filter does.
+func TestCodecFilterRoundTrip(t *testing.T) {
+	ks := keys.Dedup(keys.Emails(1500, 85))
+	codec, err := keycodec.TrainHOPE(ks, hope.FourGrams, 1<<11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := make([][]byte, len(ks))
+	for i, k := range ks {
+		enc[i] = codec.Encode(k) // order-preserving: still sorted and unique
+	}
+	f := build(t, enc, RealConfig(8))
+	dict, err := codec.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetKeyCodec(codec.ID(), dict)
+
+	data, err := f.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lid, ldict := loaded.KeyCodec()
+	if lid != codec.ID() {
+		t.Fatalf("loaded codec id = %q, want %q", lid, codec.ID())
+	}
+	recodec, err := keycodec.Unmarshal(ldict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recodec.ID() != codec.ID() {
+		t.Fatalf("reconstructed codec id = %q, want %q", recodec.ID(), codec.ID())
+	}
+	for _, k := range ks {
+		if !loaded.Lookup(recodec.Encode(k)) {
+			t.Fatalf("loaded filter rejects stored key %q", k)
+		}
+	}
+	// Ranges between adjacent stored keys: no false negatives, and the same
+	// verdicts as the original filter (marshaling is lossless).
+	for i := 0; i+1 < len(ks) && i < 300; i++ {
+		lo, hi := recodec.EncodeBound(ks[i]), recodec.EncodeBound(ks[i+1])
+		want := f.LookupRange(lo, hi, true)
+		if got := loaded.LookupRange(lo, hi, true); got != want {
+			t.Fatalf("LookupRange[%d] diverged after round trip: %v vs %v", i, got, want)
+		}
+		if !want {
+			t.Fatalf("LookupRange[%d] rejected a range containing stored key %q", i, ks[i])
+		}
 	}
 }

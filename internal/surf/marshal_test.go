@@ -35,7 +35,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if f.NumKeys() != g.NumKeys() || f.Height() != g.Height() {
+		if f.numKeys != g.numKeys || f.Height() != g.Height() {
 			t.Fatalf("%s: metadata mismatch", name)
 		}
 		if f.Count(ks[10], ks[4000]) != g.Count(ks[10], ks[4000]) {

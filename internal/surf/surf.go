@@ -23,7 +23,6 @@ type Config struct {
 	RealSuffixLen int
 	// Trie tuning (DenseLevels<0 means the ratio-based default).
 	DenseLevels int
-	DenseRatio  int
 }
 
 // BaseConfig returns SuRF-Base. HashConfig, RealConfig and MixedConfig
@@ -64,7 +63,6 @@ func Build(ks [][]byte, cfg Config) (*Filter, error) {
 	trie, err := fst.BuildLeaves(ks, fst.Config{
 		Truncate:    true,
 		DenseLevels: cfg.DenseLevels,
-		DenseRatio:  cfg.DenseRatio,
 	}, func(slot, i, suffixStart int) {
 		if f.sufBits == 0 {
 			return
@@ -245,9 +243,6 @@ func (f *Filter) LookupRange(lo []byte, hi []byte, hiInclusive bool) bool {
 func (f *Filter) Count(lo, hi []byte) int {
 	return f.trie.Count(lo, hi)
 }
-
-// NumKeys returns the number of keys the filter was built over.
-func (f *Filter) NumKeys() int { return f.numKeys }
 
 // Height returns the underlying trie height (Fig 6.16).
 func (f *Filter) Height() int { return f.trie.Height() }

@@ -265,20 +265,6 @@ func (fs *MemFS) List(dir string) ([]string, error) {
 	return out, nil
 }
 
-func (fs *MemFS) Size(name string) (int64, error) {
-	name = path.Clean(name)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.crashed {
-		return 0, ErrCrashed
-	}
-	f, ok := fs.files[name]
-	if !ok {
-		return 0, fmt.Errorf("vfs: size %s: %w", name, ErrNotExist)
-	}
-	return int64(len(f.synced) + len(f.unsynced)), nil
-}
-
 // Corrupt flips bits at off in name's durable contents — the out-of-band
 // damage injector for crash-matrix tests (a bit-flipped WAL frame).
 func (fs *MemFS) Corrupt(name string, off int64, xor byte) error {

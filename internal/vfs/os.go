@@ -89,14 +89,6 @@ func (OS) List(dir string) ([]string, error) {
 	return out, nil
 }
 
-func (OS) Size(name string) (int64, error) {
-	st, err := os.Stat(hostPath(name))
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 type osFile struct{ f *os.File }
 
 func (w osFile) Write(p []byte) (int, error) { return w.f.Write(p) }

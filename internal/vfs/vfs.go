@@ -54,8 +54,6 @@ type FS interface {
 	// List returns the sorted base names of the files in dir (directories
 	// excluded). A missing dir lists as empty.
 	List(dir string) ([]string, error)
-	// Size returns the current size of name in bytes.
-	Size(name string) (int64, error)
 }
 
 // File is a sequential write handle.

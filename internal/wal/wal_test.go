@@ -183,7 +183,7 @@ func TestSlowestBatchIsTheRingsOnlyCommitRecord(t *testing.T) {
 			t.Fatalf("unexpected record %+v", ev)
 		}
 		for _, k := range []string{"dur_ns", "write_ns", "fsync_ns", "records", "bytes"} {
-			if _, ok := ev.Attr(k); !ok {
+			if _, ok := attr(ev, k); !ok {
 				t.Fatalf("wal.batch record without %s: %+v", k, ev)
 			}
 		}
@@ -381,7 +381,7 @@ func TestRepairTornSegmentThenContinue(t *testing.T) {
 	if err := Repair(fs, "wal", st); err != nil {
 		t.Fatal(err)
 	}
-	if sz, err := fs.Size(seg); err != nil || sz != 2*frame {
+	if sz, err := fileSize(fs, seg); err != nil || sz != 2*frame {
 		t.Fatalf("repaired segment size = %d,%v, want %d", sz, err, 2*frame)
 	}
 
@@ -489,4 +489,24 @@ func TestStickyErrorAfterCrash(t *testing.T) {
 	if err := l.Enqueue([]byte("later")); err == nil {
 		t.Fatal("enqueue after sticky error succeeded")
 	}
+}
+
+// fileSize is the size of name as a reader of fs sees it.
+func fileSize(fs vfs.FS, name string) (int64, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return f.Size(), nil
+}
+
+// attr returns ev's first attribute named key and whether it has one.
+func attr(ev obs.Event, key string) (obs.Attr, bool) {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a, true
+		}
+	}
+	return obs.Attr{}, false
 }

@@ -16,7 +16,7 @@
 // fsyncing PUT on the same connection completes without waiting for it.
 //
 // Both ends read frames through Reader (buffered, payloads lent, one read
-// syscall per burst); ReadFrame is the allocating form for everything else.
+// syscall per burst).
 package wire
 
 import (
@@ -67,38 +67,14 @@ const (
 // the connection is unrecoverable past it (the stream cannot be resynced).
 var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
-// frameLen validates a frame's 4-byte length prefix against max (0 means
-// MaxFrame). Every frame read, on either side, goes through it.
-func frameLen(hdr []byte, max uint32) (int, error) {
-	if max == 0 {
-		max = MaxFrame
-	}
+// frameLen validates a frame's 4-byte length prefix against MaxFrame. Every
+// frame read, on either side, goes through it.
+func frameLen(hdr []byte) (int, error) {
 	n := binary.LittleEndian.Uint32(hdr)
-	if n < HeaderLen || n > max {
-		return 0, fmt.Errorf("%w: length %d (max %d)", ErrFrameTooLarge, n, max)
+	if n < HeaderLen || n > MaxFrame {
+		return 0, fmt.Errorf("%w: length %d (max %d)", ErrFrameTooLarge, n, MaxFrame)
 	}
 	return int(n), nil
-}
-
-// ReadFrame reads one length-prefixed frame payload into a fresh slice. max
-// caps the accepted payload length (0 means MaxFrame). io.EOF is returned
-// untouched when the stream ends cleanly between frames so callers can tell
-// shutdown from a truncated frame (io.ErrUnexpectedEOF). On a bare socket it
-// costs two reads per frame; hand it a bufio.Reader.
-func ReadFrame(r io.Reader, max uint32) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n, err := frameLen(hdr[:], max)
-	if err != nil {
-		return nil, err
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return nil, midFrame(err)
-	}
-	return p, nil
 }
 
 // midFrame turns the end of the stream inside a frame into
@@ -112,8 +88,10 @@ func midFrame(err error) error {
 
 // Reader reads frames for a single consumer that is done with each payload
 // before it asks for the next: payloads are lent (they alias the read buffer)
-// and a frame that fits the buffer costs no allocation. Errors are
-// ReadFrame's.
+// and a frame that fits the buffer costs no allocation. io.EOF is returned
+// untouched when the stream ends cleanly between frames, so callers can tell
+// shutdown from a truncated frame (io.ErrUnexpectedEOF); a bad length prefix
+// is ErrFrameTooLarge.
 type Reader struct {
 	br   *bufio.Reader
 	held int // bytes of the lent frame still to be discarded from br
@@ -142,7 +120,7 @@ func (r *Reader) FrameBuffered() bool {
 		return false
 	}
 	hdr, _ := r.br.Peek(4)
-	n, err := frameLen(hdr, MaxFrame)
+	n, err := frameLen(hdr)
 	return err == nil && r.br.Buffered() >= 4+n
 }
 
@@ -156,7 +134,7 @@ func (r *Reader) Next() ([]byte, error) {
 		}
 		return nil, err
 	}
-	n, err := frameLen(hdr, MaxFrame)
+	n, err := frameLen(hdr)
 	if err != nil {
 		return nil, err
 	}

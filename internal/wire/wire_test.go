@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -116,16 +115,10 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// readers are the two ways the repo reads frames; each must return every
-// frame of a stream identically however the stream is chunked.
+// readers are Reader with a buffer smaller than most frames and with a
+// roomy one; each must return every frame of a stream identically however
+// the stream is chunked.
 var readers = map[string]func(io.Reader) func() ([]byte, error){
-	"ReadFrame": func(r io.Reader) func() ([]byte, error) {
-		return func() ([]byte, error) { return ReadFrame(r, MaxFrame) }
-	},
-	"ReadFrame/bufio16": func(r io.Reader) func() ([]byte, error) {
-		br := bufio.NewReaderSize(r, 16) // smaller than most frames
-		return func() ([]byte, error) { return ReadFrame(br, 0) }
-	},
 	"Reader/16": func(r io.Reader) func() ([]byte, error) {
 		return NewReader(r, 16).Next // frames beyond 12 payload bytes take the own-slice path
 	},
@@ -193,7 +186,7 @@ func roundTrip(t *testing.T, data []byte) {
 }
 
 // FuzzWireRoundTrip: frames built with NewFrame/AppendBytes/AppendUint/Finish
-// come back identical through ReadFrame and Reader → ParseHeader →
+// come back identical through Reader → ParseHeader →
 // Bytes/Uint under arbitrary chunkings of the stream, and a stream cut short
 // ends in io.EOF between frames and io.ErrUnexpectedEOF inside one.
 func FuzzWireRoundTrip(f *testing.F) {
@@ -205,41 +198,30 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // TestBadLengthsAllocateNothing: a declared length below the header or above
-// the limit is ErrFrameTooLarge before any payload buffer exists.
+// MaxFrame is ErrFrameTooLarge before any payload buffer exists.
 func TestBadLengthsAllocateNothing(t *testing.T) {
-	for _, tc := range []struct {
-		n   uint32
-		max uint32
-	}{
-		{0, 0}, {HeaderLen - 1, 0}, {MaxFrame + 1, 0}, {0xffffffff, 0}, {101, 100}, {MaxFrame, 4096},
-	} {
-		stream := binary.LittleEndian.AppendUint32(nil, tc.n)
+	for _, n := range []uint32{0, HeaderLen - 1, MaxFrame + 1, 0xffffffff} {
+		stream := binary.LittleEndian.AppendUint32(nil, n)
 		stream = append(stream, make([]byte, 64)...)
-		reads := map[string]func() ([]byte, error){
-			"ReadFrame": func() ([]byte, error) { return ReadFrame(bytes.NewReader(stream), tc.max) },
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, err := NewReader(bytes.NewReader(stream), 16).Next()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrFrameTooLarge) || p != nil {
+			t.Fatalf("length %d: (%d bytes, %v), want ErrFrameTooLarge", n, len(p), err)
 		}
-		if tc.max == 0 { // Reader's limit is MaxFrame
-			reads["Reader"] = func() ([]byte, error) { return NewReader(bytes.NewReader(stream), 16).Next() }
-		}
-		for name, read := range reads {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			p, err := read()
-			runtime.ReadMemStats(&after)
-			if !errors.Is(err, ErrFrameTooLarge) || p != nil {
-				t.Fatalf("%s: length %d (max %d): (%d bytes, %v), want ErrFrameTooLarge", name, tc.n, tc.max, len(p), err)
-			}
-			if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
-				t.Fatalf("%s: length %d: allocated %d bytes on the way to the error", name, tc.n, got)
-			}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Fatalf("length %d: allocated %d bytes on the way to the error", n, got)
 		}
 	}
 	// The limit itself is accepted.
-	tf := testFrame{id: 1, code: OpStats}
-	if p, err := ReadFrame(bytes.NewReader(tf.seal(t)), HeaderLen); err != nil {
-		t.Fatalf("frame of exactly max bytes: %v", err)
-	} else {
-		tf.check(t, p)
+	frame := AppendFrame(nil, 1, OpStats)
+	frame = append(frame, make([]byte, MaxFrame-HeaderLen)...)
+	if err := FinishAt(frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := NewReader(bytes.NewReader(frame), 4096).Next(); err != nil || len(p) != MaxFrame {
+		t.Fatalf("frame of exactly MaxFrame bytes: (%d bytes, %v)", len(p), err)
 	}
 }
 
@@ -322,9 +304,9 @@ func TestAppendFrameAfterSealedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(buf)
+	fr := NewReader(bytes.NewReader(buf), 4096)
 	for _, tf := range want {
-		p, err := ReadFrame(r, 0)
+		p, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}

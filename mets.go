@@ -17,9 +17,10 @@
 //
 // HybridIndex answers "failed?" and "behind?" once, through JournalErr and
 // MergeBehind; ShardedIndex answers "failed?" through JournalErr (LSM through
-// Err). Everything else about them is a metric in the StatsRegistry they were
-// given. cmd/mets-server reads JournalErr for every commit, /healthz and its
-// server.healthy gauge; "behind?" is the per-shard merge_behind gauge.
+// the sticky error its writes return). Everything else about them is a
+// metric in the StatsRegistry they were given. cmd/mets-server reads
+// JournalErr for every commit, /healthz and its server.healthy gauge;
+// "behind?" is the per-shard merge_behind gauge.
 //
 // See the examples directory for runnable end-to-end usage and DESIGN.md for
 // the system inventory and experiment map.
@@ -133,7 +134,9 @@ type ShardedConfig = sharded.Config
 type ShardRouter = sharded.Router
 
 // Sharded constructors and routers. NewShardedBTree's shards keep a B+tree
-// dynamic stage over an FST static stage.
+// dynamic stage over an FST static stage; under HybridConfig.EpochReads
+// (which cmd/mets-server sets) the dynamic stage is the skip-list memtable
+// instead and the B+tree is not built.
 var (
 	NewShardedBTree      = sharded.NewBTree
 	NewShardedART        = sharded.NewART
@@ -169,10 +172,10 @@ func TrainHOPE(sample [][]byte, scheme HOPEScheme, dictLimit int) (*KeyEncoder, 
 
 // --- Key codec -------------------------------------------------------------
 
-// KeyCodec is the key-compression boundary every index layer accepts: a
-// frozen, strictly order-preserving, invertible encoding of keys. Set one
-// on HybridConfig/ShardedConfig/LSMConfig (field Codec) and the index
-// stores keys in encoded space, translating at its API boundary — point
+// KeyCodec is the key-compression boundary the hybrid and sharded indexes
+// accept: a frozen, strictly order-preserving, invertible encoding of keys.
+// Set one on HybridConfig/ShardedConfig (field Codec) and the index stores
+// keys in encoded space, translating at its API boundary — point
 // and range operations keep raw-key semantics while key memory shrinks by
 // the codec's compression ratio.
 type KeyCodec = keycodec.Codec
@@ -197,8 +200,7 @@ func NewKeyCodecTrainer(scheme HOPEScheme, dictLimit int) KeyCodecTrainer {
 }
 
 // UnmarshalKeyCodec reconstructs a codec from KeyCodec.MarshalBinary bytes
-// (e.g. the dictionary embedded in a SuR2/FST2 payload by
-// NewSuRFSSTFilterWithCodec).
+// (e.g. the dictionary a SuR2/FST2 payload embeds through SetKeyCodec).
 func UnmarshalKeyCodec(data []byte) (KeyCodec, error) { return keycodec.Unmarshal(data) }
 
 // --- LSM engine ------------------------------------------------------------
@@ -213,13 +215,10 @@ type LSMConfig = lsm.Config
 // NewBloomSSTFilter / NewSuRFSSTFilter.
 func OpenLSM(cfg LSMConfig) *LSM { return lsm.Open(cfg) }
 
-// Per-SSTable filter builders. The WithCodec variant pairs with
-// LSMConfig.Codec: built filters index the (encoded) stored keys and carry
-// the codec id and dictionary through MarshalBinary.
+// Per-SSTable filter builders.
 var (
-	NewBloomSSTFilter         = lsm.BloomFilterBuilder
-	NewSuRFSSTFilter          = lsm.SuRFFilterBuilder
-	NewSuRFSSTFilterWithCodec = lsm.SuRFFilterBuilderWithCodec
+	NewBloomSSTFilter = lsm.BloomFilterBuilder
+	NewSuRFSSTFilter  = lsm.SuRFFilterBuilder
 )
 
 // --- Observability ---------------------------------------------------------
