@@ -54,7 +54,6 @@ var deadAPIAllow = []struct{ id, class, reason string }{
 	{"lsm.DB.Delete", "f", "Fig 4.3 query interface"},
 	{"fst.Iterator.First", "f", "FST iterator move"},
 	{"fst.Iterator.AtPrefixKey", "f", "FST iterator state (a stored key that prefixes others)"},
-	{"surf.Iterator.Next", "f", "SuRF iterator move"},
 }
 
 // TestDeadAPI is the dead-API census: it type-checks every non-test file of

@@ -57,4 +57,12 @@ func main() {
 		filter.LookupRange([]byte("ta"), []byte("tn"), true))
 	fmt.Printf("LookupRange[toa, toz] = %v (top/toy inside)\n",
 		filter.LookupRange([]byte("toa"), []byte("toz"), true))
+
+	// The filter's iterator walks what it stores: each key's shortest
+	// distinguishing prefix, extended by its real suffix byte.
+	fmt.Print("filter keys >= 'to': ")
+	for fit := filter.MoveToNext([]byte("to")); fit.Valid(); fit.Next() {
+		fmt.Printf("%s ", fit.Key())
+	}
+	fmt.Println()
 }

@@ -120,3 +120,63 @@ func TestRankSelectRandomLarge(t *testing.T) {
 		}
 	}
 }
+
+// TestRankSelectLongGaps checks Select1 on LOUDS-shaped vectors — one set
+// bit every 50–400 positions, as on the sparse levels of a trie over random
+// keys — where a select crosses several rank blocks between two samples.
+// Some set bits are placed on the first and the last bit of a 512-bit block,
+// one gap spans many blocks, and the vector ends in zero words.
+func TestRankSelectLongGaps(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	const n = 1 << 18
+	v := NewVector(n + 4096) // the last 64 words stay zero
+	var pos []int
+	for p := rng.Intn(400); p < n; p += 50 + rng.Intn(351) {
+		switch {
+		case len(pos) == 100:
+			p = p | 511 // the last bit of a block
+		case len(pos) == 101:
+			p = (p + 511) &^ 511 // the first bit of the next block
+		case len(pos) == 300:
+			p += 20_000 // a gap of about forty blocks
+		}
+		if p >= n {
+			break
+		}
+		v.Set(p)
+		pos = append(pos, p)
+	}
+	for _, blockSize := range []int{64, 128, 512} {
+		for _, sampleRate := range []int{1, 8, 64, 512} {
+			s := NewSelectVector(v, blockSize, sampleRate)
+			if s.Ones() != len(pos) {
+				t.Fatalf("block=%d sample=%d: Ones = %d, want %d", blockSize, sampleRate, s.Ones(), len(pos))
+			}
+			for i, want := range pos {
+				if got := s.Select1(i + 1); got != want {
+					t.Fatalf("block=%d sample=%d: Select1(%d) = %d, want %d", blockSize, sampleRate, i+1, got, want)
+				}
+			}
+			// The targets the scan's boundaries sit on, named: the first and
+			// last set bit, either side of every sample, and the first set
+			// bit of every rank block.
+			targets := []int{1, len(pos)}
+			for j := sampleRate; j < len(pos); j += sampleRate {
+				targets = append(targets, j, j+1, j+2)
+			}
+			for b := 0; b+1 < len(s.lut); b++ {
+				if s.lut[b] < s.lut[b+1] {
+					targets = append(targets, int(s.lut[b])+1)
+				}
+			}
+			for _, i := range targets {
+				if i >= 1 && i <= len(pos) && s.Select1(i) != pos[i-1] {
+					t.Fatalf("block=%d sample=%d: Select1(%d) = %d, want %d", blockSize, sampleRate, i, s.Select1(i), pos[i-1])
+				}
+			}
+			if got := s.Select1(len(pos) + 1); got != -1 {
+				t.Fatalf("block=%d sample=%d: Select1 past the last set bit = %d, want -1", blockSize, sampleRate, got)
+			}
+		}
+	}
+}

@@ -6,9 +6,12 @@ import (
 )
 
 // SelectVector augments a RankVector with sampled select support: the
-// positions of every sampleRate-th set bit are precomputed, and queries scan
-// forward word-by-word from the nearest sample (§3.6 of the thesis; the
-// default sampling rate of 64 adds 1–2% space overall on S-LOUDS).
+// positions of every sampleRate-th set bit are precomputed (§3.6 of the
+// thesis; the default sampling rate of 64 adds 1–2% space overall on
+// S-LOUDS). A query finishes the nearest sample's rank block word by word,
+// then skips whole blocks through the rank LUT and popcounts at most one
+// more block, so a sparse vector — few set bits per block — costs no more
+// than a dense one.
 type SelectVector struct {
 	RankVector
 	sampleRate  int
@@ -49,18 +52,34 @@ func (s *SelectVector) Select1(i int) int {
 	if remaining == 1 {
 		return pos
 	}
-	// Skip the sampled bit itself, then scan forward.
+	// Skip the sampled bit itself, then finish its rank block.
 	w := pos >> 6
 	word := s.words[w] &^ ((uint64(1) << (uint(pos)&63 + 1)) - 1)
 	remaining--
-	for {
+	blockWords := 1 << (s.blockShift - 6)
+	for next := (w | (blockWords - 1)) + 1; ; {
 		c := mathbits.OnesCount64(word)
 		if c >= remaining {
 			return w*64 + selectInWord(word, remaining)
 		}
 		remaining -= c
-		w++
+		if w++; w == next {
+			break
+		}
 		word = s.words[w]
+	}
+	// lut[b+1] < i: the i-th set bit lies past block b.
+	b := w >> (s.blockShift - 6)
+	for int(s.lut[b+1]) < i {
+		b++
+	}
+	remaining = i - int(s.lut[b])
+	for w = b * blockWords; ; w++ {
+		c := mathbits.OnesCount64(s.words[w])
+		if c >= remaining {
+			return w*64 + selectInWord(s.words[w], remaining)
+		}
+		remaining -= c
 	}
 }
 

@@ -1,0 +1,32 @@
+//go:build !race
+
+package fst
+
+import (
+	"testing"
+
+	"mets/internal/keys"
+)
+
+// TestStaticScanAllocs holds Static.Scan to zero allocations once the
+// iterator pool, which SuRF's range probes share, holds an iterator.
+func TestStaticScanAllocs(t *testing.T) {
+	ks := sortedByteKeys(keys.EncodeUint64s(keys.RandomUint64(20_000, 35)))
+	s, err := NewStatic(entriesOf(ks, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	scan := func() { // 50 entries from a key spread over the set
+		next++
+		n := 0
+		s.Scan(ks[next*7919%len(ks)], func([]byte, uint64) bool {
+			n++
+			return n < 50
+		})
+	}
+	scan() // warm the pool
+	if a := testing.AllocsPerRun(2000, scan); a != 0 {
+		t.Fatalf("Static.Scan: %.2f allocs/op, want 0", a)
+	}
+}

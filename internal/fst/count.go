@@ -95,33 +95,21 @@ walk:
 			}
 			break walk
 		}
-		start := t.sparseNodeStart(sparseIdx)
-		end := t.sparseNodeEnd(start)
-		from := start
-		if t.hasTerminator(start, end) {
-			from++
-		}
-		p := -1
-		for q := from; q < end; q++ {
-			if t.sLabels[q] >= b {
-				p = q
-				break
-			}
-		}
+		p, end := t.labelSearch(t.sparseNodeStart(sparseIdx), b)
 		ls := level - t.denseHeight
 		switch {
-		case p >= 0 && t.sLabels[p] == b && t.sHasChild.Get(p):
+		case p < end && t.sLabels[p] == b && t.sHasChild.Get(p):
 			ord += t.sparseLeavesBefore(p) - t.sLevelValueStart[ls]
 			sparseIdx = t.sparseChildIdx(p)
 			level++
 			continue
-		case p >= 0 && t.sLabels[p] == b:
+		case p < end && t.sLabels[p] == b:
 			ord += t.sparseLeavesBefore(p) - t.sLevelValueStart[ls]
 			if len(key) > level+1 {
 				ord++
 			}
 			boundaryGlobal = t.sHasChild.Rank1(p) + t.denseChildCount + 1
-		case p >= 0:
+		case p < end:
 			ord += t.sparseLeavesBefore(p) - t.sLevelValueStart[ls]
 			boundaryGlobal = t.sHasChild.Rank1(p-1) + t.denseChildCount + 1
 		default:

@@ -402,14 +402,29 @@ func TestFindByte(t *testing.T) {
 			t.Fatalf("findByte(%d) = %d, want %d", i*2, got, i)
 		}
 	}
-	if got := findByte(labels, 0, len(labels), 1); got != -1 {
-		t.Fatalf("findByte(absent) = %d", got)
+	if got := findByte(labels, 0, len(labels), 1); got != 1 {
+		t.Fatalf("findByte(absent 1) = %d, want 1 (the first label above it)", got)
 	}
-	if got := findByte(labels, 10, 20, byte(5*2)); got != -1 {
-		t.Fatalf("findByte out of window = %d", got)
+	if got := findByte(labels, 10, 20, byte(5*2)); got != 10 {
+		t.Fatalf("findByte below the window = %d, want its start", got)
 	}
 	if got := findByte(labels, 10, 20, byte(15*2)); got != 15 {
 		t.Fatalf("findByte in window = %d", got)
+	}
+	// Every byte value against every window: the first label >= b, or the
+	// window's end, whatever lies past it.
+	for start := 0; start < len(labels); start += 7 {
+		for end := start; end <= len(labels); end += 5 {
+			for b := 0; b < 256; b++ {
+				want := start
+				for want < end && labels[want] < byte(b) {
+					want++
+				}
+				if got := findByte(labels, start, end, byte(b)); got != want {
+					t.Fatalf("findByte([%d,%d), %d) = %d, want %d", start, end, b, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package fst
 
-import "mets/internal/bits"
+import (
+	"sync"
+
+	"mets/internal/bits"
+)
 
 // cursor is one level's place in a walk.
 type cursor struct {
@@ -42,7 +46,7 @@ type Iterator struct {
 	labels          []byte
 	hasChild, louds []uint64
 	// keyBuf holds the key of a trie no taller than it, so that such an
-	// iterator is two allocations (SuRF makes one per range query).
+	// iterator is two allocations (SuRF's MoveToNext makes one).
 	keyBuf [32]byte
 }
 
@@ -52,6 +56,25 @@ func (t *Trie) NewIterator() *Iterator {
 	it := &Iterator{}
 	it.reset(t)
 	return it
+}
+
+// iters recycles iterators for short walks — a Static.Scan, a SuRF range
+// probe — so that one allocates nothing once the pool holds an iterator as
+// tall as the trie.
+var iters = sync.Pool{New: func() any { return new(Iterator) }}
+
+// PooledIterator returns an iterator over t from a pool every trie shares;
+// position it with First or SeekLowerBound and hand it back with Release.
+func (t *Trie) PooledIterator() *Iterator {
+	it := iters.Get().(*Iterator)
+	it.t = t // a positioning move resets the rest
+	return it
+}
+
+// Release returns the iterator to the pool; it must not be used afterwards.
+func (it *Iterator) Release() {
+	it.detach()
+	iters.Put(it)
 }
 
 // reset points the iterator at t with every level unentered.
@@ -260,19 +283,10 @@ func (it *Iterator) SeekLowerBound(key []byte) (prefixMatch bool) {
 				c.pos, c.child, found = p, t.dHasChild.Get(p), true
 			}
 		} else {
-			// The first label >= b past the terminator. When there is none,
-			// pos stops at the node's end, as on a level whose node is done.
-			p := c.pos
-			if c.term {
-				p++
-			}
-			for ; p == c.pos || it.inNode(p); p++ {
-				if t.sLabels[p] >= b {
-					found = true
-					break
-				}
-			}
-			if c.pos = p; found {
+			// When no label reaches b, pos stops at the node's end, as on a
+			// level whose node is done.
+			p, end := t.labelSearch(c.pos, b)
+			if c.pos, found = p, p < end; found {
 				c.child = bitAt(it.hasChild, p)
 			}
 		}

@@ -1,7 +1,6 @@
 package fst
 
 import (
-	"sync"
 	"unsafe"
 
 	"mets/internal/bits"
@@ -46,10 +45,6 @@ func (s *Static) Get(key []byte) (uint64, bool) {
 	return s.t.Get(key)
 }
 
-// scanIters recycles Scan's iterators, so a scan allocates nothing once the
-// pool holds one as tall as the trie.
-var scanIters = sync.Pool{New: func() any { return new(Iterator) }}
-
 // Scan visits entries in order from the smallest key >= start. The key is
 // lent for the duration of the callback only: the walk keeps it in one
 // buffer, truncating and appending as it moves.
@@ -57,8 +52,7 @@ func (s *Static) Scan(start []byte, fn func(key []byte, value uint64) bool) int 
 	if s.n == 0 {
 		return 0
 	}
-	it := scanIters.Get().(*Iterator)
-	it.t = &s.t // the seek resets the rest
+	it := s.t.PooledIterator()
 	if it.SeekLowerBound(start) {
 		it.Next()
 	}
@@ -69,8 +63,7 @@ func (s *Static) Scan(start []byte, fn func(key []byte, value uint64) bool) int 
 			break
 		}
 	}
-	it.detach()
-	scanIters.Put(it)
+	it.Release()
 	return count
 }
 

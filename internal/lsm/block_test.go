@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mets/internal/keys"
+	"mets/internal/surf"
 )
 
 // oracleEntries returns sorted records whose keys are short strings over
@@ -136,5 +137,30 @@ func TestGetAllocs(t *testing.T) {
 	}
 	if db.Stats.BlockReads-reads > 1 || db.Stats.CacheHits-hits < runs {
 		t.Fatalf("hit loop: %d reads, %d hits", db.Stats.BlockReads-reads, db.Stats.CacheHits-hits)
+	}
+}
+
+// TestSeekCandidateAllocs holds a SuRF table's seek candidate to one
+// allocation, the key it returns: the seek runs on a pooled iterator.
+func TestSeekCandidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(25_000, 35)))
+	f, err := SuRFFilterBuilder(surf.RealConfig(8))(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := keys.EncodeUint64s(keys.RandomUint64(1000, 36))
+	next := 0
+	seek := func() {
+		next++
+		if _, approx, ok := f.SeekCandidate(probes[next%len(probes)]); ok != approx {
+			t.Fatal("a SuRF candidate is always approximate")
+		}
+	}
+	seek() // warm the iterator pool
+	if a := testing.AllocsPerRun(2000, seek); a > 1 {
+		t.Fatalf("SeekCandidate: %.2f allocs/op, want at most 1", a)
 	}
 }

@@ -42,12 +42,9 @@ type surfAdapter struct {
 func (s *surfAdapter) Lookup(key []byte) bool { return s.f.Lookup(key) }
 
 func (s *surfAdapter) SeekCandidate(lo []byte) ([]byte, bool, bool) {
-	it := s.f.MoveToNext(lo)
-	if !it.Valid() {
-		return nil, false, false
-	}
 	// SuRF keys are truncated prefixes: always approximate.
-	return it.Key(), true, true
+	k, ok := s.f.AppendSeek(nil, lo)
+	return k, ok, ok
 }
 
 func (s *surfAdapter) Count(lo, hi []byte) (int, bool) { return s.f.Count(lo, hi), true }

@@ -166,28 +166,47 @@ type Iterator struct {
 // MoveToNext returns an iterator at the smallest stored key >= key, refined
 // with real suffix bits when available.
 func (f *Filter) MoveToNext(key []byte) *Iterator {
-	it := f.trie.NewIterator()
-	prefixMatch := it.SeekLowerBound(key)
-	out := &Iterator{f: f, it: it}
-	if prefixMatch && it.Valid() {
-		if f.cfg.RealSuffixLen > 0 {
-			// Compare the query's bits after the stored prefix with the
-			// leaf's real suffix bits: strictly greater means the stored key
-			// is certainly below the range, strictly smaller means it is
-			// certainly inside, equal remains ambiguous.
-			qr := extractBits(key, it.PathLen(), f.cfg.RealSuffixLen)
-			stored := f.realPart(f.suffix(it.Slot()))
-			switch {
-			case qr > stored:
-				it.Next()
-			case qr == stored:
-				out.FPFlag = true
-			}
-		} else {
-			out.FPFlag = true
-		}
+	it := &Iterator{f: f, it: f.trie.NewIterator()}
+	it.seek(key)
+	return it
+}
+
+// AppendSeek appends the key MoveToNext(key) would point at to dst and
+// reports whether there is one. The seek runs on a pooled trie iterator, so
+// the probe allocates nothing beyond dst's growth.
+func (f *Filter) AppendSeek(dst, key []byte) ([]byte, bool) {
+	it := Iterator{f: f, it: f.trie.PooledIterator()}
+	it.seek(key)
+	ok := it.Valid()
+	if ok {
+		dst = it.appendKey(dst)
 	}
-	return out
+	it.it.Release()
+	return dst, ok
+}
+
+// seek positions it at the smallest stored key >= key. Where the stored
+// prefix is a prefix of key, the query's bits after it are compared with the
+// leaf's real suffix bits: strictly greater means the stored key is
+// certainly below key, strictly smaller means it is certainly above, equal
+// remains ambiguous (FPFlag).
+func (it *Iterator) seek(key []byte) {
+	f, t := it.f, it.it
+	if !t.SeekLowerBound(key) || !t.Valid() {
+		return
+	}
+	if f.cfg.RealSuffixLen == 0 {
+		it.FPFlag = true
+		return
+	}
+	qr := extractBits(key, t.PathLen(), f.cfg.RealSuffixLen)
+	stored := f.realPart(f.suffix(t.Slot()))
+	switch {
+	case qr > stored:
+		t.Next()
+	case qr == stored:
+		it.FPFlag = true
+	}
 }
 
 // Valid reports whether the iterator points at a stored key.
@@ -198,31 +217,33 @@ func (it *Iterator) Next() { it.it.Next(); it.FPFlag = false }
 
 // Key returns the stored prefix at the iterator, extended with real suffix
 // bits when the filter has them (rounded down to whole bytes).
-func (it *Iterator) Key() []byte {
-	k := it.it.Key()
-	if it.f.cfg.RealSuffixLen >= 8 {
+func (it *Iterator) Key() []byte { return it.appendKey(nil) }
+
+// appendKey appends Key to dst.
+func (it *Iterator) appendKey(dst []byte) []byte {
+	dst = it.it.AppendKey(dst)
+	if n := it.f.cfg.RealSuffixLen; n >= 8 {
 		real := it.f.realPart(it.f.suffix(it.it.Slot()))
-		bytesAvail := it.f.cfg.RealSuffixLen / 8
-		for i := 0; i < bytesAvail; i++ {
-			b := byte(real >> uint(it.f.cfg.RealSuffixLen-8*(i+1)))
+		for i := 0; i < n/8; i++ {
+			b := byte(real >> uint(n-8*(i+1)))
 			if b == 0 {
 				break // zero padding past the true end of the key
 			}
-			k = append(k, b)
+			dst = append(dst, b)
 		}
 	}
-	return k
+	return dst
 }
 
 // LookupRange performs an approximate range membership test on [lo, hi]
 // when hiInclusive, or [lo, hi) otherwise: false guarantees that no key in
 // the range was inserted.
 func (f *Filter) LookupRange(lo []byte, hi []byte, hiInclusive bool) bool {
-	it := f.MoveToNext(lo)
-	if !it.Valid() {
+	var buf [64]byte // a candidate key of up to 64 bytes stays on the stack
+	k, ok := f.AppendSeek(buf[:0], lo)
+	if !ok {
 		return false
 	}
-	k := it.Key()
 	c := keys.Compare(k, hi)
 	switch {
 	case c < 0:
