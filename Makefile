@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 19962
+LOC_MAX := 19677
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -83,7 +83,7 @@ crash-smoke:
 	$(GO) test -race -count=1 -run '^(TestTornTailStopsAtAckedPrefix|TestCorruptTailDetected|TestStickyErrorAfterCrash|TestRepairTornSegmentThenContinue|TestRepairQuarantinesUntrustedSuffix|TestBarrier.*|TestCloseSyncsUncoveredRecords)$$' ./internal/wal
 	$(GO) test -race -count=1 -run '^TestMemFSCrash' ./internal/vfs
 	$(GO) test -race -count=1 -run '^TestHarness(PassesCorrect|Bites)$$' ./internal/dstest
-	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|DirWithTrainerPanics|Status)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
+	$(GO) test -race -count=1 -run '^(TestJournal.*|TestSharded(JournalReopen|Status)|TestSyncJournals.*|TestParallelShardRecovery|TestShardOpenFailurePanicsOnCaller)$$' ./internal/hybrid ./internal/sharded
 	$(GO) test -race -count=1 -run '^TestShardedStore(CrashRecovery|JournalFailure|CommitSyncsTouchedShards|LifecycleSurvivesCommits|BurstSharesOneCommit)$$' ./internal/server
 
 # server-smoke exercises the real mets-server binary end to end, started

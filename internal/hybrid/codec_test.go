@@ -27,6 +27,39 @@ func testCodec(tb testing.TB) keycodec.Codec {
 	return c
 }
 
+// encodedIndex drives an index the way a sharded index with a codec drives
+// each of its shards: keys are encoded on the way in, a scan starts from the
+// encoded bound and decodes what it emits. The index itself only ever sees
+// encoded keys.
+type encodedIndex struct {
+	*Index
+	c keycodec.Codec
+}
+
+func (x encodedIndex) Get(k []byte) (uint64, bool)    { return x.Index.Get(x.c.Encode(k)) }
+func (x encodedIndex) Insert(k []byte, v uint64) bool { return x.Index.Insert(x.c.Encode(k), v) }
+func (x encodedIndex) Update(k []byte, v uint64) bool { return x.Index.Update(x.c.Encode(k), v) }
+func (x encodedIndex) Delete(k []byte) bool           { return x.Index.Delete(x.c.Encode(k)) }
+
+func (x encodedIndex) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
+	start, fn = keycodec.ScanEncoded(x.c, start, fn)
+	return x.Index.Scan(start, fn)
+}
+
+func (x encodedIndex) ScanN(start []byte, n int) []index.Entry {
+	col := keycodec.NewCollector(x.c, n)
+	x.Index.Scan(keycodec.Bound(x.c, start), col.Emit)
+	return col.Entries()
+}
+
+func (x encodedIndex) BulkLoad(entries []index.Entry) error {
+	enc := make([]index.Entry, len(entries))
+	for i, e := range entries {
+		enc[i] = index.Entry{Key: x.c.Encode(e.Key), Value: e.Value}
+	}
+	return x.Index.BulkLoad(enc)
+}
+
 func emailCodec(tb testing.TB, scheme hope.Scheme) keycodec.Codec {
 	tb.Helper()
 	c, err := keycodec.TrainHOPE(keys.Dedup(keys.Emails(2000, 62)), scheme, 1<<11)
@@ -36,33 +69,31 @@ func emailCodec(tb testing.TB, scheme hope.Scheme) keycodec.Codec {
 	return c
 }
 
-// TestDifferentialWithCodec re-runs the shared oracle harness with a HOPE
-// codec at the key boundary, merges forced often, in both merge modes —
-// the encoded-space layering (stages, tombstones, shadows, bloom filters,
-// scan bounds) must be invisible to callers.
+// TestDifferentialWithCodec re-runs the shared oracle harness over indexes
+// holding HOPE-encoded keys (encoded at the boundary, as the sharded layer
+// does), merges forced often, in both merge modes — the encoded-space
+// layering (stages, tombstones, shadows, bloom filters, scan bounds) must be
+// invisible to callers.
 func TestDifferentialWithCodec(t *testing.T) {
 	codec := testCodec(t)
 	for _, bg := range []bool{false, true} {
-		cfg := Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, BackgroundMerge: bg, Codec: codec}
+		cfg := Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, BackgroundMerge: bg}
 		for name, h := range allVariants(cfg) {
 			h := h
 			t.Run(fmt.Sprintf("%s/bg=%v", name, bg), func(t *testing.T) {
-				dstest.Run(t, h, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 7})
+				dstest.Run(t, encodedIndex{h, codec}, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 7})
 				h.WaitMerges()
 			})
 		}
 	}
 }
 
-// TestCodecEquivalence drives the same workload through an identity-codec
-// index and a HOPE-codec index and requires identical answers from Get,
+// TestCodecEquivalence drives the same workload through an index of raw keys
+// and one of HOPE-encoded keys and requires identical answers from Get,
 // Scan, ScanN and the lower bound (ScanN of one).
 func TestCodecEquivalence(t *testing.T) {
-	codec := emailCodec(t, hope.ThreeGrams)
 	cfg := Config{MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10}
-	ccfg := cfg
-	ccfg.Codec = codec
-	plain, coded := NewBTree(cfg), NewBTree(ccfg)
+	plain, coded := liveIndex{NewBTree(cfg)}, encodedIndex{NewBTree(cfg), emailCodec(t, hope.ThreeGrams)}
 
 	ks := keys.Dedup(keys.Emails(4000, 63))
 	for i, k := range ks {
@@ -98,11 +129,11 @@ func TestCodecEquivalence(t *testing.T) {
 	// index (and absent from the training sample).
 	probes := append(keys.Dedup(keys.Emails(200, 64)), nil, []byte("a"), []byte("zzzz"))
 	for _, p := range probes {
-		pe, ce := liveIndex{plain}.ScanN(p, 1), liveIndex{coded}.ScanN(p, 1)
+		pe, ce := plain.ScanN(p, 1), coded.ScanN(p, 1)
 		if len(pe) != len(ce) || (len(pe) == 1 && (!bytes.Equal(pe[0].Key, ce[0].Key) || pe[0].Value != ce[0].Value)) {
 			t.Fatalf("lower bound ScanN(%q, 1) diverged: %v vs %v", p, pe, ce)
 		}
-		ps, cs := liveIndex{plain}.ScanN(p, 25), liveIndex{coded}.ScanN(p, 25)
+		ps, cs := plain.ScanN(p, 25), coded.ScanN(p, 25)
 		if len(ps) != len(cs) {
 			t.Fatalf("ScanN(%q) lengths: %d vs %d", p, len(ps), len(cs))
 		}
@@ -114,18 +145,17 @@ func TestCodecEquivalence(t *testing.T) {
 		}
 	}
 	// A full scan must agree entry-for-entry.
-	ps, pn := collect(liveIndex{plain}, nil, -1)
-	cs, cn := collect(liveIndex{coded}, nil, -1)
+	ps, pn := collect(plain, nil, -1)
+	cs, cn := collect(coded, nil, -1)
 	if err := sameEntries(cs, ps); err != nil || pn != cn {
 		t.Fatalf("full scans diverged (%d vs %d entries): %v", pn, cn, err)
 	}
 }
 
-// TestBulkLoadWithCodec checks that bulk-built static stages hold encoded
-// keys without mutating the caller's entries.
+// TestBulkLoadWithCodec checks that bulk-built static stages of encoded keys
+// answer in raw space without mutating the caller's entries.
 func TestBulkLoadWithCodec(t *testing.T) {
-	codec := emailCodec(t, hope.DoubleChar)
-	h := NewBTree(Config{MergeRatio: 10, MinDynamic: 4096, Codec: codec})
+	h := encodedIndex{NewBTree(Config{MergeRatio: 10, MinDynamic: 4096}), emailCodec(t, hope.DoubleChar)}
 	ks := keys.Dedup(keys.Emails(3000, 65))
 	sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
 	entries := make([]index.Entry, len(ks))
@@ -155,59 +185,5 @@ func TestBulkLoadWithCodec(t *testing.T) {
 	})
 	if n != len(ks) {
 		t.Fatalf("scan visited %d entries, want %d", n, len(ks))
-	}
-}
-
-// TestScanDecodeAllocFree pins the scan-emit decode hot path at zero
-// allocations in the steady state: DecodeAppend into a reused scratch buffer,
-// exactly as Index.Scan uses it.
-func TestScanDecodeAllocFree(t *testing.T) {
-	codec := emailCodec(t, hope.ThreeGrams)
-	ks := keys.Dedup(keys.Emails(500, 66))
-	enc := make([][]byte, len(ks))
-	for i, k := range ks {
-		enc[i] = codec.Encode(k)
-	}
-	scratch := make([]byte, 0, 512)
-	i := 0
-	allocs := testing.AllocsPerRun(2000, func() {
-		scratch = codec.DecodeAppend(scratch[:0], enc[i%len(enc)])
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("scan-emit decode allocated %.1f/op in steady state", allocs)
-	}
-}
-
-// BenchmarkScanDecode measures a full codec-backed range scan (decode on
-// every emit) over a bulk-loaded index, and asserts the decode component
-// stays allocation-free in the steady state.
-func BenchmarkScanDecode(b *testing.B) {
-	codec := emailCodec(b, hope.ThreeGrams)
-	ks := keys.Dedup(keys.Emails(20000, 67))
-	sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
-	entries := make([]index.Entry, len(ks))
-	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
-	}
-	h := NewBTree(Config{MergeRatio: 10, MinDynamic: 4096, Codec: codec})
-	if err := h.BulkLoad(entries); err != nil {
-		b.Fatal(err)
-	}
-	enc0 := codec.Encode(ks[0])
-	scratch := make([]byte, 0, 512)
-	if allocs := testing.AllocsPerRun(1000, func() {
-		scratch = codec.DecodeAppend(scratch[:0], enc0)
-	}); allocs != 0 {
-		b.Fatalf("decode hot path allocated %.1f/op", allocs)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	visited := 0
-	for i := 0; i < b.N; i++ {
-		h.Scan(ks[i%len(ks)], func([]byte, uint64) bool {
-			visited++
-			return visited%100 != 0 // 100-entry scans, YCSB-E shape
-		})
 	}
 }

@@ -63,12 +63,13 @@ func testBulkLoadAndIterate(t *testing.T, h *Index) {
 func TestEpochStress(t *testing.T) {
 	cfg := epochCfg()
 	cfg.BackgroundMerge = true
-	cfg.Codec = testCodec(t) // exercise codec encode/decode under concurrency
 	h := NewBTree(cfg)
 
+	// The stages hold HOPE-encoded keys, as a sharded index's shards do.
+	codec := testCodec(t)
 	keySpace := make([][]byte, 2000)
 	for i := range keySpace {
-		keySpace[i] = []byte(fmt.Sprintf("key-%06d", i*7919%100000))
+		keySpace[i] = codec.Encode([]byte(fmt.Sprintf("key-%06d", i*7919%100000)))
 	}
 	valOf := func(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 1 }
 

@@ -248,13 +248,12 @@ func (g *gen) scan(start []byte, fn func(key []byte, value uint64) bool) int {
 }
 
 // scanN collects up to n live entries from the smallest key >= start as
-// copies the caller may keep; c is the codec the generation's keys are stored
-// under (nil: raw), and start is in raw key space.
-func (g *gen) scanN(c keycodec.Codec, start []byte, n int) []index.Entry {
+// copies the caller may keep.
+func (g *gen) scanN(start []byte, n int) []index.Entry {
 	if n <= 0 {
 		return nil
 	}
-	col := keycodec.NewCollector(c, n)
-	g.scan(keycodec.Bound(c, start), col.Emit)
+	col := keycodec.NewCollector(nil, n)
+	g.scan(start, col.Emit)
 	return col.Entries()
 }

@@ -40,7 +40,6 @@ import (
 
 	"mets/internal/bloom"
 	"mets/internal/index"
-	"mets/internal/keycodec"
 	"mets/internal/keys"
 	"mets/internal/obs"
 	"mets/internal/reconfig"
@@ -82,14 +81,6 @@ type Config struct {
 	// a merge. The name is historical: it picks the memtable and nothing
 	// else; generations are published the same way in both.
 	EpochReads bool
-	// Codec, when set (and not the identity), makes the index store, merge,
-	// and range-scan keys in encoded space: keys are encoded once at the API
-	// boundary of every operation, the frozen static structures are built
-	// over encoded keys, and scans decode on emit. The codec is frozen for
-	// the index's lifetime, so every merge generation shares one encoded
-	// space. (Keys handed to Scan callbacks are lent with or without a
-	// codec; ScanN returns retainable copies.)
-	Codec keycodec.Codec
 	// Dir, when non-empty, makes the index journal every successful write to
 	// a segmented op journal in that directory and replay it on New, so the
 	// in-memory index survives restarts (journal.go). The journal is
@@ -115,11 +106,6 @@ type Index struct {
 	cfg        Config
 	newDynamic func() index.Dynamic
 	build      StaticBuilder
-	// codec is the key codec, nil when the identity codec is configured (the
-	// nil check is the whole fast-path cost). Everything below the API
-	// boundary — stages, filters, tombstones, merge machinery — lives in
-	// encoded space.
-	codec keycodec.Codec
 
 	// gen is the current generation. Readers Load it; only publishLocked
 	// Stores it, and that store is what retires the previous one.
@@ -180,9 +166,6 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 		build:      build,
 	}
 	h.mergeDone = sync.NewCond(&h.mu)
-	if !keycodec.IsIdentity(cfg.Codec) {
-		h.codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
-	}
 	if r := cfg.Obs; r != nil {
 		h.obsReg = r
 		h.obsGet = r.Counter("get")
@@ -207,7 +190,7 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 	}
 	// Derived gauges register last: a registry snapshot may evaluate them
 	// from another goroutine the moment they land in the gauge map (a
-	// scrape can run concurrently with a core rebuild), so the index must
+	// scrape can run concurrently with construction), so the index must
 	// be fully constructed first — and the registry's own lock publishes
 	// everything written above to the snapshotting goroutine.
 	if r := h.obsReg; r != nil {
@@ -271,18 +254,9 @@ func (h *Index) DynamicLen() int { return h.gen.Load().dynamicLen() }
 
 func (h *Index) StaticLen() int { return h.gen.Load().staticLen() }
 
-// encodeKey maps key into encoded space (no-op without a codec).
-func (h *Index) encodeKey(key []byte) []byte {
-	if h.codec == nil {
-		return key
-	}
-	return h.codec.Encode(key)
-}
-
 // Get returns the value stored under key, searching the stages of the
 // current generation in order.
 func (h *Index) Get(key []byte) (uint64, bool) {
-	key = h.encodeKey(key)
 	h.obsGet.Inc()
 	return h.gen.Load().get(key, h.obsBloomSkip)
 }
@@ -292,7 +266,6 @@ func (h *Index) Get(key []byte) (uint64, bool) {
 // never blocked: the memtable write and the atomic filter bits publish the
 // entry incrementally.
 func (h *Index) Insert(key []byte, value uint64) bool {
-	key = h.encodeKey(key)
 	h.obsInsert.Inc()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -329,7 +302,6 @@ func (h *Index) memStateLocked(g *gen, key []byte) (live, tomb bool) {
 // whose target lives below the dynamic stage inserts a fresh entry into the
 // dynamic stage, which shadows the older copy until the next merge.
 func (h *Index) Update(key []byte, value uint64) bool {
-	key = h.encodeKey(key)
 	h.obsUpdate.Inc()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -358,7 +330,6 @@ func (h *Index) Update(key []byte, value uint64) bool {
 // MUST also be fed to the filter, otherwise a later read would skip the
 // memtable on a filter miss and resurrect the stale lower-stage value.
 func (h *Index) Delete(key []byte) bool {
-	key = h.encodeKey(key)
 	h.obsDelete.Inc()
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -392,10 +363,9 @@ func (h *Index) Delete(key []byte) bool {
 // of its memtable, so what the scan sees of concurrent writes is consistent
 // per chunk, not across its whole length. The key is lent, as in
 // index.Static.Scan: valid only until fn returns (it lives in a buffer the
-// stage scan or the decoder reuses) and not to be modified — copy it to
+// stage scan reuses) and not to be modified — copy it to
 // retain it, or use ScanN.
 func (h *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	start, fn = keycodec.ScanEncoded(h.codec, start, fn)
 	h.obsScan.Inc()
 	return h.gen.Load().scan(start, fn)
 }

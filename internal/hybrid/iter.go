@@ -13,19 +13,11 @@ import (
 // through the dynamic stage and a merge, and publishes a generation holding
 // only that stage. An in-flight background merge is waited out first. The
 // entries slice is handed to the static builder and must not be modified
-// afterwards (with a codec configured the builder receives a fresh encoded
-// copy and the input is left untouched; encoding preserves the sort order).
+// afterwards.
 // With Config.Dir the journal is reset to the loaded entries crash-atomically
 // (journal.go); an error from that reset is returned after the load has taken
 // effect in memory, like every other journal failure.
 func (h *Index) BulkLoad(entries []index.Entry) error {
-	if h.codec != nil {
-		enc := make([]index.Entry, len(entries))
-		for i, e := range entries {
-			enc[i] = index.Entry{Key: h.codec.Encode(e.Key), Value: e.Value}
-		}
-		entries = enc
-	}
 	st, err := h.build(entries)
 	if err != nil {
 		return err

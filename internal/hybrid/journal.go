@@ -11,10 +11,10 @@
 // — the prefix-durability contract that dstest.RunCrash pins with its
 // fault-injection harness.
 //
-// Records hold keys in encoded (codec) space, the same space every stage
-// uses. The codec is frozen for the index lifetime (sharded.Config panics on
-// Dir+CodecTrainer for exactly this reason), so one encoded space covers the
-// whole journal.
+// Records hold keys exactly as the index was given them, the same bytes
+// every stage stores. Under a sharded index with a codec those are encoded
+// keys; the sharded codec is fixed when the index is built, so one encoded
+// space covers the whole journal and replay hands the keys back unchanged.
 //
 // A BulkLoad replaces the journal's contents the same way it replaces the
 // index's, and under the same prefix contract: the load is written behind the
@@ -253,7 +253,7 @@ func (h *Index) openJournal() error {
 	return nil
 }
 
-// jresetLocked makes the journal represent exactly the given (encoded)
+// jresetLocked makes the journal represent exactly the given
 // entries — the BulkLoad path. The caller holds the writer mutex, so no op
 // interleaves with the load. The order is what makes it crash-atomic: seal
 // the history (fsynced, segments <= sealed), write the framed load behind it,

@@ -6,15 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"mets/internal/dstest"
 	"mets/internal/index"
 	"mets/internal/keys"
 	"mets/internal/vfs"
 	"mets/internal/wal"
 )
 
+// journalIndex is what the journal workload drives: an index, or an index
+// behind an encodedIndex.
+type journalIndex interface {
+	dstest.Index
+	Len() int
+}
+
 // driveJournalWorkload applies a deterministic mix of inserts, updates, and
 // deletes and returns the expected surviving state.
-func driveJournalWorkload(h *Index, n int) map[string]uint64 {
+func driveJournalWorkload(h journalIndex, n int) map[string]uint64 {
 	want := map[string]uint64{}
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key-%04d", i%((n/2)+1))
@@ -36,7 +44,7 @@ func driveJournalWorkload(h *Index, n int) map[string]uint64 {
 	return want
 }
 
-func checkJournalState(t *testing.T, h *Index, want map[string]uint64) {
+func checkJournalState(t *testing.T, h journalIndex, want map[string]uint64) {
 	t.Helper()
 	if h.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", h.Len(), len(want))
@@ -67,7 +75,7 @@ func checkJournalState(t *testing.T, h *Index, want map[string]uint64) {
 
 // TestJournalReplayRoundTrip pins the durability contract of the op journal:
 // close after a workload, reopen the same directory, and the full state is
-// back — in lock mode, epoch mode, and with a codec at the key boundary.
+// back — in lock mode, epoch mode, and with background merges.
 func TestJournalReplayRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -98,20 +106,21 @@ func TestJournalReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalWithCodec reopens a journaled index that stores keys in HOPE
-// space: records hold encoded keys, so replay must not encode twice.
+// TestJournalWithCodec reopens a journaled index that stores HOPE-encoded
+// keys, as a sharded index's shards do: records hold the keys as the index
+// was given them, and replay hands them back unchanged.
 func TestJournalWithCodec(t *testing.T) {
 	codec := testCodec(t)
 	fs := vfs.NewMemFS()
-	cfg := Config{MergeRatio: 2, MinDynamic: 16, Codec: codec, Dir: "idx", FS: fs}
+	cfg := Config{MergeRatio: 2, MinDynamic: 16, Dir: "idx", FS: fs}
 	h := NewBTree(cfg)
-	want := driveJournalWorkload(h, 300)
+	want := driveJournalWorkload(encodedIndex{h, codec}, 300)
 	if err := h.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	h2 := NewBTree(cfg)
 	defer h2.Close()
-	checkJournalState(t, h2, want)
+	checkJournalState(t, encodedIndex{h2, codec}, want)
 }
 
 // TestJournalBulkLoadReset pins that BulkLoad restarts the journal: the

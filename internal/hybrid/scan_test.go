@@ -150,7 +150,7 @@ type scanner interface {
 type liveIndex struct{ *Index }
 
 func (l liveIndex) ScanN(start []byte, n int) []index.Entry {
-	return l.gen.Load().scanN(l.codec, start, n)
+	return l.gen.Load().scanN(start, n)
 }
 
 // collect runs Scan from start, stopping on the limit-th callback (limit < 0:
@@ -269,10 +269,7 @@ func TestScanMergeOracle(t *testing.T) {
 					f := newScanFixture(t, ctor, epoch, st.static, st.frozen)
 					defer func() { f.release() }()
 					f.checkScans(t, "live", liveIndex{f.h})
-					sn, err := f.h.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
+					sn := f.h.Snapshot()
 					f.checkReentrant(t)
 					f.checkScans(t, "live after the re-entrant inserts", liveIndex{f.h})
 

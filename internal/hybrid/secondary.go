@@ -17,7 +17,7 @@ import (
 // a single writer behind one readers-writer lock, merges in the foreground
 // under the write lock (the secondary experiments of §5.3.5 are
 // merge-time-insensitive). It shares Config with Index but not the
-// generation machinery: EpochReads, BackgroundMerge, Obs, Codec and Dir are
+// generation machinery: EpochReads, BackgroundMerge, Obs and Dir are
 // ignored. Scan holds the read lock for its whole duration, so the
 // callback must not call back into s.
 type Secondary struct {

@@ -1,9 +1,6 @@
 package hybrid
 
-import (
-	"mets/internal/index"
-	"mets/internal/keycodec"
-)
+import "mets/internal/index"
 
 // This file implements point-in-time snapshot reads over the dual-stage
 // architecture — the MVCC layer the server's SNAPSHOT_* protocol ops build
@@ -31,7 +28,6 @@ import (
 // Writes racing the Snapshot() call itself may or may not be included; the
 // view is fixed once the call returns.
 type Snapshot struct {
-	codec keycodec.Codec
 	// g is a private generation nobody publishes: the live
 	// memtable's drained states as its mem, the captured frozen stage (when a
 	// background merge was in flight) with its sealed filter, and the
@@ -44,14 +40,14 @@ type Snapshot struct {
 // stages by reference, and the live memtable drained outside any lock of the
 // index's (safe under the memtable's contract: the skip list is drained
 // lock-free, the locked memtable under its own read lock).
-func (h *Index) Snapshot() (*Snapshot, error) {
+func (h *Index) Snapshot() *Snapshot {
 	cur := h.gen.Load()
-	return &Snapshot{codec: h.codec, g: &gen{
+	return &Snapshot{g: &gen{
 		mem:          sliceMem{states: cur.mem.SnapshotStates()},
 		frozen:       cur.frozen,
 		frozenFilter: cur.frozenFilter,
 		static:       cur.static,
-	}}, nil
+	}}
 }
 
 // Release drops the captured stage references, leaving an empty view.
@@ -61,9 +57,6 @@ func (s *Snapshot) Release() { s.g = &gen{mem: sliceMem{}} }
 
 // Get returns the value stored under key at snapshot time.
 func (s *Snapshot) Get(key []byte) (uint64, bool) {
-	if s.codec != nil {
-		key = s.codec.Encode(key)
-	}
 	return s.g.get(key, nil)
 }
 
@@ -71,12 +64,11 @@ func (s *Snapshot) Get(key []byte) (uint64, bool) {
 // key >= start, merging the captured stages exactly as the live Scan does;
 // the key is lent for the callback, as there.
 func (s *Snapshot) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	start, fn = keycodec.ScanEncoded(s.codec, start, fn)
 	return s.g.scan(start, fn)
 }
 
 // ScanN collects up to n snapshot entries from the smallest key >= start;
 // the returned entries are fresh copies the caller may retain.
 func (s *Snapshot) ScanN(start []byte, n int) []index.Entry {
-	return s.g.scanN(s.codec, start, n)
+	return s.g.scanN(start, n)
 }

@@ -64,16 +64,19 @@ func checkSnapshotMatches(t *testing.T, sn *Snapshot, oracle map[string]uint64) 
 // TestSnapshotDifferential drives a randomized op stream, snapshots at
 // checkpoints, keeps mutating (including merges), and verifies every held
 // snapshot still matches the oracle captured with it — in lock mode, epoch
-// mode, and with a codec.
+// mode, and over HOPE-encoded keys (a sharded index's shards hold those).
 func TestSnapshotDifferential(t *testing.T) {
-	mods := map[string]func(*Config){
-		"lock":  func(c *Config) {},
-		"epoch": func(c *Config) { c.EpochReads = true },
-		"codec": func(c *Config) { c.EpochReads = true; c.Codec = testCodec(t) },
+	codec := testCodec(t)
+	cases := map[string]struct {
+		epoch bool
+		key   func(prefix string, i int) []byte
+	}{
+		"lock":  {false, snapKey},
+		"epoch": {true, snapKey},
+		"codec": {true, func(prefix string, i int) []byte { return codec.Encode(snapKey(prefix, i)) }},
 	}
-	for name, mod := range mods {
-		cfg := Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10}
-		mod(&cfg)
+	for name, tc := range cases {
+		cfg := Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, EpochReads: tc.epoch}
 		t.Run(name, func(t *testing.T) {
 			h := NewBTree(cfg)
 			oracle := make(map[string]uint64)
@@ -86,7 +89,7 @@ func TestSnapshotDifferential(t *testing.T) {
 			var snaps []held
 
 			for step := 0; step < 4000; step++ {
-				k := snapKey("k", rng.Intn(400))
+				k := tc.key("k", rng.Intn(400))
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3, 4, 5, 6:
 					v := uint64(step + 1)
@@ -105,10 +108,7 @@ func TestSnapshotDifferential(t *testing.T) {
 				// Capture a snapshot at fixed checkpoints (mid-stream, so the
 				// index has a mix of dynamic/frozen/static state each time).
 				if step%1000 == 500 {
-					sn, err := h.Snapshot()
-					if err != nil {
-						t.Fatalf("Snapshot: %v", err)
-					}
+					sn := h.Snapshot()
 					oc := make(map[string]uint64, len(oracle))
 					for k, v := range oracle {
 						oc[k] = v
@@ -154,10 +154,7 @@ func TestSnapshotScanUnderChurn(t *testing.T) {
 	h.Merge()
 	h.WaitMerges()
 
-	sn, err := h.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	sn := h.Snapshot()
 	defer sn.Release()
 
 	stop := make(chan struct{})

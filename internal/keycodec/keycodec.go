@@ -1,6 +1,7 @@
 // Package keycodec defines the pluggable order-preserving key compression
-// boundary of Chapter 6's integration: every index layer (hybrid, sharded,
-// LSM+SuRF, OLTP) routes keys through a Codec instead of assuming raw bytes.
+// boundary of Chapter 6's integration: the sharded index encodes every key
+// once, at its API boundary, through a Codec instead of assuming raw bytes,
+// and the structures below it store the encoded keys as given.
 //
 // The contract every Codec must satisfy:
 //
@@ -178,16 +179,4 @@ func Unmarshal(data []byte) (Codec, error) {
 		return NewHOPE(e)
 	}
 	return nil, fmt.Errorf("keycodec: unknown codec magic %q", data[:4])
-}
-
-// Trainer builds a codec from a key sample — how bulk-load paths
-// (sharded.Index.BulkLoad) train a codec from their sample pass without
-// depending on a concrete scheme.
-type Trainer func(sample [][]byte) (Codec, error)
-
-// HOPETrainer returns a Trainer for the given scheme and dictionary limit.
-func HOPETrainer(scheme hope.Scheme, dictLimit int) Trainer {
-	return func(sample [][]byte) (Codec, error) {
-		return TrainHOPE(sample, scheme, dictLimit)
-	}
 }

@@ -204,15 +204,3 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		}
 	}
 }
-
-func TestHOPETrainer(t *testing.T) {
-	tr := HOPETrainer(hope.ThreeGrams, 1<<10)
-	c, err := tr(keys.Dedup(keys.Emails(1000, 49)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := []byte("user@example.com")
-	if dec := c.Decode(c.Encode(k)); !bytes.Equal(dec, k) {
-		t.Fatalf("trainer codec round trip gave %q", dec)
-	}
-}

@@ -29,7 +29,6 @@ package obs
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -181,26 +180,6 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	d := r.data
 	d.mu.Lock()
 	d.gaugeFns[r.prefix+name] = fn
-	d.mu.Unlock()
-}
-
-// DropGaugeFuncs unregisters every derived gauge whose name starts with
-// prefix (below this view's own prefix). A derived gauge is a closure over
-// its owner, so an owner that goes away for good — a shard a smaller core no
-// longer has — must take its gauges along, or the registry keeps it and
-// everything it holds reachable. No-op on a nil registry.
-func (r *Registry) DropGaugeFuncs(prefix string) {
-	if r == nil {
-		return
-	}
-	prefix = r.prefix + prefix
-	d := r.data
-	d.mu.Lock()
-	for name := range d.gaugeFns {
-		if strings.HasPrefix(name, prefix) {
-			delete(d.gaugeFns, name)
-		}
-	}
 	d.mu.Unlock()
 }
 

@@ -20,7 +20,6 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry must hand out nil recorder/span")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 }) // must not panic
-	r.DropGaugeFuncs("f")
 
 	var c *Counter
 	c.Add(3)
@@ -88,23 +87,6 @@ func TestRegistryBasics(t *testing.T) {
 
 	if counters := r.Snapshot().Counters; len(counters) != 3 {
 		t.Fatalf("counters = %v, want exactly ops, shard0.get, shard0.inner.x", counters)
-	}
-}
-
-// TestDropGaugeFuncs: only derived gauges under the prefix go — "shard1."
-// is not a prefix of "shard10.x" — and a Sub view drops below its own prefix.
-func TestDropGaugeFuncs(t *testing.T) {
-	r := NewRegistry()
-	one := func() float64 { return 1 }
-	for _, name := range []string{"shard1.static_len", "shard1.merging", "shard10.static_len", "shards", "a.shard1.x"} {
-		r.GaugeFunc(name, one)
-	}
-	r.Gauge("shard1.stored").Set(2)
-	r.DropGaugeFuncs("shard1.")
-	r.Sub("a.").DropGaugeFuncs("shard1.")
-	got := r.Snapshot().Gauges
-	if len(got) != 3 || got["shard10.static_len"] != 1 || got["shards"] != 1 || got["shard1.stored"] != 2 {
-		t.Fatalf("gauges after the drop = %v", got)
 	}
 }
 

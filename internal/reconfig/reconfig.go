@@ -1,15 +1,13 @@
 // Package reconfig is the shared reconfiguration seam: one publication
 // pipeline for every generation swap in the system. Its two users are
-// hybrid's generation swap and sharded's atomic codec+router+shard core
-// swap, which before this package each carried a one-off copy of the same
-// idea. Both follow the same shape:
+// hybrid's generation swap and sharded's bulk load, which replaces every
+// shard's generation. Both follow the same shape:
 //
-//	propose → build the next generation off-line → validate it →
-//	publish it atomically
+//	propose → build the next generation off-line → publish it atomically
 //
 // A Seam owns that shape. Owners describe a reconfiguration as a Change
-// whose Build returns a Prepared (validate/publish closures over the freshly
-// built state); the seam runs the pipeline, serializes concurrent
+// whose Build returns a Prepared (a publish closure over the freshly built
+// state); the seam runs the pipeline, serializes concurrent
 // reconfigurations and instruments every step (span phases, flight-recorder
 // events, applied/rejected counters, a generation counter). There is no
 // retire step: a generation is an immutable object behind an atomic pointer,
@@ -19,7 +17,7 @@
 //
 // Swaps that already run under the owner's writer lock (hybrid's per-merge
 // generation store) use PublishLocked: the fast path skips the seam mutex and
-// the build/validate phases but still shares the publication bookkeeping and
+// the build phase but still shares the publication bookkeeping and
 // event vocabulary — so "who swapped what, when, and why" reads the same
 // across layers.
 package reconfig
@@ -32,14 +30,10 @@ import (
 	"mets/internal/obs"
 )
 
-// Prepared is a built-but-unpublished next generation: the closures the
-// seam runs for the remaining pipeline steps. All fields are optional.
+// Prepared is a built-but-unpublished next generation: the closure the
+// seam runs to publish it and the publication's event. All fields are
+// optional.
 type Prepared struct {
-	// Validate vets the built generation before anything becomes visible
-	// (e.g. keycodec.Validate proving a retrained codec round-trips and
-	// preserves order on the training sample). An error rejects the change:
-	// Publish is never called.
-	Validate func() error
 	// Publish makes the generation visible — typically one atomic pointer
 	// store. An error rejects the change after the fact (nothing was made
 	// visible, or the owner's publish is itself atomic-or-nothing).
@@ -60,10 +54,10 @@ type Prepared struct {
 // Prepared closures later publish).
 type Change struct {
 	// Kind names the reconfiguration in events, spans, and errors
-	// (e.g. "bulkload", "bulkload.retrain").
+	// (e.g. "bulkload").
 	Kind string
-	// Build constructs the next generation and returns its remaining
-	// pipeline steps. On error the change is rejected; Build must have
+	// Build constructs the next generation and returns how to publish it.
+	// On error the change is rejected; Build must have
 	// cleaned up its own side effects.
 	Build func() (Prepared, error)
 }
@@ -112,7 +106,7 @@ func New(o Options) *Seam {
 func (s *Seam) Generation() int64 { return s.gens.Load() }
 
 // Apply runs the full pipeline for one proposed change: build off-line,
-// validate, publish. Concurrent Applies serialize; the owner's
+// then publish. Concurrent Applies serialize; the owner's
 // readers and writers are only affected for as long as the Prepared
 // closures themselves hold the owner's locks.
 func (s *Seam) Apply(c Change) error {
@@ -126,13 +120,6 @@ func (s *Seam) Apply(c Change) error {
 		s.reject(c.Kind, err)
 		return fmt.Errorf("reconfig %s/%s: build: %w", s.name, c.Kind, err)
 	}
-	if p.Validate != nil {
-		sp.Phase("validate")
-		if err := p.Validate(); err != nil {
-			s.reject(c.Kind, err)
-			return fmt.Errorf("reconfig %s/%s: validate: %w", s.name, c.Kind, err)
-		}
-	}
 	sp.Phase("publish")
 	if err := s.publish(c.Kind, p, sp.ID()); err != nil {
 		return fmt.Errorf("reconfig %s/%s: publish: %w", s.name, c.Kind, err)
@@ -140,8 +127,8 @@ func (s *Seam) Apply(c Change) error {
 	return nil
 }
 
-// PublishLocked is the fast path for generation swaps already built and
-// validated under the owner's writer lock: it publishes and records without
+// PublishLocked is the fast path for generation swaps already built under
+// the owner's writer lock: it publishes and records without
 // taking the seam mutex (the owner's lock is the serialization). The caller
 // must hold that lock.
 func (s *Seam) PublishLocked(kind string, p Prepared) error {

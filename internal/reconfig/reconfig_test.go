@@ -49,23 +49,22 @@ func TestPublishLockedRecordsOnePublication(t *testing.T) {
 }
 
 // TestApplyRecordsItsPhases pins what a full pipeline leaves in the event
-// stream: one "reconfig.<kind>" record with the build, validate and publish
-// durations in that order, and the publication event under the same span.
+// stream: one "reconfig.<kind>" record with the build and publish durations
+// in that order, and the publication event under the same span.
 func TestApplyRecordsItsPhases(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder()})
-	err := s.Apply(Change{Kind: "bulkload.retrain", Build: func() (Prepared, error) {
+	err := s.Apply(Change{Kind: "bulkload", Build: func() (Prepared, error) {
 		return Prepared{
-			Validate: func() error { return nil },
-			Publish:  func() error { return nil },
-			Attrs:    []obs.Attr{obs.I64("entries", 9)},
+			Publish: func() error { return nil },
+			Attrs:   []obs.Attr{obs.I64("entries", 9)},
 		}, nil
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	evs := reg.Snapshot().Events
-	if len(evs) != 2 || evs[0].Type != "reconfig.publish" || evs[1].Type != "reconfig.bulkload.retrain" {
+	if len(evs) != 2 || evs[0].Type != "reconfig.publish" || evs[1].Type != "reconfig.bulkload" {
 		t.Fatalf("events = %+v, want the publication, then the pipeline's span record", evs)
 	}
 	if evs[0].Span == 0 || evs[0].Span != evs[1].Span {
@@ -74,31 +73,27 @@ func TestApplyRecordsItsPhases(t *testing.T) {
 	if a, _ := attr(evs[0], "entries"); a.Val != 9 {
 		t.Fatalf("publication attrs = %+v", evs[0].Attrs)
 	}
-	for i, want := range []string{"dur_ns", "build_ns", "validate_ns", "publish_ns"} {
-		if len(evs[1].Attrs) != 4 || evs[1].Attrs[i].Key != want {
-			t.Fatalf("span record attrs = %+v, want dur_ns and the three phases in order", evs[1].Attrs)
+	for i, want := range []string{"dur_ns", "build_ns", "publish_ns"} {
+		if len(evs[1].Attrs) != 3 || evs[1].Attrs[i].Key != want {
+			t.Fatalf("span record attrs = %+v, want dur_ns and the two phases in order", evs[1].Attrs)
 		}
 	}
 }
 
-// TestApplyRejectsOnValidateError pins the rejection path: a failed Validate
+// TestApplyRejectsOnBuildError pins the rejection path: a failed Build
 // publishes nothing and counts one rejection.
-func TestApplyRejectsOnValidateError(t *testing.T) {
+func TestApplyRejectsOnBuildError(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(Options{Name: "test", Obs: reg, FlightRec: reg.FlightRecorder()})
-	bad := errors.New("codec does not round-trip")
-	published := false
-	err := s.Apply(Change{Kind: "bulkload.retrain", Build: func() (Prepared, error) {
-		return Prepared{
-			Validate: func() error { return bad },
-			Publish:  func() error { published = true; return nil },
-		}, nil
+	bad := errors.New("entries out of order")
+	err := s.Apply(Change{Kind: "bulkload", Build: func() (Prepared, error) {
+		return Prepared{}, bad
 	}})
 	if !errors.Is(err, bad) {
-		t.Fatalf("Apply error = %v, want it to wrap the validation error", err)
+		t.Fatalf("Apply error = %v, want it to wrap the build error", err)
 	}
-	if published || s.Generation() != 0 {
-		t.Fatalf("published=%v generation=%d; want false, 0", published, s.Generation())
+	if s.Generation() != 0 {
+		t.Fatalf("generation %d; want 0", s.Generation())
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["reconfig.rejected"] != 1 || snap.Counters["reconfig.applied"] != 0 {
@@ -111,7 +106,7 @@ func TestApplyRejectsOnValidateError(t *testing.T) {
 
 // TestConcurrentAppliesSerialize pins that whole pipelines never overlap:
 // the unsynchronized counter below is only safe (and -race only quiet) if
-// Apply runs one build-validate-publish at a time.
+// Apply runs one build-publish at a time.
 func TestConcurrentAppliesSerialize(t *testing.T) {
 	s := New(Options{Name: "test"})
 	const workers, each = 8, 50

@@ -95,7 +95,7 @@ func (s *ShardedStore) ApplyBatch(ops []Op) ([]byte, error) {
 	return statuses, nil
 }
 
-func (s *ShardedStore) Snapshot() (Snapshot, error) { return s.idx.Snapshot() }
+func (s *ShardedStore) Snapshot() (Snapshot, error) { return s.idx.Snapshot(), nil }
 
 // Err is the first shard journal's sticky failure. Merge backlog is not a
 // failure: it is visible through the per-shard merge_behind gauges.

@@ -149,6 +149,33 @@ func BenchmarkShardedGetHOPE(b *testing.B) {
 	}
 }
 
+// BenchmarkScanDecode measures a codec-backed range scan (decode on every
+// emit) over a bulk-loaded 8-shard index: 100-entry scans, the YCSB-E shape.
+func BenchmarkScanDecode(b *testing.B) {
+	entries := emailEntries(20000, 67)
+	sample := make([][]byte, len(entries))
+	for i, e := range entries {
+		sample[i] = e.Key
+	}
+	s := NewBTree(Config{
+		Router: RouterFromSample(sample, 8),
+		Hybrid: hybrid.DefaultConfig(),
+		Codec:  shardedEmailCodec(b, hope.ThreeGrams),
+	})
+	if err := s.BulkLoad(entries); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	visited := 0
+	for i := 0; i < b.N; i++ {
+		s.Scan(sample[i%len(sample)], func([]byte, uint64) bool {
+			visited++
+			return visited%100 != 0
+		})
+	}
+}
+
 // libReadShard returns shard 0 of the lib-read index as the merge hands it to
 // the static-stage builder: its keys HOPE-encoded (3-Grams, a 2^14-entry
 // dictionary trained on every 100th key), sorted, with their tuple IDs.

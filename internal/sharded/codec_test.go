@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 	"testing"
 
 	"mets/internal/dstest"
@@ -154,148 +153,59 @@ func TestShardedCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestBulkLoadWithTrainer exercises the codec-retraining bulk load: the load
-// trains a fresh codec from its sample pass, recomputes quantile boundaries
-// in encoded space, and swaps codec+router+shards atomically. Shards must
-// come out balanced and all point/range operations must answer correctly in
-// raw space afterwards.
-func TestBulkLoadWithTrainer(t *testing.T) {
-	ks := keys.Dedup(keys.Emails(6000, 75))
-	sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
-	entries := make([]index.Entry, len(ks))
-	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
-	}
-	hc := hybrid.DefaultConfig()
-	hc.MergeRatio, hc.MinDynamic = 4, 256
-	s := NewBTree(Config{
-		Shards:       8,
-		Hybrid:       hc,
-		CodecTrainer: keycodec.HOPETrainer(hope.ThreeGrams, 1<<11),
-	})
-	if s.load().codec != nil {
-		t.Fatal("codec attached before any trained bulk load")
-	}
-	if err := s.BulkLoad(entries); err != nil {
-		t.Fatal(err)
-	}
-	if s.load().codec == nil {
-		t.Fatal("trained bulk load left no codec attached")
-	}
-	if got := s.NumShards(); got != 8 {
-		t.Fatalf("NumShards = %d, want 8", got)
-	}
-	if got := s.Len(); got != len(ks) {
-		t.Fatalf("Len = %d, want %d", got, len(ks))
-	}
-	// Quantile boundaries in the loaded distribution's encoded space must
-	// produce balanced shards.
-	for i, sh := range s.load().shards {
-		lo, hi := len(ks)/8-2, len(ks)/8+2
-		if l := sh.Len(); l < lo || l > hi {
-			t.Fatalf("shard %d holds %d entries, want ~%d", i, l, len(ks)/8)
+// TestRejectedBulkLoadLeavesIndexUnchanged reloads a loaded 4-shard index
+// with entries that are out of order inside the last shard's range, with the
+// codec off and on. The load must be refused before any shard is touched:
+// Len and a full Scan read exactly as they did before it.
+func TestRejectedBulkLoadLeavesIndexUnchanged(t *testing.T) {
+	sorted := func(ks [][]byte) []index.Entry {
+		ks = keys.Dedup(ks)
+		sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
+		es := make([]index.Entry, len(ks))
+		for i, k := range ks {
+			es[i] = index.Entry{Key: k, Value: uint64(i)}
 		}
+		return es
 	}
-	for i, k := range ks {
-		if v, ok := s.Get(k); !ok || v != uint64(i) {
-			t.Fatalf("Get(%q) = %d,%v", k, v, ok)
-		}
+	first := sorted(keys.Emails(4000, 81))
+	second := sorted(keys.Emails(3000, 82))
+	n := len(second)
+	second[n-2], second[n-1] = second[n-1], second[n-2]
+	all := func(s *Index) []index.Entry {
+		var out []index.Entry
+		s.Scan(nil, func(k []byte, v uint64) bool {
+			out = append(out, index.Entry{Key: append([]byte(nil), k...), Value: v})
+			return true
+		})
+		return out
 	}
-	// The caller's entries must stay untouched (encoding copies).
-	for i, k := range ks {
-		if !bytes.Equal(entries[i].Key, k) {
-			t.Fatalf("BulkLoad mutated caller entry %d", i)
-		}
+	sample := make([][]byte, len(first))
+	for i, e := range first {
+		sample[i] = e.Key
 	}
-	// Cross-boundary scans decode back to raw keys in global order.
-	for _, off := range []int{0, 100, len(ks)/2 - 3, len(ks) - 10} {
-		got := s.ScanN(ks[off], 900)
-		want := ks[off:min(off+900, len(ks))]
-		if len(got) != len(want) {
-			t.Fatalf("ScanN(%q) returned %d entries, want %d", ks[off], len(got), len(want))
-		}
-		for i := range got {
-			if !bytes.Equal(got[i].Key, want[i]) {
-				t.Fatalf("ScanN(%q)[%d] = %q, want %q", ks[off], i, got[i].Key, want[i])
+	for _, codec := range []keycodec.Codec{nil, shardedEmailCodec(t, hope.ThreeGrams)} {
+		t.Run(fmt.Sprintf("codec=%v", codec != nil), func(t *testing.T) {
+			s := NewBTree(Config{Router: RouterFromSample(sample, 4), Hybrid: hybrid.DefaultConfig(), Codec: codec})
+			if err := s.BulkLoad(first); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// Post-load mutations route through the trained generation.
-	if !s.Insert([]byte("zz-new-key@example.com"), 999) {
-		t.Fatal("post-load insert failed")
-	}
-	if v, ok := s.Get([]byte("zz-new-key@example.com")); !ok || v != 999 {
-		t.Fatalf("post-load Get = %d,%v", v, ok)
-	}
-	if !s.Delete(ks[0]) {
-		t.Fatal("post-load delete failed")
-	}
-	if _, ok := s.Get(ks[0]); ok {
-		t.Fatal("deleted key still visible")
-	}
-}
-
-// TestBulkLoadRetrainConcurrentReaders hammers Get/ScanN from reader
-// goroutines while trained bulk loads swap generations underneath them.
-// Readers must always observe a consistent codec+router+shards triple —
-// answers come from either the old or the new generation, never a mix (the
-// race detector guards the swap itself).
-func TestBulkLoadRetrainConcurrentReaders(t *testing.T) {
-	ks := keys.Dedup(keys.Emails(2000, 76))
-	sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
-	entries := make([]index.Entry, len(ks))
-	for i, k := range ks {
-		entries[i] = index.Entry{Key: k, Value: uint64(i)}
-	}
-	hc := hybrid.DefaultConfig()
-	s := NewBTree(Config{
-		Shards:       4,
-		Hybrid:       hc,
-		CodecTrainer: keycodec.HOPETrainer(hope.DoubleChar, 1<<10),
-	})
-	if err := s.BulkLoad(entries); err != nil {
-		t.Fatal(err)
-	}
-	rounds := 6
-	if raceEnabled {
-		rounds = 3
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			i := seed
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := ks[i%len(ks)]
-				if v, ok := s.Get(k); ok && int(v) != i%len(ks) {
-					t.Errorf("Get(%q) = %d, want %d", k, v, i%len(ks))
-					return
-				}
-				for _, e := range s.ScanN(k, 20) {
-					if keys.Compare(e.Key, k) < 0 {
-						t.Errorf("ScanN(%q) emitted smaller key %q", k, e.Key)
-						return
-					}
-				}
-				i += 7
+			before := all(s)
+			if err := s.BulkLoad(second); err == nil {
+				t.Fatal("BulkLoad accepted entries out of order")
 			}
-		}(g * 13)
-	}
-	for r := 0; r < rounds; r++ {
-		if err := s.BulkLoad(entries); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if s.Len() != len(ks) {
-		t.Fatalf("Len = %d after retrains, want %d", s.Len(), len(ks))
+			if s.Len() != len(first) {
+				t.Fatalf("Len = %d after the rejected load, want %d", s.Len(), len(first))
+			}
+			after := all(s)
+			if len(after) != len(before) {
+				t.Fatalf("full scan holds %d entries after the rejected load, %d before", len(after), len(before))
+			}
+			for i := range after {
+				if !bytes.Equal(after[i].Key, before[i].Key) || after[i].Value != before[i].Value {
+					t.Fatalf("scan entry %d = %q=%d after the rejected load, %q=%d before",
+						i, after[i].Key, after[i].Value, before[i].Key, before[i].Value)
+				}
+			}
+		})
 	}
 }

@@ -27,7 +27,8 @@ func epochSmallCfg(shards int) Config {
 }
 
 // TestEpochDifferential runs the shared oracle harness over the epoch-mode
-// sharded index (wait-free shard reads behind the atomic core swap).
+// sharded index (wait-free shard reads behind each shard's atomic
+// generation swap).
 func TestEpochDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -39,10 +40,10 @@ func TestEpochDifferential(t *testing.T) {
 }
 
 // TestEpochRetrainStress is the full-stack stress of the lock-free read
-// path: readers run across shard merges, a codec retrain, and the shard
-// rebalance that comes with it, while writers keep mutating. A reader stays
-// on the core it loaded; the value and order invariants check it never sees
-// a torn codec+router+shards triple.
+// path under a fixed HOPE codec: readers run across shard merges and bulk
+// loads — each of which swaps every shard's generation — while writers keep
+// mutating. The value and order invariants check a reader never sees a torn
+// generation of any shard.
 func TestEpochRetrainStress(t *testing.T) {
 	ks := keys.Dedup(keys.Emails(3000, 77))
 	sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
@@ -54,10 +55,14 @@ func TestEpochRetrainStress(t *testing.T) {
 		MergeRatio: 4, MinDynamic: 256, BloomBitsPerKey: 10,
 		BackgroundMerge: true, EpochReads: true,
 	}
+	codec, err := keycodec.TrainHOPE(ks, hope.DoubleChar, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewBTree(Config{
-		Shards:       4,
-		Hybrid:       hc,
-		CodecTrainer: keycodec.HOPETrainer(hope.DoubleChar, 1<<10),
+		Router: RouterFromSample(ks, 4),
+		Hybrid: hc,
+		Codec:  codec,
 	})
 	if err := s.BulkLoad(entries); err != nil {
 		t.Fatal(err)
@@ -105,8 +110,8 @@ func TestEpochRetrainStress(t *testing.T) {
 			i := rng.Intn(len(ks))
 			s.Update(ks[i], uint64(i)+1<<32)
 		}
-		// A merge of the current core on another goroutine, then a codec
-		// retrain + quantile rebalance + core swap, all under live readers.
+		// A merge of every shard on another goroutine beside a bulk load
+		// that replaces every shard's generation, all under live readers.
 		merged := make(chan struct{})
 		go func() { s.Merge(); close(merged) }()
 		if err := s.BulkLoad(entries); err != nil {

@@ -7,79 +7,70 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mets/internal/hope"
 	"mets/internal/hybrid"
 	"mets/internal/keycodec"
-	"mets/internal/keys"
 	"mets/internal/vfs"
 	"mets/internal/wal"
 )
 
 // TestShardedJournalReopen pins the per-shard data-dir plumbing: writes to a
 // Dir-configured sharded index survive close + reopen, with each shard
-// journaling under its own Dir/shardNNN subdirectory.
+// journaling under its own Dir/shardNNN subdirectory. With a codec the
+// records hold encoded keys, so replay must not encode them twice.
 func TestShardedJournalReopen(t *testing.T) {
-	for _, epochs := range []bool{false, true} {
-		t.Run(fmt.Sprintf("epoch=%v", epochs), func(t *testing.T) {
-			fs := vfs.NewMemFS()
-			hc := hybrid.DefaultConfig()
-			hc.MinDynamic = 16
-			hc.MergeRatio = 2
-			hc.EpochReads = epochs
-			hc.FS = fs
-			cfg := Config{Shards: 4, Hybrid: hc, Dir: "data"}
-			s := NewBTree(cfg)
-			want := map[string]uint64{}
-			for i := 0; i < 500; i++ {
-				k := fmt.Sprintf("key-%05d", i)
-				s.Insert([]byte(k), uint64(i))
-				want[k] = uint64(i)
-				if i%5 == 0 {
-					s.Delete([]byte(k))
-					delete(want, k)
-				}
+	for _, codec := range []keycodec.Codec{nil, binaryCodec(t)} {
+		for _, epochs := range []bool{false, true} {
+			name := fmt.Sprintf("epoch=%v", epochs)
+			if codec != nil {
+				name = "codec/" + name
 			}
-			if err := s.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-			// Every shard directory must exist (the router spreads this
-			// keyspace across all of them).
-			names, err := fs.List("data")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(names) != 0 {
-				t.Fatalf("data dir should hold only subdirectories, saw files %v", names)
-			}
-			s2 := NewBTree(cfg)
-			defer s2.Close()
-			if s2.Len() != len(want) {
-				t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(want))
-			}
-			for k, v := range want {
-				got, ok := s2.Get([]byte(k))
-				if !ok || got != v {
-					t.Fatalf("Get(%q) = (%d,%v), want %d", k, got, ok, v)
-				}
-			}
-		})
+			t.Run(name, func(t *testing.T) { testJournalReopen(t, codec, epochs) })
+		}
 	}
 }
 
-// TestShardedDirWithTrainerPanics pins the incompatibility: shard journals
-// hold encoded-space keys, so a codec-retraining BulkLoad would invalidate
-// them and New must refuse the combination outright.
-func TestShardedDirWithTrainerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted Dir + CodecTrainer; want panic")
+func testJournalReopen(t *testing.T, codec keycodec.Codec, epochs bool) {
+	fs := vfs.NewMemFS()
+	hc := hybrid.DefaultConfig()
+	hc.MinDynamic = 16
+	hc.MergeRatio = 2
+	hc.EpochReads = epochs
+	hc.FS = fs
+	cfg := Config{Shards: 4, Hybrid: hc, Dir: "data", Codec: codec}
+	s := NewBTree(cfg)
+	want := map[string]uint64{}
+	for i := 0; i < 500; i++ {
+		k := fmt.Sprintf("key-%05d", i)
+		s.Insert([]byte(k), uint64(i))
+		want[k] = uint64(i)
+		if i%5 == 0 {
+			s.Delete([]byte(k))
+			delete(want, k)
 		}
-	}()
-	trainer := func(sample [][]byte) (keycodec.Codec, error) {
-		return keycodec.TrainHOPE(keys.Dedup(sample), hope.SingleChar, 0)
 	}
-	NewBTree(Config{Shards: 2, Dir: "data", CodecTrainer: trainer,
-		Hybrid: hybrid.Config{FS: vfs.NewMemFS()}})
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	// Every shard directory must exist (the router spreads this
+	// keyspace across all of them).
+	names, err := fs.List("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 0 {
+		t.Fatalf("data dir should hold only subdirectories, saw files %v", names)
+	}
+	s2 := NewBTree(cfg)
+	defer s2.Close()
+	if s2.Len() != len(want) {
+		t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(want))
+	}
+	for k, v := range want {
+		got, ok := s2.Get([]byte(k))
+		if !ok || got != v {
+			t.Fatalf("Get(%q) = (%d,%v), want %d", k, got, ok, v)
+		}
+	}
 }
 
 // fixtureOps is the op stream testdata/journal_pr13 holds: the parent commit

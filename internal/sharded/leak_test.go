@@ -17,39 +17,44 @@ import (
 	"mets/internal/obs"
 )
 
-// As in internal/hybrid, a superseded core is retired by the pointer store
-// that replaces it and freed by the garbage collector, so these tests watch
-// collection (dstest.GCWatch): of every core, router and codec, and of every
-// static stage any shard of any core ever built. Shards themselves cannot
-// carry a finalizer (a hybrid.Index reaches itself through its sync.Cond); a
-// shard's static stages being collected is what shows it went with its core.
+// As in internal/hybrid, a superseded shard generation is retired by the
+// pointer store that replaces it and freed by the garbage collector, so these
+// tests watch collection (dstest.GCWatch) of every static stage any shard
+// ever built. The codec, the router and the shards are fixed when the index
+// is built; merges supersede one shard's generation, a BulkLoad every
+// shard's. Shards themselves cannot carry a finalizer (a hybrid.Index reaches
+// itself through its sync.Cond); a stage being collected is what shows the
+// generation that held it went.
 
 const leakShards = 4
 
-// watched is a trainer-driven index (so every BulkLoad swaps the whole core:
-// codec, router and shards) whose shards report every static stage they
-// build. Auto-merges are
-// off; the tests merge by hand.
+// watched is an index with a fixed HOPE codec whose shards report every
+// static stage they build. Auto-merges are off; the tests merge by hand.
 type watched struct {
 	*Index
 	w  dstest.GCWatch
 	mu sync.Mutex
-	// newest[i] labels the latest static stage of the i-th shard ever created;
-	// the current core's shards are the last of them.
+	// newest[i] labels the latest static stage shard i built.
 	newest []string
 }
 
-func newWatched(reg *obs.Registry) *watched { return newWatchedShards(reg, leakShards) }
-
-func newWatchedShards(reg *obs.Registry, shards int) *watched {
+func newWatched(t testing.TB, reg *obs.Registry) *watched {
+	t.Helper()
+	var sample [][]byte
+	for _, e := range emailEntries(3000, 1) {
+		sample = append(sample, e.Key)
+	}
+	codec, err := keycodec.TrainHOPE(sample, hope.DoubleChar, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ws := &watched{}
 	ws.Index = New(Config{
-		Shards:       shards,
-		Hybrid:       hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true},
-		CodecTrainer: keycodec.HOPETrainer(hope.DoubleChar, 1<<10),
-		Obs:          reg,
+		Router: RouterFromSample(sample, leakShards),
+		Hybrid: hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true},
+		Codec:  codec,
+		Obs:    reg,
 	}, ws.newShard)
-	ws.watchCore("new")
 	return ws
 }
 
@@ -75,28 +80,13 @@ func (ws *watched) newShard(hc hybrid.Config) *hybrid.Index {
 		}, hc)
 }
 
-// watchCore puts the current core, its router and its codec on the watch list.
-func (ws *watched) watchCore(step string) {
-	c := ws.load()
-	ws.w.Watch("core@"+step, c)
-	ws.w.Watch("router@"+step, c.router)
-	if c.codec != nil {
-		ws.w.Watch("codec@"+step, c.codec)
-	}
-}
-
 // leaked reports what the collector still holds beyond what the index
-// legitimately references: the current core triple and the newest static
-// stage of each of its shards.
+// legitimately references: the newest static stage of each shard.
 func (ws *watched) leaked(patience time.Duration) []string {
-	c := ws.load()
-	keep := []any{c, c.router}
-	if c.codec != nil {
-		keep = append(keep, c.codec)
-	}
 	ws.mu.Lock()
-	for _, label := range ws.newest[len(ws.newest)-len(c.shards):] {
-		keep = append(keep, label)
+	keep := make([]any, len(ws.newest))
+	for i, label := range ws.newest {
+		keep[i] = label
 	}
 	ws.mu.Unlock()
 	return ws.w.Leaked(patience, keep...)
@@ -112,21 +102,16 @@ func emailEntries(n int, seed int64) []index.Entry {
 	return entries
 }
 
-// TestSupersededCoresCollected: with no reader anywhere, every core, router,
-// codec and shard static stage superseded by shard merges and three
-// retraining BulkLoads is collected — with a registry attached, whose
-// per-shard gauge closures are re-registered by each new core's shards and
-// must not hold an old one.
+// TestSupersededCoresCollected: with no reader anywhere, every shard static
+// stage superseded by shard merges and three BulkLoads is collected — with a
+// registry attached, whose per-shard gauge closures hold a shard, never a
+// generation of it.
 func TestSupersededCoresCollected(t *testing.T) {
 	reg := obs.NewRegistry()
-	ws := newWatched(reg)
+	ws := newWatched(t, reg)
 	entries := emailEntries(3000, 77)
 	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
-	}
-	ws.watchCore("bulkload")
-	if ws.load().codec == nil {
-		t.Fatal("trained bulk load should have installed a codec")
 	}
 	for round := 0; round < 3; round++ {
 		for i, e := range entries {
@@ -140,17 +125,16 @@ func TestSupersededCoresCollected(t *testing.T) {
 	for i, e := range entries {
 		updated[i] = index.Entry{Key: e.Key, Value: e.Value + 1<<32}
 	}
-	for _, step := range []string{"reload1", "reload2"} {
+	for range 2 {
 		if err := ws.BulkLoad(updated); err != nil {
 			t.Fatal(err)
 		}
-		ws.watchCore(step)
 	}
 
 	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
 		t.Fatalf("superseded objects never collected: %v", leaked)
 	}
-	if n := reg.Snapshot().Counters["reconfig.applied"]; n != 3 { // three bulkload.retrain
+	if n := reg.Snapshot().Counters["reconfig.applied"]; n != 3 { // three bulkloads
 		t.Fatalf("reconfig.applied = %d, want 3", n)
 	}
 	for _, e := range entries {
@@ -160,77 +144,33 @@ func TestSupersededCoresCollected(t *testing.T) {
 	}
 }
 
-// TestFewerShardsReleaseOldShards shrinks the core from 8 shards to 3 (a
-// retraining BulkLoad of two entries has only two boundaries to offer). The
-// new core's shards take over the "shard0." to "shard2." derived gauges;
-// nothing re-registers "shard3." to "shard7.", whose closures hold the five
-// retired shard indexes, so publishing the smaller core must drop them from
-// the registry or those indexes and their static stages are never collected.
-func TestFewerShardsReleaseOldShards(t *testing.T) {
-	reg := obs.NewRegistry()
-	ws := newWatchedShards(reg, 8)
-	entries := emailEntries(3000, 21)
-	if err := ws.BulkLoad(entries); err != nil {
-		t.Fatal(err)
-	}
-	ws.watchCore("bulkload")
-	if n := ws.NumShards(); n != 8 {
-		t.Fatalf("bulk load built %d shards, want 8", n)
-	}
-	if _, ok := reg.Snapshot().Gauges["shard7.static_len"]; !ok {
-		t.Fatal("shard7.static_len not registered while shard 7 exists")
-	}
-	if err := ws.BulkLoad(entries[:2]); err != nil {
-		t.Fatal(err)
-	}
-	ws.watchCore("reload")
-	if n := ws.NumShards(); n != 3 {
-		t.Fatalf("bulk load of two keys built %d shards, want 3", n)
-	}
-	gauges := reg.Snapshot().Gauges
-	for i := 0; i < 8; i++ {
-		if _, ok := gauges[fmt.Sprintf("shard%d.static_len", i)]; ok != (i < 3) {
-			t.Errorf("shard%d.static_len registered = %v with 3 shards", i, ok)
-		}
-	}
-	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
-		t.Fatalf("retired shards never collected: %v", leaked)
-	}
-	for _, e := range entries[:2] {
-		if v, ok := ws.Get(e.Key); !ok || v != e.Value {
-			t.Fatalf("Get(%q) = %d,%v after the shrink, want %d", e.Key, v, ok, e.Value)
-		}
-	}
-}
-
 // TestLeakTestCatchesRetainedCore shows the test above bites: a gauge closure
-// over a core (instead of over the index) keeps that core, its router, its
-// codec and its shards' stages alive past a retraining BulkLoad; dropping it
-// lets them go.
+// over a snapshot (instead of over the index) keeps the generation of every
+// shard it captured, and so their static stages, alive past a BulkLoad;
+// dropping it lets them go.
 func TestLeakTestCatchesRetainedCore(t *testing.T) {
 	reg := obs.NewRegistry()
-	ws := newWatched(reg)
+	ws := newWatched(t, reg)
 	entries := emailEntries(2000, 5)
 	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("bulkload")
 	func() {
-		c := ws.load()
-		reg.GaugeFunc("leaky_shards", func() float64 { return float64(len(c.shards)) })
+		sn := ws.Snapshot()
+		reg.GaugeFunc("leaky_shards", func() float64 { return float64(len(sn.shards)) })
 	}()
 	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("reload")
 
 	held := map[string]bool{}
 	for _, l := range ws.leaked(50 * time.Millisecond) {
 		held[l] = true
 	}
-	// The bulk-loaded core's shards are the second set of four ever created.
-	if !held["core@bulkload"] || !held["router@bulkload"] || !held["codec@bulkload"] || !held["static shard4#1"] {
-		t.Fatalf("held = %v, want the retained bulkload core, its router, codec and shard stages", held)
+	for i := 0; i < leakShards; i++ {
+		if want := fmt.Sprintf("static shard%d#1", i); !held[want] {
+			t.Fatalf("held = %v, want the snapshot's stages, %s among them", held, want)
+		}
 	}
 	reg.GaugeFunc("leaky_shards", func() float64 { return 0 })
 	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {
@@ -238,19 +178,19 @@ func TestLeakTestCatchesRetainedCore(t *testing.T) {
 	}
 }
 
-// TestParkedScanKeepsItsCore parks a reader inside a Scan callback while every
-// shard merges and a retraining BulkLoad then swaps the core under it. The
-// shards of the core it loaded must survive any number of collections, the
-// scan must finish with exactly the ordered, decoded contents that core held
-// — not the writes that landed in the new one — and afterwards the old core
-// and all its stages are collected.
+// TestParkedScanKeepsItsCore parks a reader inside a Scan callback in shard 0
+// while every shard merges and a BulkLoad then replaces every shard's
+// generation under it. The scan reads each shard at the generation it loads
+// when the walk reaches it: shard 0's parked generation must survive any
+// number of collections and keep the scan from seeing the writes that land in
+// shard 0 after the reload, while a write to the last shard, which the walk
+// has yet to reach, is seen. Afterwards every superseded stage is collected.
 func TestParkedScanKeepsItsCore(t *testing.T) {
-	ws := newWatched(nil)
+	ws := newWatched(t, nil)
 	entries := emailEntries(3000, 9)
 	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("parked")
 	for i, e := range entries { // a dynamic stage above the loaded one
 		if i%5 == 0 {
 			ws.Update(e.Key, e.Value+1<<32)
@@ -278,39 +218,41 @@ func TestParkedScanKeepsItsCore(t *testing.T) {
 	if err := ws.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	ws.watchCore("reload")
-	for _, e := range entries[:500] { // lands in the new core only
-		ws.Update(e.Key, 7)
+	for _, e := range entries[:500] { // shard 0's keys land past the parked walk
+		if shardOf(ws.Index, e.Key) == 0 {
+			ws.Update(e.Key, 7)
+		}
 	}
-	ws.Insert([]byte("zzzz@after-reload"), 7)
+	last := &entries[len(entries)-1]
+	if shardOf(ws.Index, last.Key) != leakShards-1 {
+		t.Fatalf("the last entry is not in the last shard")
+	}
+	ws.Update(last.Key, 9)
+	last.Value = 9
 
 	held := map[string]bool{}
 	for _, l := range ws.leaked(20 * time.Millisecond) {
 		held[l] = true
 	}
-	// The walk holds what it has yet to read, nothing else of its core: the
-	// generation of the first shard it is parked in, which the Merge
-	// superseded (#1), and the old core's shards with the stages the Merge
-	// gave them (#2). Routing and the decoder were set up before the first
-	// callback, so the core struct, its router and its codec wrapper are free
-	// to go.
-	for _, want := range []string{"static shard4#1", "static shard5#2", "static shard6#2", "static shard7#2"} {
-		if !held[want] {
-			t.Fatalf("while parked the collector holds %v; want %s among them", held, want)
-		}
+	// The walk holds the generation of the shard it is parked in, which the
+	// Merge superseded (#1), and nothing of the shards it has yet to reach.
+	if !held["static shard0#1"] {
+		t.Fatalf("while parked the collector holds %v; want static shard0#1 among them", held)
 	}
-	if held["static shard5#1"] {
-		t.Fatalf("while parked the collector holds %v; shard 5's superseded stage is not on the walk's path", held)
+	for _, gone := range []string{"static shard0#2", "static shard1#1", "static shard1#2"} {
+		if held[gone] {
+			t.Fatalf("while parked the collector holds %v; %s is not on the walk's path", held, gone)
+		}
 	}
 
 	close(release)
 	got := <-done
 	if len(got) != len(entries) {
-		t.Fatalf("parked scan returned %d entries, its core held %d", len(got), len(entries))
+		t.Fatalf("parked scan returned %d entries, want %d", len(got), len(entries))
 	}
 	for i, e := range got {
 		if keys.Compare(e.Key, entries[i].Key) != 0 || e.Value != entries[i].Value {
-			t.Fatalf("parked scan entry %d = %q=%d, its core held %q=%d", i, e.Key, e.Value, entries[i].Key, entries[i].Value)
+			t.Fatalf("parked scan entry %d = %q=%d, want %q=%d", i, e.Key, e.Value, entries[i].Key, entries[i].Value)
 		}
 	}
 	if leaked := ws.leaked(5 * time.Second); len(leaked) != 0 {

@@ -35,19 +35,15 @@ import (
 // stage scan or the decoder reuses, is valid only until fn returns and is not
 // to be modified — copy it to retain it, or use ScanN.
 func (s *Index) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	// One core for the whole scan: codec, router and shards stay mutually
-	// consistent under a concurrent retraining BulkLoad, which publishes a new
-	// core and never touches this one.
-	c := s.load()
-	return scan(c.codec, c.router, c.shards, start, fn)
+	return scan(s.codec, s.router, s.shards, start, fn)
 }
 
-// shardScanner is a shard of a live core or of a snapshot.
+// shardScanner is a shard of the live index or of a snapshot.
 type shardScanner interface {
 	Scan(start []byte, fn func(key []byte, value uint64) bool) int
 }
 
-// scan is Scan over the shards of a live core or of a snapshot.
+// scan is Scan over the shards of the live index or of a snapshot.
 func scan[S shardScanner](codec keycodec.Codec, r *Router, shards []S, start []byte, fn func(key []byte, value uint64) bool) int {
 	start, fn = keycodec.ScanEncoded(codec, start, fn)
 	first := 0
@@ -74,11 +70,10 @@ func scan[S shardScanner](codec keycodec.Codec, r *Router, shards []S, start []b
 // style short scans with a known limit); use Scan for unbounded iteration.
 // Returned keys are fresh copies in raw (decoded) space.
 func (s *Index) ScanN(start []byte, n int) []index.Entry {
-	c := s.load()
-	return scanN(c.codec, c.router, c.shards, start, n)
+	return scanN(s.codec, s.router, s.shards, start, n)
 }
 
-// scanN is ScanN over the shards of a live core or of a snapshot: each shard
+// scanN is ScanN over the shards of the live index or of a snapshot: each shard
 // in turn lends its (encoded) keys to one collector, which decodes and copies
 // only what is returned — no shard materializes entries of its own.
 func scanN[S shardScanner](codec keycodec.Codec, r *Router, shards []S, start []byte, n int) []index.Entry {

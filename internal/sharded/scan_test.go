@@ -47,7 +47,7 @@ func newScanFixture(t *testing.T, codec keycodec.Codec) *scanFixture {
 	for i, k := range ks {
 		f.want = append(f.want, index.Entry{Key: k, Value: uint64(i)})
 	}
-	for i, sh := range f.idx.load().shards {
+	for i, sh := range f.idx.shards {
 		if (sh.Len() == 0) != (i == 2) {
 			t.Fatalf("shard %d holds %d keys; only shard 2 should be empty", i, sh.Len())
 		}

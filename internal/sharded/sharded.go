@@ -15,25 +15,24 @@
 //
 // # Key compression
 //
-// With Config.Codec (or a Config.CodecTrainer-driven BulkLoad), the sharded
-// layer owns the codec boundary: keys are encoded once here, split
-// boundaries and routing live in encoded space, and the per-shard hybrid
-// indexes store encoded keys natively (their own codec stays identity, so
-// keys are never encoded twice). Scans route and merge encoded, decoding on
-// emit. Because a BulkLoad-trained codec changes the encoded key space, the
-// codec, router, and shards travel together in one immutable core swapped
-// atomically — readers always see a mutually consistent triple.
+// With Config.Codec the sharded layer is the one codec boundary: keys are
+// encoded once here, split boundaries and routing live in encoded space, and
+// the per-shard hybrid indexes store encoded keys as given. Scans route and
+// merge encoded, decoding on emit. The codec, the router and the shards are
+// fixed when New runs (the codec is trained beforehand, from a sample), so a
+// reader needs no consistent view of them: only each shard's generation
+// changes.
 package sharded
 
 import (
 	"fmt"
 	"path"
-	"sync/atomic"
 	"time"
 
 	"mets/internal/hybrid"
 	"mets/internal/index"
 	"mets/internal/keycodec"
+	"mets/internal/keys"
 	"mets/internal/obs"
 	"mets/internal/par"
 	"mets/internal/reconfig"
@@ -51,8 +50,7 @@ type Config struct {
 	Router *Router
 	// Hybrid is the per-shard dual-stage configuration. MinDynamic applies
 	// per shard, so an N-shard index merges after roughly N*MinDynamic total
-	// inserts spread evenly. Hybrid.Codec is ignored — the sharded layer
-	// owns the codec boundary (Config.Codec).
+	// inserts spread evenly.
 	Hybrid hybrid.Config
 	// Obs attaches every shard to the registry under a "shard<i>." prefix,
 	// so snapshots expose per-shard op counters (skew), stage sizes, and
@@ -60,21 +58,15 @@ type Config struct {
 	// instrumentation.
 	Obs *obs.Registry
 	// Codec, when set (and not the identity), stores and routes keys in
-	// encoded space (see the package comment).
+	// encoded space for the index's lifetime (see the package comment).
 	Codec keycodec.Codec
-	// CodecTrainer, when set, makes BulkLoad train a fresh codec from its
-	// sample pass over the load set, recompute the split boundaries as
-	// quantiles in the new encoded space, and swap codec+router+shards in
-	// one atomic step. Point and range operations concurrent with the swap
-	// see either the old or the new generation, never a mix.
-	// Incompatible with Dir (New panics): shard journals hold keys in
-	// encoded space, so swapping the codec would invalidate them.
-	CodecTrainer keycodec.Trainer
 	// Dir, when non-empty, gives every shard an op journal under
 	// Dir/shardNNN (see hybrid.Config.Dir): writes are journaled and a new
 	// index over the same Dir replays them. Hybrid.Dir is ignored — the
 	// sharded layer owns the per-shard directories. Hybrid.FS still selects
 	// the filesystem. Use SyncJournals/Close as the durability barriers.
+	// The journals hold encoded keys, so reopen a Dir with the codec that
+	// wrote it.
 	Dir string
 }
 
@@ -85,33 +77,18 @@ func DefaultConfig() Config {
 	return Config{Shards: 8, Hybrid: hc}
 }
 
-// core is one immutable generation of the index: a codec, a router with
-// boundaries in that codec's encoded space, and the shards holding encoded
-// keys. Swapped wholesale by codec-retraining bulk loads; a reader loads the
-// pointer once per operation and works on that triple, which nothing writes
-// to after publication. A superseded core is garbage once the store has
-// replaced it and the last such reader is done — it owns no journals (Dir
-// excludes every core swap), so there is nothing to close.
-type core struct {
-	codec  keycodec.Codec // nil = identity (keys stored raw)
-	router *Router
-	shards []*hybrid.Index
-}
-
 // Index is a range-partitioned collection of hybrid indexes. All methods are
 // safe for concurrent use; a write takes only the owning shard's writer
 // mutex, a read none, and aggregate accessors visit shards one at a time (they are
 // monotonic snapshots, not point-in-time cuts across shards).
 type Index struct {
-	core atomic.Pointer[core]
+	// codec, router and shards are set once in New and never replaced.
+	codec  keycodec.Codec // nil = identity (keys stored raw)
+	router *Router        // boundaries in the codec's encoded space
+	shards []*hybrid.Index
 
-	obs       *obs.Registry
-	hybridCfg hybrid.Config
-	newShard  func(hybrid.Config) *hybrid.Index
-	trainer   keycodec.Trainer
-	nshards   int
-	// dir is Config.Dir; each shard journals under dir/shardNNN.
-	dir string
+	// journaled is whether Config.Dir gave every shard a journal.
+	journaled bool
 	// seam is the reconfiguration pipeline every BulkLoad publishes
 	// through; concurrent bulk loads serialize on it.
 	seam *reconfig.Seam
@@ -119,41 +96,61 @@ type Index struct {
 
 // New builds a sharded index; newShard creates one hybrid index per range
 // (hybrid.NewBTree et al. match the signature).
+//
+// With Config.Dir a shard's constructor replays its journal and rebuilds its
+// static stage, which is all of a restart's cost, so the shards open side by
+// side. A shard that cannot open panics (hybrid.New has no error return);
+// the lowest such shard's panic is raised again here, on the caller's
+// goroutine.
 func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 8
-	}
-	if cfg.Router != nil {
-		n = cfg.Router.NumShards()
-	}
-	if cfg.Dir != "" && cfg.CodecTrainer != nil {
-		panic("sharded: Dir cannot be combined with CodecTrainer (a codec swap would invalidate the encoded-space shard journals)")
-	}
-	hc := cfg.Hybrid
-	hc.Codec = nil // the sharded layer owns the codec boundary
-	hc.Dir = ""    // per-shard journal dirs are assigned in newCore
-	s := &Index{
-		obs:       cfg.Obs,
-		hybridCfg: hc,
-		newShard:  newShard,
-		trainer:   cfg.CodecTrainer,
-		nshards:   n,
-		dir:       cfg.Dir,
-	}
-	var codec keycodec.Codec
-	if !keycodec.IsIdentity(cfg.Codec) {
-		codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
-	}
 	r := cfg.Router
 	if r == nil {
+		n := cfg.Shards
+		if n <= 0 {
+			n = 8
+		}
 		r = UniformRouter(n)
 	}
-	if codec != nil {
-		r = encodeRouter(r, codec)
+	s := &Index{journaled: cfg.Dir != ""}
+	if !keycodec.IsIdentity(cfg.Codec) {
+		s.codec = keycodec.Instrument(cfg.Codec, cfg.Obs)
+		r = encodeRouter(r, s.codec)
+	}
+	s.router = r
+	s.shards = make([]*hybrid.Index, r.NumShards())
+	open := func(i int) {
+		hc := cfg.Hybrid
+		if cfg.Obs != nil {
+			hc.Obs = cfg.Obs.Sub(fmt.Sprintf("shard%d.", i))
+		}
+		hc.Dir = "" // the sharded layer owns the per-shard directories
+		if cfg.Dir != "" {
+			hc.Dir = path.Join(cfg.Dir, fmt.Sprintf("shard%03d", i))
+		}
+		s.shards[i] = newShard(hc)
+	}
+	if cfg.Dir == "" {
+		for i := range s.shards {
+			open(i)
+		}
+	} else {
+		panics := make([]any, len(s.shards))
+		fns := make([]func(), len(s.shards))
+		for i := range s.shards {
+			i := i
+			fns[i] = func() {
+				defer func() { panics[i] = recover() }()
+				open(i)
+			}
+		}
+		par.Run(fns...)
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	}
 	s.seam = reconfig.New(reconfig.Options{Name: "sharded", Obs: cfg.Obs, FlightRec: cfg.Obs.FlightRecorder()})
-	s.core.Store(s.newCore(codec, r))
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("shards", func() float64 { return float64(s.NumShards()) })
 	}
@@ -186,62 +183,6 @@ func encodeRouter(r *Router, codec keycodec.Codec) *Router {
 	return NewRouter(bs)
 }
 
-// newCore builds the per-shard hybrid indexes for one generation. Metric
-// names are stable across generations (same "shard<i>." prefixes), so a
-// rebuild keeps appending to the same counters.
-//
-// With Config.Dir a shard's constructor replays its journal and rebuilds its
-// static stage, which is all of a restart's cost, so the shards open side by
-// side. A shard that cannot open panics (hybrid.New has no error return);
-// the lowest such shard's panic is raised again here, on the caller's
-// goroutine, where the serial loop raised it.
-func (s *Index) newCore(codec keycodec.Codec, r *Router) *core {
-	c := &core{codec: codec, router: r, shards: make([]*hybrid.Index, r.NumShards())}
-	open := func(i int) {
-		hc := s.hybridCfg
-		if s.obs != nil {
-			hc.Obs = s.obs.Sub(fmt.Sprintf("shard%d.", i))
-		}
-		if s.dir != "" {
-			hc.Dir = path.Join(s.dir, fmt.Sprintf("shard%03d", i))
-		}
-		c.shards[i] = s.newShard(hc)
-	}
-	if s.dir == "" {
-		for i := range c.shards {
-			open(i)
-		}
-		return c
-	}
-	panics := make([]any, len(c.shards))
-	fns := make([]func(), len(c.shards))
-	for i := range c.shards {
-		i := i
-		fns[i] = func() {
-			defer func() { panics[i] = recover() }()
-			open(i)
-		}
-	}
-	par.Run(fns...)
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	return c
-}
-
-// publish installs a rebuilt core. Its shards re-registered the "shard<i>."
-// derived gauges they share with their predecessors, but a core with fewer
-// shards leaves the higher-numbered ones behind, and each of those closures
-// holds a retired hybrid.Index with its whole static stage: drop them.
-func (s *Index) publish(next *core) {
-	old := s.core.Swap(next)
-	for i := len(next.shards); i < len(old.shards); i++ {
-		s.obs.DropGaugeFuncs(fmt.Sprintf("shard%d.", i))
-	}
-}
-
 // SyncJournals is the explicit durability barrier across every shard
 // journal. It starts the barrier on every shard before waiting on any, so
 // the shard journals' committers fsync side by side and the call costs the
@@ -250,12 +191,11 @@ func (s *Index) publish(next *core) {
 // barrier is awaited even after one fails; the error returned is the first
 // in shard order. A no-op without Config.Dir.
 func (s *Index) SyncJournals() error {
-	if s.dir == "" {
+	if !s.journaled {
 		return nil
 	}
-	shards := s.load().shards
-	barriers := make([]hybrid.JournalBarrier, len(shards))
-	for i, sh := range shards {
+	barriers := make([]hybrid.JournalBarrier, len(s.shards))
+	for i, sh := range s.shards {
 		barriers[i] = sh.StartJournalSync()
 	}
 	var first error
@@ -272,7 +212,7 @@ func (s *Index) SyncJournals() error {
 // has diverged from its in-memory state (see hybrid.Index.JournalErr). A
 // no-op (always nil) without Config.Dir.
 func (s *Index) JournalErr() error {
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		if err := sh.JournalErr(); err != nil {
 			return err
 		}
@@ -284,7 +224,7 @@ func (s *Index) JournalErr() error {
 // a final fsync if it needs one).
 func (s *Index) Close() error {
 	var first error
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		if err := sh.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -292,31 +232,21 @@ func (s *Index) Close() error {
 	return first
 }
 
-func (s *Index) load() *core { return s.core.Load() }
-
-// encodeKey maps key into c's encoded space (no-op without a codec).
-func (c *core) encodeKey(key []byte) []byte {
-	if c.codec == nil {
-		return key
-	}
-	return c.codec.Encode(key)
-}
-
 // NumShards returns the shard count.
-func (s *Index) NumShards() int { return len(s.load().shards) }
+func (s *Index) NumShards() int { return len(s.shards) }
 
-// Router returns the boundary router of the current generation. With a
-// codec active its boundaries are in encoded space.
-func (s *Index) Router() *Router { return s.load().router }
+// Router returns the boundary router. With a codec active its boundaries are
+// in encoded space.
+func (s *Index) Router() *Router { return s.router }
 
-// shard loads the core, encodes key and routes it: the owning shard and the
-// key in its encoded space. Every point operation starts here and takes no
-// lock of the sharded layer; the shard's own writer mutex is the only one a
-// write meets.
+// shard encodes key and routes it: the owning shard and the key in its
+// encoded space. Every point operation starts here and takes no lock of the
+// sharded layer; the shard's own writer mutex is the only one a write meets.
 func (s *Index) shard(key []byte) (*hybrid.Index, []byte) {
-	c := s.load()
-	ek := c.encodeKey(key)
-	return c.shards[c.router.Shard(ek)], ek
+	if s.codec != nil {
+		key = s.codec.Encode(key)
+	}
+	return s.shards[s.router.Shard(key)], key
 }
 
 // Get returns the value stored under key, resolved in the owning shard's
@@ -347,7 +277,7 @@ func (s *Index) Delete(key []byte) bool {
 // Len returns the total number of live entries across shards.
 func (s *Index) Len() int {
 	n := 0
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		n += sh.Len()
 	}
 	return n
@@ -356,7 +286,7 @@ func (s *Index) Len() int {
 // MemoryUsage sums all shards.
 func (s *Index) MemoryUsage() int64 {
 	var m int64
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		m += sh.MemoryUsage()
 	}
 	return m
@@ -365,10 +295,9 @@ func (s *Index) MemoryUsage() int64 {
 // Merge synchronously merges every shard's dynamic stage into its static
 // stage, fanning the per-shard rebuilds out across GOMAXPROCS workers.
 func (s *Index) Merge() {
-	shards := s.load().shards
-	fns := make([]func(), len(shards))
-	for i := range shards {
-		sh := shards[i]
+	fns := make([]func(), len(s.shards))
+	for i := range s.shards {
+		sh := s.shards[i]
 		fns[i] = func() { sh.Merge() }
 	}
 	par.Run(fns...)
@@ -376,7 +305,7 @@ func (s *Index) Merge() {
 
 // WaitMerges blocks until no shard has a background merge in flight.
 func (s *Index) WaitMerges() {
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		sh.WaitMerges()
 	}
 }
@@ -385,7 +314,7 @@ func (s *Index) WaitMerges() {
 // single-shard last-merge time (the worst pause any one shard imposed), and
 // summed merge work.
 func (s *Index) MergeStats() (merges int, worstLast, total time.Duration) {
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		m, last, t := sh.MergeStats()
 		merges += m
 		if last > worstLast {
@@ -396,121 +325,60 @@ func (s *Index) MergeStats() (merges int, worstLast, total time.Duration) {
 	return merges, worstLast, total
 }
 
-// bulkSampleCap bounds how many keys a codec-training BulkLoad samples.
-const bulkSampleCap = 1 << 16
-
-// BulkLoad replaces the index contents with the given sorted unique entries.
-//
-// Without a CodecTrainer, the entries are encoded with the current codec (a
-// no-op for identity), partitioned by the current router (cheap binary
-// searches at the boundaries), and each shard's static stage is built
-// directly, with the per-shard builds fanned out across GOMAXPROCS workers.
-//
-// With a CodecTrainer, the load's sample pass first trains a fresh codec,
-// the split boundaries are recomputed as even quantiles of the load in the
-// new encoded space (so shards receive equal entry counts under the loaded
-// distribution), fresh shards are built, and codec+router+shards swap in
-// atomically. Readers still on the earlier core finish on it.
-//
-// Both paths run through the reconfiguration seam, which serializes them
-// against each other and instruments the build/validate/publish pipeline.
+// BulkLoad replaces the index contents with the given sorted unique entries:
+// they are encoded with the index's codec (a no-op for identity), split at
+// the router's boundaries (binary searches, no copying), and each shard's
+// static stage is built directly, the per-shard builds fanned out across
+// GOMAXPROCS workers. Entries that are not strictly ascending are rejected
+// before any shard is touched, so a rejected load leaves the index as it
+// was. Bulk loads run through the reconfiguration seam, which serializes
+// them and records each one.
 func (s *Index) BulkLoad(entries []index.Entry) error {
-	if s.trainer == nil {
-		return s.seam.Apply(reconfig.Change{
-			Kind: "bulkload",
-			Build: func() (reconfig.Prepared, error) {
-				c := s.load()
-				enc := encodeEntries(entries, c.codec)
-				return reconfig.Prepared{
-					Publish: func() error { return bulkLoadCore(c, enc) },
-					Attrs:   []obs.Attr{obs.I64("entries", int64(len(entries)))},
-				}, nil
-			},
-		})
-	}
 	return s.seam.Apply(reconfig.Change{
-		Kind: "bulkload.retrain",
+		Kind: "bulkload",
 		Build: func() (reconfig.Prepared, error) {
-			sample := sampleKeys(entries, bulkSampleCap)
-			codec, err := s.trainer(sample)
+			enc, err := encodeEntries(entries, s.codec)
 			if err != nil {
-				return reconfig.Prepared{}, fmt.Errorf("sharded: codec training failed: %w", err)
-			}
-			if keycodec.IsIdentity(codec) {
-				codec = nil
-			} else {
-				codec = keycodec.Instrument(codec, s.obs)
-			}
-			enc := encodeEntries(entries, codec)
-			router := quantileRouter(enc, s.nshards)
-			next := s.newCore(codec, router)
-			if err := bulkLoadCore(next, enc); err != nil {
 				return reconfig.Prepared{}, err
 			}
-			p := reconfig.Prepared{
-				Publish: func() error { s.publish(next); return nil },
-				Attrs: []obs.Attr{
-					obs.I64("entries", int64(len(entries))),
-					obs.I64("shards", int64(s.nshards)),
-				},
-			}
-			if codec != nil {
-				cc := codec
-				p.Validate = func() error { return keycodec.Validate(cc, sample) }
-			}
-			return p, nil
+			return reconfig.Prepared{
+				Publish: func() error { return s.bulkLoadShards(enc) },
+				Attrs:   []obs.Attr{obs.I64("entries", int64(len(entries)))},
+			}, nil
 		},
 	})
 }
 
-// sampleKeys draws an evenly spaced key sample of at most cap entries.
-func sampleKeys(entries []index.Entry, capN int) [][]byte {
-	step := 1
-	if len(entries) > capN {
-		step = (len(entries) + capN - 1) / capN
+// encodeEntries maps entries into codec space (identity returns the input
+// slice) and checks on the way that they are strictly ascending, which the
+// partition and every shard's build rely on; the codec is strictly monotone,
+// so the result is ascending too. The check rides the encode pass: each key
+// is compared while its encoding has it in cache.
+func encodeEntries(entries []index.Entry, codec keycodec.Codec) ([]index.Entry, error) {
+	enc := entries
+	if codec != nil {
+		enc = make([]index.Entry, len(entries))
 	}
-	out := make([][]byte, 0, min(len(entries), capN))
-	for i := 0; i < len(entries); i += step {
-		out = append(out, entries[i].Key)
-	}
-	return out
-}
-
-// encodeEntries maps sorted entries into codec space (the codec is strictly
-// monotone, so the result is sorted too). Identity returns the input slice.
-func encodeEntries(entries []index.Entry, codec keycodec.Codec) []index.Entry {
-	if codec == nil {
-		return entries
-	}
-	enc := make([]index.Entry, len(entries))
 	for i, e := range entries {
-		enc[i] = index.Entry{Key: codec.Encode(e.Key), Value: e.Value}
-	}
-	return enc
-}
-
-// quantileRouter splits sorted encoded entries into n equal-count ranges.
-func quantileRouter(enc []index.Entry, n int) *Router {
-	bs := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		q := i * len(enc) / n
-		if q >= len(enc) {
-			break
+		if i > 0 && keys.Compare(entries[i-1].Key, e.Key) >= 0 {
+			return nil, fmt.Errorf("sharded: bulk-load entries must be sorted and unique (violated at index %d)", i)
 		}
-		bs = append(bs, enc[q].Key)
+		if codec != nil {
+			enc[i] = index.Entry{Key: codec.Encode(e.Key), Value: e.Value}
+		}
 	}
-	return NewRouter(bs)
+	return enc, nil
 }
 
-// bulkLoadCore partitions encoded entries by c's router and builds every
-// shard's static stage in parallel.
-func bulkLoadCore(c *core, entries []index.Entry) error {
-	parts := partition(c, entries)
-	errs := make([]error, len(c.shards))
-	fns := make([]func(), len(c.shards))
-	for i := range c.shards {
+// bulkLoadShards partitions sorted encoded entries by the router and builds
+// every shard's static stage in parallel.
+func (s *Index) bulkLoadShards(entries []index.Entry) error {
+	parts := s.partition(entries)
+	errs := make([]error, len(s.shards))
+	fns := make([]func(), len(s.shards))
+	for i := range s.shards {
 		i := i
-		fns[i] = func() { errs[i] = c.shards[i].BulkLoad(parts[i]) }
+		fns[i] = func() { errs[i] = s.shards[i].BulkLoad(parts[i]) }
 	}
 	par.Run(fns...)
 	for _, err := range errs {
@@ -523,14 +391,13 @@ func bulkLoadCore(c *core, entries []index.Entry) error {
 
 // partition splits sorted encoded entries into per-shard sub-slices (no
 // copying).
-func partition(c *core, entries []index.Entry) [][]index.Entry {
-	parts := make([][]index.Entry, len(c.shards))
+func (s *Index) partition(entries []index.Entry) [][]index.Entry {
+	parts := make([][]index.Entry, len(s.shards))
 	lo := 0
-	for i := 0; i < len(c.shards); i++ {
+	for i := range s.shards {
 		hi := len(entries)
-		if i+1 < len(c.shards) {
-			b := c.router.LowerBound(i + 1)
-			hi = lo + sortSearchEntries(entries[lo:], b)
+		if i+1 < len(s.shards) {
+			hi = lo + sortSearchEntries(entries[lo:], s.router.LowerBound(i+1))
 		}
 		parts[i] = entries[lo:hi]
 		lo = hi

@@ -23,10 +23,12 @@ func smallCfg(shards int) Config {
 	}
 }
 
-// shardOf returns the number of the shard that owns key in s's current core.
+// shardOf returns the number of the shard that owns key.
 func shardOf(s *Index, key []byte) int {
-	c := s.load()
-	return c.router.Shard(c.encodeKey(key))
+	if s.codec != nil {
+		key = s.codec.Encode(key)
+	}
+	return s.router.Shard(key)
 }
 
 // --- Router ---
@@ -127,7 +129,7 @@ func TestShardedBasic(t *testing.T) {
 		t.Fatalf("Len = %d after deletes, want %d", s.Len(), want)
 	}
 	// Every shard got some keys (random uint64 keys, uniform router).
-	for i, sh := range s.load().shards {
+	for i, sh := range s.shards {
 		if sh.Len() == 0 {
 			t.Fatalf("shard %d is empty", i)
 		}
@@ -263,7 +265,7 @@ func TestBulkLoadWithLearnedRouter(t *testing.T) {
 	if err := s.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range s.load().shards {
+	for i, sh := range s.shards {
 		if l := sh.Len(); l < n/16 || l > n/4 {
 			t.Fatalf("learned router: shard %d holds %d of %d keys, want balanced", i, l, n)
 		}
@@ -272,7 +274,7 @@ func TestBulkLoadWithLearnedRouter(t *testing.T) {
 	if err := uni.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	if uni.load().shards[shardOf(uni, ks[0])].Len() != n {
+	if uni.shards[shardOf(uni, ks[0])].Len() != n {
 		t.Fatal("expected the uniform router to collapse the skewed keyspace into one shard (sanity check)")
 	}
 }
@@ -440,7 +442,7 @@ func TestConcurrentStress(t *testing.T) {
 
 // stageLens sums the shards' dynamic (plus frozen) and static stage sizes.
 func stageLens(s *Index) (dynamic, static int) {
-	for _, sh := range s.load().shards {
+	for _, sh := range s.shards {
 		dynamic += sh.DynamicLen()
 		static += sh.StaticLen()
 	}
@@ -465,7 +467,7 @@ func TestMergeAllShards(t *testing.T) {
 	if merges != 8 || worst <= 0 || total < worst {
 		t.Fatalf("MergeStats = (%d, %v, %v), want 8 merges and sane times", merges, worst, total)
 	}
-	for i, sh := range s.load().shards {
+	for i, sh := range s.shards {
 		if merges, _, _ := sh.MergeStats(); merges != 1 {
 			t.Fatalf("shard %d ran %d merges, want 1", i, merges)
 		}

@@ -7,9 +7,8 @@ import (
 )
 
 // Snapshot is a read-only view of the sharded index assembled from one
-// per-shard hybrid.Snapshot each, all taken against a single core generation
-// (codec, router, shards). Each shard's view is an exact point-in-time cut
-// of that shard; the shards are captured one at a time, so — like the live
+// per-shard hybrid.Snapshot each. Each shard's view is an exact point-in-time
+// cut of that shard; the shards are captured one at a time, so — like the live
 // aggregate accessors — the cross-shard composite is monotonic rather than
 // a single global instant. What the server's SNAPSHOT_* protocol needs holds
 // regardless: once Snapshot() returns, no concurrent write, merge, or bulk
@@ -21,22 +20,17 @@ type Snapshot struct {
 	shards []*hybrid.Snapshot
 }
 
-// Snapshot captures a read-only view of every shard of one core.
-func (s *Index) Snapshot() (*Snapshot, error) {
-	c := s.load()
+// Snapshot captures a read-only view of every shard.
+func (s *Index) Snapshot() *Snapshot {
 	snap := &Snapshot{
-		codec:  c.codec,
-		router: c.router,
-		shards: make([]*hybrid.Snapshot, len(c.shards)),
+		codec:  s.codec,
+		router: s.router,
+		shards: make([]*hybrid.Snapshot, len(s.shards)),
 	}
-	for i, sh := range c.shards {
-		hs, err := sh.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		snap.shards[i] = hs
+	for i, sh := range s.shards {
+		snap.shards[i] = sh.Snapshot()
 	}
-	return snap, nil
+	return snap
 }
 
 // Get returns the value stored under key at capture time.

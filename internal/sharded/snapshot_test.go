@@ -50,10 +50,7 @@ func TestShardedSnapshotDifferential(t *testing.T) {
 			}
 		}
 		if step%1250 == 600 {
-			sn, err := s.Snapshot()
-			if err != nil {
-				t.Fatalf("Snapshot: %v", err)
-			}
+			sn := s.Snapshot()
 			oc := make(map[string]uint64, len(oracle))
 			for k, v := range oracle {
 				oc[k] = v
@@ -124,10 +121,7 @@ func TestShardedSnapshotUnderMergeChurn(t *testing.T) {
 	s.Merge()
 	s.WaitMerges()
 
-	sn, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	sn := s.Snapshot()
 	defer sn.Release()
 
 	stop := make(chan struct{})

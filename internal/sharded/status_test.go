@@ -30,7 +30,7 @@ func TestShardedStatus(t *testing.T) {
 	}
 	s.Merge()
 	s.WaitMerges()
-	for i, sh := range s.load().shards {
+	for i, sh := range s.shards {
 		if sh.Merging() {
 			t.Fatalf("post-merge: shard %d Merging, want settled", i)
 		}

@@ -172,18 +172,13 @@ func TrainHOPE(sample [][]byte, scheme HOPEScheme, dictLimit int) (*KeyEncoder, 
 
 // --- Key codec -------------------------------------------------------------
 
-// KeyCodec is the key-compression boundary the hybrid and sharded indexes
-// accept: a frozen, strictly order-preserving, invertible encoding of keys.
-// Set one on HybridConfig/ShardedConfig (field Codec) and the index stores
-// keys in encoded space, translating at its API boundary — point
-// and range operations keep raw-key semantics while key memory shrinks by
-// the codec's compression ratio.
+// KeyCodec is the key-compression boundary of the sharded index: a frozen,
+// strictly order-preserving, invertible encoding of keys. Train one from a
+// key sample (TrainKeyCodec), set it on ShardedConfig (field Codec), and the
+// index stores keys in encoded space for its lifetime, translating at its
+// API boundary — point and range operations keep raw-key semantics while key
+// memory shrinks by the codec's compression ratio.
 type KeyCodec = keycodec.Codec
-
-// KeyCodecTrainer trains a codec from a key sample; ShardedConfig's
-// CodecTrainer uses one to train the codec once per BulkLoad, from the load's
-// own sample (Ch. 6's offline training), and there is no retraining after.
-type KeyCodecTrainer = keycodec.Trainer
 
 // IdentityKeyCodec returns the no-op codec (keys stored raw).
 func IdentityKeyCodec() KeyCodec { return keycodec.Identity() }
@@ -192,11 +187,6 @@ func IdentityKeyCodec() KeyCodec { return keycodec.Identity() }
 // schemes but HOPESingleChar require 0x00-free keys.
 func TrainKeyCodec(sample [][]byte, scheme HOPEScheme, dictLimit int) (KeyCodec, error) {
 	return keycodec.TrainHOPE(sample, scheme, dictLimit)
-}
-
-// NewKeyCodecTrainer returns a trainer for ShardedConfig.CodecTrainer.
-func NewKeyCodecTrainer(scheme HOPEScheme, dictLimit int) KeyCodecTrainer {
-	return keycodec.HOPETrainer(scheme, dictLimit)
 }
 
 // UnmarshalKeyCodec reconstructs a codec from KeyCodec.MarshalBinary bytes
