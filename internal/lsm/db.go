@@ -147,6 +147,7 @@ func Open(cfg Config) *DB {
 		})
 		r.GaugeFunc("levels", func() float64 { return float64(db.NumLevels()) })
 		r.GaugeFunc("disk_bytes", func() float64 { return float64(db.DiskUsage()) })
+		r.GaugeFunc("index_bytes", func() float64 { return float64(db.indexBytes()) })
 	}
 	return db
 }
@@ -273,8 +274,9 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 		}
 		return userValue(v), true
 	}
+	kp := prefix8(key)
 	probe := func(t *SSTable) ([]byte, bool, bool) {
-		if keys.Compare(key, t.minKey) < 0 || keys.Compare(key, t.maxKey) > 0 {
+		if comparePfx(kp, key, t.minPfx, t.minKey) < 0 || comparePfx(kp, key, t.maxPfx, t.maxKey) > 0 {
 			return nil, false, false
 		}
 		filtered := t.filter != nil
@@ -282,14 +284,14 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 			atomic.AddInt64(&db.Stats.FilterNegatives, 1)
 			return nil, false, false
 		}
-		b := t.blockFor(key)
+		b := t.blockFor(key, kp)
 		if b < 0 {
 			if filtered {
 				atomic.AddInt64(&db.Stats.FilterFalsePositives, 1)
 			}
 			return nil, false, false
 		}
-		v, ok := blockGet(db.readBlock(t, b), key)
+		v, ok := t.blockGet(b, db.readBlock(t, b), key)
 		if filtered && !ok {
 			atomic.AddInt64(&db.Stats.FilterFalsePositives, 1)
 		}
@@ -307,12 +309,8 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 		}
 	}
 	for l := 1; l < len(db.levels); l++ {
-		tables := db.levels[l]
-		i := sort.Search(len(tables), func(i int) bool {
-			return keys.Compare(tables[i].maxKey, key) >= 0
-		})
-		if i < len(tables) {
-			if v, ok, _ := probe(tables[i]); ok {
+		if t := tableFor(db.levels[l], key, kp); t != nil {
+			if v, ok, _ := probe(t); ok {
 				if isTombstone(v) {
 					return nil, false
 				}
@@ -321,6 +319,18 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+// tableFor returns the table of a level >= 1 (sorted, disjoint) whose range
+// can hold key, whose prefix is kp: the first one whose max key is >= key.
+func tableFor(tables []*SSTable, key []byte, kp uint64) *SSTable {
+	i := sort.Search(len(tables), func(i int) bool {
+		return comparePfx(tables[i].maxPfx, tables[i].maxKey, kp, key) >= 0
+	})
+	if i < len(tables) {
+		return tables[i]
+	}
+	return nil
 }
 
 // seekCandidate is one source in the Seek merge.
@@ -367,7 +377,11 @@ func (db *DB) Seek(lo, hi []byte) (Entry, bool) {
 // seekOnceLocked performs one candidate-resolution pass. A non-nil next
 // means the winner was a tombstone and the search must restart at next.
 func (db *DB) seekOnceLocked(lo, hi []byte) (Entry, bool, []byte) {
-	var cands []seekCandidate
+	// One candidate per source — the MemTable, each level-0 table and one
+	// table per deeper level — fits the stack array in the default shape;
+	// more sources spill to the heap.
+	var stack [16]seekCandidate
+	cands := stack[:0]
 	if k, v, ok := db.mem.seek(lo); ok {
 		cands = append(cands, seekCandidate{key: k, value: v, exact: true, prio: 1 << 30})
 	}
@@ -391,13 +405,10 @@ func (db *DB) seekOnceLocked(lo, hi []byte) (Entry, bool, []byte) {
 			addTable(t, 1000+i) // newer level-0 tables shadow older ones
 		}
 	}
+	lp := prefix8(lo)
 	for l := 1; l < len(db.levels); l++ {
-		tables := db.levels[l]
-		i := sort.Search(len(tables), func(i int) bool {
-			return keys.Compare(tables[i].maxKey, lo) >= 0
-		})
-		if i < len(tables) {
-			addTable(tables[i], -l)
+		if t := tableFor(db.levels[l], lo, lp); t != nil {
+			addTable(t, -l)
 		}
 	}
 	// Resolve: repeatedly take the first candidate in (key, approx-first,
@@ -444,23 +455,22 @@ func (db *DB) seekOnceLocked(lo, hi []byte) (Entry, bool, []byte) {
 	return Entry{}, false, nil
 }
 
-// tableSeek reads the first record with key >= lo from t.
+// tableSeek reads the first record with key >= lo from t. When the block
+// that may hold lo has no such record, it is the next block's first.
 func (db *DB) tableSeek(t *SSTable, lo []byte) (Entry, bool) {
-	b := t.blockFor(lo)
+	b := t.blockFor(lo, prefix8(lo))
 	if b < 0 {
-		if keys.Compare(lo, t.minKey) < 0 {
-			b = 0
-		} else {
-			return Entry{}, false
-		}
+		return Entry{}, false
 	}
-	for ; b < t.numBlocks(); b++ {
-		r := blockReader{raw: db.readBlock(t, b)}
-		if r.seek(lo) {
-			return Entry{Key: r.key, Value: r.value}, true
-		}
+	r, ok := t.seekBlock(b, db.readBlock(t, b), lo)
+	if !ok && b+1 < t.numBlocks() {
+		r = blockReader{raw: db.readBlock(t, b+1)}
+		ok = r.next()
 	}
-	return Entry{}, false
+	if !ok {
+		return Entry{}, false
+	}
+	return Entry{Key: r.key, Value: r.value}, true
 }
 
 // Count approximates the number of records in [lo, hi]; nil hi means
@@ -485,9 +495,13 @@ func (db *DB) Count(lo, hi []byte) int {
 				return
 			}
 		}
-		for b := t.blockFor(lo); b >= 0 && b < t.numBlocks(); b++ {
-			r := blockReader{raw: db.readBlock(t, b)}
-			for ok := r.seek(lo); ok; ok = r.next() {
+		b := t.blockFor(lo, prefix8(lo))
+		if b < 0 {
+			return
+		}
+		r, ok := t.seekBlock(b, db.readBlock(t, b), lo)
+		for {
+			for ; ok; ok = r.next() {
 				if keys.Compare(r.key, thi) > 0 {
 					return
 				}
@@ -495,6 +509,11 @@ func (db *DB) Count(lo, hi []byte) int {
 					total++
 				}
 			}
+			if b++; b == t.numBlocks() {
+				return
+			}
+			r = blockReader{raw: db.readBlock(t, b)}
+			ok = r.next()
 		}
 	}
 	if len(db.levels) > 0 {
@@ -569,10 +588,20 @@ func (db *DB) pickCompactionLocked() *compactJob {
 	return nil
 }
 
-// executeJob merges the job's inputs and builds the output tables. L0 inputs
-// are newest-last, so later tables correctly win on duplicate keys.
+// executeJob merges the job's inputs and builds the output tables. The
+// overlapping tables of the level below are one sorted run, older than every
+// input; L0 inputs are newest-last, so later runs correctly win on duplicate
+// keys.
 func (db *DB) executeJob(job *compactJob) ([]*SSTable, error) {
-	return db.splitIntoTables(mergeTables(append(append([]*SSTable(nil), job.merge...), job.inputs...), job.bottom))
+	var below [][]byte
+	for _, t := range job.merge {
+		below = append(below, t.blocks...)
+	}
+	runs := [][][]byte{below}
+	for _, t := range job.inputs {
+		runs = append(runs, t.blocks)
+	}
+	return db.splitIntoTables(mergeTables(runs, job.bottom))
 }
 
 // installLocked swaps the job's output into the level structure.
@@ -636,37 +665,56 @@ func (db *DB) levelTarget(l int) int64 {
 	return t
 }
 
-// mergeTables merges tables (later tables win on equal keys) without
-// charging I/O: compaction reads are sequential maintenance work, not the
-// point and range I/O the experiments count. When the output is the bottom
-// level, tombstones are garbage-collected.
-func mergeTables(tables []*SSTable, dropTombstones bool) []Entry {
-	var all []Entry
-	seen := make(map[string]int)
-	for _, t := range tables {
-		for _, raw := range t.blocks {
-			for r := (blockReader{raw: raw}); r.next(); {
-				e := Entry{Key: r.key, Value: r.value}
-				if i, ok := seen[string(e.Key)]; ok {
-					all[i] = e
-					continue
-				}
-				seen[string(e.Key)] = len(all)
-				all = append(all, e)
-			}
+// mergeTables merges sorted runs, each the blocks of one or more disjoint
+// tables in key order, record by record; later runs win on equal keys. It
+// charges no I/O:
+// compaction reads are sequential maintenance work, not the point and range
+// I/O the experiments count. When the output is the bottom level, tombstones
+// are garbage-collected.
+func mergeTables(runs [][][]byte, dropTombstones bool) []Entry {
+	var its []runIter
+	for _, blocks := range runs {
+		if it := (runIter{blocks: blocks}); it.next() {
+			its = append(its, it)
 		}
 	}
-	if dropTombstones {
-		live := all[:0]
-		for _, e := range all {
-			if !isTombstone(e.Value) {
-				live = append(live, e)
+	var out []Entry
+	for len(its) > 0 {
+		best := 0 // the smallest key, from the latest run that holds it
+		for i := 1; i < len(its); i++ {
+			if keys.Compare(its[i].r.key, its[best].r.key) <= 0 {
+				best = i
 			}
 		}
-		all = live
+		e := Entry{Key: its[best].r.key, Value: its[best].r.value}
+		if !dropTombstones || !isTombstone(e.Value) {
+			out = append(out, e)
+		}
+		for i := 0; i < len(its); { // step every run past e.Key, keeping run order
+			if bytes.Equal(its[i].r.key, e.Key) && !its[i].next() {
+				its = append(its[:i], its[i+1:]...)
+				continue
+			}
+			i++
+		}
 	}
-	sort.Slice(all, func(i, j int) bool { return keys.Compare(all[i].Key, all[j].Key) < 0 })
-	return all
+	return out
+}
+
+// runIter walks one sorted run's records, block after block.
+type runIter struct {
+	blocks [][]byte // the blocks after r's
+	r      blockReader
+}
+
+func (it *runIter) next() bool {
+	for !it.r.next() {
+		if len(it.blocks) == 0 {
+			return false
+		}
+		it.r, it.blocks = blockReader{raw: it.blocks[0]}, it.blocks[1:]
+	}
+	return true
 }
 
 func (db *DB) splitIntoTables(entries []Entry) ([]*SSTable, error) {
@@ -702,27 +750,29 @@ func (db *DB) NumLevels() int {
 
 // FilterMemory totals the resident filter bytes.
 func (db *DB) FilterMemory() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var m int64
-	for _, level := range db.levels {
-		for _, t := range level {
-			if t.filter != nil {
-				m += t.filter.MemoryUsage()
-			}
+	return db.sumTables(func(t *SSTable) int64 {
+		if t.filter == nil {
+			return 0
 		}
-	}
-	return m
+		return t.filter.MemoryUsage()
+	})
 }
 
+// indexBytes totals the tables' in-memory indexes: fences, their prefixes
+// and the restart points.
+func (db *DB) indexBytes() int64 { return db.sumTables((*SSTable).indexBytes) }
+
 // DiskUsage totals serialized table bytes.
-func (db *DB) DiskUsage() int64 {
+func (db *DB) DiskUsage() int64 { return db.sumTables((*SSTable).DiskUsage) }
+
+// sumTables totals f over every table of every level.
+func (db *DB) sumTables(f func(*SSTable) int64) int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var m int64
 	for _, level := range db.levels {
 		for _, t := range level {
-			m += t.DiskUsage()
+			m += f(t)
 		}
 	}
 	return m

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"mets/internal/keys"
 )
@@ -39,14 +38,34 @@ type Filter interface {
 // compaction time; nil disables filtering.
 type FilterBuilder func(ks [][]byte) (Filter, error)
 
-// SSTable is one immutable sorted run.
+// restartInterval is the number of records from one restart point to the
+// next: a table keeps the offset of every restartInterval-th record of each
+// block, so a lookup binary-searches those records and then walks fewer than
+// restartInterval more. It is RocksDB's default.
+const restartInterval = 16
+
+// SSTable is one immutable sorted run. Beside its serialized blocks it keeps
+// an in-memory index that leaves the block bytes as they are: the fence keys
+// and their 8-byte prefixes, each in one array, and the blocks' restart
+// points.
 type SSTable struct {
 	id     uint64
 	blocks [][]byte // serialized block payloads ("on disk")
-	fence  [][]byte // first key of each block
-	minKey []byte
-	maxKey []byte
-	filter Filter
+	// fenceKeys holds the first key of each block, then the table's max key;
+	// fence b is fenceKeys[fenceOff[b]:fenceOff[b+1]].
+	fenceKeys []byte
+	fenceOff  []uint32
+	// fencePfx[b] is prefix8(fence(b)): blockFor searches it and compares a
+	// full fence key only where two prefixes tie.
+	fencePfx []uint64
+	// restarts holds the offsets of records restartInterval,
+	// 2*restartInterval, ... of every block, block after block (record 0 is
+	// at offset 0); block b's are restarts[restartAt[b]:restartAt[b+1]].
+	restarts       []uint32
+	restartAt      []uint32
+	minKey, maxKey []byte // in fenceKeys
+	minPfx, maxPfx uint64
+	filter         Filter
 }
 
 // numBlocks returns the block count.
@@ -58,21 +77,27 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 	if len(entries) == 0 {
 		return t, nil
 	}
-	t.minKey = entries[0].Key
-	t.maxKey = entries[len(entries)-1].Key
 	var buf []byte
 	blockStart := 0
+	t.restarts = make([]uint32, 0, len(entries)/restartInterval)
+	t.restartAt = []uint32{0}
 	flush := func(end int) {
 		if len(buf) == 0 {
 			return
 		}
 		t.blocks = append(t.blocks, buf)
-		t.fence = append(t.fence, entries[blockStart].Key)
+		t.fenceOff = append(t.fenceOff, uint32(len(t.fenceKeys)))
+		t.fenceKeys = append(t.fenceKeys, entries[blockStart].Key...)
+		t.fencePfx = append(t.fencePfx, prefix8(entries[blockStart].Key))
+		t.restartAt = append(t.restartAt, uint32(len(t.restarts)))
 		buf = nil
 		blockStart = end
 	}
 	var tmp [binary.MaxVarintLen64]byte
 	for i, e := range entries {
+		if r := i - blockStart; r > 0 && r%restartInterval == 0 {
+			t.restarts = append(t.restarts, uint32(len(buf)))
+		}
 		n := binary.PutUvarint(tmp[:], uint64(len(e.Key)))
 		buf = append(buf, tmp[:n]...)
 		buf = append(buf, e.Key...)
@@ -84,6 +109,10 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 		}
 	}
 	flush(len(entries))
+	t.fenceOff = append(t.fenceOff, uint32(len(t.fenceKeys)))
+	t.fenceKeys = append(t.fenceKeys, entries[len(entries)-1].Key...)
+	t.minKey, t.maxKey = t.fence(0), t.fenceKeys[t.fenceOff[len(t.blocks)]:]
+	t.minPfx, t.maxPfx = t.fencePfx[0], prefix8(t.maxKey)
 	if fb != nil {
 		ks := make([][]byte, len(entries))
 		for i, e := range entries {
@@ -96,6 +125,34 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 		t.filter = f
 	}
 	return t, nil
+}
+
+// fence returns the first key of block b.
+func (t *SSTable) fence(b int) []byte { return t.fenceKeys[t.fenceOff[b]:t.fenceOff[b+1]] }
+
+// prefix8 is k's first 8 bytes as a big-endian integer, zero-padded (as
+// btree's node search uses it): a smaller prefix means a smaller key, and
+// only equal prefixes need the full compare.
+func prefix8(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, b := range k {
+		p |= uint64(b) << (56 - 8*uint(i))
+	}
+	return p
+}
+
+// comparePfx is keys.Compare(a, b) for keys whose prefixes are ap and bp.
+func comparePfx(ap uint64, a []byte, bp uint64, b []byte) int {
+	if ap != bp {
+		if ap < bp {
+			return -1
+		}
+		return 1
+	}
+	return keys.Compare(a, b)
 }
 
 // blockReader is the one cursor over a serialized block's records (uvarint
@@ -118,11 +175,17 @@ func (r *blockReader) next() bool {
 	return true
 }
 
-// field reads one length-prefixed frame. A frame that runs past the block, or
-// whose length is not a minimal uvarint (the writer never makes one), is
-// malformed.
+// field reads one length-prefixed frame; a length below 128 is its one byte.
+// A frame that runs past the block, or whose length is not a minimal uvarint
+// (the writer never makes one), is malformed.
 func (r *blockReader) field() []byte {
-	l, n := binary.Uvarint(r.raw[r.off:])
+	var l uint64
+	n := 1
+	if r.off < len(r.raw) && r.raw[r.off] < 0x80 {
+		l = uint64(r.raw[r.off])
+	} else {
+		l, n = binary.Uvarint(r.raw[r.off:])
+	}
 	if n <= 0 || l > uint64(len(r.raw)-r.off-n) || (n > 1 && r.raw[r.off+n-1] == 0) {
 		panic(fmt.Sprintf("lsm: malformed block frame at %d (writer bug)", r.off))
 	}
@@ -142,26 +205,53 @@ func (r *blockReader) seek(lo []byte) bool {
 	return false
 }
 
-// blockGet returns the value stored under key in one block: the scan stops
-// at the first key >= key, which is the record or proves its absence.
-func blockGet(raw, key []byte) ([]byte, bool) {
-	r := blockReader{raw: raw}
-	if r.seek(key) && bytes.Equal(r.key, key) {
+// seekBlock returns a reader over raw, the bytes of block b, at the block's
+// first record with key >= lo: it binary-searches the block's restart points
+// for the last one whose key is <= lo and walks on from there. ok is false
+// when the block holds no such record.
+func (t *SSTable) seekBlock(b int, raw, lo []byte) (r blockReader, ok bool) {
+	rs := t.restarts[t.restartAt[b]:t.restartAt[b+1]]
+	i, j := 0, len(rs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		r = blockReader{raw: raw, off: int(rs[h])}
+		if keys.Compare(r.field(), lo) <= 0 {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	r = blockReader{raw: raw}
+	if i > 0 {
+		r.off = int(rs[i-1])
+	}
+	return r, r.seek(lo)
+}
+
+// blockGet returns the value stored under key in block b (raw): the seek
+// stops at the first key >= key, which is the record or proves its absence.
+func (t *SSTable) blockGet(b int, raw, key []byte) ([]byte, bool) {
+	if r, ok := t.seekBlock(b, raw, key); ok && bytes.Equal(r.key, key) {
 		return r.value, true
 	}
 	return nil, false
 }
 
-// blockFor returns the index of the block that may contain key, or -1.
-func (t *SSTable) blockFor(key []byte) int {
-	if t.numBlocks() == 0 || keys.Compare(key, t.maxKey) > 0 {
+// blockFor returns the index of the block that may contain key, whose prefix
+// is kp, or -1.
+func (t *SSTable) blockFor(key []byte, kp uint64) int {
+	if t.numBlocks() == 0 || comparePfx(kp, key, t.maxPfx, t.maxKey) > 0 {
 		return -1
 	}
-	i := sort.Search(len(t.fence), func(i int) bool {
-		return keys.Compare(t.fence[i], key) > 0
-	})
-	if i == 0 {
-		return 0
+	// The last block whose fence is <= key; block 0 when key is below all.
+	i, j := 1, len(t.fencePfx)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if p := t.fencePfx[h]; p < kp || p == kp && keys.Compare(t.fence(h), key) <= 0 {
+			i = h + 1
+		} else {
+			j = h
+		}
 	}
 	return i - 1
 }
@@ -185,4 +275,10 @@ func (t *SSTable) DiskUsage() int64 {
 		m += int64(len(b))
 	}
 	return m
+}
+
+// indexBytes is the memory the table's index holds beside its blocks: the
+// fence keys and their offsets, the prefixes and the restart arrays.
+func (t *SSTable) indexBytes() int64 {
+	return int64(cap(t.fenceKeys) + 4*cap(t.fenceOff) + 8*cap(t.fencePfx) + 4*cap(t.restarts) + 4*cap(t.restartAt))
 }
