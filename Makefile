@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 19823
+LOC_MAX := 19918
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 
@@ -62,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompactOps$$' -fuzztime $(FUZZTIME) ./internal/btree
 	$(GO) test -run '^$$' -fuzz '^FuzzFORRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/bits
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockSeek$$' -fuzztime $(FUZZTIME) ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzConcurrentOps$$' -fuzztime $(FUZZTIME) ./internal/skiplist
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplayRawSegment$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzWireRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire

@@ -75,7 +75,7 @@ func (l *leafNode) firstLive() int { return l.nextLive(0) }
 
 // lowerBoundSlot returns a slot index s such that every live slot < s holds
 // a key < key and every live slot >= s holds a key >= key (s may itself be
-// a gap; callers advance with nextLive). qp must be prefix8(key). The
+// a gap; callers advance with nextLive). qp must be keys.Prefix8(key). The
 // equal-prefix run is binary-searched on each slot's *effective* key — the
 // key at its next live slot, which is what a gap's replicated prefix stands
 // for — because shared-prefix key sets tie across the whole leaf and a
@@ -118,7 +118,7 @@ func (l *leafNode) upperBoundSlot(key []byte, qp uint64) int {
 
 // insertEntry places key at its upper-bound position, claiming the target
 // gap directly or shifting live entries to the nearest gap. The leaf must
-// not be full. The key is cloned; qp must be prefix8(key).
+// not be full. The key is cloned; qp must be keys.Prefix8(key).
 func (l *leafNode) insertEntry(key []byte, qp uint64, value uint64) {
 	p := l.upperBoundSlot(key, qp)
 	switch {
@@ -209,7 +209,7 @@ func (l *leafNode) split(t *Tree) *leafNode {
 type innerNode struct {
 	// keys[i] is the smallest key in children[i+1]'s subtree.
 	keys [][]byte
-	// pfx[i] is prefix8(keys[i]): the SWAR search mirror.
+	// pfx[i] is keys.Prefix8(keys[i]): the SWAR search mirror.
 	pfx      []uint64
 	children []any // *innerNode or *leafNode
 }
@@ -239,7 +239,7 @@ func (t *Tree) Len() int { return t.length }
 
 // Get returns the value of key (the first match in multimap mode).
 func (t *Tree) Get(key []byte) (uint64, bool) {
-	qp := prefix8(key)
+	qp := keys.Prefix8(key)
 	l, _ := t.findLeaf(key, qp)
 	if l == nil {
 		return 0, false
@@ -274,7 +274,7 @@ func (t *Tree) GetAll(key []byte) []uint64 {
 // Insert adds key/value. In unique mode it returns false when the key
 // already exists; in multimap mode it always succeeds.
 func (t *Tree) Insert(key []byte, value uint64) bool {
-	qp := prefix8(key)
+	qp := keys.Prefix8(key)
 	if t.root == nil {
 		l := newLeaf()
 		l.insertEntry(key, qp, value)
@@ -294,7 +294,7 @@ func (t *Tree) Insert(key []byte, value uint64) bool {
 	if newChild != nil {
 		root := &innerNode{}
 		root.keys = append(root.keys, splitKey)
-		root.pfx = append(root.pfx, prefix8(splitKey))
+		root.pfx = append(root.pfx, keys.Prefix8(splitKey))
 		root.children = append(root.children, t.root, newChild)
 		t.root = root
 		t.height++
@@ -332,7 +332,7 @@ func (t *Tree) insert(n any, key []byte, qp uint64, value uint64) (newSibling an
 		node.keys[c] = sk
 		node.pfx = append(node.pfx, 0)
 		copy(node.pfx[c+1:], node.pfx[c:])
-		node.pfx[c] = prefix8(sk)
+		node.pfx[c] = keys.Prefix8(sk)
 		node.children = append(node.children, nil)
 		copy(node.children[c+2:], node.children[c+1:])
 		node.children[c+1] = newChild
@@ -357,7 +357,7 @@ func (t *Tree) insert(n any, key []byte, qp uint64, value uint64) (newSibling an
 
 // Update overwrites the value of the first entry equal to key.
 func (t *Tree) Update(key []byte, value uint64) bool {
-	qp := prefix8(key)
+	qp := keys.Prefix8(key)
 	l, _ := t.findLeaf(key, qp)
 	if l == nil {
 		return false
@@ -384,7 +384,7 @@ func (t *Tree) Update(key []byte, value uint64) bool {
 // main-memory B+tree implementations with lazy deletion); empty leaves are
 // unlinked from the leaf chain.
 func (t *Tree) Delete(key []byte) bool {
-	qp := prefix8(key)
+	qp := keys.Prefix8(key)
 	l, _ := t.findLeaf(key, qp)
 	if l == nil {
 		return false
@@ -414,7 +414,7 @@ func (t *Tree) Delete(key []byte) bool {
 // findLeaf descends to the leaf holding the first entry >= key. Routing
 // goes left of equal separators so that duplicate runs spanning a split are
 // found from their beginning (reads then continue along the leaf chain).
-// qp must be prefix8(key).
+// qp must be keys.Prefix8(key).
 func (t *Tree) findLeaf(key []byte, qp uint64) (*leafNode, int) {
 	n := t.root
 	if n == nil {
@@ -434,7 +434,7 @@ func (t *Tree) findLeaf(key []byte, qp uint64) (*leafNode, int) {
 
 // Scan visits entries in order from the smallest key >= start.
 func (t *Tree) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
-	qp := prefix8(start)
+	qp := keys.Prefix8(start)
 	l, _ := t.findLeaf(start, qp)
 	if l == nil {
 		return 0

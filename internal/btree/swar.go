@@ -10,29 +10,12 @@ import (
 // SWAR node search: instead of a branch-per-probe binary search over
 // [][]byte keys, every node keeps its keys' first 8 bytes packed big-endian
 // into a uint64 ("SIMD within a register": one word comparison covers 8
-// byte comparisons at once). Packed prefixes order exactly like the keys
-// they abbreviate — prefix8(a) < prefix8(b) implies a < b, and a <= b
-// implies prefix8(a) <= prefix8(b) — so a branchless count of prefixes
+// byte comparisons at once). Packed prefixes (keys.Prefix8) order exactly
+// like the keys they abbreviate, so a branchless count of prefixes
 // below the query prefix finds the search boundary, and only the (usually
 // empty) run of keys sharing the query's full 8-byte prefix needs byte-wise
 // comparison. For fanout-sized nodes the straight-line compare+add loop
 // beats binary search's unpredictable branches on modern cores.
-
-// prefix8 packs the first 8 bytes of k big-endian, zero-padded on the
-// right, so uint64 comparison of prefixes is lexicographic comparison of
-// the keys' first 8 bytes (a short key compares like itself followed by
-// zeros, which is exactly the zero-extension bytewise order gives it
-// against any key it is a prefix of).
-func prefix8(k []byte) uint64 {
-	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
-	}
-	var p uint64
-	for i, b := range k {
-		p |= uint64(b) << (56 - 8*uint(i))
-	}
-	return p
-}
 
 // lt64 returns 1 when a < b (unsigned) and 0 otherwise with no branch: the
 // expression computes the borrow out of a-b (Hacker's Delight §2-12).
@@ -61,7 +44,7 @@ func countLess(p []uint64, q uint64) int {
 }
 
 // swarLowerBound returns the first index with ks[i] >= key over a sorted
-// node whose packed prefixes are pfx. qp must be prefix8(key): entries with
+// node whose packed prefixes are pfx. qp must be keys.Prefix8(key): entries with
 // a smaller prefix are certainly smaller, entries with a larger prefix
 // certainly larger, and the equal-prefix run in between is resolved with a
 // binary search on the full keys — datasets whose keys share their first 8
@@ -94,7 +77,7 @@ func swarUpperBound(pfx []uint64, ks [][]byte, key []byte, qp uint64) int {
 	return i
 }
 
-// head4 is prefix8's 4-byte sibling for the compact trees (packed.go), whose
+// head4 is keys.Prefix8's 4-byte sibling for the compact trees (packed.go), whose
 // heads are taken after a node's common prefix: the first 4 bytes of k packed
 // big-endian, zero-padded on the right, ordering like the keys they
 // abbreviate. A short key ties with its own zero-extensions ("a" and

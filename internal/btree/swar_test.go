@@ -57,12 +57,12 @@ func TestPrefix8Monotone(t *testing.T) {
 	for _, a := range ks {
 		for _, b := range ks {
 			cmp := keys.Compare(a, b)
-			pa, pb := prefix8(a), prefix8(b)
+			pa, pb := keys.Prefix8(a), keys.Prefix8(b)
 			if cmp <= 0 && pa > pb {
-				t.Fatalf("prefix8 not monotone: %x <= %x but %016x > %016x", a, b, pa, pb)
+				t.Fatalf("keys.Prefix8 not monotone: %x <= %x but %016x > %016x", a, b, pa, pb)
 			}
 			if pa < pb && cmp >= 0 {
-				t.Fatalf("prefix8 order lies: %016x < %016x but %x >= %x", pa, pb, a, b)
+				t.Fatalf("keys.Prefix8 order lies: %016x < %016x but %x >= %x", pa, pb, a, b)
 			}
 		}
 	}
@@ -114,10 +114,10 @@ func TestSwarBoundsOracle(t *testing.T) {
 			ks := all[lo : lo+width]
 			pfx := make([]uint64, len(ks))
 			for i, k := range ks {
-				pfx[i] = prefix8(k)
+				pfx[i] = keys.Prefix8(k)
 			}
 			for _, q := range queries {
-				qp := prefix8(q)
+				qp := keys.Prefix8(q)
 				wantL := sort.Search(len(ks), func(i int) bool { return keys.Compare(ks[i], q) >= 0 })
 				wantU := sort.Search(len(ks), func(i int) bool { return keys.Compare(ks[i], q) > 0 })
 				if got := swarLowerBound(pfx, ks, q, qp); got != wantL {
@@ -342,9 +342,9 @@ func FuzzNodeSearchSWAR(f *testing.F) {
 		sort.Slice(ks, func(i, j int) bool { return keys.Compare(ks[i], ks[j]) < 0 })
 		pfx := make([]uint64, len(ks))
 		for i, k := range ks {
-			pfx[i] = prefix8(k)
+			pfx[i] = keys.Prefix8(k)
 		}
-		qp := prefix8(q)
+		qp := keys.Prefix8(q)
 		wantL := sort.Search(len(ks), func(i int) bool { return keys.Compare(ks[i], q) >= 0 })
 		wantU := sort.Search(len(ks), func(i int) bool { return keys.Compare(ks[i], q) > 0 })
 		if got := swarLowerBound(pfx, ks, q, qp); got != wantL {

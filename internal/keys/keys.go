@@ -11,6 +11,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"sort"
+
+	mbits "mets/internal/bits"
 )
 
 // Uint64 encodes v as an 8-byte big-endian key so that byte-wise
@@ -59,6 +61,23 @@ func Compare(a, b []byte) int {
 		return 1
 	}
 	return 0
+}
+
+// Prefix8 packs the first 8 bytes of k big-endian, zero-padded on the right,
+// so that comparing two prefixes as integers compares the keys' first 8
+// bytes: Prefix8(a) < Prefix8(b) implies a < b, and a <= b implies
+// Prefix8(a) <= Prefix8(b). A short key compares like itself followed by
+// zeros, which is the order it has against any key it is a prefix of; only
+// keys whose prefixes tie need the full compare.
+func Prefix8(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, b := range k {
+		p |= uint64(b) << (56 - 8*uint(i))
+	}
+	return p
 }
 
 // CommonPrefixBits returns how many leading bits a and b share, up to the end
@@ -114,7 +133,10 @@ func Next(k []byte) []byte {
 // from it and a larger one started, so every clone stays valid for as long as
 // it is referenced; the keys of one slab are collected together. The zero
 // Slab is ready to use and starts at 1 KiB.
-type Slab struct{ buf []byte }
+type Slab struct {
+	buf   []byte
+	bytes int64 // heap of every buffer started, the ones left behind included
+}
 
 const (
 	slabMin = 1 << 10
@@ -123,18 +145,25 @@ const (
 
 // NewSlab returns a slab whose first buffer holds size bytes, for a caller
 // that can estimate what it is about to clone.
-func NewSlab(size int) Slab { return Slab{buf: make([]byte, 0, size)} }
+func NewSlab(size int) Slab {
+	return Slab{buf: make([]byte, 0, size), bytes: mbits.AllocSize(size)}
+}
 
 // Clone returns a copy of k that nothing else writes to.
 func (s *Slab) Clone(k []byte) []byte {
 	if len(k) > cap(s.buf)-len(s.buf) {
 		size := min(max(2*cap(s.buf), slabMin), slabMax)
 		s.buf = make([]byte, 0, max(size, len(k)))
+		s.bytes += mbits.AllocSize(cap(s.buf))
 	}
 	n := len(s.buf)
 	s.buf = append(s.buf, k...)
 	return s.buf[n:len(s.buf):len(s.buf)]
 }
+
+// Bytes returns what the slab's buffers take on the heap, the ones already
+// full included: they live as long as any key cut from them.
+func (s *Slab) Bytes() int64 { return s.bytes }
 
 // Dedup sorts ks in place and removes duplicates, returning the compacted
 // slice.

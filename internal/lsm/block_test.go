@@ -76,7 +76,7 @@ func TestBlockReaderMatchesOracle(t *testing.T) {
 			want := i < len(entries) && bytes.Equal(entries[i].Key, p)
 			var v []byte
 			ok := false
-			if b := tab.blockFor(p, prefix8(p)); b >= 0 {
+			if b := tab.blockFor(p, keys.Prefix8(p)); b >= 0 {
 				v, ok = tab.blockGet(b, tab.blocks[b], p)
 			}
 			if ok != want || ok && !bytes.Equal(v, entries[i].Value) {
@@ -149,7 +149,7 @@ func FuzzBlockSeek(f *testing.F) {
 			ks[i] = make([]byte, rng.Intn(12))
 			rng.Read(ks[i])
 			for j := range ks[i] {
-				ks[i][j] &= 0x83 // a small alphabet: shared prefixes and ties in prefix8
+				ks[i][j] &= 0x83 // a small alphabet: shared prefixes and ties in keys.Prefix8
 			}
 		}
 		ks = keys.Dedup(ks)
@@ -338,7 +338,7 @@ func TestIndexBytesGauge(t *testing.T) {
 					if !r.next() {
 						break
 					}
-					if n == 0 && (!bytes.Equal(r.key, tab.fence(b)) || tab.fencePfx[b] != prefix8(r.key)) {
+					if n == 0 && (!bytes.Equal(r.key, tab.fence(b)) || tab.fencePfx[b] != keys.Prefix8(r.key)) {
 						t.Fatalf("table %d block %d: fence %x/%x, first key %x", tab.id, b, tab.fence(b), tab.fencePfx[b], r.key)
 					}
 					last = r.key
@@ -350,7 +350,7 @@ func TestIndexBytesGauge(t *testing.T) {
 					t.Fatalf("table %d block %d: restarts %v, records at %v", tab.id, b, got, offs)
 				}
 			}
-			if !bytes.Equal(tab.minKey, tab.fence(0)) || !bytes.Equal(tab.maxKey, last) || tab.maxPfx != prefix8(last) {
+			if !bytes.Equal(tab.minKey, tab.fence(0)) || !bytes.Equal(tab.maxKey, last) || tab.maxPfx != keys.Prefix8(last) {
 				t.Fatalf("table %d: range [%x, %x], blocks hold [%x, %x]", tab.id, tab.minKey, tab.maxKey, tab.fence(0), last)
 			}
 			want += int64(cap(tab.fenceKeys) + 4*cap(tab.fenceOff) + 8*cap(tab.fencePfx) + 4*cap(tab.restarts) + 4*cap(tab.restartAt))

@@ -274,7 +274,7 @@ func (db *DB) Get(key []byte) ([]byte, bool) {
 		}
 		return userValue(v), true
 	}
-	kp := prefix8(key)
+	kp := keys.Prefix8(key)
 	probe := func(t *SSTable) ([]byte, bool, bool) {
 		if comparePfx(kp, key, t.minPfx, t.minKey) < 0 || comparePfx(kp, key, t.maxPfx, t.maxKey) > 0 {
 			return nil, false, false
@@ -405,7 +405,7 @@ func (db *DB) seekOnceLocked(lo, hi []byte) (Entry, bool, []byte) {
 			addTable(t, 1000+i) // newer level-0 tables shadow older ones
 		}
 	}
-	lp := prefix8(lo)
+	lp := keys.Prefix8(lo)
 	for l := 1; l < len(db.levels); l++ {
 		if t := tableFor(db.levels[l], lo, lp); t != nil {
 			addTable(t, -l)
@@ -458,7 +458,7 @@ func (db *DB) seekOnceLocked(lo, hi []byte) (Entry, bool, []byte) {
 // tableSeek reads the first record with key >= lo from t. When the block
 // that may hold lo has no such record, it is the next block's first.
 func (db *DB) tableSeek(t *SSTable, lo []byte) (Entry, bool) {
-	b := t.blockFor(lo, prefix8(lo))
+	b := t.blockFor(lo, keys.Prefix8(lo))
 	if b < 0 {
 		return Entry{}, false
 	}
@@ -495,7 +495,7 @@ func (db *DB) Count(lo, hi []byte) int {
 				return
 			}
 		}
-		b := t.blockFor(lo, prefix8(lo))
+		b := t.blockFor(lo, keys.Prefix8(lo))
 		if b < 0 {
 			return
 		}

@@ -55,7 +55,7 @@ type SSTable struct {
 	// fence b is fenceKeys[fenceOff[b]:fenceOff[b+1]].
 	fenceKeys []byte
 	fenceOff  []uint32
-	// fencePfx[b] is prefix8(fence(b)): blockFor searches it and compares a
+	// fencePfx[b] is keys.Prefix8(fence(b)): blockFor searches it and compares a
 	// full fence key only where two prefixes tie.
 	fencePfx []uint64
 	// restarts holds the offsets of records restartInterval,
@@ -88,7 +88,7 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 		t.blocks = append(t.blocks, buf)
 		t.fenceOff = append(t.fenceOff, uint32(len(t.fenceKeys)))
 		t.fenceKeys = append(t.fenceKeys, entries[blockStart].Key...)
-		t.fencePfx = append(t.fencePfx, prefix8(entries[blockStart].Key))
+		t.fencePfx = append(t.fencePfx, keys.Prefix8(entries[blockStart].Key))
 		t.restartAt = append(t.restartAt, uint32(len(t.restarts)))
 		buf = nil
 		blockStart = end
@@ -112,7 +112,7 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 	t.fenceOff = append(t.fenceOff, uint32(len(t.fenceKeys)))
 	t.fenceKeys = append(t.fenceKeys, entries[len(entries)-1].Key...)
 	t.minKey, t.maxKey = t.fence(0), t.fenceKeys[t.fenceOff[len(t.blocks)]:]
-	t.minPfx, t.maxPfx = t.fencePfx[0], prefix8(t.maxKey)
+	t.minPfx, t.maxPfx = t.fencePfx[0], keys.Prefix8(t.maxKey)
 	if fb != nil {
 		ks := make([][]byte, len(entries))
 		for i, e := range entries {
@@ -129,20 +129,6 @@ func buildSSTable(id uint64, entries []Entry, blockSize int, fb FilterBuilder) (
 
 // fence returns the first key of block b.
 func (t *SSTable) fence(b int) []byte { return t.fenceKeys[t.fenceOff[b]:t.fenceOff[b+1]] }
-
-// prefix8 is k's first 8 bytes as a big-endian integer, zero-padded (as
-// btree's node search uses it): a smaller prefix means a smaller key, and
-// only equal prefixes need the full compare.
-func prefix8(k []byte) uint64 {
-	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
-	}
-	var p uint64
-	for i, b := range k {
-		p |= uint64(b) << (56 - 8*uint(i))
-	}
-	return p
-}
 
 // comparePfx is keys.Compare(a, b) for keys whose prefixes are ap and bp.
 func comparePfx(ap uint64, a []byte, bp uint64, b []byte) int {

@@ -3,6 +3,7 @@ package sharded
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -126,4 +127,42 @@ func TestEpochRetrainStress(t *testing.T) {
 			t.Fatalf("post-stress Get(%q) = %d,%v (bulk reload should reset values)", k, v, ok)
 		}
 	}
+}
+
+// TestMemoryUsageDuringInserts is the regression for the memtable's byte
+// accounting, which the shard writer used to update without synchronization
+// while MemoryUsage (safe for concurrent use, like every Index method) read
+// it: under -race, polling MemoryUsage beside inserts must report no race.
+func TestMemoryUsageDuringInserts(t *testing.T) {
+	s := NewBTree(Config{
+		Shards: 4,
+		Hybrid: hybrid.Config{
+			MergeRatio: 4, MinDynamic: 512, BloomBitsPerKey: 10,
+			BackgroundMerge: true, EpochReads: true,
+		},
+	})
+	var stop atomic.Bool
+	peak := make(chan int64)
+	go func() {
+		var m int64
+		for !stop.Load() {
+			m = max(m, s.MemoryUsage())
+		}
+		peak <- m
+	}()
+	n := 20000
+	if raceEnabled {
+		n = 4000
+	}
+	for i := 0; i < n; i++ {
+		s.Insert(keys.Uint64(uint64(i)*2654435761), uint64(i))
+		if i%256 == 0 {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	if m := <-peak; m <= 0 {
+		t.Fatalf("MemoryUsage never grew above %d bytes during %d inserts", m, n)
+	}
+	s.WaitMerges()
 }

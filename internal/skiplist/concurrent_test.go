@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"mets/internal/hope"
+	"mets/internal/keycodec"
 	"mets/internal/keys"
 )
 
@@ -70,15 +73,40 @@ func TestConcurrentStates(t *testing.T) {
 	}
 }
 
+// tiedKeys returns n distinct keys in groups of four that share their first
+// 8 bytes (the key itself, a zero byte after it, a short and a long
+// suffix), so that searches among them go through the full-key compare.
+// The groups' prefixes are spread over the key space.
+func tiedKeys(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		p := keys.Uint64(uint64(i/4) * 2654435761)
+		switch i % 4 {
+		case 1:
+			p = append(p, 0)
+		case 2:
+			p = append(p, 1, 2)
+		case 3:
+			p = append(p, "\xff\xff\xff\xff\xff\xff\xff\xff\xff"...)
+		}
+		out[i] = p
+	}
+	return out
+}
+
 // TestConcurrentReadersDuringWrites checks, under -race, that lock-free
 // readers searching and scanning while the single writer inserts, revives,
 // and tombstones keys only ever observe values some writer actually stored.
+// Half the key space is tied in groups of four by 8-byte prefix, so readers
+// also take the full-key compare while the writer links towers of every
+// height class.
 func TestConcurrentReadersDuringWrites(t *testing.T) {
 	c := NewConcurrent()
 	keySpace := make([][]byte, 4000)
-	for i := range keySpace {
-		keySpace[i] = keys.Uint64(uint64(i) * 2654435761)
+	for i := range keySpace[:2000] {
+		keySpace[i] = keys.Uint64(uint64(i)*2654435761 + 1)
 	}
+	copy(keySpace[2000:], tiedKeys(2000))
 	// Each key's only legal values derive from its index.
 	valOf := func(i int) uint64 { return uint64(i)*0x9E3779B97F4A7C15 + 1 }
 
@@ -181,8 +209,16 @@ func TestConcurrentMatchesList(t *testing.T) {
 // key directly in front of the probed one — the only position that changes
 // the link the reader last followed — while one reader probes it.
 func TestConcurrentPresentKeyNeverMisses(t *testing.T) {
+	// With a shared 8-byte prefix every hop near the target ties on the
+	// prefix and is decided by the full-key compare.
+	for _, pfx := range []string{"", "shared08"} {
+		t.Run(fmt.Sprintf("prefix=%q", pfx), func(t *testing.T) { presentKeyNeverMisses(t, pfx) })
+	}
+}
+
+func presentKeyNeverMisses(t *testing.T, pfx string) {
 	c := NewConcurrent()
-	target := []byte("m")
+	target := []byte(pfx + "m")
 	c.Put(target, 42)
 	inserts := 400000
 	if raceEnabled {
@@ -209,11 +245,12 @@ func TestConcurrentPresentKeyNeverMisses(t *testing.T) {
 			probes.Add(1)
 		}
 	}()
-	// "l"+i ascends towards "m": each new key is the probed key's immediate
-	// predecessor. The writer keeps going until the reader has had a fair
-	// number of probes (a single-CPU run interleaves only by preemption).
+	// pfx+"l"+i ascends towards the target: each new key is the probed key's
+	// immediate predecessor. The writer keeps going until the reader has had
+	// a fair number of probes (a single-CPU run interleaves only by
+	// preemption).
 	for i := 0; i < inserts || probes.Load() < 1000; i++ {
-		c.Put(append([]byte("l"), keys.Uint64(uint64(i))...), uint64(i))
+		c.Put(append([]byte(pfx+"l"), keys.Uint64(uint64(i))...), uint64(i))
 		if i%1024 == 0 {
 			runtime.Gosched()
 		}
@@ -224,4 +261,220 @@ func TestConcurrentPresentKeyNeverMisses(t *testing.T) {
 		t.Fatalf("%d of %d probes missed the present key, %d cursors started below their bound",
 			misses.Load(), probes.Load(), below.Load())
 	}
+}
+
+// TestConcurrentPutAllocs holds the node layout to its budget: a new key is
+// one allocation, its node with the tower; the key bytes come from the
+// writer's slab, whose chunks double, so they add a handful per memtable.
+func TestConcurrentPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 4096
+	ks := keys.Dedup(keys.Emails(2*n, 1))[:n]
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
+	mems := make([]*Concurrent, 0, 2)
+	for range cap(mems) {
+		mems = append(mems, NewConcurrent())
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		c := mems[0]
+		mems = mems[1:]
+		for i, k := range ks {
+			c.Put(k, uint64(i))
+		}
+	})
+	if perKey := allocs / n; perKey > 1.01 {
+		t.Fatalf("%.0f allocations for %d new keys (%.3f per key), want at most one per key", allocs, n, perKey)
+	}
+}
+
+// TestConcurrentMemoryUsageMatchesHeap holds MemoryUsage within 10% of
+// what the heap grows by while a memtable fills with emails in random
+// order, a tenth of them tombstones, and an empty memtable at 0 bytes.
+func TestConcurrentMemoryUsageMatchesHeap(t *testing.T) {
+	if got := NewConcurrent().MemoryUsage(); got != 0 {
+		t.Fatalf("empty memtable reports %d bytes, want 0", got)
+	}
+	ks := keys.Dedup(keys.Emails(60000, 5))
+	perm := rand.New(rand.NewSource(5)).Perm(len(ks))
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	c := NewConcurrent()
+	for _, i := range perm {
+		if i%10 == 0 {
+			c.Tomb(ks[i])
+		} else {
+			c.Put(ks[i], uint64(i))
+		}
+	}
+	actual := float64(heap()) - float64(before)
+	reported := float64(c.MemoryUsage())
+	runtime.KeepAlive(c)
+	runtime.KeepAlive(ks) // the inputs are not the memtable's to charge
+	runtime.KeepAlive(perm)
+	if ratio := reported / actual; ratio < 0.90 || ratio > 1.10 {
+		t.Fatalf("MemoryUsage reports %.0f B for %d keys, heap grew %.0f B (ratio %.3f, want within 10%%)", reported, len(ks), actual, ratio)
+	} else {
+		t.Logf("MemoryUsage %.0f B for %d keys, heap %.0f B (ratio %.3f)", reported, len(ks), actual, ratio)
+	}
+}
+
+// fuzzKeys are the bases FuzzConcurrentOps draws keys from: the empty key,
+// keys shorter than 8 bytes, keys that are zero-padded versions of each
+// other ("ab" against "ab\x00"), and keys equal in their first 8 bytes.
+var fuzzKeys = []string{
+	"", "\x00", "a", "ab", "ab\x00", "ab\x00\x00\x00\x00\x00\x00", "ab\x00\x00\x00\x00\x00\x00\x00",
+	"abcdefgh", "abcdefgh\x00", "abcdefghab", "abcdefgh\xff", "abcdefgg\xff\xff",
+	"\xff\xff\xff\xff\xff\xff\xff\xff", "\xff\xff\xff\xff\xff\xff\xff\xff\xff",
+}
+
+// FuzzConcurrentOps drives Put, Tomb, Get and ScanStates against a sorted
+// map oracle. Every op is two bytes: the op, and a key base; a base with
+// the top bit set takes the next input byte as a suffix, so many keys tie
+// on their 8-byte prefix.
+func FuzzConcurrentOps(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 4, 2, 3, 3, 0})
+	f.Add([]byte{0, 0, 1, 1, 0, 5, 0, 6, 2, 0, 3, 4, 0, 0x87, 9, 0, 0x88, 1, 3, 7})
+	f.Add([]byte{0, 0x87, 0, 0, 0x87, 1, 1, 0x87, 0, 0, 0x8c, 5, 2, 0x87, 1, 3, 0x87})
+	f.Add([]byte{0, 0x82, 'c', 0, 6, 0, 0x82, 0xff, 0, 3, 3, 0, 2, 6, 2, 0x82, 'c'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type entry struct {
+			v    uint64
+			tomb bool
+		}
+		c := NewConcurrent()
+		oracle := map[string]entry{}
+		sorted := func() []string {
+			ks := make([]string, 0, len(oracle))
+			for k := range oracle {
+				ks = append(ks, k)
+			}
+			sort.Strings(ks)
+			return ks
+		}
+		for step := uint64(1); len(data) >= 2; step++ {
+			op, sel := data[0], data[1]
+			data = data[2:]
+			k := fuzzKeys[int(sel&0x7f)%len(fuzzKeys)]
+			if sel&0x80 != 0 && len(data) > 0 {
+				k += string(data[:1])
+				data = data[1:]
+			}
+			key := []byte(k)
+			switch op % 4 {
+			case 0:
+				_, existed := oracle[k]
+				if created := c.Put(key, step); created == existed {
+					t.Fatalf("Put(%q) created=%v, key existed=%v", k, created, existed)
+				}
+				oracle[k] = entry{v: step}
+			case 1:
+				e, existed := oracle[k]
+				if was := c.Tomb(key); was != (existed && !e.tomb) {
+					t.Fatalf("Tomb(%q) = %v, oracle %+v existed=%v", k, was, e, existed)
+				}
+				oracle[k] = entry{tomb: true}
+			case 2:
+				e, existed := oracle[k]
+				v, ok, tomb := c.Get(key)
+				if ok != (existed && !e.tomb) || tomb != (existed && e.tomb) || ok && v != e.v {
+					t.Fatalf("Get(%q) = (%d,%v,%v), oracle %+v existed=%v", k, v, ok, tomb, e, existed)
+				}
+			case 3:
+				want := sorted()
+				want = want[sort.SearchStrings(want, k):]
+				i := 0
+				c.ScanStates(key, func(got []byte, v uint64, tomb bool) bool {
+					if i == len(want) || string(got) != want[i] {
+						t.Fatalf("ScanStates(%q) step %d: got %q, oracle %q", k, i, got, want)
+					}
+					if e := oracle[want[i]]; tomb != e.tomb || !tomb && v != e.v {
+						t.Fatalf("ScanStates(%q) at %q: (%d,%v), oracle %+v", k, got, v, tomb, e)
+					}
+					i++
+					return i < 8
+				})
+				if i < min(8, len(want)) {
+					t.Fatalf("ScanStates(%q) stopped after %d of %d keys", k, i, len(want))
+				}
+			}
+		}
+		live := 0
+		for _, e := range oracle {
+			if !e.tomb {
+				live++
+			}
+		}
+		if c.Len() != live || c.Nodes() != len(oracle) {
+			t.Fatalf("Len=%d Nodes=%d, oracle %d live of %d", c.Len(), c.Nodes(), live, len(oracle))
+		}
+		var all []string
+		c.ScanStates(nil, func(k []byte, _ uint64, _ bool) bool { all = append(all, string(k)); return true })
+		if want := sorted(); fmt.Sprint(all) != fmt.Sprint(want) {
+			t.Fatalf("full scan %q, oracle %q", all, want)
+		}
+	})
+}
+
+// BenchmarkMemtable runs the memtable in lib-write-merge's shape: emails
+// encoded with HOPE 3-Grams (a 2^14-entry dictionary trained on every 100th
+// key) and split over 8 shards by key range, each shard's memtable taking
+// MinDynamic (4,096) keys before a fresh one replaces it. Put is one insert
+// in random order, Get one read of a present key.
+func BenchmarkMemtable(b *testing.B) {
+	const shards, perShard = 8, 4096
+	const n = shards * perShard
+	ks := keys.Dedup(keys.Emails(n+n/8, 1))
+	if len(ks) < n {
+		b.Fatalf("%d distinct emails, want %d", len(ks), n)
+	}
+	ks = ks[:n]
+	sample := make([][]byte, 0, n/100+1)
+	for i := 0; i < n; i += 100 {
+		sample = append(sample, ks[i])
+	}
+	codec, err := keycodec.TrainHOPE(sample, hope.ThreeGrams, 1<<14)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := make([][]byte, n) // in key order: HOPE preserves it
+	for i, k := range ks {
+		enc[i] = append([]byte(nil), codec.Encode(k)...)
+	}
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	b.Run("Put", func(b *testing.B) {
+		var mems [shards]*Concurrent
+		for i := 0; i < b.N; i++ {
+			j := order[i%n]
+			m := mems[j/perShard]
+			if m == nil || m.Nodes() == perShard {
+				m = NewConcurrent()
+				mems[j/perShard] = m
+			}
+			m.Put(enc[j], uint64(j))
+		}
+	})
+	b.Run("Get", func(b *testing.B) {
+		var mems [shards]*Concurrent
+		for s := range mems {
+			mems[s] = NewConcurrent()
+		}
+		for _, j := range order {
+			mems[j/perShard].Put(enc[j], uint64(j))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			j := order[i%n]
+			if v, ok, _ := mems[j/perShard].Get(enc[j]); !ok || v != uint64(j) {
+				b.Fatalf("Get(key %d) = (%d, %v)", j, v, ok)
+			}
+		}
+	})
 }
