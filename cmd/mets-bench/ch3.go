@@ -132,7 +132,7 @@ func runFig37(ctx *benchContext) {
 		ks := dataset(kt, ctx.numKeys(), 1)
 		fmt.Printf("-- key type: %v --\n", kt)
 		row("dense levels", "point Mops", "memMB")
-		for cut := 0; cut <= 8; cut++ {
+		for cut := -1; cut <= 8; cut++ { // -1: the cutoff the builder picks
 			trie, err := fst.Build(ks, values(len(ks)), fst.Config{StoreValues: true, DenseLevels: cut})
 			if err != nil {
 				continue

@@ -11,6 +11,7 @@
 package fst
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	mathbits "math/bits"
@@ -28,10 +29,11 @@ type Config struct {
 	// turn this off and keep per-leaf material of their own (BuildLeaves).
 	StoreValues bool
 	// DenseRatio is the LOUDS-Sparse : LOUDS-Dense size ratio R of §3.4 that
-	// picks the dense/sparse cutoff level. Zero means the default of 64.
+	// gives the lowest dense/sparse cutoff level (pickCutoff). Zero means the
+	// default of 64.
 	DenseRatio int
-	// DenseLevels, if >= 0, overrides the ratio-derived cutoff with an
-	// explicit number of LOUDS-Dense levels (used by the Fig 3.7 sweep).
+	// DenseLevels, if >= 0, overrides the picked cutoff with an explicit
+	// number of LOUDS-Dense levels (used by the Fig 3.7 sweep).
 	DenseLevels int
 	// LinearLabelSearch disables the word-at-a-time label search in sparse
 	// nodes, falling back to a byte loop (the Fig 3.6 ablation).
@@ -187,13 +189,9 @@ func (b *builder) build(t *Trie, cfg Config) error {
 	if err := b.count(); err != nil {
 		return err
 	}
-	ratio := cfg.DenseRatio
-	if ratio == 0 {
-		ratio = 64
-	}
 	cutoff := cfg.DenseLevels
 	if cutoff < 0 {
-		cutoff = pickCutoff(b.levels, ratio)
+		cutoff = pickCutoff(b.levels, cfg)
 	}
 	cutoff = min(cutoff, len(b.levels))
 	// A root holding only the empty key (no branches) cannot be expressed in
@@ -257,11 +255,34 @@ func (b *builder) count() error {
 	return nil
 }
 
-// pickCutoff implements §3.4: the cutoff is the largest l such that
+// pickCutoff picks the number of LOUDS-Dense levels: §3.4's ratio rule,
+// then each next level while its LOUDS-Dense size is no larger than its
+// LOUDS-Sparse size, which at the default tuning holds once its nodes
+// average about 76 labels. Per dense node that size is two 256-bit bitmaps
+// and a prefix bit, per sparse entry a label and two bits, each with its
+// share of the 32-bit rank LUT entries, plus per sparse node a share of a
+// 32-bit select sample.
+func pickCutoff(levels []levelCount, cfg Config) int {
+	cutoff := ratioCutoff(levels, cfg.DenseRatio)
+	denseBlock, sparseBlock, sample := cfg.blocks()
+	denseNode := 513 * (1 + 32/float64(denseBlock))
+	sparseEntry := 8 + 2*(1+32/float64(sparseBlock))
+	sparseNode := 32 / float64(sample)
+	for ; cutoff < len(levels); cutoff++ {
+		nodes, entries := float64(levels[cutoff].nodes), float64(levels[cutoff].entries)
+		if nodes*denseNode > entries*sparseEntry+nodes*sparseNode {
+			break
+		}
+	}
+	return cutoff
+}
+
+// ratioCutoff is §3.4's rule: the largest l such that
 // LOUDS-Dense-Size(l) * R <= LOUDS-Sparse-Size(l), where the former covers
 // levels [0, l) at 513 bits per node and the latter levels [l, H) at 10 bits
-// per entry.
-func pickCutoff(levels []levelCount, ratio int) int {
+// per entry. A ratio of 0 means R = 64.
+func ratioCutoff(levels []levelCount, ratio int) int {
+	ratio = cmp.Or(ratio, 64)
 	suffix := make([]int64, len(levels)+1)
 	for l := len(levels) - 1; l >= 0; l-- {
 		suffix[l] = suffix[l+1] + int64(levels[l].entries)*10
@@ -277,6 +298,12 @@ func pickCutoff(levels []levelCount, ratio int) int {
 		}
 	}
 	return cutoff
+}
+
+// blocks returns the dense and sparse rank block sizes and the select
+// sampling rate, defaults filled in.
+func (c Config) blocks() (denseBlock, sparseBlock, sample int) {
+	return cmp.Or(c.RankDenseBlock, 64), cmp.Or(c.RankSparseBlock, 512), cmp.Or(c.SelectSample, 64)
 }
 
 // write lays out t's arrays from the level counts, the value frames
@@ -391,18 +418,7 @@ func (b *builder) write(t *Trie) {
 		t.dValues, t.sValues = dValues.FOR(), sValues.FOR()
 	}
 
-	denseBlock := cfg.RankDenseBlock
-	if denseBlock == 0 {
-		denseBlock = 64
-	}
-	sparseBlock := cfg.RankSparseBlock
-	if sparseBlock == 0 {
-		sparseBlock = 512
-	}
-	sample := cfg.SelectSample
-	if sample == 0 {
-		sample = 64
-	}
+	denseBlock, sparseBlock, sample := cfg.blocks()
 	t.dLabels = bits.NewRankVector(dLabels, denseBlock)
 	t.dHasChild = bits.NewRankVector(dHasChild, denseBlock)
 	t.dIsPrefix = bits.NewRankVector(dIsPrefix, denseBlock)

@@ -20,9 +20,9 @@ var goldenFilters = map[string]string{
 	"urls/base":    "d3b616a127b49f0f57bba3a780597e60bdcbf6ca9790d5e093f285da36533611",
 	"urls/hash8":   "10fe2d9b41779d099a6a0125bb7a507fb86cfcaca24dae6b41f63c814e3b8311",
 	"urls/real8":   "4149391ac665307c28e9d7998fcab286e4e7d992e03318ec1b8b878add205b6b",
-	"ints/base":    "8b9ea1f54dbee3ad5b60c18c6beecaf77cfab18ffc15fb85f1630acbdcda5355",
-	"ints/hash8":   "dde350bbb11d52f72e4f424c3b317d02c40259e66ab93344ca9a7ba3fb13de8f",
-	"ints/real8":   "2e9d9722dede8eac099d588914be44fe3b43ff4c254e7e751530c90429dbcdc8",
+	"ints/base":    "b30595ec440634e27a13f932f888908ce5c19141dbc6670f06cc3cce68148bc9",
+	"ints/hash8":   "48caefcc0ec6e1c9a3e33d60dc3bbabf7ced3d4f8bc5944c87d55656add6d982",
+	"ints/real8":   "68311710b82e632b5fab10d4e8f5aa782e7204e680142aa078bef8f5e1da29f7",
 	"worst/base":   "a0079fc8673e6bb53944648bbf91373fbac3b28b7d3a50d2324709ec53c9a629",
 	"worst/hash8":  "fb570a920c705944ff9ee874c491050addf97f9fc7b20c1e1e04d096936150db",
 	"worst/real8":  "82fdd1eeb4e8d0a30ba4b67dbea8567a2a8902c5213fdb139905aaa5cf0117de",

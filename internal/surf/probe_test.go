@@ -2,7 +2,9 @@ package surf
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mets/internal/keys"
@@ -28,6 +30,16 @@ func probeTables(tb testing.TB, n int) ([]*Filter, [][]byte) {
 // average gap between 400k random keys.
 const probeWidth = ^uint64(0) / 400_000 / 16
 
+// probeHi is the upper bound of the closed seek from p, saturated at the top
+// of the key space.
+func probeHi(p []byte) []byte {
+	hi := keys.ToUint64(p) + probeWidth
+	if hi < probeWidth {
+		hi = ^uint64(0)
+	}
+	return keys.Uint64(hi)
+}
+
 // BenchmarkSuRFProbe measures the three probes an LSM read puts in front of
 // a table, on the table shape of the lsm-filter workload: a point Lookup,
 // a seek candidate (AppendSeek into a fresh key, as the LSM's filter
@@ -36,11 +48,7 @@ func BenchmarkSuRFProbe(b *testing.B) {
 	fs, probes := probeTables(b, 16)
 	his := make([][]byte, len(probes))
 	for i, p := range probes {
-		hi := keys.ToUint64(p) + probeWidth
-		if hi < probeWidth {
-			hi = ^uint64(0) // saturate at the top of the key space
-		}
-		his[i] = keys.Uint64(hi)
+		his[i] = probeHi(p)
 	}
 	b.Run("Lookup", func(b *testing.B) {
 		b.ReportAllocs()
@@ -91,5 +99,71 @@ func TestAppendSeekMatchesMoveToNext(t *testing.T) {
 				buf = got
 			}
 		}
+	}
+}
+
+// TestSuRFWideLevelIsDense checks that the table shape of BenchmarkSuRFProbe,
+// whose level-1 nodes hold about 80 labels each, stores level 1 as
+// LOUDS-Dense: a lookup ranks into it instead of selecting a node and
+// searching its labels.
+func TestSuRFWideLevelIsDense(t *testing.T) {
+	fs, _ := probeTables(t, 2)
+	for i, f := range fs {
+		if got := f.trie.DenseHeight(); got != 2 {
+			t.Errorf("table %d: DenseHeight = %d, want 2", i, got)
+		}
+	}
+}
+
+// heapGrowth returns how much the live heap grows while build runs and its
+// result stays reachable: the least of three builds, since the runtime's
+// own allocations only ever add to a reading.
+func heapGrowth(build func() any) int64 {
+	growth := int64(math.MaxInt64)
+	for range 3 {
+		before := liveHeap()
+		v := build()
+		growth = min(growth, int64(liveHeap())-int64(before))
+		runtime.KeepAlive(v)
+	}
+	return growth
+}
+
+// liveHeap is the live heap after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestDenseWideLevelSavesHeap holds the size rule to the heap: a SuRF-Real8
+// filter over random ints built at the picked cutoff (level 1 dense) must
+// take less heap than at the ratio rule's cutoff of 1, and MemoryUsage must
+// stay within the heap growth.
+func TestDenseWideLevelSavesHeap(t *testing.T) {
+	for _, n := range []int{25_000, 400_000} {
+		ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(n, 100)))
+		var reported [2]int64
+		var heap [2]int64
+		for i, cut := range []int{-1, 1} {
+			cfg := RealConfig(8)
+			cfg.DenseLevels = cut
+			heap[i] = heapGrowth(func() any {
+				f := build(t, ks, cfg)
+				reported[i] = f.MemoryUsage()
+				return f
+			})
+			if reported[i] > heap[i] {
+				t.Errorf("%d keys, cutoff %d: MemoryUsage %d B above the heap's %d B", n, cut, reported[i], heap[i])
+			}
+			t.Logf("%d keys, cutoff %d: MemoryUsage %d B, heap %d B (ratio %.3f)",
+				n, cut, reported[i], heap[i], float64(reported[i])/float64(heap[i]))
+		}
+		if heap[0] >= heap[1] {
+			t.Errorf("%d keys: picked cutoff takes %d B of heap, cutoff 1 %d B", n, heap[0], heap[1])
+		}
+		runtime.KeepAlive(ks)
 	}
 }

@@ -21,7 +21,7 @@ type Config struct {
 	HashSuffixLen int
 	// RealSuffixLen is the number of real key suffix bits per key (§4.1.3).
 	RealSuffixLen int
-	// Trie tuning (DenseLevels<0 means the ratio-based default).
+	// Trie tuning (DenseLevels<0 means the cutoff fst picks).
 	DenseLevels int
 }
 
