@@ -594,7 +594,7 @@ func BenchmarkConcurrent_HybridGetDuringMerge(b *testing.B) {
 // single-index number.
 func BenchmarkConcurrent_ShardedGetDuringMerges(b *testing.B) {
 	ks := intKeys(b)
-	s := sharded.NewBTree(sharded.Config{
+	s := sharded.New(sharded.Config{
 		Router: sharded.RouterFromSample(ks, 8),
 		Hybrid: hybrid.Config{MergeRatio: 10, MinDynamic: 1 << 30, BloomBitsPerKey: 10},
 	})
@@ -630,7 +630,7 @@ func BenchmarkConcurrent_ShardedGetDuringMerges(b *testing.B) {
 // YCSB-E shape) against the sharded index's lazy per-shard walk.
 func BenchmarkConcurrent_ShardedScan(b *testing.B) {
 	ks := intKeys(b)
-	s := sharded.NewBTree(sharded.Config{
+	s := sharded.New(sharded.Config{
 		Router: sharded.RouterFromSample(ks, 8),
 		Hybrid: hybrid.Config{MergeRatio: 10, MinDynamic: 1 << 30, BloomBitsPerKey: 10},
 	})

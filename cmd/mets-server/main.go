@@ -8,11 +8,10 @@
 //
 // Usage:
 //
-//	mets-server -addr :7070 -shards 8 -dir /tmp/mets \
-//	            -debug-addr 127.0.0.1:7071
+//	mets-server -addr :7070 -dir /tmp/mets -debug-addr 127.0.0.1:7071
 //
-// -engine names the engine; sharded is the only one, and any other value
-// is refused.
+// The engine is the sharded index (internal/sharded) over 8 uniform shards.
+// -engine names it; sharded is the only one, and any other value is refused.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: stop accepting, close every
 // connection and wait for its goroutine (a commit in flight completes first),
@@ -41,14 +40,13 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "debug HTTP address (/metrics, /debug/vars, /healthz); empty disables")
 		engine    = flag.String("engine", "sharded", "storage engine (sharded is the only one)")
 		dir       = flag.String("dir", "", "durability directory (empty = in-memory, no journals)")
-		shards    = flag.Int("shards", 8, "shard count (sharded engine)")
 		maxConns  = flag.Int("max-conns", 1024, "max concurrent connections")
 	)
 	flag.Parse()
 
 	reg := obs.NewRegistry()
 
-	store, err := buildStore(*engine, *dir, *shards, reg)
+	store, err := buildStore(*engine, *dir, reg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mets-server:", err)
 		os.Exit(1)
@@ -89,20 +87,17 @@ func main() {
 }
 
 // buildStore constructs the sharded engine.
-func buildStore(engine, dir string, shards int, reg *obs.Registry) (server.Store, error) {
+func buildStore(engine, dir string, reg *obs.Registry) (server.Store, error) {
 	if engine != "sharded" {
 		return nil, fmt.Errorf("unknown engine %q (sharded is the only engine)", engine)
 	}
-	hc := hybrid.DefaultConfig()
-	hc.EpochReads = true
-	hc.BackgroundMerge = true
 	cfg := sharded.Config{
-		Shards: shards,
-		Hybrid: hc,
+		Shards: 8,
+		Hybrid: hybrid.DefaultConfig(),
 		Obs:    reg,
 		Dir:    dir,
 	}
-	return server.NewShardedStore(sharded.NewBTree(cfg)), nil
+	return server.NewShardedStore(sharded.New(cfg)), nil
 }
 
 // startDebug serves /metrics (Prometheus), /debug/vars (expvar incl. the

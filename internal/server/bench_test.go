@@ -25,8 +25,8 @@ func BenchmarkShardedStoreApplyBatchDurable(b *testing.B) {
 		b.Run(fmt.Sprintf("ops=%d", n), func(b *testing.B) {
 			fs := &vfs.SyncCounter{FS: vfs.OS{}}
 			hc := hybrid.DefaultConfig()
-			hc.EpochReads, hc.BackgroundMerge, hc.FS = true, true, fs
-			st := NewShardedStore(sharded.NewBTree(sharded.Config{Shards: 8, Hybrid: hc, Dir: b.TempDir()}))
+			hc.FS = fs
+			st := NewShardedStore(sharded.New(sharded.Config{Shards: 8, Hybrid: hc, Dir: b.TempDir()}))
 			defer st.Close()
 			rng := rand.New(rand.NewSource(1))
 			ops := make([]Op, n)
@@ -47,14 +47,11 @@ func BenchmarkShardedStoreApplyBatchDurable(b *testing.B) {
 }
 
 // serveLoopback starts a server on real loopback TCP over the engine the gated
-// benchmark's served workloads run (cmd/mets-server's sharded defaults: epoch
-// reads, background merge, 8 shards, no codec), bulk-loaded with n sorted
-// 8-byte keys; key i holds i+1.
+// benchmark's served workloads run (cmd/mets-server's sharded defaults: 8
+// shards, no codec), bulk-loaded with n sorted 8-byte keys; key i holds i+1.
 func serveLoopback(tb testing.TB, n int) (addr string, ks [][]byte) {
 	tb.Helper()
-	hc := hybrid.DefaultConfig()
-	hc.EpochReads, hc.BackgroundMerge = true, true
-	idx := sharded.NewBTree(sharded.Config{Shards: 8, Hybrid: hc})
+	idx := sharded.New(sharded.Config{Shards: 8, Hybrid: hybrid.DefaultConfig()})
 	es := make([]index.Entry, n)
 	ks = make([][]byte, n)
 	for i := range es {

@@ -19,17 +19,13 @@ import (
 	"mets/internal/wire"
 )
 
-// newDurableSharded is the server's engine configuration (epoch reads,
-// background merges, 8 shards) journaling under "data" on fs. A key's first
-// byte picks its shard: 32 byte values each.
+// newDurableSharded is the server's engine (8 shards) journaling under "data"
+// on fs. A key's first byte picks its shard: 32 byte values each.
 func newDurableSharded(fs vfs.FS) *ShardedStore {
-	return NewShardedStore(sharded.NewBTree(sharded.Config{
+	return NewShardedStore(sharded.New(sharded.Config{
 		Shards: 8,
 		Dir:    "data",
-		Hybrid: hybrid.Config{
-			MergeRatio: 2, MinDynamic: 1 << 20, BloomBitsPerKey: 10,
-			EpochReads: true, BackgroundMerge: true, FS: fs,
-		},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 1 << 20, BloomBitsPerKey: 10, FS: fs},
 	}))
 }
 
@@ -174,14 +170,11 @@ func TestShardedStoreConcurrentUpserts(t *testing.T) {
 func TestShardedStoreLifecycleSurvivesCommits(t *testing.T) {
 	mem := vfs.NewMemFS()
 	reg := obs.NewRegistry()
-	st := NewShardedStore(sharded.NewBTree(sharded.Config{
+	st := NewShardedStore(sharded.New(sharded.Config{
 		Shards: 8,
 		Dir:    "data",
 		Obs:    reg,
-		Hybrid: hybrid.Config{
-			MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10,
-			EpochReads: true, BackgroundMerge: true, FS: mem,
-		},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10, FS: mem},
 	}))
 	all := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for i := 0; i < 4000; i++ {
@@ -354,13 +347,10 @@ func TestShardedStoreCrashRecovery(t *testing.T) {
 				err = fmt.Errorf("open: %v", p)
 			}
 		}()
-		idx := sharded.NewBTree(sharded.Config{
+		idx := sharded.New(sharded.Config{
 			Router: router,
 			Dir:    "data",
-			Hybrid: hybrid.Config{
-				MergeRatio: 2, MinDynamic: 16, BloomBitsPerKey: 10,
-				EpochReads: true, BackgroundMerge: true, FS: fs,
-			},
+			Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 16, BloomBitsPerKey: 10, FS: fs},
 		})
 		return crashSharded{st: NewShardedStore(idx), vals: vals}, nil
 	}

@@ -36,9 +36,9 @@ func FuzzServerFrame(f *testing.F) {
 	snapFrame, _ := wire.Finish(snap)
 	f.Add(snapFrame) // SNAPSHOT_READ with missing sub-op / unknown id
 
-	store := NewShardedStore(sharded.NewBTree(sharded.Config{
+	store := NewShardedStore(sharded.New(sharded.Config{
 		Shards: 2,
-		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 1 << 20, BloomBitsPerKey: 10, EpochReads: true},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 1 << 20, BloomBitsPerKey: 10},
 	}))
 	store.Index().Insert([]byte("key"), 7)
 	s := New(Config{Store: store})

@@ -21,15 +21,12 @@ import (
 	"mets/internal/sharded"
 )
 
-// newTestSharded builds a small in-memory sharded store with epoch reads and
-// background merges — the server's primary engine configuration.
+// newTestSharded builds a small in-memory sharded store — the server's engine
+// with 4 shards and a small merge trigger.
 func newTestSharded(minDynamic int) *ShardedStore {
-	return NewShardedStore(sharded.NewBTree(sharded.Config{
+	return NewShardedStore(sharded.New(sharded.Config{
 		Shards: 4,
-		Hybrid: hybrid.Config{
-			MergeRatio: 2, MinDynamic: minDynamic, BloomBitsPerKey: 10,
-			EpochReads: true, BackgroundMerge: true,
-		},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: minDynamic, BloomBitsPerKey: 10},
 	}))
 }
 

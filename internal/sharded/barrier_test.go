@@ -15,7 +15,6 @@ import (
 // first byte picks its shard, 32 byte values to a shard).
 func durableConfig(fs vfs.FS) Config {
 	hc := hybrid.DefaultConfig()
-	hc.EpochReads = true
 	hc.FS = fs
 	return Config{Shards: 8, Hybrid: hc, Dir: "data"}
 }
@@ -30,7 +29,7 @@ func keyIn(sh, n int) []byte {
 // and a barrier with nothing new makes none.
 func TestSyncJournalsSyncsOnlyDirtyShards(t *testing.T) {
 	fs := &vfs.SyncCounter{FS: vfs.NewMemFS()}
-	s := NewBTree(durableConfig(fs))
+	s := New(durableConfig(fs))
 	defer s.Close()
 	n := 0
 	for _, dirty := range [][]int{{5}, {1, 4, 6}, {0, 1, 2, 3, 4, 5, 6, 7}, {}} {
@@ -61,7 +60,7 @@ func TestSyncJournalsSyncsOnlyDirtyShards(t *testing.T) {
 func TestSyncJournalsAwaitsEveryShardOnFailure(t *testing.T) {
 	mem := vfs.NewMemFS()
 	cfg := durableConfig(mem)
-	s := NewBTree(cfg)
+	s := New(cfg)
 	for sh := 0; sh < 8; sh++ {
 		s.Insert(keyIn(sh, 0), uint64(sh))
 	}
@@ -106,7 +105,7 @@ func TestSyncJournalsAwaitsEveryShardOnFailure(t *testing.T) {
 	s.Close()
 	mem.FailSyncs(nil)
 	mem.Recover()
-	s2 := NewBTree(cfg)
+	s2 := New(cfg)
 	defer s2.Close()
 	for sh := 0; sh < 8; sh++ {
 		v, ok := s2.Get(keyIn(sh, 0))
@@ -129,7 +128,7 @@ func TestParallelShardRecovery(t *testing.T) {
 	mem := vfs.NewMemFS()
 	cfg := durableConfig(mem)
 	cfg.Obs = obs.NewRegistry()
-	s := NewBTree(cfg)
+	s := New(cfg)
 	const perShard = 300
 	for sh := 0; sh < 8; sh++ {
 		for j := 0; j < perShard; j++ {
@@ -140,7 +139,7 @@ func TestParallelShardRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Obs = obs.NewRegistry()
-	s2 := NewBTree(cfg)
+	s2 := New(cfg)
 	defer s2.Close()
 	if got := s2.Len(); got != 8*perShard {
 		t.Fatalf("reopened Len = %d, want %d", got, 8*perShard)
@@ -168,5 +167,5 @@ func TestShardOpenFailurePanicsOnCaller(t *testing.T) {
 			t.Fatal("New on a filesystem that refuses every write did not panic")
 		}
 	}()
-	NewBTree(durableConfig(mem))
+	New(durableConfig(mem))
 }

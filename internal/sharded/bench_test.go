@@ -16,17 +16,15 @@ import (
 	"mets/internal/obs"
 )
 
-// benchShardReadUnderMerge is the sharded-layer twin of the hybrid
+// BenchmarkShardReadUnderMerge is the sharded-layer twin of the hybrid
 // ReadUnderMerge benchmark: point reads against an 8-shard index while a
 // writer churns inserts and updates across all shards, with per-shard
-// merges triggering naturally. Epoch mode additionally removes the
-// per-shard RWMutex from the read path.
-func benchShardReadUnderMerge(b *testing.B, epoch bool) {
+// background merges triggering naturally.
+func BenchmarkShardReadUnderMerge(b *testing.B) {
 	const n = 1 << 17
-	s := NewBTree(Config{
+	s := New(Config{
 		Shards: 8,
-		Hybrid: hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 13, BloomBitsPerKey: 10,
-			BackgroundMerge: true, EpochReads: epoch},
+		Hybrid: hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 13, BloomBitsPerKey: 10},
 	})
 	ks := make([][]byte, n)
 	entries := make([]index.Entry, n)
@@ -78,20 +76,15 @@ func benchShardReadUnderMerge(b *testing.B, epoch bool) {
 	b.ReportMetric(float64(snap.Max), "worst-read-pause-ns")
 }
 
-func BenchmarkShardReadUnderMerge(b *testing.B) {
-	b.Run("mode=lock", func(b *testing.B) { benchShardReadUnderMerge(b, false) })
-	b.Run("mode=epoch", func(b *testing.B) { benchShardReadUnderMerge(b, true) })
-}
-
 // libReadKeys is the gated benchmark's lib-read size. The scan and point-read
 // benchmarks run at it: at 200k keys the HOPE dictionary and the static stage
 // sit in cache, which hides what a scan costs at the size that is gated.
 const libReadKeys = 1_000_000
 
 // newLibReadIndex builds the configuration the gated benchmark's lib-read
-// workload runs over n keys: sharded, epoch reads, background merge, sampled
-// router, HOPE 3-Grams with a 2^14-entry dictionary (withHOPE; raw keys
-// otherwise), bulk-loaded and fully merged. reg may be nil.
+// workload runs over n keys: sharded, sampled router, HOPE 3-Grams with a
+// 2^14-entry dictionary (withHOPE; raw keys otherwise), bulk-loaded and
+// fully merged. reg may be nil.
 func newLibReadIndex(tb testing.TB, n int, reg *obs.Registry, withHOPE bool) (*Index, [][]byte) {
 	tb.Helper()
 	ks := keys.Dedup(keys.Emails(n, 1))
@@ -106,10 +99,7 @@ func newLibReadIndex(tb testing.TB, n int, reg *obs.Registry, withHOPE bool) (*I
 			tb.Fatal(err)
 		}
 	}
-	hc := hybrid.DefaultConfig()
-	hc.EpochReads = true
-	hc.BackgroundMerge = true
-	s := NewBTree(Config{Router: RouterFromSample(sample, 8), Hybrid: hc, Codec: codec, Obs: reg})
+	s := New(Config{Router: RouterFromSample(sample, 8), Hybrid: hybrid.DefaultConfig(), Codec: codec, Obs: reg})
 	entries := make([]index.Entry, len(ks))
 	for i, k := range ks {
 		entries[i] = index.Entry{Key: k, Value: uint64(i)}
@@ -157,7 +147,7 @@ func BenchmarkScanDecode(b *testing.B) {
 	for i, e := range entries {
 		sample[i] = e.Key
 	}
-	s := NewBTree(Config{
+	s := New(Config{
 		Router: RouterFromSample(sample, 8),
 		Hybrid: hybrid.DefaultConfig(),
 		Codec:  shardedEmailCodec(b, hope.ThreeGrams),

@@ -17,23 +17,17 @@ import (
 	"mets/internal/keys"
 )
 
-func epochSmallCfg(shards int) Config {
-	return Config{
-		Shards: shards,
-		Hybrid: hybrid.Config{
-			MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10,
-			BackgroundMerge: true, EpochReads: true,
-		},
-	}
-}
-
-// TestEpochDifferential runs the shared oracle harness over the epoch-mode
-// sharded index (wait-free shard reads behind each shard's atomic
-// generation swap).
+// TestEpochDifferential runs the shared oracle harness with a merge trigger
+// far below smallCfg's (MinDynamic 4, MergeRatio 10): the shards merge four
+// to five times as often as in TestDifferential (42-88 merges per run against
+// 12-18), so many more ops race a background merge and resolve across a
+// frozen stage while every shard's generation keeps swapping under them.
 func TestEpochDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewBTree(epochSmallCfg(shards))
+			cfg := smallCfg(shards)
+			cfg.Hybrid.MergeRatio, cfg.Hybrid.MinDynamic = 10, 4
+			s := New(cfg)
 			dstest.Run(t, s, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 5})
 			s.WaitMerges()
 		})
@@ -52,15 +46,12 @@ func TestEpochRetrainStress(t *testing.T) {
 	for i, k := range ks {
 		entries[i] = index.Entry{Key: k, Value: uint64(i)}
 	}
-	hc := hybrid.Config{
-		MergeRatio: 4, MinDynamic: 256, BloomBitsPerKey: 10,
-		BackgroundMerge: true, EpochReads: true,
-	}
+	hc := hybrid.Config{MergeRatio: 4, MinDynamic: 256, BloomBitsPerKey: 10}
 	codec, err := keycodec.TrainHOPE(ks, hope.DoubleChar, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewBTree(Config{
+	s := New(Config{
 		Router: RouterFromSample(ks, 4),
 		Hybrid: hc,
 		Codec:  codec,
@@ -134,12 +125,9 @@ func TestEpochRetrainStress(t *testing.T) {
 // while MemoryUsage (safe for concurrent use, like every Index method) read
 // it: under -race, polling MemoryUsage beside inserts must report no race.
 func TestMemoryUsageDuringInserts(t *testing.T) {
-	s := NewBTree(Config{
+	s := New(Config{
 		Shards: 4,
-		Hybrid: hybrid.Config{
-			MergeRatio: 4, MinDynamic: 512, BloomBitsPerKey: 10,
-			BackgroundMerge: true, EpochReads: true,
-		},
+		Hybrid: hybrid.Config{MergeRatio: 4, MinDynamic: 512, BloomBitsPerKey: 10},
 	})
 	var stop atomic.Bool
 	peak := make(chan int64)

@@ -19,25 +19,18 @@ import (
 // records hold encoded keys, so replay must not encode them twice.
 func TestShardedJournalReopen(t *testing.T) {
 	for _, codec := range []keycodec.Codec{nil, binaryCodec(t)} {
-		for _, epochs := range []bool{false, true} {
-			name := fmt.Sprintf("epoch=%v", epochs)
-			if codec != nil {
-				name = "codec/" + name
-			}
-			t.Run(name, func(t *testing.T) { testJournalReopen(t, codec, epochs) })
-		}
+		t.Run(fmt.Sprintf("codec=%v", codec != nil), func(t *testing.T) { testJournalReopen(t, codec) })
 	}
 }
 
-func testJournalReopen(t *testing.T, codec keycodec.Codec, epochs bool) {
+func testJournalReopen(t *testing.T, codec keycodec.Codec) {
 	fs := vfs.NewMemFS()
 	hc := hybrid.DefaultConfig()
 	hc.MinDynamic = 16
 	hc.MergeRatio = 2
-	hc.EpochReads = epochs
 	hc.FS = fs
 	cfg := Config{Shards: 4, Hybrid: hc, Dir: "data", Codec: codec}
-	s := NewBTree(cfg)
+	s := New(cfg)
 	want := map[string]uint64{}
 	for i := 0; i < 500; i++ {
 		k := fmt.Sprintf("key-%05d", i)
@@ -60,7 +53,7 @@ func testJournalReopen(t *testing.T, codec keycodec.Codec, epochs bool) {
 	if len(names) != 0 {
 		t.Fatalf("data dir should hold only subdirectories, saw files %v", names)
 	}
-	s2 := NewBTree(cfg)
+	s2 := New(cfg)
 	defer s2.Close()
 	if s2.Len() != len(want) {
 		t.Fatalf("reopened Len = %d, want %d", s2.Len(), len(want))
@@ -103,7 +96,6 @@ func fixtureOps(s *Index) map[string]uint64 {
 func TestJournalFormatUnchanged(t *testing.T) {
 	const fixture = "testdata/journal_pr13"
 	hc := hybrid.DefaultConfig()
-	hc.EpochReads = true
 	segment := func(sh int) string {
 		return filepath.Join(fmt.Sprintf("shard%03d", sh), wal.SegmentName(1))
 	}
@@ -117,7 +109,7 @@ func TestJournalFormatUnchanged(t *testing.T) {
 	}
 
 	fresh := filepath.Join(t.TempDir(), "fresh")
-	s := NewBTree(Config{Shards: 4, Hybrid: hc, Dir: fresh})
+	s := New(Config{Shards: 4, Hybrid: hc, Dir: fresh})
 	want := fixtureOps(s)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -137,7 +129,7 @@ func TestJournalFormatUnchanged(t *testing.T) {
 		}
 	}
 
-	s2 := NewBTree(Config{Shards: 4, Hybrid: hc, Dir: old})
+	s2 := New(Config{Shards: 4, Hybrid: hc, Dir: old})
 	defer s2.Close()
 	if s2.Len() != len(want) {
 		t.Fatalf("parent-written directory reopened with %d entries, want %d", s2.Len(), len(want))

@@ -9,6 +9,7 @@ import (
 
 	"mets/internal/btree"
 	"mets/internal/dstest"
+	"mets/internal/fst"
 	"mets/internal/hope"
 	"mets/internal/hybrid"
 	"mets/internal/index"
@@ -28,7 +29,7 @@ import (
 
 const leakShards = 4
 
-// watched is an index with a fixed HOPE codec whose shards report every
+// watched is an index with a fixed HOPE codec whose shards report every FST
 // static stage they build. Auto-merges are off; the tests merge by hand.
 type watched struct {
 	*Index
@@ -49,15 +50,17 @@ func newWatched(t testing.TB, reg *obs.Registry) *watched {
 		t.Fatal(err)
 	}
 	ws := &watched{}
-	ws.Index = New(Config{
+	ws.Index = newIndex(Config{
 		Router: RouterFromSample(sample, leakShards),
-		Hybrid: hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true},
+		Hybrid: hybrid.Config{MergeRatio: 4, MinDynamic: 1 << 30, BloomBitsPerKey: 10},
 		Codec:  codec,
 		Obs:    reg,
 	}, ws.newShard)
 	return ws
 }
 
+// newShard is hybrid.NewFST with its stage builder watched; hc is the
+// configuration New gives every shard.
 func (ws *watched) newShard(hc hybrid.Config) *hybrid.Index {
 	ws.mu.Lock()
 	id := len(ws.newest)
@@ -67,7 +70,7 @@ func (ws *watched) newShard(hc hybrid.Config) *hybrid.Index {
 	return hybrid.New(
 		func() index.Dynamic { return btree.New() },
 		func(entries []index.Entry) (index.Static, error) {
-			st, err := btree.NewCompact(entries)
+			st, err := fst.NewStatic(entries)
 			if err == nil {
 				built++
 				label := fmt.Sprintf("static shard%d#%d", id, built)

@@ -35,7 +35,7 @@ func newScanFixture(t *testing.T, codec keycodec.Codec) *scanFixture {
 	cfg := smallCfg(0)
 	cfg.Router = NewRouter(f.bounds)
 	cfg.Codec = codec
-	f.idx = NewBTree(cfg)
+	f.idx = New(cfg)
 	// Random insertion order with small merge thresholds leaves every shard
 	// with entries in both stages.
 	for _, i := range rand.New(rand.NewSource(82)).Perm(n) {
@@ -127,10 +127,9 @@ func TestScanNUnderConcurrentInserts(t *testing.T) {
 		}
 	}
 	cfg := smallCfg(0)
-	cfg.Hybrid.EpochReads = true
 	cfg.Router = RouterFromSample(stable, 6)
 	cfg.Codec = shardedEmailCodec(t, hope.ThreeGrams)
-	s := NewBTree(cfg)
+	s := New(cfg)
 	for i, k := range stable {
 		s.Insert(k, uint64(i))
 	}

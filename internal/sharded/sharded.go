@@ -1,10 +1,12 @@
 // Package sharded implements a range-partitioned sharded hybrid index: keys
 // fan out across N disjoint key ranges, each backed by its own
 // hybrid.Index — its own dynamic stage, writer mutex, Bloom filter, and
-// independent background-merge schedule. Writers touching different
-// shards proceed in parallel, and a merge pause on one shard never stalls
-// readers or writers on the other N-1, so the worst-case pause shrinks with
-// the shard count instead of growing with the total index size.
+// independent background-merge schedule. Every shard is built the same way:
+// the lock-free skip-list memtable over an FST static stage, merged in the
+// background. Writers touching different shards proceed in parallel, and a
+// merge pause on one shard never stalls readers or writers on the other N-1,
+// so the worst-case pause shrinks with the shard count instead of growing
+// with the total index size.
 //
 // Partitioning is boundary-based (internal/sharded.Router): boundaries are
 // either learned from a key sample (RouterFromSample, quantile split) or
@@ -50,31 +52,24 @@ type Config struct {
 	Router *Router
 	// Hybrid is the per-shard dual-stage configuration. MinDynamic applies
 	// per shard, so an N-shard index merges after roughly N*MinDynamic total
-	// inserts spread evenly.
+	// inserts spread evenly. The sharded layer owns four of its fields and
+	// ignores what the caller set in them: EpochReads and BackgroundMerge
+	// are always on, and Obs and Dir come from the fields below.
 	Hybrid hybrid.Config
 	// Obs attaches every shard to the registry under a "shard<i>." prefix,
 	// so snapshots expose per-shard op counters (skew), stage sizes, and
-	// "shard<i>.merge" records. Overrides Hybrid.Obs. Nil disables
-	// instrumentation.
+	// "shard<i>.merge" records. Nil disables instrumentation.
 	Obs *obs.Registry
 	// Codec, when set (and not the identity), stores and routes keys in
 	// encoded space for the index's lifetime (see the package comment).
 	Codec keycodec.Codec
 	// Dir, when non-empty, gives every shard an op journal under
 	// Dir/shardNNN (see hybrid.Config.Dir): writes are journaled and a new
-	// index over the same Dir replays them. Hybrid.Dir is ignored — the
-	// sharded layer owns the per-shard directories. Hybrid.FS still selects
-	// the filesystem. Use SyncJournals/Close as the durability barriers.
+	// index over the same Dir replays them. Hybrid.FS selects the
+	// filesystem. Use SyncJournals/Close as the durability barriers.
 	// The journals hold encoded keys, so reopen a Dir with the codec that
 	// wrote it.
 	Dir string
-}
-
-// DefaultConfig returns 8 uniform shards with background merges enabled.
-func DefaultConfig() Config {
-	hc := hybrid.DefaultConfig()
-	hc.BackgroundMerge = true
-	return Config{Shards: 8, Hybrid: hc}
 }
 
 // Index is a range-partitioned collection of hybrid indexes. All methods are
@@ -94,15 +89,24 @@ type Index struct {
 	seam *reconfig.Seam
 }
 
-// New builds a sharded index; newShard creates one hybrid index per range
-// (hybrid.NewBTree et al. match the signature).
+// New builds a sharded index whose shards are hybrid.NewFST indexes
+// configured by shardConfig.
 //
 // With Config.Dir a shard's constructor replays its journal and rebuilds its
 // static stage, which is all of a restart's cost, so the shards open side by
 // side. A shard that cannot open panics (hybrid.New has no error return);
 // the lowest such shard's panic is raised again here, on the caller's
 // goroutine.
-func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
+func New(cfg Config) *Index { return newIndex(cfg, hybrid.NewFST) }
+
+// NewBTree is New under its former name.
+//
+// Deprecated: use New.
+func NewBTree(cfg Config) *Index { return New(cfg) }
+
+// newIndex is New with the shard constructor as a parameter, so a test can
+// watch the static stages a shard builds; every shard gets shardConfig.
+func newIndex(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	r := cfg.Router
 	if r == nil {
 		n := cfg.Shards
@@ -118,17 +122,7 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	}
 	s.router = r
 	s.shards = make([]*hybrid.Index, r.NumShards())
-	open := func(i int) {
-		hc := cfg.Hybrid
-		if cfg.Obs != nil {
-			hc.Obs = cfg.Obs.Sub(fmt.Sprintf("shard%d.", i))
-		}
-		hc.Dir = "" // the sharded layer owns the per-shard directories
-		if cfg.Dir != "" {
-			hc.Dir = path.Join(cfg.Dir, fmt.Sprintf("shard%03d", i))
-		}
-		s.shards[i] = newShard(hc)
-	}
+	open := func(i int) { s.shards[i] = newShard(shardConfig(cfg, i)) }
 	if cfg.Dir == "" {
 		for i := range s.shards {
 			open(i)
@@ -157,20 +151,22 @@ func New(cfg Config, newShard func(hybrid.Config) *hybrid.Index) *Index {
 	return s
 }
 
-// NewBTree builds a sharded index whose shards keep a B+tree dynamic stage
-// over an FST static stage (hybrid.NewFST). Under Hybrid.EpochReads, which
-// mets-server and the gated benchmark set, the dynamic stage is the
-// skip-list memtable and the B+tree is not built.
-func NewBTree(cfg Config) *Index { return New(cfg, hybrid.NewFST) }
-
-// NewART builds a sharded index with ART shards.
-func NewART(cfg Config) *Index { return New(cfg, hybrid.NewART) }
-
-// NewSkipList builds a sharded index with skip-list shards.
-func NewSkipList(cfg Config) *Index { return New(cfg, hybrid.NewSkipList) }
-
-// NewMasstree builds a sharded index with Masstree shards.
-func NewMasstree(cfg Config) *Index { return New(cfg, hybrid.NewMasstree) }
+// shardConfig is shard i's hybrid configuration: the caller's Hybrid with
+// the fields the sharded layer owns overridden. Reads are always wait-free
+// (EpochReads) and merges always run in the background; the journal
+// directory is Dir/shardNNN, or none without Dir; the registry is Obs's
+// "shard<i>." view, or none without Obs.
+func shardConfig(cfg Config, i int) hybrid.Config {
+	hc := cfg.Hybrid
+	hc.EpochReads = true
+	hc.BackgroundMerge = true
+	hc.Obs = cfg.Obs.Sub(fmt.Sprintf("shard%d.", i))
+	hc.Dir = ""
+	if cfg.Dir != "" {
+		hc.Dir = path.Join(cfg.Dir, fmt.Sprintf("shard%03d", i))
+	}
+	return hc
+}
 
 // encodeRouter translates raw-space boundaries into codec space. Encoding is
 // strictly monotone, so the encoded boundaries induce the same partition of

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,12 +15,14 @@ import (
 	"mets/internal/hybrid"
 	"mets/internal/index"
 	"mets/internal/keys"
+	"mets/internal/obs"
+	"mets/internal/vfs"
 )
 
 func smallCfg(shards int) Config {
 	return Config{
 		Shards: shards,
-		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, BackgroundMerge: true},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10},
 	}
 }
 
@@ -88,10 +91,84 @@ func TestRouterBoundaryOwnership(t *testing.T) {
 	}
 }
 
+// --- Shard configuration ---
+
+// TestShardConfigForced: whatever the caller put in Hybrid.EpochReads,
+// BackgroundMerge, Dir and Obs, every shard gets both modes on, its journal
+// under Dir/shardNNN (none without Dir) and Obs's "shard<i>." view (none
+// without Obs), keeps the caller's other fields, and is built from exactly
+// shardConfig.
+func TestShardConfigForced(t *testing.T) {
+	callerReg := obs.NewRegistry()
+	caller := hybrid.Config{MergeRatio: 3, MinDynamic: 7, Dir: "elsewhere", Obs: callerReg, FS: vfs.NewMemFS()}
+	for _, dir := range []string{"", "data"} {
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			cfg := Config{Shards: 3, Hybrid: caller, Dir: dir, Obs: reg}
+			check := func(hc hybrid.Config, i int) {
+				t.Helper()
+				if !hc.EpochReads || !hc.BackgroundMerge {
+					t.Fatalf("dir %q, obs %v: shard %d EpochReads=%v BackgroundMerge=%v, want both on",
+						dir, reg != nil, i, hc.EpochReads, hc.BackgroundMerge)
+				}
+				if hc.MergeRatio != 3 || hc.MinDynamic != 7 || hc.FS != caller.FS {
+					t.Fatalf("shard %d lost the caller's fields: %+v", i, hc)
+				}
+				wantDir := ""
+				if dir != "" {
+					wantDir = fmt.Sprintf("%s/shard%03d", dir, i)
+				}
+				if hc.Dir != wantDir {
+					t.Fatalf("dir %q: shard %d Dir = %q, want %q", dir, i, hc.Dir, wantDir)
+				}
+				if reg == nil {
+					if hc.Obs != nil {
+						t.Fatalf("no Obs: shard %d has a registry", i)
+					}
+					return
+				}
+				name := fmt.Sprintf("probe%d", i)
+				hc.Obs.Counter(name).Inc()
+				if got := reg.Snapshot().Counters[fmt.Sprintf("shard%d.%s", i, name)]; got != 1 {
+					t.Fatalf("shard %d's registry is not Obs's shard%d. view (count %d)", i, i, got)
+				}
+			}
+			var mu sync.Mutex // with Dir the shards open side by side
+			var built []hybrid.Config
+			s := newIndex(cfg, func(hc hybrid.Config) *hybrid.Index {
+				mu.Lock()
+				built = append(built, hc)
+				mu.Unlock()
+				return hybrid.NewFST(hc)
+			})
+			wants := []hybrid.Config{shardConfig(cfg, 0), shardConfig(cfg, 1), shardConfig(cfg, 2)}
+			count := func(cs []hybrid.Config, c hybrid.Config) (n int) {
+				for _, x := range cs {
+					if reflect.DeepEqual(x, c) {
+						n++
+					}
+				}
+				return n
+			}
+			for i, want := range wants {
+				check(want, i)
+				if len(built) != 3 || count(built, want) != count(wants, want) {
+					t.Fatalf("the shards were built from %+v, not from shardConfig", built)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := len(callerReg.Snapshot().Counters); n != 0 {
+		t.Fatalf("the caller's Hybrid.Obs got %d counters, want none", n)
+	}
+}
+
 // --- Basic operations and scans ---
 
 func TestShardedBasic(t *testing.T) {
-	s := NewBTree(smallCfg(4))
+	s := New(smallCfg(4))
 	n := 5000
 	ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(n, 1)))
 	for i, k := range ks {
@@ -178,7 +255,7 @@ func checkScanMatches(t *testing.T, s *Index, want []index.Entry, start []byte, 
 func TestShardedScanOrdering(t *testing.T) {
 	for _, shards := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewBTree(smallCfg(shards))
+			s := New(smallCfg(shards))
 			n := 4000
 			ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(n, 2)))
 			want := make([]index.Entry, len(ks))
@@ -206,7 +283,7 @@ func TestShardedScanOrdering(t *testing.T) {
 // callback may call back into the index without deadlocking (hybrid.Scan
 // forbids this; the sharded shard walk holds no lock while fn runs).
 func TestScanCallbackReentry(t *testing.T) {
-	s := NewBTree(smallCfg(4))
+	s := New(smallCfg(4))
 	for i := 0; i < 1000; i++ {
 		s.Insert(keys.Uint64(uint64(i)*2654435761), uint64(i))
 	}
@@ -225,7 +302,7 @@ func TestScanCallbackReentry(t *testing.T) {
 
 func TestBulkLoad(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
-		s := NewBTree(smallCfg(shards))
+		s := New(smallCfg(shards))
 		ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(10000, 4)))
 		entries := make([]index.Entry, len(ks))
 		for i, k := range ks {
@@ -257,7 +334,7 @@ func TestBulkLoadWithLearnedRouter(t *testing.T) {
 	}
 	cfg := smallCfg(8)
 	cfg.Router = RouterFromSample(ks, 8)
-	s := NewBTree(cfg)
+	s := New(cfg)
 	entries := make([]index.Entry, len(ks))
 	for i, k := range ks {
 		entries[i] = index.Entry{Key: k, Value: uint64(i)}
@@ -270,7 +347,7 @@ func TestBulkLoadWithLearnedRouter(t *testing.T) {
 			t.Fatalf("learned router: shard %d holds %d of %d keys, want balanced", i, l, n)
 		}
 	}
-	uni := NewBTree(smallCfg(8))
+	uni := New(smallCfg(8))
 	if err := uni.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +361,7 @@ func TestBulkLoadWithLearnedRouter(t *testing.T) {
 func TestDifferential(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s := NewBTree(smallCfg(shards))
+			s := New(smallCfg(shards))
 			dstest.Run(t, s, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 5})
 			s.WaitMerges()
 		})
@@ -296,7 +373,7 @@ func TestDifferential(t *testing.T) {
 			sample[i] = []byte{byte(i)}
 		}
 		cfg.Router = RouterFromSample(sample, 6)
-		s := NewART(cfg)
+		s := New(cfg)
 		dstest.Run(t, s, dstest.Config{Ops: 6000, KeySpace: 600, Seed: 6})
 		s.WaitMerges()
 	})
@@ -316,7 +393,7 @@ func valOf(k []byte, updated bool) uint64 {
 }
 
 func TestConcurrentStress(t *testing.T) {
-	s := NewBTree(smallCfg(8))
+	s := New(smallCfg(8))
 	keySpace := make([][]byte, 4000)
 	for i := range keySpace {
 		keySpace[i] = keys.Uint64(uint64(i) * 2654435761)
@@ -454,7 +531,7 @@ func stageLens(s *Index) (dynamic, static int) {
 func TestMergeAllShards(t *testing.T) {
 	cfg := smallCfg(8)
 	cfg.Hybrid.MinDynamic = 1 << 30 // no ratio-triggered merges
-	s := NewBTree(cfg)
+	s := New(cfg)
 	ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(20000, 8)))
 	for i, k := range ks {
 		s.Insert(k, uint64(i))

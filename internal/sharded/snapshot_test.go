@@ -11,9 +11,9 @@ import (
 )
 
 func snapTestIndex() *Index {
-	return NewBTree(Config{
+	return New(Config{
 		Shards: 4,
-		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10, EpochReads: true},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 32, BloomBitsPerKey: 10},
 	})
 }
 
@@ -106,9 +106,9 @@ func TestShardedSnapshotDifferential(t *testing.T) {
 // state to completion while a concurrent writer forces merge churn across
 // every shard.
 func TestShardedSnapshotUnderMergeChurn(t *testing.T) {
-	s := NewBTree(Config{
+	s := New(Config{
 		Shards: 4,
-		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10, EpochReads: true, BackgroundMerge: true},
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 64, BloomBitsPerKey: 10},
 	})
 	defer s.Close()
 

@@ -18,7 +18,7 @@ func TestShardedStatus(t *testing.T) {
 	hc.MinDynamic = 16
 	hc.MergeRatio = 2
 	hc.FS = fs
-	s := NewBTree(Config{Shards: 4, Hybrid: hc, Dir: "data"})
+	s := New(Config{Shards: 4, Hybrid: hc, Dir: "data"})
 	for i := 0; i < 400; i++ {
 		s.Insert([]byte(fmt.Sprintf("key-%05d", i)), uint64(i))
 	}

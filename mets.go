@@ -8,8 +8,8 @@
 //     tests for points and ranges with one-sided errors.
 //   - HybridIndex — the dual-stage architecture (Chapter 5) that makes the
 //     compact static trees writable with amortized merge cost, available
-//     over B+tree, ART, Skip List and Masstree substrates, and as a B+tree
-//     over an FST static stage, which ShardedIndex's NewShardedBTree builds.
+//     over B+tree, ART, Skip List and Masstree substrates, and over an FST
+//     static stage, which every shard of a ShardedIndex (NewSharded) keeps.
 //   - HOPE — the High-speed Order-Preserving Encoder (Chapter 6): compress
 //     keys before inserting them into any ordered structure.
 //   - LSM — an in-memory log-structured engine with pluggable filters and
@@ -105,11 +105,12 @@ type HybridIndex = hybrid.Index
 // EpochReads — the name is historical — only picks the dynamic stage: the
 // lock-free skip-list memtable, which makes reads wait-free end to end;
 // unset, the dynamic stage is the constructor's thesis structure behind a
-// readers-writer lock of its own. HybridSecondary ignores it.
+// readers-writer lock of its own. HybridSecondary ignores it, and a
+// ShardedIndex sets it, with BackgroundMerge, on every shard.
 type HybridConfig = hybrid.Config
 
-// Hybrid index constructors: a B+tree dynamic stage over the thesis' FST
-// (the sharded engine's shards), and the four Ch. 5 substrates.
+// Hybrid index constructors: the thesis' FST as the static stage (what every
+// ShardedIndex shard runs), and the four Ch. 5 substrates.
 var (
 	NewHybridFST             = hybrid.NewFST
 	NewHybridBTree           = hybrid.NewBTree
@@ -133,18 +134,14 @@ type ShardedConfig = sharded.Config
 // ShardRouter maps keys to shards via sorted boundary keys.
 type ShardRouter = sharded.Router
 
-// Sharded constructors and routers. NewShardedBTree's shards keep a B+tree
-// dynamic stage over an FST static stage; under HybridConfig.EpochReads
-// (which cmd/mets-server sets) the dynamic stage is the skip-list memtable
-// instead and the B+tree is not built.
+// The sharded constructor and routers. NewSharded builds one configuration:
+// every shard keeps the skip-list memtable over an FST static stage and
+// merges in the background, whatever ShardedConfig.Hybrid says about
+// EpochReads and BackgroundMerge.
 var (
-	NewShardedBTree      = sharded.NewBTree
-	NewShardedART        = sharded.NewART
-	NewShardedSkipList   = sharded.NewSkipList
-	NewShardedMasstree   = sharded.NewMasstree
-	DefaultShardedConfig = sharded.DefaultConfig
-	UniformRouter        = sharded.UniformRouter
-	RouterFromSample     = sharded.RouterFromSample
+	NewSharded       = sharded.New
+	UniformRouter    = sharded.UniformRouter
+	RouterFromSample = sharded.RouterFromSample
 )
 
 // --- HOPE ------------------------------------------------------------------
