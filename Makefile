@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 # LOC_MAX is the ceiling `make loc` enforces: the non-test line count may
 # only grow by a deliberate edit of this number.
-LOC_MAX := 19922
+LOC_MAX := 20015
 
 .PHONY: all build vet test race tier1 loc bench obs-overhead fuzz-smoke crash-smoke server-smoke
 

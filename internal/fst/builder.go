@@ -7,7 +7,8 @@
 // lookup, lower-bound seeks with forward iteration, and O(height) approximate
 // range counting. With Config.Truncate it stores only minimum-length
 // distinguishing prefixes, which is the basis of the SuRF filter (Chapter 4).
-// Static wraps a complete trie as a hybrid index's static stage.
+// Static wraps a trie as a hybrid index's static stage: truncated, with the
+// keys' tails kept beside it, when every key has one length, else complete.
 package fst
 
 import (
@@ -113,6 +114,10 @@ type builder struct {
 	values []uint64
 	es     []index.Entry
 	leaf   func(slot, key, suffixStart int) // nil: leaves are not reported
+	// counted, if set, is handed the level counts between the two walks, so
+	// per-leaf material laid out by level can be allocated before the leaf
+	// calls fill it.
+	counted func(levels []levelCount)
 
 	cfg    Config
 	lcps   []uint8 // lcps[i]: the LCP of keys i and i+1, or lcpLong if not below it
@@ -188,6 +193,9 @@ func (b *builder) build(t *Trie, cfg Config) error {
 	b.cfg = cfg
 	if err := b.count(); err != nil {
 		return err
+	}
+	if b.counted != nil {
+		b.counted(b.levels)
 	}
 	cutoff := cfg.DenseLevels
 	if cutoff < 0 {

@@ -2,7 +2,6 @@ package fst
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -462,5 +461,5 @@ func TestMemorySmallerThanPointerTrie(t *testing.T) {
 	if bitsPerKey > 120 {
 		t.Fatalf("complete trie at %.1f bits/key; expected well under 120", bitsPerKey)
 	}
-	fmt.Printf("complete FST on 50k random ints: %.1f bits/key\n", bitsPerKey)
+	t.Logf("complete FST on 50k random ints: %.1f bits/key", bitsPerKey)
 }

@@ -335,16 +335,17 @@ func (it *Iterator) Value() uint64 {
 	return v.it.Next()
 }
 
-// nextValue is Value for a walk that reads the value of every leaf it
-// visits: a level's leaves are then visited in slot order, so only the first
-// one a level reports is located.
-func (it *Iterator) nextValue() uint64 {
+// nextValue is Value, with the leaf's slot, for a walk that reads the value
+// of every leaf it visits: a level's leaves are then visited in slot order,
+// so only the first one a level reports is located.
+func (it *Iterator) nextValue() (slot int, value uint64) {
 	v := it.levelValues()
 	if v.next == 0 {
 		it.startValues(v, it.slot())
 	}
+	slot = v.next - 1
 	v.next++
-	return v.it.Next()
+	return slot, v.it.Next()
 }
 
 // levelValues returns the current level's value decoder; the decoders are

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"mets/internal/bits"
 	"mets/internal/hope"
@@ -83,6 +84,13 @@ func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte
 	if s.Len() != len(ks) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(ks))
 	}
+	fixed := len(ks) > 0 && len(ks[0]) > 0
+	for _, k := range ks {
+		fixed = fixed && len(k) == len(ks[0])
+	}
+	if lazy := s.tails != nil; lazy != fixed {
+		t.Fatalf("tails kept %v, want %v: only keys of one length > 0 are stored truncated", lazy, fixed)
+	}
 	const look = 3 // entries checked after each lower bound
 	for _, q := range probes {
 		want := sort.Search(len(ks), func(i int) bool { return bytes.Compare(ks[i], q) >= 0 })
@@ -122,6 +130,21 @@ func TestStaticAgainstOracle(t *testing.T) {
 	sets["urls"] = keys.Dedup(keys.URLs(3000, 4))
 	sets["empty-key-only"] = [][]byte{{}}
 	sets["one-key"] = [][]byte{[]byte("solo")}
+	// Keys of one length: the layout that keeps tails.
+	u64s := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(5000, 45)))
+	sets["random-u64"] = u64s
+	var all1, dense2 [][]byte
+	for b := 0; b < 256; b++ {
+		all1 = append(all1, []byte{byte(b)})
+		for _, a := range []byte{0x00, 0x01, 0x7f, 0xff} {
+			dense2 = append(dense2, []byte{a, byte(b)})
+		}
+	}
+	sets["k1-all-bytes"] = all1
+	sets["k2-dense"] = keys.Dedup(dense2)
+	sets["one-8-byte-key"] = [][]byte{keys.Uint64(0x00ff00ff00ff00ff)}
+	// One key of another length keeps the set complete.
+	sets["u64-and-a-9-byte-key"] = keys.Dedup(append(append([][]byte(nil), u64s...), append(keys.Uint64(1<<60), 7)))
 	for name, ks := range sets {
 		t.Run(name, func(t *testing.T) {
 			checkStaticOracle(t, ks, staticValues(len(ks), []byte(name)), staticProbes(ks))
@@ -147,7 +170,25 @@ func FuzzStaticOps(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 60))
 	f.Add(bytes.Repeat([]byte{3, 'a', 'b'}, 30))
 	f.Add([]byte{1, 'x'})
+	// A first byte from 0xf0 to 0xfe picks the fixed-width mode: the rest is
+	// cut into keys of K = 1, 2 or 8 bytes (0xf0, 0xf1, 0xf2 and so on).
+	f.Add([]byte{0xf0, 0x00, 0xff, 0x7f, 0x80, 0x01, 0xfe, 0x00})
+	f.Add([]byte{0xf1, 0, 0, 0, 1, 0, 0xff, 0xff, 0, 0xff, 0xff, 1, 2, 1, 3, 0xff, 0xfe})
+	f.Add([]byte{0xf2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
+		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 0 && data[0] >= 0xf0 && data[0] < 0xff {
+			k := []int{1, 2, 8}[data[0]%3]
+			var ks, probes [][]byte
+			for i := 1; i+k <= len(data); i += k {
+				ks = append(ks, data[i:i+k])
+				// Starts of other lengths: shorter, longer and the empty one.
+				probes = append(probes, data[i:i+k-1], data[i:min(i+k+1, len(data))], data[i:])
+			}
+			ks = keys.Dedup(ks)
+			checkStaticOracle(t, ks, staticValues(len(ks), data), append(append(staticProbes(ks), probes...), data))
+			return
+		}
 		var parts [][]byte
 		for len(data) > 0 && len(parts) < 40 {
 			n := min(int(data[0])%12, len(data)-1)
@@ -253,7 +294,7 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 		{"hope-emails", hopeEncoded(t, emails), 58},
 		{"raw-emails", emails, 69},
 		{"urls", keys.Dedup(keys.URLs(100000, 1)), 119},
-		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 92},
+		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 66},
 	} {
 		for _, random := range []bool{false, true} {
 			s, err := NewStatic(entriesOf(tc.ks, random))
@@ -271,5 +312,39 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 				t.Errorf("%s, random values: %d B of values, want exactly the %d B of 64-bit slots", tc.name, values, slots)
 			}
 		}
+	}
+}
+
+// TestStaticCompleteLayoutCostsNothing holds the stage over keys of
+// different lengths (lib-read's HOPE-encoded emails) to the complete trie
+// fst.Build makes under the same tuning: no tails, not a byte more, and a
+// struct in no larger a size class than a trie and an entry count.
+func TestStaticCompleteLayoutCostsNothing(t *testing.T) {
+	ks := hopeEncoded(t, keys.Dedup(keys.Emails(100000, 1)))
+	entries := entriesOf(ks, false)
+	s, err := NewStatic(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := make([]uint64, len(entries))
+	for i, e := range entries {
+		values[i] = e.Value
+	}
+	trie, err := Build(ks, values, staticConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.tails != nil {
+		t.Fatal("keys of different lengths kept tails")
+	}
+	if got, want := s.MemoryUsage(), (&Static{t: *trie}).MemoryUsage(); got != want {
+		t.Fatalf("MemoryUsage = %d B, want the complete trie's %d B", got, want)
+	}
+	type trieAndCount struct {
+		t Trie
+		n int
+	}
+	if got, limit := bits.AllocSize(int(unsafe.Sizeof(Static{}))), bits.AllocSize(int(unsafe.Sizeof(trieAndCount{}))); got > limit {
+		t.Fatalf("the stage struct takes %d B, more than the %d B of a trie and a count", got, limit)
 	}
 }

@@ -226,16 +226,18 @@ func TestServerSnapshotScanUnderChurn(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(9))
+		// It puts before it looks at stop, so the live scan below has churn
+		// keys to find even when the snapshot rounds end first.
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			k := []byte(fmt.Sprintf("zchurn%05d", rng.Intn(5000)))
 			if err := cw.Put(k, uint64(i+1)); err != nil {
 				t.Errorf("churn put: %v", err)
 				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
 			}
 		}
 	}()

@@ -379,6 +379,99 @@ func TestDifferential(t *testing.T) {
 	})
 }
 
+// TestShardedDifferentialFixedWidth is the served configuration: raw 8-byte
+// keys and no codec, so every static stage a merge builds stores its keys
+// truncated with their tails beside the trie. The keys spread over the
+// shards by their first byte and share long runs of zero bytes below it,
+// the chains lazy expansion cuts. Inserts, updates and deletes go through
+// background merges; point reads, and ScanN from stored keys, their
+// prefixes and extensions and the empty start, which cross shards, are held
+// to a sorted model.
+func TestShardedDifferentialFixedWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	space := make([][]byte, 3000)
+	for i := range space {
+		space[i] = keys.Uint64(uint64(rng.Intn(256))<<56 | rng.Uint64()>>44)
+	}
+	s := New(smallCfg(8))
+	oracle := map[string]uint64{}
+	checkScanN := func(op int, start []byte) {
+		t.Helper()
+		var want []string
+		for k := range oracle {
+			if k >= string(start) {
+				want = append(want, k)
+			}
+		}
+		sort.Strings(want)
+		n := 1 + rng.Intn(300)
+		want = want[:min(n, len(want))]
+		got := s.ScanN(start, n)
+		if len(got) != len(want) {
+			t.Fatalf("op %d: ScanN(%x, %d) = %d entries, want %d", op, start, n, len(got), len(want))
+		}
+		for i, e := range got {
+			if string(e.Key) != want[i] || e.Value != oracle[want[i]] {
+				t.Fatalf("op %d: ScanN(%x)[%d] = %x/%d, want %x/%d", op, start, i, e.Key, e.Value, want[i], oracle[want[i]])
+			}
+		}
+	}
+	const ops = 20000
+	for op := 0; op < ops; op++ {
+		k := space[rng.Intn(len(space))]
+		_, present := oracle[string(k)]
+		v := rng.Uint64()
+		switch r := rng.Intn(10); {
+		case r < 4:
+			if s.Insert(k, v) != !present {
+				t.Fatalf("op %d: Insert(%x) disagrees with present=%v", op, k, present)
+			}
+			if !present {
+				oracle[string(k)] = v
+			}
+		case r < 6:
+			if s.Update(k, v) != present {
+				t.Fatalf("op %d: Update(%x) disagrees with present=%v", op, k, present)
+			}
+			if present {
+				oracle[string(k)] = v
+			}
+		case r < 7:
+			if s.Delete(k) != present {
+				t.Fatalf("op %d: Delete(%x) disagrees with present=%v", op, k, present)
+			}
+			delete(oracle, string(k))
+		default:
+			got, ok := s.Get(k)
+			if want, wantOK := oracle[string(k)]; ok != wantOK || got != want {
+				t.Fatalf("op %d: Get(%x) = %d,%v; want %d,%v", op, k, got, ok, want, wantOK)
+			}
+		}
+		if op%50 == 49 {
+			k := space[rng.Intn(len(space))]
+			for _, start := range [][]byte{k, k[:rng.Intn(8)], append(k[:8:8], 0x00), nil} {
+				checkScanN(op, start)
+			}
+		}
+	}
+	s.WaitMerges()
+	s.Merge()
+	for k, want := range oracle {
+		if got, ok := s.Get([]byte(k)); !ok || got != want {
+			t.Fatalf("after merging: Get(%x) = %d,%v; want %d", k, got, ok, want)
+		}
+	}
+	for _, k := range space[:20] {
+		if _, ok := s.Get(k[:7]); ok {
+			t.Fatalf("Get(%x), a 7-byte prefix, found an entry", k[:7])
+		}
+	}
+	checkScanN(ops, nil)
+	if got := len(s.ScanN(nil, len(oracle)+1)); got != len(oracle) || s.Len() != len(oracle) {
+		t.Fatalf("after merging: ScanN(nil) = %d entries, Len = %d; want %d", got, s.Len(), len(oracle))
+	}
+}
+
 // --- Concurrent stress: readers + writers + background merges on all
 // shards simultaneously (run under -race this is the acceptance gate). ---
 
