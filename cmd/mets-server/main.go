@@ -52,7 +52,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	srv := server.New(server.Config{Store: store, Obs: reg, MaxConns: *maxConns})
+	srv, err := server.New(server.Config{Store: store, Obs: reg, MaxConns: *maxConns})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mets-server:", err)
+		os.Exit(1)
+	}
 
 	if *debugAddr != "" {
 		startDebug(*debugAddr, reg, srv)

@@ -2,6 +2,7 @@ package bits
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"slices"
@@ -9,38 +10,39 @@ import (
 )
 
 // checkFOR encodes values and holds every Get, and Iter from starts inside
-// and across blocks, to the input. It also checks
-// the form the build chose: packed only when that has fewer words, plain
-// exactly when it is the input slice itself.
+// and across blocks, to the input. It also checks the form the build chose:
+// a coded form only when it has fewer words than plain slots, Elias–Fano
+// only for values that never decrease and only when it has fewer words than
+// the packed form, plain exactly when it is the input slice itself. Rising
+// values are also decoded from the Elias–Fano form at the width the build
+// would pick and at widths 63 and, when the span allows, 0.
 func checkFOR(t testing.TB, values []uint64) FOR {
 	t.Helper()
 	want := append([]uint64(nil), values...)
+	rising := slices.IsSorted(want)
 	f := NewFOR(values)
-	if f.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", f.Len(), len(want))
+	checkDecode(t, f, want, "NewFOR")
+	if coded(f) && len(f.data) >= len(want) {
+		t.Fatalf("coded form of %d words chosen for %d values", len(f.data), len(want))
 	}
-	for i, v := range want {
-		if got := f.Get(i); got != v {
-			t.Fatalf("n=%d packed=%v: Get(%d) = %#x, want %#x", len(want), packed(f), i, got, v)
-		}
-	}
-	for _, from := range []int{0, 1, forBlock - 1, forBlock + 1, len(want) / 2} {
-		it := f.Iter(from)
-		for i := from; i < len(want); i++ {
-			if got := it.Next(); got != want[i] {
-				t.Fatalf("n=%d packed=%v: Iter(%d) value %d = %#x, want %#x", len(want), packed(f), from, i, got, want[i])
-			}
-		}
-	}
-	if packed(f) && len(f.data) >= len(want) {
-		t.Fatalf("packed form of %d words chosen for %d values", len(f.data), len(want))
-	}
-	if !packed(f) && len(want) > 0 && &f.data[0] != &values[0] {
+	if !coded(f) && len(want) > 0 && &f.data[0] != &values[0] {
 		t.Fatal("plain form copied its input")
+	}
+	if isEF(f) {
+		p := NewFORBuilder(len(want), false)
+		for i, v := range want {
+			p.Frame(i, v)
+		}
+		if !rising {
+			t.Fatal("Elias–Fano form chosen for values that fall")
+		}
+		if p.coded() && len(p.FOR().data) <= len(f.data) {
+			t.Fatalf("Elias–Fano form of %d words chosen over a packed one of %d", len(f.data), len(p.FOR().data))
+		}
 	}
 	// The builder, handed the values in any order, lays out the same words.
 	order := rand.New(rand.NewSource(int64(len(want)))).Perm(len(want))
-	b := NewFORBuilder(len(want))
+	b := NewFORBuilder(len(want), rising)
 	for _, i := range order {
 		b.Frame(i, want[i])
 	}
@@ -48,13 +50,79 @@ func checkFOR(t testing.TB, values []uint64) FOR {
 		b.Put(i, want[i])
 	}
 	if g := b.FOR(); g.n != f.n || !slices.Equal(g.data, f.data) {
-		t.Fatalf("n=%d packed=%v: FORBuilder in shuffled order differs from NewFOR", len(want), packed(f))
+		t.Fatalf("n=%d form=%s: FORBuilder in shuffled order differs from NewFOR", len(want), form(f))
+	}
+	if rising && len(want) > 0 {
+		u := want[len(want)-1] - want[0]
+		low, _ := efSize(len(want), u)
+		lows := []uint{low, 63}
+		if u < 1<<20 {
+			lows = append(lows, 0)
+		}
+		for _, l := range lows {
+			checkDecode(t, efForm(want, l), want, fmt.Sprintf("Elias–Fano at width %d", l))
+		}
 	}
 	return f
 }
 
-// packed reports whether the build chose the frame-of-reference form.
-func packed(f FOR) bool { return len(f.data) != f.n }
+// checkDecode holds every Get of f, and Iter from starts inside and across
+// blocks and samples, to want.
+func checkDecode(t testing.TB, f FOR, want []uint64, what string) {
+	t.Helper()
+	if f.Len() != len(want) {
+		t.Fatalf("%s: Len = %d, want %d", what, f.Len(), len(want))
+	}
+	for i, v := range want {
+		if got := f.Get(i); got != v {
+			t.Fatalf("%s n=%d form=%s: Get(%d) = %#x, want %#x", what, len(want), form(f), i, got, v)
+		}
+	}
+	for _, from := range []int{0, 1, forBlock - 1, forBlock + 1, efSample - 1, efSample, efSample + 1, len(want) / 2} {
+		it := f.Iter(from)
+		for i := from; i < len(want); i++ {
+			if got := it.Next(); got != want[i] {
+				t.Fatalf("%s n=%d form=%s: Iter(%d) value %d = %#x, want %#x", what, len(want), form(f), from, i, got, want[i])
+			}
+		}
+	}
+}
+
+// efForm encodes rising values in the Elias–Fano form at low width low,
+// whichever form the build would choose. An array of exactly n words would
+// read as plain, so it gets a spare word.
+func efForm(values []uint64, low uint) FOR {
+	n := uint64(len(values))
+	b := NewFORBuilder(len(values), true)
+	b.laid, b.form, b.base, b.low = true, formEF, values[0], low
+	highs := n + (values[n-1]-values[0])>>low
+	words := uint64(efLowsStart(len(values))) + (n*uint64(low)+63)/64 + (highs+63)/64
+	if words == n {
+		words++
+	}
+	b.layEF(words)
+	for i, v := range values {
+		b.Put(i, v)
+	}
+	return b.f
+}
+
+// coded reports whether the build chose a coded form.
+func coded(f FOR) bool { return len(f.data) != f.n }
+
+// isEF reports whether the build chose the Elias–Fano form.
+func isEF(f FOR) bool { return coded(f) && f.ef() }
+
+// form names the form the build chose.
+func form(f FOR) string {
+	switch {
+	case isEF(f):
+		return "Elias–Fano"
+	case coded(f):
+		return "packed"
+	}
+	return "plain"
+}
 
 // shaped returns n values whose block b spans exactly widths[b%len(widths)]
 // bits above a random base: the block holds its base and base+2^w-1, so the
@@ -85,7 +153,7 @@ func TestFORWidths(t *testing.T) {
 	for _, w := range []uint{0, 1, 2, 5, 7, 31, 32, 33, 48, 63, 64} {
 		for _, n := range []int{0, 1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 1000} {
 			f := checkFOR(t, shaped(n, []uint{w, 0}, int64(w)*1000+int64(n)))
-			if n >= 3*forBlock && !packed(f) {
+			if n >= 3*forBlock && !coded(f) {
 				t.Errorf("w=%d n=%d: width-%d blocks beside width-0 ones stayed plain", w, n, w)
 			}
 		}
@@ -93,49 +161,60 @@ func TestFORWidths(t *testing.T) {
 }
 
 // TestFORChoosesTheSmallerForm pins the input-driven choice on the value
-// distributions the B+tree sees: IDs in key order pack to a few bits, random
-// 48-bit addresses to 48 plus the frame, random 64-bit values stay plain.
+// distributions the B+tree and the static trie see: IDs in key order take
+// the Elias–Fano form at about 2 bits, sorted 48-bit addresses at about
+// log2(2^48/n) + 2, values that rise a block at a time the packed form's
+// width-0 blocks, random 48-bit addresses the packed form at 48 plus the
+// frame, and random 64-bit values stay plain.
 func TestFORChoosesTheSmallerForm(t *testing.T) {
 	const n = 10000
 	rng := rand.New(rand.NewSource(1))
-	order, addrs, random := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	order, steps, addrs, random := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	for i := range order {
 		order[i] = uint64(i) + 1
+		steps[i] = uint64(i/forBlock) << 40
 		addrs[i] = rng.Uint64() >> 16
 		random[i] = rng.Uint64()
 	}
+	sorted := slices.Clone(addrs)
+	slices.Sort(sorted)
 	for _, tc := range []struct {
 		name    string
 		values  []uint64
-		maxBits float64 // per value, frame included
+		form    string
+		maxBits float64 // per value, frame, header and samples included
 	}{
-		{"key order", order, 8.5},
-		{"48-bit addresses", addrs, 51.5},
-		{"random 64-bit", random, 64},
+		{"key order", order, "Elias–Fano", 2.5},
+		{"sorted 48-bit addresses", sorted, "Elias–Fano", 37.5},
+		{"rising a block at a time", steps, "packed", 3.5},
+		{"48-bit addresses", addrs, "packed", 51.5},
+		{"random 64-bit", random, "plain", 64},
 	} {
 		f := checkFOR(t, tc.values)
 		bits := float64(len(f.data)) * 64 / n
-		t.Logf("%s: %.2f bits/value (packed %v)", tc.name, bits, packed(f))
+		t.Logf("%s: %.2f bits/value (%s)", tc.name, bits, form(f))
 		if bits > tc.maxBits {
 			t.Errorf("%s: %.2f bits/value, want <= %.1f", tc.name, bits, tc.maxBits)
 		}
-		if packed(f) == (tc.name == "random 64-bit") {
-			t.Errorf("%s: packed = %v", tc.name, packed(f))
+		if form(f) != tc.form {
+			t.Errorf("%s: form %s, want %s", tc.name, form(f), tc.form)
 		}
 	}
 }
 
-// forValues derives a value array from fuzz input. An even first byte reads
-// the rest as raw little-endian uint64s (the last one zero-padded): arbitrary
-// slices. An odd one builds a shaped array: its length is a multiple of the
-// block give or take one, and each block's width is picked by an input byte
-// from 0, 1, 63, 64 and widths that straddle words.
+// forValues derives a value array from fuzz input. A first byte that is 0
+// mod 4 reads the rest as raw little-endian uint64s (the last one
+// zero-padded): arbitrary slices. One that is 2 mod 4 builds values that
+// never decrease (risingValues). An odd one builds a shaped array: its length
+// is a multiple of the block give or take one, and each block's width is
+// picked by an input byte from 0, 1, 63, 64 and widths that straddle words.
 func forValues(data []byte) []uint64 {
 	if len(data) == 0 {
 		return nil
 	}
 	mode, rest := data[0], data[1:]
-	if mode%2 == 0 {
+	switch mode % 4 {
+	case 0:
 		vs := make([]uint64, (len(rest)+7)/8)
 		for i := range vs {
 			var w [8]byte
@@ -143,6 +222,8 @@ func forValues(data []byte) []uint64 {
 			vs[i] = binary.LittleEndian.Uint64(w[:])
 		}
 		return vs
+	case 2:
+		return risingValues(mode, rest)
 	}
 	choices := []uint{0, 1, 63, 64, 33, 17, 48, 5}
 	widths := []uint{0}
@@ -158,6 +239,42 @@ func forValues(data []byte) []uint64 {
 	return shaped(n, widths, int64(h.Sum64()))
 }
 
+// risingValues builds values that never decrease: their count is picked from
+// 1, 2, 31, 32, 33 and 257 by the first byte of rest, and each step up from
+// the value before by the next bytes in turn: 0 (a duplicate, so runs of
+// equal values), 1, a few bits, 32 bits or 63 bits, saturating at
+// MaxUint64. The values start at 0 when mode has 0x10 set, else high in the
+// range, and the last is MaxUint64 when mode has 0x20 set. So the universe
+// ranges from 0 — low width 0 — to the whole 64 bits over two values — low
+// width 63.
+func risingValues(mode byte, rest []byte) []uint64 {
+	counts := []int{1, 2, 31, 32, 33, 257}
+	steps := []uint64{0, 0, 1, 5, 300, 1 << 32, 1 << 63, 3}
+	n, stepBytes := counts[0], []byte{2}
+	if len(rest) > 0 {
+		n = counts[int(rest[0])%len(counts)]
+		if len(rest) > 1 {
+			stepBytes = rest[1:]
+		}
+	}
+	v := uint64(mode) << 56
+	if mode&0x10 != 0 {
+		v = 0
+	}
+	vs := make([]uint64, n)
+	for i := range vs {
+		if i > 0 {
+			step := steps[stepBytes[(i-1)%len(stepBytes)]%8]
+			v += min(step, ^uint64(0)-v)
+		}
+		vs[i] = v
+	}
+	if mode&0x20 != 0 {
+		vs[n-1] = ^uint64(0)
+	}
+	return vs
+}
+
 // FuzzFORRoundTrip encodes the arrays forValues derives and decodes every
 // value back.
 func FuzzFORRoundTrip(f *testing.F) {
@@ -166,6 +283,15 @@ func FuzzFORRoundTrip(f *testing.F) {
 	f.Add([]byte{0xff, 3, 2, 1, 0, 4, 5, 6, 7})
 	f.Add([]byte{0x45, 0, 3, 0, 2})
 	f.Add(append([]byte{0}, make([]byte, 8*70)...))
+	// Rising values: one value; 0 then MaxUint64 (low width 63); 257
+	// consecutive values from 0 (low width 0); 33 with duplicates and runs
+	// ending at MaxUint64; 32 and 31 with wide and narrow steps.
+	f.Add([]byte{0x02})
+	f.Add([]byte{0x32, 1, 0})
+	f.Add([]byte{0x12, 5, 2})
+	f.Add([]byte{0x22, 4, 0, 1, 0, 0, 2, 3})
+	f.Add([]byte{0x16, 3, 4, 5, 2})
+	f.Add([]byte{0x0e, 2, 6, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFOR(t, forValues(data))
 	})
@@ -186,21 +312,30 @@ func TestAllocSizeMatchesRuntime(t *testing.T) {
 	}
 }
 
-// BenchmarkFORGet decodes values at scattered positions of a 1M-value array:
-// IDs in key order (packed, 5-bit deltas: 1 MiB) and random 64-bit values
-// (the plain form: 8 MiB).
+// BenchmarkFORGet decodes values at scattered positions of a 1M-value array
+// in each form: IDs in key order (Elias–Fano, 2 bits each: 256 KiB), the
+// same IDs shuffled within each block of 32 (packed, 5-bit deltas: 1 MiB),
+// and random 64-bit values (plain: 8 MiB).
 func BenchmarkFORGet(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(1))
-	order, random := make([]uint64, n), make([]uint64, n)
+	order, blocks, random := make([]uint64, n), make([]uint64, n), make([]uint64, n)
 	for i := range order {
 		order[i], random[i] = uint64(i)+1, rng.Uint64()
 	}
+	copy(blocks, order)
+	for lo := 0; lo < n; lo += forBlock {
+		blk := blocks[lo : lo+forBlock]
+		rng.Shuffle(len(blk), func(i, j int) { blk[i], blk[j] = blk[j], blk[i] })
+	}
 	for _, tc := range []struct {
-		name   string
-		values []uint64
-	}{{"key order", order}, {"random 64-bit", random}} {
+		name, form string
+		values     []uint64
+	}{{"key order", "Elias–Fano", order}, {"shuffled in blocks", "packed", blocks}, {"random 64-bit", "plain", random}} {
 		f := NewFOR(tc.values)
+		if form(f) != tc.form {
+			b.Fatalf("%s: form %s, want %s", tc.name, form(f), tc.form)
+		}
 		b.Run(tc.name, func(b *testing.B) {
 			var sum uint64
 			for i := 0; i < b.N; i++ {

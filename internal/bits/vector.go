@@ -2,9 +2,11 @@
 // support, following the lightweight lookup-table designs of Fast Succinct
 // Tries (Zhang, "Memory-Efficient Search Trees for Database Management
 // Systems", §3.6): a single-level rank LUT with a configurable basic-block
-// size and a sampled select LUT. Beside them are a frame-of-reference array
-// for a static structure's values (FOR) and the allocator rounding memory
-// accounting charges (AllocSize).
+// size and a sampled select LUT. Beside them are a static structure's value
+// array (FOR), in whichever of three forms is smallest for its input —
+// plain slots, frame-of-reference deltas, or Elias–Fano for values that
+// never decrease, whose select reuses the broadword select-in-word — and the
+// allocator rounding memory accounting charges (AllocSize).
 package bits
 
 import (

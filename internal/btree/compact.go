@@ -15,10 +15,12 @@ import (
 // offsets instead of stored pointers. Its key set is a prefix B+tree leaf
 // level (packed.go): each group of fanout keys stores its common prefix once,
 // and separators are the groups' first keys, so no key bytes are duplicated.
-// Its values go one step past the thesis' rules: they are a frame-of-reference
-// array (bits.FOR) whose blocks are the leaf groups, so a group of neighbouring
-// tuple IDs stores its minimum once and each value as a few-bit delta — or
-// plain 64-bit slots, when the values are too spread for that to be smaller.
+// Its values go one step past the thesis' rules: they are a bits.FOR, whose
+// form the values pick. Tuple IDs loaded in key order never decrease and take
+// the Elias–Fano form, about 2 bits each. Other values are frame-of-reference
+// coded with the leaf groups as blocks, so a group of neighbouring tuple IDs
+// stores its minimum once and each value as a few-bit delta — or plain 64-bit
+// slots, when the values are too spread for either to be smaller.
 type Compact struct {
 	keys   packedKeys
 	values bits.FOR

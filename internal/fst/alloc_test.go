@@ -9,24 +9,27 @@ import (
 )
 
 // TestStaticScanAllocs holds Static.Scan to zero allocations once the
-// iterator pool, which SuRF's range probes share, holds an iterator.
+// iterator pool, which SuRF's range probes share, holds an iterator: with
+// random values (plain slots) and with IDs in key order (Elias–Fano).
 func TestStaticScanAllocs(t *testing.T) {
 	ks := sortedByteKeys(keys.EncodeUint64s(keys.RandomUint64(20_000, 35)))
-	s, err := NewStatic(entriesOf(ks, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := 0
-	scan := func() { // 50 entries from a key spread over the set
-		next++
-		n := 0
-		s.Scan(ks[next*7919%len(ks)], func([]byte, uint64) bool {
-			n++
-			return n < 50
-		})
-	}
-	scan() // warm the pool
-	if a := testing.AllocsPerRun(2000, scan); a != 0 {
-		t.Fatalf("Static.Scan: %.2f allocs/op, want 0", a)
+	for _, random := range []bool{true, false} {
+		s, err := NewStatic(entriesOf(ks, random))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		scan := func() { // 50 entries from a key spread over the set
+			next++
+			n := 0
+			s.Scan(ks[next*7919%len(ks)], func([]byte, uint64) bool {
+				n++
+				return n < 50
+			})
+		}
+		scan() // warm the pool
+		if a := testing.AllocsPerRun(2000, scan); a != 0 {
+			t.Fatalf("Static.Scan, random values %v: %.2f allocs/op, want 0", random, a)
+		}
 	}
 }

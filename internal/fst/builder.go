@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 
 	"mets/internal/bits"
 	"mets/internal/index"
@@ -100,14 +101,17 @@ func BuildLeaves(ks [][]byte, cfg Config, leaf func(slot, key, suffixStart int))
 // second walk replays the keys from those bytes and writes the entries
 // straight into the arrays.
 //
-// The values reach their slots in key order, not slot order, so the
-// frame-of-reference arrays are filled in place (bits.FORBuilder) rather than
-// from a 64-bit array gathered first. Their frames come from the first walk:
-// a level's leaves take consecutive slots, so it records the minimum and
-// maximum of each run of 32 of a level's leaves, and once the levels' first
-// slots are known, every block gets the frames of the runs that overlap it:
-// a frame that holds the block's values, and for values that grow with the
-// key — tuple IDs loaded in key order — about twice as wide as theirs.
+// The values reach their slots in key order, not slot order, so the value
+// arrays are filled in place (bits.FORBuilder) rather than from a 64-bit
+// array gathered first. The counting walk sees each level's values in slot
+// order and records the level's first and last value and whether any value
+// falls below the one before. When every level of a region rises, the
+// region's values are shifted by a constant per level so that each level
+// starts where the one before ended (shiftLevels), unless that would pass
+// 2^64: the region is then one rising sequence, which the
+// Elias–Fano form codes at about 2 + log2(span/leaves) bits a value however
+// few of every level's tuple IDs a region holds. Between the walks, a pass
+// that computes only each key's leaf slot frames every value exactly.
 type builder struct {
 	n      int
 	ks     [][]byte
@@ -122,20 +126,17 @@ type builder struct {
 	cfg    Config
 	lcps   []uint8 // lcps[i]: the LCP of keys i and i+1, or lcpLong if not below it
 	levels []levelCount
-	frames [][]valueFrame // per level, per run of valueRun leaves
 }
 
 const lcpLong = 255
 
-// valueRun is the FOR block size: a run of a level's leaves spans at most two
-// blocks.
-const valueRun = 32
-
-type valueFrame struct{ lo, hi uint64 }
-
-// levelCount is what the counting walk learns about one level.
+// levelCount is what the counting walk learns about one level: its size,
+// and with values stored, the first and last of its leaves' values in slot
+// order and whether any is below the one before it.
 type levelCount struct {
 	entries, nodes, leaves int
+	first, last            uint64
+	falls                  bool
 }
 
 // lcp returns the length of the longest common prefix of a and b, comparing
@@ -239,19 +240,17 @@ func (b *builder) count() error {
 		diff[p+1].nodes++
 		diff[leaf+1].entries--
 		diff[leaf+1].nodes--
+		c := &diff[leaf]
 		if b.cfg.StoreValues {
-			for len(b.frames) <= leaf {
-				b.frames = append(b.frames, nil)
+			v := b.value(i)
+			if c.leaves == 0 {
+				c.first = v
+			} else if v < c.last {
+				c.falls = true
 			}
-			v, fs := b.value(i), b.frames[leaf]
-			if diff[leaf].leaves%valueRun == 0 {
-				b.frames[leaf] = append(fs, valueFrame{v, v})
-			} else {
-				f := &fs[len(fs)-1]
-				f.lo, f.hi = min(f.lo, v), max(f.hi, v)
-			}
+			c.last = v
 		}
-		diff[leaf].leaves++
+		c.leaves++
 	}
 	diff[0].nodes++ // the root
 	diff[1].nodes--
@@ -314,8 +313,8 @@ func (c Config) blocks() (denseBlock, sparseBlock, sample int) {
 	return cmp.Or(c.RankDenseBlock, 64), cmp.Or(c.RankSparseBlock, 512), cmp.Or(c.SelectSample, 64)
 }
 
-// write lays out t's arrays from the level counts, the value frames
-// included, and fills them in the second walk.
+// write lays out t's arrays from the level counts, frames the values, and
+// fills the arrays in the second walk.
 func (b *builder) write(t *Trie) {
 	cfg, cutoff := t.cfg, t.denseHeight
 	// cur is, per level, the dense node being filled or the next sparse
@@ -353,24 +352,9 @@ func (b *builder) write(t *Trie) {
 	t.sLabels = make([]byte, sparseEntries)
 	sHasChild := bits.NewVector(sparseEntries)
 	sLouds := bits.NewVector(sparseEntries)
-	nd := t.numDenseLeaves
-	var dValues, sValues *bits.FORBuilder
+	var values *regionValues
 	if cfg.StoreValues {
-		dValues, sValues = bits.NewFORBuilder(nd), bits.NewFORBuilder(t.numSparseLeaves)
-		for l, fs := range b.frames {
-			values, first := dValues, slot[l]
-			if l >= cutoff {
-				values, first = sValues, first-nd
-			}
-			last := first + b.levels[l].leaves - 1
-			for r, f := range fs {
-				for _, s := range [2]int{first + r*valueRun, min(first+r*valueRun+valueRun-1, last)} {
-					values.Frame(s, f.lo)
-					values.Frame(s, f.hi)
-				}
-			}
-		}
-		b.frames = nil
+		values = b.frameValues(t, slot)
 	}
 
 	q := 0
@@ -413,17 +397,13 @@ func (b *builder) write(t *Trie) {
 		if b.leaf != nil {
 			b.leaf(s, i, min(leaf+1, len(k)))
 		}
-		if !cfg.StoreValues {
-			continue
-		}
-		if v := b.value(i); s < nd {
-			dValues.Put(s, v)
-		} else {
-			sValues.Put(s-nd, v)
+		if values != nil {
+			fb, j := values.of(s)
+			fb.Put(j, b.value(i)+t.shiftOf(leaf))
 		}
 	}
-	if cfg.StoreValues {
-		t.dValues, t.sValues = dValues.FOR(), sValues.FOR()
+	if values != nil {
+		t.dValues, t.sValues = values.fb[0].FOR(), values.fb[1].FOR()
 	}
 
 	denseBlock, sparseBlock, sample := cfg.blocks()
@@ -432,4 +412,83 @@ func (b *builder) write(t *Trie) {
 	t.dIsPrefix = bits.NewRankVector(dIsPrefix, denseBlock)
 	t.sHasChild = bits.NewRankVector(sHasChild, sparseBlock)
 	t.sLouds = bits.NewSelectVector(sLouds, sparseBlock, sample)
+}
+
+// regionValues is the value builders of both regions: a slot below nd is
+// the dense region's, the rest the sparse region's.
+type regionValues struct {
+	fb [2]*bits.FORBuilder
+	nd int
+}
+
+// of returns the builder of slot's region and the slot's index in it.
+func (r *regionValues) of(slot int) (*bits.FORBuilder, int) {
+	if slot < r.nd {
+		return r.fb[0], slot
+	}
+	return r.fb[1], slot - r.nd
+}
+
+// frameValues sets t's level shifts and returns the value builders of both
+// regions with every value framed: a pass over the keys that computes only
+// each key's leaf level and, from the levels' first slots in slot, its slot.
+func (b *builder) frameValues(t *Trie, slot []int) *regionValues {
+	var rises [2]bool
+	t.shift, rises = shiftLevels(b.levels, t.denseHeight)
+	r := &regionValues{nd: t.numDenseLeaves, fb: [2]*bits.FORBuilder{
+		bits.NewFORBuilder(t.numDenseLeaves, rises[0]),
+		bits.NewFORBuilder(t.numSparseLeaves, rises[1]),
+	}}
+	next := slices.Clone(slot)
+	q := 0
+	for i := 0; i < b.n; i++ {
+		p := q
+		q = b.next(i)
+		leaf := b.leafLevel(b.key(i), p, q)
+		fb, j := r.of(next[leaf])
+		next[leaf]++
+		fb.Frame(j, b.value(i)+t.shiftOf(leaf))
+	}
+	return r
+}
+
+// shiftLevels returns the per-level constants that, added to the values, make
+// each region whose levels all rise one rising sequence (shiftRegion), and
+// reports per region (dense, sparse) whether its values rise. shift is nil
+// when it is all zeros.
+func shiftLevels(levels []levelCount, cutoff int) (shift []uint64, rises [2]bool) {
+	shift = make([]uint64, len(levels))
+	rises[0] = shiftRegion(levels[:cutoff], shift[:cutoff])
+	rises[1] = shiftRegion(levels[cutoff:], shift[cutoff:])
+	for _, sh := range shift {
+		if sh != 0 {
+			return shift, rises
+		}
+	}
+	return nil, rises
+}
+
+// shiftRegion fills the shifts of one region's levels: its first level with
+// leaves keeps its values, and every next one starts where the one before
+// ended. It reports whether the values then rise, and leaves the shifts 0
+// when a level falls or the values would pass 2^64.
+func shiftRegion(levels []levelCount, shift []uint64) bool {
+	var end uint64 // where the last level with leaves ended, once shifted
+	started := false
+	for l, c := range levels {
+		if c.leaves == 0 {
+			continue
+		}
+		if !started {
+			end, started = c.first, true
+		}
+		var carry uint64
+		shift[l] = end - c.first
+		end, carry = mathbits.Add64(end, c.last-c.first, 0)
+		if c.falls || carry != 0 {
+			clear(shift)
+			return false
+		}
+	}
+	return true
 }

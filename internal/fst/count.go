@@ -146,7 +146,7 @@ walk:
 // by at most one at each boundary.
 func (t *Trie) Count(lo, hi []byte) int {
 	n := t.CountLess(hi) - t.CountLess(lo)
-	if _, _, exact, ok := t.lookup(hi); ok && exact {
+	if _, _, _, exact, ok := t.lookup(hi); ok && exact {
 		n++
 	}
 	if n < 0 {

@@ -250,7 +250,7 @@ func TestTruncatedTrieStoresPrefixes(t *testing.T) {
 	}
 	// Every stored key must still be found (possibly via its prefix).
 	for _, k := range ks {
-		if _, _, _, ok := trie.lookup(k); !ok {
+		if _, _, _, _, ok := trie.lookup(k); !ok {
 			t.Fatalf("truncated trie misses stored key %q", k)
 		}
 	}

@@ -332,7 +332,7 @@ func (it *Iterator) Value() uint64 {
 		it.startValues(v, s)
 	}
 	v.next = s + 2
-	return v.it.Next()
+	return v.it.Next() - it.t.shiftOf(it.depth-1)
 }
 
 // nextValue is Value, with the leaf's slot, for a walk that reads the value
@@ -345,7 +345,7 @@ func (it *Iterator) nextValue() (slot int, value uint64) {
 	}
 	slot = v.next - 1
 	v.next++
-	return slot, v.it.Next()
+	return slot, v.it.Next() - it.t.shiftOf(it.depth-1)
 }
 
 // levelValues returns the current level's value decoder; the decoders are

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"mets/internal/bits"
 )
@@ -22,7 +23,8 @@ import (
 // Rank and select support structures are rebuilt on load (they are small
 // and derive deterministically from the payload bits), so the on-disk form
 // stays close to the succinct structure itself. The values are written one
-// word each and frame-of-reference coded again on load.
+// word each, as they were given (a level's shift taken off), and coded again
+// on load, where the shifts are worked out from them as the build does.
 
 const (
 	marshalMagic   = "FST1"
@@ -71,10 +73,19 @@ func (s *sectionWriter) words(ws []uint64) {
 	}
 }
 
-func (s *sectionWriter) values(f *bits.FOR) {
+// values writes a region's values as they were given, its levels' shifts
+// taken off: starts holds the slot each of the region's levels starts at,
+// and level0 is its first level.
+func (s *sectionWriter) values(t *Trie, f *bits.FOR, starts []int, level0 int) {
 	s.u64(uint64(f.Len()))
-	for i := 0; i < f.Len(); i++ {
-		s.u64(f.Get(i))
+	if f.Len() == 0 {
+		return
+	}
+	it := f.Iter(0)
+	for l := 0; l+1 < len(starts); l++ {
+		for i := starts[l]; i < starts[l+1]; i++ {
+			s.u64(it.Next() - t.shiftOf(level0+l))
+		}
 	}
 }
 
@@ -204,8 +215,8 @@ func (t *Trie) MarshalBinary() ([]byte, error) {
 	s.bytes(t.sLabels)
 	s.vector(&t.sHasChild.Vector)
 	s.vector(&t.sLouds.Vector)
-	s.values(&t.dValues)
-	s.values(&t.sValues)
+	s.values(t, &t.dValues, t.dLevelValueStart, 0)
+	s.values(t, &t.sValues, t.sLevelValueStart, t.denseHeight)
 	s.ints(t.dLevelValueStart)
 	s.ints(t.sLevelPosStart)
 	s.ints(t.sLevelValueStart)
@@ -254,13 +265,15 @@ func UnmarshalTrie(data []byte) (*Trie, error) {
 	t.sLabels = s.bytes()
 	sHasChild := s.vector()
 	sLouds := s.vector()
-	t.dValues = bits.NewFOR(s.words())
-	t.sValues = bits.NewFOR(s.words())
+	dValues, sValues := s.words(), s.words()
 	t.dLevelValueStart = s.ints()
 	t.sLevelPosStart = s.ints()
 	t.sLevelValueStart = s.ints()
 	if s.err != nil {
 		return nil, s.err
+	}
+	if err := t.codeValues(dValues, sValues); err != nil {
+		return nil, err
 	}
 	if s.r.Len() != 0 {
 		return nil, fmt.Errorf("fst: %d trailing bytes", s.r.Len())
@@ -271,4 +284,44 @@ func UnmarshalTrie(data []byte) (*Trie, error) {
 	t.sHasChild = bits.NewRankVector(sHasChild, 512)
 	t.sLouds = bits.NewSelectVector(sLouds, 512, 64)
 	return t, nil
+}
+
+// codeValues codes both regions' values, given in slot order as marshaled,
+// the way the build does: each level's first and last value and whether it
+// falls decide the shifts (shiftLevels), and the shifted values are coded.
+func (t *Trie) codeValues(dValues, sValues []uint64) error {
+	regions := [2]struct {
+		values []uint64
+		starts []int // the slot each level starts at, and the end
+		level0 int
+	}{{dValues, t.dLevelValueStart, 0}, {sValues, t.sLevelValueStart, t.denseHeight}}
+	levels := make([]levelCount, t.height)
+	for _, r := range regions {
+		if len(r.values) == 0 {
+			continue
+		}
+		if len(r.starts) == 0 || r.level0+len(r.starts)-1 > t.height || r.starts[len(r.starts)-1] != len(r.values) {
+			return fmt.Errorf("fst: corrupt value layout")
+		}
+		for l := 0; l+1 < len(r.starts); l++ {
+			lo, hi := r.starts[l], r.starts[l+1]
+			if lo < 0 || lo > hi {
+				return fmt.Errorf("fst: corrupt value layout")
+			}
+			vs, c := r.values[lo:hi], &levels[r.level0+l]
+			if c.leaves = len(vs); c.leaves > 0 {
+				c.first, c.last, c.falls = vs[0], vs[len(vs)-1], !slices.IsSorted(vs)
+			}
+		}
+	}
+	t.shift, _ = shiftLevels(levels, t.denseHeight)
+	for _, r := range regions {
+		for l := 0; l+1 < len(r.starts) && len(r.values) > 0; l++ {
+			for i := r.starts[l]; i < r.starts[l+1]; i++ {
+				r.values[i] += t.shiftOf(r.level0 + l)
+			}
+		}
+	}
+	t.dValues, t.sValues = bits.NewFOR(dValues), bits.NewFOR(sValues)
+	return nil
 }

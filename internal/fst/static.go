@@ -16,9 +16,10 @@ import (
 //     neighbours, and the rest of the key, its tail, is kept in tails.
 //   - Otherwise a complete trie, and tails is nil.
 //
-// Values are frame-of-reference coded per region in slot order. A level's
-// leaves are in key order, so tuple IDs loaded in key order stay neighbours
-// within a frame.
+// Values are coded per region in slot order (bits.FOR). A level's leaves are
+// in key order, so tuple IDs loaded in key order rise along each level; the
+// builder then shifts each level to start where the one before ended, and
+// the region is one rising sequence in the Elias–Fano form (shiftLevels).
 type Static struct {
 	t     Trie
 	tails *tails
@@ -105,11 +106,11 @@ func (s *Static) Get(key []byte) (uint64, bool) {
 	if s.t.height == 0 || s.tails != nil && len(key) != s.tails.keyLen {
 		return 0, false
 	}
-	slot, pathLen, _, ok := s.t.lookup(key)
+	slot, level, pathLen, _, ok := s.t.lookup(key)
 	if !ok || !bytes.Equal(key[pathLen:], s.tails.at(slot, pathLen)) {
 		return 0, false
 	}
-	return s.t.valueAt(slot), true
+	return s.t.valueAt(slot, level), true
 }
 
 // Scan visits entries in order from the smallest key >= start. The key is
@@ -156,7 +157,7 @@ func (s *Static) MemoryUsage() int64 {
 	t := &s.t
 	m += t.dLabels.HeapSize() + t.dHasChild.HeapSize() + t.dIsPrefix.HeapSize()
 	m += bits.SliceAlloc(t.sLabels) + t.sHasChild.HeapSize() + t.sLouds.HeapSize()
-	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage()
+	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
 	m += bits.SliceAlloc(t.dLevelValueStart) + bits.SliceAlloc(t.sLevelPosStart) + bits.SliceAlloc(t.sLevelValueStart)
 	if ts := s.tails; ts != nil {
 		m += bits.AllocSize(int(unsafe.Sizeof(*ts)))

@@ -3,8 +3,11 @@ package fst
 import (
 	"bytes"
 	"hash/fnv"
+	mathbits "math/bits"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -37,6 +40,32 @@ func staticValues(n int, src []byte) []uint64 {
 		if w == 64 {
 			vs[i] = rng.Uint64()
 		}
+	}
+	return vs
+}
+
+// keyOrderValues returns n values that never decrease, as tuple IDs loaded
+// in key order are, so every level of the trie rises and its regions take the
+// shifted, Elias–Fano-coded path. With shape 0 they are the IDs 0..n-1.
+// Otherwise they start at 0 and step up by 0 (equal neighbours), 1, 2^20 or
+// 2^62, picked by the bytes of src in turn and saturating, and the last is
+// MaxUint64: when two levels each span most of the range, the shifted values
+// would pass 2^64, and their region must be coded unshifted.
+func keyOrderValues(n int, shape byte, src []byte) []uint64 {
+	vs := make([]uint64, n)
+	steps := []uint64{0, 1, 1 << 20, 1 << 62}
+	var v uint64
+	for i := range vs {
+		switch {
+		case shape == 0:
+			v = uint64(i)
+		case i > 0 && len(src) > 0:
+			v += min(steps[src[i%len(src)]%4], ^uint64(0)-v)
+		}
+		vs[i] = v
+	}
+	if shape != 0 && n > 0 {
+		vs[n-1] = ^uint64(0)
 	}
 	return vs
 }
@@ -91,6 +120,7 @@ func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte
 	if lazy := s.tails != nil; lazy != fixed {
 		t.Fatalf("tails kept %v, want %v: only keys of one length > 0 are stored truncated", lazy, fixed)
 	}
+	checkValueCoding(t, &s.t, vals)
 	const look = 3 // entries checked after each lower bound
 	for _, q := range probes {
 		want := sort.Search(len(ks), func(i int) bool { return bytes.Compare(ks[i], q) >= 0 })
@@ -122,8 +152,64 @@ func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte
 	}
 }
 
+// checkValueCoding holds a trie's value arrays, whose i-th leaf in key order
+// holds vals[i], to their definition. A region whose levels each rise in slot
+// order is coded as bits.NewFOR of its values shifted so that every level
+// after its first starts where the one before ended, unless that passes
+// 2^64. Any other region is coded exactly as bits.NewFOR of its values as
+// given, in slot order.
+func checkValueCoding(t testing.TB, tr *Trie, vals []uint64) {
+	t.Helper()
+	nd, n := tr.numDenseLeaves, tr.numDenseLeaves+tr.numSparseLeaves
+	if n == 0 || !tr.cfg.StoreValues {
+		return
+	}
+	slotValue, slotLevel := make([]uint64, n), make([]int, n)
+	i := 0
+	it := tr.NewIterator()
+	for it.First(); it.Valid(); it.Next() {
+		slotValue[it.slot()], slotLevel[it.slot()] = vals[i], it.depth-1
+		i++
+	}
+	for _, r := range []struct {
+		name   string
+		f      bits.FOR
+		lo, hi int
+	}{{"dense", tr.dValues, 0, nd}, {"sparse", tr.sValues, nd, n}} {
+		vs, levels := slotValue[r.lo:r.hi], slotLevel[r.lo:r.hi]
+		shifted := slices.Clone(vs)
+		rises, end := true, uint64(0)
+		if len(vs) > 0 {
+			end = vs[0]
+		}
+		for j := 0; j < len(vs); {
+			k := j + 1
+			for k < len(vs) && levels[k] == levels[j] {
+				k++
+			}
+			var carry uint64
+			rises = rises && slices.IsSorted(vs[j:k])
+			shift := end - vs[j]
+			end, carry = mathbits.Add64(end, vs[k-1]-vs[j], 0)
+			rises = rises && carry == 0
+			for m := j; m < k; m++ {
+				shifted[m] += shift
+			}
+			j = k
+		}
+		want := vs
+		if rises {
+			want = shifted
+		}
+		if got := r.f; len(vs) == 0 && got.Len() != 0 || len(vs) > 0 && !reflect.DeepEqual(got, bits.NewFOR(want)) {
+			t.Fatalf("%s values (%d, rising %v) are not coded as bits.NewFOR of their slot-order values, shifted when rising", r.name, len(vs), rises)
+		}
+	}
+}
+
 // TestStaticAgainstOracle runs the oracle over the trie tests' key sets and
-// the builder goldens' short keys, with values of every width.
+// the builder goldens' short keys, with values of every width and with IDs
+// in key order.
 func TestStaticAgainstOracle(t *testing.T) {
 	sets := datasets(t)
 	sets["short"] = shortKeys()
@@ -148,6 +234,7 @@ func TestStaticAgainstOracle(t *testing.T) {
 	for name, ks := range sets {
 		t.Run(name, func(t *testing.T) {
 			checkStaticOracle(t, ks, staticValues(len(ks), []byte(name)), staticProbes(ks))
+			checkStaticOracle(t, ks, keyOrderValues(len(ks), 0, nil), staticProbes(ks))
 		})
 	}
 	// No entries at all: an empty stage.
@@ -164,6 +251,12 @@ func TestStaticAgainstOracle(t *testing.T) {
 // every concatenation of two of them, so the empty key, prefix chains and
 // 0xFF labels come up — with values of widths 0 to 64, and holds it to the
 // sorted slice.
+//
+// A first byte from 0xe0 to 0xef gives the keys values in key order
+// (keyOrderValues, its low four bits the shape, the rest of the input the
+// steps) and the rest of the input is read as it would be without it, so
+// both layouts take the shifted path; shapes other than 0 end at MaxUint64
+// and make levels whose shifted values would pass 2^64.
 func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte("seed-corpus-entry"))
 	f.Add([]byte{0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
@@ -176,7 +269,23 @@ func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte{0xf1, 0, 0, 0, 1, 0, 0xff, 0xff, 0, 0xff, 0xff, 1, 2, 1, 3, 0xff, 0xfe})
 	f.Add([]byte{0xf2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
 		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
+	// Values in key order: IDs, then steps whose shifted values would pass
+	// 2^64, in the complete layout, and the same two over 8-byte keys, whose
+	// levels take the tails' layout.
+	f.Add([]byte("\xe0seed-corpus-entry"))
+	f.Add([]byte{0xe1, 0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
+	f.Add([]byte{0xe3, 3, 'a', 'b', 3, 'a', 'c', 1, 'a', 2, 'b', 'z', 3, 'b', 'z', 'z'})
+	f.Add([]byte{0xe0, 0xf2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
+		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
+	f.Add([]byte{0xe2, 0xf2, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0, 2, 3, 0xff,
+		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		values := staticValues
+		if len(data) > 0 && data[0]&0xf0 == 0xe0 {
+			shape, src := data[0]&0x0f, data[1:]
+			values = func(n int, _ []byte) []uint64 { return keyOrderValues(n, shape, src) }
+			data = src
+		}
 		if len(data) > 0 && data[0] >= 0xf0 && data[0] < 0xff {
 			k := []int{1, 2, 8}[data[0]%3]
 			var ks, probes [][]byte
@@ -186,7 +295,7 @@ func FuzzStaticOps(f *testing.F) {
 				probes = append(probes, data[i:i+k-1], data[i:min(i+k+1, len(data))], data[i:])
 			}
 			ks = keys.Dedup(ks)
-			checkStaticOracle(t, ks, staticValues(len(ks), data), append(append(staticProbes(ks), probes...), data))
+			checkStaticOracle(t, ks, values(len(ks), data), append(append(staticProbes(ks), probes...), data))
 			return
 		}
 		var parts [][]byte
@@ -202,7 +311,7 @@ func FuzzStaticOps(f *testing.F) {
 			}
 		}
 		ks = keys.Dedup(ks)
-		checkStaticOracle(t, ks, staticValues(len(ks), data), append(staticProbes(ks), data))
+		checkStaticOracle(t, ks, values(len(ks), data), append(staticProbes(ks), data))
 	})
 }
 
@@ -281,9 +390,10 @@ func TestStaticMemoryUsageMatchesHeap(t *testing.T) {
 
 // TestStaticBitsPerKeyBudget pins the stage's memory on deterministic
 // 100k-key builds, so a later change cannot silently give it back. With IDs
-// in key order the values cost ~11 bits; the compact B+tree's budgets on the
-// same sets are 105 / 122 / 176 / 126. Uniform random 64-bit values must cost
-// exactly 64-bit slots.
+// in key order every level rises, so each region's values are shifted into
+// one rising sequence and cost ~4.5 bits in the Elias–Fano form; the compact
+// B+tree's budgets on the same sets are 105 / 122 / 176 / 126. Uniform random
+// 64-bit values are not shifted and cost exactly 64-bit slots.
 func TestStaticBitsPerKeyBudget(t *testing.T) {
 	emails := keys.Dedup(keys.Emails(100000, 1))
 	for _, tc := range []struct {
@@ -291,13 +401,14 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 		ks     [][]byte
 		budget float64 // with IDs in key order
 	}{
-		{"hope-emails", hopeEncoded(t, emails), 58},
-		{"raw-emails", emails, 69},
-		{"urls", keys.Dedup(keys.URLs(100000, 1)), 119},
-		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 66},
+		{"hope-emails", hopeEncoded(t, emails), 45},
+		{"raw-emails", emails, 55},
+		{"urls", keys.Dedup(keys.URLs(100000, 1)), 98},
+		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 58},
 	} {
 		for _, random := range []bool{false, true} {
-			s, err := NewStatic(entriesOf(tc.ks, random))
+			entries := entriesOf(tc.ks, random)
+			s, err := NewStatic(entries)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,9 +418,48 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 				t.Errorf("%s: %.1f bits/key exceeds the budget of %.0f", tc.name, perKey, tc.budget)
 			}
 			tr := &s.t
+			if !random && tr.shift == nil {
+				t.Errorf("%s: IDs in key order were not shifted", tc.name)
+			}
+			vals := make([]uint64, len(entries))
+			for i, e := range entries {
+				vals[i] = e.Value
+			}
+			checkValueCoding(t, tr, vals)
 			slots := bits.AllocSize(8*tr.numDenseLeaves) + bits.AllocSize(8*tr.numSparseLeaves)
 			if values := tr.dValues.MemoryUsage() + tr.sValues.MemoryUsage(); random && values != slots {
 				t.Errorf("%s, random values: %d B of values, want exactly the %d B of 64-bit slots", tc.name, values, slots)
+			}
+		}
+	}
+}
+
+// TestStaticShiftOverflowFallsBack builds four keys on two levels whose
+// values rise but span most of the 64 bits each, in one region: shifted, the
+// second level would pass 2^64, so the region is coded unshifted. The same
+// keys with small IDs are shifted.
+func TestStaticShiftOverflowFallsBack(t *testing.T) {
+	ks := [][]byte{[]byte("a"), []byte("b0"), []byte("b1"), []byte("c")}
+	for _, dense := range []int{0, 2} {
+		for _, tc := range []struct {
+			vals    []uint64
+			shifted bool
+		}{
+			{[]uint64{0, 1, ^uint64(0) - 1, ^uint64(0)}, false},
+			{[]uint64{0, 1, 2, 3}, true},
+		} {
+			tr, err := Build(ks, tc.vals, Config{StoreValues: true, DenseLevels: dense})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Height() != 2 || (tr.shift != nil) != tc.shifted {
+				t.Fatalf("dense levels %d, values %x: height %d, shifted %v, want 2 and %v", dense, tc.vals, tr.Height(), tr.shift != nil, tc.shifted)
+			}
+			checkValueCoding(t, tr, tc.vals)
+			for i, k := range ks {
+				if v, ok := tr.Get(k); !ok || v != tc.vals[i] {
+					t.Fatalf("dense levels %d: Get(%q) = %#x,%v, want %#x", dense, k, v, ok, tc.vals[i])
+				}
 			}
 		}
 	}

@@ -31,6 +31,9 @@ type Trie struct {
 	dLevelValueStart []int // dense leaf-count before each dense level
 	sLevelPosStart   []int // sparse label position at start of each sparse level
 	sLevelValueStart []int // sparse leaf-count before each sparse level
+	// shift is, per level, the constant added to its leaves' values before
+	// they are coded (shiftLevels); nil when it would be all zeros.
+	shift []uint64
 	// Key-codec annotation (SetKeyCodec): when the trie indexes
 	// codec-encoded keys, the codec id and its serialized dictionary travel
 	// with the trie through Marshal/Unmarshal so a loaded trie remains
@@ -56,7 +59,7 @@ func (t *Trie) MemoryUsage() int64 {
 	m := t.dLabels.MemoryUsage() + t.dHasChild.MemoryUsage() + t.dIsPrefix.MemoryUsage()
 	m += int64(len(t.sLabels))
 	m += t.sHasChild.MemoryUsage() + t.sLouds.MemoryUsage()
-	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage()
+	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + int64(len(t.shift))*8
 	return m + 64
 }
 
@@ -164,57 +167,70 @@ func findByte(labels []byte, start, end int, b byte) int {
 	return p
 }
 
-// valueAt returns the value of the leaf in slot (cfg.StoreValues must be
-// on). Slots number the leaves in [0, leaf count): the dense region's first,
-// then the sparse region's, each in level order.
-func (t *Trie) valueAt(slot int) uint64 {
+// valueAt returns the value of the leaf in slot on level (cfg.StoreValues
+// must be on). Slots number the leaves in [0, leaf count): the dense
+// region's first, then the sparse region's, each in level order.
+func (t *Trie) valueAt(slot, level int) uint64 {
+	var v uint64
 	if slot < t.numDenseLeaves {
-		return t.dValues.Get(slot)
+		v = t.dValues.Get(slot)
+	} else {
+		v = t.sValues.Get(slot - t.numDenseLeaves)
 	}
-	return t.sValues.Get(slot - t.numDenseLeaves)
+	return v - t.shiftOf(level)
 }
 
-// lookup walks the trie for key and returns the slot of the leaf it reached.
-// ok reports whether a leaf was reached. pathLen is the number of key bytes
-// the stored prefix covered. exact reports whether the leaf consumed the key
-// completely: in a complete (non-truncated) trie, exact means the key is
-// stored; in a truncated trie a non-exact leaf means the stored prefix is a
-// proper prefix of the key (the caller — SuRF — checks suffixes).
-func (t *Trie) lookup(key []byte) (slot, pathLen int, exact, ok bool) {
+// shiftOf returns what level's values were shifted by before coding.
+func (t *Trie) shiftOf(level int) uint64 {
+	if t.shift == nil {
+		return 0
+	}
+	return t.shift[level]
+}
+
+// lookup walks the trie for key and returns the slot of the leaf it reached
+// and the level it is on. ok reports whether a leaf was reached. pathLen is
+// the number of key bytes the stored prefix covered: the level for a
+// prefix-key leaf, one more for a label. exact reports whether the leaf
+// consumed the key completely: in a complete (non-truncated) trie, exact
+// means the key is stored; in a truncated trie a non-exact leaf means the
+// stored prefix is a proper prefix of the key (the caller — SuRF — checks
+// suffixes).
+func (t *Trie) lookup(key []byte) (slot, level, pathLen int, exact, ok bool) {
 	nodeNum := 0
 	for level := 0; level < t.denseHeight; level++ {
 		if level >= len(key) {
 			if t.dIsPrefix.Get(nodeNum) {
-				return t.densePrefixValueIdx(nodeNum), level, true, true
+				return t.densePrefixValueIdx(nodeNum), level, level, true, true
 			}
-			return 0, 0, false, false
+			return 0, 0, 0, false, false
 		}
 		pos := nodeNum*256 + int(key[level])
 		if !t.dLabels.Get(pos) {
-			return 0, 0, false, false
+			return 0, 0, 0, false, false
 		}
 		if !t.dHasChild.Get(pos) {
-			return t.denseBranchValueIdx(pos), level + 1, level == len(key)-1, true
+			return t.denseBranchValueIdx(pos), level, level + 1, level == len(key)-1, true
 		}
 		nodeNum = t.denseChildNode(pos)
 	}
 	if t.height == t.denseHeight {
-		return 0, 0, false, false
+		return 0, 0, 0, false, false
 	}
 	pos := t.sparseNodeStart(nodeNum - t.denseNodeCount)
 	for level := t.denseHeight; ; level++ {
 		if level >= len(key) {
 			if t.hasTerminator(pos, t.sparseNodeEnd(pos)) {
-				return t.numDenseLeaves + t.sparseValueIdx(pos), level, true, true
+				return t.numDenseLeaves + t.sparseValueIdx(pos), level, level, true, true
 			}
-			return 0, 0, false, false
+			return 0, 0, 0, false, false
 		}
 		p, end := t.labelSearch(pos, key[level])
 		if p == end || t.sLabels[p] != key[level] {
-			return 0, 0, false, false
+			return 0, 0, 0, false, false
 		}
 		if !t.sHasChild.Get(p) {
-			return t.numDenseLeaves + t.sparseValueIdx(p), level + 1, level == len(key)-1, true
+			return t.numDenseLeaves + t.sparseValueIdx(p), level, level + 1, level == len(key)-1, true
 		}
 		pos = t.sparseNodeStart(t.sparseChildIdx(p))
 	}
@@ -223,16 +239,17 @@ func (t *Trie) lookup(key []byte) (slot, pathLen int, exact, ok bool) {
 // GetSlot walks the trie for key and returns the reached leaf's slot plus
 // the covered path length; filters index per-leaf suffix material by it.
 func (t *Trie) GetSlot(key []byte) (slot, pathLen int, exact, ok bool) {
-	return t.lookup(key)
+	slot, _, pathLen, exact, ok = t.lookup(key)
+	return slot, pathLen, exact, ok
 }
 
 // Get returns the value stored for key. On a truncated trie Get requires the
 // stored prefix to cover the key exactly; use the surf package for filter
 // semantics.
 func (t *Trie) Get(key []byte) (uint64, bool) {
-	slot, _, exact, ok := t.lookup(key)
+	slot, level, _, exact, ok := t.lookup(key)
 	if !ok || !exact {
 		return 0, false
 	}
-	return t.valueAt(slot), true
+	return t.valueAt(slot, level), true
 }

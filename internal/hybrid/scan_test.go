@@ -269,7 +269,7 @@ func TestScanMergeOracle(t *testing.T) {
 					f := newScanFixture(t, ctor, epoch, st.static, st.frozen)
 					defer func() { f.release() }()
 					f.checkScans(t, "live", liveIndex{f.h})
-					sn := f.h.Snapshot()
+					sn := Cut(f.h)[0]
 					f.checkReentrant(t)
 					f.checkScans(t, "live after the re-entrant inserts", liveIndex{f.h})
 

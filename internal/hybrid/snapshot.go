@@ -11,22 +11,29 @@ import "mets/internal/index"
 // for as long as the snapshot references them — exactly as it does for a
 // live reader still on a superseded generation. Only the live
 // write stage needs copying, and its size is bounded by the merge trigger
-// (~1/MergeRatio of the index), so Snapshot() costs O(dynamic stage), not
+// (~1/MergeRatio of the index), so a snapshot costs O(dynamic stage), not
 // O(index).
 //
-// A Snapshot holds no lock: a long-running snapshot scan therefore never
-// blocks writers and never goes stale-unsafe — the worst it can do is keep a
-// superseded static stage alive until it is released.
+// The capture drains the memtable under the index's writer mutex, so no
+// write lands while it runs: a snapshot is a cut, holding every write that
+// returned before it began and none that began after it returned. Readers
+// take no lock; a write that arrives during a capture waits for its drain.
+// Cut extends the same instant over several indexes — the sharded engine's
+// shards.
+//
+// A Snapshot holds no lock once captured: a long-running snapshot scan
+// therefore never blocks writers and never goes stale-unsafe — the worst it
+// can do is keep a superseded static stage alive until it is released.
 
 // Snapshot is an immutable point-in-time view of the index. Reads against
 // it are unsynchronized with the live index: Get/Scan/ScanN observe exactly
-// the entries that were live when Snapshot() returned, regardless of
+// the entries that were live when Cut returned, regardless of
 // concurrent writes, merges, seals, or bulk loads. Release drops the stage
 // references early (optional; the GC would reclaim them with the Snapshot
 // either way).
 //
-// Writes racing the Snapshot() call itself may or may not be included; the
-// view is fixed once the call returns.
+// It is a cut: a write that returned before Cut was called is in it, and so
+// is every write that came before one it holds.
 type Snapshot struct {
 	// g is a private generation nobody publishes: the live
 	// memtable's drained states as its mem, the captured frozen stage (when a
@@ -36,18 +43,31 @@ type Snapshot struct {
 	g *gen
 }
 
-// Snapshot captures a point-in-time view: the current generation's sealed
-// stages by reference, and the live memtable drained outside any lock of the
-// index's (safe under the memtable's contract: the skip list is drained
-// lock-free, the locked memtable under its own read lock).
-func (h *Index) Snapshot() *Snapshot {
-	cur := h.gen.Load()
-	return &Snapshot{g: &gen{
-		mem:          sliceMem{states: cur.mem.SnapshotStates()},
-		frozen:       cur.frozen,
-		frozenFilter: cur.frozenFilter,
-		static:       cur.static,
-	}}
+// Cut captures one point-in-time view of each index, all at one instant:
+// the current generation's sealed stages by reference, and the live
+// memtable drained. It takes every index's writer mutex in argument order,
+// drains every memtable, then releases them; one index's snapshot is
+// Cut(h)[0]. Nothing else holds two writer mutexes, so cuts that list
+// shared indexes in one order — the sharded engine passes its shards in
+// shard order — cannot deadlock.
+func Cut(hs ...*Index) []*Snapshot {
+	for _, h := range hs {
+		h.mu.Lock()
+	}
+	snaps := make([]*Snapshot, len(hs))
+	for i, h := range hs {
+		cur := h.gen.Load()
+		snaps[i] = &Snapshot{g: &gen{
+			mem:          sliceMem{states: cur.mem.SnapshotStates()},
+			frozen:       cur.frozen,
+			frozenFilter: cur.frozenFilter,
+			static:       cur.static,
+		}}
+	}
+	for _, h := range hs {
+		h.mu.Unlock()
+	}
+	return snaps
 }
 
 // Release drops the captured stage references, leaving an empty view.

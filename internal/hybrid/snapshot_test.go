@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"mets/internal/index"
 )
 
 // snapKey formats a deterministic test key.
@@ -108,7 +111,7 @@ func TestSnapshotDifferential(t *testing.T) {
 				// Capture a snapshot at fixed checkpoints (mid-stream, so the
 				// index has a mix of dynamic/frozen/static state each time).
 				if step%1000 == 500 {
-					sn := h.Snapshot()
+					sn := Cut(h)[0]
 					oc := make(map[string]uint64, len(oracle))
 					for k, v := range oracle {
 						oc[k] = v
@@ -154,7 +157,7 @@ func TestSnapshotScanUnderChurn(t *testing.T) {
 	h.Merge()
 	h.WaitMerges()
 
-	sn := h.Snapshot()
+	sn := Cut(h)[0]
 	defer sn.Release()
 
 	stop := make(chan struct{})
@@ -203,4 +206,61 @@ func TestSnapshotScanUnderChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	h.WaitMerges()
+}
+
+// TestSnapshotIsACut is the prefix-closure probe: a writer inserts a_i, then
+// z_i, for i = 0, 1, …, so a snapshot that holds z_i must hold a_i. The
+// concurrent memtable is drained in key order, so a drain that ran beside
+// the writer would pass a_i's place before a_i landed and reach z_i after z_i
+// did. Nothing merges (MinDynamic), so every write stays in the memtable.
+func TestSnapshotIsACut(t *testing.T) {
+	h := NewFST(Config{MergeRatio: 2, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true, BackgroundMerge: true})
+	var bulk []index.Entry
+	for i := 0; i < 20_000; i++ {
+		bulk = append(bulk, index.Entry{Key: snapKey("m", i), Value: uint64(i)})
+	}
+	if err := h.BulkLoad(bulk); err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 10_000
+	var written atomic.Int64 // pairs the writer finished
+	var wg sync.WaitGroup
+	wg.Add(1)
+	defer wg.Wait()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < pairs; i++ {
+			h.Insert(snapKey("a", i), uint64(i))
+			h.Insert(snapKey("z", i), uint64(i))
+			written.Store(int64(i + 1))
+		}
+	}()
+	for rounds := 0; written.Load() < pairs; rounds++ {
+		sn := Cut(h)[0]
+		// The largest i whose z_i the snapshot holds: z keys are written in
+		// key order, so what a snapshot holds of them is a prefix.
+		last := sort.Search(pairs, func(i int) bool {
+			_, ok := sn.Get(snapKey("z", i))
+			return !ok
+		}) - 1
+		if _, ok := sn.Get(snapKey("a", last)); last >= 0 && !ok {
+			t.Fatalf("snapshot %d holds %s but not %s, which was written before it", rounds, snapKey("z", last), snapKey("a", last))
+		}
+	}
+}
+
+// BenchmarkSnapshotDrain times Snapshot over a memtable of 4,096 entries
+// (the concurrent skip list, nothing merged): the drain runs under the
+// writer mutex, so its time is how long one snapshot stalls the index's
+// writes.
+func BenchmarkSnapshotDrain(b *testing.B) {
+	h := NewFST(Config{MergeRatio: 2, MinDynamic: 1 << 30, BloomBitsPerKey: 10, EpochReads: true, BackgroundMerge: true})
+	for i := 0; i < 4096; i++ {
+		h.Insert(snapKey("user", i*7919%100_000), uint64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Cut(h)
+	}
 }

@@ -62,7 +62,7 @@ func closeWithin(t *testing.T, s *Server, d time.Duration) {
 func TestInlineReplyNotHeldByPartialFrame(t *testing.T) {
 	stub := newStubStore()
 	stub.m["a"], stub.m["b"] = 1, 2
-	s := New(Config{Store: stub})
+	s := newServer(t, Config{Store: stub})
 	defer s.Close()
 	for split := 1; split < len(getFrame(2, "b")); split++ {
 		nc := pipeConn(s)
@@ -135,7 +135,7 @@ func TestPipelinedWritesToPeerThatNeverReads(t *testing.T) {
 // i is frames(i)) at a server over net.Pipe and reads none of the answers.
 func stallPeerThatNeverReads(t *testing.T, store Store, frames func(i uint64) []byte) {
 	base := runtime.NumGoroutine()
-	s := New(Config{Store: store})
+	s := newServer(t, Config{Store: store})
 	nc := pipeConn(s)
 	defer nc.Close()
 
@@ -162,7 +162,7 @@ func stallPeerThatNeverReads(t *testing.T, store Store, frames func(i uint64) []
 func TestPipelinedBurstIsAnsweredInFewWrites(t *testing.T) {
 	store := newScanStore()
 	store.m["k"] = 9
-	s := New(Config{Store: store})
+	s := newServer(t, Config{Store: store})
 	defer s.Close()
 	nc := pipeConn(s)
 	defer nc.Close()
@@ -218,7 +218,7 @@ func TestGetOvertakesPendingPut(t *testing.T) {
 	stub := newStubStore()
 	stub.m["k"] = 7
 	release := sync.OnceFunc(func() { close(stub.release) })
-	s := New(Config{Store: stub})
+	s := newServer(t, Config{Store: stub})
 	defer s.Close()
 	defer release() // before Close, which waits for the wedged commit
 	nc := pipeConn(s)

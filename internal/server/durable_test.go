@@ -82,7 +82,7 @@ func TestShardedStoreBurstSharesOneCommit(t *testing.T) {
 	st := newDurableSharded(fs)
 	defer st.Close()
 	reg := obs.NewRegistry()
-	s := New(Config{Store: st, Obs: reg})
+	s := newServer(t, Config{Store: st, Obs: reg})
 	defer s.Close()
 	nc := pipeConn(s)
 	defer nc.Close()
@@ -240,7 +240,7 @@ func TestShardedStoreJournalFailure(t *testing.T) {
 	if _, err := st.ApplyBatch(opsIn(all, 16, 0)); err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{Store: st})
+	s := newServer(t, Config{Store: st})
 	c := client.New(pipeConn(s))
 	boom := errors.New("shard 4 device gone")
 	mem.FailSyncs(func(name string) error {

@@ -41,7 +41,7 @@ func FuzzServerFrame(f *testing.F) {
 		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 1 << 20, BloomBitsPerKey: 10},
 	}))
 	store.Index().Insert([]byte("key"), 7)
-	s := New(Config{Store: store})
+	s := newServer(f, Config{Store: store})
 	f.Cleanup(func() {
 		s.Close()
 		store.Close()

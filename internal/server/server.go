@@ -76,10 +76,11 @@ type Server struct {
 // opNames label the per-opcode request counters.
 var opNames = [10]string{"", "get", "put", "delete", "scan", "batch", "snap_begin", "snap_read", "snap_end", "stats"}
 
-// New creates a server around cfg.Store. Call Serve to start accepting.
-func New(cfg Config) *Server {
+// New creates a server around cfg.Store, which is required. Call Serve to
+// start accepting.
+func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
-		panic("server: Config.Store is required")
+		return nil, errors.New("server: Config.Store is required")
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
@@ -115,7 +116,7 @@ func New(cfg Config) *Server {
 		}
 		return 1
 	})
-	return s
+	return s, nil
 }
 
 // ListenAndServe listens on addr and serves until Close.

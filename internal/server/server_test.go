@@ -30,11 +30,28 @@ func newTestSharded(minDynamic int) *ShardedStore {
 	}))
 }
 
+// newServer is New for a test, which fails on its error.
+func newServer(t testing.TB, cfg Config) *Server {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestNewWithoutStore: a Config without a Store is an error, not a panic.
+func TestNewWithoutStore(t *testing.T) {
+	if s, err := New(Config{}); err == nil || s != nil {
+		t.Fatalf("New without a Store = %v, %v; want nil and an error", s, err)
+	}
+}
+
 // startServer serves store on a loopback listener and returns the address
 // plus a shutdown func that also closes the store.
 func startServer(t testing.TB, cfg Config) (addr string, shutdown func()) {
 	t.Helper()
-	s := New(cfg)
+	s := newServer(t, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
@@ -411,7 +428,7 @@ func TestServerOneVerdict(t *testing.T) {
 	for _, reg := range []*obs.Registry{obs.NewRegistry(), nil} {
 		stub := newStubStore()
 		close(stub.release) // apply at once
-		srv := New(Config{Store: stub, Obs: reg})
+		srv := newServer(t, Config{Store: stub, Obs: reg})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -20,7 +20,8 @@ type Op struct {
 	Value  uint64
 }
 
-// Snapshot is a released point-in-time read view (SNAPSHOT_* ops).
+// Snapshot is a point-in-time read view (SNAPSHOT_* ops), closed by
+// Release.
 type Snapshot interface {
 	Get(key []byte) (uint64, bool)
 	ScanN(start []byte, n int) []index.Entry
@@ -45,8 +46,10 @@ type Store interface {
 	Close() error
 }
 
-// ShardedStore fronts a sharded.Index: wait-free epoch reads, true MVCC
-// snapshots, and one journal barrier per batch via SyncJournals.
+// ShardedStore fronts a sharded.Index: wait-free epoch reads, snapshots that
+// are cuts across every shard (sharded.Index.Snapshot: a snapshot holds each
+// write applied before it was taken, and each write applied before one it
+// holds), and one journal barrier per batch via SyncJournals.
 type ShardedStore struct {
 	idx *sharded.Index
 }

@@ -7,30 +7,23 @@ import (
 )
 
 // Snapshot is a read-only view of the sharded index assembled from one
-// per-shard hybrid.Snapshot each. Each shard's view is an exact point-in-time
-// cut of that shard; the shards are captured one at a time, so — like the live
-// aggregate accessors — the cross-shard composite is monotonic rather than
-// a single global instant. What the server's SNAPSHOT_* protocol needs holds
-// regardless: once Snapshot() returns, no concurrent write, merge, or bulk
-// load changes what any read against it observes, and reads hold no lock, so
-// arbitrarily long snapshot scans never block writers.
+// per-shard hybrid.Snapshot each, all captured at one instant (hybrid.Cut):
+// every shard's writer mutex is held while the memtables are drained, so the
+// view is a cut across shards — it holds every write that returned before
+// Snapshot() was called, and every write that came before one it holds,
+// whichever shard took it. Once Snapshot() returns, no concurrent write,
+// merge, or bulk load changes what any read against it observes, and reads
+// hold no lock, so arbitrarily long snapshot scans never block writers; a
+// write that arrives during a capture waits for it.
 type Snapshot struct {
 	codec  keycodec.Codec
 	router *Router
 	shards []*hybrid.Snapshot
 }
 
-// Snapshot captures a read-only view of every shard.
+// Snapshot captures a read-only view of every shard at one instant.
 func (s *Index) Snapshot() *Snapshot {
-	snap := &Snapshot{
-		codec:  s.codec,
-		router: s.router,
-		shards: make([]*hybrid.Snapshot, len(s.shards)),
-	}
-	for i, sh := range s.shards {
-		snap.shards[i] = sh.Snapshot()
-	}
-	return snap
+	return &Snapshot{codec: s.codec, router: s.router, shards: hybrid.Cut(s.shards...)}
 }
 
 // Get returns the value stored under key at capture time.

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mets/internal/hybrid"
@@ -166,4 +167,41 @@ func TestShardedSnapshotUnderMergeChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	s.WaitMerges()
+}
+
+// TestShardedSnapshotIsACut is the cross-shard prefix-closure probe: a
+// writer inserts a_i into one shard, then z_i into the other, for i = 0, 1,
+// …, so a snapshot that holds z_i must hold a_i. Shards captured one after
+// the other would take the a-shard before a_i landed and the z-shard after
+// z_i did.
+func TestShardedSnapshotIsACut(t *testing.T) {
+	s := New(Config{
+		Router: NewRouter([][]byte{[]byte("m")}),
+		Hybrid: hybrid.Config{MergeRatio: 2, MinDynamic: 1 << 30, BloomBitsPerKey: 10},
+	})
+	defer s.Close()
+	key := func(prefix string, i int) []byte { return []byte(fmt.Sprintf("%s%06d", prefix, i)) }
+	const pairs = 10_000
+	var written atomic.Int64 // pairs the writer finished
+	var wg sync.WaitGroup
+	wg.Add(1)
+	defer wg.Wait()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < pairs; i++ {
+			s.Insert(key("a", i), uint64(i))
+			s.Insert(key("z", i), uint64(i))
+			written.Store(int64(i + 1))
+		}
+	}()
+	for rounds := 0; written.Load() < pairs; rounds++ {
+		sn := s.Snapshot()
+		last := sort.Search(pairs, func(i int) bool {
+			_, ok := sn.Get(key("z", i))
+			return !ok
+		}) - 1
+		if _, ok := sn.Get(key("a", last)); last >= 0 && !ok {
+			t.Fatalf("snapshot %d holds %s but not %s, which was written before it", rounds, key("z", last), key("a", last))
+		}
+	}
 }
