@@ -3,6 +3,7 @@ package bits
 import (
 	mathbits "math/bits"
 	"slices"
+	"sort"
 )
 
 // forBlock is how many values share one frame of reference: a leaf group of
@@ -244,9 +245,12 @@ func (b *FORBuilder) Put(i int, v uint64) {
 	}
 }
 
-// FOR returns the encoded array once every value has been put.
+// FOR returns the encoded array once every value has been put. Called
+// before, it returns the array laid out at its final size, values unset.
 func (b *FORBuilder) FOR() FOR {
-	b.coded()
+	if !b.coded() && b.f.data == nil && b.f.n > 0 {
+		b.f.data = make([]uint64, b.f.n)
+	}
 	return b.f
 }
 
@@ -286,8 +290,7 @@ func (f *FOR) efLayout() (low, lw, hw uint) {
 // set: the nearest sample's position, then a popcount scan word by word and a
 // select in the last word.
 func (f *FOR) efSelect(i int, hw uint) uint {
-	j := uint(i) / efSample
-	p := uint(uint32(f.data[2+j>>1]>>(j&1*32))) + hw*64
+	p := f.efSample(i/efSample) + hw*64
 	w := p >> 6
 	word := f.data[w] &^ (1<<(p&63) - 1)
 	r := i%efSample + 1 // the sampled bit is the first
@@ -320,6 +323,130 @@ func (f *FOR) Get(i int) uint64 {
 	w := f.start(b+1) - s - 2
 	p := s * 32
 	return f.read(p) + f.read(p+64+uint(i)%forBlock*w)&(1<<w-1)
+}
+
+// Search returns the first index whose value is at least x, and that value;
+// Len and 0 when there is none. The values must never decrease. It
+// allocates nothing.
+func (f *FOR) Search(x uint64) (int, uint64) {
+	var i int
+	switch {
+	case len(f.data) == f.n:
+		i = sort.Search(f.n, func(i int) bool { return f.data[i] >= x })
+	case f.ef():
+		return f.efSearch(x)
+	default:
+		i = f.packedSearch(x)
+	}
+	if i == f.n {
+		return i, 0
+	}
+	return i, f.Get(i)
+}
+
+// packedSearch is Search's index in the packed form: the first block whose
+// base, its first value, is at least x starts where the answer is or ends
+// the block it lies in.
+func (f *FOR) packedSearch(x uint64) int {
+	b := sort.Search((f.n+forBlock-1)/forBlock, func(b int) bool { return f.read(f.start(uint(b))*32) >= x })
+	if b == 0 {
+		return 0
+	}
+	lo := (b - 1) * forBlock
+	s := f.start(uint(b - 1))
+	w := f.start(uint(b)) - s - 2
+	base, p := f.read(s*32), s*32+64
+	return lo + sort.Search(min(forBlock, f.n-lo), func(j int) bool { return base+f.read(p+uint(j)*w)&(1<<w-1) >= x })
+}
+
+// efSearch is Search in the Elias–Fano form. The values whose high part is
+// below x's, hx, are the set bits before the hx-th zero of the high bits: a
+// search of the select samples by their high parts (efLastBelow) finds where
+// to start counting zeros, a popcount scan word by word finds that zero, and
+// the set bits after it, up to the next zero, are the values whose high part
+// is hx, told apart by their low bits; one of them that is found is decoded
+// in place.
+func (f *FOR) efSearch(x uint64) (int, uint64) {
+	base := f.data[1]
+	if x <= base {
+		return 0, base
+	}
+	low, lw, hw := f.efLayout()
+	d := x - base
+	hx, lx := d>>low, d&(1<<low-1)
+	j := f.efLastBelow(hx, hw)
+	i, p, zeros := 0, hw*64, hx
+	if j >= 0 {
+		s := f.efSample(j)
+		i, p = j*efSample, hw*64+s
+		zeros -= uint64(s - uint(i))
+	}
+	if zeros > 0 {
+		w := p >> 6
+		word := ^f.data[w] &^ (1<<(p&63) - 1)
+		for c := uint64(mathbits.OnesCount64(word)); c < zeros; c = uint64(mathbits.OnesCount64(word)) {
+			zeros -= c
+			if w++; w == uint(len(f.data)) {
+				return f.n, 0
+			}
+			word = ^f.data[w]
+		}
+		// The hx-th zero: every set bit before it is a value below x.
+		z := w*64 + uint(selectInWord(word, int(zeros)))
+		p = z + 1
+		i = int(uint64(z-hw*64) + 1 - hx)
+	}
+	// The values whose high part is hx, then the first one past them.
+	for ; i < f.n; i, p = i+1, p+1 {
+		var l uint64
+		if low != 0 {
+			l = f.read(lw*64+uint(i)*low) & (1<<low - 1)
+		}
+		if f.data[p>>6]>>(p&63)&1 == 0 {
+			return i, f.Get(i)
+		}
+		if l >= lx {
+			return i, base + hx<<low + l
+		}
+	}
+	return f.n, 0
+}
+
+// efLastBelow returns the last select sample whose value's high part is
+// below hx, or -1. The high parts spread about evenly over the samples when
+// the values do, so the search starts from where hx falls in the high bits'
+// zeros — of which there are at most their bits less n — and gallops from
+// there.
+func (f *FOR) efLastBelow(hx uint64, hw uint) int {
+	samples := (f.n + efSample - 1) / efSample
+	below := func(j int) bool { return uint64(f.efSample(j)-uint(j)*efSample) < hx }
+	g := samples - 1
+	if zeros := uint64(len(f.data)-int(hw))*64 - uint64(f.n); hx < zeros {
+		hi, lo := mathbits.Mul64(hx, uint64(f.n))
+		q, _ := mathbits.Div64(hi, lo, zeros)
+		g = min(int(q/efSample), g)
+	}
+	// Gallop from the guess, doubling the step, until the answer is
+	// bracketed as lo < hi with below(lo) and !below(hi) — taking below(-1)
+	// and !below(samples) — and halve the bracket once a step leaves it.
+	lo, hi := -1, samples
+	for step := 1; hi-lo > 1; step <<= 1 {
+		if below(g) {
+			lo, g = g, g+step
+		} else {
+			hi, g = g, g-step
+		}
+		if g <= lo || g >= hi {
+			g = int(uint(lo+hi) >> 1)
+		}
+	}
+	return lo
+}
+
+// efSample returns select sample j: where value 256j's high bit is, counted
+// from the first high bit.
+func (f *FOR) efSample(j int) uint {
+	return uint(uint32(f.data[2+j>>1] >> (j & 1 * 32)))
 }
 
 // Iter returns an iterator over the values from i on.

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 )
 
@@ -40,11 +41,29 @@ func checkFOR(t testing.TB, values []uint64) FOR {
 			t.Fatalf("Elias–Fano form of %d words chosen over a packed one of %d", len(f.data), len(p.FOR().data))
 		}
 	}
-	// The builder, handed the values in any order, lays out the same words.
+	if rising {
+		// Search on every form the values can take: the chosen one, plain
+		// slots, and the packed form where it is smaller than plain.
+		checkSearch(t, f, want, "NewFOR")
+		checkSearch(t, FOR{data: want, n: len(want)}, want, "plain")
+		p := NewFORBuilder(len(want), false)
+		for i, v := range want {
+			p.Frame(i, v)
+		}
+		for i, v := range want {
+			p.Put(i, v)
+		}
+		checkSearch(t, p.FOR(), want, "unrising builder")
+	}
+	// The builder, handed the values in any order, lays out the same words,
+	// and reports their size before the first Put.
 	order := rand.New(rand.NewSource(int64(len(want)))).Perm(len(want))
 	b := NewFORBuilder(len(want), rising)
 	for _, i := range order {
 		b.Frame(i, want[i])
+	}
+	if laid := b.FOR(); laid.MemoryUsage() != f.MemoryUsage() {
+		t.Fatalf("n=%d form=%s: FORBuilder lays out %d B before Put, %d B after", len(want), form(f), laid.MemoryUsage(), f.MemoryUsage())
 	}
 	for _, i := range order {
 		b.Put(i, want[i])
@@ -60,7 +79,9 @@ func checkFOR(t testing.TB, values []uint64) FOR {
 			lows = append(lows, 0)
 		}
 		for _, l := range lows {
-			checkDecode(t, efForm(want, l), want, fmt.Sprintf("Elias–Fano at width %d", l))
+			what := fmt.Sprintf("Elias–Fano at width %d", l)
+			checkDecode(t, efForm(want, l), want, what)
+			checkSearch(t, efForm(want, l), want, what)
 		}
 	}
 	return f
@@ -84,6 +105,29 @@ func checkDecode(t testing.TB, f FOR, want []uint64, what string) {
 			if got := it.Next(); got != want[i] {
 				t.Fatalf("%s n=%d form=%s: Iter(%d) value %d = %#x, want %#x", what, len(want), form(f), from, i, got, want[i])
 			}
+		}
+	}
+}
+
+// checkSearch holds Search on f, whose values want never decrease, to
+// sort.Search for probes below, at, between and above the values, 0 and
+// MaxUint64: the index, and the value there or 0 past the end.
+func checkSearch(t testing.TB, f FOR, want []uint64, what string) {
+	t.Helper()
+	probes := []uint64{0, 1, ^uint64(0) - 1, ^uint64(0)}
+	for i, v := range want {
+		probes = append(probes, v-1, v, v+1)
+		if i > 0 {
+			probes = append(probes, want[i-1]+(v-want[i-1])/2)
+		}
+	}
+	for _, x := range probes {
+		wantI, wantV := sort.Search(len(want), func(i int) bool { return want[i] >= x }), uint64(0)
+		if wantI < len(want) {
+			wantV = want[wantI]
+		}
+		if got, v := f.Search(x); got != wantI || v != wantV {
+			t.Fatalf("%s n=%d form=%s: Search(%#x) = %d,%#x, want %d,%#x", what, len(want), form(f), x, got, v, wantI, wantV)
 		}
 	}
 }
@@ -347,6 +391,67 @@ func BenchmarkFORGet(b *testing.B) {
 }
 
 var sink uint64
+
+// TestFORSearchSkewed runs Search over rising values whose high parts crowd
+// into few select samples, so the guess from the high bits' zeros lands far
+// from the answer: cubic growth, and runs of consecutive values far apart.
+func TestFORSearchSkewed(t *testing.T) {
+	const n = 5000
+	cubic, runs := make([]uint64, n), make([]uint64, n)
+	for i := range cubic {
+		cubic[i] = uint64(i) * uint64(i) * uint64(i)
+		runs[i] = uint64(i/1000)<<50 + uint64(i%1000)
+	}
+	// checkFOR also searches the Elias–Fano form at the width the build
+	// weighs, whichever form it picks.
+	for _, values := range [][]uint64{cubic, runs} {
+		checkFOR(t, values)
+	}
+}
+
+// TestFORSearchAllocs holds Search to no allocation in each form.
+func TestFORSearchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sorted, steps := make([]uint64, 10000), make([]uint64, 10000)
+	for i := range sorted {
+		sorted[i], steps[i] = rng.Uint64()>>16, uint64(i/forBlock)<<40
+	}
+	slices.Sort(sorted)
+	for _, values := range [][]uint64{sorted, steps, {1, 5, 9}} {
+		f := NewFOR(values)
+		x := uint64(0)
+		if a := testing.AllocsPerRun(100, func() {
+			x += 1 << 30
+			i, v := f.Search(x)
+			sink += uint64(i) + v
+		}); a != 0 {
+			t.Errorf("Search, form %s: %.1f allocs/op, want 0", form(f), a)
+		}
+	}
+}
+
+// BenchmarkFORSearch searches scattered values of a 1M-value rising array in
+// the Elias–Fano form: sorted random 48-bit addresses, about 30 bits each.
+func BenchmarkFORSearch(b *testing.B) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(1))
+	values := make([]uint64, n)
+	for i := range values {
+		values[i] = rng.Uint64() >> 16
+	}
+	slices.Sort(values)
+	f := NewFOR(slices.Clone(values))
+	if form(f) != "Elias–Fano" {
+		b.Fatalf("form %s, want Elias–Fano", form(f))
+	}
+	b.ResetTimer()
+	var sum uint64
+	for i := 0; i < b.N; i++ {
+		j, _ := f.Search(values[uint32(i)*2654435761%n])
+		sum += uint64(j)
+	}
+	sink = sum
+}
 
 // BenchmarkNewFOR encodes 1M IDs in key order, the static stage's bulk-load
 // and merge case.

@@ -7,19 +7,22 @@
 // lookup, lower-bound seeks with forward iteration, and O(height) approximate
 // range counting. With Config.Truncate it stores only minimum-length
 // distinguishing prefixes, which is the basis of the SuRF filter (Chapter 4).
-// Static wraps a trie as a hybrid index's static stage: truncated, with the
-// keys' tails kept beside it, when every key has one length, else complete.
+// Static is a hybrid index's static stage in one of three layouts the keys
+// decide: keys of one length of at most 8 bytes as a column of integers
+// when that is no larger than the trie, other keys of one length in a
+// truncated trie with their tails kept beside it, and any other keys in a
+// complete trie.
 package fst
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	mathbits "math/bits"
 	"slices"
 
 	"mets/internal/bits"
 	"mets/internal/index"
+	"mets/internal/keys"
 )
 
 // Config controls trie construction.
@@ -118,10 +121,6 @@ type builder struct {
 	values []uint64
 	es     []index.Entry
 	leaf   func(slot, key, suffixStart int) // nil: leaves are not reported
-	// counted, if set, is handed the level counts between the two walks, so
-	// per-leaf material laid out by level can be allocated before the leaf
-	// calls fill it.
-	counted func(levels []levelCount)
 
 	cfg    Config
 	lcps   []uint8 // lcps[i]: the LCP of keys i and i+1, or lcpLong if not below it
@@ -137,22 +136,6 @@ type levelCount struct {
 	entries, nodes, leaves int
 	first, last            uint64
 	falls                  bool
-}
-
-// lcp returns the length of the longest common prefix of a and b, comparing
-// a word at a time.
-func lcp(a, b []byte) int {
-	n := min(len(a), len(b))
-	i := 0
-	for ; i+8 <= n; i += 8 {
-		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
-			return i + mathbits.TrailingZeros64(x)>>3
-		}
-	}
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 func (b *builder) key(i int) []byte {
@@ -174,7 +157,7 @@ func (b *builder) next(i int) int {
 	if q := b.lcps[i]; q != lcpLong {
 		return int(q)
 	}
-	return lcp(b.key(i), b.key(i+1))
+	return keys.CommonPrefixLen(b.key(i), b.key(i+1))
 }
 
 // leafLevel returns the level of the leaf of key k, whose LCPs with its
@@ -188,19 +171,18 @@ func (b *builder) leafLevel(k []byte, p, q int) int {
 
 // build fills t.
 func (b *builder) build(t *Trie, cfg Config) error {
-	if b.n == 0 {
-		return fmt.Errorf("fst: empty key set")
-	}
-	b.cfg = cfg
-	if err := b.count(); err != nil {
+	if err := b.count(cfg); err != nil {
 		return err
 	}
-	if b.counted != nil {
-		b.counted(b.levels)
-	}
-	cutoff := cfg.DenseLevels
+	b.write(t, b.cutoff())
+	return nil
+}
+
+// cutoff returns the number of LOUDS-Dense levels of the counted trie.
+func (b *builder) cutoff() int {
+	cutoff := b.cfg.DenseLevels
 	if cutoff < 0 {
-		cutoff = pickCutoff(b.levels, cfg)
+		cutoff = pickCutoff(b.levels, b.cfg)
 	}
 	cutoff = min(cutoff, len(b.levels))
 	// A root holding only the empty key (no branches) cannot be expressed in
@@ -209,16 +191,19 @@ func (b *builder) build(t *Trie, cfg Config) error {
 	if cutoff == 0 && b.n == 1 && len(b.key(0)) == 0 {
 		cutoff = 1
 	}
-	*t = Trie{cfg: cfg, height: len(b.levels), denseHeight: cutoff}
-	b.write(t)
-	return nil
+	return cutoff
 }
 
-// count checks the keys are sorted and unique, records their LCPs and fills
-// b.levels. A key adds an entry to each of levels p..leaf and a node to each
-// of levels p+1..leaf (the first key also the root), so the walk records
-// where those ranges start and end, and the sums come after.
-func (b *builder) count() error {
+// count takes the configuration, checks the keys are sorted and unique,
+// records their LCPs and fills b.levels. A key adds an entry to each of
+// levels p..leaf and a node to each of levels p+1..leaf (the first key also
+// the root), so the walk records where those ranges start and end, and the
+// sums come after.
+func (b *builder) count(cfg Config) error {
+	if b.n == 0 {
+		return fmt.Errorf("fst: empty key set")
+	}
+	b.cfg = cfg
 	b.lcps = make([]uint8, b.n)
 	var diff []levelCount
 	q := 0
@@ -226,7 +211,7 @@ func (b *builder) count() error {
 		k, p := b.key(i), q
 		if q = 0; i+1 < b.n {
 			next := b.key(i + 1)
-			q = lcp(k, next)
+			q = keys.CommonPrefixLen(k, next)
 			if q == len(next) || q < len(k) && k[q] > next[q] {
 				return fmt.Errorf("fst: keys must be sorted and unique (violated at index %d)", i+1)
 			}
@@ -313,10 +298,11 @@ func (c Config) blocks() (denseBlock, sparseBlock, sample int) {
 	return cmp.Or(c.RankDenseBlock, 64), cmp.Or(c.RankSparseBlock, 512), cmp.Or(c.SelectSample, 64)
 }
 
-// write lays out t's arrays from the level counts, frames the values, and
-// fills the arrays in the second walk.
-func (b *builder) write(t *Trie) {
-	cfg, cutoff := t.cfg, t.denseHeight
+// write lays out t's arrays from the level counts with cutoff dense levels,
+// frames the values, and fills the arrays in the second walk.
+func (b *builder) write(t *Trie, cutoff int) {
+	*t = Trie{cfg: b.cfg, height: len(b.levels), denseHeight: cutoff}
+	cfg := t.cfg
 	// cur is, per level, the dense node being filled or the next sparse
 	// position; slot the slot of the level's next leaf.
 	cur := make([]int, len(b.levels))

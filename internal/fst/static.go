@@ -2,27 +2,38 @@ package fst
 
 import (
 	"bytes"
+	"encoding/binary"
+	"sync"
 	"unsafe"
 
 	"mets/internal/bits"
 	"mets/internal/index"
 )
 
-// Static is the trie as a hybrid index's static stage (index.Static), in one
-// of two layouts that the keys decide:
+// Static is a hybrid index's static stage (index.Static), in one of three
+// layouts that the keys decide:
 //
-//   - When every key has one length K > 0, lazy expansion: the trie is
-//     truncated, so a key's path stops at the level that tells it from its
-//     neighbours, and the rest of the key, its tail, is kept in tails.
+//   - When every key has one length K of at most 8 bytes, and the column's
+//     key array is no larger than the trie's key structure would be, a key
+//     column: each key read as a K-byte big-endian integer, the integers in
+//     key order in one bits.FOR — for random keys its Elias–Fano form, about
+//     2 + log2(2^8K/n) bits a key — and the values in key order in another.
+//     The trie is empty.
+//   - When every key has one length K > 0 otherwise, lazy expansion: the
+//     trie is truncated, so a key's path stops at the level that tells it
+//     from its neighbours, and the rest of the key, its tail, is kept in
+//     tails.
 //   - Otherwise a complete trie, and tails is nil.
 //
-// Values are coded per region in slot order (bits.FOR). A level's leaves are
-// in key order, so tuple IDs loaded in key order rise along each level; the
-// builder then shifts each level to start where the one before ended, and
-// the region is one rising sequence in the Elias–Fano form (shiftLevels).
+// A trie's values are coded per region in slot order (bits.FOR). A level's
+// leaves are in key order, so tuple IDs loaded in key order rise along each
+// level; the builder then shifts each level to start where the one before
+// ended, and the region is one rising sequence in the Elias–Fano form
+// (shiftLevels).
 type Static struct {
 	t     Trie
 	tails *tails
+	col   *column
 }
 
 // tails holds the rest of every key of a fixed-width set past its leaf, in
@@ -36,30 +47,102 @@ type tails struct {
 	slotStart, tailStart []int
 }
 
+// column holds a set of keys of one length K <= 8 as integers: key i, read
+// as a K-byte big-endian integer, is keys[i], and its value is values[i].
+type column struct {
+	keyLen       int
+	keys, values bits.FOR
+}
+
 // staticConfig is the stage's tuning: the thesis' rank blocks and select
 // samples, with the dense/sparse cutoff ratio R lowered from 64 to 8, which
 // makes one more level dense on the sharded engine's shards: one select
 // fewer per lookup at about the same size.
 var staticConfig = Config{StoreValues: true, DenseLevels: -1, DenseRatio: 8}
 
-// NewStatic builds the stage from sorted unique entries.
+// NewStatic builds the stage from sorted unique entries. Keys of one length
+// K <= 8 take the column when its key array — its exact size, from the key
+// builder's frames, before any key is put — is no larger than the trie's
+// key structure, computed from the counting walk (trieKeyBytes). Values are
+// left out: both layouts hold the same ones. The trie is not written when
+// the column wins.
 func NewStatic(entries []index.Entry) (*Static, error) {
-	s := &Static{}
 	if len(entries) == 0 {
-		return s, nil
+		return &Static{}, nil
 	}
-	b := &builder{n: len(entries), es: entries}
-	cfg := staticConfig
-	if k := fixedWidth(entries); k > 0 {
-		ts := &tails{keyLen: k}
-		s.tails, cfg.Truncate = ts, true
-		b.counted = ts.lay
-		b.leaf = func(slot, i, pathLen int) { copy(ts.at(slot, pathLen), entries[i].Key[pathLen:]) }
-	}
-	if err := b.build(&s.t, cfg); err != nil {
+	k := fixedWidth(entries)
+	b, err := countTrie(entries, k)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	if k > 0 && k <= 8 {
+		kb, rising := frameColumn(entries)
+		if keys := kb.FOR(); keys.MemoryUsage() <= b.trieKeyBytes(b.cutoff(), k) {
+			return newColumn(entries, kb, rising), nil
+		}
+	}
+	return writeTrie(b, entries, k), nil
+}
+
+// countTrie runs the trie builder's counting walk over the entries, whose
+// keys all have length k, or differ in length when k is 0: then the trie is
+// complete, else truncated.
+func countTrie(entries []index.Entry, k int) (*builder, error) {
+	b := &builder{n: len(entries), es: entries}
+	cfg := staticConfig
+	cfg.Truncate = k > 0
+	return b, b.count(cfg)
+}
+
+// writeTrie writes the counted trie, with the tails of k-byte keys beside
+// it when k is not 0.
+func writeTrie(b *builder, entries []index.Entry, k int) *Static {
+	s := &Static{}
+	if k > 0 {
+		ts := &tails{keyLen: k}
+		s.tails = ts
+		ts.lay(b.levels)
+		b.leaf = func(slot, i, pathLen int) { copy(ts.at(slot, pathLen), entries[i].Key[pathLen:]) }
+	}
+	b.write(&s.t, b.cutoff())
+	return s
+}
+
+// frameColumn frames the entries' keys, read as integers, in a builder of
+// the column's key array, and reports whether their values never decrease.
+func frameColumn(entries []index.Entry) (kb *bits.FORBuilder, rising bool) {
+	kb, rising = bits.NewFORBuilder(len(entries), true), true
+	for i, e := range entries {
+		kb.Frame(i, keyInt(e.Key))
+		rising = rising && (i == 0 || e.Value >= entries[i-1].Value)
+	}
+	return kb, rising
+}
+
+// newColumn puts the keys, framed in kb, and codes the values, which never
+// decrease in key order when rising is set.
+func newColumn(entries []index.Entry, kb *bits.FORBuilder, rising bool) *Static {
+	vb := bits.NewFORBuilder(len(entries), rising)
+	for i, e := range entries {
+		kb.Put(i, keyInt(e.Key))
+		vb.Frame(i, e.Value)
+	}
+	for i, e := range entries {
+		vb.Put(i, e.Value)
+	}
+	return &Static{col: &column{keyLen: len(entries[0].Key), keys: kb.FOR(), values: vb.FOR()}}
+}
+
+// keyInt reads a key of at most 8 bytes as a big-endian integer.
+func keyInt(k []byte) uint64 {
+	if len(k) == 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var v uint64
+	for _, c := range k {
+		v = v<<8 | uint64(c)
+	}
+	return v
 }
 
 // fixedWidth returns the length every key has, or 0 when lengths differ.
@@ -98,11 +181,27 @@ func (ts *tails) at(slot, pathLen int) []byte {
 }
 
 // Len returns the number of entries.
-func (s *Static) Len() int { return s.t.numDenseLeaves + s.t.numSparseLeaves }
+func (s *Static) Len() int {
+	if s.col != nil {
+		return s.col.keys.Len()
+	}
+	return s.t.numDenseLeaves + s.t.numSparseLeaves
+}
 
-// Get returns the value stored under key: the leaf the key reaches must hold
-// it whole, path and tail.
+// Get returns the value stored under key: in a column, the first integer no
+// smaller than the key's must be the key's; in a trie, the leaf the key
+// reaches must hold it whole, path and tail.
 func (s *Static) Get(key []byte) (uint64, bool) {
+	if c := s.col; c != nil {
+		if len(key) != c.keyLen {
+			return 0, false
+		}
+		x := keyInt(key)
+		if i, k := c.keys.Search(x); i < c.keys.Len() && k == x {
+			return c.values.Get(i), true
+		}
+		return 0, false
+	}
 	if s.t.height == 0 || s.tails != nil && len(key) != s.tails.keyLen {
 		return 0, false
 	}
@@ -115,8 +214,12 @@ func (s *Static) Get(key []byte) (uint64, bool) {
 
 // Scan visits entries in order from the smallest key >= start. The key is
 // lent for the duration of the callback only: the walk keeps it in one
-// buffer, truncating and appending as it moves.
+// buffer, truncating and appending as it moves, or in a column writing each
+// key over the last.
 func (s *Static) Scan(start []byte, fn func(key []byte, value uint64) bool) int {
+	if s.col != nil {
+		return s.col.scan(start, fn)
+	}
 	if s.t.height == 0 {
 		return 0
 	}
@@ -147,21 +250,109 @@ func (s *Static) Scan(start []byte, fn func(key []byte, value uint64) bool) int 
 	return count
 }
 
+// keyBufs lends column scans the buffer their keys are written into.
+var keyBufs = sync.Pool{New: func() any { return new([8]byte) }}
+
+// scan is Scan over a column: start maps to the first integer a key no
+// smaller than it can be, and both arrays are walked from there in step.
+func (c *column) scan(start []byte, fn func(key []byte, value uint64) bool) int {
+	i, n := c.lowerBound(start), c.keys.Len()
+	if i == n {
+		return 0
+	}
+	buf := keyBufs.Get().(*[8]byte)
+	key := buf[8-c.keyLen:]
+	ks, vs := c.keys.Iter(i), c.values.Iter(i)
+	count := 0
+	for ; i < n; i++ {
+		count++
+		binary.BigEndian.PutUint64(buf[:], ks.Next())
+		if !fn(key, vs.Next()) {
+			break
+		}
+	}
+	keyBufs.Put(buf)
+	return count
+}
+
+// lowerBound returns the index of the first key no smaller than start. A
+// shorter start is zero-padded to K bytes. A longer one is passed by every
+// key that shares its first K bytes, so the bound is the integer after them,
+// and there is none when they are all 0xFF.
+func (c *column) lowerBound(start []byte) int {
+	k := c.keyLen
+	x := keyInt(start[:min(k, len(start))]) << (8 * max(k-len(start), 0))
+	if len(start) > k {
+		if x == ^uint64(0)>>(64-8*k) {
+			return c.keys.Len()
+		}
+		x++
+	}
+	i, _ := c.keys.Search(x)
+	return i
+}
+
 // MemoryUsage returns the bytes the allocator handed out for the stage: the
 // struct itself and every array it holds.
 func (s *Static) MemoryUsage() int64 {
 	m := bits.AllocSize(int(unsafe.Sizeof(*s)))
+	if c := s.col; c != nil {
+		return m + bits.AllocSize(int(unsafe.Sizeof(*c))) + c.keys.MemoryUsage() + c.values.MemoryUsage()
+	}
 	if s.t.height == 0 {
 		return m
 	}
 	t := &s.t
-	m += t.dLabels.HeapSize() + t.dHasChild.HeapSize() + t.dIsPrefix.HeapSize()
+	return m + s.trieKeyBytes() + t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
+}
+
+// trieKeyBytes returns the bytes of a trie's key structure: all it holds but
+// its values and the struct itself.
+func (s *Static) trieKeyBytes() int64 {
+	t := &s.t
+	m := t.dLabels.HeapSize() + t.dHasChild.HeapSize() + t.dIsPrefix.HeapSize()
 	m += bits.SliceAlloc(t.sLabels) + t.sHasChild.HeapSize() + t.sLouds.HeapSize()
-	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
 	m += bits.SliceAlloc(t.dLevelValueStart) + bits.SliceAlloc(t.sLevelPosStart) + bits.SliceAlloc(t.sLevelValueStart)
 	if ts := s.tails; ts != nil {
 		m += bits.AllocSize(int(unsafe.Sizeof(*ts)))
 		m += bits.SliceAlloc(ts.bytes) + bits.SliceAlloc(ts.slotStart) + bits.SliceAlloc(ts.tailStart)
 	}
 	return m
+}
+
+// trieKeyBytes returns what Static.trieKeyBytes will be for the counted trie
+// written with cutoff dense levels, its tails K-byte keys' when keyLen is
+// not 0: per region its bitmaps, with their rank lookup tables and the
+// LOUDS bits' select samples, and the sparse labels; the level tables; and
+// the tails.
+func (b *builder) trieKeyBytes(cutoff, keyLen int) int64 {
+	denseBlock, sparseBlock, sample := b.cfg.blocks()
+	var denseNodes, sparseNodes, entries, tailBytes int
+	for l, c := range b.levels {
+		if l < cutoff {
+			denseNodes += c.nodes
+		} else {
+			sparseNodes += c.nodes
+			entries += c.entries
+		}
+		tailBytes += c.leaves * (keyLen - l - 1)
+	}
+	levels := func(n int) int64 { return bits.AllocSize(8 * n) }
+	h := len(b.levels)
+	m := 2*rankBytes(denseNodes*256, denseBlock) + rankBytes(denseNodes, denseBlock)
+	m += bits.AllocSize(entries) + rankBytes(entries, sparseBlock)
+	m += rankBytes(entries, sparseBlock) - bits.AllocSize(int(unsafe.Sizeof(bits.RankVector{})))
+	m += bits.AllocSize(int(unsafe.Sizeof(bits.SelectVector{}))) + bits.AllocSize(4*((sparseNodes+sample-1)/sample))
+	m += levels(cutoff+1) + 2*levels(h-cutoff+1)
+	if keyLen != 0 {
+		m += bits.AllocSize(int(unsafe.Sizeof(tails{}))) + bits.AllocSize(tailBytes) + 2*levels(h)
+	}
+	return m
+}
+
+// rankBytes returns the bytes of a bits.RankVector over n bits with the given
+// block size: the struct, the words and one 32-bit rank per block and one
+// more.
+func rankBytes(n, block int) int64 {
+	return bits.AllocSize(int(unsafe.Sizeof(bits.RankVector{}))) + bits.AllocSize(8*((n+63)/64)) + bits.AllocSize(4*((n+block-1)/block+1))
 }

@@ -8,16 +8,18 @@ import (
 	"mets/internal/keys"
 )
 
-// BenchmarkStaticFixedWidth holds the stage's two layouts to each other on a
-// served-read shard: 62.5k random 8-byte keys with tuple IDs in key order.
+// BenchmarkStaticFixedWidth holds the stage's three layouts to each other on
+// a served-read shard: 62.5k random 8-byte keys with tuple IDs in key order.
 // "complete" is the trie fst.Build makes under the stage's tuning, every key
-// byte stored; "lazy" is what NewStatic makes of fixed-width keys, the trie
-// truncated and the tails kept beside it. The ops are a build (with what it
+// byte stored; "lazy" is the truncated trie with the tails kept beside it;
+// "column" is what NewStatic makes of these keys, the keys as integers in one
+// bits.FOR and the values in another. The ops are a build (with what it
 // allocates per byte of the stage it returns), a point read of a present key
 // and a 50-entry scan from one. Every iteration runs a batch on each layout,
-// alternating which goes first, so both see the same host; each reports its
-// ns per op and the lazy layout's time as a multiple of the complete one's,
-// and the build the layouts' bits per key.
+// rotating which goes first, so all see the same host; each reports its ns
+// per op, the lazy layout's time as a multiple of the complete one's and the
+// column's as a multiple of the lazy one's, and the build the layouts' bits
+// per key.
 func BenchmarkStaticFixedWidth(b *testing.B) {
 	ks := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(62_500, 45)))
 	entries := entriesOf(ks, false)
@@ -25,7 +27,8 @@ func BenchmarkStaticFixedWidth(b *testing.B) {
 	for i := range values {
 		values[i] = uint64(i)
 	}
-	builds := [2]func() *Static{
+	names := [3]string{"complete", "lazy", "column"}
+	builds := [3]func() *Static{
 		func() *Static {
 			tr, err := Build(ks, values, staticConfig)
 			if err != nil {
@@ -33,19 +36,14 @@ func BenchmarkStaticFixedWidth(b *testing.B) {
 			}
 			return &Static{t: *tr}
 		},
-		func() *Static {
-			s, err := NewStatic(entries)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return s
-		},
+		func() *Static { return buildTrie(b, entries) },
+		func() *Static { return buildStatic(b, entries) },
 	}
-	stages := [2]*Static{builds[0](), builds[1]()}
-	if stages[0].tails != nil || stages[1].tails == nil {
-		b.Fatal("the layouts are not complete and lazy")
+	stages := [3]*Static{builds[0](), builds[1](), builds[2]()}
+	if stages[0].tails != nil || stages[1].tails == nil || stages[2].col == nil {
+		b.Fatal("the layouts are not complete, lazy and column")
 	}
-	var allocs [2]uint64
+	var allocs [3]uint64
 	for _, op := range []struct {
 		name  string
 		batch int
@@ -76,11 +74,11 @@ func BenchmarkStaticFixedWidth(b *testing.B) {
 	} {
 		b.Run("op="+op.name, func(b *testing.B) {
 			runtime.GC()
-			allocs = [2]uint64{}
-			var spent [2]time.Duration
+			allocs = [3]uint64{}
+			var spent [3]time.Duration
 			for i := 0; i < b.N; i++ {
-				for j := range 2 {
-					k := (i + j) % 2
+				for j := range 3 {
+					k := (i + j) % 3
 					state := uint64(i)
 					t0 := time.Now()
 					for range op.batch {
@@ -90,11 +88,13 @@ func BenchmarkStaticFixedWidth(b *testing.B) {
 				}
 			}
 			per := func(k int) float64 { return float64(spent[k]) / float64(b.N*op.batch) }
-			b.ReportMetric(per(0), "complete-ns/op")
-			b.ReportMetric(per(1), "lazy-ns/op")
+			for k, name := range names {
+				b.ReportMetric(per(k), name+"-ns/op")
+			}
 			b.ReportMetric(per(1)/per(0), "lazy/complete")
+			b.ReportMetric(per(2)/per(1), "column/lazy")
 			if op.name == "build" {
-				for k, name := range [2]string{"complete", "lazy"} {
+				for k, name := range names {
 					b.ReportMetric(float64(allocs[k])/float64(b.N)/float64(stages[k].MemoryUsage()), name+"-alloc/stage")
 					b.ReportMetric(float64(stages[k].MemoryUsage())*8/float64(len(ks)), name+"-bits/key")
 				}

@@ -2,6 +2,7 @@ package fst
 
 import (
 	"bytes"
+	"encoding/binary"
 	"hash/fnv"
 	mathbits "math/bits"
 	"math/rand"
@@ -97,19 +98,82 @@ func staticProbes(ks [][]byte) [][]byte {
 }
 
 // checkStaticOracle builds the stage over the sorted unique keys ks, the i-th
-// holding vals[i], and holds Len, Get, a lower-bound Scan stopped after a few
-// entries and the full Scan(nil) to the sorted slice. The scanned key is
-// checked inside the callback, while it is lent.
+// holding vals[i], and holds it to the sorted slice (checkStage). Keys of one
+// length K <= 8 are also built in both layouts the stage chooses between,
+// and the choice is held to its rule: the column exactly when its key array
+// is no larger than the trie's key structure, which the counting walk
+// predicts exactly.
 func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte) {
 	t.Helper()
 	entries := make([]index.Entry, len(ks))
 	for i, k := range ks {
 		entries[i] = index.Entry{Key: k, Value: vals[i]}
 	}
+	s := buildStatic(t, entries)
+	checkStage(t, s, ks, vals, probes)
+	if len(ks) == 0 {
+		return
+	}
+	if k := fixedWidth(entries); k > 0 && k <= 8 {
+		trie, col := buildTrie(t, entries), buildColumn(entries)
+		checkStage(t, trie, ks, vals, probes)
+		checkStage(t, col, ks, vals, probes)
+		if predicted, built := predictedTrieKeyBytes(t, entries), trie.trieKeyBytes(); predicted != built {
+			t.Fatalf("the rule predicts %d B of trie keys, the built trie holds %d B", predicted, built)
+		}
+		if want := col.col.keys.MemoryUsage() <= trie.trieKeyBytes(); (s.col != nil) != want {
+			t.Fatalf("column chosen %v, want %v: column keys %d B, trie keys %d B", s.col != nil, want, col.col.keys.MemoryUsage(), trie.trieKeyBytes())
+		}
+	}
+}
+
+// buildStatic builds the stage as NewStatic does.
+func buildStatic(t testing.TB, entries []index.Entry) *Static {
+	t.Helper()
 	s, err := NewStatic(entries)
 	if err != nil {
 		t.Fatalf("NewStatic: %v", err)
 	}
+	return s
+}
+
+// buildTrie builds the stage as a trie, whichever layout the rule picks.
+func buildTrie(t testing.TB, entries []index.Entry) *Static {
+	t.Helper()
+	k := fixedWidth(entries)
+	b, err := countTrie(entries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeTrie(b, entries, k)
+}
+
+// buildColumn builds the stage as a key column, whichever layout the rule
+// picks.
+func buildColumn(entries []index.Entry) *Static {
+	kb, rising := frameColumn(entries)
+	return newColumn(entries, kb, rising)
+}
+
+// predictedTrieKeyBytes returns the size of the truncated trie's key
+// structure over fixed-width entries as the counting walk predicts it.
+func predictedTrieKeyBytes(t testing.TB, entries []index.Entry) int64 {
+	t.Helper()
+	k := fixedWidth(entries)
+	b, err := countTrie(entries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.trieKeyBytes(b.cutoff(), k)
+}
+
+// checkStage holds the stage s over the sorted unique keys ks, the i-th
+// holding vals[i], to the sorted slice: its layout and value coding, Len,
+// Get, a lower-bound Scan stopped after a few entries and the full
+// Scan(nil). The scanned key is checked inside the callback, while it is
+// lent.
+func checkStage(t testing.TB, s *Static, ks [][]byte, vals []uint64, probes [][]byte) {
+	t.Helper()
 	if s.Len() != len(ks) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(ks))
 	}
@@ -117,10 +181,17 @@ func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte
 	for _, k := range ks {
 		fixed = fixed && len(k) == len(ks[0])
 	}
-	if lazy := s.tails != nil; lazy != fixed {
-		t.Fatalf("tails kept %v, want %v: only keys of one length > 0 are stored truncated", lazy, fixed)
+	if kept := s.tails != nil || s.col != nil; kept != fixed {
+		t.Fatalf("tails or column kept %v, want %v: only keys of one length > 0 are", kept, fixed)
 	}
-	checkValueCoding(t, &s.t, vals)
+	if c := s.col; c != nil {
+		if len(ks[0]) > 8 || s.t.height != 0 {
+			t.Fatalf("a column of %d-byte keys beside a trie of height %d", len(ks[0]), s.t.height)
+		}
+		checkColumnCoding(t, c, ks, vals)
+	} else {
+		checkValueCoding(t, &s.t, vals)
+	}
 	const look = 3 // entries checked after each lower bound
 	for _, q := range probes {
 		want := sort.Search(len(ks), func(i int) bool { return bytes.Compare(ks[i], q) >= 0 })
@@ -149,6 +220,25 @@ func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte
 		return true
 	}); n != len(ks) || i != len(ks) {
 		t.Fatalf("Scan(nil) visited %d entries, want %d", n, len(ks))
+	}
+}
+
+// checkColumnCoding holds a column over ks, whose i-th key holds vals[i], to
+// its definition: the keys as big-endian integers coded as bits.NewFOR of
+// them, and the values as bits.NewFOR of them in key order.
+func checkColumnCoding(t testing.TB, c *column, ks [][]byte, vals []uint64) {
+	t.Helper()
+	ints := make([]uint64, len(ks))
+	for i, k := range ks {
+		for _, b := range k {
+			ints[i] = ints[i]<<8 | uint64(b)
+		}
+	}
+	if c.keyLen != len(ks[0]) || !reflect.DeepEqual(c.keys, bits.NewFOR(ints)) {
+		t.Fatalf("column keys are not coded as bits.NewFOR of the %d-byte keys read as integers", len(ks[0]))
+	}
+	if !reflect.DeepEqual(c.values, bits.NewFOR(slices.Clone(vals))) {
+		t.Fatal("column values are not coded as bits.NewFOR of the values in key order")
 	}
 }
 
@@ -216,7 +306,7 @@ func TestStaticAgainstOracle(t *testing.T) {
 	sets["urls"] = keys.Dedup(keys.URLs(3000, 4))
 	sets["empty-key-only"] = [][]byte{{}}
 	sets["one-key"] = [][]byte{[]byte("solo")}
-	// Keys of one length: the layout that keeps tails.
+	// Keys of one length up to 8 bytes: the key column, and the trie beside it.
 	u64s := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(5000, 45)))
 	sets["random-u64"] = u64s
 	var all1, dense2 [][]byte
@@ -229,6 +319,10 @@ func TestStaticAgainstOracle(t *testing.T) {
 	sets["k1-all-bytes"] = all1
 	sets["k2-dense"] = keys.Dedup(dense2)
 	sets["one-8-byte-key"] = [][]byte{keys.Uint64(0x00ff00ff00ff00ff)}
+	// Keys of one length the trie holds: clustered 8-byte keys, which the
+	// column would hold in more room, and 16-byte keys.
+	sets["u64-runs"] = layoutSets()[7].ks[:5000]
+	sets["ts-sensor"] = layoutSets()[8].ks[:5000]
 	// One key of another length keeps the set complete.
 	sets["u64-and-a-9-byte-key"] = keys.Dedup(append(append([][]byte(nil), u64s...), append(keys.Uint64(1<<60), 7)))
 	for name, ks := range sets {
@@ -255,7 +349,7 @@ func TestStaticAgainstOracle(t *testing.T) {
 // A first byte from 0xe0 to 0xef gives the keys values in key order
 // (keyOrderValues, its low four bits the shape, the rest of the input the
 // steps) and the rest of the input is read as it would be without it, so
-// both layouts take the shifted path; shapes other than 0 end at MaxUint64
+// every trie takes the shifted path; shapes other than 0 end at MaxUint64
 // and make levels whose shifted values would pass 2^64.
 func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte("seed-corpus-entry"))
@@ -264,20 +358,34 @@ func FuzzStaticOps(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{3, 'a', 'b'}, 30))
 	f.Add([]byte{1, 'x'})
 	// A first byte from 0xf0 to 0xfe picks the fixed-width mode: the rest is
-	// cut into keys of K = 1, 2 or 8 bytes (0xf0, 0xf1, 0xf2 and so on).
+	// cut into keys of K = 1 to 8, 9 or 16 bytes (0xf0 to 0xf9, then again
+	// from 0xfa); K <= 8 is built as a column and as a trie.
 	f.Add([]byte{0xf0, 0x00, 0xff, 0x7f, 0x80, 0x01, 0xfe, 0x00})
 	f.Add([]byte{0xf1, 0, 0, 0, 1, 0, 0xff, 0xff, 0, 0xff, 0xff, 1, 2, 1, 3, 0xff, 0xfe})
-	f.Add([]byte{0xf2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
+	f.Add([]byte{0xf7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
 		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
+	f.Add([]byte{0xf2, 1, 2, 3, 1, 2, 4, 0xff, 0xff, 0xff, 0, 0, 0, 7, 7})
+	f.Add([]byte{0xf8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff})
+	f.Add(append(append([]byte{0xf9}, bytes.Repeat([]byte{0xff}, 32)...), bytes.Repeat([]byte{0, 0xff, 7}, 11)...))
+	// Clustered 8-byte keys: ten runs of 40 consecutive integers from
+	// scattered starts, which the trie holds in less room than the column.
+	clustered, start := []byte{0xf7}, uint64(0x9e3779b97f4a7c15)
+	for range 10 {
+		start = start*6364136223846793005 + 1442695040888963407
+		for i := range uint64(40) {
+			clustered = binary.BigEndian.AppendUint64(clustered, start+i)
+		}
+	}
+	f.Add(clustered)
 	// Values in key order: IDs, then steps whose shifted values would pass
-	// 2^64, in the complete layout, and the same two over 8-byte keys, whose
-	// levels take the tails' layout.
+	// 2^64, in the complete layout, and the same two over 8-byte keys, built
+	// as a column and as a trie with tails.
 	f.Add([]byte("\xe0seed-corpus-entry"))
 	f.Add([]byte{0xe1, 0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
 	f.Add([]byte{0xe3, 3, 'a', 'b', 3, 'a', 'c', 1, 'a', 2, 'b', 'z', 3, 'b', 'z', 'z'})
-	f.Add([]byte{0xe0, 0xf2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
+	f.Add([]byte{0xe0, 0xf7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
 		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
-	f.Add([]byte{0xe2, 0xf2, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0, 2, 3, 0xff,
+	f.Add([]byte{0xe2, 0xf7, 1, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 3, 0, 0, 0, 0, 0, 0, 2, 3, 0xff,
 		0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 7, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xfe, 9, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		values := staticValues
@@ -287,13 +395,14 @@ func FuzzStaticOps(f *testing.F) {
 			data = src
 		}
 		if len(data) > 0 && data[0] >= 0xf0 && data[0] < 0xff {
-			k := []int{1, 2, 8}[data[0]%3]
+			k := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16}[(data[0]-0xf0)%10]
 			var ks, probes [][]byte
 			for i := 1; i+k <= len(data); i += k {
 				ks = append(ks, data[i:i+k])
 				// Starts of other lengths: shorter, longer and the empty one.
 				probes = append(probes, data[i:i+k-1], data[i:min(i+k+1, len(data))], data[i:])
 			}
+			probes = append(probes, bytes.Repeat([]byte{0xff}, k), bytes.Repeat([]byte{0xff}, k+1))
 			ks = keys.Dedup(ks)
 			checkStaticOracle(t, ks, values(len(ks), data), append(append(staticProbes(ks), probes...), data))
 			return
@@ -359,11 +468,13 @@ func heapAlloc() uint64 {
 
 // TestStaticMemoryUsageMatchesHeap is the reported-versus-actual audit the
 // stage's bits/key rest on: MemoryUsage must be within 1% of what a build
-// leaves on the heap, with packed values and with the plain-slot fallback.
+// leaves on the heap, in each layout, with packed values and with the
+// plain-slot fallback.
 func TestStaticMemoryUsageMatchesHeap(t *testing.T) {
 	datasets := map[string][][]byte{
 		"hope-emails": hopeEncoded(t, keys.Dedup(keys.Emails(200000, 1))),
-		"random-u64":  keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(200000, 1))),
+		"random-u64":  keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(200000, 1))), // the key column
+		"ts-sensor":   layoutSets()[8].ks,                                           // the lazy trie
 	}
 	for name, ks := range datasets {
 		for _, random := range []bool{false, true} {
@@ -390,21 +501,24 @@ func TestStaticMemoryUsageMatchesHeap(t *testing.T) {
 
 // TestStaticBitsPerKeyBudget pins the stage's memory on deterministic
 // 100k-key builds, so a later change cannot silently give it back. With IDs
-// in key order every level rises, so each region's values are shifted into
-// one rising sequence and cost ~4.5 bits in the Elias–Fano form; the compact
-// B+tree's budgets on the same sets are 105 / 122 / 176 / 126. Uniform random
-// 64-bit values are not shifted and cost exactly 64-bit slots.
+// in key order every level of a trie rises, so each region's values are
+// shifted into one rising sequence and cost ~4.5 bits in the Elias–Fano
+// form; the random 8-byte keys take the key column, whose values need no
+// shift. The compact B+tree's budgets on the same sets are 105 / 122 / 176 /
+// 126. Uniform random 64-bit values are not shifted and cost exactly 64-bit
+// slots.
 func TestStaticBitsPerKeyBudget(t *testing.T) {
 	emails := keys.Dedup(keys.Emails(100000, 1))
 	for _, tc := range []struct {
 		name   string
 		ks     [][]byte
 		budget float64 // with IDs in key order
+		column bool
 	}{
-		{"hope-emails", hopeEncoded(t, emails), 45},
-		{"raw-emails", emails, 55},
-		{"urls", keys.Dedup(keys.URLs(100000, 1)), 98},
-		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 58},
+		{"hope-emails", hopeEncoded(t, emails), 45, false},
+		{"raw-emails", emails, 55, false},
+		{"urls", keys.Dedup(keys.URLs(100000, 1)), 98, false},
+		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 52.5, true},
 	} {
 		for _, random := range []bool{false, true} {
 			entries := entriesOf(tc.ks, random)
@@ -415,19 +529,29 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 			perKey := float64(s.MemoryUsage()) * 8 / float64(s.Len())
 			t.Logf("%s, random values %v: %.1f bits/key", tc.name, random, perKey)
 			if !random && perKey > tc.budget {
-				t.Errorf("%s: %.1f bits/key exceeds the budget of %.0f", tc.name, perKey, tc.budget)
+				t.Errorf("%s: %.1f bits/key exceeds the budget of %.1f", tc.name, perKey, tc.budget)
 			}
-			tr := &s.t
-			if !random && tr.shift == nil {
-				t.Errorf("%s: IDs in key order were not shifted", tc.name)
+			if (s.col != nil) != tc.column {
+				t.Fatalf("%s: key column %v, want %v", tc.name, s.col != nil, tc.column)
 			}
 			vals := make([]uint64, len(entries))
 			for i, e := range entries {
 				vals[i] = e.Value
 			}
-			checkValueCoding(t, tr, vals)
-			slots := bits.AllocSize(8*tr.numDenseLeaves) + bits.AllocSize(8*tr.numSparseLeaves)
-			if values := tr.dValues.MemoryUsage() + tr.sValues.MemoryUsage(); random && values != slots {
+			var values, slots int64
+			if c := s.col; c != nil {
+				checkColumnCoding(t, c, tc.ks, vals)
+				values, slots = c.values.MemoryUsage(), bits.AllocSize(8*len(vals))
+			} else {
+				tr := &s.t
+				if !random && tr.shift == nil {
+					t.Errorf("%s: IDs in key order were not shifted", tc.name)
+				}
+				checkValueCoding(t, tr, vals)
+				values = tr.dValues.MemoryUsage() + tr.sValues.MemoryUsage()
+				slots = bits.AllocSize(8*tr.numDenseLeaves) + bits.AllocSize(8*tr.numSparseLeaves)
+			}
+			if random && values != slots {
 				t.Errorf("%s, random values: %d B of values, want exactly the %d B of 64-bit slots", tc.name, values, slots)
 			}
 		}
@@ -496,5 +620,98 @@ func TestStaticCompleteLayoutCostsNothing(t *testing.T) {
 	}
 	if got, limit := bits.AllocSize(int(unsafe.Sizeof(Static{}))), bits.AllocSize(int(unsafe.Sizeof(trieAndCount{}))); got > limit {
 		t.Fatalf("the stage struct takes %d B, more than the %d B of a trie and a count", got, limit)
+	}
+}
+
+// layoutSets returns the key sets the layout rule is weighed on, each about
+// one of eight shards: random 8-byte keys from the top eighth of the range
+// at served-read's and served-durable's shard sizes; random 4- and 6-byte
+// keys; every third integer; gaps drawn from an exponential distribution;
+// 100 random 6-byte prefixes with random 2-byte suffixes; 125 runs of 200
+// consecutive integers; and sensor events keyed timestamp‖sensor and
+// sensor‖timestamp (16 bytes, which only the trie holds). want is the
+// layout each takes: the column for the first six, the trie for the
+// clustered ones.
+func layoutSets() []struct {
+	name   string
+	ks     [][]byte
+	column bool
+} {
+	rng := rand.New(rand.NewSource(47))
+	ints := func(n int, width uint, gen func(i int) uint64) [][]byte {
+		ks := make([][]byte, n)
+		for i := range ks {
+			k := keys.Uint64(gen(i))
+			ks[i] = k[8-width/8:]
+		}
+		return keys.Dedup(ks)
+	}
+	var gap uint64
+	prefixes := make([]uint64, 100)
+	for i := range prefixes {
+		prefixes[i] = rng.Uint64() << 16
+	}
+	var runStart uint64
+	events := keys.SensorEvents(100, 1_000_000, 625_000_000, 1)
+	tsSensor, sensorTS := make([][]byte, len(events)), make([][]byte, len(events))
+	for i, e := range events {
+		tsSensor[i], sensorTS[i] = e.Key(), keys.Uint128(e.SensorID, e.Timestamp)
+	}
+	return []struct {
+		name   string
+		ks     [][]byte
+		column bool
+	}{
+		{"random-u64-62.5k", ints(62_500, 64, func(int) uint64 { return rng.Uint64() >> 3 }), true},
+		{"random-u64-25k", ints(25_000, 64, func(int) uint64 { return rng.Uint64() >> 3 }), true},
+		{"random-u32", ints(62_500, 32, func(int) uint64 { return rng.Uint64() >> 35 }), true},
+		{"random-6B", ints(62_500, 48, func(int) uint64 { return rng.Uint64() >> 19 }), true},
+		{"seq-u64x3", ints(62_500, 64, func(i int) uint64 { return 3 * uint64(i) }), true},
+		{"exp-gaps", ints(62_500, 64, func(int) uint64 {
+			gap += uint64(rng.ExpFloat64() * (1 << 45))
+			return gap
+		}), true},
+		{"100-prefixes-x-u16", ints(62_500, 64, func(i int) uint64 { return prefixes[i%100] | uint64(rng.Intn(1<<16)) }), false},
+		{"125-runs-of-200", ints(25_000, 64, func(i int) uint64 {
+			if i%200 == 0 {
+				runStart = rng.Uint64() >> 3
+			}
+			return runStart + uint64(i%200)
+		}), false},
+		{"ts-sensor", keys.Dedup(tsSensor), false},
+		{"sensor-ts", keys.Dedup(sensorTS), false},
+	}
+}
+
+// TestStaticLayoutChoice weighs the stage's layouts on layoutSets with IDs
+// in key order. The stage must take the layout whose whole MemoryUsage,
+// values included, is the smaller, and be no larger than the layout it
+// rejected; the trie's key bytes the rule predicts must be the built trie's.
+func TestStaticLayoutChoice(t *testing.T) {
+	for _, tc := range layoutSets() {
+		entries := entriesOf(tc.ks, false)
+		s := buildStatic(t, entries)
+		perKey := func(s *Static) float64 { return float64(s.MemoryUsage()) * 8 / float64(len(entries)) }
+		if (s.col != nil) != tc.column {
+			t.Errorf("%s: key column %v, want %v", tc.name, s.col != nil, tc.column)
+		}
+		k := len(tc.ks[0])
+		if k > 8 {
+			if s.tails == nil {
+				t.Errorf("%s: %d-byte keys are not in the lazy trie", tc.name, k)
+			}
+			t.Logf("%s: %d keys of %d bytes, lazy trie %.2f bits/key", tc.name, len(entries), k, perKey(s))
+			continue
+		}
+		trie, col := buildTrie(t, entries), buildColumn(entries)
+		if predicted, built := predictedTrieKeyBytes(t, entries), trie.trieKeyBytes(); predicted != built {
+			t.Errorf("%s: the rule predicts %d B of trie keys, the built trie holds %d B", tc.name, predicted, built)
+		}
+		if m := s.MemoryUsage(); m > min(trie.MemoryUsage(), col.MemoryUsage()) {
+			t.Errorf("%s: the stage takes %d B, the trie %d B and the column %d B", tc.name, m, trie.MemoryUsage(), col.MemoryUsage())
+		}
+		t.Logf("%s: %d keys of %d bytes, trie %.2f bits/key (keys %.2f), column %.2f (keys %.2f, values %.2f)",
+			tc.name, len(entries), k, perKey(trie), float64(trie.trieKeyBytes())*8/float64(len(entries)),
+			perKey(col), float64(col.col.keys.MemoryUsage())*8/float64(len(entries)), float64(col.col.values.MemoryUsage())*8/float64(len(entries)))
 	}
 }

@@ -3,12 +3,15 @@ package hybrid
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"mets/internal/index"
+	"mets/internal/keys"
 )
 
 // snapKey formats a deterministic test key.
@@ -262,5 +265,71 @@ func BenchmarkSnapshotDrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Cut(h)
+	}
+}
+
+// BenchmarkSnapshotPutTail times single inserts into one lib-write-merge
+// shard — 25,000 emails bulk-loaded, 25,000 others inserted in random order,
+// the default merge ratio and minimum, so the memtable grows to 4,096
+// entries and merges in the background — without snapshots and with a Cut
+// every 10 ms on another goroutine. It reports the inserts' p50, p99 and
+// p99.99: what the drains, which hold the writer mutex, add to a write's
+// tail is the difference between the two runs' percentiles.
+func BenchmarkSnapshotPutTail(b *testing.B) {
+	emails := keys.Dedup(keys.Emails(50_000, 1))
+	var bulk []index.Entry
+	var inserts [][]byte
+	for i, k := range emails {
+		if i%2 == 0 {
+			bulk = append(bulk, index.Entry{Key: k, Value: uint64(i)})
+		} else {
+			inserts = append(inserts, k)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(inserts), func(i, j int) { inserts[i], inserts[j] = inserts[j], inserts[i] })
+	for _, every := range []time.Duration{0, 10 * time.Millisecond} {
+		b.Run(fmt.Sprintf("snapshot_every=%v", every), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.EpochReads, cfg.BackgroundMerge = true, true
+			h := NewFST(cfg)
+			if err := h.BulkLoad(bulk); err != nil {
+				b.Fatal(err)
+			}
+			stop, done := make(chan struct{}), make(chan int)
+			go func() {
+				cuts := 0
+				if every > 0 {
+					tick := time.NewTicker(every)
+					defer tick.Stop()
+				wait:
+					for {
+						select {
+						case <-tick.C:
+							Cut(h)
+							cuts++
+						case <-stop:
+							break wait
+						}
+					}
+				}
+				done <- cuts
+			}()
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				t0 := time.Now()
+				h.Insert(inserts[i%len(inserts)], uint64(i))
+				lat[i] = time.Since(t0)
+			}
+			b.StopTimer()
+			close(stop)
+			cuts := <-done
+			h.WaitMerges()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2]), "put_p50_ns")
+			b.ReportMetric(float64(lat[len(lat)*99/100]), "put_p99_ns")
+			b.ReportMetric(float64(lat[len(lat)*9999/10000]), "put_p99.99_ns")
+			b.ReportMetric(float64(cuts), "cuts")
+		})
 	}
 }

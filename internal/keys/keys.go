@@ -99,8 +99,21 @@ func CommonPrefixBits(a, b []byte) int {
 }
 
 // CommonPrefixLen returns the length in bytes of the longest common prefix
-// of a and b.
-func CommonPrefixLen(a, b []byte) int { return CommonPrefixBits(a, b) / 8 }
+// of a and b, comparing eight bytes at a time: the first differing byte of a
+// word is its lowest set byte of the XOR, read little-endian.
+func CommonPrefixLen(a, b []byte) int {
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
 
 // Successor returns the smallest key strictly greater than all keys having k
 // as a prefix: k with its last byte incremented (carrying into shorter keys
