@@ -245,12 +245,9 @@ func (b *FORBuilder) Put(i int, v uint64) {
 	}
 }
 
-// FOR returns the encoded array once every value has been put. Called
-// before, it returns the array laid out at its final size, values unset.
+// FOR returns the encoded array once every value has been put.
 func (b *FORBuilder) FOR() FOR {
-	if !b.coded() && b.f.data == nil && b.f.n > 0 {
-		b.f.data = make([]uint64, b.f.n)
-	}
+	b.coded()
 	return b.f
 }
 

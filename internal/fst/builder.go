@@ -8,10 +8,9 @@
 // range counting. With Config.Truncate it stores only minimum-length
 // distinguishing prefixes, which is the basis of the SuRF filter (Chapter 4).
 // Static is a hybrid index's static stage in one of three layouts the keys
-// decide: keys of one length of at most 8 bytes as a column of integers
-// when that is no larger than the trie, other keys of one length in a
-// truncated trie with their tails kept beside it, and any other keys in a
-// complete trie.
+// decide: keys of one length of at most 8 bytes as a column of integers,
+// longer keys of one length in a truncated trie with their tails kept
+// beside it, and any other keys in a complete trie.
 package fst
 
 import (
@@ -121,6 +120,10 @@ type builder struct {
 	values []uint64
 	es     []index.Entry
 	leaf   func(slot, key, suffixStart int) // nil: leaves are not reported
+	// counted, if set, is handed the level counts between the two walks, so
+	// per-leaf material laid out by level can be allocated before the leaf
+	// calls fill it.
+	counted func(levels []levelCount)
 
 	cfg    Config
 	lcps   []uint8 // lcps[i]: the LCP of keys i and i+1, or lcpLong if not below it
@@ -171,18 +174,19 @@ func (b *builder) leafLevel(k []byte, p, q int) int {
 
 // build fills t.
 func (b *builder) build(t *Trie, cfg Config) error {
-	if err := b.count(cfg); err != nil {
+	if b.n == 0 {
+		return fmt.Errorf("fst: empty key set")
+	}
+	b.cfg = cfg
+	if err := b.count(); err != nil {
 		return err
 	}
-	b.write(t, b.cutoff())
-	return nil
-}
-
-// cutoff returns the number of LOUDS-Dense levels of the counted trie.
-func (b *builder) cutoff() int {
-	cutoff := b.cfg.DenseLevels
+	if b.counted != nil {
+		b.counted(b.levels)
+	}
+	cutoff := cfg.DenseLevels
 	if cutoff < 0 {
-		cutoff = pickCutoff(b.levels, b.cfg)
+		cutoff = pickCutoff(b.levels, cfg)
 	}
 	cutoff = min(cutoff, len(b.levels))
 	// A root holding only the empty key (no branches) cannot be expressed in
@@ -191,19 +195,16 @@ func (b *builder) cutoff() int {
 	if cutoff == 0 && b.n == 1 && len(b.key(0)) == 0 {
 		cutoff = 1
 	}
-	return cutoff
+	*t = Trie{cfg: cfg, height: len(b.levels), denseHeight: cutoff}
+	b.write(t)
+	return nil
 }
 
-// count takes the configuration, checks the keys are sorted and unique,
-// records their LCPs and fills b.levels. A key adds an entry to each of
-// levels p..leaf and a node to each of levels p+1..leaf (the first key also
-// the root), so the walk records where those ranges start and end, and the
-// sums come after.
-func (b *builder) count(cfg Config) error {
-	if b.n == 0 {
-		return fmt.Errorf("fst: empty key set")
-	}
-	b.cfg = cfg
+// count checks the keys are sorted and unique, records their LCPs and fills
+// b.levels. A key adds an entry to each of levels p..leaf and a node to each
+// of levels p+1..leaf (the first key also the root), so the walk records
+// where those ranges start and end, and the sums come after.
+func (b *builder) count() error {
 	b.lcps = make([]uint8, b.n)
 	var diff []levelCount
 	q := 0
@@ -298,11 +299,10 @@ func (c Config) blocks() (denseBlock, sparseBlock, sample int) {
 	return cmp.Or(c.RankDenseBlock, 64), cmp.Or(c.RankSparseBlock, 512), cmp.Or(c.SelectSample, 64)
 }
 
-// write lays out t's arrays from the level counts with cutoff dense levels,
-// frames the values, and fills the arrays in the second walk.
-func (b *builder) write(t *Trie, cutoff int) {
-	*t = Trie{cfg: b.cfg, height: len(b.levels), denseHeight: cutoff}
-	cfg := t.cfg
+// write lays out t's arrays from the level counts, frames the values, and
+// fills the arrays in the second walk.
+func (b *builder) write(t *Trie) {
+	cfg, cutoff := t.cfg, t.denseHeight
 	// cur is, per level, the dense node being filled or the next sparse
 	// position; slot the slot of the level's next leaf.
 	cur := make([]int, len(b.levels))

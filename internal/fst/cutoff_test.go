@@ -10,8 +10,8 @@ import (
 // ratioPick returns the cutoff §3.4's ratio rule alone picks for ks.
 func ratioPick(t testing.TB, ks [][]byte, values []uint64, cfg Config) int {
 	t.Helper()
-	b := &builder{n: len(ks), ks: ks, values: values}
-	if err := b.count(cfg); err != nil {
+	b := &builder{n: len(ks), ks: ks, values: values, cfg: cfg}
+	if err := b.count(); err != nil {
 		t.Fatal(err)
 	}
 	return ratioCutoff(b.levels, cfg.DenseRatio)

@@ -3,6 +3,7 @@ package fst
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"sync"
 	"unsafe"
 
@@ -13,16 +14,14 @@ import (
 // Static is a hybrid index's static stage (index.Static), in one of three
 // layouts that the keys decide:
 //
-//   - When every key has one length K of at most 8 bytes, and the column's
-//     key array is no larger than the trie's key structure would be, a key
-//     column: each key read as a K-byte big-endian integer, the integers in
-//     key order in one bits.FOR — for random keys its Elias–Fano form, about
+//   - When every key has one length K of at most 8 bytes, a key column: each
+//     key read as a K-byte big-endian integer, the integers in key order in
+//     one bits.FOR — for random keys its Elias–Fano form, about
 //     2 + log2(2^8K/n) bits a key — and the values in key order in another.
 //     The trie is empty.
-//   - When every key has one length K > 0 otherwise, lazy expansion: the
-//     trie is truncated, so a key's path stops at the level that tells it
-//     from its neighbours, and the rest of the key, its tail, is kept in
-//     tails.
+//   - When every key has one length K > 8, lazy expansion: the trie is
+//     truncated, so a key's path stops at the level that tells it from its
+//     neighbours, and the rest of the key, its tail, is kept in tails.
 //   - Otherwise a complete trie, and tails is nil.
 //
 // A trie's values are coded per region in slot order (bits.FOR). A level's
@@ -60,68 +59,52 @@ type column struct {
 // fewer per lookup at about the same size.
 var staticConfig = Config{StoreValues: true, DenseLevels: -1, DenseRatio: 8}
 
-// NewStatic builds the stage from sorted unique entries. Keys of one length
-// K <= 8 take the column when its key array — its exact size, from the key
-// builder's frames, before any key is put — is no larger than the trie's
-// key structure, computed from the counting walk (trieKeyBytes). Values are
-// left out: both layouts hold the same ones. The trie is not written when
-// the column wins.
+// NewStatic builds the stage from sorted unique entries.
 func NewStatic(entries []index.Entry) (*Static, error) {
 	if len(entries) == 0 {
 		return &Static{}, nil
 	}
 	k := fixedWidth(entries)
-	b, err := countTrie(entries, k)
-	if err != nil {
-		return nil, err
-	}
 	if k > 0 && k <= 8 {
-		kb, rising := frameColumn(entries)
-		if keys := kb.FOR(); keys.MemoryUsage() <= b.trieKeyBytes(b.cutoff(), k) {
-			return newColumn(entries, kb, rising), nil
-		}
+		return newColumn(entries)
 	}
-	return writeTrie(b, entries, k), nil
+	return newTrie(entries, k)
 }
 
-// countTrie runs the trie builder's counting walk over the entries, whose
-// keys all have length k, or differ in length when k is 0: then the trie is
-// complete, else truncated.
-func countTrie(entries []index.Entry, k int) (*builder, error) {
+// newTrie builds the trie over the entries, whose keys all have length k,
+// or differ in length when k is 0: then the trie is complete, else
+// truncated, with the tails kept beside it.
+func newTrie(entries []index.Entry, k int) (*Static, error) {
+	s := &Static{}
 	b := &builder{n: len(entries), es: entries}
 	cfg := staticConfig
-	cfg.Truncate = k > 0
-	return b, b.count(cfg)
-}
-
-// writeTrie writes the counted trie, with the tails of k-byte keys beside
-// it when k is not 0.
-func writeTrie(b *builder, entries []index.Entry, k int) *Static {
-	s := &Static{}
 	if k > 0 {
 		ts := &tails{keyLen: k}
-		s.tails = ts
-		ts.lay(b.levels)
+		s.tails, cfg.Truncate = ts, true
+		b.counted = ts.lay
 		b.leaf = func(slot, i, pathLen int) { copy(ts.at(slot, pathLen), entries[i].Key[pathLen:]) }
 	}
-	b.write(&s.t, b.cutoff())
-	return s
+	if err := b.build(&s.t, cfg); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
-// frameColumn frames the entries' keys, read as integers, in a builder of
-// the column's key array, and reports whether their values never decrease.
-func frameColumn(entries []index.Entry) (kb *bits.FORBuilder, rising bool) {
-	kb, rising = bits.NewFORBuilder(len(entries), true), true
+// newColumn codes the keys, read as integers, and the values in key order.
+// Keys of one length are sorted and unique exactly when their integers
+// rise.
+func newColumn(entries []index.Entry) (*Static, error) {
+	kb := bits.NewFORBuilder(len(entries), true)
+	rising, last := true, uint64(0)
 	for i, e := range entries {
-		kb.Frame(i, keyInt(e.Key))
+		x := keyInt(e.Key)
+		if i > 0 && x <= last {
+			return nil, fmt.Errorf("fst: keys must be sorted and unique (violated at index %d)", i)
+		}
+		kb.Frame(i, x)
+		last = x
 		rising = rising && (i == 0 || e.Value >= entries[i-1].Value)
 	}
-	return kb, rising
-}
-
-// newColumn puts the keys, framed in kb, and codes the values, which never
-// decrease in key order when rising is set.
-func newColumn(entries []index.Entry, kb *bits.FORBuilder, rising bool) *Static {
 	vb := bits.NewFORBuilder(len(entries), rising)
 	for i, e := range entries {
 		kb.Put(i, keyInt(e.Key))
@@ -130,7 +113,7 @@ func newColumn(entries []index.Entry, kb *bits.FORBuilder, rising bool) *Static 
 	for i, e := range entries {
 		vb.Put(i, e.Value)
 	}
-	return &Static{col: &column{keyLen: len(entries[0].Key), keys: kb.FOR(), values: vb.FOR()}}
+	return &Static{col: &column{keyLen: len(entries[0].Key), keys: kb.FOR(), values: vb.FOR()}}, nil
 }
 
 // keyInt reads a key of at most 8 bytes as a big-endian integer.
@@ -303,56 +286,13 @@ func (s *Static) MemoryUsage() int64 {
 		return m
 	}
 	t := &s.t
-	return m + s.trieKeyBytes() + t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
-}
-
-// trieKeyBytes returns the bytes of a trie's key structure: all it holds but
-// its values and the struct itself.
-func (s *Static) trieKeyBytes() int64 {
-	t := &s.t
-	m := t.dLabels.HeapSize() + t.dHasChild.HeapSize() + t.dIsPrefix.HeapSize()
+	m += t.dLabels.HeapSize() + t.dHasChild.HeapSize() + t.dIsPrefix.HeapSize()
 	m += bits.SliceAlloc(t.sLabels) + t.sHasChild.HeapSize() + t.sLouds.HeapSize()
+	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
 	m += bits.SliceAlloc(t.dLevelValueStart) + bits.SliceAlloc(t.sLevelPosStart) + bits.SliceAlloc(t.sLevelValueStart)
 	if ts := s.tails; ts != nil {
 		m += bits.AllocSize(int(unsafe.Sizeof(*ts)))
 		m += bits.SliceAlloc(ts.bytes) + bits.SliceAlloc(ts.slotStart) + bits.SliceAlloc(ts.tailStart)
 	}
 	return m
-}
-
-// trieKeyBytes returns what Static.trieKeyBytes will be for the counted trie
-// written with cutoff dense levels, its tails K-byte keys' when keyLen is
-// not 0: per region its bitmaps, with their rank lookup tables and the
-// LOUDS bits' select samples, and the sparse labels; the level tables; and
-// the tails.
-func (b *builder) trieKeyBytes(cutoff, keyLen int) int64 {
-	denseBlock, sparseBlock, sample := b.cfg.blocks()
-	var denseNodes, sparseNodes, entries, tailBytes int
-	for l, c := range b.levels {
-		if l < cutoff {
-			denseNodes += c.nodes
-		} else {
-			sparseNodes += c.nodes
-			entries += c.entries
-		}
-		tailBytes += c.leaves * (keyLen - l - 1)
-	}
-	levels := func(n int) int64 { return bits.AllocSize(8 * n) }
-	h := len(b.levels)
-	m := 2*rankBytes(denseNodes*256, denseBlock) + rankBytes(denseNodes, denseBlock)
-	m += bits.AllocSize(entries) + rankBytes(entries, sparseBlock)
-	m += rankBytes(entries, sparseBlock) - bits.AllocSize(int(unsafe.Sizeof(bits.RankVector{})))
-	m += bits.AllocSize(int(unsafe.Sizeof(bits.SelectVector{}))) + bits.AllocSize(4*((sparseNodes+sample-1)/sample))
-	m += levels(cutoff+1) + 2*levels(h-cutoff+1)
-	if keyLen != 0 {
-		m += bits.AllocSize(int(unsafe.Sizeof(tails{}))) + bits.AllocSize(tailBytes) + 2*levels(h)
-	}
-	return m
-}
-
-// rankBytes returns the bytes of a bits.RankVector over n bits with the given
-// block size: the struct, the words and one 32-bit rank per block and one
-// more.
-func rankBytes(n, block int) int64 {
-	return bits.AllocSize(int(unsafe.Sizeof(bits.RankVector{}))) + bits.AllocSize(8*((n+63)/64)) + bits.AllocSize(4*((n+block-1)/block+1))
 }

@@ -98,33 +98,14 @@ func staticProbes(ks [][]byte) [][]byte {
 }
 
 // checkStaticOracle builds the stage over the sorted unique keys ks, the i-th
-// holding vals[i], and holds it to the sorted slice (checkStage). Keys of one
-// length K <= 8 are also built in both layouts the stage chooses between,
-// and the choice is held to its rule: the column exactly when its key array
-// is no larger than the trie's key structure, which the counting walk
-// predicts exactly.
+// holding vals[i], and holds it to the sorted slice (checkStage).
 func checkStaticOracle(t testing.TB, ks [][]byte, vals []uint64, probes [][]byte) {
 	t.Helper()
 	entries := make([]index.Entry, len(ks))
 	for i, k := range ks {
 		entries[i] = index.Entry{Key: k, Value: vals[i]}
 	}
-	s := buildStatic(t, entries)
-	checkStage(t, s, ks, vals, probes)
-	if len(ks) == 0 {
-		return
-	}
-	if k := fixedWidth(entries); k > 0 && k <= 8 {
-		trie, col := buildTrie(t, entries), buildColumn(entries)
-		checkStage(t, trie, ks, vals, probes)
-		checkStage(t, col, ks, vals, probes)
-		if predicted, built := predictedTrieKeyBytes(t, entries), trie.trieKeyBytes(); predicted != built {
-			t.Fatalf("the rule predicts %d B of trie keys, the built trie holds %d B", predicted, built)
-		}
-		if want := col.col.keys.MemoryUsage() <= trie.trieKeyBytes(); (s.col != nil) != want {
-			t.Fatalf("column chosen %v, want %v: column keys %d B, trie keys %d B", s.col != nil, want, col.col.keys.MemoryUsage(), trie.trieKeyBytes())
-		}
-	}
+	checkStage(t, buildStatic(t, entries), ks, vals, probes)
 }
 
 // buildStatic builds the stage as NewStatic does.
@@ -137,34 +118,15 @@ func buildStatic(t testing.TB, entries []index.Entry) *Static {
 	return s
 }
 
-// buildTrie builds the stage as a trie, whichever layout the rule picks.
+// buildTrie builds the stage as a trie, truncated with tails when the keys
+// have one length, also where NewStatic would take the column.
 func buildTrie(t testing.TB, entries []index.Entry) *Static {
 	t.Helper()
-	k := fixedWidth(entries)
-	b, err := countTrie(entries, k)
+	s, err := newTrie(entries, fixedWidth(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return writeTrie(b, entries, k)
-}
-
-// buildColumn builds the stage as a key column, whichever layout the rule
-// picks.
-func buildColumn(entries []index.Entry) *Static {
-	kb, rising := frameColumn(entries)
-	return newColumn(entries, kb, rising)
-}
-
-// predictedTrieKeyBytes returns the size of the truncated trie's key
-// structure over fixed-width entries as the counting walk predicts it.
-func predictedTrieKeyBytes(t testing.TB, entries []index.Entry) int64 {
-	t.Helper()
-	k := fixedWidth(entries)
-	b, err := countTrie(entries, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b.trieKeyBytes(b.cutoff(), k)
+	return s
 }
 
 // checkStage holds the stage s over the sorted unique keys ks, the i-th
@@ -184,9 +146,12 @@ func checkStage(t testing.TB, s *Static, ks [][]byte, vals []uint64, probes [][]
 	if kept := s.tails != nil || s.col != nil; kept != fixed {
 		t.Fatalf("tails or column kept %v, want %v: only keys of one length > 0 are", kept, fixed)
 	}
+	if column := fixed && len(ks[0]) <= 8; (s.col != nil) != column {
+		t.Fatalf("key column %v, want %v: keys of one length of at most 8 bytes take it", s.col != nil, column)
+	}
 	if c := s.col; c != nil {
-		if len(ks[0]) > 8 || s.t.height != 0 {
-			t.Fatalf("a column of %d-byte keys beside a trie of height %d", len(ks[0]), s.t.height)
+		if s.t.height != 0 {
+			t.Fatalf("a column beside a trie of height %d", s.t.height)
 		}
 		checkColumnCoding(t, c, ks, vals)
 	} else {
@@ -306,7 +271,7 @@ func TestStaticAgainstOracle(t *testing.T) {
 	sets["urls"] = keys.Dedup(keys.URLs(3000, 4))
 	sets["empty-key-only"] = [][]byte{{}}
 	sets["one-key"] = [][]byte{[]byte("solo")}
-	// Keys of one length up to 8 bytes: the key column, and the trie beside it.
+	// Keys of one length up to 8 bytes: the key column.
 	u64s := keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(5000, 45)))
 	sets["random-u64"] = u64s
 	var all1, dense2 [][]byte
@@ -319,8 +284,8 @@ func TestStaticAgainstOracle(t *testing.T) {
 	sets["k1-all-bytes"] = all1
 	sets["k2-dense"] = keys.Dedup(dense2)
 	sets["one-8-byte-key"] = [][]byte{keys.Uint64(0x00ff00ff00ff00ff)}
-	// Keys of one length the trie holds: clustered 8-byte keys, which the
-	// column would hold in more room, and 16-byte keys.
+	// Clustered 8-byte keys, which the column holds in more room than the
+	// trie would, and 16-byte keys, which the lazy trie holds.
 	sets["u64-runs"] = layoutSets()[7].ks[:5000]
 	sets["ts-sensor"] = layoutSets()[8].ks[:5000]
 	// One key of another length keeps the set complete.
@@ -338,6 +303,21 @@ func TestStaticAgainstOracle(t *testing.T) {
 	}
 	if _, ok := s.Get(nil); ok || s.Len() != 0 || s.Scan(nil, func([]byte, uint64) bool { return true }) != 0 {
 		t.Fatal("empty stage is not empty")
+	}
+}
+
+// TestStaticRejectsBadInput holds each layout to the trie builder's check:
+// keys out of order or repeated fail the build.
+func TestStaticRejectsBadInput(t *testing.T) {
+	for _, ks := range [][][]byte{
+		{keys.Uint64(2), keys.Uint64(1)}, // the key column
+		{keys.Uint64(1), keys.Uint64(1)},
+		{keys.Uint128(0, 2), keys.Uint128(0, 1)}, // the lazy trie
+		{[]byte("b"), []byte("ab")},              // the complete trie
+	} {
+		if _, err := NewStatic(entriesOf(ks, false)); err == nil {
+			t.Errorf("NewStatic accepted keys %x", ks)
+		}
 	}
 }
 
@@ -359,7 +339,7 @@ func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte{1, 'x'})
 	// A first byte from 0xf0 to 0xfe picks the fixed-width mode: the rest is
 	// cut into keys of K = 1 to 8, 9 or 16 bytes (0xf0 to 0xf9, then again
-	// from 0xfa); K <= 8 is built as a column and as a trie.
+	// from 0xfa): the key column for K <= 8, the lazy trie above.
 	f.Add([]byte{0xf0, 0x00, 0xff, 0x7f, 0x80, 0x01, 0xfe, 0x00})
 	f.Add([]byte{0xf1, 0, 0, 0, 1, 0, 0xff, 0xff, 0, 0xff, 0xff, 1, 2, 1, 3, 0xff, 0xfe})
 	f.Add([]byte{0xf7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
@@ -368,7 +348,8 @@ func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte{0xf8, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff})
 	f.Add(append(append([]byte{0xf9}, bytes.Repeat([]byte{0xff}, 32)...), bytes.Repeat([]byte{0, 0xff, 7}, 11)...))
 	// Clustered 8-byte keys: ten runs of 40 consecutive integers from
-	// scattered starts, which the trie holds in less room than the column.
+	// scattered starts, which the trie would hold in less room than the
+	// column does.
 	clustered, start := []byte{0xf7}, uint64(0x9e3779b97f4a7c15)
 	for range 10 {
 		start = start*6364136223846793005 + 1442695040888963407
@@ -378,8 +359,8 @@ func FuzzStaticOps(f *testing.F) {
 	}
 	f.Add(clustered)
 	// Values in key order: IDs, then steps whose shifted values would pass
-	// 2^64, in the complete layout, and the same two over 8-byte keys, built
-	// as a column and as a trie with tails.
+	// 2^64, in the complete layout, and the same two over 8-byte keys, in
+	// the column.
 	f.Add([]byte("\xe0seed-corpus-entry"))
 	f.Add([]byte{0xe1, 0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
 	f.Add([]byte{0xe3, 3, 'a', 'b', 3, 'a', 'c', 1, 'a', 2, 'b', 'z', 3, 'b', 'z', 'z'})
@@ -623,19 +604,19 @@ func TestStaticCompleteLayoutCostsNothing(t *testing.T) {
 	}
 }
 
-// layoutSets returns the key sets the layout rule is weighed on, each about
+// layoutSets returns the key sets the layouts are weighed on, each about
 // one of eight shards: random 8-byte keys from the top eighth of the range
 // at served-read's and served-durable's shard sizes; random 4- and 6-byte
 // keys; every third integer; gaps drawn from an exponential distribution;
 // 100 random 6-byte prefixes with random 2-byte suffixes; 125 runs of 200
 // consecutive integers; and sensor events keyed timestamp‖sensor and
-// sensor‖timestamp (16 bytes, which only the trie holds). want is the
-// layout each takes: the column for the first six, the trie for the
-// clustered ones.
+// sensor‖timestamp (16 bytes, which the lazy trie holds). clustered marks
+// the two sets of 8-byte keys whose shared prefixes the trie would hold in
+// less room than the column does.
 func layoutSets() []struct {
-	name   string
-	ks     [][]byte
-	column bool
+	name      string
+	ks        [][]byte
+	clustered bool
 } {
 	rng := rand.New(rand.NewSource(47))
 	ints := func(n int, width uint, gen func(i int) uint64) [][]byte {
@@ -658,43 +639,41 @@ func layoutSets() []struct {
 		tsSensor[i], sensorTS[i] = e.Key(), keys.Uint128(e.SensorID, e.Timestamp)
 	}
 	return []struct {
-		name   string
-		ks     [][]byte
-		column bool
+		name      string
+		ks        [][]byte
+		clustered bool
 	}{
-		{"random-u64-62.5k", ints(62_500, 64, func(int) uint64 { return rng.Uint64() >> 3 }), true},
-		{"random-u64-25k", ints(25_000, 64, func(int) uint64 { return rng.Uint64() >> 3 }), true},
-		{"random-u32", ints(62_500, 32, func(int) uint64 { return rng.Uint64() >> 35 }), true},
-		{"random-6B", ints(62_500, 48, func(int) uint64 { return rng.Uint64() >> 19 }), true},
-		{"seq-u64x3", ints(62_500, 64, func(i int) uint64 { return 3 * uint64(i) }), true},
+		{"random-u64-62.5k", ints(62_500, 64, func(int) uint64 { return rng.Uint64() >> 3 }), false},
+		{"random-u64-25k", ints(25_000, 64, func(int) uint64 { return rng.Uint64() >> 3 }), false},
+		{"random-u32", ints(62_500, 32, func(int) uint64 { return rng.Uint64() >> 35 }), false},
+		{"random-6B", ints(62_500, 48, func(int) uint64 { return rng.Uint64() >> 19 }), false},
+		{"seq-u64x3", ints(62_500, 64, func(i int) uint64 { return 3 * uint64(i) }), false},
 		{"exp-gaps", ints(62_500, 64, func(int) uint64 {
 			gap += uint64(rng.ExpFloat64() * (1 << 45))
 			return gap
-		}), true},
-		{"100-prefixes-x-u16", ints(62_500, 64, func(i int) uint64 { return prefixes[i%100] | uint64(rng.Intn(1<<16)) }), false},
+		}), false},
+		{"100-prefixes-x-u16", ints(62_500, 64, func(i int) uint64 { return prefixes[i%100] | uint64(rng.Intn(1<<16)) }), true},
 		{"125-runs-of-200", ints(25_000, 64, func(i int) uint64 {
 			if i%200 == 0 {
 				runStart = rng.Uint64() >> 3
 			}
 			return runStart + uint64(i%200)
-		}), false},
+		}), true},
 		{"ts-sensor", keys.Dedup(tsSensor), false},
 		{"sensor-ts", keys.Dedup(sensorTS), false},
 	}
 }
 
-// TestStaticLayoutChoice weighs the stage's layouts on layoutSets with IDs
-// in key order. The stage must take the layout whose whole MemoryUsage,
-// values included, is the smaller, and be no larger than the layout it
-// rejected; the trie's key bytes the rule predicts must be the built trie's.
+// TestStaticLayoutChoice holds the stage on layoutSets, with IDs in key
+// order, to the layout the key length gives: the column for keys of at most
+// 8 bytes, the lazy trie for longer ones. Against the lazy trie it replaces,
+// the column must take less room on every set of 8-byte or shorter keys but
+// the clustered ones, on which the test logs what the column costs more.
 func TestStaticLayoutChoice(t *testing.T) {
 	for _, tc := range layoutSets() {
 		entries := entriesOf(tc.ks, false)
 		s := buildStatic(t, entries)
 		perKey := func(s *Static) float64 { return float64(s.MemoryUsage()) * 8 / float64(len(entries)) }
-		if (s.col != nil) != tc.column {
-			t.Errorf("%s: key column %v, want %v", tc.name, s.col != nil, tc.column)
-		}
 		k := len(tc.ks[0])
 		if k > 8 {
 			if s.tails == nil {
@@ -703,15 +682,15 @@ func TestStaticLayoutChoice(t *testing.T) {
 			t.Logf("%s: %d keys of %d bytes, lazy trie %.2f bits/key", tc.name, len(entries), k, perKey(s))
 			continue
 		}
-		trie, col := buildTrie(t, entries), buildColumn(entries)
-		if predicted, built := predictedTrieKeyBytes(t, entries), trie.trieKeyBytes(); predicted != built {
-			t.Errorf("%s: the rule predicts %d B of trie keys, the built trie holds %d B", tc.name, predicted, built)
+		if s.col == nil {
+			t.Fatalf("%s: %d-byte keys are not in the key column", tc.name, k)
 		}
-		if m := s.MemoryUsage(); m > min(trie.MemoryUsage(), col.MemoryUsage()) {
-			t.Errorf("%s: the stage takes %d B, the trie %d B and the column %d B", tc.name, m, trie.MemoryUsage(), col.MemoryUsage())
+		trie := buildTrie(t, entries)
+		if !tc.clustered && s.MemoryUsage() >= trie.MemoryUsage() {
+			t.Errorf("%s: the column takes %d B, the lazy trie %d B", tc.name, s.MemoryUsage(), trie.MemoryUsage())
 		}
-		t.Logf("%s: %d keys of %d bytes, trie %.2f bits/key (keys %.2f), column %.2f (keys %.2f, values %.2f)",
-			tc.name, len(entries), k, perKey(trie), float64(trie.trieKeyBytes())*8/float64(len(entries)),
-			perKey(col), float64(col.col.keys.MemoryUsage())*8/float64(len(entries)), float64(col.col.values.MemoryUsage())*8/float64(len(entries)))
+		t.Logf("%s: %d keys of %d bytes, column %.2f bits/key (keys %.2f, values %.2f), lazy trie %.2f",
+			tc.name, len(entries), k, perKey(s), float64(s.col.keys.MemoryUsage())*8/float64(len(entries)),
+			float64(s.col.values.MemoryUsage())*8/float64(len(entries)), perKey(trie))
 	}
 }
