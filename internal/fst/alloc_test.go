@@ -12,7 +12,7 @@ import (
 // iterator pool, which SuRF's range probes share, holds an iterator, and the
 // key column's buffer pool a buffer: with random values (plain slots) and
 // with IDs in key order (Elias–Fano), over random 8-byte keys (the key
-// column) and 16-byte ones (the lazy trie).
+// column) and 16-byte ones (the complete trie).
 func TestStaticScanAllocs(t *testing.T) {
 	u64s := sortedByteKeys(keys.EncodeUint64s(keys.RandomUint64(20_000, 35)))
 	for _, ks := range [][][]byte{u64s, layoutSets()[8].ks} {

@@ -7,10 +7,9 @@
 // lookup, lower-bound seeks with forward iteration, and O(height) approximate
 // range counting. With Config.Truncate it stores only minimum-length
 // distinguishing prefixes, which is the basis of the SuRF filter (Chapter 4).
-// Static is a hybrid index's static stage in one of three layouts the keys
-// decide: keys of one length of at most 8 bytes as a column of integers,
-// longer keys of one length in a truncated trie with their tails kept
-// beside it, and any other keys in a complete trie.
+// Static is a hybrid index's static stage in one of two layouts the keys
+// decide: keys of one length of at most 8 bytes as a column of integers, and
+// any other keys in a complete trie.
 package fst
 
 import (
@@ -120,10 +119,6 @@ type builder struct {
 	values []uint64
 	es     []index.Entry
 	leaf   func(slot, key, suffixStart int) // nil: leaves are not reported
-	// counted, if set, is handed the level counts between the two walks, so
-	// per-leaf material laid out by level can be allocated before the leaf
-	// calls fill it.
-	counted func(levels []levelCount)
 
 	cfg    Config
 	lcps   []uint8 // lcps[i]: the LCP of keys i and i+1, or lcpLong if not below it
@@ -180,9 +175,6 @@ func (b *builder) build(t *Trie, cfg Config) error {
 	b.cfg = cfg
 	if err := b.count(); err != nil {
 		return err
-	}
-	if b.counted != nil {
-		b.counted(b.levels)
 	}
 	cutoff := cfg.DenseLevels
 	if cutoff < 0 {

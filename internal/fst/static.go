@@ -1,7 +1,6 @@
 package fst
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -11,7 +10,7 @@ import (
 	"mets/internal/index"
 )
 
-// Static is a hybrid index's static stage (index.Static), in one of three
+// Static is a hybrid index's static stage (index.Static), in one of two
 // layouts that the keys decide:
 //
 //   - When every key has one length K of at most 8 bytes, a key column: each
@@ -19,10 +18,7 @@ import (
 //     one bits.FOR — for random keys its Elias–Fano form, about
 //     2 + log2(2^8K/n) bits a key — and the values in key order in another.
 //     The trie is empty.
-//   - When every key has one length K > 8, lazy expansion: the trie is
-//     truncated, so a key's path stops at the level that tells it from its
-//     neighbours, and the rest of the key, its tail, is kept in tails.
-//   - Otherwise a complete trie, and tails is nil.
+//   - Otherwise the complete trie of Chapter 3, every key byte stored.
 //
 // A trie's values are coded per region in slot order (bits.FOR). A level's
 // leaves are in key order, so tuple IDs loaded in key order rise along each
@@ -30,20 +26,8 @@ import (
 // ended, and the region is one rising sequence in the Elias–Fano form
 // (shiftLevels).
 type Static struct {
-	t     Trie
-	tails *tails
-	col   *column
-}
-
-// tails holds the rest of every key of a fixed-width set past its leaf, in
-// slot order. A level's leaves take consecutive slots (the levels follow one
-// another in slot order) and their tails share one width, K-l-1 on level l,
-// so a tail's place is arithmetic and no leaf needs a locator.
-type tails struct {
-	keyLen int // K
-	bytes  []byte
-	// Per level: the slot of its first leaf and where that leaf's tail starts.
-	slotStart, tailStart []int
+	t   Trie
+	col *column
 }
 
 // column holds a set of keys of one length K <= 8 as integers: key i, read
@@ -64,27 +48,16 @@ func NewStatic(entries []index.Entry) (*Static, error) {
 	if len(entries) == 0 {
 		return &Static{}, nil
 	}
-	k := fixedWidth(entries)
-	if k > 0 && k <= 8 {
+	if k := fixedWidth(entries); k > 0 && k <= 8 {
 		return newColumn(entries)
 	}
-	return newTrie(entries, k)
+	return newTrie(entries)
 }
 
-// newTrie builds the trie over the entries, whose keys all have length k,
-// or differ in length when k is 0: then the trie is complete, else
-// truncated, with the tails kept beside it.
-func newTrie(entries []index.Entry, k int) (*Static, error) {
+// newTrie builds the complete trie over the entries.
+func newTrie(entries []index.Entry) (*Static, error) {
 	s := &Static{}
-	b := &builder{n: len(entries), es: entries}
-	cfg := staticConfig
-	if k > 0 {
-		ts := &tails{keyLen: k}
-		s.tails, cfg.Truncate = ts, true
-		b.counted = ts.lay
-		b.leaf = func(slot, i, pathLen int) { copy(ts.at(slot, pathLen), entries[i].Key[pathLen:]) }
-	}
-	if err := b.build(&s.t, cfg); err != nil {
+	if err := (&builder{n: len(entries), es: entries}).build(&s.t, staticConfig); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -139,30 +112,6 @@ func fixedWidth(entries []index.Entry) int {
 	return k
 }
 
-// lay allocates the tails of a truncated trie's leaves from its level
-// counts.
-func (ts *tails) lay(levels []levelCount) {
-	ts.slotStart, ts.tailStart = make([]int, len(levels)), make([]int, len(levels))
-	slot, off := 0, 0
-	for l, c := range levels {
-		ts.slotStart[l], ts.tailStart[l] = slot, off
-		slot += c.leaves
-		off += c.leaves * (ts.keyLen - l - 1)
-	}
-	ts.bytes = make([]byte, off)
-}
-
-// at returns the tail of the leaf in slot, whose path is pathLen bytes long:
-// nil in the complete layout.
-func (ts *tails) at(slot, pathLen int) []byte {
-	if ts == nil {
-		return nil
-	}
-	l, w := pathLen-1, ts.keyLen-pathLen
-	off := ts.tailStart[l] + (slot-ts.slotStart[l])*w
-	return ts.bytes[off : off+w : off+w]
-}
-
 // Len returns the number of entries.
 func (s *Static) Len() int {
 	if s.col != nil {
@@ -172,8 +121,8 @@ func (s *Static) Len() int {
 }
 
 // Get returns the value stored under key: in a column, the first integer no
-// smaller than the key's must be the key's; in a trie, the leaf the key
-// reaches must hold it whole, path and tail.
+// smaller than the key's must be the key's; in a trie, the key must end at
+// the leaf it reaches.
 func (s *Static) Get(key []byte) (uint64, bool) {
 	if c := s.col; c != nil {
 		if len(key) != c.keyLen {
@@ -185,14 +134,7 @@ func (s *Static) Get(key []byte) (uint64, bool) {
 		}
 		return 0, false
 	}
-	if s.t.height == 0 || s.tails != nil && len(key) != s.tails.keyLen {
-		return 0, false
-	}
-	slot, level, pathLen, _, ok := s.t.lookup(key)
-	if !ok || !bytes.Equal(key[pathLen:], s.tails.at(slot, pathLen)) {
-		return 0, false
-	}
-	return s.t.valueAt(slot, level), true
+	return s.t.Get(key)
 }
 
 // Scan visits entries in order from the smallest key >= start. The key is
@@ -207,25 +149,15 @@ func (s *Static) Scan(start []byte, fn func(key []byte, value uint64) bool) int 
 		return 0
 	}
 	it := s.t.PooledIterator()
-	// The seek stops at a leaf whose path is a proper prefix of start; its
-	// key is the bound only if its tail makes it no smaller than start.
+	// The seek stops at a leaf whose key is a proper prefix of start, and so
+	// smaller than it.
 	if it.SeekLowerBound(start) {
-		if path := len(it.key); bytes.Compare(s.tails.at(it.slot(), path), start[path:]) < 0 {
-			it.Next()
-		}
+		it.Next()
 	}
 	count := 0
 	for ; it.valid; it.Next() {
 		count++
-		slot, v := it.nextValue()
-		key := it.key
-		if s.tails != nil {
-			// The tail goes past the path in the walk's buffer, where its
-			// next step writes over it; a grown buffer is kept.
-			key = append(key, s.tails.at(slot, len(key))...)
-			it.key = key[:len(it.key)]
-		}
-		if !fn(key, v) {
+		if !fn(it.key, it.nextValue()) {
 			break
 		}
 	}
@@ -290,9 +222,5 @@ func (s *Static) MemoryUsage() int64 {
 	m += bits.SliceAlloc(t.sLabels) + t.sHasChild.HeapSize() + t.sLouds.HeapSize()
 	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
 	m += bits.SliceAlloc(t.dLevelValueStart) + bits.SliceAlloc(t.sLevelPosStart) + bits.SliceAlloc(t.sLevelValueStart)
-	if ts := s.tails; ts != nil {
-		m += bits.AllocSize(int(unsafe.Sizeof(*ts)))
-		m += bits.SliceAlloc(ts.bytes) + bits.SliceAlloc(ts.slotStart) + bits.SliceAlloc(ts.tailStart)
-	}
 	return m
 }

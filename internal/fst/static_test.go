@@ -118,11 +118,11 @@ func buildStatic(t testing.TB, entries []index.Entry) *Static {
 	return s
 }
 
-// buildTrie builds the stage as a trie, truncated with tails when the keys
-// have one length, also where NewStatic would take the column.
+// buildTrie builds the stage as the complete trie, also where NewStatic
+// would take the column.
 func buildTrie(t testing.TB, entries []index.Entry) *Static {
 	t.Helper()
-	s, err := newTrie(entries, fixedWidth(entries))
+	s, err := newTrie(entries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,20 +139,15 @@ func checkStage(t testing.TB, s *Static, ks [][]byte, vals []uint64, probes [][]
 	if s.Len() != len(ks) {
 		t.Fatalf("Len = %d, want %d", s.Len(), len(ks))
 	}
-	fixed := len(ks) > 0 && len(ks[0]) > 0
+	column := len(ks) > 0 && len(ks[0]) > 0 && len(ks[0]) <= 8
 	for _, k := range ks {
-		fixed = fixed && len(k) == len(ks[0])
+		column = column && len(k) == len(ks[0])
 	}
-	if kept := s.tails != nil || s.col != nil; kept != fixed {
-		t.Fatalf("tails or column kept %v, want %v: only keys of one length > 0 are", kept, fixed)
-	}
-	if column := fixed && len(ks[0]) <= 8; (s.col != nil) != column {
-		t.Fatalf("key column %v, want %v: keys of one length of at most 8 bytes take it", s.col != nil, column)
+	if (s.col != nil) != column || (s.t.height != 0) != (!column && len(ks) > 0) {
+		t.Fatalf("key column %v beside a trie of height %d; want the column exactly when every key has one length of 1 to 8 bytes (%v), else a trie",
+			s.col != nil, s.t.height, column)
 	}
 	if c := s.col; c != nil {
-		if s.t.height != 0 {
-			t.Fatalf("a column beside a trie of height %d", s.t.height)
-		}
 		checkColumnCoding(t, c, ks, vals)
 	} else {
 		checkValueCoding(t, &s.t, vals)
@@ -285,7 +280,7 @@ func TestStaticAgainstOracle(t *testing.T) {
 	sets["k2-dense"] = keys.Dedup(dense2)
 	sets["one-8-byte-key"] = [][]byte{keys.Uint64(0x00ff00ff00ff00ff)}
 	// Clustered 8-byte keys, which the column holds in more room than the
-	// trie would, and 16-byte keys, which the lazy trie holds.
+	// trie would, and 16-byte keys, which take the complete trie.
 	sets["u64-runs"] = layoutSets()[7].ks[:5000]
 	sets["ts-sensor"] = layoutSets()[8].ks[:5000]
 	// One key of another length keeps the set complete.
@@ -312,8 +307,8 @@ func TestStaticRejectsBadInput(t *testing.T) {
 	for _, ks := range [][][]byte{
 		{keys.Uint64(2), keys.Uint64(1)}, // the key column
 		{keys.Uint64(1), keys.Uint64(1)},
-		{keys.Uint128(0, 2), keys.Uint128(0, 1)}, // the lazy trie
-		{[]byte("b"), []byte("ab")},              // the complete trie
+		{keys.Uint128(0, 2), keys.Uint128(0, 1)}, // the complete trie: one length above 8 bytes
+		{[]byte("b"), []byte("ab")},              // the complete trie: lengths differ
 	} {
 		if _, err := NewStatic(entriesOf(ks, false)); err == nil {
 			t.Errorf("NewStatic accepted keys %x", ks)
@@ -339,7 +334,7 @@ func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte{1, 'x'})
 	// A first byte from 0xf0 to 0xfe picks the fixed-width mode: the rest is
 	// cut into keys of K = 1 to 8, 9 or 16 bytes (0xf0 to 0xf9, then again
-	// from 0xfa): the key column for K <= 8, the lazy trie above.
+	// from 0xfa): the key column for K <= 8, the complete trie above.
 	f.Add([]byte{0xf0, 0x00, 0xff, 0x7f, 0x80, 0x01, 0xfe, 0x00})
 	f.Add([]byte{0xf1, 0, 0, 0, 1, 0, 0xff, 0xff, 0, 0xff, 0xff, 1, 2, 1, 3, 0xff, 0xfe})
 	f.Add([]byte{0xf7, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0xff,
@@ -455,7 +450,7 @@ func TestStaticMemoryUsageMatchesHeap(t *testing.T) {
 	datasets := map[string][][]byte{
 		"hope-emails": hopeEncoded(t, keys.Dedup(keys.Emails(200000, 1))),
 		"random-u64":  keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(200000, 1))), // the key column
-		"ts-sensor":   layoutSets()[8].ks,                                           // the lazy trie
+		"ts-sensor":   layoutSets()[8].ks,                                           // 16-byte keys: the complete trie
 	}
 	for name, ks := range datasets {
 		for _, random := range []bool{false, true} {
@@ -571,29 +566,32 @@ func TestStaticShiftOverflowFallsBack(t *testing.T) {
 }
 
 // TestStaticCompleteLayoutCostsNothing holds the stage over keys of
-// different lengths (lib-read's HOPE-encoded emails) to the complete trie
-// fst.Build makes under the same tuning: no tails, not a byte more, and a
-// struct in no larger a size class than a trie and an entry count.
+// different lengths (lib-read's HOPE-encoded emails) and over the two sets
+// of 16-byte keys to the complete trie fst.Build makes under the same
+// tuning: not a byte more, and a struct in no larger a size class than a
+// trie and an entry count.
 func TestStaticCompleteLayoutCostsNothing(t *testing.T) {
-	ks := hopeEncoded(t, keys.Dedup(keys.Emails(100000, 1)))
-	entries := entriesOf(ks, false)
-	s, err := NewStatic(entries)
-	if err != nil {
-		t.Fatal(err)
+	sets := map[string][][]byte{"hope-emails": hopeEncoded(t, keys.Dedup(keys.Emails(100000, 1)))}
+	for _, tc := range layoutSets()[8:] {
+		sets[tc.name] = tc.ks
 	}
-	values := make([]uint64, len(entries))
-	for i, e := range entries {
-		values[i] = e.Value
-	}
-	trie, err := Build(ks, values, staticConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.tails != nil {
-		t.Fatal("keys of different lengths kept tails")
-	}
-	if got, want := s.MemoryUsage(), (&Static{t: *trie}).MemoryUsage(); got != want {
-		t.Fatalf("MemoryUsage = %d B, want the complete trie's %d B", got, want)
+	for name, ks := range sets {
+		entries := entriesOf(ks, false)
+		s, err := NewStatic(entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		values := make([]uint64, len(entries))
+		for i, e := range entries {
+			values[i] = e.Value
+		}
+		trie, err := Build(ks, values, staticConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := s.MemoryUsage(), (&Static{t: *trie}).MemoryUsage(); got != want {
+			t.Fatalf("%s: MemoryUsage = %d B, want the complete trie's %d B", name, got, want)
+		}
 	}
 	type trieAndCount struct {
 		t Trie
@@ -610,7 +608,7 @@ func TestStaticCompleteLayoutCostsNothing(t *testing.T) {
 // keys; every third integer; gaps drawn from an exponential distribution;
 // 100 random 6-byte prefixes with random 2-byte suffixes; 125 runs of 200
 // consecutive integers; and sensor events keyed timestamp‖sensor and
-// sensor‖timestamp (16 bytes, which the lazy trie holds). clustered marks
+// sensor‖timestamp (16 bytes, which take the complete trie). clustered marks
 // the two sets of 8-byte keys whose shared prefixes the trie would hold in
 // less room than the column does.
 func layoutSets() []struct {
@@ -666,9 +664,9 @@ func layoutSets() []struct {
 
 // TestStaticLayoutChoice holds the stage on layoutSets, with IDs in key
 // order, to the layout the key length gives: the column for keys of at most
-// 8 bytes, the lazy trie for longer ones. Against the lazy trie it replaces,
-// the column must take less room on every set of 8-byte or shorter keys but
-// the clustered ones, on which the test logs what the column costs more.
+// 8 bytes, the complete trie for longer ones. Against the complete trie, the
+// column must take less room on every set of 8-byte or shorter keys but the
+// clustered ones, on which the test logs what the column costs more.
 func TestStaticLayoutChoice(t *testing.T) {
 	for _, tc := range layoutSets() {
 		entries := entriesOf(tc.ks, false)
@@ -676,10 +674,10 @@ func TestStaticLayoutChoice(t *testing.T) {
 		perKey := func(s *Static) float64 { return float64(s.MemoryUsage()) * 8 / float64(len(entries)) }
 		k := len(tc.ks[0])
 		if k > 8 {
-			if s.tails == nil {
-				t.Errorf("%s: %d-byte keys are not in the lazy trie", tc.name, k)
+			if s.col != nil {
+				t.Errorf("%s: %d-byte keys are in the key column", tc.name, k)
 			}
-			t.Logf("%s: %d keys of %d bytes, lazy trie %.2f bits/key", tc.name, len(entries), k, perKey(s))
+			t.Logf("%s: %d keys of %d bytes, complete trie %.2f bits/key", tc.name, len(entries), k, perKey(s))
 			continue
 		}
 		if s.col == nil {
@@ -687,9 +685,9 @@ func TestStaticLayoutChoice(t *testing.T) {
 		}
 		trie := buildTrie(t, entries)
 		if !tc.clustered && s.MemoryUsage() >= trie.MemoryUsage() {
-			t.Errorf("%s: the column takes %d B, the lazy trie %d B", tc.name, s.MemoryUsage(), trie.MemoryUsage())
+			t.Errorf("%s: the column takes %d B, the complete trie %d B", tc.name, s.MemoryUsage(), trie.MemoryUsage())
 		}
-		t.Logf("%s: %d keys of %d bytes, column %.2f bits/key (keys %.2f, values %.2f), lazy trie %.2f",
+		t.Logf("%s: %d keys of %d bytes, column %.2f bits/key (keys %.2f, values %.2f), complete trie %.2f",
 			tc.name, len(entries), k, perKey(s), float64(s.col.keys.MemoryUsage())*8/float64(len(entries)),
 			float64(s.col.values.MemoryUsage())*8/float64(len(entries)), perKey(trie))
 	}

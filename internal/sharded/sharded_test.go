@@ -380,11 +380,10 @@ func TestDifferential(t *testing.T) {
 }
 
 // TestShardedDifferentialFixedWidth is the served configuration: raw 8-byte
-// keys and no codec, so every static stage a merge builds stores its keys
-// truncated with their tails beside the trie. The keys spread over the
-// shards by their first byte and share long runs of zero bytes below it,
-// the chains lazy expansion cuts. Inserts, updates and deletes go through
-// background merges; point reads, and ScanN from stored keys, their
+// keys and no codec, so every static stage a merge builds is a key column
+// (fst.Static). The keys spread over the shards by their first byte and
+// share long runs of zero bytes below it. Inserts, updates and deletes go
+// through background merges; point reads, and ScanN from stored keys, their
 // prefixes and extensions and the empty start, which cross shards, are held
 // to a sorted model.
 func TestShardedDifferentialFixedWidth(t *testing.T) {
