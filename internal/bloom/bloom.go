@@ -1,11 +1,15 @@
 // Package bloom implements a standard Bloom filter with k independent hash
 // probes derived from a 64-bit mix function (double hashing), matching the
 // filter RocksDB uses as adapted in the thesis (§4.3: a 64-bit variant so
-// false-positive rates track theory at large n).
+// false-positive rates track theory at large n). A probe's 64-bit hash h is
+// mapped to a bit of the m-bit vector by Lemire's multiply-shift range
+// reduction, the high word of h·m, instead of h mod m: one multiplication
+// in place of a 64-bit division, with the same near-uniform spread.
 package bloom
 
 import (
 	"math"
+	mathbits "math/bits"
 
 	"mets/internal/bits"
 )
@@ -48,7 +52,7 @@ func Build(ks [][]byte, bitsPerKey float64) *Filter {
 func (f *Filter) Add(key []byte) {
 	h1, h2 := hash128(key)
 	for i := 0; i < f.k; i++ {
-		f.bv.Set(int((h1 + uint64(i)*h2) % f.numBits))
+		f.bv.Set(f.bit(h1 + uint64(i)*h2))
 	}
 }
 
@@ -57,7 +61,7 @@ func (f *Filter) Add(key []byte) {
 func (f *Filter) Contains(key []byte) bool {
 	h1, h2 := hash128(key)
 	for i := 0; i < f.k; i++ {
-		if !f.bv.Get(int((h1 + uint64(i)*h2) % f.numBits)) {
+		if !f.bv.Get(f.bit(h1 + uint64(i)*h2)) {
 			return false
 		}
 	}
@@ -69,7 +73,7 @@ func (f *Filter) Contains(key []byte) bool {
 func (f *Filter) AddAtomic(key []byte) {
 	h1, h2 := hash128(key)
 	for i := 0; i < f.k; i++ {
-		f.bv.SetAtomic(int((h1 + uint64(i)*h2) % f.numBits))
+		f.bv.SetAtomic(f.bit(h1 + uint64(i)*h2))
 	}
 }
 
@@ -80,11 +84,17 @@ func (f *Filter) AddAtomic(key []byte) {
 func (f *Filter) ContainsAtomic(key []byte) bool {
 	h1, h2 := hash128(key)
 	for i := 0; i < f.k; i++ {
-		if !f.bv.GetAtomic(int((h1 + uint64(i)*h2) % f.numBits)) {
+		if !f.bv.GetAtomic(f.bit(h1 + uint64(i)*h2)) {
 			return false
 		}
 	}
 	return true
+}
+
+// bit maps probe hash h onto [0, numBits): the high word of h·numBits.
+func (f *Filter) bit(h uint64) int {
+	hi, _ := mathbits.Mul64(h, f.numBits)
+	return int(hi)
 }
 
 // MemoryUsage returns the filter's size in bytes.

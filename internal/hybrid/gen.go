@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"sync/atomic"
+
 	"mets/internal/bloom"
 	"mets/internal/index"
 	"mets/internal/keycodec"
@@ -10,19 +12,26 @@ import (
 )
 
 // gen is one generation of the index: everything a reader can reach. The
-// struct is immutable once published, for as long as anything references it;
-// the current mem and filter follow the memtable's single-writer contract,
-// frozen and static are sealed. The live index and every Snapshot resolve reads through
-// the same get and scan below.
+// struct is immutable once published, for as long as anything references it,
+// but for filter, which the writer publishes once, at the generation's first
+// write; the current mem and filter follow the memtable's single-writer
+// contract, frozen and static are sealed. The live index and every Snapshot
+// resolve reads through the same get and scan below.
 //
 // Bloom filters are probed and fed with atomic bit operations: the writer
 // feeds the live filter while readers probe it with no lock between them.
 type gen struct {
-	mem    memtable
-	filter *bloom.Filter // nil when DisableBloom
+	mem memtable
+	// filter fronts mem. Nil while mem has taken no write: a read skips mem
+	// without hashing the key, so an idle generation (after a bulk load or
+	// a merge) holds no filter. unfiltered when nothing fronts mem
+	// (DisableBloom, a Snapshot's drained states): a read always probes it.
+	filter atomic.Pointer[bloom.Filter]
 
 	// Sealed former memtable (with the filter sealed beside it) while a
-	// background merge rebuilds the static stage from it; nil otherwise.
+	// background merge rebuilds the static stage from it; nil otherwise. A
+	// sealed memtable has taken writes (sealLocked skips empty ones), so its
+	// filter is never nil.
 	frozen       memtable
 	frozenFilter *bloom.Filter
 
@@ -45,10 +54,27 @@ func (g *gen) staticLen() int {
 	return g.static.Len()
 }
 
+// unfiltered is the filter of a memtable nothing fronts: a read always
+// probes it. It is only ever compared, never probed or fed.
+var unfiltered = new(bloom.Filter)
+
+// mayHold reports whether the memtable behind filter f may know key.
+func mayHold(f *bloom.Filter, key []byte) bool {
+	return f == unfiltered || f != nil && f.ContainsAtomic(key)
+}
+
+// filterBytes is what f charges to MemoryUsage.
+func filterBytes(f *bloom.Filter) int64 {
+	if f == nil || f == unfiltered {
+		return 0
+	}
+	return f.MemoryUsage()
+}
+
 // get resolves key against the stages in order; the uppermost stage that
 // knows the key — as a value or as a tombstone — decides.
 func (g *gen) get(key []byte, bloomSkip *obs.Counter) (uint64, bool) {
-	if g.filter == nil || g.filter.ContainsAtomic(key) {
+	if mayHold(g.filter.Load(), key) {
 		if v, live, tomb := g.mem.Get(key); live || tomb {
 			return v, live
 		}
@@ -60,7 +86,7 @@ func (g *gen) get(key []byte, bloomSkip *obs.Counter) (uint64, bool) {
 
 // lower resolves key against everything below the current memtable.
 func (g *gen) lower(key []byte) (uint64, bool) {
-	if g.frozen != nil && (g.frozenFilter == nil || g.frozenFilter.ContainsAtomic(key)) {
+	if g.frozen != nil && mayHold(g.frozenFilter, key) {
 		if v, live, tomb := g.frozen.Get(key); live || tomb {
 			return v, live
 		}

@@ -3,7 +3,11 @@
 // read-optimized static stage holds the bulk of the entries. A ratio-based
 // trigger periodically merges the dynamic stage into the static stage
 // (merge-all strategy, §5.2.2), and a Bloom filter in front of the dynamic
-// stage lets most point reads touch a single stage (§5.1).
+// stage lets most point reads touch a single stage (§5.1). A generation's
+// filter is allocated at its first write, sized for the merge window —
+// max(4096, (static + frozen) / MergeRatio) keys at BloomBitsPerKey — so a
+// bulk-loaded or freshly merged index holds none, and until that write a
+// point read skips the empty dynamic stage without hashing the key.
 //
 // # Concurrency
 //
@@ -181,7 +185,7 @@ func New(newDynamic func() index.Dynamic, build StaticBuilder, cfg Config) *Inde
 	} else if cfg.Dir != "" {
 		h.fr = obs.NewFlightRecorder(obs.DefaultFlightEvents)
 	}
-	h.gen.Store(&gen{mem: h.newMem(), filter: h.newFilter(0)})
+	h.gen.Store(h.newGen(nil))
 	h.seam = reconfig.New(reconfig.Options{Name: "hybrid", Obs: cfg.Obs, FlightRec: h.fr})
 	if cfg.Dir != "" {
 		if err := h.openJournal(); err != nil {
@@ -223,14 +227,35 @@ func (h *Index) newMem() memtable {
 	return newLockedMem(h.newDynamic)
 }
 
-func (h *Index) newFilter(expected int) *bloom.Filter {
+// newGen makes a generation over a fresh memtable and static. Its filter
+// comes with its first write (feedLocked); under DisableBloom it has none,
+// and reads probe the memtable.
+func (h *Index) newGen(static index.Static) *gen {
+	g := &gen{mem: h.newMem(), static: static}
 	if h.cfg.DisableBloom {
-		return nil
+		g.filter.Store(unfiltered)
 	}
-	if expected < 4096 {
-		expected = 4096
+	return g
+}
+
+// feedLocked adds key to the filter of g's memtable ahead of a write of key
+// there. At the generation's first write it publishes the filter first: a
+// reader that finds none skips the memtable, so the filter must be in place
+// before the memtable entry is. Requires mu.
+func (h *Index) feedLocked(g *gen, key []byte) {
+	f := g.filter.Load()
+	if f == unfiltered {
+		return
 	}
-	return bloom.New(expected, h.cfg.BloomBitsPerKey)
+	if f == nil {
+		n := g.staticLen()
+		if g.frozen != nil {
+			n += g.frozen.Len()
+		}
+		f = bloom.New(max(n/h.cfg.MergeRatio, 4096), h.cfg.BloomBitsPerKey)
+		g.filter.Store(f)
+	}
+	f.AddAtomic(key)
 }
 
 // publishLocked swaps in the next generation through the shared
@@ -280,17 +305,15 @@ func (h *Index) Insert(key []byte, value uint64) bool {
 	return true
 }
 
-// putLocked writes key into the memtable and feeds the filter.
+// putLocked feeds the filter and writes key into the memtable.
 func (h *Index) putLocked(g *gen, key []byte, value uint64) {
+	h.feedLocked(g, key)
 	g.mem.Put(key, value)
-	if g.filter != nil {
-		g.filter.AddAtomic(key)
-	}
 }
 
 // memStateLocked probes the memtable through the filter, counting a skip.
 func (h *Index) memStateLocked(g *gen, key []byte) (live, tomb bool) {
-	if g.filter != nil && !g.filter.ContainsAtomic(key) {
+	if !mayHold(g.filter.Load(), key) {
 		h.obsBloomSkip.Inc()
 		return false, false
 	}
@@ -341,10 +364,8 @@ func (h *Index) Delete(key []byte) bool {
 	if live {
 		g.mem.Tomb(key)
 	} else if _, ok := g.lower(key); ok {
+		h.feedLocked(g, key)
 		g.mem.Tomb(key)
-		if g.filter != nil {
-			g.filter.AddAtomic(key)
-		}
 	} else {
 		return false
 	}
@@ -463,17 +484,18 @@ func (h *Index) mergeLocked(g *gen) {
 	startT := time.Now()
 	sp := h.obsReg.StartSpan("merge")
 	sp.Phase("seal") // with mu held the memtable is as good as sealed; ready its successor
-	mem := h.newMem()
+	next := h.newGen(nil)
 	sp.Phase("build")
 	st, n := h.rebuild(g.mem, g.static)
 	sp.Phase("swap")
-	next := &gen{mem: mem, filter: h.newFilter(n / h.cfg.MergeRatio), static: st}
+	next.static = st
 	h.commitLocked(next, n, startT, sp)
 	sp.End()
 }
 
 // sealLocked publishes a generation whose memtable is fresh and whose
-// previous memtable (with its filter) is sealed as the frozen stage, then
+// previous memtable (with its filter) is sealed as the frozen stage — never
+// an empty one, so a frozen stage always has a filter — then
 // hands the rebuild to a background goroutine. The seal is one pointer
 // store — writers pause for an allocation, readers not at all. A seal while
 // a merge is in flight is skipped: the next write past the trigger retries.
@@ -485,13 +507,8 @@ func (h *Index) sealLocked(g *gen) {
 	sp := h.obsReg.StartSpan("merge")
 	sp.Phase("seal")
 	h.merging = true
-	next := &gen{
-		mem:          h.newMem(),
-		filter:       h.newFilter((g.mem.Len() + g.staticLen()) / h.cfg.MergeRatio),
-		frozen:       g.mem,
-		frozenFilter: g.filter,
-		static:       g.static,
-	}
+	next := h.newGen(g.static)
+	next.frozen, next.frozenFilter = g.mem, g.filter.Load()
 	h.publishLocked(next, reconfig.Prepared{
 		Event: "merge.seal",
 		Span:  sp.ID(),
@@ -511,7 +528,9 @@ func (h *Index) backgroundMerge(frozen memtable, static index.Static, startT tim
 	sp.Phase("swap") // includes the wait for the writer mutex
 	h.mu.Lock()
 	cur := h.gen.Load()
-	h.commitLocked(&gen{mem: cur.mem, filter: cur.filter, static: st}, n, startT, sp)
+	next := &gen{mem: cur.mem, static: st}
+	next.filter.Store(cur.filter.Load()) // still nil if no write landed during the build
+	h.commitLocked(next, n, startT, sp)
 	h.merging = false
 	h.mergeDone.Broadcast()
 	h.mu.Unlock()
@@ -543,21 +562,16 @@ func (h *Index) MergeStats() (merges int, last, total time.Duration) {
 }
 
 // MemoryUsage sums all stages and the Bloom filters (tombstones are part of
-// the memtable accounting).
+// the memtable accounting); a generation that has taken no write holds no
+// filter.
 func (h *Index) MemoryUsage() int64 {
 	g := h.gen.Load()
-	m := g.mem.MemoryUsage()
+	m := g.mem.MemoryUsage() + filterBytes(g.filter.Load()) + filterBytes(g.frozenFilter)
 	if g.frozen != nil {
 		m += g.frozen.MemoryUsage()
 	}
 	if g.static != nil {
 		m += g.static.MemoryUsage()
-	}
-	if g.filter != nil {
-		m += g.filter.MemoryUsage()
-	}
-	if g.frozenFilter != nil {
-		m += g.frozenFilter.MemoryUsage()
 	}
 	return m
 }

@@ -27,8 +27,7 @@ func (h *Index) BulkLoad(entries []index.Entry) error {
 	for h.merging {
 		h.mergeDone.Wait()
 	}
-	next := &gen{mem: h.newMem(), filter: h.newFilter(len(entries) / h.cfg.MergeRatio), static: st}
-	h.publishLocked(next, reconfig.Prepared{})
+	h.publishLocked(h.newGen(st), reconfig.Prepared{})
 	h.live.Store(int64(len(entries)))
 	return h.jresetLocked(entries)
 }

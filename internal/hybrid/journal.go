@@ -214,8 +214,7 @@ func (h *Index) installReplayed(m map[string]uint64) error {
 	if err != nil {
 		return fmt.Errorf("hybrid: journal rebuild: %w", err)
 	}
-	g := h.gen.Load() // the fresh, empty, unshared initial generation
-	h.gen.Store(&gen{mem: g.mem, filter: h.newFilter(len(entries) / h.cfg.MergeRatio), static: st})
+	h.gen.Store(h.newGen(st)) // over the fresh, unshared initial generation
 	h.live.Store(int64(len(entries)))
 	return nil
 }

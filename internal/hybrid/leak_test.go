@@ -39,19 +39,22 @@ func newWatched(w *dstest.GCWatch, epoch bool, reg *obs.Registry) *Index {
 }
 
 // watchGen puts the current generation, its memtable and its filter on the
-// watch list (re-watching a survivor of the last step is a no-op).
+// watch list (re-watching a survivor of the last step is a no-op). A
+// generation that has taken no write has no filter to watch.
 func watchGen(w *dstest.GCWatch, h *Index, step string) {
 	g := h.gen.Load()
 	w.Watch("gen@"+step, g)
 	w.Watch("mem@"+step, g.mem)
-	w.Watch("filter@"+step, g.filter)
+	if f := g.filter.Load(); f != nil {
+		w.Watch("filter@"+step, f)
+	}
 }
 
 // current lists what the index legitimately still references.
 func current(h *Index) []any {
 	g := h.gen.Load()
 	keep := []any{g}
-	for _, p := range []any{g.mem, g.filter, g.frozen, g.frozenFilter, g.static} {
+	for _, p := range []any{g.mem, g.filter.Load(), g.frozen, g.frozenFilter, g.static} {
 		if p != nil && !reflect.ValueOf(p).IsNil() {
 			keep = append(keep, p)
 		}
@@ -81,12 +84,14 @@ func TestSupersededGenerationsCollected(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				insertRange(h, n, n+500)
 				n += 500
+				watchGen(&w, h, fmt.Sprintf("insert%d", i)) // the filter the first insert published
 				h.Merge()
 				watchGen(&w, h, fmt.Sprintf("merge%d", i))
 			}
 			for i := 0; i < 4; i++ {
 				insertRange(h, n, n+500)
 				n += 500
+				watchGen(&w, h, fmt.Sprintf("insert%d", 4+i))
 				if !startMerge(h) {
 					t.Fatal("no merge started")
 				}

@@ -35,9 +35,9 @@ import "mets/internal/index"
 // It is a cut: a write that returned before Cut was called is in it, and so
 // is every write that came before one it holds.
 type Snapshot struct {
-	// g is a private generation nobody publishes: the live
-	// memtable's drained states as its mem, the captured frozen stage (when a
-	// background merge was in flight) with its sealed filter, and the
+	// g is a private generation nobody publishes: the live memtable's
+	// drained states as its mem, unfiltered, the captured frozen stage (when
+	// a background merge was in flight) with its sealed filter, and the
 	// captured static stage. Reads go through the same gen.get / gen.scan as
 	// the live index.
 	g *gen
@@ -57,12 +57,14 @@ func Cut(hs ...*Index) []*Snapshot {
 	snaps := make([]*Snapshot, len(hs))
 	for i, h := range hs {
 		cur := h.gen.Load()
-		snaps[i] = &Snapshot{g: &gen{
+		g := &gen{
 			mem:          sliceMem{states: cur.mem.SnapshotStates()},
 			frozen:       cur.frozen,
 			frozenFilter: cur.frozenFilter,
 			static:       cur.static,
-		}}
+		}
+		g.filter.Store(unfiltered)
+		snaps[i] = &Snapshot{g: g}
 	}
 	for _, h := range hs {
 		h.mu.Unlock()

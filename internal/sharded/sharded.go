@@ -29,6 +29,7 @@ package sharded
 import (
 	"fmt"
 	"path"
+	"sync"
 	"time"
 
 	"mets/internal/hybrid"
@@ -247,9 +248,24 @@ func (s *Index) shard(key []byte) (*hybrid.Index, []byte) {
 
 // Get returns the value stored under key, resolved in the owning shard's
 // current generation.
-func (s *Index) Get(key []byte) (uint64, bool) {
-	sh, ek := s.shard(key)
-	return sh.Get(ek)
+func (s *Index) Get(key []byte) (uint64, bool) { return get(s.codec, s.router, s.shards, key) }
+
+// readKeys holds the buffers point reads encode their keys into.
+var readKeys = sync.Pool{New: func() any { return new([]byte) }}
+
+// get is Get over the shards of the live index or of a snapshot. A read does
+// not retain its key, so the key is encoded into a pooled buffer that goes
+// back as soon as the shard answers: a point read allocates nothing.
+func get[S interface{ Get([]byte) (uint64, bool) }](codec keycodec.Codec, r *Router, shards []S, key []byte) (uint64, bool) {
+	if codec == nil {
+		return shards[r.Shard(key)].Get(key)
+	}
+	buf := readKeys.Get().(*[]byte)
+	ek := codec.EncodeAppend((*buf)[:0], key)
+	v, ok := shards[r.Shard(ek)].Get(ek)
+	*buf = ek
+	readKeys.Put(buf)
+	return v, ok
 }
 
 // Insert adds a new entry (primary-index semantics: duplicates rejected).

@@ -27,12 +27,7 @@ func (s *Index) Snapshot() *Snapshot {
 }
 
 // Get returns the value stored under key at capture time.
-func (s *Snapshot) Get(key []byte) (uint64, bool) {
-	if s.codec != nil {
-		key = s.codec.Encode(key)
-	}
-	return s.shards[s.router.Shard(key)].Get(key)
-}
+func (s *Snapshot) Get(key []byte) (uint64, bool) { return get(s.codec, s.router, s.shards, key) }
 
 // Scan visits the snapshot's entries in key order from the smallest key >=
 // start. Shard ranges are disjoint and ordered, so concatenating the
