@@ -78,9 +78,9 @@ func NewFOR(values []uint64) FOR {
 
 // FORBuilder encodes n values that arrive in any order. Each value is handed
 // over twice: first to Frame, then, once every value has been framed, to
-// Put. A structure whose values reach their slots out of order — the static
-// trie's leaves arrive in key order, its slots are in level order — builds
-// its FOR without first gathering the values in a 64-bit array.
+// Put. A structure whose values come from a walk over something else — the
+// static trie's leaves reach each level as its keys are walked — builds its
+// FOR without first gathering the values in a 64-bit array.
 type FORBuilder struct {
 	f FOR
 	// rising is the caller's word that the values never decrease in index
@@ -512,5 +512,22 @@ func (it *FORIter) load() {
 }
 
 // MemoryUsage returns the bytes the allocator handed out for the array; the
-// holder charges the struct itself.
+// holder charges the struct itself. After Share it is not the array's own.
 func (f *FOR) MemoryUsage() int64 { return SliceAlloc(f.data) }
+
+// Share moves the arrays of fs into one allocation, in order, so that many
+// small arrays pay the allocator's rounding once, and returns the bytes the
+// allocator handed out for it, which the holder charges instead of each
+// array's MemoryUsage.
+func Share(fs ...*FOR) int64 {
+	words := 0
+	for _, f := range fs {
+		words += len(f.data)
+	}
+	all := make([]uint64, words)
+	for _, f := range fs {
+		n := copy(all, f.data)
+		f.data, all = all[:n:n], all[n:]
+	}
+	return AllocSize(8 * words)
+}

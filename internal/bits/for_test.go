@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // checkFOR encodes values and holds every Get, and Iter from starts inside
@@ -196,6 +197,47 @@ func TestFORWidths(t *testing.T) {
 			if n >= 3*forBlock && !coded(f) {
 				t.Errorf("w=%d n=%d: width-%d blocks beside width-0 ones stayed plain", w, n, w)
 			}
+		}
+	}
+}
+
+// TestShare moves arrays of every form, empty ones among them, into one
+// allocation: each must decode and search as before, lie in order in one
+// array whose size Share reports, and end with its own length as capacity.
+func TestShare(t *testing.T) {
+	runs := [][]uint64{
+		shaped(1000, []uint{0}, 1), // one random value per block: packed
+		nil,
+		shaped(97, []uint{64}, 2), // random 64-bit values: plain
+		{},
+	}
+	ids := make([]uint64, 5000)
+	for i := range ids {
+		ids[i] = uint64(3 * i)
+	}
+	runs = append(runs, ids) // Elias–Fano
+	fs, ptrs, words := make([]FOR, len(runs)), make([]*FOR, len(runs)), 0
+	for i, vs := range runs {
+		fs[i], ptrs[i] = NewFOR(slices.Clone(vs)), &fs[i]
+		words += len(fs[i].data)
+	}
+	if !isEF(fs[4]) || !coded(fs[0]) || isEF(fs[0]) || coded(fs[2]) {
+		t.Fatal("the runs do not take the three forms")
+	}
+	if got, want := Share(ptrs...), AllocSize(8*words); got != want {
+		t.Fatalf("Share reports %d B, want the %d B of one array of %d words", got, want, words)
+	}
+	next := unsafe.Pointer(&fs[0].data[0])
+	for i, vs := range runs {
+		checkDecode(t, fs[i], vs, fmt.Sprintf("shared run %d", i))
+		if slices.IsSorted(vs) {
+			checkSearch(t, fs[i], vs, fmt.Sprintf("shared run %d", i))
+		}
+		if d := fs[i].data; len(d) > 0 {
+			if unsafe.Pointer(&d[0]) != next || cap(d) != len(d) {
+				t.Fatalf("run %d does not follow the one before it in the shared array, or reaches past its end", i)
+			}
+			next = unsafe.Add(next, 8*len(d))
 		}
 	}
 }

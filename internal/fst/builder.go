@@ -15,8 +15,6 @@ package fst
 import (
 	"cmp"
 	"fmt"
-	mathbits "math/bits"
-	"slices"
 
 	"mets/internal/bits"
 	"mets/internal/index"
@@ -102,17 +100,13 @@ func BuildLeaves(ks [][]byte, cfg Config, leaf func(slot, key, suffixStart int))
 // second walk replays the keys from those bytes and writes the entries
 // straight into the arrays.
 //
-// The values reach their slots in key order, not slot order, so the value
-// arrays are filled in place (bits.FORBuilder) rather than from a 64-bit
-// array gathered first. The counting walk sees each level's values in slot
-// order and records the level's first and last value and whether any value
-// falls below the one before. When every level of a region rises, the
-// region's values are shifted by a constant per level so that each level
-// starts where the one before ended (shiftLevels), unless that would pass
-// 2^64: the region is then one rising sequence, which the
-// Elias–Fano form codes at about 2 + log2(span/leaves) bits a value however
-// few of every level's tuple IDs a region holds. Between the walks, a pass
-// that computes only each key's leaf slot frames every value exactly.
+// A level's leaves take their slots in key order, so the values reach each
+// level's run (valueRun) in index order, one bits.FOR per level, filled in
+// place rather than gathered in a 64-bit array first. The counting walk
+// records per level whether its values fall or repeat: a run that never
+// falls admits the Elias–Fano form, one that strictly rises is coded as
+// x_i − i. Between the walks, a pass that computes only each key's leaf
+// level frames every value exactly.
 type builder struct {
 	n      int
 	ks     [][]byte
@@ -128,12 +122,12 @@ type builder struct {
 const lcpLong = 255
 
 // levelCount is what the counting walk learns about one level: its size,
-// and with values stored, the first and last of its leaves' values in slot
-// order and whether any is below the one before it.
+// and with values stored, the last of its leaves' values in slot order and
+// whether any is below, or equal to, the one before it.
 type levelCount struct {
 	entries, nodes, leaves int
-	first, last            uint64
-	falls                  bool
+	last                   uint64
+	falls, ties            bool
 }
 
 func (b *builder) key(i int) []byte {
@@ -221,10 +215,9 @@ func (b *builder) count() error {
 		c := &diff[leaf]
 		if b.cfg.StoreValues {
 			v := b.value(i)
-			if c.leaves == 0 {
-				c.first = v
-			} else if v < c.last {
-				c.falls = true
+			if c.leaves > 0 {
+				c.falls = c.falls || v < c.last
+				c.ties = c.ties || v == c.last
 			}
 			c.last = v
 		}
@@ -330,9 +323,9 @@ func (b *builder) write(t *Trie) {
 	t.sLabels = make([]byte, sparseEntries)
 	sHasChild := bits.NewVector(sparseEntries)
 	sLouds := bits.NewVector(sparseEntries)
-	var values *regionValues
+	var fbs []*bits.FORBuilder
 	if cfg.StoreValues {
-		values = b.frameValues(t, slot)
+		fbs = b.frameValues(t)
 	}
 
 	q := 0
@@ -375,14 +368,15 @@ func (b *builder) write(t *Trie) {
 		if b.leaf != nil {
 			b.leaf(s, i, min(leaf+1, len(k)))
 		}
-		if values != nil {
-			fb, j := values.of(s)
-			fb.Put(j, b.value(i)+t.shiftOf(leaf))
+		if fbs != nil {
+			j := s - t.levelSlot(leaf)
+			fbs[leaf].Put(j, t.values[leaf].coded(j, b.value(i)))
 		}
 	}
-	if values != nil {
-		t.dValues, t.sValues = values.fb[0].FOR(), values.fb[1].FOR()
+	for l, fb := range fbs {
+		t.values[l].f = fb.FOR()
 	}
+	t.valueBytes = shareRuns(t.values)
 
 	denseBlock, sparseBlock, sample := cfg.blocks()
 	t.dLabels = bits.NewRankVector(dLabels, denseBlock)
@@ -392,81 +386,23 @@ func (b *builder) write(t *Trie) {
 	t.sLouds = bits.NewSelectVector(sLouds, sparseBlock, sample)
 }
 
-// regionValues is the value builders of both regions: a slot below nd is
-// the dense region's, the rest the sparse region's.
-type regionValues struct {
-	fb [2]*bits.FORBuilder
-	nd int
-}
-
-// of returns the builder of slot's region and the slot's index in it.
-func (r *regionValues) of(slot int) (*bits.FORBuilder, int) {
-	if slot < r.nd {
-		return r.fb[0], slot
+// frameValues sets t's value runs' steps and returns each level's builder
+// with every value framed: a pass over the keys that computes only each
+// key's leaf level, whose next index it takes.
+func (b *builder) frameValues(t *Trie) []*bits.FORBuilder {
+	t.values = make([]valueRun, len(b.levels))
+	fbs := make([]*bits.FORBuilder, len(b.levels))
+	for l, c := range b.levels {
+		fbs[l], t.values[l].step = bits.NewFORBuilder(c.leaves, !c.falls), stepOf(!c.falls && !c.ties)
 	}
-	return r.fb[1], slot - r.nd
-}
-
-// frameValues sets t's level shifts and returns the value builders of both
-// regions with every value framed: a pass over the keys that computes only
-// each key's leaf level and, from the levels' first slots in slot, its slot.
-func (b *builder) frameValues(t *Trie, slot []int) *regionValues {
-	var rises [2]bool
-	t.shift, rises = shiftLevels(b.levels, t.denseHeight)
-	r := &regionValues{nd: t.numDenseLeaves, fb: [2]*bits.FORBuilder{
-		bits.NewFORBuilder(t.numDenseLeaves, rises[0]),
-		bits.NewFORBuilder(t.numSparseLeaves, rises[1]),
-	}}
-	next := slices.Clone(slot)
+	next := make([]int, len(b.levels))
 	q := 0
 	for i := 0; i < b.n; i++ {
 		p := q
 		q = b.next(i)
 		leaf := b.leafLevel(b.key(i), p, q)
-		fb, j := r.of(next[leaf])
+		fbs[leaf].Frame(next[leaf], t.values[leaf].coded(next[leaf], b.value(i)))
 		next[leaf]++
-		fb.Frame(j, b.value(i)+t.shiftOf(leaf))
 	}
-	return r
-}
-
-// shiftLevels returns the per-level constants that, added to the values, make
-// each region whose levels all rise one rising sequence (shiftRegion), and
-// reports per region (dense, sparse) whether its values rise. shift is nil
-// when it is all zeros.
-func shiftLevels(levels []levelCount, cutoff int) (shift []uint64, rises [2]bool) {
-	shift = make([]uint64, len(levels))
-	rises[0] = shiftRegion(levels[:cutoff], shift[:cutoff])
-	rises[1] = shiftRegion(levels[cutoff:], shift[cutoff:])
-	for _, sh := range shift {
-		if sh != 0 {
-			return shift, rises
-		}
-	}
-	return nil, rises
-}
-
-// shiftRegion fills the shifts of one region's levels: its first level with
-// leaves keeps its values, and every next one starts where the one before
-// ended. It reports whether the values then rise, and leaves the shifts 0
-// when a level falls or the values would pass 2^64.
-func shiftRegion(levels []levelCount, shift []uint64) bool {
-	var end uint64 // where the last level with leaves ended, once shifted
-	started := false
-	for l, c := range levels {
-		if c.leaves == 0 {
-			continue
-		}
-		if !started {
-			end, started = c.first, true
-		}
-		var carry uint64
-		shift[l] = end - c.first
-		end, carry = mathbits.Add64(end, c.last-c.first, 0)
-		if c.falls || carry != 0 {
-			clear(shift)
-			return false
-		}
-	}
-	return true
+	return fbs
 }

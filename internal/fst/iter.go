@@ -1,10 +1,6 @@
 package fst
 
-import (
-	"sync"
-
-	"mets/internal/bits"
-)
+import "sync"
 
 // cursor is one level's place in a walk.
 type cursor struct {
@@ -21,7 +17,7 @@ type cursor struct {
 // levelValues decodes one level's values in slot order; next is one more
 // than the slot of the value it returns next (0: not started).
 type levelValues struct {
-	it   bits.FORIter
+	it   runIter
 	next int
 }
 
@@ -332,7 +328,7 @@ func (it *Iterator) Value() uint64 {
 		it.startValues(v, s)
 	}
 	v.next = s + 2
-	return v.it.Next() - it.t.shiftOf(it.depth-1)
+	return v.it.next()
 }
 
 // nextValue is Value for a walk that reads the value of every leaf it
@@ -344,7 +340,7 @@ func (it *Iterator) nextValue() uint64 {
 		it.startValues(v, it.slot())
 	}
 	v.next++
-	return v.it.Next() - it.t.shiftOf(it.depth-1)
+	return v.it.next()
 }
 
 // levelValues returns the current level's value decoder; the decoders are
@@ -356,13 +352,10 @@ func (it *Iterator) levelValues() *levelValues {
 	return &it.vals[it.depth-1]
 }
 
-// startValues points v at slot s.
+// startValues points v, the current level's decoder, at slot s.
 func (it *Iterator) startValues(v *levelValues, s int) {
-	if s < it.t.numDenseLeaves {
-		v.it = it.t.dValues.Iter(s)
-	} else {
-		v.it = it.t.sValues.Iter(s - it.t.numDenseLeaves)
-	}
+	l := it.depth - 1
+	v.it = it.t.values[l].iter(s - it.t.levelSlot(l))
 	v.next = s + 1
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"mets/internal/bits"
 )
@@ -23,8 +22,8 @@ import (
 // Rank and select support structures are rebuilt on load (they are small
 // and derive deterministically from the payload bits), so the on-disk form
 // stays close to the succinct structure itself. The values are written one
-// word each, as they were given (a level's shift taken off), and coded again
-// on load, where the shifts are worked out from them as the build does.
+// word each, as they were given, per region in slot order, and coded again
+// on load, one run per level as the build does.
 
 const (
 	marshalMagic   = "FST1"
@@ -73,18 +72,17 @@ func (s *sectionWriter) words(ws []uint64) {
 	}
 }
 
-// values writes a region's values as they were given, its levels' shifts
-// taken off: starts holds the slot each of the region's levels starts at,
-// and level0 is its first level.
-func (s *sectionWriter) values(t *Trie, f *bits.FOR, starts []int, level0 int) {
-	s.u64(uint64(f.Len()))
-	if f.Len() == 0 {
-		return
+// values writes the runs' values as they were given, in slot order.
+func (s *sectionWriter) values(runs []valueRun) {
+	n := 0
+	for _, r := range runs {
+		n += r.f.Len()
 	}
-	it := f.Iter(0)
-	for l := 0; l+1 < len(starts); l++ {
-		for i := starts[l]; i < starts[l+1]; i++ {
-			s.u64(it.Next() - t.shiftOf(level0+l))
+	s.u64(uint64(n))
+	for _, r := range runs {
+		it := r.iter(0)
+		for range r.f.Len() {
+			s.u64(it.next())
 		}
 	}
 }
@@ -215,8 +213,9 @@ func (t *Trie) MarshalBinary() ([]byte, error) {
 	s.bytes(t.sLabels)
 	s.vector(&t.sHasChild.Vector)
 	s.vector(&t.sLouds.Vector)
-	s.values(t, &t.dValues, t.dLevelValueStart, 0)
-	s.values(t, &t.sValues, t.sLevelValueStart, t.denseHeight)
+	dense := min(t.denseHeight, len(t.values)) // no runs without StoreValues
+	s.values(t.values[:dense])
+	s.values(t.values[dense:])
 	s.ints(t.dLevelValueStart)
 	s.ints(t.sLevelPosStart)
 	s.ints(t.sLevelValueStart)
@@ -286,42 +285,25 @@ func UnmarshalTrie(data []byte) (*Trie, error) {
 	return t, nil
 }
 
-// codeValues codes both regions' values, given in slot order as marshaled,
-// the way the build does: each level's first and last value and whether it
-// falls decide the shifts (shiftLevels), and the shifted values are coded.
+// codeValues codes the values, given per region in slot order as
+// marshaled, as the build does: one run per level (newValueRun), every run's
+// array in one allocation.
 func (t *Trie) codeValues(dValues, sValues []uint64) error {
-	regions := [2]struct {
-		values []uint64
-		starts []int // the slot each level starts at, and the end
-		level0 int
-	}{{dValues, t.dLevelValueStart, 0}, {sValues, t.sLevelValueStart, t.denseHeight}}
-	levels := make([]levelCount, t.height)
-	for _, r := range regions {
-		if len(r.values) == 0 {
-			continue
-		}
-		if len(r.starts) == 0 || r.level0+len(r.starts)-1 > t.height || r.starts[len(r.starts)-1] != len(r.values) {
+	if !t.cfg.StoreValues {
+		return nil
+	}
+	if len(dValues) != t.numDenseLeaves || len(t.dLevelValueStart) != t.denseHeight+1 || len(t.sLevelValueStart) != t.height-t.denseHeight+1 {
+		return fmt.Errorf("fst: corrupt value layout")
+	}
+	vs := append(dValues, sValues...)
+	t.values = make([]valueRun, t.height)
+	for l := range t.values {
+		lo, hi := t.levelSlot(l), t.levelSlot(l+1)
+		if lo < 0 || lo > hi || hi > len(vs) {
 			return fmt.Errorf("fst: corrupt value layout")
 		}
-		for l := 0; l+1 < len(r.starts); l++ {
-			lo, hi := r.starts[l], r.starts[l+1]
-			if lo < 0 || lo > hi {
-				return fmt.Errorf("fst: corrupt value layout")
-			}
-			vs, c := r.values[lo:hi], &levels[r.level0+l]
-			if c.leaves = len(vs); c.leaves > 0 {
-				c.first, c.last, c.falls = vs[0], vs[len(vs)-1], !slices.IsSorted(vs)
-			}
-		}
+		t.values[l] = newValueRun(vs[lo:hi])
 	}
-	t.shift, _ = shiftLevels(levels, t.denseHeight)
-	for _, r := range regions {
-		for l := 0; l+1 < len(r.starts) && len(r.values) > 0; l++ {
-			for i := r.starts[l]; i < r.starts[l+1]; i++ {
-				r.values[i] += t.shiftOf(r.level0 + l)
-			}
-		}
-	}
-	t.dValues, t.sValues = bits.NewFOR(dValues), bits.NewFOR(sValues)
+	t.valueBytes = shareRuns(t.values)
 	return nil
 }

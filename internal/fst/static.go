@@ -16,15 +16,13 @@ import (
 //   - When every key has one length K of at most 8 bytes, a key column: each
 //     key read as a K-byte big-endian integer, the integers in key order in
 //     one bits.FOR — for random keys its Elias–Fano form, about
-//     2 + log2(2^8K/n) bits a key — and the values in key order in another.
-//     The trie is empty.
+//     2 + log2(2^8K/n) bits a key — and the values in key order in a
+//     valueRun. The trie is empty.
 //   - Otherwise the complete trie of Chapter 3, every key byte stored.
 //
-// A trie's values are coded per region in slot order (bits.FOR). A level's
-// leaves are in key order, so tuple IDs loaded in key order rise along each
-// level; the builder then shifts each level to start where the one before
-// ended, and the region is one rising sequence in the Elias–Fano form
-// (shiftLevels).
+// A trie's values are coded one valueRun per level, in slot order. A level's
+// leaves are in key order, so tuple IDs loaded in key order rise strictly
+// along each level and are coded as x_i − i in the Elias–Fano form.
 type Static struct {
 	t   Trie
 	col *column
@@ -33,8 +31,9 @@ type Static struct {
 // column holds a set of keys of one length K <= 8 as integers: key i, read
 // as a K-byte big-endian integer, is keys[i], and its value is values[i].
 type column struct {
-	keyLen       int
-	keys, values bits.FOR
+	keyLen int
+	keys   bits.FOR
+	values valueRun
 }
 
 // staticConfig is the stage's tuning: the thesis' rank blocks and select
@@ -68,7 +67,7 @@ func newTrie(entries []index.Entry) (*Static, error) {
 // rise.
 func newColumn(entries []index.Entry) (*Static, error) {
 	kb := bits.NewFORBuilder(len(entries), true)
-	rising, last := true, uint64(0)
+	rises, strict, last := true, true, uint64(0)
 	for i, e := range entries {
 		x := keyInt(e.Key)
 		if i > 0 && x <= last {
@@ -76,17 +75,22 @@ func newColumn(entries []index.Entry) (*Static, error) {
 		}
 		kb.Frame(i, x)
 		last = x
-		rising = rising && (i == 0 || e.Value >= entries[i-1].Value)
+		if i > 0 {
+			rises = rises && e.Value >= entries[i-1].Value
+			strict = strict && e.Value > entries[i-1].Value
+		}
 	}
-	vb := bits.NewFORBuilder(len(entries), rising)
+	c := &column{keyLen: len(entries[0].Key), values: valueRun{step: stepOf(strict)}}
+	vb := bits.NewFORBuilder(len(entries), rises)
 	for i, e := range entries {
 		kb.Put(i, keyInt(e.Key))
-		vb.Frame(i, e.Value)
+		vb.Frame(i, c.values.coded(i, e.Value))
 	}
 	for i, e := range entries {
-		vb.Put(i, e.Value)
+		vb.Put(i, c.values.coded(i, e.Value))
 	}
-	return &Static{col: &column{keyLen: len(entries[0].Key), keys: kb.FOR(), values: vb.FOR()}}, nil
+	c.keys, c.values.f = kb.FOR(), vb.FOR()
+	return &Static{col: c}, nil
 }
 
 // keyInt reads a key of at most 8 bytes as a big-endian integer.
@@ -130,7 +134,7 @@ func (s *Static) Get(key []byte) (uint64, bool) {
 		}
 		x := keyInt(key)
 		if i, k := c.keys.Search(x); i < c.keys.Len() && k == x {
-			return c.values.Get(i), true
+			return c.values.get(i), true
 		}
 		return 0, false
 	}
@@ -177,12 +181,12 @@ func (c *column) scan(start []byte, fn func(key []byte, value uint64) bool) int 
 	}
 	buf := keyBufs.Get().(*[8]byte)
 	key := buf[8-c.keyLen:]
-	ks, vs := c.keys.Iter(i), c.values.Iter(i)
+	ks, vs := c.keys.Iter(i), c.values.iter(i)
 	count := 0
 	for ; i < n; i++ {
 		count++
 		binary.BigEndian.PutUint64(buf[:], ks.Next())
-		if !fn(key, vs.Next()) {
+		if !fn(key, vs.next()) {
 			break
 		}
 	}
@@ -212,7 +216,7 @@ func (c *column) lowerBound(start []byte) int {
 func (s *Static) MemoryUsage() int64 {
 	m := bits.AllocSize(int(unsafe.Sizeof(*s)))
 	if c := s.col; c != nil {
-		return m + bits.AllocSize(int(unsafe.Sizeof(*c))) + c.keys.MemoryUsage() + c.values.MemoryUsage()
+		return m + bits.AllocSize(int(unsafe.Sizeof(*c))) + c.keys.MemoryUsage() + c.values.f.MemoryUsage()
 	}
 	if s.t.height == 0 {
 		return m
@@ -220,7 +224,7 @@ func (s *Static) MemoryUsage() int64 {
 	t := &s.t
 	m += t.dLabels.HeapSize() + t.dHasChild.HeapSize() + t.dIsPrefix.HeapSize()
 	m += bits.SliceAlloc(t.sLabels) + t.sHasChild.HeapSize() + t.sLouds.HeapSize()
-	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + bits.SliceAlloc(t.shift)
+	m += t.valueBytes + bits.SliceAlloc(t.values)
 	m += bits.SliceAlloc(t.dLevelValueStart) + bits.SliceAlloc(t.sLevelPosStart) + bits.SliceAlloc(t.sLevelValueStart)
 	return m
 }

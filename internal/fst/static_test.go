@@ -3,8 +3,8 @@ package fst
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
-	mathbits "math/bits"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -46,12 +46,12 @@ func staticValues(n int, src []byte) []uint64 {
 }
 
 // keyOrderValues returns n values that never decrease, as tuple IDs loaded
-// in key order are, so every level of the trie rises and its regions take the
-// shifted, Elias–Fano-coded path. With shape 0 they are the IDs 0..n-1.
-// Otherwise they start at 0 and step up by 0 (equal neighbours), 1, 2^20 or
-// 2^62, picked by the bytes of src in turn and saturating, and the last is
-// MaxUint64: when two levels each span most of the range, the shifted values
-// would pass 2^64, and their region must be coded unshifted.
+// in key order are, so every level of the trie rises and its run takes the
+// Elias–Fano form. With shape 0 they are the IDs 0..n-1, which strictly rise
+// and are coded as x_i − i. Otherwise they start at 0 and step up by 0
+// (equal neighbours, which keep a run coded as given), 1, 2^20 or 2^62,
+// picked by the bytes of src in turn and saturating, and the last is
+// MaxUint64, so runs reach the top of the range.
 func keyOrderValues(n int, shape byte, src []byte) []uint64 {
 	vs := make([]uint64, n)
 	steps := []uint64{0, 1, 1 << 20, 1 << 62}
@@ -185,7 +185,7 @@ func checkStage(t testing.TB, s *Static, ks [][]byte, vals []uint64, probes [][]
 
 // checkColumnCoding holds a column over ks, whose i-th key holds vals[i], to
 // its definition: the keys as big-endian integers coded as bits.NewFOR of
-// them, and the values as bits.NewFOR of them in key order.
+// them, and the values in key order coded as a run (wantRun).
 func checkColumnCoding(t testing.TB, c *column, ks [][]byte, vals []uint64) {
 	t.Helper()
 	ints := make([]uint64, len(ks))
@@ -197,22 +197,38 @@ func checkColumnCoding(t testing.TB, c *column, ks [][]byte, vals []uint64) {
 	if c.keyLen != len(ks[0]) || !reflect.DeepEqual(c.keys, bits.NewFOR(ints)) {
 		t.Fatalf("column keys are not coded as bits.NewFOR of the %d-byte keys read as integers", len(ks[0]))
 	}
-	if !reflect.DeepEqual(c.values, bits.NewFOR(slices.Clone(vals))) {
-		t.Fatal("column values are not coded as bits.NewFOR of the values in key order")
+	checkRun(t, "column values", c.values, vals)
+}
+
+// checkRun holds r to the coding of the run vs: bits.NewFOR of vs as given,
+// or, exactly when vs strictly rises, of each value less its index.
+func checkRun(t testing.TB, name string, r valueRun, vs []uint64) {
+	t.Helper()
+	want, step := slices.Clone(vs), uint64(1)
+	for i := 1; i < len(vs); i++ {
+		if vs[i] <= vs[i-1] {
+			step = 0
+		}
+	}
+	for i := range want {
+		want[i] -= uint64(i) * step
+	}
+	if r.step != step || len(vs) == 0 && r.f.Len() != 0 || len(vs) > 0 && !reflect.DeepEqual(r.f, bits.NewFOR(want)) {
+		t.Fatalf("%s (%d, strictly rising %v) are not coded as bits.NewFOR of the values, less their index exactly when they strictly rise", name, len(vs), step == 1)
 	}
 }
 
-// checkValueCoding holds a trie's value arrays, whose i-th leaf in key order
-// holds vals[i], to their definition. A region whose levels each rise in slot
-// order is coded as bits.NewFOR of its values shifted so that every level
-// after its first starts where the one before ended, unless that passes
-// 2^64. Any other region is coded exactly as bits.NewFOR of its values as
-// given, in slot order.
+// checkValueCoding holds a trie's values, whose i-th leaf in key order holds
+// vals[i], to their definition: one run per level, of the level's values in
+// slot order (checkRun).
 func checkValueCoding(t testing.TB, tr *Trie, vals []uint64) {
 	t.Helper()
-	nd, n := tr.numDenseLeaves, tr.numDenseLeaves+tr.numSparseLeaves
+	n := tr.numDenseLeaves + tr.numSparseLeaves
 	if n == 0 || !tr.cfg.StoreValues {
 		return
+	}
+	if len(tr.values) != tr.height {
+		t.Fatalf("%d value runs for %d levels", len(tr.values), tr.height)
 	}
 	slotValue, slotLevel := make([]uint64, n), make([]int, n)
 	i := 0
@@ -221,39 +237,12 @@ func checkValueCoding(t testing.TB, tr *Trie, vals []uint64) {
 		slotValue[it.slot()], slotLevel[it.slot()] = vals[i], it.depth-1
 		i++
 	}
-	for _, r := range []struct {
-		name   string
-		f      bits.FOR
-		lo, hi int
-	}{{"dense", tr.dValues, 0, nd}, {"sparse", tr.sValues, nd, n}} {
-		vs, levels := slotValue[r.lo:r.hi], slotLevel[r.lo:r.hi]
-		shifted := slices.Clone(vs)
-		rises, end := true, uint64(0)
-		if len(vs) > 0 {
-			end = vs[0]
-		}
-		for j := 0; j < len(vs); {
-			k := j + 1
-			for k < len(vs) && levels[k] == levels[j] {
-				k++
-			}
-			var carry uint64
-			rises = rises && slices.IsSorted(vs[j:k])
-			shift := end - vs[j]
-			end, carry = mathbits.Add64(end, vs[k-1]-vs[j], 0)
-			rises = rises && carry == 0
-			for m := j; m < k; m++ {
-				shifted[m] += shift
-			}
-			j = k
-		}
-		want := vs
-		if rises {
-			want = shifted
-		}
-		if got := r.f; len(vs) == 0 && got.Len() != 0 || len(vs) > 0 && !reflect.DeepEqual(got, bits.NewFOR(want)) {
-			t.Fatalf("%s values (%d, rising %v) are not coded as bits.NewFOR of their slot-order values, shifted when rising", r.name, len(vs), rises)
-		}
+	levels := make([][]uint64, tr.height)
+	for s, l := range slotLevel {
+		levels[l] = append(levels[l], slotValue[s])
+	}
+	for l, vs := range levels {
+		checkRun(t, fmt.Sprintf("level %d values", l), tr.values[l], vs)
 	}
 }
 
@@ -324,8 +313,8 @@ func TestStaticRejectsBadInput(t *testing.T) {
 // A first byte from 0xe0 to 0xef gives the keys values in key order
 // (keyOrderValues, its low four bits the shape, the rest of the input the
 // steps) and the rest of the input is read as it would be without it, so
-// every trie takes the shifted path; shapes other than 0 end at MaxUint64
-// and make levels whose shifted values would pass 2^64.
+// every run never falls and takes the Elias–Fano form; shapes other than 0
+// repeat values and end at MaxUint64.
 func FuzzStaticOps(f *testing.F) {
 	f.Add([]byte("seed-corpus-entry"))
 	f.Add([]byte{0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
@@ -353,9 +342,9 @@ func FuzzStaticOps(f *testing.F) {
 		}
 	}
 	f.Add(clustered)
-	// Values in key order: IDs, then steps whose shifted values would pass
-	// 2^64, in the complete layout, and the same two over 8-byte keys, in
-	// the column.
+	// Values in key order: IDs, then steps that repeat values and reach
+	// 2^64 - 1, in the complete layout, and the same two over 8-byte keys,
+	// in the column.
 	f.Add([]byte("\xe0seed-corpus-entry"))
 	f.Add([]byte{0xe1, 0, 1, 'a', 2, 'a', 0, 3, 'a', 0, 0, 1, 0xff, 2, 0xff, 0xff, 9, 'p', 'r', 'e', 'f', 'i', 'x'})
 	f.Add([]byte{0xe3, 3, 'a', 'b', 3, 'a', 'c', 1, 'a', 2, 'b', 'z', 3, 'b', 'z', 'z'})
@@ -477,12 +466,12 @@ func TestStaticMemoryUsageMatchesHeap(t *testing.T) {
 
 // TestStaticBitsPerKeyBudget pins the stage's memory on deterministic
 // 100k-key builds, so a later change cannot silently give it back. With IDs
-// in key order every level of a trie rises, so each region's values are
-// shifted into one rising sequence and cost ~4.5 bits in the Elias–Fano
-// form; the random 8-byte keys take the key column, whose values need no
-// shift. The compact B+tree's budgets on the same sets are 105 / 122 / 176 /
-// 126. Uniform random 64-bit values are not shifted and cost exactly 64-bit
-// slots.
+// in key order every level of a trie strictly rises, so each level's run is
+// coded as x_i − i in the Elias–Fano form, ~3.7 bits a value; the random
+// 8-byte keys take the key column, whose values are one such run. The
+// compact B+tree's budgets on the same sets are 105 / 122 / 176 / 126.
+// Uniform random 64-bit values cost exactly 64-bit slots, every level's in
+// one allocation of 8n bytes.
 func TestStaticBitsPerKeyBudget(t *testing.T) {
 	emails := keys.Dedup(keys.Emails(100000, 1))
 	for _, tc := range []struct {
@@ -491,10 +480,10 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 		budget float64 // with IDs in key order
 		column bool
 	}{
-		{"hope-emails", hopeEncoded(t, emails), 45, false},
-		{"raw-emails", emails, 55, false},
-		{"urls", keys.Dedup(keys.URLs(100000, 1)), 98, false},
-		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 52.5, true},
+		{"hope-emails", hopeEncoded(t, emails), 44.3, false},
+		{"raw-emails", emails, 53.7, false},
+		{"urls", keys.Dedup(keys.URLs(100000, 1)), 97.5, false},
+		{"random-u64", keys.Dedup(keys.EncodeUint64s(keys.RandomUint64(100000, 1))), 51.5, true},
 	} {
 		for _, random := range []bool{false, true} {
 			entries := entriesOf(tc.ks, random)
@@ -514,52 +503,69 @@ func TestStaticBitsPerKeyBudget(t *testing.T) {
 			for i, e := range entries {
 				vals[i] = e.Value
 			}
-			var values, slots int64
+			var values int64
 			if c := s.col; c != nil {
 				checkColumnCoding(t, c, tc.ks, vals)
-				values, slots = c.values.MemoryUsage(), bits.AllocSize(8*len(vals))
+				values = c.values.f.MemoryUsage()
 			} else {
 				tr := &s.t
-				if !random && tr.shift == nil {
-					t.Errorf("%s: IDs in key order were not shifted", tc.name)
+				for l, r := range tr.values {
+					if !random && r.step != 1 {
+						t.Errorf("%s: level %d's IDs in key order are not coded as x_i - i", tc.name, l)
+					}
 				}
 				checkValueCoding(t, tr, vals)
-				values = tr.dValues.MemoryUsage() + tr.sValues.MemoryUsage()
-				slots = bits.AllocSize(8*tr.numDenseLeaves) + bits.AllocSize(8*tr.numSparseLeaves)
+				values = tr.valueBytes
 			}
-			if random && values != slots {
-				t.Errorf("%s, random values: %d B of values, want exactly the %d B of 64-bit slots", tc.name, values, slots)
+			if slots := bits.AllocSize(8 * len(vals)); random && values != slots {
+				t.Errorf("%s, random values: %d B of values, want exactly the %d B of one allocation of 64-bit slots", tc.name, values, slots)
 			}
 		}
 	}
 }
 
-// TestStaticShiftOverflowFallsBack builds four keys on two levels whose
-// values rise but span most of the 64 bits each, in one region: shifted, the
-// second level would pass 2^64, so the region is coded unshifted. The same
-// keys with small IDs are shifted.
-func TestStaticShiftOverflowFallsBack(t *testing.T) {
+// TestStaticValueRuns builds four keys on two levels — "a" and "c" on the
+// first, "b0" and "b1" on the second — in either region, with values that
+// strictly rise, tie, fall, and sit near 2^64, where x_i − i of a run that
+// does not strictly rise would wrap. Each level's run must be coded as its
+// definition says (checkValueCoding), with x_i − i exactly where the level
+// strictly rises, and every value must read back through Get and a walk.
+func TestStaticValueRuns(t *testing.T) {
+	const top = ^uint64(0)
 	ks := [][]byte{[]byte("a"), []byte("b0"), []byte("b1"), []byte("c")}
 	for _, dense := range []int{0, 2} {
 		for _, tc := range []struct {
-			vals    []uint64
-			shifted bool
+			name  string
+			vals  []uint64 // a, b0, b1, c
+			steps [2]uint64
 		}{
-			{[]uint64{0, 1, ^uint64(0) - 1, ^uint64(0)}, false},
-			{[]uint64{0, 1, 2, 3}, true},
+			{"IDs", []uint64{0, 1, 2, 3}, [2]uint64{1, 1}},
+			{"tied", []uint64{5, 7, 7, 5}, [2]uint64{0, 0}},
+			{"falling", []uint64{9, 4, 3, 1}, [2]uint64{0, 0}},
+			{"near 2^64", []uint64{top - 3, top - 2, top - 1, top}, [2]uint64{1, 1}},
+			{"would wrap", []uint64{top, 0, top, 0}, [2]uint64{0, 1}},
+			{"ties at 0", []uint64{1, 0, 0, 2}, [2]uint64{1, 0}},
 		} {
 			tr, err := Build(ks, tc.vals, Config{StoreValues: true, DenseLevels: dense})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tr.Height() != 2 || (tr.shift != nil) != tc.shifted {
-				t.Fatalf("dense levels %d, values %x: height %d, shifted %v, want 2 and %v", dense, tc.vals, tr.Height(), tr.shift != nil, tc.shifted)
+			if tr.Height() != 2 || tr.values[0].step != tc.steps[0] || tr.values[1].step != tc.steps[1] {
+				t.Fatalf("dense levels %d, %s: height %d, steps %d and %d, want 2, %d and %d", dense, tc.name,
+					tr.Height(), tr.values[0].step, tr.values[1].step, tc.steps[0], tc.steps[1])
 			}
 			checkValueCoding(t, tr, tc.vals)
 			for i, k := range ks {
 				if v, ok := tr.Get(k); !ok || v != tc.vals[i] {
-					t.Fatalf("dense levels %d: Get(%q) = %#x,%v, want %#x", dense, k, v, ok, tc.vals[i])
+					t.Fatalf("dense levels %d, %s: Get(%q) = %#x,%v, want %#x", dense, tc.name, k, v, ok, tc.vals[i])
 				}
+			}
+			it, i := tr.NewIterator(), 0
+			for it.First(); it.Valid(); it.Next() {
+				if v := it.Value(); v != tc.vals[i] {
+					t.Fatalf("dense levels %d, %s: walk reads %#x for %q, want %#x", dense, tc.name, v, ks[i], tc.vals[i])
+				}
+				i++
 			}
 		}
 	}
@@ -689,6 +695,6 @@ func TestStaticLayoutChoice(t *testing.T) {
 		}
 		t.Logf("%s: %d keys of %d bytes, column %.2f bits/key (keys %.2f, values %.2f), complete trie %.2f",
 			tc.name, len(entries), k, perKey(s), float64(s.col.keys.MemoryUsage())*8/float64(len(entries)),
-			float64(s.col.values.MemoryUsage())*8/float64(len(entries)), perKey(trie))
+			float64(s.col.values.f.MemoryUsage())*8/float64(len(entries)), perKey(trie))
 	}
 }

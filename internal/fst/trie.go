@@ -18,22 +18,22 @@ type Trie struct {
 	dLabels         *bits.RankVector
 	dHasChild       *bits.RankVector
 	dIsPrefix       *bits.RankVector
-	dValues         bits.FOR // per leaf, in slot order
 	numDenseLeaves  int
 	// Sparse region (levels [denseHeight, height)).
 	sLabels         []byte
 	sHasChild       *bits.RankVector
 	sLouds          *bits.SelectVector
-	sValues         bits.FOR
 	numSparseLeaves int
 	// Per-level layout bookkeeping for O(height) range counting: entry l is
 	// the state at the start of level l, with one sentinel entry at the end.
 	dLevelValueStart []int // dense leaf-count before each dense level
 	sLevelPosStart   []int // sparse label position at start of each sparse level
 	sLevelValueStart []int // sparse leaf-count before each sparse level
-	// shift is, per level, the constant added to its leaves' values before
-	// they are coded (shiftLevels); nil when it would be all zeros.
-	shift []uint64
+	// values is, per level, its leaves' values in slot order (nil without
+	// StoreValues); every level's array lies in one allocation of
+	// valueBytes bytes.
+	values     []valueRun
+	valueBytes int64
 	// Key-codec annotation (SetKeyCodec): when the trie indexes
 	// codec-encoded keys, the codec id and its serialized dictionary travel
 	// with the trie through Marshal/Unmarshal so a loaded trie remains
@@ -59,7 +59,7 @@ func (t *Trie) MemoryUsage() int64 {
 	m := t.dLabels.MemoryUsage() + t.dHasChild.MemoryUsage() + t.dIsPrefix.MemoryUsage()
 	m += int64(len(t.sLabels))
 	m += t.sHasChild.MemoryUsage() + t.sLouds.MemoryUsage()
-	m += t.dValues.MemoryUsage() + t.sValues.MemoryUsage() + int64(len(t.shift))*8
+	m += t.valueBytes + bits.SliceAlloc(t.values)
 	return m + 64
 }
 
@@ -171,21 +171,15 @@ func findByte(labels []byte, start, end int, b byte) int {
 // must be on). Slots number the leaves in [0, leaf count): the dense
 // region's first, then the sparse region's, each in level order.
 func (t *Trie) valueAt(slot, level int) uint64 {
-	var v uint64
-	if slot < t.numDenseLeaves {
-		v = t.dValues.Get(slot)
-	} else {
-		v = t.sValues.Get(slot - t.numDenseLeaves)
-	}
-	return v - t.shiftOf(level)
+	return t.values[level].get(slot - t.levelSlot(level))
 }
 
-// shiftOf returns what level's values were shifted by before coding.
-func (t *Trie) shiftOf(level int) uint64 {
-	if t.shift == nil {
-		return 0
+// levelSlot returns the slot of level's first leaf.
+func (t *Trie) levelSlot(level int) int {
+	if level < t.denseHeight {
+		return t.dLevelValueStart[level]
 	}
-	return t.shift[level]
+	return t.numDenseLeaves + t.sLevelValueStart[level-t.denseHeight]
 }
 
 // lookup walks the trie for key and returns the slot of the leaf it reached

@@ -72,3 +72,51 @@ func TestShardedGetAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedWriteAllocs pins point writes of keys the memtable already
+// holds at no allocation on lib-read's shape (newLibReadIndex): Update
+// overwrites the node's value, and Delete then Insert tombstone and revive
+// it, and each write's key is encoded into a pooled buffer that goes back
+// when the shard returns, since the shard copies what it keeps. The writes
+// stay below the merge trigger, so no merge allocates beside them; the race
+// detector's pool drops buffers at random, so the count is only meaningful
+// without it.
+func TestShardedWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, withHOPE := range []bool{false, true} {
+		s, ks := newLibReadIndex(t, 50_000, nil, withHOPE)
+		written := ks[:800] // well below one shard's 4,096-node merge trigger
+		for i, k := range written {
+			if !s.Update(k, uint64(i)+1) {
+				t.Fatalf("Update(%q) refused", k)
+			}
+		}
+		i := 0
+		next := func() []byte {
+			i++
+			return written[i%len(written)]
+		}
+		for _, w := range []struct {
+			name  string
+			write func()
+		}{
+			{"Update", func() {
+				if !s.Update(next(), 7) {
+					t.Fatal("Update refused")
+				}
+			}},
+			{"Delete+Insert", func() {
+				k := next()
+				if !s.Delete(k) || !s.Insert(k, 9) {
+					t.Fatal("Delete or Insert refused")
+				}
+			}},
+		} {
+			if allocs := testing.AllocsPerRun(2000, w.write); allocs != 0 {
+				t.Errorf("hope=%v %s: %.2f allocs per write, want 0", withHOPE, w.name, allocs)
+			}
+		}
+	}
+}

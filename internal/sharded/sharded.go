@@ -236,22 +236,12 @@ func (s *Index) NumShards() int { return len(s.shards) }
 // in encoded space.
 func (s *Index) Router() *Router { return s.router }
 
-// shard encodes key and routes it: the owning shard and the key in its
-// encoded space. Every point operation starts here and takes no lock of the
-// sharded layer; the shard's own writer mutex is the only one a write meets.
-func (s *Index) shard(key []byte) (*hybrid.Index, []byte) {
-	if s.codec != nil {
-		key = s.codec.Encode(key)
-	}
-	return s.shards[s.router.Shard(key)], key
-}
-
 // Get returns the value stored under key, resolved in the owning shard's
 // current generation.
 func (s *Index) Get(key []byte) (uint64, bool) { return get(s.codec, s.router, s.shards, key) }
 
-// readKeys holds the buffers point reads encode their keys into.
-var readKeys = sync.Pool{New: func() any { return new([]byte) }}
+// keyBufs holds the buffers point operations encode their keys into.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // get is Get over the shards of the live index or of a snapshot. A read does
 // not retain its key, so the key is encoded into a pooled buffer that goes
@@ -260,31 +250,42 @@ func get[S interface{ Get([]byte) (uint64, bool) }](codec keycodec.Codec, r *Rou
 	if codec == nil {
 		return shards[r.Shard(key)].Get(key)
 	}
-	buf := readKeys.Get().(*[]byte)
-	ek := codec.EncodeAppend((*buf)[:0], key)
-	v, ok := shards[r.Shard(ek)].Get(ek)
-	*buf = ek
-	readKeys.Put(buf)
+	buf := keyBufs.Get().(*[]byte)
+	*buf = codec.EncodeAppend((*buf)[:0], key)
+	v, ok := shards[r.Shard(*buf)].Get(*buf)
+	keyBufs.Put(buf)
 	return v, ok
+}
+
+// write applies op to key in the owning shard, encoded into a pooled buffer
+// as a read's is: the shard copies what it keeps of the key (the memtable
+// into its slab, the journal into its record). It takes no lock of the
+// sharded layer; the shard's writer mutex is the only one a write meets.
+func (s *Index) write(key []byte, value uint64, op func(*hybrid.Index, []byte, uint64) bool) bool {
+	if s.codec == nil {
+		return op(s.shards[s.router.Shard(key)], key, value)
+	}
+	buf := keyBufs.Get().(*[]byte)
+	*buf = s.codec.EncodeAppend((*buf)[:0], key)
+	ok := op(s.shards[s.router.Shard(*buf)], *buf, value)
+	keyBufs.Put(buf)
+	return ok
 }
 
 // Insert adds a new entry (primary-index semantics: duplicates rejected).
 func (s *Index) Insert(key []byte, value uint64) bool {
-	sh, ek := s.shard(key)
-	return sh.Insert(ek, value)
+	return s.write(key, value, (*hybrid.Index).Insert)
 }
 
 // Update overwrites the value of an existing key.
 func (s *Index) Update(key []byte, value uint64) bool {
-	sh, ek := s.shard(key)
-	return sh.Update(ek, value)
+	return s.write(key, value, (*hybrid.Index).Update)
 }
 
 // Delete removes key.
-func (s *Index) Delete(key []byte) bool {
-	sh, ek := s.shard(key)
-	return sh.Delete(ek)
-}
+func (s *Index) Delete(key []byte) bool { return s.write(key, 0, deleteOp) }
+
+func deleteOp(h *hybrid.Index, key []byte, _ uint64) bool { return h.Delete(key) }
 
 // Len returns the total number of live entries across shards.
 func (s *Index) Len() int {
@@ -365,18 +366,23 @@ func (s *Index) BulkLoad(entries []index.Entry) error {
 // slice) and checks on the way that they are strictly ascending, which the
 // partition and every shard's build rely on; the codec is strictly monotone,
 // so the result is ascending too. The check rides the encode pass: each key
-// is compared while its encoding has it in cache.
+// is compared while its encoding has it in cache. Each key is encoded into
+// one reused buffer and cut from a keys.Slab, so the pass allocates a few
+// slab buffers, not one key per entry.
 func encodeEntries(entries []index.Entry, codec keycodec.Codec) ([]index.Entry, error) {
 	enc := entries
 	if codec != nil {
 		enc = make([]index.Entry, len(entries))
 	}
+	var slab keys.Slab
+	var buf []byte
 	for i, e := range entries {
 		if i > 0 && keys.Compare(entries[i-1].Key, e.Key) >= 0 {
 			return nil, fmt.Errorf("sharded: bulk-load entries must be sorted and unique (violated at index %d)", i)
 		}
 		if codec != nil {
-			enc[i] = index.Entry{Key: codec.Encode(e.Key), Value: e.Value}
+			buf = codec.EncodeAppend(buf[:0], e.Key)
+			enc[i] = index.Entry{Key: slab.Clone(buf), Value: e.Value}
 		}
 	}
 	return enc, nil
